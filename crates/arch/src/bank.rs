@@ -498,17 +498,6 @@ impl WeightBank {
         self.recompute_response();
     }
 
-    /// Age every GST cell by `years` of crystallinity drift and refresh
-    /// the optics.
-    #[deprecated(
-        since = "0.6.0",
-        note = "advance the bank's DegradationClock with `advance_years` / \
-                `advance_hours` instead of aging cells directly"
-    )]
-    pub fn age(&mut self, years: f64) {
-        self.advance_years(years);
-    }
-
     /// Advance simulated deployment time by `years` and apply the active
     /// degradation law (deterministic crystallinity relaxation, or the
     /// statistical power-law drift when [`WeightBank::enable_stat`] has

@@ -21,7 +21,8 @@
 
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::pe::{ProcessingElement, LOGIT_THRESHOLD};
+use crate::pe::LOGIT_THRESHOLD;
+use crate::tile::{charge_psums, PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -44,8 +45,6 @@ const GST_SLOPE: f64 = 0.34;
 /// of the hardware model, not the dispatch path (DESIGN.md §15).
 #[derive(Debug, Default)]
 struct ForwardScratch {
-    /// Laser-modulation slice, `bank_cols` wide.
-    slice: Vec<f64>,
     /// Current activation vector for the single-sample path.
     y: Vec<f64>,
     /// Per-layer logit accumulator.
@@ -63,6 +62,16 @@ pub(crate) fn copy_reuse(dst: &mut Vec<f64>, src: &[f64], allocs: &mut u64) {
     let had = dst.capacity();
     dst.clear();
     dst.extend_from_slice(src);
+    if dst.capacity() > had {
+        *allocs += 1;
+    }
+}
+
+/// Clear `dst` and refill it with `n` zeros, tallying capacity growth.
+pub(crate) fn zero_reuse(dst: &mut Vec<f64>, n: usize, allocs: &mut u64) {
+    let had = dst.capacity();
+    dst.clear();
+    dst.resize(n, 0.0);
     if dst.capacity() > had {
         *allocs += 1;
     }
@@ -98,10 +107,8 @@ pub struct PhotonicMlp {
     dims: Vec<usize>,
     /// Master (electronic) weight copies, row-major `[out × in]` per layer.
     weights: Vec<Vec<f64>>,
-    /// One PE per (layer, row-tile, col-tile).
-    pes: Vec<Vec<ProcessingElement>>,
-    bank_rows: usize,
-    bank_cols: usize,
+    /// One tile grid per layer.
+    layers: Vec<TileGemm>,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
     /// Cached per-layer inputs (`y_{k-1}`) from the latest forward pass.
@@ -141,10 +148,6 @@ pub struct TrainingOutcome {
 /// Construction options for [`PhotonicMlp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
-    /// Weight-bank rows per PE.
-    pub bank_rows: usize,
-    /// Weight-bank columns per PE.
-    pub bank_cols: usize,
     /// Weight-initialisation seed.
     pub seed: u64,
     /// Receiver-noise seed (`None` = ideal detectors).
@@ -164,8 +167,6 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         Self {
-            bank_rows: 16,
-            bank_cols: 16,
             seed: 0,
             noise_seed: None,
             weight_bits: 8,
@@ -178,21 +179,11 @@ impl Default for EngineOptions {
 
 impl PhotonicMlp {
     /// Build a photonic MLP with layer widths `dims` (e.g. `[64, 16, 10]`)
-    /// on `bank_rows × bank_cols` PEs, Xavier-initialised from `seed`.
+    /// on 16×16 PEs, Xavier-initialised from `seed`.
     /// `noise_seed` enables receiver noise; `weight_bits` sets the
     /// quantization the tuning technology supports.
-    pub fn new(
-        dims: &[usize],
-        bank_rows: usize,
-        bank_cols: usize,
-        seed: u64,
-        noise_seed: Option<u64>,
-        weight_bits: u8,
-    ) -> Self {
-        Self::with_options(
-            dims,
-            EngineOptions { bank_rows, bank_cols, seed, noise_seed, weight_bits, ..Default::default() },
-        )
+    pub fn new(dims: &[usize], seed: u64, noise_seed: Option<u64>, weight_bits: u8) -> Self {
+        Self::with_options(dims, EngineOptions { seed, noise_seed, weight_bits, ..Default::default() })
     }
 
     /// Build with full [`EngineOptions`] (fabrication variation etc.).
@@ -207,16 +198,8 @@ impl PhotonicMlp {
 
     /// Fallible form of [`PhotonicMlp::with_options`].
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
-        let EngineOptions {
-            bank_rows,
-            bank_cols,
-            seed,
-            noise_seed,
-            weight_bits,
-            resonance_sigma_nm,
-            variation_seed,
-            stat,
-        } = opts;
+        let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
+            opts;
         assert!(dims.len() >= 2, "need at least input and output widths");
         assert!((2..=8).contains(&weight_bits), "weight bits must be 2..=8");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -226,12 +209,24 @@ impl PhotonicMlp {
             let limit = (6.0 / (out + inp) as f64).sqrt().min(1.0);
             weights.push((0..out * inp).map(|_| rng.gen_range(-limit..limit)).collect());
         }
+        let layers = (0..dims.len() - 1)
+            .map(|k| {
+                TileGemm::with_pes(dims[k + 1], dims[k], |t| PeSpec {
+                    noise_seed: noise_seed.map(|s| bank_identity(s, k, t)),
+                    resonance_sigma_nm,
+                    variation_seed: bank_identity(variation_seed, k, t),
+                    // Per-bank identity mixed into the master seed, the
+                    // same (k, t) convention the receiver-noise and
+                    // variation draws use (trident-streams owns the
+                    // derivation arithmetic).
+                    stat: stat.map(|params| (params, bank_identity(params.seed, k, t))),
+                })
+            })
+            .collect();
         let mut engine = Self {
             dims: dims.to_vec(),
             weights,
-            pes: Vec::new(),
-            bank_rows,
-            bank_cols,
+            layers,
             weight_bits,
             cached_inputs: Vec::new(),
             cached_logits: Vec::new(),
@@ -242,29 +237,6 @@ impl PhotonicMlp {
             write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             scratch: ForwardScratch::default(),
         };
-        for k in 0..engine.layer_count() {
-            let (rt, ct) = engine.tile_grid(k);
-            let mut layer_pes = Vec::with_capacity(rt * ct);
-            for t in 0..rt * ct {
-                let seed = noise_seed.map(|s| bank_identity(s, k, t));
-                let mut pe = ProcessingElement::with_variation(
-                    bank_rows,
-                    bank_cols,
-                    seed,
-                    resonance_sigma_nm,
-                    bank_identity(variation_seed, k, t),
-                );
-                if let Some(params) = stat {
-                    // Per-bank identity mixed into the master seed, the
-                    // same (k, t) convention the receiver-noise and
-                    // variation draws use (trident-streams owns the
-                    // derivation arithmetic).
-                    pe.bank_mut().enable_stat(params, bank_identity(params.seed, k, t));
-                }
-                layer_pes.push(pe);
-            }
-            engine.pes.push(layer_pes);
-        }
         engine.program_forward_weights()?;
         Ok(engine)
     }
@@ -284,15 +256,9 @@ impl PhotonicMlp {
         &self.dims
     }
 
-    /// Tile grid `(row_tiles, col_tiles)` of layer `k`.
-    fn tile_grid(&self, k: usize) -> (usize, usize) {
-        let (out, inp) = self.layer_dims(k);
-        (out.div_ceil(self.bank_rows), inp.div_ceil(self.bank_cols))
-    }
-
     /// Total PEs allocated.
     pub fn pe_count(&self) -> usize {
-        self.pes.iter().map(Vec::len).sum()
+        self.layers.iter().map(TileGemm::tile_count).sum()
     }
 
     /// Direct access to layer `k`'s master weights (for equivalence tests).
@@ -372,7 +338,7 @@ impl PhotonicMlp {
             laser_droop: plan.laser_droop,
             drift_years: plan.drift_years,
         };
-        for pe in self.pes.iter_mut().flatten() {
+        for pe in self.layers.iter_mut().flat_map(TileGemm::pes_mut) {
             if plan.laser_droop > 0.0 {
                 pe.set_laser_droop(plan.laser_droop);
             }
@@ -416,8 +382,8 @@ impl PhotonicMlp {
     /// engine.
     pub fn advance_deployment(&mut self, delta: Hours) {
         let _span = obs::span("engine.advance_deployment");
-        for pe in self.pes.iter_mut().flatten() {
-            pe.bank_mut().advance_hours(delta);
+        for layer in &mut self.layers {
+            layer.advance_hours(delta);
         }
     }
 
@@ -429,11 +395,7 @@ impl PhotonicMlp {
     /// statistical layer.
     pub fn calibrate_drift_compensation(&mut self) -> EnergyPj {
         let _span = obs::span("engine.drift_calibration");
-        let mut spent = EnergyPj::ZERO;
-        for pe in self.pes.iter_mut().flatten() {
-            spent += pe.bank_mut().calibrate_compensation();
-        }
-        spent
+        self.layers.iter_mut().fold(EnergyPj::ZERO, |spent, layer| layer.calibrate(spent))
     }
 
     /// Open every bank's drift-compensation loop (gain back to unity) for
@@ -442,15 +404,15 @@ impl PhotonicMlp {
     /// for why training under a stale gain is unsafe. A no-op without the
     /// statistical layer.
     pub fn disengage_drift_compensation(&mut self) {
-        for pe in self.pes.iter_mut().flatten() {
-            pe.bank_mut().disengage_compensation();
+        for layer in &mut self.layers {
+            layer.disengage_compensation();
         }
     }
 
     /// Whether the statistical device layer is active on the engine's
     /// banks.
     pub fn stat_enabled(&self) -> bool {
-        self.pes.iter().flatten().any(|pe| pe.bank().stat_enabled())
+        self.layers.iter().any(TileGemm::stat_enabled)
     }
 
     /// Whether programming runs through the fault-tolerant verified path.
@@ -467,17 +429,17 @@ impl PhotonicMlp {
     /// Writes rejected by stuck cells or failed by verify, summed over
     /// every bank.
     pub fn write_failures(&self) -> u64 {
-        self.pes.iter().flatten().map(|pe| pe.bank().write_failures()).sum()
+        self.layers.iter().map(TileGemm::write_failures).sum()
     }
 
     /// Faulty or worn cells remapped onto spare rings, summed over banks.
     pub fn remapped_rings(&self) -> u64 {
-        self.pes.iter().flatten().map(|pe| pe.bank().remapped_count()).sum()
+        self.layers.iter().map(TileGemm::remapped_rings).sum()
     }
 
     /// Dead slots masked out of the optics, summed over banks.
     pub fn masked_rings(&self) -> usize {
-        self.pes.iter().flatten().map(|pe| pe.bank().masked_count()).sum()
+        self.layers.iter().map(TileGemm::masked_rings).sum()
     }
 
     fn quantize(&self, w: f64) -> f64 {
@@ -486,62 +448,16 @@ impl PhotonicMlp {
         (w.clamp(-1.0, 1.0) / step).round() * step
     }
 
-    /// Extract the `bank_rows × bank_cols` tile `(rt, ct)` of `matrix`
-    /// (`out × in` row-major), zero-padded at the edges. `transpose`
-    /// extracts from the transposed matrix instead.
-    fn tile_of(
-        &self,
-        matrix: &[f64],
-        out: usize,
-        inp: usize,
-        rt: usize,
-        ct: usize,
-        transpose: bool,
-    ) -> Vec<f64> {
-        let mut tile = vec![0.0; self.bank_rows * self.bank_cols];
-        for r in 0..self.bank_rows {
-            for c in 0..self.bank_cols {
-                let (i, j) = (rt * self.bank_rows + r, ct * self.bank_cols + c);
-                let v = if transpose {
-                    // element (i, j) of Wᵀ = element (j, i) of W
-                    if i < inp && j < out {
-                        matrix[j * inp + i]
-                    } else {
-                        0.0
-                    }
-                } else if i < out && j < inp {
-                    matrix[i * inp + j]
-                } else {
-                    0.0
-                };
-                tile[r * self.bank_cols + c] = v;
-            }
-        }
-        tile
-    }
-
     fn program_layer_forward(&mut self, k: usize) -> Result<(), ArchError> {
-        let (out, inp) = self.layer_dims(k);
-        let (_, ct) = self.tile_grid(k);
-        let weights = self.weights[k].clone();
-        let (rt, _) = self.tile_grid(k);
-        let policy = self.write_policy;
-        for r in 0..rt {
-            for c in 0..ct {
-                let tile = self.tile_of(&weights, out, inp, r, c, false);
-                if self.fault_tolerant_writes {
-                    // Closed-loop writes; per-cell failures are absorbed
-                    // by the bank's remap/mask degradation and tallied in
-                    // the ring counters, so only internal-shape bugs can
-                    // error here.
-                    self.pes[k][r * ct + c]
-                        .program_verified(&tile, &policy, &mut self.write_rng)?;
-                } else {
-                    self.pes[k][r * ct + c].program(&tile);
-                }
-            }
+        if self.fault_tolerant_writes {
+            // Closed-loop writes; per-cell failures are absorbed by the
+            // bank's remap/mask degradation and tallied in the ring
+            // counters, so only internal-shape bugs can error here.
+            self.layers[k].program_verified(&self.weights[k], &self.write_policy, &mut self.write_rng)
+        } else {
+            self.layers[k].program(&self.weights[k]);
+            Ok(())
         }
-        Ok(())
     }
 
     fn program_forward_weights(&mut self) -> Result<(), ArchError> {
@@ -549,20 +465,6 @@ impl PhotonicMlp {
             self.program_layer_forward(k)?;
         }
         Ok(())
-    }
-
-    fn program_layer_transposed(&mut self, k: usize) {
-        let (out, inp) = self.layer_dims(k);
-        let weights = self.weights[k].clone();
-        // Wᵀ is inp × out: its tile grid.
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
-        for r in 0..rt {
-            for c in 0..ct {
-                let tile = self.tile_of(&weights, out, inp, r, c, true);
-                self.pes[k][r * ct + c].program(&tile);
-            }
-        }
     }
 
     /// Forward one sample photonically. Input entries must lie in `[0, 1]`
@@ -654,60 +556,20 @@ impl PhotonicMlp {
         scratch: &mut ForwardScratch,
     ) {
         cache_set(&mut self.cached_inputs, k, y, &mut scratch.heap_allocs);
-        let (out, inp) = self.layer_dims(k);
-        let (rt_n, ct_n) = self.tile_grid(k);
+        let (out, _) = self.layer_dims(k);
         // Normalize activations onto the lasers (electronic AGC).
         let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let had_h = scratch.h.capacity();
-        scratch.h.clear();
-        scratch.h.resize(out, 0.0);
-        if scratch.h.capacity() > had_h {
-            scratch.heap_allocs += 1;
-        }
-        for r in 0..rt_n {
-            for c in 0..ct_n {
-                let had_slice = scratch.slice.capacity();
-                scratch.slice.clear();
-                scratch.slice.resize(self.bank_cols, 0.0);
-                if scratch.slice.capacity() > had_slice {
-                    scratch.heap_allocs += 1;
-                }
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < inp {
-                        scratch.slice[j] = (y[src] / scale).max(0.0);
-                    }
-                }
-                let partial = self.pes[k][r * ct_n + c].mvm_unsigned(&scratch.slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < out {
-                        scratch.h[row] += p * scale;
-                        if c > 0 {
-                            self.extra_energy.charge("psum accumulate", EnergyPj(0.1));
-                        }
-                    }
-                }
-            }
-        }
+        zero_reuse(&mut scratch.h, out, &mut scratch.heap_allocs);
+        let psums =
+            self.layers[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, &mut scratch.h);
+        charge_psums(&mut self.extra_energy, psums);
         cache_set(&mut self.cached_logits, k, &scratch.h, &mut scratch.heap_allocs);
         if last && tail {
             // Output layer: identity (read by the loss).
             copy_reuse(y, &scratch.h, &mut scratch.heap_allocs);
         } else {
-            // Activation rows live on the (rt, 0) PEs.
-            let had_act = scratch.act.capacity();
-            scratch.act.clear();
-            scratch.act.resize(out, 0.0);
-            if scratch.act.capacity() > had_act {
-                scratch.heap_allocs += 1;
-            }
-            for r in 0..rt_n {
-                let lo = r * self.bank_rows;
-                let hi = (lo + self.bank_rows).min(out);
-                let fired = self.pes[k][r * ct_n].latch_and_activate(&scratch.h[lo..hi]);
-                scratch.act[lo..hi].copy_from_slice(&fired);
-            }
+            zero_reuse(&mut scratch.act, out, &mut scratch.heap_allocs);
+            self.layers[k].activate_rows(&scratch.h, &mut scratch.act);
             copy_reuse(y, &scratch.act, &mut scratch.heap_allocs);
         }
     }
@@ -788,9 +650,7 @@ impl PhotonicMlp {
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
         let wmax = self.dims.iter().copied().max().unwrap_or(0);
         let layers = self.layer_count();
-        let bank_cols = self.bank_cols;
         let s = &mut self.scratch;
-        reserve_to(&mut s.slice, bank_cols);
         reserve_to(&mut s.y, wmax);
         reserve_to(&mut s.h, wmax);
         reserve_to(&mut s.act, wmax);
@@ -938,7 +798,7 @@ impl PhotonicMlp {
                 error.clone()
             } else {
                 let projected = project(k, &error);
-                self.hadamard_with_latched_derivatives(k, &projected)
+                self.layers[k].hadamard_latched(&projected)
             };
             weight_grads.push(self.outer_product_layer(k, &delta));
         }
@@ -1025,10 +885,12 @@ impl PhotonicMlp {
                         }
                     }
                     if k > 0 {
-                        self.program_layer_transposed(k);
+                        self.layers[k].program_transposed(&self.weights[k]);
                         for s in 0..bx.len() {
-                            let delta = sample_deltas[s].clone();
-                            let v = self.transposed_mvm(k, &delta);
+                            // Signed MVM through Wᵀ; this sweep bills no
+                            // partial sums (DESIGN.md §16).
+                            let mut v = vec![0.0; self.dims[k]];
+                            self.layers[k].gemv_signed(&sample_deltas[s], &mut v);
                             // Hadamard with the spilled f'(h_{k-1}) bits.
                             let h = &sample_logits[s][k - 1];
                             let next: Vec<f64> = v
@@ -1061,35 +923,6 @@ impl PhotonicMlp {
         })
     }
 
-    /// Signed MVM through layer `k`'s banks assuming they currently hold
-    /// `W_kᵀ` (batched backward helper).
-    fn transposed_mvm(&mut self, k: usize, delta: &[f64]) -> Vec<f64> {
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
-        let mut v = vec![0.0; inp];
-        for r in 0..rt {
-            for c in 0..ct {
-                let mut slice = vec![0.0; self.bank_cols];
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < out {
-                        slice[j] = delta[src];
-                    }
-                }
-                let partial = self.pes[k][r * ct + c].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < inp {
-                        v[row] += p;
-                    }
-                }
-            }
-        }
-        v
-    }
-
     /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
     /// the tuning grid, and programmed back into the forward banks.
     fn apply_weight_grads(
@@ -1110,25 +943,6 @@ impl PhotonicMlp {
         Ok(())
     }
 
-    /// Multiply a per-row vector by `f'(h_k)` stored in layer `k`'s LDSUs
-    /// (the TIA-gain Hadamard of Eq. 3).
-    fn hadamard_with_latched_derivatives(&mut self, k: usize, v: &[f64]) -> Vec<f64> {
-        let (out, _) = self.layer_dims(k);
-        assert_eq!(v.len(), out, "vector width mismatch for layer {k}");
-        let (_, ct) = self.tile_grid(k);
-        let mut result = vec![0.0; out];
-        for r in 0..out.div_ceil(self.bank_rows) {
-            let lo = r * self.bank_rows;
-            let hi = (lo + self.bank_rows).min(out);
-            let pe = &mut self.pes[k][r * ct];
-            pe.set_backward_gains();
-            let gained = pe.apply_tia_gains(&v[lo..hi]);
-            result[lo..hi].copy_from_slice(&gained);
-            pe.set_forward_gains();
-        }
-        result
-    }
-
     /// Table II gradient-vector mode for layer `k`: program `W_kᵀ`, run a
     /// signed MVM of `delta`, apply the latched `f'(h_{k-1})` of the
     /// *previous* layer via its TIA gains.
@@ -1142,31 +956,10 @@ impl PhotonicMlp {
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
         let (out, inp) = self.layer_dims(k);
         assert_eq!(delta.len(), out);
-        self.program_layer_transposed(k);
-        let rt = inp.div_ceil(self.bank_rows);
-        let ct = out.div_ceil(self.bank_cols);
+        self.layers[k].program_transposed(&self.weights[k]);
         let mut v = vec![0.0; inp];
-        for r in 0..rt {
-            for c in 0..ct {
-                let mut slice = vec![0.0; self.bank_cols];
-                for j in 0..self.bank_cols {
-                    let src = c * self.bank_cols + j;
-                    if src < out {
-                        slice[j] = delta[src];
-                    }
-                }
-                let partial = self.pes[k][r * ct + c].mvm_signed(&slice);
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = r * self.bank_rows + i;
-                    if row < inp {
-                        v[row] += p;
-                        if c > 0 {
-                            self.extra_energy.charge("psum accumulate", EnergyPj(0.1));
-                        }
-                    }
-                }
-            }
-        }
+        let psums = self.layers[k].gemv_signed(delta, &mut v);
+        charge_psums(&mut self.extra_energy, psums);
         // Restore the forward weights for the next forward pass.
         self.program_layer_forward(k)?;
         if trace {
@@ -1174,9 +967,7 @@ impl PhotonicMlp {
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
         }
         // Hadamard with f'(h_{k-1}) from the previous layer's LDSUs.
-        let (prev_out, _) = self.layer_dims(k - 1);
-        assert_eq!(prev_out, inp);
-        Ok(self.hadamard_with_latched_derivatives(k - 1, &v))
+        Ok(self.layers[k - 1].hadamard_latched(&v))
     }
 
     /// Table II outer-product mode for layer `k`: `δW = δh ⊗ y_{k-1}`,
@@ -1189,29 +980,8 @@ impl PhotonicMlp {
             obs::SpanGuard::disabled()
         };
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        let y = self.cached_inputs[k].clone();
-        // y enters the bank as weights; normalize into [-1, 1].
-        let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let (rt_n, ct_n) = self.tile_grid(k);
-        let mut grad = vec![0.0; out * inp];
-        for r in 0..rt_n {
-            let dh_lo = r * self.bank_rows;
-            let dh_hi = (dh_lo + self.bank_rows).min(out);
-            let dh_slice = &delta[dh_lo..dh_hi];
-            for c in 0..ct_n {
-                let y_lo = c * self.bank_cols;
-                let y_hi = (y_lo + self.bank_cols).min(inp);
-                let y_slice: Vec<f64> = y[y_lo..y_hi].iter().map(|&v| v / y_scale).collect();
-                let products = self.pes[k][r * ct_n + c].outer_product(dh_slice, &y_slice);
-                for (i, row) in products.iter().enumerate() {
-                    for (j, &p) in row.iter().enumerate() {
-                        grad[(dh_lo + i) * inp + (y_lo + j)] = p * y_scale;
-                    }
-                }
-            }
-        }
+        assert_eq!(delta.len(), self.layer_dims(k).0);
+        let grad = self.layers[k].outer_product(delta, &self.cached_inputs[k]);
         if trace {
             let dt = self.total_elapsed() - sim_start;
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
@@ -1265,28 +1035,27 @@ impl PhotonicMlp {
 
     /// Aggregate energy across all PEs and engine-level charges.
     pub fn total_energy(&self) -> EnergyPj {
-        let pe_energy: EnergyPj =
-            self.pes.iter().flatten().map(|pe| pe.energy().total()).sum();
-        pe_energy + self.extra_energy.total()
+        self.layers.iter().fold(EnergyPj::ZERO, |acc, layer| layer.fold_energy(acc))
+            + self.extra_energy.total()
     }
 
     /// GST programming energy alone.
     pub fn programming_energy(&self) -> EnergyPj {
-        self.pes.iter().flatten().map(|pe| pe.energy().get("gst write")).sum()
+        self.layers.iter().fold(EnergyPj::ZERO, |acc, layer| layer.fold_write_energy(acc))
     }
 
     /// Full merged energy ledger.
     pub fn energy_ledger(&self) -> EnergyLedger {
         let mut ledger = self.extra_energy.clone();
-        for pe in self.pes.iter().flatten() {
-            ledger.absorb(pe.energy());
+        for layer in &self.layers {
+            layer.absorb_into(&mut ledger);
         }
         ledger
     }
 
     /// Simulated time across PEs (sequential-tile upper bound).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.pes.iter().flatten().map(ProcessingElement::elapsed).sum::<Nanoseconds>()
+        self.layers.iter().fold(Nanoseconds::ZERO, |acc, layer| layer.fold_elapsed(acc))
             + self.elapsed
     }
 
@@ -1372,7 +1141,7 @@ mod tests {
 
     #[test]
     fn photonic_forward_matches_float_reference() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 16, 16, 42, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 42, None, 8);
         let x: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
         let photonic = engine.forward(&x);
         let reference = reference_forward(&engine, &x);
@@ -1388,7 +1157,7 @@ mod tests {
     fn tiled_layer_matches_reference() {
         // 40 inputs forces column tiling (3 tiles of 16). Seed pinned
         // against the vendored RNG stream with 2× margin on the bound.
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
         assert!(engine.pe_count() > 3 * 2, "tiling must allocate PEs");
         let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
         let photonic = engine.forward(&x);
@@ -1403,7 +1172,7 @@ mod tests {
 
     #[test]
     fn gradient_vector_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[6, 5, 3], 16, 16, 3, None, 8);
+        let mut engine = PhotonicMlp::new(&[6, 5, 3], 3, None, 8);
         let x = [0.2, 0.9, 0.4, 0.1, 0.7, 0.5];
         engine.forward(&x);
         let delta = vec![0.3, -0.7, 0.2];
@@ -1430,7 +1199,7 @@ mod tests {
 
     #[test]
     fn outer_product_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[5, 4, 2], 16, 16, 5, None, 8);
+        let mut engine = PhotonicMlp::new(&[5, 4, 2], 5, None, 8);
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
         engine.forward(&x);
         let delta = vec![0.5, -1.0];
@@ -1452,7 +1221,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_insitu() {
-        let mut engine = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         // Three linearly separable prototype inputs.
         let xs: Vec<Vec<f64>> = vec![
             vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -1475,7 +1244,7 @@ mod tests {
 
     #[test]
     fn weight_updates_are_quantized_and_clipped() {
-        let mut engine = PhotonicMlp::new(&[4, 3, 2], 16, 16, 2, None, 6);
+        let mut engine = PhotonicMlp::new(&[4, 3, 2], 2, None, 6);
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         let labels = vec![0];
         engine.train(&xs, &labels, 10.0, 3); // huge lr to force clipping
@@ -1494,7 +1263,7 @@ mod tests {
 
     #[test]
     fn set_layer_weights_round_trips() {
-        let mut engine = PhotonicMlp::new(&[3, 2, 2], 16, 16, 1, None, 8);
+        let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8);
         let w = vec![0.5, -0.5, 0.25, -0.25, 0.75, -0.75];
         engine.set_layer_weights(0, &w);
         for (got, want) in engine.layer_weights(0).iter().zip(&w) {
@@ -1512,10 +1281,10 @@ mod tests {
         ];
         let labels = vec![0usize, 1, 2, 0];
 
-        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         let per_sample_outcome = per_sample.train(&xs, &labels, 0.4, 12);
 
-        let mut batched = PhotonicMlp::new(&[8, 8, 3], 16, 16, 11, None, 8);
+        let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
         let batched_outcome = batched.train_batched(&xs, &labels, 0.4, 12, 4);
 
         assert!(
@@ -1536,7 +1305,7 @@ mod tests {
 
     #[test]
     fn energy_grows_with_work() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 16, 16, 9, None, 8);
+        let mut engine = PhotonicMlp::new(&[8, 6, 3], 9, None, 8);
         let after_init = engine.total_energy();
         let x: Vec<f64> = vec![0.5; 8];
         engine.forward(&x);
@@ -1559,9 +1328,9 @@ mod tests {
         // call visible: the batched layer-major sweep must hand each PE
         // the exact per-sample call sequence the per-sample loop does.
         let xs = batch_inputs(4, 40);
-        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, Some(7), 8);
+        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
         let expected: Vec<Vec<f64>> = xs.iter().map(|x| sequential.forward(x)).collect();
-        let mut batched = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, Some(7), 8);
+        let mut batched = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
         let got = batched.try_forward_batch(&xs, true).unwrap();
         assert_eq!(got.len(), expected.len());
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -1595,7 +1364,7 @@ mod tests {
 
     #[test]
     fn warm_engine_forwards_without_heap_allocs() {
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 16, 16, 23, None, 8);
+        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
         let xs = batch_inputs(8, 40);
         engine.reserve_forward_scratch(xs.len());
         // First batch may still grow cold corners (e.g. an output buffer

@@ -11,6 +11,9 @@
 //! * [`pe`] — one processing element: bank + balanced photodetectors +
 //!   TIAs + LDSUs + GST activation cells, operable in the three Table II
 //!   modes (inference, gradient vector, weight-update outer product).
+//! * `tile` — `TileGemm`, the one GEMM primitive every model lowers onto:
+//!   a logical matrix on a grid of 16×16 PEs, cut into tiles, programmed,
+//!   multiplied and partial-sum accumulated in one place.
 //! * [`engine`] — a multi-PE engine that runs whole dense networks
 //!   photonically, for inference and full in-situ backpropagation, with
 //!   energy/time ledgers.
@@ -55,6 +58,7 @@ pub mod pe;
 pub mod perf;
 pub mod pipeline;
 pub mod power;
+mod tile;
 pub mod training;
 pub mod transformer;
 pub mod variation;

@@ -2,8 +2,8 @@
 //!
 //! [`PhotonicTransformer`] runs pre-norm transformer encoder/decoder
 //! blocks with every GEMM lowered onto tiled PCM-MRR weight banks
-//! ([`ProcessingElement`] grids), the way [`crate::engine::PhotonicMlp`]
-//! lowers dense layers:
+//! (`TileGemm` grids), the way [`crate::engine::PhotonicMlp`] lowers
+//! dense layers:
 //!
 //! * **Static MVMs** — QKV projections, the attention output projection,
 //!   the two FFN GEMMs and the classifier/vocabulary head are programmed
@@ -33,16 +33,14 @@
 //! does for the MLP engine.
 
 use crate::error::ArchError;
-use crate::pe::{ProcessingElement, LOGIT_THRESHOLD};
+use crate::pe::LOGIT_THRESHOLD;
+use crate::tile::{charge_psums, PeSpec, TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
-
-/// Square PCM-MRR tile size, matching the engine's default bank.
-const TILE: usize = 16;
 
 /// GST activation slope above threshold (engine parity, Fig. 3).
 const GST_SLOPE: f64 = 0.34;
@@ -52,9 +50,6 @@ const LN_EPS: f64 = 1e-5;
 
 /// Digital LDSU throughput: one element per 1.37 GHz cycle.
 const DIGITAL_NS_PER_ELEM: f64 = 1.0 / 1.37;
-
-/// Digital psum accumulate charge per output element (engine parity).
-const PSUM_PJ: f64 = 0.1;
 
 /// LDSU softmax cost per element (exp + normalise, lookup-assisted).
 const LDSU_SOFTMAX_PJ_PER_ELEM: f64 = 0.05;
@@ -149,185 +144,53 @@ impl TransformerConfig {
     }
 }
 
-/// A weight matrix tiled over a grid of 16×16 PCM-MRR banks, plus the
-/// logical (scaled) copy the tiles are programmed from.
+/// A static weight matrix on its tile grid: programmed once from the
+/// max-abs-normalised weights, with that global magnitude restored after
+/// detection.
 #[derive(Debug)]
-struct TileGrid {
-    out_dim: usize,
-    in_dim: usize,
-    row_tiles: usize,
-    col_tiles: usize,
-    /// Global magnitude restored after detection (static grids); 1.0 for
-    /// KV grids, whose scales live per row/column with the cache.
+struct Projection {
+    gemm: TileGemm,
     scale: f64,
-    /// Scaled logical matrix (`out_dim × in_dim`, row-major, `|w| ≤ 1`)
-    /// the banks mirror.
-    logical: Vec<f64>,
-    /// Row-major `row_tiles × col_tiles` processing elements.
-    pes: Vec<ProcessingElement>,
 }
 
-impl TileGrid {
-    fn new(out_dim: usize, in_dim: usize, stat: &Option<StatParams>, identity: &mut u64) -> Self {
-        let row_tiles = out_dim.div_ceil(TILE);
-        let col_tiles = in_dim.div_ceil(TILE);
-        let mut pes = Vec::with_capacity(row_tiles * col_tiles);
-        for _ in 0..row_tiles * col_tiles {
-            let mut pe = ProcessingElement::new(TILE, TILE, None);
-            if let Some(params) = stat {
-                pe.bank_mut().enable_stat(*params, *identity);
-            }
-            *identity = identity.wrapping_add(1);
-            pes.push(pe);
-        }
-        Self {
-            out_dim,
-            in_dim,
-            row_tiles,
-            col_tiles,
-            scale: 1.0,
-            logical: vec![0.0; out_dim * in_dim],
-            pes,
-        }
+impl Projection {
+    /// Normalise `raw` by its max magnitude so the banks see the full LUT
+    /// range, program every tile, remember the restore scale.
+    fn deploy(mut gemm: TileGemm, raw: &[f64]) -> Self {
+        let scale = raw.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
+        let logical: Vec<f64> = raw.iter().map(|&w| (w / scale).clamp(-1.0, 1.0)).collect();
+        gemm.program(&logical);
+        Self { gemm, scale }
     }
 
-    /// Install a raw weight matrix: normalise by its max magnitude so the
-    /// banks see the full LUT range, program every tile, remember the
-    /// restore scale.
-    fn deploy(&mut self, raw: &[f64]) {
-        let max = raw.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
-        for (dst, &w) in self.logical.iter_mut().zip(raw) {
-            *dst = (w / max).clamp(-1.0, 1.0);
-        }
-        self.scale = max;
-        for rt in 0..self.row_tiles {
-            self.program_row_band(rt);
-        }
-    }
-
-    /// One zero-padded 16×16 tile of the logical matrix, staged on the
-    /// stack — band reprogramming runs per decode step, so this helper
-    /// must not touch the heap.
-    fn tile(&self, rt: usize, ct: usize) -> [f64; TILE * TILE] {
-        let mut tile = [0.0; TILE * TILE];
-        for r in 0..TILE {
-            let i = rt * TILE + r;
-            if i >= self.out_dim {
-                break;
-            }
-            for c in 0..TILE {
-                let j = ct * TILE + c;
-                if j >= self.in_dim {
-                    break;
-                }
-                tile[r * TILE + c] = self.logical[i * self.in_dim + j];
-            }
-        }
-        tile
-    }
-
-    /// (Re)program every tile covering logical rows
-    /// `[rt·16, (rt+1)·16)`. Unchanged cells are write no-ops, so
-    /// re-banding an already-cached row costs nothing — history-free
-    /// programming is what makes incremental decode bitwise-equal to a
-    /// fresh recompute. Returns the programming energy actually spent.
-    fn program_row_band(&mut self, rt: usize) -> EnergyPj {
-        let mut spent = EnergyPj::ZERO;
-        for ct in 0..self.col_tiles {
-            let tile = self.tile(rt, ct);
-            let pe = &mut self.pes[rt * self.col_tiles + ct];
-            let before = pe.energy().get("gst write");
-            pe.program(&tile);
-            spent += pe.energy().get("gst write") - before;
-        }
-        spent
-    }
-
-    /// (Re)program every tile covering logical columns
-    /// `[ct·16, (ct+1)·16)` — the V-bank append direction.
-    fn program_col_band(&mut self, ct: usize) -> EnergyPj {
-        let mut spent = EnergyPj::ZERO;
-        for rt in 0..self.row_tiles {
-            let tile = self.tile(rt, ct);
-            let pe = &mut self.pes[rt * self.col_tiles + ct];
-            let before = pe.energy().get("gst write");
-            pe.program(&tile);
-            spent += pe.energy().get("gst write") - before;
-        }
-        spent
-    }
-
-    /// Signed MVM of the full grid: per column-tile input slices stream
-    /// through each row tile, partial sums accumulate digitally
-    /// (k-ascending, column tiles in order), and the global scale is
-    /// restored last. Output length `out_dim`.
-    fn mvm(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
-        y.clear();
-        y.resize(self.out_dim, 0.0);
-        let mut x_tile = [0.0f64; TILE];
-        for ct in 0..self.col_tiles {
-            x_tile.fill(0.0);
-            for c in 0..TILE {
-                let j = ct * TILE + c;
-                if j < x.len() && j < self.in_dim {
-                    x_tile[c] = x[j];
-                }
-            }
-            for rt in 0..self.row_tiles {
-                let part = self.pes[rt * self.col_tiles + ct].mvm_signed(&x_tile);
-                for (r, &p) in part.iter().enumerate() {
-                    let i = rt * TILE + r;
-                    if i < self.out_dim {
-                        y[i] += p;
-                        if ct > 0 {
-                            extra.charge("psum accumulate", EnergyPj(PSUM_PJ));
-                        }
-                    }
-                }
-            }
-        }
+    /// `y = W·x`: the billed signed MVM, then the global scale restored.
+    fn gemv_scaled(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
+        gemv_billed(&mut self.gemm, x, y, extra);
         if self.scale.to_bits() != 1.0f64.to_bits() {
             for v in y.iter_mut() {
                 *v *= self.scale;
             }
         }
     }
+}
 
-    /// Latch the LDSUs of row band `rt` and fire its GST activation
-    /// cells (the FFN nonlinearity, photonic like the engine's hidden
-    /// layers). `h` is the band's logit slice (≤ 16 entries).
-    fn activate_band(&mut self, rt: usize, h: &[f64]) -> Vec<f64> {
-        self.pes[rt * self.col_tiles].latch_and_activate(h)
-    }
-
-    fn total_energy(&self) -> EnergyPj {
-        self.pes.iter().map(|pe| pe.energy().total()).sum()
-    }
-
-    fn total_elapsed(&self) -> Nanoseconds {
-        self.pes.iter().map(ProcessingElement::elapsed).sum()
-    }
-
-    fn absorb_into(&self, ledger: &mut EnergyLedger) {
-        for pe in &self.pes {
-            ledger.absorb(pe.energy());
-        }
-    }
-
-    fn calibrate(&mut self) {
-        for pe in &mut self.pes {
-            pe.bank_mut().calibrate_compensation();
-        }
-    }
+/// Signed MVM into a reused buffer (resized to the matrix's rows),
+/// billing every cross-tile partial-sum accumulate to `extra`.
+fn gemv_billed(gemm: &mut TileGemm, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
+    y.clear();
+    y.resize(gemm.dims().0, 0.0);
+    charge_psums(extra, gemm.gemv_signed(x, y));
 }
 
 /// Per-head KV banks: K rows (`max_seq × d_head`) and Vᵀ columns
-/// (`d_head × max_seq`), each with the write-time scale that restores
-/// row/column magnitudes after detection.
+/// (`d_head × max_seq`), the normalised matrices they mirror, and the
+/// write-time scales that restore row/column magnitudes after detection.
 #[derive(Debug)]
 struct HeadKv {
-    k: TileGrid,
-    v: TileGrid,
+    k: TileGemm,
+    v: TileGemm,
+    k_logical: Vec<f64>,
+    v_logical: Vec<f64>,
     k_scale: Vec<f64>,
     v_scale: Vec<f64>,
 }
@@ -335,12 +198,12 @@ struct HeadKv {
 /// One pre-norm transformer block's device state.
 #[derive(Debug)]
 struct Block {
-    wq: TileGrid,
-    wk: TileGrid,
-    wv: TileGrid,
-    wo: TileGrid,
-    w1: TileGrid,
-    w2: TileGrid,
+    wq: Projection,
+    wk: Projection,
+    wv: Projection,
+    wo: Projection,
+    w1: Projection,
+    w2: Projection,
     raw_wq: Vec<f64>,
     raw_wk: Vec<f64>,
     raw_wv: Vec<f64>,
@@ -359,7 +222,7 @@ struct Block {
 pub struct PhotonicTransformer {
     cfg: TransformerConfig,
     blocks: Vec<Block>,
-    head: TileGrid,
+    head: Projection,
     raw_head: Vec<f64>,
     lnf_gamma: Vec<f64>,
     lnf_beta: Vec<f64>,
@@ -469,7 +332,17 @@ impl PhotonicTransformer {
         let d = cfg.d_model;
         let d_head = d / cfg.heads;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
+        // Every bank takes the next sequential identity, whether or not
+        // the statistical layer is on.
         let mut identity = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let stat = cfg.stat;
+        let mut grid = |out_dim: usize, in_dim: usize| {
+            TileGemm::with_pes(out_dim, in_dim, |_| {
+                let spec = PeSpec { stat: stat.map(|p| (p, identity)), ..PeSpec::default() };
+                identity = identity.wrapping_add(1);
+                spec
+            })
+        };
         let mut blocks = Vec::with_capacity(cfg.depth);
         for _ in 0..cfg.depth {
             let raw_wq = init_matrix(&mut rng, d, d);
@@ -478,21 +351,18 @@ impl PhotonicTransformer {
             let raw_wo = init_matrix(&mut rng, d, d);
             let raw_w1 = init_matrix(&mut rng, cfg.d_ff, d);
             let raw_w2 = init_matrix(&mut rng, d, cfg.d_ff);
-            let mut mk = |out_dim, in_dim, raw: &[f64]| {
-                let mut g = TileGrid::new(out_dim, in_dim, &cfg.stat, &mut identity);
-                g.deploy(raw);
-                g
-            };
-            let wq = mk(d, d, &raw_wq);
-            let wk = mk(d, d, &raw_wk);
-            let wv = mk(d, d, &raw_wv);
-            let wo = mk(d, d, &raw_wo);
-            let w1 = mk(cfg.d_ff, d, &raw_w1);
-            let w2 = mk(d, cfg.d_ff, &raw_w2);
+            let wq = Projection::deploy(grid(d, d), &raw_wq);
+            let wk = Projection::deploy(grid(d, d), &raw_wk);
+            let wv = Projection::deploy(grid(d, d), &raw_wv);
+            let wo = Projection::deploy(grid(d, d), &raw_wo);
+            let w1 = Projection::deploy(grid(cfg.d_ff, d), &raw_w1);
+            let w2 = Projection::deploy(grid(d, cfg.d_ff), &raw_w2);
             let kv = (0..cfg.heads)
                 .map(|_| HeadKv {
-                    k: TileGrid::new(cfg.max_seq, d_head, &cfg.stat, &mut identity),
-                    v: TileGrid::new(d_head, cfg.max_seq, &cfg.stat, &mut identity),
+                    k: grid(cfg.max_seq, d_head),
+                    v: grid(d_head, cfg.max_seq),
+                    k_logical: vec![0.0; cfg.max_seq * d_head],
+                    v_logical: vec![0.0; d_head * cfg.max_seq],
                     k_scale: vec![1.0; cfg.max_seq],
                     v_scale: vec![1.0; cfg.max_seq],
                 })
@@ -518,8 +388,7 @@ impl PhotonicTransformer {
             });
         }
         let raw_head = init_matrix(&mut rng, cfg.out_dim, d);
-        let mut head = TileGrid::new(cfg.out_dim, d, &cfg.stat, &mut identity);
-        head.deploy(&raw_head);
+        let head = Projection::deploy(grid(cfg.out_dim, d), &raw_head);
         Ok(Self {
             cfg,
             blocks,
@@ -560,15 +429,15 @@ impl PhotonicTransformer {
     /// Run one drift-compensation calibration pass over every bank.
     pub fn calibrate_compensation(&mut self) {
         for b in &mut self.blocks {
-            for g in [&mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2] {
-                g.calibrate();
+            for p in [&mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2] {
+                p.gemm.calibrate(EnergyPj::ZERO);
             }
             for h in &mut b.kv {
-                h.k.calibrate();
-                h.v.calibrate();
+                h.k.calibrate(EnergyPj::ZERO);
+                h.v.calibrate(EnergyPj::ZERO);
             }
         }
-        self.head.calibrate();
+        self.head.gemm.calibrate(EnergyPj::ZERO);
     }
 
     /// Forget the cached sequence. Bank contents are overwritten on the
@@ -585,13 +454,14 @@ impl PhotonicTransformer {
 
     /// Total optical + digital energy since construction.
     pub fn total_energy(&self) -> EnergyPj {
-        self.grids().map(TileGrid::total_energy).sum::<EnergyPj>() + self.extra_energy.total()
+        self.grids().map(|g| g.fold_energy(EnergyPj::ZERO)).sum::<EnergyPj>()
+            + self.extra_energy.total()
     }
 
     /// Total simulated time (sequential-tile upper bound) since
     /// construction.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.grids().map(TileGrid::total_elapsed).sum::<Nanoseconds>() + self.elapsed
+        self.grids().map(|g| g.fold_elapsed(Nanoseconds::ZERO)).sum::<Nanoseconds>() + self.elapsed
     }
 
     /// Itemised energy ledger across every PE plus the digital side.
@@ -603,15 +473,16 @@ impl PhotonicTransformer {
         ledger
     }
 
-    fn grids(&self) -> impl Iterator<Item = &TileGrid> {
+    fn grids(&self) -> impl Iterator<Item = &TileGemm> {
         self.blocks
             .iter()
             .flat_map(|b| {
                 [&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2]
                     .into_iter()
+                    .map(|p| &p.gemm)
                     .chain(b.kv.iter().flat_map(|h| [&h.k, &h.v]))
             })
-            .chain(std::iter::once(&self.head))
+            .chain(std::iter::once(&self.head.gemm))
     }
 
     fn charge_digital(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
@@ -661,13 +532,13 @@ impl PhotonicTransformer {
             kv.k_scale[t] = k_max;
             kv.v_scale[t] = v_max;
             for (j, &v) in ks.iter().enumerate() {
-                kv.k.logical[t * d_head + j] = (v / k_max).clamp(-1.0, 1.0);
+                kv.k_logical[t * d_head + j] = (v / k_max).clamp(-1.0, 1.0);
             }
             for (r, &v) in vs.iter().enumerate() {
-                kv.v.logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
+                kv.v_logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
             }
-            spent += kv.k.program_row_band(t / TILE);
-            spent += kv.v.program_col_band(t / TILE);
+            spent += kv.k.program_row_band(&kv.k_logical, t / TILE);
+            spent += kv.v.program_col_band(&kv.v_logical, t / TILE);
         }
         if causal {
             let elems = 2 * self.cfg.d_model as u64;
@@ -700,7 +571,7 @@ impl PhotonicTransformer {
             // Score MVM: every cached K row dotted with q in one pass.
             {
                 let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                blocks[b].kv[h].k.mvm(q_h, scores, extra);
+                gemv_billed(&mut blocks[b].kv[h].k, q_h, scores, extra);
             }
             let k_scale = &self.blocks[b].kv[h].k_scale;
             for (j, s) in scores.iter_mut().enumerate().take(limit) {
@@ -716,7 +587,7 @@ impl PhotonicTransformer {
             }
             {
                 let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                blocks[b].kv[h].v.mvm(vin, ctx, extra);
+                gemv_billed(&mut blocks[b].kv[h].v, vin, ctx, extra);
             }
             out[h * d_head..(h + 1) * d_head].copy_from_slice(ctx);
         }
@@ -733,19 +604,14 @@ impl PhotonicTransformer {
         let mut s = std::mem::take(&mut self.scratch);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w1.mvm(x, &mut s.h1, extra);
+            blocks[b].w1.gemv_scaled(x, &mut s.h1, extra);
         }
         s.act.clear();
         s.act.resize(self.cfg.d_ff, 0.0);
-        for rt in 0..self.blocks[b].w1.row_tiles {
-            let lo = rt * TILE;
-            let hi = (lo + TILE).min(self.cfg.d_ff);
-            let fired = self.blocks[b].w1.activate_band(rt, &s.h1[lo..hi]);
-            s.act[lo..hi].copy_from_slice(&fired);
-        }
+        self.blocks[b].w1.gemm.activate_rows(&s.h1, &mut s.act);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w2.mvm(&s.act, out, extra);
+            blocks[b].w2.gemv_scaled(&s.act, out, extra);
         }
         self.scratch = s;
     }
@@ -770,15 +636,15 @@ impl PhotonicTransformer {
         }
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wq.mvm(&normed, &mut q, extra);
-            blocks[b].wk.mvm(&normed, &mut k, extra);
-            blocks[b].wv.mvm(&normed, &mut v, extra);
+            blocks[b].wq.gemv_scaled(&normed, &mut q, extra);
+            blocks[b].wk.gemv_scaled(&normed, &mut k, extra);
+            blocks[b].wv.gemv_scaled(&normed, &mut v, extra);
         }
         self.append_kv(b, t, &k, &v);
         self.attention(b, &q, limit, &mut attn);
         {
             let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wo.mvm(&attn, &mut proj, extra);
+            blocks[b].wo.gemv_scaled(&attn, &mut proj, extra);
         }
         for (hv, &p) in hidden.iter_mut().zip(&proj) {
             *hv += p;
@@ -811,7 +677,7 @@ impl PhotonicTransformer {
         }
         let mut logits = Vec::new();
         let (head, extra) = (&mut self.head, &mut self.extra_energy);
-        head.mvm(&normed, &mut logits, extra);
+        head.gemv_scaled(&normed, &mut logits, extra);
         logits
     }
 
@@ -1056,9 +922,9 @@ fn encoder_block(tx: &mut PhotonicTransformer, b: usize, hidden: &mut [Vec<f64>]
         let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
         {
             let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wq.mvm(&normed, &mut q, extra);
-            blocks[b].wk.mvm(&normed, &mut k, extra);
-            blocks[b].wv.mvm(&normed, &mut v, extra);
+            blocks[b].wq.gemv_scaled(&normed, &mut q, extra);
+            blocks[b].wk.gemv_scaled(&normed, &mut k, extra);
+            blocks[b].wv.gemv_scaled(&normed, &mut v, extra);
         }
         let t = normed_all.len();
         tx.append_kv(b, t, &k, &v);
@@ -1071,7 +937,7 @@ fn encoder_block(tx: &mut PhotonicTransformer, b: usize, hidden: &mut [Vec<f64>]
         let mut proj = Vec::new();
         {
             let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wo.mvm(&attn, &mut proj, extra);
+            blocks[b].wo.gemv_scaled(&attn, &mut proj, extra);
         }
         for (hv, &p) in tok.iter_mut().zip(&proj) {
             *hv += p;

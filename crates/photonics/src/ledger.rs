@@ -35,7 +35,14 @@ macro_rules! ledger {
                     amount.is_finite() && amount.value() >= 0.0,
                     "ledger charge for {item:?} must be finite and non-negative, got {amount}"
                 );
-                *self.entries.entry(item.to_string()).or_default() += amount;
+                // Look up before allocating: the key exists on every charge
+                // after an item's first, and this runs once per partial sum.
+                match self.entries.get_mut(item) {
+                    Some(total) => *total += amount,
+                    None => {
+                        self.entries.insert(item.to_string(), <$unit>::default() + amount);
+                    }
+                }
             }
 
             /// Current value of a line item (zero when absent).

@@ -185,7 +185,10 @@ fn run_on_fleet(
     // hot-path allocation mark taken after the first (warm-up) dispatch:
     // final minus mark = steady-state allocations, which the zero-alloc
     // contract says is 0.
-    let mut completions = Vec::new();
+    // The completion buffer is sized for the largest batch up front: the
+    // warm-up mark follows the first dispatch, which may be a small
+    // timer-closed batch.
+    let mut completions = Vec::with_capacity(cfg.batch_max.max(1));
     let mut warm_alloc_mark: Option<u64> = None;
 
     // The dispatch body, shared by the size and timer triggers.
@@ -375,6 +378,30 @@ mod tests {
                 sharding.key()
             );
         }
+    }
+
+    #[test]
+    fn small_first_batch_leaves_no_steady_state_growth() {
+        // The first batch closes on its linger timer with at most 4
+        // requests; later batches fill up to batch_max. The completion
+        // buffer must not grow after the warm-up mark.
+        let mut cfg = tiny_config();
+        cfg.scenario = "late_full_batch".to_string();
+        cfg.replicas.truncate(1);
+        cfg.batch_max = 8;
+        cfg.arrivals = ArrivalProcess::Poisson { mean_interarrival_ns: 3_000 };
+        cfg.seed = (0..)
+            .find(|&seed| {
+                let a = traffic::generate_arrivals(cfg.arrivals, seed, cfg.requests);
+                a[4] > a[0] + cfg.linger_ns
+            })
+            .unwrap();
+        let report = run(&cfg).unwrap();
+        assert!(
+            report.served > 4 * report.replicas[0].batches,
+            "some later batch must hold more than the first"
+        );
+        assert_eq!(report.steady_state_allocs, 0, "dispatch after warm-up must not allocate");
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() {
         .collect();
 
     for (label, bits) in [("GST / 8-bit", 8u8), ("thermal / 6-bit", 6u8)] {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, 16, 7, None, bits);
+        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, bits);
         println!(
             "{label}: {} PEs allocated across {} layers",
             engine.pe_count(),

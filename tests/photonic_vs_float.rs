@@ -43,7 +43,7 @@ fn float_forward(net: &mut [(Dense, Option<ActivationLayer>)], x: &[f64]) -> Vec
 
 #[test]
 fn forward_pass_matches_float_reference_within_quantization() {
-    let mut engine = PhotonicMlp::new(&[12, 10, 4], 16, 16, 31, None, 8);
+    let mut engine = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
     let mut mirror = mirror_network(&engine);
     for trial in 0..8 {
         let x: Vec<f64> = (0..12).map(|i| ((i * 7 + trial * 13) % 10) as f64 / 10.0).collect();
@@ -60,8 +60,8 @@ fn forward_pass_matches_float_reference_within_quantization() {
 
 #[test]
 fn forward_pass_with_receiver_noise_stays_close() {
-    let mut ideal = PhotonicMlp::new(&[12, 10, 4], 16, 16, 31, None, 8);
-    let mut noisy = PhotonicMlp::new(&[12, 10, 4], 16, 16, 31, Some(5), 8);
+    let mut ideal = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
+    let mut noisy = PhotonicMlp::new(&[12, 10, 4], 31, Some(5), 8);
     let x: Vec<f64> = (0..12).map(|i| (i % 5) as f64 / 5.0).collect();
     let yi = ideal.forward(&x);
     let yn = noisy.forward(&x);
@@ -75,7 +75,7 @@ fn tiled_wide_layer_matches_float_reference() {
     // 50 inputs → 4 column tiles; 20 hidden → 2 row tiles. Seed pinned
     // against the vendored RNG stream (16 of 23 scanned seeds fit the
     // 0.15 crosstalk bound; this one leaves 2× margin).
-    let mut engine = PhotonicMlp::new(&[50, 20, 5], 16, 16, 12, None, 8);
+    let mut engine = PhotonicMlp::new(&[50, 20, 5], 12, None, 8);
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = (0..50).map(|i| ((i * 3) % 8) as f64 / 8.0).collect();
     let photonic = engine.forward(&x);
@@ -194,7 +194,7 @@ fn insitu_gradient_matches_float_backprop() {
     // One supervised step on identical weights/data: the photonic weight
     // update direction must agree with autograd.
     let dims = [8usize, 6, 3];
-    let mut engine = PhotonicMlp::new(&dims, 16, 16, 77, None, 8);
+    let mut engine = PhotonicMlp::new(&dims, 77, None, 8);
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = vec![0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4];
     let label = 1usize;
