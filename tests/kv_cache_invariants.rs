@@ -13,12 +13,25 @@
 //! 2. **Closed-form traffic** — the measured cache read/write element
 //!    counts match `workload::kv::KvCachePlan`'s per-token expectations
 //!    exactly, for both the engine tallies and the obs counters.
+//!
+//! The obs recorder is process-global, so every test here holds
+//! `SERIAL` while it runs: a sibling decode must not add to the
+//! counters while `cache_traffic_matches_closed_form` measures them.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::obs;
 use trident::workload::KvCachePlan;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serialize this binary's tests; a panicked sibling must not poison the rest.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|f| f.to_bits()).collect()
@@ -37,6 +50,7 @@ fn token_stream(cfg: &TransformerConfig, seed: u64) -> Vec<Vec<f64>> {
 /// never *values*.
 #[test]
 fn cached_decode_matches_full_recompute_bitwise_at_every_step() {
+    let _serial = serial();
     let cfg = TransformerConfig::tiny_gpt();
     let tokens = token_stream(&cfg, 0x5eed);
     let mut decoder = PhotonicTransformer::try_new(cfg.clone()).unwrap();
@@ -59,6 +73,7 @@ fn cached_decode_matches_full_recompute_bitwise_at_every_step() {
 /// the closed-form per-token expectation from the workload IR.
 #[test]
 fn cache_traffic_matches_closed_form() {
+    let _serial = serial();
     let cfg = TransformerConfig::tiny_gpt();
     let plan = KvCachePlan {
         d_model: cfg.d_model,
@@ -94,6 +109,7 @@ fn cache_traffic_matches_closed_form() {
 /// programming is ordinary PE write energy, not decoder cache dataflow.
 #[test]
 fn encoder_path_bills_no_kv_traffic() {
+    let _serial = serial();
     let cfg = TransformerConfig::tiny_vit();
     let mut vit = PhotonicTransformer::try_new(cfg.clone()).unwrap();
     let mut rng = StdRng::seed_from_u64(11);
@@ -113,6 +129,7 @@ fn encoder_path_bills_no_kv_traffic() {
 /// state, not noise.
 #[test]
 fn reset_cache_rerun_is_tolerance_close_and_history_deterministic() {
+    let _serial = serial();
     let cfg = TransformerConfig::tiny_gpt();
     let tokens = token_stream(&cfg, 23);
     let mut a = PhotonicTransformer::try_new(cfg.clone()).unwrap();
