@@ -189,9 +189,10 @@ impl PhotonicMlp {
     /// Build with full [`EngineOptions`] (fabrication variation etc.).
     ///
     /// # Panics
-    /// Panics if the verified initial programming pass hits an
-    /// unrecoverable device error; [`PhotonicMlp::try_with_options`] is
-    /// the typed-error form.
+    /// Panics on fewer than two layer widths, weight bits outside
+    /// `2..=8`, or an unrecoverable device error in the verified initial
+    /// programming pass; [`PhotonicMlp::try_with_options`] is the
+    /// typed-error form.
     pub fn with_options(dims: &[usize], opts: EngineOptions) -> Self {
         Self::try_with_options(dims, opts).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -200,8 +201,20 @@ impl PhotonicMlp {
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
             opts;
-        assert!(dims.len() >= 2, "need at least input and output widths");
-        assert!((2..=8).contains(&weight_bits), "weight bits must be 2..=8");
+        if dims.len() < 2 {
+            return Err(ArchError::InvalidParameter {
+                name: "layer widths",
+                value: dims.len(),
+                expected: "at least 2 (input and output)",
+            });
+        }
+        if !(2..=8).contains(&weight_bits) {
+            return Err(ArchError::InvalidParameter {
+                name: "weight_bits",
+                value: usize::from(weight_bits),
+                expected: "2..=8",
+            });
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut weights = Vec::new();
         for k in 1..dims.len() {
@@ -815,8 +828,9 @@ impl PhotonicMlp {
     /// the per-sample `y` outer-product programming remains — it cannot
     /// amortize because every sample's activations differ.
     /// # Panics
-    /// Panics on mismatched inputs/labels or a device error;
-    /// [`PhotonicMlp::try_train_batched`] is the typed-error form.
+    /// Panics on mismatched inputs/labels, a zero `batch_size` or a
+    /// device error; [`PhotonicMlp::try_train_batched`] is the
+    /// typed-error form.
     pub fn train_batched(
         &mut self,
         xs: &[Vec<f64>],
@@ -841,7 +855,13 @@ impl PhotonicMlp {
         if xs.len() != labels.len() {
             return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
         }
-        assert!(batch_size >= 1);
+        if batch_size == 0 {
+            return Err(ArchError::InvalidParameter {
+                name: "batch_size",
+                value: 0,
+                expected: "at least 1",
+            });
+        }
         let _span = obs::span("engine.train_batched");
         let layer_count = self.layer_count();
         let (threshold, slope) = self.activation();
@@ -1259,6 +1279,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn too_few_layer_widths_is_a_typed_error() {
+        assert!(matches!(
+            PhotonicMlp::try_with_options(&[8], EngineOptions::default()),
+            Err(ArchError::InvalidParameter { name: "layer widths", value: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_weight_bits_is_a_typed_error() {
+        let opts = EngineOptions { weight_bits: 9, ..Default::default() };
+        assert!(matches!(
+            PhotonicMlp::try_with_options(&[4, 2], opts),
+            Err(ArchError::InvalidParameter { name: "weight_bits", value: 9, .. })
+        ));
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_typed_error() {
+        let mut engine = PhotonicMlp::new(&[4, 2], 1, None, 8);
+        let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
+        assert!(matches!(
+            engine.try_train_batched(&xs, &[0], 0.1, 1, 0),
+            Err(ArchError::InvalidParameter { name: "batch_size", value: 0, .. })
+        ));
     }
 
     #[test]

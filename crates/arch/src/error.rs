@@ -42,6 +42,15 @@ pub enum ArchError {
         /// Weight layers in the network.
         layers: usize,
     },
+    /// A construction or training parameter outside its valid range.
+    InvalidParameter {
+        /// The parameter's name.
+        name: &'static str,
+        /// The value provided.
+        value: usize,
+        /// The accepted range.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ArchError {
@@ -59,6 +68,9 @@ impl fmt::Display for ArchError {
             }
             Self::LayerOutOfRange { layer, layers } => {
                 write!(f, "layer {layer} out of range for {layers} weight layers")
+            }
+            Self::InvalidParameter { name, value, expected } => {
+                write!(f, "invalid {name} {value}: expected {expected}")
             }
         }
     }
@@ -97,5 +109,8 @@ mod tests {
         assert!(s.contains("(3, 7)"), "{s}");
         let s = ArchError::LabelOutOfRange { label: 11, classes: 10 }.to_string();
         assert!(s.contains("11") && s.contains("10"), "{s}");
+        let s = ArchError::InvalidParameter { name: "weight_bits", value: 9, expected: "2..=8" }
+            .to_string();
+        assert!(s.contains("weight_bits 9") && s.contains("2..=8"), "{s}");
     }
 }

@@ -69,62 +69,6 @@ fn conv_engine(c: &mut Criterion) {
     });
 }
 
-/// The fused dense kernel against the path it replaced. Fused is the
-/// steady-state Dense→Activation step: `act(A·Wᵀ + b)` into a pre-sized
-/// tensor, with the weight transpose cached (`wt_scratch`). The unfused
-/// baseline is the pre-fusion sequence those layers actually ran —
-/// allocating `transposed()`, allocating `matmul`, row-wise bias sweep,
-/// then an allocating `map(act)` pass. Serving-shaped problem — one
-/// closed batch of 8 through the latency scenario's 16→10 output layer,
-/// small enough that the kernels stay sequential and the per-dispatch
-/// overheads the fusion removes (three tensor allocations, a transpose,
-/// two extra output sweeps) are visible. CI guards that fused never
-/// regresses below unfused.
-fn fused_kernels(c: &mut Criterion) {
-    use trident::nn::linalg;
-    use trident::nn::tensor::Tensor;
-    let (m, k, n) = (8usize, 16usize, 10usize);
-    let a = Tensor::from_vec(
-        &[m, k],
-        (0..m * k).map(|i| ((i % 23) as f32 - 11.0) / 11.0).collect(),
-    );
-    // Row-major [out × in] master weights, as `Dense` stores them.
-    let w = Tensor::from_vec(
-        &[n, k],
-        (0..n * k).map(|i| ((i % 17) as f32 - 8.0) / 8.0).collect(),
-    );
-    let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 8.0) / 16.0).collect();
-    let gst = |v: f32| if v > 0.1 { (v - 0.1) * 1.2 } else { 0.0 };
-    c.bench_function("nn_fused_matmul_bias_act", |b| {
-        let mut wt = Tensor::zeros(&[k, n]);
-        linalg::transpose_into(&w, &mut wt);
-        let mut out = Tensor::zeros(&[m, n]);
-        b.iter(|| {
-            linalg::matmul_bias_act_into(
-                black_box(&a),
-                black_box(&wt),
-                Some(&bias),
-                gst,
-                &mut out,
-            );
-            black_box(out.data()[0])
-        })
-    });
-    c.bench_function("nn_unfused_matmul_bias_act", |b| {
-        b.iter(|| {
-            let wt = black_box(&w).transposed();
-            let mut h = linalg::matmul(black_box(&a), &wt);
-            for row in h.data_mut().chunks_exact_mut(n) {
-                for (v, bj) in row.iter_mut().zip(&bias) {
-                    *v += bj;
-                }
-            }
-            let out = h.map(gst);
-            black_box(out.data()[0])
-        })
-    });
-}
-
 /// The executor-backed hot paths: these scale with `TRIDENT_THREADS` and
 /// are the speedup gauges for the multi-threaded pool (ISSUE 4) — compare
 /// BENCH_results.json between `TRIDENT_THREADS=1` and the core count.
@@ -156,5 +100,5 @@ fn parallel_paths(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, pe_modes, engine_passes, conv_engine, fused_kernels, parallel_paths);
+criterion_group!(benches, pe_modes, engine_passes, conv_engine, parallel_paths);
 criterion_main!(benches);

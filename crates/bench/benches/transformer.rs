@@ -1,39 +1,11 @@
 //! Criterion benchmarks of the transformer workloads (DESIGN.md §16):
-//! the fused attention kernel and the photonic ViT/GPT engines. The
-//! `gpt_decode_token` median is the per-token serving figure the KV
-//! cache exists to protect — compare it against a full-sequence
-//! recompute growing quadratically with context.
+//! the photonic ViT/GPT engines. The `gpt_decode_token` median is the
+//! per-token serving figure the KV cache exists to protect — compare it
+//! against a full-sequence recompute growing quadratically with context.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
-use trident::nn::{attention_fused_into, attention_scale, Tensor, TensorArena};
-
-fn attention_kernels(c: &mut Criterion) {
-    // One head's worth of serving-shaped attention: 64 queries against a
-    // 64-token context at head width 16, causal (the GPT hot path).
-    let (s, d) = (64usize, 16usize);
-    let q = Tensor::from_vec(&[s, d], (0..s * d).map(|i| ((i % 23) as f32 - 11.0) / 11.0).collect());
-    let k = Tensor::from_vec(&[s, d], (0..s * d).map(|i| ((i % 19) as f32 - 9.0) / 9.0).collect());
-    let v = Tensor::from_vec(&[s, d], (0..s * d).map(|i| ((i % 17) as f32 - 8.0) / 8.0).collect());
-    let scale = attention_scale(d);
-    c.bench_function("nn_attention_fused", |b| {
-        let mut arena = TensorArena::new();
-        let mut out = Tensor::zeros(&[s, d]);
-        b.iter(|| {
-            attention_fused_into(
-                black_box(&q),
-                black_box(&k),
-                black_box(&v),
-                scale,
-                true,
-                &mut arena,
-                &mut out,
-            );
-            black_box(out.data()[0])
-        })
-    });
-}
 
 fn photonic_transformers(c: &mut Criterion) {
     c.bench_function("vit_forward", |b| {
@@ -56,5 +28,5 @@ fn photonic_transformers(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, attention_kernels, photonic_transformers);
+criterion_group!(benches, photonic_transformers);
 criterion_main!(benches);

@@ -23,9 +23,6 @@
 //!   `outer_product` model the photonic crossbar's internal dataflow
 //!   (per-tile optics, LDSU latches); their temporaries stand in for
 //!   hardware registers, not host memory (DESIGN.md §15).
-//! * **the arena** — `take` / `give` are the sanctioned allocator: a
-//!   slab miss growing the pool *is* the warm-up path, and it is what
-//!   the `HotPathAllocs` gauge counts.
 //!
 //! `Vec::new()` is deliberately not flagged: an empty `Vec` does not
 //! touch the heap, and the reuse idiom (`std::mem::take` a scratch
@@ -42,30 +39,24 @@ use crate::scanner::Token;
 pub const HOT_PATH_CRATES: &[&str] = &["arch", "nn", "serve"];
 
 /// The serving entry points the forward walk starts from: the fleet
-/// dispatchers, the engines' batched forwards, and the arena forward.
-pub const ENTRY_POINTS: &[&str] = &[
-    "dispatch",
-    "dispatch_into",
-    "try_forward_batch",
-    "try_forward_stage_into",
-    "forward_into",
-    "try_forward_in",
-];
+/// dispatchers and the engines' batched forwards.
+pub const ENTRY_POINTS: &[&str] =
+    &["dispatch", "dispatch_into", "try_forward_batch", "try_forward_stage_into", "forward_into"];
 
 /// Name prefixes pruned from the walk: construction and warm-up code,
 /// where allocation is the point. `zeros` is `Tensor::zeros`, a
 /// constructor in all but prefix.
 const STOP_PREFIXES: &[&str] = &["new", "with_", "from_", "build", "try_build", "reserve"];
 
-/// Exact names pruned from the walk: the device-model boundary, the
-/// arena's sanctioned allocator surface, and `zeros` (a constructor).
+/// Exact names pruned from the walk: the device-model boundary and
+/// `zeros` (a constructor).
 /// `mvm` / `mvm_signed` are the bank's raw and dual-rail optical reads
 /// and `program_flat` the GST write pulse train — the same device-model
 /// category as `mvm_unsigned`: their temporaries stand in for on-chip
 /// dataflow, not host memory.
 const STOP_NAMES: &[&str] = &[
     "default", "mvm", "mvm_unsigned", "mvm_signed", "latch_and_activate", "outer_product",
-    "program_flat", "take", "give", "zeros",
+    "program_flat", "zeros",
 ];
 
 /// Names whose call edges are meaningless under name-based resolution:
@@ -233,6 +224,20 @@ mod tests {
             "pub fn dispatch_into() { let v: Vec<u8> = Vec::new(); drop(v); }",
         )]);
         assert!(hits.is_empty(), "empty Vec::new is heap-free: {hits:?}");
+    }
+
+    #[test]
+    fn every_entry_point_is_defined_in_a_hot_path_crate() {
+        // A renamed or deleted entry point would leave the walk starting
+        // from nothing, and the rule would pass vacuously.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let graph = crate::build_graph(&crate::scan(&root).unwrap());
+        for name in ENTRY_POINTS {
+            assert!(
+                graph.defs_of(name).iter().any(|def| is_hot_path_crate(&def.file)),
+                "entry point `{name}` is defined by no fn in {HOT_PATH_CRATES:?}"
+            );
+        }
     }
 
     #[test]

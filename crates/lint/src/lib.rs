@@ -181,27 +181,17 @@ pub fn run_filtered(
     allow: &[AllowEntry],
     filter: &RuleFilter,
 ) -> Result<Report, LintError> {
-    let mut files = collect_sources(root)?;
-    files.sort();
+    // Pass 1: tokenize everything once; the per-file rules, the error
+    // cross-check, the stream-const table and the call graph all feed
+    // off the same token streams.
+    let scans = scan(root)?;
     let mut report = Report {
-        files_scanned: files.len(),
+        files_scanned: scans.len(),
         rules_run: filter.rules().iter().map(|r| r.to_string()).collect(),
         allowlist_size: allow.len(),
         ..Default::default()
     };
-
-    // Pass 1: tokenize everything once; the per-file rules, the error
-    // cross-check, the stream-const table and the call graph all feed
-    // off the same token streams.
-    let mut scans: Vec<(String, Vec<scanner::Token>)> = Vec::new();
-    for path in &files {
-        let text = fs::read_to_string(path)
-            .map_err(|source| LintError::Io { path: path.clone(), source })?;
-        let rel = relative(root, path);
-        scans.push((rel, scanner::tokenize(&scanner::mask(&text))));
-    }
-    let graph =
-        callgraph::build(scans.iter().map(|(rel, toks)| (rel.as_str(), toks.as_slice())));
+    let graph = build_graph(&scans);
 
     let mut enums: Vec<ErrorEnum> = Vec::new();
     let mut impls: Vec<TraitImpl> = Vec::new();
@@ -269,6 +259,24 @@ pub fn run_filtered(
         .map(|(e, _)| e.clone())
         .collect();
     Ok(report)
+}
+
+/// Tokenize every source file under `root`, in sorted path order.
+fn scan(root: &Path) -> Result<Vec<(String, Vec<scanner::Token>)>, LintError> {
+    let mut files = collect_sources(root)?;
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path)
+                .map_err(|source| LintError::Io { path: path.clone(), source })?;
+            Ok((relative(root, path), scanner::tokenize(&scanner::mask(&text))))
+        })
+        .collect()
+}
+
+fn build_graph(scans: &[(String, Vec<scanner::Token>)]) -> callgraph::CallGraph {
+    callgraph::build(scans.iter().map(|(rel, toks)| (rel.as_str(), toks.as_slice())))
 }
 
 /// Load and parse `lint-allow.toml` under `root`; a missing file is an

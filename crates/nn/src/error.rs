@@ -3,9 +3,7 @@
 //! Layer forward/backward passes validate their inputs and report
 //! violations as [`NnError`] values instead of panicking, so callers that
 //! drive layers with externally-derived shapes (deserialized models, the
-//! photonic mirror) can recover. The infallible `forward`/`backward`
-//! wrappers on [`crate::layers::Layer`] preserve the old fail-fast
-//! behaviour for internal code whose shapes are correct by construction.
+//! photonic mirror) can recover.
 
 use std::fmt;
 
@@ -56,7 +54,7 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("dense") && msg.contains("[2, 3]"), "{msg}");
-        let o = NnError::BackwardBeforeForward { layer: "conv2d" };
+        let o = NnError::BackwardBeforeForward { layer: "activation" };
         assert!(o.to_string().contains("before forward"), "{o}");
     }
 }

@@ -1,7 +1,7 @@
 //! Seeded weight initialisers.
 //!
 //! Photonic weights live in `[-1, 1]` (the balanced-detection encoding),
-//! so initialisers additionally clamp to that range; with Xavier/He scales
+//! so initialisers additionally clamp to that range; with Xavier scales
 //! on the layer widths used here the clamp almost never binds.
 
 use crate::tensor::Tensor;
@@ -11,14 +11,6 @@ use rand::{Rng, SeedableRng};
 /// Xavier/Glorot uniform initialisation for a `[fan_out, fan_in]` matrix.
 pub fn xavier_uniform(fan_out: usize, fan_in: usize, rng: &mut StdRng) -> Tensor {
     let limit = (6.0 / (fan_in + fan_out) as f64).sqrt() as f32;
-    let limit = limit.min(1.0);
-    let data = (0..fan_out * fan_in).map(|_| rng.gen_range(-limit..limit)).collect();
-    Tensor::from_vec(&[fan_out, fan_in], data)
-}
-
-/// He (Kaiming) uniform initialisation, suited to ReLU-family activations.
-pub fn he_uniform(fan_out: usize, fan_in: usize, rng: &mut StdRng) -> Tensor {
-    let limit = (6.0 / fan_in as f64).sqrt() as f32;
     let limit = limit.min(1.0);
     let data = (0..fan_out * fan_in).map(|_| rng.gen_range(-limit..limit)).collect();
     Tensor::from_vec(&[fan_out, fan_in], data)
@@ -45,18 +37,10 @@ mod tests {
     }
 
     #[test]
-    fn he_scale_exceeds_xavier_scale() {
-        let mut rng = seeded_rng(2);
-        let he = he_uniform(32, 32, &mut rng);
-        // He limit for fan_in 32 is sqrt(6/32) ≈ 0.43; all values bounded.
-        assert!(he.data().iter().all(|&x| x.abs() < 0.44));
-    }
-
-    #[test]
     fn weights_stay_in_photonic_range() {
         let mut rng = seeded_rng(3);
-        // Tiny fan-in would push the limit above 1 without the clamp.
-        let w = he_uniform(4, 2, &mut rng);
+        // A 2×1 matrix would push the limit to sqrt(2) without the clamp.
+        let w = xavier_uniform(2, 1, &mut rng);
         assert!(w.data().iter().all(|&x| x.abs() <= 1.0));
     }
 

@@ -6,26 +6,18 @@
 //! PE can execute the three computations of backpropagation-based training:
 //! the forward MAC, the gradient-vector product, and the weight-update
 //! outer product. To *verify* that the photonic engine computes the right
-//! numbers, we need a trustworthy float reference: this crate.
+//! numbers, we need a trustworthy float reference: this crate's MLP.
 //!
 //! * [`tensor`] — a minimal dense tensor (row-major `f32`).
-//! * [`arena`] — a recycling scratch allocator so the steady-state
-//!   serving path allocates nothing (DESIGN.md §15).
-//! * [`linalg`] — Rayon-parallel GEMM / GEMV / outer products, plus the
-//!   fused `matmul_bias_act` / `matvec_bias_act` kernels (bitwise
-//!   identical to the unfused sequences).
-//! * [`attention`] — scaled-dot-product attention, row softmax, and
-//!   LayerNorm: the float reference for the transformer lowering, with
-//!   a fused arena path bitwise-identical to the unfused sequence.
+//! * [`linalg`] — Rayon-parallel GEMM / GEMV / outer products (the CNN
+//!   engine's digital reference runs its im2col GEMM here).
 //! * [`init`] — seeded weight initialisers.
-//! * [`layers`] — dense, conv2d (im2col), pooling, activations, flatten,
-//!   each with forward *and* backward passes.
-//! * [`loss`] — softmax cross-entropy and MSE with gradients.
+//! * [`layers`] — dense and pointwise-activation layers, each with
+//!   forward *and* backward passes.
+//! * [`loss`] — softmax cross-entropy with its gradient.
 //! * [`optim`] — SGD (Eq. 1 of the paper: `W ← W − β·δW`).
 //! * [`network`] — a sequential container wiring layers into a trainable
 //!   model.
-//! * [`quant`] — uniform fake-quantization used to emulate 4–10-bit
-//!   photonic weight resolution in the training ablations.
 //! * [`data`] — seeded synthetic datasets (procedural digit glyphs and
 //!   Gaussian blobs) so experiments run hermetically.
 
@@ -36,31 +28,19 @@
 #![deny(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless))]
 
-pub mod arena;
-pub mod attention;
 pub mod data;
 pub mod error;
 pub mod init;
 pub mod layers;
 pub mod linalg;
 pub mod loss;
-pub mod metrics;
 pub mod network;
 pub mod optim;
-pub mod quant;
 pub mod tensor;
 
-pub use arena::TensorArena;
-pub use attention::{
-    attention_fused_into, attention_scale, attention_unfused, layer_norm_rows,
-    layer_norm_rows_into, multi_head_attention, multi_head_attention_into, softmax_rows,
-    softmax_rows_inplace,
-};
 pub use error::NnError;
-pub use layers::{Activation, ActivationLayer, AvgPool2d, Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d};
-pub use loss::{mse, softmax_cross_entropy};
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
+pub use layers::{Activation, ActivationLayer, Dense, Layer};
+pub use loss::softmax_cross_entropy;
 pub use network::Sequential;
 pub use optim::Sgd;
-pub use quant::Quantizer;
 pub use tensor::Tensor;

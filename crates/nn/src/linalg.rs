@@ -29,29 +29,16 @@ const ROW_BLOCK: usize = 8;
 /// sit in L1 alongside the row tile being produced.
 const K_BLOCK: usize = 64;
 
-/// Shared blocked-GEMM core: accumulate `A × B` into `out` (zero-filled
-/// first), then run a per-element epilogue (`bias` add + `act`) over each
-/// finished tile. The epilogue is strictly elementwise — it runs after a
-/// tile's k-loop completes and touches each output exactly once — so it
-/// can never reorder the k-ascending accumulation, and the fused result is
-/// bitwise identical to the unfused matmul → bias-add → map(act) sequence
-/// at any thread count.
-fn gemm_fused_into(
-    a: &Tensor,
-    b: &Tensor,
-    bias: Option<&[f32]>,
-    act: &(dyn Fn(f32) -> f32 + Sync),
-    out: &mut Tensor,
-) {
+/// `C = A × B` written into a caller-owned `out: [m, n]` (zero-filled
+/// first): the blocked kernel behind [`matmul`], for callers that reuse
+/// `out`.
+pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D");
     assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
     assert_eq!(out.shape(), &[m, n], "matmul output buffer must be [{m}, {n}]");
-    if let Some(bv) = bias {
-        assert_eq!(bv.len(), n, "bias length must match output columns");
-    }
     if m * n == 0 {
         return;
     }
@@ -83,24 +70,6 @@ fn gemm_fused_into(
                 }
             }
         }
-        // Fused epilogue: bias + activation in the same pass over the
-        // still-hot tile. `acc + bias` then `act` is exactly the op
-        // sequence the unfused path applies per element.
-        for r in 0..rows {
-            let row = &mut tile[r * n..(r + 1) * n];
-            match bias {
-                Some(bv) => {
-                    for (v, &bc) in row.iter_mut().zip(bv) {
-                        *v = act(*v + bc);
-                    }
-                }
-                None => {
-                    for v in row.iter_mut() {
-                        *v = act(*v);
-                    }
-                }
-            }
-        }
     };
 
     if m * n * k >= PAR_THRESHOLD {
@@ -127,43 +96,6 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
-/// `C = A × B` written into a caller-owned `out: [m, n]` (zero-filled
-/// first). Same blocked kernel as [`matmul`] — results are bitwise
-/// identical — but steady-state callers reuse `out` and allocate nothing.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    gemm_fused_into(a, b, None, &|v| v, out);
-}
-
-/// Fused `act(A × B + bias)` in one pass over each output tile.
-///
-/// The k-order of the accumulation is exactly [`matmul`]'s, and bias/act
-/// are applied per element after a tile finishes, so the result is
-/// bitwise identical to `matmul` → row-wise bias add → `map(act)` at any
-/// thread count (the fusion-eligibility contract, DESIGN.md §15).
-pub fn matmul_bias_act(
-    a: &Tensor,
-    b: &Tensor,
-    bias: Option<&[f32]>,
-    act: impl Fn(f32) -> f32 + Sync,
-) -> Tensor {
-    assert_eq!(a.ndim(), 2, "matmul lhs must be 2-D");
-    assert_eq!(b.ndim(), 2, "matmul rhs must be 2-D");
-    let mut out = Tensor::zeros(&[a.shape()[0], b.shape()[1]]);
-    gemm_fused_into(a, b, bias, &act, &mut out);
-    out
-}
-
-/// [`matmul_bias_act`] into a caller-owned output buffer (the arena path).
-pub fn matmul_bias_act_into(
-    a: &Tensor,
-    b: &Tensor,
-    bias: Option<&[f32]>,
-    act: impl Fn(f32) -> f32 + Sync,
-    out: &mut Tensor,
-) {
-    gemm_fused_into(a, b, bias, &act, out);
-}
-
 /// `y = A × x` for `A: [m, k]`, `x: [k]`.
 pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
     assert_eq!(a.ndim(), 2, "matvec lhs must be 2-D");
@@ -174,74 +106,6 @@ pub fn matvec(a: &Tensor, x: &[f32]) -> Vec<f32> {
         (0..m).into_par_iter().map(row_dot).collect()
     } else {
         (0..m).map(row_dot).collect()
-    }
-}
-
-/// Fused `act(A × x + bias)` — the matrix-vector analogue of
-/// [`matmul_bias_act`]. Each output element is the exact [`matvec`]
-/// `row_dot` expression, then one bias add, then `act`, so the result is
-/// bitwise identical to the unfused matvec → bias → map sequence at any
-/// thread count.
-pub fn matvec_bias_act(
-    a: &Tensor,
-    x: &[f32],
-    bias: Option<&[f32]>,
-    act: impl Fn(f32) -> f32 + Sync,
-) -> Vec<f32> {
-    let mut out = vec![0.0; a.shape()[0]];
-    matvec_bias_act_into(a, x, bias, &act, &mut out);
-    out
-}
-
-/// [`matvec_bias_act`] into a caller-owned output slice (the arena path).
-pub fn matvec_bias_act_into(
-    a: &Tensor,
-    x: &[f32],
-    bias: Option<&[f32]>,
-    act: impl Fn(f32) -> f32 + Sync,
-    out: &mut [f32],
-) {
-    assert_eq!(a.ndim(), 2, "matvec lhs must be 2-D");
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(x.len(), k, "matvec dimension mismatch");
-    assert_eq!(out.len(), m, "matvec output buffer must have {m} rows");
-    if let Some(bv) = bias {
-        assert_eq!(bv.len(), m, "bias length must match output rows");
-    }
-    let row_out = |i: usize| -> f32 {
-        let s: f32 = a.row(i).iter().zip(x).map(|(&w, &xi)| w * xi).sum();
-        act(match bias {
-            Some(bv) => s + bv[i],
-            None => s,
-        })
-    };
-    if m * k >= PAR_THRESHOLD {
-        out.par_chunks_mut(ROW_BLOCK).enumerate().for_each(|(t, chunk)| {
-            for (r, slot) in chunk.iter_mut().enumerate() {
-                *slot = row_out(t * ROW_BLOCK + r);
-            }
-        });
-    } else {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = row_out(i);
-        }
-    }
-}
-
-/// Transpose `a: [m, n]` into a caller-owned `out: [n, m]` — the scratch
-/// the dense/conv layers reuse instead of allocating
-/// [`Tensor::transposed`] per forward call. A pure permutation, so it is
-/// trivially bitwise identical to the allocating version.
-pub fn transpose_into(a: &Tensor, out: &mut Tensor) {
-    assert_eq!(a.ndim(), 2, "transpose input must be 2-D");
-    let (m, n) = (a.shape()[0], a.shape()[1]);
-    assert_eq!(out.shape(), &[n, m], "transpose output buffer must be [{n}, {m}]");
-    let a_data = a.data();
-    let o = out.data_mut();
-    for i in 0..m {
-        for j in 0..n {
-            o[j * m + i] = a_data[i * n + j];
-        }
     }
 }
 
@@ -430,62 +294,5 @@ mod tests {
         for (got, want) in out.data().iter().zip(want.data()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
-    }
-
-    #[test]
-    fn fused_matmul_bias_act_is_bitwise_identical_to_unfused() {
-        // Large enough for the parallel path (m·k·n ≥ PAR_THRESHOLD).
-        let (m, k, n) = (24, 40, 18);
-        let a = Tensor::from_vec(&[m, k], fill(m * k, 7));
-        let b = Tensor::from_vec(&[k, n], fill(k * n, 8));
-        let bias = fill(n, 9);
-        let act = |v: f32| if v >= 0.0 { 0.34 * v } else { 0.0 };
-        // Unfused reference: matmul, then row-wise bias add, then map.
-        let mut want = matmul(&a, &b);
-        for r in 0..m {
-            for (v, &bc) in want.row_mut(r).iter_mut().zip(&bias) {
-                *v += bc;
-            }
-        }
-        let want = want.map(act);
-        let got = matmul_bias_act(&a, &b, Some(&bias), act);
-        for (g, w) in got.data().iter().zip(want.data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-        // Without bias the fused path must not even add 0.0 (that would
-        // flip -0.0 accumulations to +0.0).
-        let want_nb = matmul(&a, &b).map(act);
-        let got_nb = matmul_bias_act(&a, &b, None, act);
-        for (g, w) in got_nb.data().iter().zip(want_nb.data()) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_matvec_bias_act_is_bitwise_identical_to_unfused() {
-        let (m, k) = (90, 80);
-        let a = Tensor::from_vec(&[m, k], fill(m * k, 11));
-        let x = fill(k, 12);
-        let bias = fill(m, 13);
-        let act = |v: f32| v.max(0.0);
-        let mut want = matvec(&a, &x);
-        for (v, &bc) in want.iter_mut().zip(&bias) {
-            *v += bc;
-        }
-        let want: Vec<f32> = want.into_iter().map(act).collect();
-        let got = matvec_bias_act(&a, &x, Some(&bias), act);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn transpose_into_matches_transposed() {
-        let a = Tensor::from_vec(&[5, 7], fill(35, 21));
-        let want = a.transposed();
-        let mut out = Tensor::zeros(&[7, 5]);
-        transpose_into(&a, &mut out);
-        assert_eq!(out.shape(), want.shape());
-        assert_eq!(out.data(), want.data());
     }
 }

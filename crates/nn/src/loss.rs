@@ -45,16 +45,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     (loss * scale, grad.map(|g| g * scale))
 }
 
-/// Mean squared error and its gradient.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len() as f32;
-    let diff = pred.zip_map(target, |a, b| a - b);
-    let loss = diff.data().iter().map(|d| d * d).sum::<f32>() / n;
-    let grad = diff.map(|d| 2.0 * d / n);
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +108,5 @@ mod tests {
         let l = Tensor::from_vec(&[1, 4], vec![0.3, 0.1, -0.5, 0.9]);
         let (_, g) = softmax_cross_entropy(&l, &[1]);
         assert!(g.row(0).iter().sum::<f32>().abs() < 1e-6);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let p = Tensor::from_slice(&[1.0, 2.0]);
-        let t = Tensor::from_slice(&[0.0, 0.0]);
-        let (loss, grad) = mse(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
     }
 }

@@ -113,12 +113,8 @@ counters! {
     ServeShedRequests => "serve_shed_requests",
     /// Served requests that completed after their SLO deadline.
     ServeSloMisses => "serve_slo_misses",
-    /// Bytes currently checked out of tensor arenas / engine scratch (gauge).
-    ArenaBytesInUse => "arena_bytes_in_use",
-    /// High-water mark of arena/scratch bytes across the run (max gauge).
-    ArenaHighWater => "arena_high_water",
-    /// Heap-growth events on the managed serving hot path (arena slab
-    /// growth, engine scratch growth) — zero once the fleet is warm.
+    /// Heap-growth events on the managed serving hot path (engine
+    /// scratch growth) — zero once the fleet is warm.
     HotPathAllocs => "hot_path_allocs",
     /// KV-cache elements written (K rows + Vᵀ columns programmed into
     /// attention weight banks) during transformer decode.
@@ -195,11 +191,6 @@ impl CounterSet {
     /// Store an absolute gauge value.
     pub fn store(&self, counter: Counter, value: u64) {
         self.values[counter.index()].store(value, Ordering::Relaxed);
-    }
-
-    /// Raise a gauge to `value` if it is below it (high-water marks).
-    pub fn store_max(&self, counter: Counter, value: u64) {
-        self.values[counter.index()].fetch_max(value, Ordering::Relaxed);
     }
 
     /// Current value of one counter.
@@ -330,16 +321,6 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), Counter::COUNT);
-    }
-
-    #[test]
-    fn store_max_only_raises() {
-        let set = CounterSet::new();
-        set.store_max(Counter::ArenaHighWater, 100);
-        set.store_max(Counter::ArenaHighWater, 40);
-        assert_eq!(set.get(Counter::ArenaHighWater), 100);
-        set.store_max(Counter::ArenaHighWater, 250);
-        assert_eq!(set.get(Counter::ArenaHighWater), 250);
     }
 
     #[test]

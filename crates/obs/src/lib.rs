@@ -229,14 +229,6 @@ pub fn store(counter: Counter, value: u64) {
     }
 }
 
-/// Raise a high-water gauge to `value` if it is below it (no-op when
-/// tracing is off).
-pub fn store_max(counter: Counter, value: u64) {
-    if enabled() {
-        global().counters().store_max(counter, value);
-    }
-}
-
 /// Snapshot the global recorder.
 pub fn snapshot() -> ObsSnapshot {
     global().snapshot()

@@ -33,9 +33,9 @@ fn float_forward(net: &mut [(Dense, Option<ActivationLayer>)], x: &[f64]) -> Vec
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let mut t = Tensor::from_vec(&[1, x.len()], x32);
     for (dense, act) in net.iter_mut() {
-        t = dense.forward(&t);
+        t = dense.try_forward(&t).unwrap();
         if let Some(a) = act {
-            t = a.forward(&t);
+            t = a.try_forward(&t).unwrap();
         }
     }
     t.data().iter().map(|&v| v as f64).collect()
@@ -203,18 +203,18 @@ fn insitu_gradient_matches_float_backprop() {
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
     let mut t = Tensor::from_vec(&[1, 8], x32);
     for (dense, act) in mirror.iter_mut() {
-        t = dense.forward(&t);
+        t = dense.try_forward(&t).unwrap();
         if let Some(a) = act {
-            t = a.forward(&t);
+            t = a.try_forward(&t).unwrap();
         }
     }
     let (_, grad) = trident::nn::loss::softmax_cross_entropy(&t, &[label]);
     let mut g = grad;
     for (dense, act) in mirror.iter_mut().rev() {
         if let Some(a) = act {
-            g = a.backward(&g);
+            g = a.try_backward(&g).unwrap();
         }
-        g = dense.backward(&g);
+        g = dense.try_backward(&g).unwrap();
     }
 
     // Photonic step with lr small enough to read the gradient off the
