@@ -8,16 +8,28 @@
 //! and through rails accumulate, and the balanced detector reads the
 //! signed sum.
 //!
-//! After every programming event the bank pre-computes its **linear
-//! response matrices** `D[r][j]` / `T[r][j]` (drop/through power reaching
-//! the rails from channel `j` of row `r`, including upstream ring
-//! attenuation and inter-channel crosstalk). Optics is linear in power, so
-//! an MVM is two cached mat-vecs — the physics runs once per programming,
-//! not once per vector.
+//! The bank keeps its **linear response matrices** `D[r][j]` / `T[r][j]`
+//! (drop/through power reaching the rails from channel `j` of row `r`,
+//! including upstream ring attenuation and inter-channel crosstalk).
+//! Optics is linear in power, so an MVM is two cached mat-vecs.
+//!
+//! A bank write costs what it physically changes. Each ring's transfer on
+//! each channel factors into a per-channel term, `sin(φ/2)` of its
+//! detuning, and a per-ring term, the round-trip amplitude `a`
+//! ([`AddDropMrr::transfer_at`]). The sine table (`rows·cols·cols`
+//! entries) depends only on where the rings resonate, so it is computed
+//! when a ring is built or remapped onto a spare and never again; a GST
+//! write refreshes one amplitude. A row's response reads only that row's
+//! rings, so programming re-derives `D`/`T` for the rows whose rings
+//! changed and leaves the others alone. The calibrated [`WeightLut`] is
+//! shared by every bank with the same ring design and GST recipe
+//! ([`WeightLut::shared`]), so it is calibrated once per parameter set,
+//! not once per bank.
 
 use crate::error::ArchError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
 use trident_pcm::stat::{seeded_gaussian, DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
@@ -72,7 +84,8 @@ pub struct WeightBank {
     rows: usize,
     cols: usize,
     grid: WdmGrid,
-    lut: WeightLut,
+    /// The calibration shared by every bank of this design and recipe.
+    lut: Arc<WeightLut>,
     rings: Vec<PcmMrr>,
     /// The ring design, kept so spares can be minted on demand.
     geometry: MrrGeometry,
@@ -85,10 +98,13 @@ pub struct WeightBank {
     spares: Vec<usize>,
     /// Faulty/worn cells replaced by a spare so far.
     remapped: u64,
-    /// Cached per-ring transfer `[row][ring][channel] → (drop, through)`;
-    /// refreshed only for rings whose GST state changed, so reprogramming
-    /// during training stays cheap.
-    transfer_cache: Vec<(f64, f64)>,
+    /// `sin(φ/2)` of each ring's detuning from each channel,
+    /// `[row][ring][channel]`. Set where a ring's resonance is fixed:
+    /// construction and remap.
+    half_sin: Vec<f64>,
+    /// Net round-trip amplitude per ring, `[row][ring]`; refreshed on
+    /// every change of the ring's GST state.
+    round_trip: Vec<f64>,
     /// Cached linear drop response `[row][channel]`.
     drop_coeff: Vec<f64>,
     /// Cached linear through response `[row][channel]`.
@@ -159,8 +175,7 @@ impl WeightBank {
         assert!(resonance_sigma_nm >= 0.0, "sigma cannot be negative");
         let grid = WdmGrid::c_band(cols);
         let geometry = MrrGeometry::weight_bank();
-        let template = AddDropMrr::new(geometry, grid.channel(0));
-        let lut = WeightLut::build(&template, &params);
+        let lut = WeightLut::shared(&params);
         let mut noise = trident_photonics::noise::NoiseModel::seeded(variation_seed);
         let mut rings = Vec::with_capacity(rows * cols);
         for _r in 0..rows {
@@ -185,7 +200,8 @@ impl WeightBank {
             masked: vec![false; rows * cols],
             spares: vec![DEFAULT_SPARES_PER_ROW; rows],
             remapped: 0,
-            transfer_cache: vec![(0.0, 0.0); rows * cols * cols],
+            half_sin: vec![0.0; rows * cols * cols],
+            round_trip: vec![0.0; rows * cols],
             drop_coeff: vec![0.0; rows * cols],
             through_coeff: vec![0.0; rows * cols],
             energy: EnergyLedger::new(),
@@ -193,28 +209,41 @@ impl WeightBank {
             clock: DegradationClock::new(),
             stat: None,
         };
-        for r in 0..rows {
-            for k in 0..cols {
-                bank.refresh_ring_cache(r, k);
-            }
+        for idx in 0..rows * cols {
+            bank.refresh_half_sin(idx);
+            bank.refresh_round_trip(idx);
         }
         bank.recompute_response();
         bank
     }
 
-    /// Re-evaluate the physics for one ring across every channel. A masked
-    /// (dead) ring is heater-detuned far off the bus: transparent on every
-    /// channel, contributing neither drop power nor crosstalk.
-    fn refresh_ring_cache(&mut self, r: usize, k: usize) {
+    /// Re-derive ring `idx`'s detuning factor on every channel (its
+    /// resonance is new).
+    fn refresh_half_sin(&mut self, idx: usize) {
+        let ring = *self.rings[idx].ring();
         for j in 0..self.cols {
-            let t = if self.masked[r * self.cols + k] {
-                (0.0, 1.0)
-            } else {
-                let t = self.ring(r, k).transfer(self.grid.channel(j));
-                (t.drop, t.through)
-            };
-            self.transfer_cache[(r * self.cols + k) * self.cols + j] = t;
+            self.half_sin[idx * self.cols + j] =
+                ring.half_phase_sin_factor(self.grid.channel(j));
         }
+    }
+
+    /// Re-derive ring `idx`'s round-trip amplitude (its GST state is new).
+    fn refresh_round_trip(&mut self, idx: usize) {
+        self.round_trip[idx] = self.rings[idx].round_trip_amplitude();
+    }
+
+    /// `(drop, through)` of ring `idx` on channel `j`. A masked (dead)
+    /// ring is heater-detuned far off the bus: transparent on every
+    /// channel, contributing neither drop power nor crosstalk.
+    #[inline]
+    fn port(&self, idx: usize, j: usize) -> (f64, f64) {
+        if self.masked[idx] {
+            return (0.0, 1.0);
+        }
+        let t = self.rings[idx]
+            .ring()
+            .transfer_at(self.round_trip[idx], self.half_sin[idx * self.cols + j]);
+        (t.drop, t.through)
     }
 
     /// Bank rows (J).
@@ -260,19 +289,43 @@ impl WeightBank {
     /// Panics on shape mismatches or out-of-range weights (caller bugs).
     pub fn program(&mut self, weights: &[&[f64]]) -> (EnergyPj, Nanoseconds) {
         assert_eq!(weights.len(), self.rows, "row count mismatch");
-        let mut spent = EnergyPj::ZERO;
         for (r, row) in weights.iter().enumerate() {
             assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
-            for (c, &w) in row.iter().enumerate() {
-                if self.masked[r * self.cols + c] {
+        }
+        self.program_cells(|r, c| weights[r][c])
+    }
+
+    /// [`WeightBank::program`] from a flat row-major matrix (for tensors).
+    pub fn program_flat(&mut self, weights: &[f64]) -> (EnergyPj, Nanoseconds) {
+        assert_eq!(weights.len(), self.rows * self.cols, "matrix size mismatch");
+        let cols = self.cols;
+        self.program_cells(|r, c| weights[r * cols + c])
+    }
+
+    /// The open-loop write sweep behind [`WeightBank::program`], reading
+    /// the weight of cell `(r, c)` from `weight` (the caller has checked
+    /// the shape). Each row whose rings changed re-derives its response
+    /// at the end of its own write loop.
+    pub(crate) fn program_cells(
+        &mut self,
+        weight: impl Fn(usize, usize) -> f64,
+    ) -> (EnergyPj, Nanoseconds) {
+        let mut spent = EnergyPj::ZERO;
+        for r in 0..self.rows {
+            let mut dirty = false;
+            for c in 0..self.cols {
+                let idx = r * self.cols + c;
+                if self.masked[idx] {
                     continue;
                 }
-                match self.rings[r * self.cols + c].try_set_weight(w, &self.lut) {
+                let w = weight(r, c);
+                match self.rings[idx].try_set_weight(w, &self.lut) {
                     Ok(e) => {
                         if e.value() > 0.0 {
                             spent += e;
-                            self.refresh_ring_cache(r, c);
-                            self.stat_on_write(r * self.cols + c, w);
+                            dirty = true;
+                            self.refresh_round_trip(idx);
+                            self.stat_on_write(idx, w);
                         }
                     }
                     Err(e @ PcmError::WeightOutOfRange(_)) => panic!("{e}"),
@@ -281,23 +334,18 @@ impl WeightBank {
                     Err(_) => {}
                 }
             }
+            if dirty {
+                self.recompute_row(r);
+            }
         }
         let time = if spent.value() > 0.0 {
             self.program_events += 1;
             self.energy.charge("gst write", spent);
-            self.recompute_response();
             self.rings[0].cell().params().write_time
         } else {
             Nanoseconds(0.0)
         };
         (spent, time)
-    }
-
-    /// Program from a flat matrix helper (for tensors).
-    pub fn program_flat(&mut self, weights: &[f64]) -> (EnergyPj, Nanoseconds) {
-        assert_eq!(weights.len(), self.rows * self.cols, "matrix size mismatch");
-        let rows: Vec<&[f64]> = weights.chunks(self.cols).collect();
-        self.program(&rows)
     }
 
     /// The weight currently programmed at `(r, c)` (quantized readback).
@@ -350,6 +398,7 @@ impl WeightBank {
         };
         let mut changed = false;
         for r in 0..self.rows {
+            let mut dirty = false;
             for c in 0..self.cols {
                 let idx = r * self.cols + c;
                 if self.masked[idx] {
@@ -361,9 +410,9 @@ impl WeightBank {
                 // a cell past its endurance budget.
                 let remaining = self.rings[idx].cell().endurance_remaining();
                 if remaining < u64::from(policy.max_attempts) {
+                    dirty = true;
                     if self.remap_slot(r, c).is_ok() {
                         report.remapped += 1;
-                        changed = true;
                     } else {
                         let cell = self.rings[idx].cell();
                         report.failures.push((
@@ -374,16 +423,19 @@ impl WeightBank {
                                 endurance: cell.params().endurance_cycles,
                             },
                         ));
-                        self.mask_slot(r, c);
+                        self.masked[idx] = true;
                         report.masked += 1;
-                        changed = true;
                         continue;
                     }
                 }
                 match self.write_slot_verified(r, c, w, policy, rng, &mut report) {
-                    Ok(wrote) => changed |= wrote,
+                    Ok(wrote) => dirty |= wrote,
                     Err(e) => return Err(e),
                 }
+            }
+            if dirty {
+                self.recompute_row(r);
+                changed = true;
             }
         }
         let time = if changed {
@@ -391,7 +443,6 @@ impl WeightBank {
             if report.energy.value() > 0.0 {
                 self.energy.charge("gst write", report.energy);
             }
-            self.recompute_response();
             report.time
         } else {
             Nanoseconds(0.0)
@@ -426,7 +477,7 @@ impl WeightBank {
                         if wr.pulses > 1 {
                             report.retried_cells += 1;
                         }
-                        self.refresh_ring_cache(r, c);
+                        self.refresh_round_trip(idx);
                         self.stat_on_write(idx, w);
                         return Ok(true);
                     }
@@ -443,7 +494,7 @@ impl WeightBank {
                         continue; // retry once on the fresh spare
                     }
                     report.failures.push((r, c, e));
-                    self.mask_slot(r, c);
+                    self.masked[idx] = true;
                     report.masked += 1;
                     return Ok(true);
                 }
@@ -455,7 +506,7 @@ impl WeightBank {
 
     /// Replace the ring at `(r, c)` with one of the row's spares (a fresh
     /// nominal ring heater-trimmed onto the slot's channel). Does not
-    /// recompute the response — callers batch that.
+    /// recompute the row's response — callers batch that.
     fn remap_slot(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         if self.spares[r] == 0 {
             return Err(ArchError::SparesExhausted { row: r, col: c });
@@ -466,36 +517,32 @@ impl WeightBank {
         self.rings[idx] =
             PcmMrr::new(AddDropMrr::new(self.geometry, self.grid.channel(c)), self.params);
         self.masked[idx] = false;
-        self.refresh_ring_cache(r, c);
+        self.refresh_half_sin(idx);
+        self.refresh_round_trip(idx);
         Ok(())
-    }
-
-    /// Mark `(r, c)` dead without recomputing the response.
-    fn mask_slot(&mut self, r: usize, c: usize) {
-        self.masked[r * self.cols + c] = true;
-        self.refresh_ring_cache(r, c);
     }
 
     /// Remap the ring at `(r, c)` onto a spare and refresh the optics.
     pub fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         self.remap_slot(r, c)?;
-        self.recompute_response();
+        self.recompute_row(r);
         Ok(())
     }
 
     /// Mask the slot at `(r, c)` as dead: the ring is detuned off the bus
     /// and the receiver cancels its channel for this row (zero weight).
     pub fn mask_ring(&mut self, r: usize, c: usize) {
-        self.mask_slot(r, c);
-        self.recompute_response();
+        self.masked[r * self.cols + c] = true;
+        self.recompute_row(r);
     }
 
     /// Pin the GST cell at `(r, c)` in a hard fault state and refresh the
     /// optics (the cell's transfer snaps to the stuck phase).
     pub fn inject_ring_fault(&mut self, r: usize, c: usize, fault: GstFault) {
-        self.rings[r * self.cols + c].inject_fault(fault);
-        self.refresh_ring_cache(r, c);
-        self.recompute_response();
+        let idx = r * self.cols + c;
+        self.rings[idx].inject_fault(fault);
+        self.refresh_round_trip(idx);
+        self.recompute_row(r);
     }
 
     /// Advance simulated deployment time by `years` and apply the active
@@ -538,10 +585,8 @@ impl WeightBank {
         for ring in &mut self.rings {
             ring.age(years);
         }
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                self.refresh_ring_cache(r, k);
-            }
+        for idx in 0..self.rings.len() {
+            self.refresh_round_trip(idx);
         }
         self.recompute_response();
     }
@@ -694,33 +739,38 @@ impl WeightBank {
         self.rings.iter().map(PcmMrr::write_failures).sum()
     }
 
-    /// Recompute the linear rail response of every row from the per-ring
-    /// cache (pure multiply-adds; the transcendental physics lives in
-    /// [`Self::refresh_ring_cache`]).
+    /// Recompute the linear rail response of every row.
     fn recompute_response(&mut self) {
         for r in 0..self.rows {
-            for j in 0..self.cols {
-                // A masked ring passes its own channel straight to the
-                // through rail, which a balanced detector would read as a
-                // hard negative weight. The receiver therefore cancels the
-                // dead channel electronically (per-row calibration offset):
-                // the column contributes exactly zero to this row.
-                if self.masked[r * self.cols + j] {
-                    self.drop_coeff[r * self.cols + j] = 0.0;
-                    self.through_coeff[r * self.cols + j] = 0.0;
-                    continue;
-                }
-                let mut p = 1.0; // unit input power on channel j
-                let mut dropped = 0.0;
-                for k in 0..self.cols {
-                    let (drop, through) =
-                        self.transfer_cache[(r * self.cols + k) * self.cols + j];
-                    dropped += p * drop;
-                    p *= through;
-                }
-                self.drop_coeff[r * self.cols + j] = dropped;
-                self.through_coeff[r * self.cols + j] = p;
+            self.recompute_row(r);
+        }
+    }
+
+    /// Recompute row `r`'s linear rail response from its rings' cached
+    /// detuning factors and amplitudes (the transcendental physics lives
+    /// in [`Self::refresh_half_sin`] and [`Self::refresh_round_trip`]).
+    fn recompute_row(&mut self, r: usize) {
+        let base = r * self.cols;
+        for j in 0..self.cols {
+            // A masked ring passes its own channel straight to the
+            // through rail, which a balanced detector would read as a
+            // hard negative weight. The receiver therefore cancels the
+            // dead channel electronically (per-row calibration offset):
+            // the column contributes exactly zero to this row.
+            if self.masked[base + j] {
+                self.drop_coeff[base + j] = 0.0;
+                self.through_coeff[base + j] = 0.0;
+                continue;
             }
+            let mut p = 1.0; // unit input power on channel j
+            let mut dropped = 0.0;
+            for k in 0..self.cols {
+                let (drop, through) = self.port(base + k, j);
+                dropped += p * drop;
+                p *= through;
+            }
+            self.drop_coeff[base + j] = dropped;
+            self.through_coeff[base + j] = p;
         }
     }
 
@@ -803,9 +853,9 @@ impl WeightBank {
         if self.masked[r * self.cols + c] {
             return 0.0; // dead slot: channel cancelled at the receiver
         }
-        // The per-ring cache already encodes masking (masked neighbours
-        // are transparent), so read the row's attenuation from it.
-        let at = |k: usize| self.transfer_cache[(r * self.cols + k) * self.cols + c];
+        // `port` already encodes masking (masked neighbours are
+        // transparent), so read the row's attenuation from it.
+        let at = |k: usize| self.port(r * self.cols + k, c);
         let mut upstream = 1.0;
         for k in 0..c {
             upstream *= at(k).1;
@@ -1136,5 +1186,216 @@ mod tests {
             b.max_ring_writes()
         );
         assert!(b.remapped_count() > 0, "worn cells should have been remapped");
+    }
+
+    // ---- shared calibration ----
+
+    #[test]
+    fn default_banks_share_one_bitwise_calibrated_lut() {
+        let a = WeightBank::new(4, 4, GstParameters::default());
+        let b = WeightBank::new_varied(16, 16, GstParameters::default(), 0.05, 3);
+        assert!(Arc::ptr_eq(&a.lut, &b.lut), "one parameter set, one LUT");
+        let template = AddDropMrr::new(MrrGeometry::weight_bank(), a.grid().channel(0));
+        let fresh = WeightLut::build(&template, &GstParameters::default());
+        assert_eq!(a.lut().scale().to_bits(), fresh.scale().to_bits());
+        assert_eq!(a.lut().levels(), fresh.levels());
+        for lvl in 0..fresh.levels() {
+            assert_eq!(a.lut().raw_at(lvl).to_bits(), fresh.raw_at(lvl).to_bits());
+            assert_eq!(
+                a.lut().crystallinity_at(lvl).to_bits(),
+                fresh.crystallinity_at(lvl).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn non_default_params_get_their_own_lut() {
+        let default = bank4();
+        let coarse =
+            WeightBank::new(4, 4, GstParameters { levels: 63, ..GstParameters::default() });
+        assert!(!Arc::ptr_eq(&default.lut, &coarse.lut));
+        assert_eq!(coarse.lut().levels(), 63);
+    }
+}
+
+/// The write path against the full-sweep physics it replaced: after any
+/// sequence of bank operations, the cached responses must equal, bit for
+/// bit, responses rebuilt from every ring's [`PcmMrr::transfer`] on every
+/// channel.
+#[cfg(test)]
+mod equivalence_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// Ring `idx`'s `(drop, through)` on channel `j`, straight from the
+    /// device model.
+    fn swept_port(b: &WeightBank, idx: usize, j: usize) -> (f64, f64) {
+        if b.masked[idx] {
+            return (0.0, 1.0);
+        }
+        let t = b.rings[idx].transfer(b.grid.channel(j));
+        (t.drop, t.through)
+    }
+
+    /// A copy of `b` whose rail responses are rebuilt from a full sweep.
+    fn swept(b: &WeightBank) -> WeightBank {
+        let mut s = b.clone();
+        for r in 0..b.rows {
+            for j in 0..b.cols {
+                let at = r * b.cols + j;
+                if b.masked[at] {
+                    s.drop_coeff[at] = 0.0;
+                    s.through_coeff[at] = 0.0;
+                    continue;
+                }
+                let mut p = 1.0;
+                let mut dropped = 0.0;
+                for k in 0..b.cols {
+                    let (drop, through) = swept_port(b, r * b.cols + k, j);
+                    dropped += p * drop;
+                    p *= through;
+                }
+                s.drop_coeff[at] = dropped;
+                s.through_coeff[at] = p;
+            }
+        }
+        s
+    }
+
+    /// [`WeightBank::ring_readout`] from a full sweep.
+    fn swept_readout(b: &WeightBank, r: usize, c: usize) -> f64 {
+        if b.masked[r * b.cols + c] {
+            return 0.0;
+        }
+        let at = |k: usize| swept_port(b, r * b.cols + k, c);
+        let mut upstream = 1.0;
+        for k in 0..c {
+            upstream *= at(k).1;
+        }
+        let (own_drop, own_through) = at(c);
+        let mut downstream = 1.0;
+        for k in (c + 1)..b.cols {
+            downstream *= at(k).1;
+        }
+        (upstream * own_drop - upstream * own_through * downstream) / b.lut.scale()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_matches_sweep(b: &WeightBank, x: &[f64], step: usize) {
+        let reference = swept(b);
+        assert_eq!(bits(&b.mvm(x)), bits(&reference.mvm(x)), "mvm differs after op {step}");
+        if b.stat_enabled() {
+            assert_eq!(
+                bits(&b.clone().mvm_stat(x)),
+                bits(&reference.clone().mvm_stat(x)),
+                "mvm_stat differs after op {step}"
+            );
+        }
+        for r in 0..b.rows {
+            for c in 0..b.cols {
+                assert_eq!(
+                    b.ring_readout(r, c).to_bits(),
+                    swept_readout(b, r, c).to_bits(),
+                    "ring_readout({r},{c}) differs after op {step}"
+                );
+            }
+        }
+    }
+
+    /// Weights on a coarse grid, so repeated patterns and unchanged cells
+    /// (free, no-op writes) come up often.
+    fn weights(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| f64::from(rng.gen_range(-8i32..=8)) / 8.0).collect()
+    }
+
+    fn stuck(rng: &mut StdRng) -> GstFault {
+        if rng.gen_bool(0.5) {
+            GstFault::StuckAmorphous
+        } else {
+            GstFault::StuckCrystalline
+        }
+    }
+
+    fn run(size: usize, case: (u64, bool, bool), ops: &[(u8, u64)]) {
+        let (bank_seed, varied, short_lived) = case;
+        let params = if short_lived {
+            // Low endurance so verified writes hit wear-leveling remaps
+            // and, once the spares run out, masking.
+            GstParameters { endurance_cycles: 24, ..GstParameters::default() }
+        } else {
+            GstParameters::default()
+        };
+        let sigma = if varied { 0.05 } else { 0.0 };
+        let mut b = WeightBank::new_varied(size, size, params, sigma, bank_seed);
+        let n = size * size;
+        let mut last = weights(&mut StdRng::seed_from_u64(bank_seed), n);
+        for (step, &(kind, seed)) in ops.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (r, c) = (rng.gen_range(0..size), rng.gen_range(0..size));
+            match kind {
+                0 => {
+                    last = weights(&mut rng, n);
+                    b.program_flat(&last);
+                }
+                1 => {
+                    // Reprogram the last pattern with a few cells changed.
+                    for _ in 0..3 {
+                        last[rng.gen_range(0..n)] = f64::from(rng.gen_range(-8i32..=8)) / 8.0;
+                    }
+                    let rows: Vec<&[f64]> = last.chunks(size).collect();
+                    b.program(&rows);
+                }
+                2 => {
+                    if rng.gen_bool(0.5) {
+                        b.inject_ring_fault(r, c, stuck(&mut rng));
+                    }
+                    last = weights(&mut rng, n);
+                    let policy = WriteVerifyPolicy::default();
+                    b.try_program_verified(&last, &policy, &mut rng).expect("valid shape");
+                }
+                3 => b.inject_ring_fault(r, c, stuck(&mut rng)),
+                4 => b.mask_ring(r, c),
+                5 => {
+                    let _ = b.remap_ring(r, c); // spares may be exhausted
+                }
+                6 => b.advance_years(rng.gen_range(0.0..3.0)),
+                _ => {
+                    if !b.stat_enabled() {
+                        b.enable_stat(StatParams::default(), seed);
+                    }
+                    let x: Vec<f64> = (0..size).map(|_| rng.gen_range(0.0..=1.0)).collect();
+                    b.mvm_stat(&x);
+                    b.ring_readout_stat(r, c);
+                }
+            }
+            let x: Vec<f64> = (0..size).map(|_| rng.gen_range(0.0..=1.0)).collect();
+            assert_matches_sweep(&b, &x, step);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn bank_4x4_matches_the_full_sweep_bitwise(
+            case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
+            ops in proptest::collection::vec((0u8..8, 0u64..1_000_000), 1..=16),
+        ) {
+            run(4, case, &ops);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn bank_16x16_matches_the_full_sweep_bitwise(
+            case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
+            ops in proptest::collection::vec((0u8..8, 0u64..1_000_000), 1..=10),
+        ) {
+            run(16, case, &ops);
+        }
     }
 }

@@ -542,11 +542,15 @@ impl PhotonicCnn {
             }
             let delta_h = d * fprime;
             // Per-position outer product row: δW_conv[f] += δh · patch.
-            let patch = self.cached_patches[pos].clone();
+            let patch = &self.cached_patches[pos];
             let p_scale =
                 patch.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-            let y_slice: Vec<f64> = patch.iter().map(|&v| v / p_scale).collect();
-            let products = self.conv.pes_mut()[0].outer_product(&[delta_h], &y_slice);
+            let mut y_slice = [0.0; TILE];
+            for (s, &v) in y_slice.iter_mut().zip(patch) {
+                *s = v / p_scale;
+            }
+            let products =
+                self.conv.pes_mut()[0].outer_product(&[delta_h], &y_slice[..patch.len()]);
             for (j, &p) in products[0].iter().enumerate() {
                 conv_grad[f * patch_len + j] += p * p_scale;
             }

@@ -301,12 +301,11 @@ impl ProcessingElement {
     /// electronic).
     pub fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<Vec<f64>> {
         assert!(y.len() <= self.cols(), "y wider than the bank");
-        let mut row0 = vec![0.0; self.cols()];
-        row0[..y.len()].copy_from_slice(y);
-        let zeros = vec![0.0; self.cols()];
-        let mut matrix: Vec<&[f64]> = vec![&zeros; self.rows()];
-        matrix[0] = &row0;
-        let (energy, time) = self.bank.program(&matrix);
+        // Row 0 holds `y` zero-padded to the bank width; every other row
+        // holds zeros.
+        let (energy, time) = self
+            .bank
+            .program_cells(|r, c| if r == 0 && c < y.len() { y[c] } else { 0.0 });
         if energy.value() > 0.0 {
             self.energy.charge("gst write", energy);
             self.elapsed += time;

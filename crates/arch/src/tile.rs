@@ -302,9 +302,12 @@ impl TileGemm {
         for (t, pe) in self.pes.iter_mut().enumerate() {
             let (dh_lo, y_lo) = (t / col_tiles * TILE, t % col_tiles * TILE);
             let dh_slice = &dh[dh_lo..(dh_lo + TILE).min(self.out)];
-            let y_slice: Vec<f64> =
-                y[y_lo..(y_lo + TILE).min(self.inp)].iter().map(|&v| v / y_scale).collect();
-            let products = pe.outer_product(dh_slice, &y_slice);
+            let y_tile = &y[y_lo..(y_lo + TILE).min(self.inp)];
+            let mut y_slice = [0.0; TILE];
+            for (s, &v) in y_slice.iter_mut().zip(y_tile) {
+                *s = v / y_scale;
+            }
+            let products = pe.outer_product(dh_slice, &y_slice[..y_tile.len()]);
             for (i, row) in products.iter().enumerate() {
                 for (j, &p) in row.iter().enumerate() {
                     grad[(dh_lo + i) * self.inp + (y_lo + j)] = p * y_scale;

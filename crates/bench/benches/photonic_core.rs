@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the photonic device substrate: ring
-//! transfer evaluation, weight-LUT calibration, bank programming, and the
-//! cached optical matrix-vector product — the hot paths of the functional
-//! simulator.
+//! transfer evaluation, weight-LUT calibration, bank construction and
+//! programming, and the cached optical matrix-vector product — the hot
+//! paths of the functional simulator.
 
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
@@ -44,6 +44,11 @@ fn lut_calibration(c: &mut Criterion) {
 
 fn bank_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("weight_bank");
+    // Construction: ring layout, detuning table and responses; the LUT
+    // comes from the process-wide memo.
+    group.bench_with_input(BenchmarkId::new("build", 16), &16usize, |b, &s| {
+        b.iter(|| black_box(WeightBank::new(s, s, GstParameters::default())))
+    });
     for &size in &[4usize, 8, 16] {
         let weights: Vec<f64> =
             (0..size * size).map(|i| ((i % 21) as f64 / 10.5) - 1.0).collect();

@@ -10,8 +10,9 @@
 //! w_raw(c) = T_drop(c) - T_through(c)
 //! ```
 //!
-//! A [`WeightLut`] calibrates this curve once per (geometry, channel)
-//! pair. The physical `w_raw(c)` curve is steep near the amorphous end
+//! A [`WeightLut`] calibrates this curve once per ring design and GST
+//! recipe ([`WeightLut::shared`] memoizes the weight-bank ring's). The
+//! physical `w_raw(c)` curve is steep near the amorphous end
 //! (the ring operates close to critical coupling), so levels uniform in
 //! crystallinity would waste most of the 8-bit budget. Real multi-level
 //! PCM programming solves this with *program-and-verify*: each of the 255
@@ -25,14 +26,17 @@ use crate::error::PcmError;
 use crate::gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use trident_photonics::mrr::{AddDropMrr, PortTransfer};
+use std::sync::{Arc, Mutex, PoisonError};
+use trident_photonics::mrr::{AddDropMrr, MrrGeometry, PortTransfer};
 use trident_photonics::units::{EnergyPj, Wavelength};
+use trident_photonics::C_BAND_ANCHOR_NM;
 
 /// Calibration table from target weight to (GST level, crystallinity) for
 /// one ring design.
 ///
-/// Build one per bank and share it across all rings with the same geometry
-/// (the table depends only on the ring design, not per-ring state).
+/// The table depends only on the ring design and the GST recipe, not on
+/// per-ring state, so every ring of that design shares one:
+/// [`WeightLut::shared`] hands out the process-wide copy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WeightLut {
     /// Achieved raw weight `T_drop - T_through` for each level, uniformly
@@ -81,6 +85,31 @@ impl WeightLut {
             crystallinity_by_level.push(c);
         }
         Self { raw_by_level, crystallinity_by_level, scale }
+    }
+
+    /// The calibration table of the weight-bank ring
+    /// ([`MrrGeometry::weight_bank`]) with GST `params`, built by
+    /// [`WeightLut::build`] the first time a parameter set is asked for
+    /// and shared by every later caller. Entries are written once and
+    /// never replaced, so every holder of a parameter set sees the same
+    /// table.
+    ///
+    /// The calibration runs exactly on resonance, where the detuning is
+    /// zero whatever the resonance wavelength, so one table serves the
+    /// ring on every channel.
+    pub fn shared(params: &GstParameters) -> Arc<WeightLut> {
+        static MEMO: Mutex<Vec<(GstParameters, Arc<WeightLut>)>> = Mutex::new(Vec::new());
+        // An entry is pushed only once its table is complete, so a
+        // poisoned memo still holds only whole tables.
+        let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, lut)) = memo.iter().find(|(p, _)| p == params) {
+            return Arc::clone(lut);
+        }
+        let ring =
+            AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(C_BAND_ANCHOR_NM));
+        let lut = Arc::new(WeightLut::build(&ring, params));
+        memo.push((*params, Arc::clone(&lut)));
+        lut
     }
 
     /// Number of levels.
@@ -272,6 +301,12 @@ impl PcmMrr {
         lut.weight_at(self.cell.level())
     }
 
+    /// Net round-trip amplitude of the ring with the current GST state
+    /// (see [`AddDropMrr::round_trip_amplitude`]).
+    pub fn round_trip_amplitude(&self) -> f64 {
+        self.ring.round_trip_amplitude(self.cell.amplitude())
+    }
+
     /// Optical response at wavelength `λ` with the current GST state.
     pub fn transfer(&self, lambda: Wavelength) -> PortTransfer {
         self.ring.transfer(lambda, self.cell.amplitude())
@@ -296,7 +331,6 @@ impl PcmMrr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trident_photonics::mrr::MrrGeometry;
 
     fn ring() -> AddDropMrr {
         AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0))
@@ -480,33 +514,22 @@ mod tests {
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
-    use trident_photonics::mrr::MrrGeometry;
-
-    fn shared_lut() -> &'static WeightLut {
-        use std::sync::OnceLock;
-        static LUT: OnceLock<WeightLut> = OnceLock::new();
-        LUT.get_or_init(|| {
-            let ring =
-                AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
-            WeightLut::build(&ring, &GstParameters::default())
-        })
-    }
 
     proptest! {
         #[test]
         fn any_weight_round_trips_within_half_lsb(w in -1.0f64..=1.0) {
-            let lut = shared_lut();
+            let lut = WeightLut::shared(&GstParameters::default());
             let got = lut.weight_at(lut.level_for(w));
             prop_assert!((got - w).abs() <= 0.5 * 2.0 / 254.0 + 1e-6);
         }
 
         #[test]
         fn transfer_stays_physical(w in -1.0f64..=1.0, detune in -2.0f64..=2.0) {
-            let lut = shared_lut();
+            let lut = WeightLut::shared(&GstParameters::default());
             let ring =
                 AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
             let mut unit = PcmMrr::new(ring, GstParameters::default());
-            unit.set_weight(w, lut);
+            unit.set_weight(w, &lut);
             let t = unit.transfer(Wavelength::from_nm(1550.0 + detune));
             prop_assert!(t.drop >= 0.0 && t.drop <= 1.0);
             prop_assert!(t.through >= 0.0 && t.through <= 1.0);

@@ -166,8 +166,9 @@ impl AddDropMrr {
     }
 
     /// Net round-trip amplitude for an additional amplitude transmission
-    /// `extra_amplitude` contributed by an intra-cavity element (GST cell).
-    fn round_trip_amplitude(&self, extra_amplitude: f64) -> f64 {
+    /// `extra_amplitude` contributed by an intra-cavity element (GST cell):
+    /// the per-ring factor of [`AddDropMrr::transfer_at`].
+    pub fn round_trip_amplitude(&self, extra_amplitude: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&extra_amplitude),
             "extra amplitude transmission {extra_amplitude} outside [0, 1]"
@@ -175,14 +176,28 @@ impl AddDropMrr {
         self.geometry.intrinsic_round_trip_amplitude() * extra_amplitude
     }
 
+    /// `sin(φ/2)` of the round-trip detuning at wavelength `λ`: the
+    /// per-channel factor of [`AddDropMrr::transfer_at`]. It depends only
+    /// on the resonance, never on the GST state.
+    pub fn half_phase_sin_factor(&self, lambda: Wavelength) -> f64 {
+        (self.phase_detuning_rad(lambda) / 2.0).sin()
+    }
+
     /// Port transmissions at wavelength `λ` with an intra-cavity element of
     /// amplitude transmission `extra_amplitude` (1.0 = transparent).
     pub fn transfer(&self, lambda: Wavelength, extra_amplitude: f64) -> PortTransfer {
-        let t = self.geometry.self_coupling;
         let a = self.round_trip_amplitude(extra_amplitude);
+        self.transfer_at(a, self.half_phase_sin_factor(lambda))
+    }
+
+    /// The closed-form port transmissions for a net round-trip amplitude
+    /// `a` ([`AddDropMrr::round_trip_amplitude`]) and detuning factor
+    /// `s = sin(φ/2)` ([`AddDropMrr::half_phase_sin_factor`]). Callers that
+    /// re-evaluate one ring at fixed wavelengths cache both factors and
+    /// pay only this rational function per evaluation.
+    pub fn transfer_at(&self, a: f64, s: f64) -> PortTransfer {
+        let t = self.geometry.self_coupling;
         let kappa_sq = 1.0 - t * t;
-        let phi = self.phase_detuning_rad(lambda);
-        let s = (phi / 2.0).sin();
         let resonant_term = 4.0 * t * t * a * s * s;
         let denom = {
             let d = 1.0 - t * t * a;
@@ -320,5 +335,28 @@ mod tests {
             MrrGeometry::activation_cell().footprint().value()
                 > MrrGeometry::weight_bank().footprint().value()
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn transfer_is_transfer_at_of_its_two_factors(
+            detune in -3.0f64..=3.0,
+            extra in 0.0f64..=1.0,
+            resonance in 1540.0f64..=1570.0,
+        ) {
+            let ring = AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(resonance));
+            let lambda = Wavelength::from_nm(resonance + detune);
+            let whole = ring.transfer(lambda, extra);
+            let a = ring.round_trip_amplitude(extra);
+            let split = ring.transfer_at(a, ring.half_phase_sin_factor(lambda));
+            prop_assert_eq!(whole.drop.to_bits(), split.drop.to_bits());
+            prop_assert_eq!(whole.through.to_bits(), split.through.to_bits());
+        }
     }
 }
