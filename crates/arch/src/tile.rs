@@ -180,15 +180,19 @@ impl TileGemm {
     }
 
     /// (Re)program the tiles covering logical rows `[rt·16, (rt+1)·16)`
-    /// of `w`. Unchanged cells are write no-ops, so re-banding an
-    /// unchanged band costs nothing. Returns the write energy spent.
+    /// of `w`. A cell asked for the weight it already holds is skipped by
+    /// its bank's write memo (no pulse, no LUT search), so re-banding
+    /// costs write energy and row refreshes only for the cells that
+    /// changed; the rest is staging and comparing each 16×16 tile.
+    /// Returns the write energy spent.
     pub(crate) fn program_row_band(&mut self, w: &[f64], rt: usize) -> EnergyPj {
         let col_tiles = self.inp.div_ceil(TILE);
         (0..col_tiles).map(|ct| self.program_tile(w, rt * col_tiles + ct)).sum()
     }
 
     /// (Re)program the tiles covering logical columns `[ct·16, (ct+1)·16)`
-    /// of `w`. Returns the write energy spent.
+    /// of `w`, at the same cost as [`TileGemm::program_row_band`].
+    /// Returns the write energy spent.
     pub(crate) fn program_col_band(&mut self, w: &[f64], ct: usize) -> EnergyPj {
         let col_tiles = self.inp.div_ceil(TILE);
         (0..self.out.div_ceil(TILE)).map(|rt| self.program_tile(w, rt * col_tiles + ct)).sum()

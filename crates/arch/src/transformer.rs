@@ -235,16 +235,33 @@ pub struct PhotonicTransformer {
     kv_writes: u64,
     kv_reads: u64,
     batch_out: Vec<Vec<f64>>,
-    /// Reusable per-token decode buffers (zero-alloc steady state).
+    /// Reusable per-token decode buffers (see [`DecodeScratch`]).
     scratch: DecodeScratch,
 }
 
 /// Scratch buffers for the per-token decode hot path: grown once on the
-/// first token, then reused — steady-state decode performs no heap
-/// allocation (the same contract `PhotonicMlp` serves under, enforced
-/// statically by trident-lint's `hot-path-alloc` walk).
+/// first token, then reused. After that a decode step's only heap
+/// allocation is the logits `Vec` it returns. trident-lint's
+/// `hot-path-alloc` walk starts at `try_decode_token` and rejects
+/// `vec![…]`, `Vec::with_capacity` and `.collect()` on the path; growing
+/// an empty `Vec` is not flagged, so keeping per-token buffers here is a
+/// convention the lint does not prove.
 #[derive(Debug, Default)]
 struct DecodeScratch {
+    /// The token's running hidden state (`d_model` wide).
+    hidden: Vec<f64>,
+    /// LayerNorm output feeding the projections / FFN / head (`d_model`).
+    normed: Vec<f64>,
+    /// Query, key and value projections (`d_model` wide each).
+    q: Vec<f64>,
+    k: Vec<f64>,
+    v: Vec<f64>,
+    /// Concatenated head contexts (`d_model` wide).
+    attn: Vec<f64>,
+    /// Output projection of the attention sublayer (`d_model` wide).
+    proj: Vec<f64>,
+    /// FFN sublayer output (`d_model` wide).
+    ffn_out: Vec<f64>,
     /// Attention score row (`max_seq` wide).
     scores: Vec<f64>,
     /// Re-scaled probability inputs to the Vᵀ bank (`max_seq` wide).
@@ -517,8 +534,10 @@ impl PhotonicTransformer {
 
     /// Append one token's K row and V column to block `b`'s per-head
     /// banks at position `t`, fixing the write-time scales, and program
-    /// the touched row/column bands. Billed as KV-cache traffic when the
-    /// model is causal.
+    /// the touched row/column bands. Once a band has been written, only
+    /// the token's own row and column change; every other cell of those
+    /// tiles hits its bank's write memo and costs neither a pulse nor a
+    /// LUT search. Billed as KV-cache traffic when the model is causal.
     fn append_kv(&mut self, b: usize, t: usize, k_tok: &[f64], v_tok: &[f64]) {
         let d_head = self.cfg.d_model / self.cfg.heads;
         let causal = self.cfg.causal;
@@ -621,12 +640,16 @@ impl PhotonicTransformer {
     /// `limit` is the attention window (`t + 1` causal, sequence length
     /// otherwise — the caller decides).
     fn block_step(&mut self, b: usize, t: usize, limit: usize, hidden: &mut [f64]) {
-        let mut normed = Vec::new();
-        let mut q = Vec::new();
-        let mut k = Vec::new();
-        let mut v = Vec::new();
-        let mut attn = Vec::new();
-        let mut proj = Vec::new();
+        // Pull the buffers out of the scratch (`attention`/`ffn` take the
+        // rest of it); every one is overwritten before it is read.
+        let s = &mut self.scratch;
+        let mut normed = std::mem::take(&mut s.normed);
+        let mut q = std::mem::take(&mut s.q);
+        let mut k = std::mem::take(&mut s.k);
+        let mut v = std::mem::take(&mut s.v);
+        let mut attn = std::mem::take(&mut s.attn);
+        let mut proj = std::mem::take(&mut s.proj);
+        let mut ffn_out = std::mem::take(&mut s.ffn_out);
         {
             let gamma = std::mem::take(&mut self.blocks[b].ln1_gamma);
             let beta = std::mem::take(&mut self.blocks[b].ln1_beta);
@@ -657,17 +680,20 @@ impl PhotonicTransformer {
             self.blocks[b].ln2_gamma = gamma;
             self.blocks[b].ln2_beta = beta;
         }
-        let mut ffn_out = Vec::new();
         self.ffn(b, &normed, &mut ffn_out);
         for (hv, &p) in hidden.iter_mut().zip(&ffn_out) {
             *hv += p;
         }
         self.ldsu_residual(self.cfg.d_model);
+        let s = &mut self.scratch;
+        (s.normed, s.q, s.k, s.v) = (normed, q, k, v);
+        (s.attn, s.proj, s.ffn_out) = (attn, proj, ffn_out);
     }
 
-    /// Final LayerNorm + head MVM for one `d_model`-wide vector.
+    /// Final LayerNorm + head MVM for one `d_model`-wide vector. The
+    /// returned logits are the call's one allocation.
     fn head_logits(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut normed = Vec::new();
+        let mut normed = std::mem::take(&mut self.scratch.normed);
         {
             let gamma = std::mem::take(&mut self.lnf_gamma);
             let beta = std::mem::take(&mut self.lnf_beta);
@@ -678,6 +704,7 @@ impl PhotonicTransformer {
         let mut logits = Vec::new();
         let (head, extra) = (&mut self.head, &mut self.extra_energy);
         head.gemv_scaled(&normed, &mut logits, extra);
+        self.scratch.normed = normed;
         logits
     }
 
@@ -776,12 +803,16 @@ impl PhotonicTransformer {
             });
         }
         let t = self.cache_len;
-        let mut hidden = x.to_vec();
+        let mut hidden = std::mem::take(&mut self.scratch.hidden);
+        hidden.clear();
+        hidden.extend_from_slice(x);
         for b in 0..self.blocks.len() {
             block_step_token(self, b, t, t + 1, &mut hidden);
         }
         self.cache_len = t + 1;
-        Ok(self.head_logits(&hidden))
+        let logits = self.head_logits(&hidden);
+        self.scratch.hidden = hidden;
+        Ok(logits)
     }
 
     /// Batched classifier forward for the serving fleet: one

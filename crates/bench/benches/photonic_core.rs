@@ -65,6 +65,15 @@ fn bank_ops(c: &mut Criterion) {
                 black_box(bank.program_flat(&w))
             })
         });
+        if size == 16 {
+            // Re-request the matrix the bank already holds: every cell
+            // is a write no-op the bank's memo skips.
+            group.bench_with_input(BenchmarkId::new("reprogram_same", size), &size, |b, &s| {
+                let mut bank = WeightBank::new(s, s, GstParameters::default());
+                bank.program_flat(&weights);
+                b.iter(|| black_box(bank.program_flat(black_box(&weights))))
+            });
+        }
         group.bench_with_input(BenchmarkId::new("mvm", size), &size, |b, &s| {
             let mut bank = WeightBank::new(s, s, GstParameters::default());
             bank.program_flat(&weights);

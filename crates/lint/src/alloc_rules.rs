@@ -39,9 +39,16 @@ use crate::scanner::Token;
 pub const HOT_PATH_CRATES: &[&str] = &["arch", "nn", "serve"];
 
 /// The serving entry points the forward walk starts from: the fleet
-/// dispatchers and the engines' batched forwards.
-pub const ENTRY_POINTS: &[&str] =
-    &["dispatch", "dispatch_into", "try_forward_batch", "try_forward_stage_into", "forward_into"];
+/// dispatchers, the engines' batched forwards and the transformer's
+/// per-token KV-cache decode step.
+pub const ENTRY_POINTS: &[&str] = &[
+    "dispatch",
+    "dispatch_into",
+    "try_forward_batch",
+    "try_forward_stage_into",
+    "forward_into",
+    "try_decode_token",
+];
 
 /// Name prefixes pruned from the walk: construction and warm-up code,
 /// where allocation is the point. `zeros` is `Tensor::zeros`, a
