@@ -25,7 +25,7 @@ use crate::tile::{TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_photonics::ledger::EnergyLedger;
-use trident_photonics::units::{count, EnergyPj};
+use trident_photonics::units::{count, EnergyPj, Nanoseconds};
 
 /// GST activation slope (Fig. 3).
 const SLOPE: f64 = 0.34;
@@ -595,9 +595,24 @@ impl PhotonicCnn {
         self.dense.fold_energy(self.conv.fold_energy(EnergyPj::ZERO)) + self.extra_energy.total()
     }
 
+    /// GST programming energy alone.
+    pub fn programming_energy(&self) -> EnergyPj {
+        self.dense.fold_write_energy(self.conv.fold_write_energy(EnergyPj::ZERO))
+    }
+
+    /// Simulated time across both banks.
+    pub fn total_elapsed(&self) -> Nanoseconds {
+        self.dense.fold_elapsed(self.conv.fold_elapsed(Nanoseconds::ZERO))
+    }
+
     /// Conv filter weights (master copy, for verification).
     pub fn conv_weights(&self) -> &[f64] {
         &self.conv_weights
+    }
+
+    /// Dense-head weights (master copy, for verification).
+    pub fn dense_weights(&self) -> &[f64] {
+        &self.dense_weights
     }
 }
 

@@ -325,6 +325,9 @@ pub mod variation {
     use super::*;
     use trident_arch::variation::VariationStudy;
 
+    /// Ring resonance offsets σ (nm) the rendered table sweeps.
+    pub const SIGMAS_NM: &[f64] = &[0.0, 0.01, 0.02, 0.04, 0.08];
+
     /// Run the deploy-then-finetune study over sigma points.
     pub fn run(
         sigmas_nm: &[f64],
@@ -345,7 +348,7 @@ pub mod variation {
             "Ablation: fabrication variation — deploy vs in-situ fine-tune",
             &["sigma (nm)", "Ideal acc.", "Deployed acc.", "Fine-tuned acc.", "Recovery"],
         );
-        for row in run(&[0.0, 0.01, 0.02, 0.04, 0.08], per_class, trials) {
+        for row in run(SIGMAS_NM, per_class, trials) {
             t.row(&[
                 format!("{:.3}", row.sigma_nm),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),
@@ -364,6 +367,9 @@ pub mod variation {
 pub mod faults {
     use super::*;
     use trident_arch::faults::{FaultCampaign, FaultCampaignRow, FaultPlan};
+
+    /// Stuck-cell rates the rendered table sweeps.
+    pub const STUCK_RATES: &[f64] = &[0.0, 0.01, 0.03, 0.06, 0.12];
 
     /// Run the inject-then-recover campaign over stuck-cell rates.
     pub fn run(stuck_rates: &[f64], per_class: usize, trials: usize) -> Vec<FaultCampaignRow> {
@@ -391,7 +397,7 @@ pub mod faults {
                 "masks",
             ],
         );
-        for row in run(&[0.0, 0.01, 0.03, 0.06, 0.12], per_class, trials) {
+        for row in run(STUCK_RATES, per_class, trials) {
             t.row(&[
                 format!("{:.1}%", row.plan.hard_fault_rate() * 100.0),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),

@@ -20,8 +20,11 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use trident::arch::dfa::{train_dfa, DfaFeedback};
 use trident::arch::fidelity;
+use trident::arch::{PhotonicCnn, PhotonicMlp};
 use trident::experiments as ex;
+use trident::nn::data::synthetic_digits;
 use trident::workload::dataflow::DataflowModel;
 use trident::workload::zoo;
 
@@ -221,6 +224,123 @@ fn ablation_drift_json() -> String {
     out
 }
 
+fn ablation_faults_json() -> String {
+    // The drift golden's small configuration: 2 digits per class, 1 chip.
+    let rows = ex::ablations::faults::run(ex::ablations::faults::STUCK_RATES, 2, 1);
+    let mut out = String::from("{\n  \"artifact\": \"ablation_faults\",\n  \"rows\": [\n");
+    let body: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"hard_fault_rate\": {:?}, \"hard_fault_fraction\": {:?}, \
+                 \"ideal\": {:?}, \"faulted\": {:?}, \"finetuned\": {:?}, \
+                 \"write_failures\": {:?}, \"remapped\": {:?}, \"masked\": {:?}, \
+                 \"trials\": {}}}",
+                r.plan.hard_fault_rate(),
+                r.hard_fault_fraction,
+                r.ideal_accuracy,
+                r.faulted_accuracy,
+                r.finetuned_accuracy,
+                r.write_failures,
+                r.remapped,
+                r.masked,
+                r.trials
+            )
+        })
+        .collect();
+    out.push_str(&body.join(",\n"));
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+fn ablation_variation_json() -> String {
+    let rows = ex::ablations::variation::run(ex::ablations::variation::SIGMAS_NM, 2, 1);
+    let mut out = String::from("{\n  \"artifact\": \"ablation_variation\",\n  \"rows\": [\n");
+    let body: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"sigma_nm\": {:?}, \"ideal\": {:?}, \"deployed\": {:?}, \
+                 \"finetuned\": {:?}, \"trials\": {}}}",
+                r.sigma_nm, r.ideal_accuracy, r.deployed_accuracy, r.finetuned_accuracy, r.trials
+            )
+        })
+        .collect();
+    out.push_str(&body.join(",\n"));
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// FNV-1a over the bit pattern of every weight, layer by layer.
+fn weight_digest<'a>(layers: impl IntoIterator<Item = &'a [f64]>) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in layers.into_iter().flatten() {
+        for byte in w.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
+fn training_row(path: &str, losses: &[f64], digest: &str, ledgers: [f64; 3]) -> String {
+    let [total, programming, elapsed] = ledgers.map(f64::to_bits);
+    format!(
+        "    {{\"path\": \"{path}\", \"losses\": {losses:?}, \"weights\": \"{digest}\", \
+         \"total_energy_bits\": {total}, \"programming_energy_bits\": {programming}, \
+         \"elapsed_bits\": {elapsed}}}"
+    )
+}
+
+fn training_paths_json() -> String {
+    // Every in-situ training path on the same 20-image digit set, two
+    // epochs each. Live receiver noise makes any change in a PE's call
+    // sequence visible in the weights and the ledgers.
+    let data = synthetic_digits(2, 0.05, 99);
+    let xs: Vec<Vec<f64>> = (0..data.len())
+        .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
+        .collect();
+    let labels = &data.labels;
+    let dims = [64, 16, 10];
+    let mlp_row = |path: &str, engine: &PhotonicMlp, losses: &[f64]| {
+        let digest = weight_digest((0..engine.layer_count()).map(|k| engine.layer_weights(k)));
+        let ledgers = [
+            engine.total_energy().value(),
+            engine.programming_energy().value(),
+            engine.total_elapsed().value(),
+        ];
+        training_row(path, losses, &digest, ledgers)
+    };
+    let mut rows = Vec::new();
+
+    let mut bp = PhotonicMlp::new(&dims, 11, Some(5), 8);
+    let outcome = bp.try_train(&xs, labels, 0.1, 2).unwrap();
+    rows.push(mlp_row("backprop", &bp, &outcome.loss_history));
+
+    let mut batched = PhotonicMlp::new(&dims, 11, Some(5), 8);
+    let outcome = batched.try_train_batched(&xs, labels, 0.1, 2, 4).unwrap();
+    rows.push(mlp_row("batched_backprop", &batched, &outcome.loss_history));
+
+    let mut dfa = PhotonicMlp::new(&dims, 7, Some(5), 8);
+    let mut feedback = DfaFeedback::for_engine(&dfa, 41);
+    let losses = train_dfa(&mut dfa, &mut feedback, &xs, labels, 0.3, 2);
+    rows.push(mlp_row("dfa", &dfa, &losses));
+
+    let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+    let losses = cnn.train(&xs, labels, 0.1, 2);
+    let digest = weight_digest([cnn.conv_weights(), cnn.dense_weights()]);
+    let ledgers = [
+        cnn.total_energy().value(),
+        cnn.programming_energy().value(),
+        cnn.total_elapsed().value(),
+    ];
+    rows.push(training_row("cnn", &losses, &digest, ledgers));
+
+    format!(
+        "{{\n  \"artifact\": \"training_paths\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
 fn transformer_perf_json() -> String {
     let mut out = String::from("{\n  \"artifact\": \"transformer_perf\",\n  \"rows\": [\n");
     let rows = ex::transformer::run_perf();
@@ -281,6 +401,21 @@ fn golden_dataflow_map() {
 #[test]
 fn golden_ablation_drift() {
     check_golden("ablation_drift.json", &ablation_drift_json());
+}
+
+#[test]
+fn golden_ablation_faults() {
+    check_golden("ablation_faults.json", &ablation_faults_json());
+}
+
+#[test]
+fn golden_ablation_variation() {
+    check_golden("ablation_variation.json", &ablation_variation_json());
+}
+
+#[test]
+fn golden_training_paths() {
+    check_golden("training_paths.json", &training_paths_json());
 }
 
 #[test]
