@@ -18,17 +18,16 @@
 //! flatten → dense`, enough to classify the synthetic digit images
 //! end-to-end on simulated optics.
 
-use crate::engine::{cache_set, copy_reuse, reserve_to, zero_reuse};
+use crate::engine::{
+    accuracy_of, apply_update, argmax, cache_set, copy_reuse, reserve_to, softmax_grad, zero_reuse,
+};
 use crate::error::ArchError;
-use crate::pe::LOGIT_THRESHOLD;
+use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_photonics::ledger::EnergyLedger;
-use trident_photonics::units::{count, EnergyPj, Nanoseconds};
-
-/// GST activation slope (Fig. 3).
-const SLOPE: f64 = 0.34;
+use trident_photonics::units::{EnergyPj, Nanoseconds};
 
 /// Reusable CNN forward working memory — the conv-engine analogue of the
 /// MLP engine's `ForwardScratch`. The patch gather is restructured from
@@ -152,12 +151,6 @@ impl PhotonicCnn {
     pub fn feature_count(&self) -> usize {
         let (h, w) = self.pool_hw();
         self.out_c * h * w
-    }
-
-    fn quantize(&self, w: f64) -> f64 {
-        let levels = (1u32 << self.weight_bits) - 1;
-        let step = 2.0 / f64::from(levels - 1);
-        (w.clamp(-1.0, 1.0) / step).round() * step
     }
 
     fn program_all(&mut self) {
@@ -398,7 +391,7 @@ impl PhotonicCnn {
                 let v = h.data()[pos * self.out_c + f];
                 let threshold = LOGIT_THRESHOLD as f32;
                 activ[f * positions + pos] =
-                    if v >= threshold { SLOPE as f32 * (v - threshold) } else { 0.0 };
+                    if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
             }
         }
         self.digital_head(&activ)
@@ -431,7 +424,7 @@ impl PhotonicCnn {
                     }
                     let threshold = LOGIT_THRESHOLD as f32;
                     activ[f * positions + oy * conv_w + ox] =
-                        if v >= threshold { SLOPE as f32 * (v - threshold) } else { 0.0 };
+                        if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
                 }
             }
         }
@@ -472,24 +465,12 @@ impl PhotonicCnn {
 
     /// Predicted class.
     pub fn predict(&mut self, image: &[f64]) -> usize {
-        let logits = self.forward(image);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.forward(image))
     }
 
     /// Accuracy over a labelled set.
     pub fn accuracy(&mut self, images: &[Vec<f64>], labels: &[usize]) -> f64 {
-        let mut correct = 0;
-        for (x, &l) in images.iter().zip(labels) {
-            if self.predict(x) == l {
-                correct += 1;
-            }
-        }
-        f64::from(correct) / count(labels.len())
+        accuracy_of(images, labels, |x| self.forward(x))
     }
 
     /// One in-situ training step. The dense gradients use the Table II
@@ -498,17 +479,7 @@ impl PhotonicCnn {
     /// patches.
     pub fn train_sample(&mut self, image: &[f64], label: usize, lr: f64) -> f64 {
         let logits = self.forward(image);
-        // Softmax cross-entropy gradient (electronic, as in the paper).
-        let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        let probs: Vec<f64> = exps.iter().map(|&e| e / sum).collect();
-        let loss = -probs[label].max(1e-12).ln();
-        let delta_out: Vec<f64> = probs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| if i == label { p - 1.0 } else { p })
-            .collect();
+        let (loss, delta_out) = softmax_grad(&logits, label);
 
         // Dense outer product: δW = δ ⊗ features (photonic, tile-wise).
         let dense_grad = self.dense.outer_product(&delta_out, &self.cached_features);
@@ -530,17 +501,13 @@ impl PhotonicCnn {
             if d == 0.0 {
                 continue;
             }
-            // src_idx = (f·conv_h + oy)·conv_w + ox
-            let ox = src_idx % conv_w;
-            let oy = (src_idx / conv_w) % conv_h;
-            let f = src_idx / (conv_h * conv_w);
-            let pos = oy * conv_w + ox;
+            // src_idx = f·positions + pos, pos = oy·conv_w + ox
+            let (f, pos) = (src_idx / (conv_h * conv_w), src_idx % (conv_h * conv_w));
             let h = self.cached_conv_logits[pos][f];
-            let fprime = if h >= LOGIT_THRESHOLD { SLOPE } else { 0.0 };
-            if fprime == 0.0 {
+            if h < LOGIT_THRESHOLD {
                 continue;
             }
-            let delta_h = d * fprime;
+            let delta_h = spilled_hadamard(d, h);
             // Per-position outer product row: δW_conv[f] += δh · patch.
             let patch = &self.cached_patches[pos];
             let p_scale =
@@ -557,16 +524,8 @@ impl PhotonicCnn {
         }
 
         // Eq. 1 updates + reprogram.
-        for (w, &g) in self.dense_weights.iter_mut().zip(&dense_grad) {
-            *w = (*w - lr * g).clamp(-1.0, 1.0);
-        }
-        for (w, &g) in self.conv_weights.iter_mut().zip(&conv_grad) {
-            *w = (*w - lr * g).clamp(-1.0, 1.0);
-        }
-        let dense_q: Vec<f64> = self.dense_weights.iter().map(|&w| self.quantize(w)).collect();
-        let conv_q: Vec<f64> = self.conv_weights.iter().map(|&w| self.quantize(w)).collect();
-        self.dense_weights = dense_q;
-        self.conv_weights = conv_q;
+        apply_update(&mut self.dense_weights, &dense_grad, lr, self.weight_bits);
+        apply_update(&mut self.conv_weights, &conv_grad, lr, self.weight_bits);
         self.program_all();
         loss
     }
@@ -659,7 +618,7 @@ mod tests {
                                 * image[(oy + ky) * 8 + ox + kx];
                         }
                     }
-                    let y = if h >= LOGIT_THRESHOLD { SLOPE * (h - LOGIT_THRESHOLD) } else { 0.0 };
+                    let y = if h >= LOGIT_THRESHOLD { GST_SLOPE * (h - LOGIT_THRESHOLD) } else { 0.0 };
                     activ[(f * conv_h + oy) * conv_w + ox] = y;
                 }
             }

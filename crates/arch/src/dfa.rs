@@ -16,8 +16,15 @@
 //! layers. This module implements DFA on the same simulated hardware so
 //! the trade-off is measurable: see the `ablation_dfa` binary and the
 //! tests below.
+//!
+//! DFA is not a second training loop: it is the second error source of
+//! the engine's one backward walk. Given a [`DfaFeedback`], that walk
+//! takes layer `k−1`'s error from `B_{k−1}·e` instead of `W_kᵀ δh_k`;
+//! the outer products, the Hadamard with the latched `f'(h)` and the
+//! Eq. 1 update are the same calls backprop makes.
 
 use crate::engine::PhotonicMlp;
+use crate::error::ArchError;
 use crate::tile::TileGemm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,19 +88,17 @@ impl DfaFeedback {
 
 /// One DFA training step on `engine` using `feedback`. Returns the loss.
 ///
-/// Identical to [`PhotonicMlp::train_sample`] except the gradient-vector
-/// phase: each hidden layer's error arrives via its fixed feedback bank
-/// (no `Wᵀ` reprogramming sweeps).
+/// [`PhotonicMlp::try_train_sample`] with the gradient-vector phase
+/// swapped out: each hidden layer's error arrives via its fixed feedback
+/// bank (no `Wᵀ` reprogramming sweeps).
 pub fn train_sample_dfa(
     engine: &mut PhotonicMlp,
     feedback: &mut DfaFeedback,
     x: &[f64],
     label: usize,
     learning_rate: f64,
-) -> f64 {
-    engine.train_sample_with_feedback(x, label, learning_rate, &mut |k, error| {
-        feedback.project(k, error)
-    })
+) -> Result<f64, ArchError> {
+    engine.train_step(x, label, learning_rate, Some(feedback))
 }
 
 /// DFA training over a dataset for `epochs`. Returns per-epoch losses.
@@ -104,16 +109,8 @@ pub fn train_dfa(
     labels: &[usize],
     learning_rate: f64,
     epochs: usize,
-) -> Vec<f64> {
-    let mut history = Vec::with_capacity(epochs);
-    for _ in 0..epochs {
-        let mut total = 0.0;
-        for (x, &label) in xs.iter().zip(labels) {
-            total += train_sample_dfa(engine, feedback, x, label, learning_rate);
-        }
-        history.push(total / xs.len() as f64);
-    }
-    history
+) -> Result<Vec<f64>, ArchError> {
+    engine.train_epochs(xs, labels, learning_rate, epochs, Some(feedback))
 }
 
 #[cfg(test)]
@@ -165,7 +162,7 @@ mod tests {
         let (xs, labels) = digit_data(3);
         let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let mut fb = DfaFeedback::for_engine(&engine, 41);
-        let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10);
+        let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
         assert!(
             history.last().unwrap() < history.first().unwrap(),
             "DFA loss should fall: {history:?}"
@@ -184,7 +181,7 @@ mod tests {
 
         let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
-        train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10);
+        train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
         let dfa_acc = dfa_engine.accuracy(&xs, &labels);
 
         assert!(

@@ -7,21 +7,26 @@
 //!
 //! 1. **forward** — per layer: optical MVM tiles, electronic partial-sum
 //!    accumulation across column tiles, LDSU latch, GST activation.
-//! 2. **gradient vectors** (Table II mode 2) — banks reprogrammed with
-//!    `Wᵀ`, signed MVM of the upstream error, Hadamard with the latched
-//!    `f'(h)` via programmed TIA gains.
-//! 3. **outer products** (Table II mode 3) — banks programmed with the
-//!    cached layer inputs, per-ring demux readout of `δW`.
-//! 4. **update** (Eq. 1) — `W ← W − β·δW`, clipped to the photonic range,
+//! 2. **backward walk**, output layer first — per layer `k`:
+//!    - **outer product** (Table II mode 3): banks programmed with the
+//!      cached layer input, per-ring demux readout of `δW_k`;
+//!    - **error for layer `k−1`** from one of two sources. Backprop uses
+//!      the gradient-vector mode (Table II mode 2): banks reprogrammed
+//!      with `W_kᵀ`, signed MVM of `δh_k`. Direct feedback alignment
+//!      ([`crate::dfa`]) projects the output error through a fixed bank,
+//!      `B_{k−1}·e`. Either way the Hadamard with the latched
+//!      `f'(h_{k−1})` runs on layer `k−1`'s TIA gains.
+//! 3. **update** (Eq. 1) — `W ← W − β·δW`, clipped to the photonic range,
 //!    quantized to the tuning method's bit resolution, and programmed back
 //!    into the forward banks.
 //!
 //! Every optical programming event and symbol is charged to the energy
 //! ledgers, so the training demos report honest device-level costs.
 
+use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
-use crate::pe::LOGIT_THRESHOLD;
+use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{charge_psums, PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,9 +36,6 @@ use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{count, EnergyPj, Hours, Nanoseconds};
 use trident_streams::bank_identity;
-
-/// Activation slope of the GST cell (Fig. 3).
-const GST_SLOPE: f64 = 0.34;
 
 /// Reusable forward-pass working memory. Every buffer is cleared and
 /// refilled in place each use, so once the engine is warm (capacities
@@ -279,16 +281,8 @@ impl PhotonicMlp {
         &self.weights[k]
     }
 
-    /// Overwrite layer `k`'s master weights and reprogram the banks.
-    ///
-    /// # Panics
-    /// Panics on a size mismatch or a bad layer index;
-    /// [`PhotonicMlp::try_set_layer_weights`] is the typed-error form.
-    pub fn set_layer_weights(&mut self, k: usize, w: &[f64]) {
-        self.try_set_layer_weights(k, w).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::set_layer_weights`].
+    /// Overwrite layer `k`'s master weights (quantized to the tuning grid)
+    /// and reprogram the banks.
     pub fn try_set_layer_weights(&mut self, k: usize, w: &[f64]) -> Result<(), ArchError> {
         if k >= self.layer_count() {
             return Err(ArchError::LayerOutOfRange { layer: k, layers: self.layer_count() });
@@ -297,7 +291,7 @@ impl PhotonicMlp {
         if w.len() != out * inp {
             return Err(ArchError::ShapeMismatch { expected: out * inp, got: w.len() });
         }
-        self.weights[k] = w.iter().map(|&v| self.quantize(v)).collect();
+        self.weights[k] = w.iter().map(|&v| quantize(v, self.weight_bits)).collect();
         self.program_layer_forward(k)
     }
 
@@ -323,18 +317,6 @@ impl PhotonicMlp {
             self.try_set_layer_weights(k, w)?;
         }
         Ok(())
-    }
-
-    /// Fork an independent replica of this engine: a fresh chip built
-    /// with `opts` (its own fabrication variation, noise streams, fault
-    /// state, energy and elapsed-time ledgers) carrying this engine's
-    /// current master weights. The replica shares **no** state with the
-    /// parent — the ownership model a serving fleet needs, where every
-    /// replica has its own laser/thermal budget and wear trajectory.
-    pub fn try_fork_replica(&self, opts: EngineOptions) -> Result<Self, ArchError> {
-        let mut replica = Self::try_with_options(&self.dims, opts)?;
-        replica.try_deploy_weights(&self.weights)?;
-        Ok(replica)
     }
 
     /// Inject a sampled fault population into every PE of the engine and
@@ -433,12 +415,6 @@ impl PhotonicMlp {
         self.fault_tolerant_writes
     }
 
-    /// Opt into (or out of) closed-loop program-and-verify writes without
-    /// injecting any faults.
-    pub fn set_fault_tolerant_writes(&mut self, enabled: bool) {
-        self.fault_tolerant_writes = enabled;
-    }
-
     /// Writes rejected by stuck cells or failed by verify, summed over
     /// every bank.
     pub fn write_failures(&self) -> u64 {
@@ -453,12 +429,6 @@ impl PhotonicMlp {
     /// Dead slots masked out of the optics, summed over banks.
     pub fn masked_rings(&self) -> usize {
         self.layers.iter().map(TileGemm::masked_rings).sum()
-    }
-
-    fn quantize(&self, w: f64) -> f64 {
-        let levels = (1u32 << self.weight_bits) - 1;
-        let step = 2.0 / f64::from(levels - 1);
-        (w.clamp(-1.0, 1.0) / step).round() * step
     }
 
     fn program_layer_forward(&mut self, k: usize) -> Result<(), ArchError> {
@@ -694,37 +664,17 @@ impl PhotonicMlp {
         self.scratch.heap_allocs
     }
 
-    /// Predicted class for one sample.
-    ///
-    /// # Panics
-    /// Panics on an input-width mismatch; [`PhotonicMlp::try_predict`] is
-    /// the typed-error form.
-    pub fn predict(&mut self, x: &[f64]) -> usize {
-        self.try_predict(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::predict`]. NaN-safe: logits are
-    /// ranked with a total order, so a pathological output can never
-    /// crash the classifier.
+    /// Predicted class for one sample (NaN-safe, see [`argmax`]).
     pub fn try_predict(&mut self, x: &[f64]) -> Result<usize, ArchError> {
-        let logits = self.try_forward(x)?;
-        Ok(logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0))
+        Ok(argmax(&self.try_forward(x)?))
     }
 
     /// Accuracy over a set of samples.
+    ///
+    /// # Panics
+    /// Panics on an input-width mismatch.
     pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> f64 {
-        let mut correct = 0;
-        for (x, &label) in xs.iter().zip(labels) {
-            if self.predict(x) == label {
-                correct += 1;
-            }
-        }
-        f64::from(correct) / count(labels.len())
+        accuracy_of(xs, labels, |x| self.forward(x))
     }
 
     /// One in-situ training step on a single sample (the paper's
@@ -744,77 +694,43 @@ impl PhotonicMlp {
         label: usize,
         learning_rate: f64,
     ) -> Result<f64, ArchError> {
+        self.train_step(x, label, learning_rate, None)
+    }
+
+    /// One in-situ training step: forward, then the backward walk from
+    /// the output layer down, then the Eq. 1 update. Each hidden layer's
+    /// error comes from the chained `Wᵀ` products (backprop) or, given
+    /// `feedback`, from its fixed DFA bank (see [`crate::dfa`]). Returns
+    /// the sample loss.
+    pub(crate) fn train_step(
+        &mut self,
+        x: &[f64],
+        label: usize,
+        learning_rate: f64,
+        mut feedback: Option<&mut DfaFeedback>,
+    ) -> Result<f64, ArchError> {
         let classes = self.dims.last().copied().unwrap_or(0);
         if label >= classes {
             return Err(ArchError::LabelOutOfRange { label, classes });
         }
         let _span = obs::span("engine.train_sample");
         let logits = self.try_forward(x)?;
-        let (loss, mut delta) = softmax_grad(&logits, label);
+        let (loss, error) = softmax_grad(&logits, label);
         let layer_count = self.layer_count();
-
-        // Walk backward: compute all gradient vectors and outer products.
+        let mut delta = error.clone();
         let mut weight_grads: Vec<Vec<f64>> = Vec::with_capacity(layer_count);
         for k in (0..layer_count).rev() {
             // Outer product for layer k: δW_k = δh_k ⊗ y_{k-1}.
             weight_grads.push(self.outer_product_layer(k, &delta));
             if k > 0 {
-                // Gradient vector for layer k−1: δh = (W_kᵀ δh_k) ⊙ f'(h).
-                delta = self.gradient_vector_layer(k, &delta)?;
+                // Layer k−1's error: (W_kᵀ δh_k) or (B_{k−1} e), ⊙ f'(h_{k−1}).
+                delta = match feedback.as_deref_mut() {
+                    None => self.gradient_vector_layer(k, &delta)?,
+                    Some(fb) => self.layers[k - 1].hadamard_latched(&fb.project(k - 1, &error)),
+                };
             }
         }
         weight_grads.reverse();
-        self.apply_weight_grads(&weight_grads, learning_rate)?;
-        Ok(loss)
-    }
-
-    /// One training step where each *hidden* layer's error arrives from a
-    /// caller-supplied projection of the output error (Direct Feedback
-    /// Alignment — see [`crate::dfa`]), instead of chained `Wᵀ` products.
-    /// The projection `project(k, e)` must return `B_k · e` for hidden
-    /// layer `k`; the Hadamard with the latched `f'(h_k)` happens here on
-    /// the layer's own TIAs.
-    ///
-    /// # Panics
-    /// Panics on bad input width or label;
-    /// [`PhotonicMlp::try_train_sample_with_feedback`] is the typed-error
-    /// form.
-    pub fn train_sample_with_feedback(
-        &mut self,
-        x: &[f64],
-        label: usize,
-        learning_rate: f64,
-        project: &mut dyn FnMut(usize, &[f64]) -> Vec<f64>,
-    ) -> f64 {
-        self.try_train_sample_with_feedback(x, label, learning_rate, project)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_sample_with_feedback`].
-    pub fn try_train_sample_with_feedback(
-        &mut self,
-        x: &[f64],
-        label: usize,
-        learning_rate: f64,
-        project: &mut dyn FnMut(usize, &[f64]) -> Vec<f64>,
-    ) -> Result<f64, ArchError> {
-        let classes = self.dims.last().copied().unwrap_or(0);
-        if label >= classes {
-            return Err(ArchError::LabelOutOfRange { label, classes });
-        }
-        let logits = self.try_forward(x)?;
-        let (loss, error) = softmax_grad(&logits, label);
-        let layer_count = self.layer_count();
-        let mut weight_grads: Vec<Vec<f64>> = Vec::with_capacity(layer_count);
-        for k in 0..layer_count {
-            let delta = if k + 1 == layer_count {
-                error.clone()
-            } else {
-                let projected = project(k, &error);
-                self.layers[k].hadamard_latched(&projected)
-            };
-            weight_grads.push(self.outer_product_layer(k, &delta));
-        }
         self.apply_weight_grads(&weight_grads, learning_rate)?;
         Ok(loss)
     }
@@ -827,23 +743,6 @@ impl PhotonicMlp {
     /// same one-bit-per-position FIFO the convolutional engine uses), and
     /// the per-sample `y` outer-product programming remains — it cannot
     /// amortize because every sample's activations differ.
-    /// # Panics
-    /// Panics on mismatched inputs/labels, a zero `batch_size` or a
-    /// device error; [`PhotonicMlp::try_train_batched`] is the
-    /// typed-error form.
-    pub fn train_batched(
-        &mut self,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-        learning_rate: f64,
-        epochs: usize,
-        batch_size: usize,
-    ) -> TrainingOutcome {
-        self.try_train_batched(xs, labels, learning_rate, epochs, batch_size)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_batched`].
     pub fn try_train_batched(
         &mut self,
         xs: &[Vec<f64>],
@@ -864,12 +763,10 @@ impl PhotonicMlp {
         }
         let _span = obs::span("engine.train_batched");
         let layer_count = self.layer_count();
-        let (threshold, slope) = self.activation();
         let mut loss_history = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut epoch_loss = 0.0;
-            for batch in xs.chunks(batch_size).zip(labels.chunks(batch_size)) {
-                let (bx, bl) = batch;
+            for (bx, bl) in xs.chunks(batch_size).zip(labels.chunks(batch_size)) {
                 // Forward every sample with stationary weights; cache the
                 // per-sample logits (the spilled LDSU bits) and inputs.
                 // `sample_deltas[s]` always holds the *current* (deepest
@@ -887,19 +784,14 @@ impl PhotonicMlp {
                 }
                 // Backward, layer by layer: program Wᵀ once, sweep the
                 // whole batch through it, restore once.
-                let mut grads: Vec<Vec<f64>> = (0..layer_count)
-                    .map(|k| {
-                        let (out, inp) = self.layer_dims(k);
-                        vec![0.0; out * inp]
-                    })
-                    .collect();
+                let mut grads: Vec<Vec<f64>> =
+                    self.weights.iter().map(|w| vec![0.0; w.len()]).collect();
                 for k in (0..layer_count).rev() {
                     // Outer products for layer k, per sample.
                     for s in 0..bx.len() {
-                        let delta = sample_deltas[s].clone();
                         // Point the outer product at this sample's input.
                         self.cached_inputs = sample_inputs[s].clone();
-                        let g = self.outer_product_layer(k, &delta);
+                        let g = self.outer_product_layer(k, &sample_deltas[s]);
                         for (acc, v) in grads[k].iter_mut().zip(&g) {
                             *acc += v / bx.len() as f64;
                         }
@@ -913,18 +805,8 @@ impl PhotonicMlp {
                             self.layers[k].gemv_signed(&sample_deltas[s], &mut v);
                             // Hadamard with the spilled f'(h_{k-1}) bits.
                             let h = &sample_logits[s][k - 1];
-                            let next: Vec<f64> = v
-                                .iter()
-                                .zip(h)
-                                .map(|(&vi, &hi)| {
-                                    if hi >= threshold {
-                                        vi * slope
-                                    } else {
-                                        0.0
-                                    }
-                                })
-                                .collect();
-                            sample_deltas[s] = next;
+                            sample_deltas[s] =
+                                v.iter().zip(h).map(|(&vi, &hi)| spilled_hadamard(vi, hi)).collect();
                         }
                         self.program_layer_forward(k)?;
                     }
@@ -933,14 +815,7 @@ impl PhotonicMlp {
             }
             loss_history.push(epoch_loss / xs.len() as f64);
         }
-        let final_accuracy = self.accuracy(xs, labels);
-        Ok(TrainingOutcome {
-            loss_history,
-            final_accuracy,
-            total_energy: self.total_energy(),
-            programming_energy: self.programming_energy(),
-            elapsed: self.total_elapsed(),
-        })
+        Ok(self.outcome(loss_history, xs, labels))
     }
 
     /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
@@ -951,13 +826,7 @@ impl PhotonicMlp {
         learning_rate: f64,
     ) -> Result<(), ArchError> {
         for k in 0..self.layer_count() {
-            let grads = &weight_grads[k];
-            for (w, &g) in self.weights[k].iter_mut().zip(grads) {
-                *w = (*w - learning_rate * g).clamp(-1.0, 1.0);
-            }
-            let quantized: Vec<f64> =
-                self.weights[k].iter().map(|&w| self.quantize(w)).collect();
-            self.weights[k] = quantized;
+            apply_update(&mut self.weights[k], &weight_grads[k], learning_rate, self.weight_bits);
             self.program_layer_forward(k)?;
         }
         Ok(())
@@ -1032,6 +901,37 @@ impl PhotonicMlp {
         learning_rate: f64,
         epochs: usize,
     ) -> Result<TrainingOutcome, ArchError> {
+        let loss_history = self.train_epochs(xs, labels, learning_rate, epochs, None)?;
+        Ok(self.outcome(loss_history, xs, labels))
+    }
+
+    /// A finished run's report: `loss_history`, the accuracy on the
+    /// training set, and the ledgers so far.
+    fn outcome(
+        &mut self,
+        loss_history: Vec<f64>,
+        xs: &[Vec<f64>],
+        labels: &[usize],
+    ) -> TrainingOutcome {
+        TrainingOutcome {
+            loss_history,
+            final_accuracy: self.accuracy(xs, labels),
+            total_energy: self.total_energy(),
+            programming_energy: self.programming_energy(),
+            elapsed: self.total_elapsed(),
+        }
+    }
+
+    /// `epochs` passes of [`PhotonicMlp::train_step`] over a dataset, in
+    /// order; returns the mean loss per epoch.
+    pub(crate) fn train_epochs(
+        &mut self,
+        xs: &[Vec<f64>],
+        labels: &[usize],
+        learning_rate: f64,
+        epochs: usize,
+        mut feedback: Option<&mut DfaFeedback>,
+    ) -> Result<Vec<f64>, ArchError> {
         if xs.len() != labels.len() {
             return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
         }
@@ -1039,18 +939,11 @@ impl PhotonicMlp {
         for _ in 0..epochs {
             let mut total = 0.0;
             for (x, &label) in xs.iter().zip(labels) {
-                total += self.try_train_sample(x, label, learning_rate)?;
+                total += self.train_step(x, label, learning_rate, feedback.as_deref_mut())?;
             }
             loss_history.push(total / xs.len() as f64);
         }
-        let final_accuracy = self.accuracy(xs, labels);
-        Ok(TrainingOutcome {
-            loss_history,
-            final_accuracy,
-            total_energy: self.total_energy(),
-            programming_energy: self.programming_energy(),
-            elapsed: self.total_elapsed(),
-        })
+        Ok(loss_history)
     }
 
     /// Aggregate energy across all PEs and engine-level charges.
@@ -1114,8 +1007,9 @@ impl PhotonicMlp {
     }
 }
 
-/// Softmax cross-entropy loss and gradient for one sample (f64).
-fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
+/// Softmax cross-entropy loss and gradient for one sample (f64) — the
+/// electronic output error every photonic training path starts from.
+pub(crate) fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
     assert!(label < logits.len(), "label out of range");
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
@@ -1128,6 +1022,37 @@ fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
         .map(|(i, &p)| if i == label { p - 1.0 } else { p })
         .collect();
     (loss, grad)
+}
+
+/// Index of the largest logit. Logits are ranked with a total order, so
+/// a pathological (NaN) output can never crash a classifier.
+pub(crate) fn argmax(logits: &[f64]) -> usize {
+    logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
+}
+
+/// Fraction of `xs` whose `logits` argmax matches its label.
+pub(crate) fn accuracy_of(
+    xs: &[Vec<f64>],
+    labels: &[usize],
+    mut logits: impl FnMut(&[f64]) -> Vec<f64>,
+) -> f64 {
+    let correct = xs.iter().zip(labels).filter(|&(x, &label)| argmax(&logits(x)) == label).count();
+    count(correct) / count(labels.len())
+}
+
+/// Round `w` onto the `bits`-bit tuning grid of the photonic range.
+pub(crate) fn quantize(w: f64, bits: u8) -> f64 {
+    let levels = (1u32 << bits) - 1;
+    let step = 2.0 / f64::from(levels - 1);
+    (w.clamp(-1.0, 1.0) / step).round() * step
+}
+
+/// Eq. 1 on one weight matrix: `W ← W − β·δW`, clipped to the photonic
+/// range and quantized to the `bits`-bit tuning grid.
+pub(crate) fn apply_update(weights: &mut [f64], grads: &[f64], learning_rate: f64, bits: u8) {
+    for (w, &g) in weights.iter_mut().zip(grads) {
+        *w = quantize((*w - learning_rate * g).clamp(-1.0, 1.0), bits);
+    }
 }
 
 #[cfg(test)]
@@ -1312,7 +1237,7 @@ mod tests {
     fn set_layer_weights_round_trips() {
         let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8);
         let w = vec![0.5, -0.5, 0.25, -0.25, 0.75, -0.75];
-        engine.set_layer_weights(0, &w);
+        engine.try_set_layer_weights(0, &w).unwrap();
         for (got, want) in engine.layer_weights(0).iter().zip(&w) {
             assert!((got - want).abs() < 0.01);
         }
@@ -1332,7 +1257,7 @@ mod tests {
         let per_sample_outcome = per_sample.train(&xs, &labels, 0.4, 12);
 
         let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
-        let batched_outcome = batched.train_batched(&xs, &labels, 0.4, 12, 4);
+        let batched_outcome = batched.try_train_batched(&xs, &labels, 0.4, 12, 4).unwrap();
 
         assert!(
             batched_outcome.loss_history.last().unwrap()

@@ -15,26 +15,26 @@
 //!   [`EnduranceReport`](crate::endurance::EnduranceReport);
 //! * [`FaultReport`] — what [`PhotonicMlp::inject_faults`] actually
 //!   injected;
-//! * [`FaultCampaign`] — the end-to-end experiment: pretrain on a healthy
-//!   chip, inject faults, measure the accuracy drop, fine-tune in situ on
-//!   the faulted chip (through the closed-loop program-and-verify write
-//!   path), and measure the recovery.
+//! * [`DeploymentStudy::run_faults`] — the end-to-end campaign on the
+//!   shared deploy-and-fine-tune protocol: pretrain on a healthy chip,
+//!   inject faults, measure the accuracy drop, fine-tune in situ on the
+//!   faulted chip (through the closed-loop program-and-verify write path),
+//!   and measure the recovery.
 //!
-//! Campaigns fan out on the executor twice — across fault plans, and
-//! across chip trials inside each plan (the nested region shrinks its
-//! split to stay inside the `TRIDENT_THREADS` budget). Each trial seeds
-//! its own chip from `plan.seed + trial` and the trial sums fold in trial
-//! order, so campaign rows are bitwise identical at any thread count
-//! (DESIGN.md §11).
+//! Chip `t` of a plan draws its faults from
+//! `trial_identity(plan.seed, t)`; the protocol's fan-out and trial-order
+//! folds keep campaign rows bitwise identical at any thread count.
 
 use crate::endurance::EnduranceReport;
-use crate::engine::{EngineOptions, PhotonicMlp};
-use rayon::prelude::*;
+use crate::engine::EngineOptions;
+use crate::error::ArchError;
+use crate::training::DeploymentStudy;
 use serde::{Deserialize, Serialize};
+use trident_streams::trial_identity;
 
 /// A seedable fault population. All rates are per-ring probabilities in
 /// `[0, 1]`; the same plan + seed always injects the same faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability that a GST cell is stuck fully amorphous (reads as
     /// weight +1 and rejects writes).
@@ -50,19 +50,6 @@ pub struct FaultPlan {
     pub laser_droop: f64,
     /// Seed of the fault draw (a deployment identity).
     pub seed: u64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            stuck_amorphous: 0.0,
-            stuck_crystalline: 0.0,
-            dead_rings: 0.0,
-            drift_years: 0.0,
-            laser_droop: 0.0,
-            seed: 0,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -167,108 +154,50 @@ impl FaultCampaignRow {
     }
 }
 
-/// Configuration of a fault-injection campaign (mirrors
-/// [`VariationStudy`](crate::variation::VariationStudy)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultCampaign {
-    /// Network layer widths.
-    pub dims: Vec<usize>,
-    /// Training epochs on the healthy chip.
-    pub pretrain_epochs: usize,
-    /// Fine-tuning epochs on each faulted chip.
-    pub finetune_epochs: usize,
-    /// Learning rate for both phases.
-    pub learning_rate: f64,
-    /// Chips (fault-draw seeds) per plan point.
-    pub trials: usize,
-}
-
-impl Default for FaultCampaign {
-    fn default() -> Self {
-        Self {
-            dims: vec![64, 16, 10],
-            pretrain_epochs: 12,
-            finetune_epochs: 6,
-            learning_rate: 0.1,
-            trials: 3,
-        }
-    }
-}
-
-impl FaultCampaign {
-    /// Run the campaign over the given fault plans on a labelled dataset.
-    /// Deterministic: chip `t` of a plan draws faults from
-    /// `plan.seed + t`.
-    pub fn run(
+impl DeploymentStudy {
+    /// Run the fault campaign over the given plans on a labelled dataset.
+    pub fn run_faults(
         &self,
         plans: &[FaultPlan],
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> Vec<FaultCampaignRow> {
-        // Phase 1: pretrain once on a healthy chip.
-        let mut ideal = PhotonicMlp::with_options(
-            &self.dims,
-            EngineOptions { seed: 11, ..Default::default() },
-        );
-        ideal.train(xs, labels, self.learning_rate, self.pretrain_epochs);
-        let ideal_accuracy = ideal.accuracy(xs, labels);
-        let trained: Vec<Vec<f64>> =
-            (0..ideal.layer_count()).map(|k| ideal.layer_weights(k).to_vec()).collect();
-
-        // Phases 2–4 per plan point, chips in parallel: deploy, break,
-        // measure, fine-tune in situ, measure again.
-        plans
-            .par_iter()
-            .map(|&plan| {
-                let sums = (0..self.trials)
-                    .into_par_iter()
-                    .map(|trial| {
-                        let mut chip = PhotonicMlp::with_options(
-                            &self.dims,
-                            EngineOptions { seed: 11, ..Default::default() },
-                        );
-                        for (k, w) in trained.iter().enumerate() {
-                            chip.set_layer_weights(k, w);
-                        }
-                        let trial_plan =
-                            FaultPlan { seed: plan.seed + trial as u64, ..plan };
-                        let report = chip.inject_faults(&trial_plan);
-                        // Measure the raw hit first: stuck cells hold
-                        // their frozen weights and dead rings read zero.
-                        // Recovery then comes from the first verified
-                        // reprogram (remap/mask) plus in-situ fine-tuning.
-                        let faulted = chip.accuracy(xs, labels);
-                        chip.train(xs, labels, self.learning_rate, self.finetune_epochs);
-                        let finetuned = chip.accuracy(xs, labels);
-                        (
-                            report.hard_fault_fraction(),
-                            faulted,
-                            finetuned,
-                            chip.write_failures() as f64,
-                            chip.remapped_rings() as f64,
-                            chip.masked_rings() as f64,
-                        )
-                    })
-                    .reduce(
-                        || (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-                        |a, b| {
-                            (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3, a.4 + b.4, a.5 + b.5)
-                        },
-                    );
-                let n = self.trials as f64;
+    ) -> Result<Vec<FaultCampaignRow>, ArchError> {
+        self.run(
+            plans,
+            (xs, labels),
+            |_, _| EngineOptions { seed: 11, ..Default::default() },
+            |plan, t, chip| {
+                let seed = trial_identity(plan.seed, t);
+                let report = chip.inject_faults(&FaultPlan { seed, ..*plan });
+                // Measure the raw hit first: stuck cells hold their frozen
+                // weights and dead rings read zero. Recovery then comes from
+                // the first verified reprogram (remap/mask) plus in-situ
+                // fine-tuning.
+                let faulted = chip.accuracy(xs, labels);
+                chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
+                Ok([
+                    report.hard_fault_fraction(),
+                    faulted,
+                    chip.accuracy(xs, labels),
+                    chip.write_failures() as f64,
+                    chip.remapped_rings() as f64,
+                    chip.masked_rings() as f64,
+                ])
+            },
+            |&plan, ideal_accuracy, [hard, faulted, finetuned, failures, remaps, masks]| {
                 FaultCampaignRow {
                     plan,
-                    hard_fault_fraction: sums.0 / n,
+                    hard_fault_fraction: hard,
                     ideal_accuracy,
-                    faulted_accuracy: sums.1 / n,
-                    finetuned_accuracy: sums.2 / n,
-                    write_failures: sums.3 / n,
-                    remapped: sums.4 / n,
-                    masked: sums.5 / n,
+                    faulted_accuracy: faulted,
+                    finetuned_accuracy: finetuned,
+                    write_failures: failures,
+                    remapped: remaps,
+                    masked: masks,
                     trials: self.trials,
                 }
-            })
-            .collect()
+            },
+        )
     }
 }
 
@@ -276,6 +205,7 @@ impl FaultCampaign {
 mod tests {
     use super::*;
     use crate::config::TridentConfig;
+    use crate::engine::PhotonicMlp;
     use crate::endurance::{budget, UsageProfile};
     use trident_nn::data::synthetic_digits;
     use trident_workload::zoo;
@@ -323,15 +253,10 @@ mod tests {
     #[test]
     fn faults_degrade_and_finetuning_recovers() {
         let (xs, labels) = digit_data(3);
-        let campaign = FaultCampaign {
-            pretrain_epochs: 10,
-            finetune_epochs: 6,
-            trials: 2,
-            ..Default::default()
-        };
+        let campaign = DeploymentStudy { pretrain_epochs: 10, trials: 2, ..Default::default() };
         // 6% stuck cells: a heavily worn chip. Stuck rings hold weights
         // of ±1, so the deployed matrices are visibly corrupted.
-        let rows = campaign.run(&[FaultPlan::stuck_cells(0.06, 5)], &xs, &labels);
+        let rows = campaign.run_faults(&[FaultPlan::stuck_cells(0.06, 5)], &xs, &labels).unwrap();
         let r = &rows[0];
         assert!(r.ideal_accuracy > 0.7, "pretraining should work: {}", r.ideal_accuracy);
         assert!(r.hard_fault_fraction > 0.01, "≥1% of rings must be faulty");
@@ -354,16 +279,31 @@ mod tests {
     }
 
     #[test]
+    fn trial_seeds_wrap_at_the_top_of_the_seed_space() {
+        // Chip 1 of a plan seeded at u64::MAX wraps to seed 0.
+        let (xs, labels) = digit_data(1);
+        let study = DeploymentStudy {
+            dims: vec![64, 10],
+            pretrain_epochs: 0,
+            finetune_epochs: 0,
+            trials: 2,
+            ..Default::default()
+        };
+        let rows = study.run_faults(&[FaultPlan::stuck_cells(0.01, u64::MAX)], &xs, &labels);
+        assert_eq!(rows.unwrap()[0].trials, 2);
+    }
+
+    #[test]
     fn laser_droop_alone_is_mostly_survivable() {
         let (xs, labels) = digit_data(2);
-        let campaign = FaultCampaign {
+        let campaign = DeploymentStudy {
             pretrain_epochs: 8,
             finetune_epochs: 2,
             trials: 1,
             ..Default::default()
         };
         let plan = FaultPlan { laser_droop: 0.1, seed: 3, ..FaultPlan::default() };
-        let rows = campaign.run(&[plan], &xs, &labels);
+        let rows = campaign.run_faults(&[plan], &xs, &labels).unwrap();
         let r = &rows[0];
         // A 10% uniform power droop rescales logits but rarely reorders
         // them; the class decision mostly survives.

@@ -30,10 +30,10 @@
 //! * [`area`] — the Fig. 5 chip-area breakdown (604.6 mm², TIA-dominated).
 //! * [`perf`] — per-layer energy/latency for whole CNNs under the
 //!   weight-stationary dataflow (feeds Fig. 4 and Fig. 6).
-//! * [`training`] — the Table V training-time model, plus the dual
-//!   adaptive training loop that recovers accuracy on drifted hardware.
-//! * [`variation`] — fabrication-variation and temporal-drift deployment
-//!   studies (train-ideal → deploy-degraded → recover in situ).
+//! * [`training`] — the Table V training-time model, the dual adaptive
+//!   training loop, and the deploy-and-fine-tune study protocol.
+//! * [`variation`], [`faults`] — the variation, drift and fault studies
+//!   on it (train-ideal → deploy-degraded → recover in situ).
 
 #![warn(missing_docs)]
 // Index-heavy device/tensor kernels: explicit indices mirror the
@@ -66,7 +66,7 @@ pub mod variation;
 pub use bank::{ProgramReport, WeightBank};
 pub use config::TridentConfig;
 pub use error::ArchError;
-pub use faults::{FaultCampaign, FaultCampaignRow, FaultPlan, FaultReport};
+pub use faults::{FaultCampaignRow, FaultPlan, FaultReport};
 pub use mapper::DeploymentPlan;
 pub use pipeline::PipelineReport;
 pub use conv_engine::PhotonicCnn;
@@ -74,6 +74,6 @@ pub use engine::{EngineOptions, PhotonicMlp, TrainingOutcome};
 pub use pe::{PeMode, ProcessingElement};
 pub use perf::{LayerPerf, ModelPerf, TridentPerfModel};
 pub use power::PePowerModel;
-pub use training::{AdaptationOutcome, DualAdaptiveTrainer, ErrorModel};
+pub use training::{AdaptationOutcome, DeploymentStudy, DualAdaptiveTrainer, ErrorModel};
 pub use transformer::{PhotonicTransformer, TransformerConfig};
-pub use variation::{DriftRow, DriftStudy, VariationRow, VariationStudy};
+pub use variation::{DriftRow, VariationRow};

@@ -74,6 +74,20 @@ pub const LOGIT_ENERGY_PJ: f64 = 1000.0;
 /// The normalized activation threshold implied by the 430 pJ cell.
 pub const LOGIT_THRESHOLD: f64 = 430.0 / LOGIT_ENERGY_PJ;
 
+/// Activation slope of the GST cell above threshold (Fig. 3).
+pub const GST_SLOPE: f64 = 0.34;
+
+/// Hadamard of error `v` with the `f'(h)` bit of logit `h` spilled to L1
+/// (batched MLP, convolution) instead of latched on a TIA. The branch
+/// matters: `v * 0.0` would turn a negative error into `-0.0`.
+pub(crate) fn spilled_hadamard(v: f64, h: f64) -> f64 {
+    if h >= LOGIT_THRESHOLD {
+        v * GST_SLOPE
+    } else {
+        0.0
+    }
+}
+
 /// One processing element.
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {

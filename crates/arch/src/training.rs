@@ -18,9 +18,16 @@
 //! This is what makes Table V's crossover: GoogleNet's many small layers
 //! give it a high retune-to-stream ratio, so Trident *loses* to the GPU
 //! there while winning on MobileNetV2, ResNet-50 and VGG-16.
+//!
+//! The module also holds the in-situ training loops built on the engine:
+//! [`DualAdaptiveTrainer`], which recovers a drifted chip, and
+//! [`DeploymentStudy`], the pretrain → deploy → perturb → fine-tune
+//! protocol the fault, variation and drift studies share.
 
-use crate::engine::PhotonicMlp;
+use crate::engine::{accuracy_of, EngineOptions, PhotonicMlp};
+use crate::error::ArchError;
 use crate::perf::TridentPerfModel;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use trident_workload::model::ModelSpec;
 
@@ -211,20 +218,7 @@ impl DualAdaptiveTrainer {
     ) -> f64 {
         assert_eq!(xs.len(), labels.len(), "samples/labels length mismatch");
         assert!(!xs.is_empty(), "need at least one sample");
-        let mut correct = 0usize;
-        for (x, &label) in xs.iter().zip(labels) {
-            let logits = model.corrected(&engine.forward(x));
-            let pred = logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            if pred == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / xs.len() as f64
+        accuracy_of(xs, labels, |x| model.corrected(&engine.forward(x)))
     }
 
     /// Run the full dual loop on a (degraded) engine: learn the error
@@ -262,6 +256,82 @@ impl DualAdaptiveTrainer {
         let error_model = self.learn_error_model(engine, xs);
         let adapted_accuracy = Self::corrected_accuracy(engine, &error_model, xs, labels);
         AdaptationOutcome { error_model, corrected_accuracy, adapted_accuracy }
+    }
+}
+
+/// The deploy-and-fine-tune protocol shared by the fault
+/// ([`DeploymentStudy::run_faults`]), variation
+/// ([`DeploymentStudy::run_variation`]) and drift
+/// ([`DeploymentStudy::run_drift`]) studies.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DeploymentStudy {
+    /// Network layer widths.
+    pub dims: Vec<usize>,
+    /// Training epochs on the ideal chip.
+    pub pretrain_epochs: usize,
+    /// In-situ fine-tune epochs on each deployed chip.
+    pub finetune_epochs: usize,
+    /// Learning rate for both phases.
+    pub learning_rate: f64,
+    /// Chips per study point.
+    pub trials: usize,
+}
+
+impl Default for DeploymentStudy {
+    fn default() -> Self {
+        let dims = vec![64, 16, 10];
+        Self { dims, pretrain_epochs: 12, finetune_epochs: 6, learning_rate: 0.1, trials: 3 }
+    }
+}
+
+impl DeploymentStudy {
+    /// Train once on an ideal chip (seed 11, a stand-in for digital
+    /// training); then, per point, build chip `t` from `chip(point, t)`,
+    /// deploy the trained weights onto it, and let `trial` perturb,
+    /// measure and fine-tune it. `row(point, ideal_accuracy, means)`
+    /// turns the trial means of the `N` measurements into the point's row.
+    ///
+    /// Points and the chips inside them fan out on the executor (the
+    /// nested region stays inside the `TRIDENT_THREADS` budget); each chip
+    /// is a pure function of its (point, trial) and the sums fold in trial
+    /// order, so rows are bitwise identical at any thread count
+    /// (DESIGN.md §11).
+    pub(crate) fn run<P: Sync, R, const N: usize>(
+        &self,
+        points: &[P],
+        (xs, labels): (&[Vec<f64>], &[usize]),
+        chip: impl Fn(&P, u64) -> EngineOptions + Sync,
+        trial: impl Fn(&P, u64, &mut PhotonicMlp) -> Result<[f64; N], ArchError> + Sync,
+        row: impl Fn(&P, f64, [f64; N]) -> R,
+    ) -> Result<Vec<R>, ArchError> {
+        let pretrain = EngineOptions { seed: 11, ..Default::default() };
+        let mut ideal = PhotonicMlp::try_with_options(&self.dims, pretrain)?;
+        let ideal_accuracy =
+            ideal.try_train(xs, labels, self.learning_rate, self.pretrain_epochs)?.final_accuracy;
+        let trained = ideal.snapshot_weights();
+        let sums = points
+            .par_iter()
+            .map(|point| {
+                (0..self.trials as u64)
+                    .into_par_iter()
+                    .map(|t| {
+                        let mut chip_t = PhotonicMlp::try_with_options(&self.dims, chip(point, t))?;
+                        chip_t.try_deploy_weights(&trained)?;
+                        trial(point, t, &mut chip_t)
+                    })
+                    .reduce(
+                        || Ok([0.0; N]),
+                        |acc, next| {
+                            let (mut acc, next) = (acc?, next?);
+                            acc.iter_mut().zip(next).for_each(|(a, v)| *a += v);
+                            Ok(acc)
+                        },
+                    )
+            })
+            .collect::<Result<Vec<_>, ArchError>>()?;
+        let n = self.trials as f64;
+        let means = sums.into_iter().map(|sum| sum.map(|s| s / n));
+        Ok(points.iter().zip(means).map(|(p, mean)| row(p, ideal_accuracy, mean)).collect())
     }
 }
 

@@ -33,7 +33,7 @@
 //! does for the MLP engine.
 
 use crate::error::ArchError;
-use crate::pe::LOGIT_THRESHOLD;
+use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{charge_psums, PeSpec, TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,9 +41,6 @@ use trident_obs as obs;
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
-
-/// GST activation slope above threshold (engine parity, Fig. 3).
-const GST_SLOPE: f64 = 0.34;
 
 /// LayerNorm variance floor.
 const LN_EPS: f64 = 1e-5;

@@ -10,10 +10,38 @@ use crate::report::{f, TextTable};
 use trident_arch::config::TridentConfig;
 use trident_arch::engine::PhotonicMlp;
 use trident_arch::perf::TridentPerfModel;
+use trident_arch::{ArchError, DeploymentStudy};
 use trident_nn::data::synthetic_digits;
 use trident_photonics::tuning::{TuningMethod, TuningProfile};
 use trident_photonics::units::EnergyPj;
 use trident_workload::zoo;
+
+/// The synthetic digit set (5% pixel noise) as `f64` rows plus labels.
+fn digits(per_class: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
+    let data = synthetic_digits(per_class, 0.05, seed);
+    let xs = (0..data.len())
+        .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
+        .collect();
+    (xs, data.labels)
+}
+
+/// Append one row per study result to `t`, or report the error that
+/// stopped the study under the table's header.
+fn render_rows<R>(
+    mut t: TextTable,
+    rows: Result<Vec<R>, ArchError>,
+    cells: impl Fn(&R) -> Vec<String>,
+) -> String {
+    match rows {
+        Ok(rows) => {
+            for row in &rows {
+                t.row(&cells(row));
+            }
+            t.render()
+        }
+        Err(e) => format!("{}study failed: {e}\n", t.render()),
+    }
+}
 
 /// Bit-resolution ablation.
 pub mod bits {
@@ -34,27 +62,14 @@ pub mod bits {
     /// resolution in `bit_range`. `per_class`/`epochs` size the run
     /// (tests use small values; the binaries use larger ones).
     pub fn run(bit_range: &[u8], per_class: usize, epochs: usize) -> Vec<Row> {
-        run_with_lr(bit_range, per_class, epochs, 0.1)
-    }
-
-    /// [`run`] with an explicit learning rate.
-    pub fn run_with_lr(
-        bit_range: &[u8],
-        per_class: usize,
-        epochs: usize,
-        learning_rate: f64,
-    ) -> Vec<Row> {
-        let data = synthetic_digits(per_class, 0.05, 77);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
+        let (xs, labels) = digits(per_class, 77);
         bit_range
             .iter()
             .map(|&bits| {
                 // Seed pinned against the vendored RNG stream (vendor/rand);
                 // chosen for a healthy initial draw at test-sized runs.
                 let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, None, bits);
-                let outcome = engine.train(&xs, &data.labels, learning_rate, epochs);
+                let outcome = engine.train(&xs, &labels, 0.1, epochs);
                 Row {
                     bits,
                     accuracy: outcome.final_accuracy,
@@ -261,6 +276,7 @@ pub mod scale {
 pub mod dfa_vs_bp {
     use super::*;
     use trident_arch::dfa::{train_dfa, DfaFeedback};
+    use trident_arch::engine::EngineOptions;
 
     /// Comparison of the two training rules on identical hardware/data.
     #[derive(Debug, Clone, PartialEq)]
@@ -273,34 +289,29 @@ pub mod dfa_vs_bp {
         pub programming_uj: f64,
     }
 
-    /// Train the same MLP with backprop and with DFA.
+    /// Train the same MLP with backprop and with DFA. A rule whose run
+    /// fails reports NaN accuracy and energy.
     pub fn run(per_class: usize, epochs: usize) -> Vec<Row> {
-        let data = synthetic_digits(per_class, 0.05, 31);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
-
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
-        let bp_outcome = bp.train(&xs, &data.labels, 0.1, epochs);
-
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
-        let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
-        train_dfa(&mut dfa_engine, &mut fb, &xs, &data.labels, 0.3, epochs);
-        let dfa_acc = dfa_engine.accuracy(&xs, &data.labels);
-        let dfa_prog = dfa_engine.programming_energy() + fb.programming_energy();
-
-        vec![
-            Row {
-                rule: "backpropagation (Table II)",
-                accuracy: bp_outcome.final_accuracy,
-                programming_uj: bp_outcome.programming_energy.value() / 1e6,
-            },
-            Row {
-                rule: "direct feedback alignment",
-                accuracy: dfa_acc,
-                programming_uj: dfa_prog.value() / 1e6,
-            },
-        ]
+        let (xs, labels) = digits(per_class, 31);
+        let opts = EngineOptions { seed: 7, ..Default::default() };
+        let backprop = PhotonicMlp::try_with_options(&[64, 16, 10], opts).and_then(|mut bp| {
+            let outcome = bp.try_train(&xs, &labels, 0.1, epochs)?;
+            Ok((outcome.final_accuracy, outcome.programming_energy))
+        });
+        let dfa = PhotonicMlp::try_with_options(&[64, 16, 10], opts).and_then(|mut engine| {
+            let mut fb = DfaFeedback::for_engine(&engine, 41);
+            train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, epochs)?;
+            let accuracy = engine.accuracy(&xs, &labels);
+            Ok((accuracy, engine.programming_energy() + fb.programming_energy()))
+        });
+        [("backpropagation (Table II)", backprop), ("direct feedback alignment", dfa)]
+            .into_iter()
+            .map(|(rule, result)| {
+                let (accuracy, programming_uj) = result
+                    .map_or((f64::NAN, f64::NAN), |(acc, energy)| (acc, energy.value() / 1e6));
+                Row { rule, accuracy, programming_uj }
+            })
+            .collect()
     }
 
     /// Render the comparison.
@@ -323,7 +334,7 @@ pub mod dfa_vs_bp {
 /// Fabrication-variation ablation (the paper's §I motivation).
 pub mod variation {
     use super::*;
-    use trident_arch::variation::VariationStudy;
+    use trident_arch::variation::VariationRow;
 
     /// Ring resonance offsets σ (nm) the rendered table sweeps.
     pub const SIGMAS_NM: &[f64] = &[0.0, 0.01, 0.02, 0.04, 0.08];
@@ -333,31 +344,26 @@ pub mod variation {
         sigmas_nm: &[f64],
         per_class: usize,
         trials: usize,
-    ) -> Vec<trident_arch::variation::VariationRow> {
-        let data = synthetic_digits(per_class, 0.05, 99);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
-        let study = VariationStudy { trials, ..Default::default() };
-        study.run(sigmas_nm, &xs, &data.labels)
+    ) -> Result<Vec<VariationRow>, ArchError> {
+        let (xs, labels) = digits(per_class, 99);
+        DeploymentStudy { trials, ..Default::default() }.run_variation(sigmas_nm, &xs, &labels)
     }
 
     /// Render the study.
     pub fn render(per_class: usize, trials: usize) -> String {
-        let mut t = TextTable::new(
+        let t = TextTable::new(
             "Ablation: fabrication variation — deploy vs in-situ fine-tune",
             &["sigma (nm)", "Ideal acc.", "Deployed acc.", "Fine-tuned acc.", "Recovery"],
         );
-        for row in run(SIGMAS_NM, per_class, trials) {
-            t.row(&[
+        render_rows(t, run(SIGMAS_NM, per_class, trials), |row| {
+            vec![
                 format!("{:.3}", row.sigma_nm),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),
                 format!("{:.1}%", row.deployed_accuracy * 100.0),
                 format!("{:.1}%", row.finetuned_accuracy * 100.0),
                 format!("{:.0}%", row.recovery() * 100.0),
-            ]);
-        }
-        t.render()
+            ]
+        })
     }
 }
 
@@ -366,26 +372,26 @@ pub mod variation {
 /// dead-channel masking, in-situ fine-tuning) recovering what it can.
 pub mod faults {
     use super::*;
-    use trident_arch::faults::{FaultCampaign, FaultCampaignRow, FaultPlan};
+    use trident_arch::faults::{FaultCampaignRow, FaultPlan};
 
     /// Stuck-cell rates the rendered table sweeps.
     pub const STUCK_RATES: &[f64] = &[0.0, 0.01, 0.03, 0.06, 0.12];
 
     /// Run the inject-then-recover campaign over stuck-cell rates.
-    pub fn run(stuck_rates: &[f64], per_class: usize, trials: usize) -> Vec<FaultCampaignRow> {
-        let data = synthetic_digits(per_class, 0.05, 99);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
+    pub fn run(
+        stuck_rates: &[f64],
+        per_class: usize,
+        trials: usize,
+    ) -> Result<Vec<FaultCampaignRow>, ArchError> {
+        let (xs, labels) = digits(per_class, 99);
         let plans: Vec<FaultPlan> =
             stuck_rates.iter().map(|&rate| FaultPlan::stuck_cells(rate, 404)).collect();
-        let campaign = FaultCampaign { trials, ..Default::default() };
-        campaign.run(&plans, &xs, &data.labels)
+        DeploymentStudy { trials, ..Default::default() }.run_faults(&plans, &xs, &labels)
     }
 
     /// Render the campaign as the accuracy-vs-fault-rate table.
     pub fn render(per_class: usize, trials: usize) -> String {
-        let mut t = TextTable::new(
+        let t = TextTable::new(
             "Ablation: stuck GST cells — raw hit vs wear-level + fine-tune recovery",
             &[
                 "stuck cells",
@@ -397,8 +403,8 @@ pub mod faults {
                 "masks",
             ],
         );
-        for row in run(STUCK_RATES, per_class, trials) {
-            t.row(&[
+        render_rows(t, run(STUCK_RATES, per_class, trials), |row| {
+            vec![
                 format!("{:.1}%", row.plan.hard_fault_rate() * 100.0),
                 format!("{:.1}%", row.ideal_accuracy * 100.0),
                 format!("{:.1}%", row.faulted_accuracy * 100.0),
@@ -406,9 +412,8 @@ pub mod faults {
                 format!("{:.0}%", row.recovery() * 100.0),
                 format!("{:.1}", row.remapped),
                 format!("{:.1}", row.masked),
-            ]);
-        }
-        t.render()
+            ]
+        })
     }
 }
 
@@ -418,39 +423,40 @@ pub mod faults {
 /// opt-in — every other table in this binary family runs with it off.
 pub mod drift {
     use super::*;
-    use trident_arch::variation::{DriftRow, DriftStudy};
+    use trident_arch::variation::DriftRow;
+    use trident_pcm::stat::StatParams;
 
     /// Deployment ages the rendered table sweeps (one day, one week, one
     /// month after programming).
     pub const HOUR_POINTS: &[f64] = &[0.0, 24.0, 168.0, 720.0];
 
     /// Run the deploy-drift-recover study over deployment ages.
-    pub fn run(hour_points: &[f64], per_class: usize, trials: usize) -> Vec<DriftRow> {
-        let data = synthetic_digits(per_class, 0.05, 99);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
-        let study = DriftStudy { trials, ..Default::default() };
-        study.run(hour_points, &xs, &data.labels)
+    pub fn run(
+        hour_points: &[f64],
+        per_class: usize,
+        trials: usize,
+    ) -> Result<Vec<DriftRow>, ArchError> {
+        let (xs, labels) = digits(per_class, 99);
+        let study = DeploymentStudy { finetune_epochs: 4, trials, ..Default::default() };
+        study.run_drift(StatParams::default(), hour_points, &xs, &labels)
     }
 
     /// Render the study as the accuracy-vs-deployment-age table.
     pub fn render(per_class: usize, trials: usize) -> String {
-        let mut t = TextTable::new(
+        let t = TextTable::new(
             "Ablation: PCM conductance drift — compensation and dual adaptive training",
             &["hours", "t=0 acc.", "Drifted acc.", "Compensated acc.", "DAT acc.", "DAT gap (pt)"],
         );
-        for row in run(HOUR_POINTS, per_class, trials) {
-            t.row(&[
+        render_rows(t, run(HOUR_POINTS, per_class, trials), |row| {
+            vec![
                 format!("{:.0}", row.hours),
                 format!("{:.1}%", row.baseline_accuracy * 100.0),
                 format!("{:.1}%", row.uncompensated_accuracy * 100.0),
                 format!("{:.1}%", row.compensated_accuracy * 100.0),
                 format!("{:.1}%", row.adaptive_accuracy * 100.0),
                 format!("{:+.1}", -row.residual_gap() * 100.0),
-            ]);
-        }
-        t.render()
+            ]
+        })
     }
 }
 
@@ -471,25 +477,17 @@ pub mod serve {
     /// Pretrain the shared model once on the synthetic digit task and
     /// return its deployable weights.
     fn pretrain(per_class: usize) -> Vec<Vec<f64>> {
-        let data = synthetic_digits(per_class, 0.05, 42);
-        let xs: Vec<Vec<f64>> = (0..data.len())
-            .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
-            .collect();
+        let (xs, labels) = digits(per_class, 42);
         let mut ideal =
             PhotonicMlp::with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() });
-        ideal.train(&xs, &data.labels, 0.1, 12);
+        ideal.train(&xs, &labels, 0.1, 12);
         ideal.snapshot_weights()
     }
 
     /// The sample pool requests draw from.
     fn dataset(per_class: usize) -> Vec<(Vec<f64>, usize)> {
-        let data = synthetic_digits(per_class, 0.05, 42);
-        (0..data.len())
-            .map(|i| {
-                let x: Vec<f64> = data.inputs.row(i).iter().map(|&v| f64::from(v)).collect();
-                (x, data.labels[i])
-            })
-            .collect()
+        let (xs, labels) = digits(per_class, 42);
+        xs.into_iter().zip(labels).collect()
     }
 
     /// A scenario over the shared model: `replicas` chips with distinct

@@ -1,25 +1,18 @@
-//! Thread-per-core request front-end.
+//! Request front-end.
 //!
 //! The front-end turns the raw arrival schedule into fully-formed
 //! [`Request`]s: it selects each request's dataset sample (a seeded,
 //! counter-addressed draw — request `i`'s sample is a pure function of
 //! `(seed, i)`), stamps the SLO deadline, and validates input widths.
-//!
-//! Preparation fans out across one worker thread per executor core over
-//! MPSC channels: each worker owns a **contiguous shard** of the arrival
-//! range and sends `(shard_index, requests)` back to the collector,
-//! which reassembles shards in index order. Because every request is a
-//! pure function of its own index, the reassembled stream is
-//! byte-identical at any `TRIDENT_THREADS` — the same ordered-results
-//! discipline the vendored executor uses.
+//! Requests are prepared in one in-order pass; because each is a pure
+//! function of its own index, the stream is byte-identical at any
+//! `TRIDENT_THREADS`.
 
 use trident_streams::{seeded_u64, STREAM_TRAFFIC_INPUT};
 use crate::{Request, ServeError};
-use rayon::pool;
-use std::sync::mpsc;
 
 /// Build request `id` from the shared schedule: sample selection,
-/// deadline stamping. Pure per-index — the unit the shards parallelize.
+/// deadline stamping.
 fn prepare_one(
     id: u64,
     arrival_ns: u64,
@@ -41,8 +34,7 @@ fn prepare_one(
 /// Prepare the full request stream for an arrival schedule.
 ///
 /// Validates the dataset (non-empty, uniform width matching
-/// `input_width`), then prepares requests across `current_threads()`
-/// MPSC workers and reassembles them in arrival order.
+/// `input_width`), then prepares one request per arrival, in order.
 pub fn prepare_requests(
     arrivals: &[u64],
     dataset: &[(Vec<f64>, usize)],
@@ -61,50 +53,17 @@ pub fn prepare_requests(
             });
         }
     }
-    let workers = pool::current_threads().max(1);
-    if workers == 1 || arrivals.len() < 2 * workers {
-        // Sequential fast path — identical output by construction, since
-        // each request depends only on its own index.
-        return Ok(arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &at)| prepare_one(i as u64, at, dataset, seed, slo_ns))
-            .collect());
-    }
-
-    let shard_len = arrivals.len().div_ceil(workers);
-    let shards: Vec<(usize, &[u64])> = arrivals.chunks(shard_len).enumerate().collect();
-    let mut slots: Vec<Option<Vec<Request>>> = Vec::new();
-    slots.resize_with(shards.len(), || None);
-    std::thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, Vec<Request>)>();
-        for &(shard_idx, shard) in &shards {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                let base = shard_idx * shard_len;
-                let prepared: Vec<Request> = shard
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &at)| {
-                        prepare_one((base + j) as u64, at, dataset, seed, slo_ns)
-                    })
-                    .collect();
-                // A closed receiver only happens if the collector died,
-                // and then the scope propagates that panic anyway.
-                let _ = tx.send((shard_idx, prepared));
-            });
-        }
-        drop(tx);
-        while let Ok((shard_idx, prepared)) = rx.recv() {
-            slots[shard_idx] = Some(prepared);
-        }
-    });
-    Ok(slots.into_iter().flatten().flatten().collect())
+    Ok(arrivals
+        .iter()
+        .enumerate()
+        .map(|(i, &at)| prepare_one(i as u64, at, dataset, seed, slo_ns))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::pool;
 
     fn tiny_dataset() -> Vec<(Vec<f64>, usize)> {
         (0..5).map(|c| (vec![f64::from(c) / 5.0; 4], usize::try_from(c).unwrap())).collect()

@@ -13,9 +13,9 @@
 //!   statistical model's `seeded_gaussian`: the n-th arrival is a pure
 //!   function of `(seed, stream, n)`, never of wall clock or thread
 //!   schedule.
-//! * [`frontend`] — thread-per-core request preparation over MPSC
-//!   channels; contiguous shards are reassembled in request order, so
-//!   the prepared stream is byte-identical at any `TRIDENT_THREADS`.
+//! * [`frontend`] — request preparation: one in-order pass in which
+//!   each request is a pure function of its index, so the prepared
+//!   stream is byte-identical at any `TRIDENT_THREADS`.
 //! * [`batcher`] — the dynamic batcher state machine: size-or-timeout
 //!   batch close with generation-tagged timers, plus deadline-aware
 //!   admission control that sheds requests whose estimated completion

@@ -15,7 +15,7 @@ use crate::batcher::{BatchPolicy, Batcher, Enqueue};
 use crate::fleet::{Fleet, ReplicaProfile, Sharding};
 use crate::report::ServeReport;
 use crate::traffic::{self, ArrivalProcess};
-use crate::{frontend, ServeError};
+use crate::{frontend, Request, ServeError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use trident_arch::engine::EngineOptions;
@@ -129,13 +129,17 @@ fn run_on_fleet(
 ) -> Result<ServeReport, ServeError> {
     let _span = obs::span("serve.run");
     let arrivals = traffic::generate_arrivals(cfg.arrivals, cfg.seed, cfg.requests);
-    let requests = frontend::prepare_requests(
+    // Each request is moved out of its slot by its own arrival event.
+    let mut requests: Vec<Option<Request>> = frontend::prepare_requests(
         &arrivals,
         &cfg.dataset,
         input_width,
         cfg.seed,
         cfg.slo_ns,
-    )?;
+    )?
+    .into_iter()
+    .map(Some)
+    .collect();
     // Size every replica's forward scratch for the largest batch the
     // batcher can close, so steady-state dispatch allocates nothing.
     fleet.reserve_scratch(cfg.batch_max.max(1));
@@ -154,9 +158,9 @@ fn run_on_fleet(
     let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
     let mut next_seq: u64 = 0;
     let mut kinds: Vec<EventKind> = Vec::new();
-    for (i, req) in requests.iter().enumerate() {
+    for (i, &arrival_ns) in arrivals.iter().enumerate() {
         kinds.push(EventKind::Arrival(i));
-        heap.push(Reverse((req.arrival_ns, next_seq, kinds.len() - 1)));
+        heap.push(Reverse((arrival_ns, next_seq, kinds.len() - 1)));
         next_seq += 1;
     }
     for (i, fe) in cfg.fault_events.iter().enumerate() {
@@ -234,7 +238,7 @@ fn run_on_fleet(
     while let Some(Reverse((now_ns, _seq, kind_idx))) = heap.pop() {
         match kinds[kind_idx] {
             EventKind::Arrival(i) => {
-                let req = requests[i].clone();
+                let Some(req) = requests[i].take() else { continue };
                 // Admission: estimated completion = the earliest any
                 // route frees up (not before now), plus the estimated
                 // service of the batch this request would join.

@@ -108,8 +108,9 @@ pub fn seeded_u64(seed: u64, stream: u64, draw: u64) -> u64 {
 // table it feeds.
 
 /// Chip/trial identity: the `trial`-th replica of a study derives its
-/// seed by offsetting the study's base seed. Used by the variation and
-/// drift studies for per-chip fabrication/device identities.
+/// seed by offsetting the study's base seed. Used by all three deployment
+/// studies: the fault campaign's per-chip fault draws, and the variation
+/// and drift studies' per-chip fabrication/device identities.
 pub fn trial_identity(base_seed: u64, trial: u64) -> u64 {
     base_seed.wrapping_add(trial)
 }

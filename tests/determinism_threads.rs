@@ -53,10 +53,18 @@ fn artifacts_identical_at_1_and_8_threads() {
     let parallel_map = at_threads(8, || df.map_model(&resnet));
     assert_eq!(serial_map, parallel_map, "dataflow mapping drifted across thread counts");
 
-    // The in-situ variation ablation: nested parallel fan-out (sigma
-    // points × chips) with trial-ordered accuracy folds.
-    let variation = |threads| at_threads(threads, || ex::ablations::variation::render(2, 2));
-    assert_eq!(variation(1), variation(8), "variation ablation drifted across thread counts");
+    // The in-situ training ablations. Variation and faults run on the
+    // shared deployment-study runner: nested parallel fan-out (points ×
+    // chips) with trial-ordered folds. DFA vs backprop drives both error
+    // sources of the engine's one backward walk.
+    for (name, render) in [
+        ("variation", ex::ablations::variation::render as fn(usize, usize) -> String),
+        ("faults", ex::ablations::faults::render),
+        ("dfa_vs_bp", ex::ablations::dfa_vs_bp::render),
+    ] {
+        let run = |threads| at_threads(threads, || render(2, 2));
+        assert_eq!(run(1), run(8), "{name} ablation drifted across thread counts");
+    }
 
     // The transformer sections: analytical perf rows plus a full tiny-GPT
     // decode and tiny-ViT classify on the functional simulator — chained

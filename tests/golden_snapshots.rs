@@ -202,7 +202,7 @@ fn ablation_drift_json() -> String {
     // the full statistical pipeline (programming noise, drift, reference
     // compensation, dual adaptive training) bit-for-bit without turning
     // the snapshot job into a training benchmark.
-    let rows = ex::ablations::drift::run(ex::ablations::drift::HOUR_POINTS, 2, 1);
+    let rows = ex::ablations::drift::run(ex::ablations::drift::HOUR_POINTS, 2, 1).unwrap();
     let mut out = String::from("{\n  \"artifact\": \"ablation_drift\",\n  \"rows\": [\n");
     let body: Vec<String> = rows
         .iter()
@@ -226,7 +226,7 @@ fn ablation_drift_json() -> String {
 
 fn ablation_faults_json() -> String {
     // The drift golden's small configuration: 2 digits per class, 1 chip.
-    let rows = ex::ablations::faults::run(ex::ablations::faults::STUCK_RATES, 2, 1);
+    let rows = ex::ablations::faults::run(ex::ablations::faults::STUCK_RATES, 2, 1).unwrap();
     let mut out = String::from("{\n  \"artifact\": \"ablation_faults\",\n  \"rows\": [\n");
     let body: Vec<String> = rows
         .iter()
@@ -254,7 +254,7 @@ fn ablation_faults_json() -> String {
 }
 
 fn ablation_variation_json() -> String {
-    let rows = ex::ablations::variation::run(ex::ablations::variation::SIGMAS_NM, 2, 1);
+    let rows = ex::ablations::variation::run(ex::ablations::variation::SIGMAS_NM, 2, 1).unwrap();
     let mut out = String::from("{\n  \"artifact\": \"ablation_variation\",\n  \"rows\": [\n");
     let body: Vec<String> = rows
         .iter()
@@ -322,7 +322,7 @@ fn training_paths_json() -> String {
 
     let mut dfa = PhotonicMlp::new(&dims, 7, Some(5), 8);
     let mut feedback = DfaFeedback::for_engine(&dfa, 41);
-    let losses = train_dfa(&mut dfa, &mut feedback, &xs, labels, 0.3, 2);
+    let losses = train_dfa(&mut dfa, &mut feedback, &xs, labels, 0.3, 2).unwrap();
     rows.push(mlp_row("dfa", &dfa, &losses));
 
     let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
