@@ -8,8 +8,7 @@
 //! events interleave on the virtual clock. All engine work happens
 //! inside the single-threaded loop at batch-dispatch time, so float
 //! accumulation order is fixed and the report is bitwise reproducible
-//! at any `TRIDENT_THREADS` (the front-end's parallel preparation is
-//! order-reconstructed before the loop starts).
+//! at any `TRIDENT_THREADS`.
 
 use crate::batcher::{BatchPolicy, Batcher, Enqueue};
 use crate::fleet::{Fleet, ReplicaProfile, Sharding};
