@@ -18,13 +18,17 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use trident::arch::dfa::{train_dfa, DfaFeedback};
 use trident::arch::fidelity;
+use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::arch::{PhotonicCnn, PhotonicMlp};
 use trident::experiments as ex;
 use trident::nn::data::synthetic_digits;
+use trident::pcm::stat::StatParams;
 use trident::workload::dataflow::DataflowModel;
 use trident::workload::zoo;
 
@@ -378,6 +382,86 @@ fn transformer_kv_json() -> String {
     )
 }
 
+/// FNV-1a over the bit pattern of every logit, vector by vector.
+fn logit_digest<'a>(rows: impl IntoIterator<Item = &'a Vec<f64>>) -> String {
+    weight_digest(rows.into_iter().map(Vec::as_slice))
+}
+
+fn transformer_seq(d_model: usize, tokens: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..tokens * d_model).map(|_| rng.gen_range(-1.0..1.0)).collect()
+}
+
+/// The digests, ledger bits and KV tallies of one transformer row.
+fn transformer_row(label: &str, digests: &[(String, String)], tx: &PhotonicTransformer) -> String {
+    let digests: Vec<String> = digests.iter().map(|(k, v)| format!("\"{k}\": \"{v}\"")).collect();
+    let ledger: Vec<String> = tx
+        .energy_ledger()
+        .iter()
+        .map(|(item, pj)| format!("\"{item}\": {}", pj.value().to_bits()))
+        .collect();
+    format!(
+        "    {{\"model\": \"{label}\", \"digests\": {{{}}}, \"total_energy_bits\": {}, \
+         \"elapsed_bits\": {}, \"kv_writes\": {}, \"kv_reads\": {}, \"ledger\": {{{}}}}}",
+        digests.join(", "),
+        tx.total_energy().value().to_bits(),
+        tx.total_elapsed().value().to_bits(),
+        tx.kv_cache_writes(),
+        tx.kv_cache_reads(),
+        ledger.join(", ")
+    )
+}
+
+fn transformer_paths_json() -> String {
+    // Every transformer schedule — encoder classify and batch, causal
+    // prefill, KV-cache decode, a prefill after compensation — with and
+    // without the statistical layer. Stat read noise makes any change in
+    // a bank's call order visible in the logits; the ledger bits catch a
+    // reordered or missing digital charge.
+    let mut rows = Vec::new();
+    for stat in [None, Some(StatParams::default())] {
+        let suffix = if stat.is_some() { "_stat" } else { "" };
+
+        let cfg = TransformerConfig { stat, ..TransformerConfig::tiny_vit() };
+        let mut vit = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+        let seqs: Vec<Vec<f64>> =
+            [8, 7, 6].iter().map(|&n| transformer_seq(cfg.d_model, n, 100 + n as u64)).collect();
+        let mut digests = Vec::new();
+        for x in &seqs {
+            let tokens = x.len() / cfg.d_model;
+            let photonic = vit.try_forward_classify(x).unwrap();
+            let twin = vit.digital_forward_classify(x).unwrap();
+            digests.push((format!("classify_{tokens}"), logit_digest([&photonic])));
+            digests.push((format!("twin_{tokens}"), logit_digest([&twin])));
+        }
+        let batch = vit.try_forward_batch(&seqs).unwrap().to_vec();
+        digests.push(("batch".into(), logit_digest(&batch)));
+        rows.push(transformer_row(&format!("vit{suffix}"), &digests, &vit));
+
+        let cfg = TransformerConfig { stat, max_seq: 20, ..TransformerConfig::tiny_gpt() };
+        let mut gpt = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+        let x = transformer_seq(cfg.d_model, cfg.max_seq, 7);
+        let mut digests = Vec::new();
+        digests.push(("prefill".into(), logit_digest(&gpt.try_forward_causal(&x).unwrap())));
+        digests.push(("twin".into(), logit_digest(&gpt.digital_forward_causal(&x).unwrap())));
+        for round in ["decode_1", "decode_2"] {
+            gpt.reset_cache();
+            let logits: Vec<Vec<f64>> =
+                x.chunks(cfg.d_model).map(|tok| gpt.try_decode_token(tok).unwrap()).collect();
+            digests.push((round.into(), logit_digest(&logits)));
+        }
+        gpt.calibrate_compensation();
+        let short = &x[..5 * cfg.d_model];
+        let calibrated = gpt.try_forward_causal(short).unwrap();
+        digests.push(("calibrated_prefill".into(), logit_digest(&calibrated)));
+        rows.push(transformer_row(&format!("gpt{suffix}"), &digests, &gpt));
+    }
+    format!(
+        "{{\n  \"artifact\": \"transformer_paths\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
 #[test]
 fn golden_table4() {
     check_golden("table4.json", &table4_json());
@@ -421,6 +505,11 @@ fn golden_training_paths() {
 #[test]
 fn golden_transformer_perf() {
     check_golden("transformer_perf.json", &transformer_perf_json());
+}
+
+#[test]
+fn golden_transformer_paths() {
+    check_golden("transformer_paths.json", &transformer_paths_json());
 }
 
 #[test]
