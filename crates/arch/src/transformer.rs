@@ -16,9 +16,20 @@
 //!   row/column band per token while a full recompute reprograms
 //!   everything — the energy gap `workload::kv` quantifies.
 //! * **Digital LDSU ops** — softmax, LayerNorm, residual adds and the
-//!   mean-pool head run on the digital side with typed energy/time
-//!   charges (`EnergyPj` / [`Nanoseconds`]) and obs counters
-//!   (`ldsu_softmax_rows`, `ldsu_layer_norm_rows`, `kv_cache_*`).
+//!   mean-pool head run on the digital load/store unit ([`Ldsu`]), one
+//!   ledger of typed energy/time charges (`EnergyPj` / [`Nanoseconds`])
+//!   plus obs counters (`ldsu_softmax_rows`, `ldsu_layer_norm_rows`,
+//!   `kv_cache_*`).
+//!
+//! ## One block schedule
+//!
+//! Every path streams tokens through one two-phase block step over one
+//! [`DecodeScratch`]: `block_in` (LN1, Q/K/V, K/V append at position
+//! `t`) and `block_out` (attention over cache rows `0..limit`, `wo` and
+//! residual, LN2, FFN and residual). Decode and causal prefill run the
+//! two phases back to back per token with `limit = t + 1`; the encoder
+//! runs `block_in` over the whole sequence first, then `block_out` with
+//! the full window.
 //!
 //! ## Determinism contract
 //!
@@ -122,61 +133,158 @@ impl TransformerConfig {
         self.max_seq * self.d_model
     }
 
+    /// The first field outside its range, as a typed error naming it.
     fn validate(&self) -> Result<(), ArchError> {
-        let ok = self.d_model > 0
-            && self.heads > 0
-            && self.d_model.is_multiple_of(self.heads)
-            && self.depth > 0
-            && self.d_ff > 0
-            && self.max_seq > 0
-            && self.out_dim > 0;
-        if ok {
-            Ok(())
-        } else {
-            Err(ArchError::ShapeMismatch {
-                expected: self.heads.max(1) * (self.d_model / self.heads.max(1)).max(1),
-                got: self.d_model,
-            })
+        let heads_ok = self.heads > 0 && self.d_model.is_multiple_of(self.heads);
+        let checks = [
+            ("d_model", self.d_model, self.d_model > 0, "at least 1"),
+            ("heads", self.heads, heads_ok, "a nonzero divisor of d_model"),
+            ("depth", self.depth, self.depth > 0, "at least 1"),
+            ("d_ff", self.d_ff, self.d_ff > 0, "at least 1"),
+            ("max_seq", self.max_seq, self.max_seq > 0, "at least 1"),
+            ("out_dim", self.out_dim, self.out_dim > 0, "at least 1"),
+        ];
+        match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((name, value, _, expected)) => {
+                Err(ArchError::InvalidParameter { name, value, expected })
+            }
+            None => Ok(()),
         }
     }
 }
 
+/// Largest magnitude in `xs`, floored so it can divide.
+fn max_abs(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR)
+}
+
 /// A static weight matrix on its tile grid: programmed once from the
 /// max-abs-normalised weights, with that global magnitude restored after
-/// detection.
+/// detection. `raw` keeps the unquantized weights for the digital twin.
 #[derive(Debug)]
 struct Projection {
     gemm: TileGemm,
     scale: f64,
+    raw: Vec<f64>,
 }
 
 impl Projection {
-    /// Normalise `raw` by its max magnitude so the banks see the full LUT
-    /// range, program every tile, remember the restore scale.
-    fn deploy(mut gemm: TileGemm, raw: &[f64]) -> Self {
-        let scale = raw.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
+    /// Draw `±√(1/fan_in)` uniform weights (well inside the bank's
+    /// `[-1, 1]` range) for `gemm`'s shape, normalise them by their max
+    /// magnitude so the banks see the full LUT range, program every
+    /// tile, remember the restore scale.
+    fn init(rng: &mut StdRng, mut gemm: TileGemm) -> Self {
+        let (out_dim, in_dim) = gemm.dims();
+        let bound = (1.0 / in_dim as f64).sqrt();
+        let raw: Vec<f64> = (0..out_dim * in_dim).map(|_| rng.gen_range(-bound..bound)).collect();
+        let scale = max_abs(&raw);
         let logical: Vec<f64> = raw.iter().map(|&w| (w / scale).clamp(-1.0, 1.0)).collect();
         gemm.program(&logical);
-        Self { gemm, scale }
+        Self { gemm, scale, raw }
     }
 
     /// `y = W·x`: the billed signed MVM, then the global scale restored.
-    fn gemv_scaled(&mut self, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
-        gemv_billed(&mut self.gemm, x, y, extra);
+    fn gemv(&mut self, x: &[f64], y: &mut [f64], ldsu: &mut Ldsu) {
+        ldsu.gemv(&mut self.gemm, x, y);
         if self.scale.to_bits() != 1.0f64.to_bits() {
             for v in y.iter_mut() {
                 *v *= self.scale;
             }
         }
     }
+
+    /// Straight-line f64 `W·x` over the raw weights (digital twin).
+    fn exact(&self, x: &[f64]) -> Vec<f64> {
+        let in_dim = self.gemm.dims().1;
+        self.raw.chunks(in_dim).map(|row| row.iter().zip(x).map(|(&a, &b)| a * b).sum()).collect()
+    }
 }
 
-/// Signed MVM into a reused buffer (resized to the matrix's rows),
-/// billing every cross-tile partial-sum accumulate to `extra`.
-fn gemv_billed(gemm: &mut TileGemm, x: &[f64], y: &mut Vec<f64>, extra: &mut EnergyLedger) {
-    y.clear();
-    y.resize(gemm.dims().0, 0.0);
-    charge_psums(extra, gemm.gemv_signed(x, y));
+/// A LayerNorm's affine parameters.
+#[derive(Debug)]
+struct Norm {
+    gamma: Vec<f64>,
+    beta: Vec<f64>,
+}
+
+impl Norm {
+    /// Identity affine (`γ = 1`, `β = 0`) over `d` features.
+    fn unit(d: usize) -> Self {
+        Self { gamma: vec![1.0; d], beta: vec![0.0; d] }
+    }
+
+    /// Row LayerNorm (f64) of `x` into `out`: population mean/variance,
+    /// then the affine `γ`/`β`.
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        let n = x.len() as f64;
+        let mut mean = 0.0;
+        for &v in x {
+            mean += v;
+        }
+        mean /= n;
+        let mut var = 0.0;
+        for &v in x {
+            let d = v - mean;
+            var += d * d;
+        }
+        var /= n;
+        let inv_std = 1.0 / (var + LN_EPS).sqrt();
+        for (j, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+            *o = (v - mean) * inv_std * self.gamma[j] + self.beta[j];
+        }
+    }
+
+    /// [`Norm::apply`] into a fresh vector (digital twin).
+    fn exact(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; x.len()];
+        self.apply(x, &mut out);
+        out
+    }
+}
+
+/// The digital load/store unit's ledger: every digital-side charge
+/// (softmax, LayerNorm, residual adds, cross-tile partial-sum
+/// accumulates) and the time it takes.
+#[derive(Debug, Default)]
+struct Ldsu {
+    energy: EnergyLedger,
+    elapsed: Nanoseconds,
+}
+
+impl Ldsu {
+    fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
+        let n = elems as f64;
+        self.energy.charge(what, EnergyPj(pj_per_elem * n));
+        self.elapsed += Nanoseconds(DIGITAL_NS_PER_ELEM * n);
+    }
+
+    /// Signed MVM into `y` (the matrix's rows wide), billing every
+    /// cross-tile partial-sum accumulate.
+    fn gemv(&mut self, gemm: &mut TileGemm, x: &[f64], y: &mut [f64]) {
+        charge_psums(&mut self.energy, gemm.gemv_signed(x, y));
+    }
+
+    /// Softmax over `row`, billed per element.
+    fn softmax(&mut self, row: &mut [f64]) {
+        softmax64(row);
+        self.charge("ldsu softmax", row.len(), LDSU_SOFTMAX_PJ_PER_ELEM);
+        obs::add(obs::Counter::LdsuSoftmaxRows, 1);
+    }
+
+    /// LayerNorm of `x` into `out`, billed per element.
+    fn layer_norm(&mut self, x: &[f64], norm: &Norm, out: &mut [f64]) {
+        norm.apply(x, out);
+        self.charge("ldsu layernorm", x.len(), LDSU_LAYERNORM_PJ_PER_ELEM);
+        obs::add(obs::Counter::LdsuLayerNormRows, 1);
+    }
+
+    /// Residual add `acc += delta`, billed per element.
+    fn residual(&mut self, acc: &mut [f64], delta: &[f64]) {
+        for (a, &v) in acc.iter_mut().zip(delta) {
+            *a += v;
+        }
+        self.charge("ldsu residual", acc.len(), LDSU_RESIDUAL_PJ_PER_ELEM);
+    }
 }
 
 /// Per-head KV banks: K rows (`max_seq × d_head`) and Vᵀ columns
@@ -192,26 +300,93 @@ struct HeadKv {
     v_scale: Vec<f64>,
 }
 
+impl HeadKv {
+    /// Append one token's K row and V column at position `t`, fixing
+    /// the write-time scales, and program the touched row/column bands,
+    /// adding their write energy to `spent`. Once a band has been
+    /// written, only the token's own row and column change; every other
+    /// cell of those tiles hits its bank's write memo and costs neither a
+    /// pulse nor a LUT search.
+    fn append(&mut self, t: usize, k: &[f64], v: &[f64], spent: &mut EnergyPj) {
+        let (max_seq, d_head) = (self.k_scale.len(), k.len());
+        let (k_max, v_max) = (max_abs(k), max_abs(v));
+        self.k_scale[t] = k_max;
+        self.v_scale[t] = v_max;
+        for (j, &x) in k.iter().enumerate() {
+            self.k_logical[t * d_head + j] = (x / k_max).clamp(-1.0, 1.0);
+        }
+        for (r, &x) in v.iter().enumerate() {
+            self.v_logical[r * max_seq + t] = (x / v_max).clamp(-1.0, 1.0);
+        }
+        *spent += self.k.program_row_band(&self.k_logical, t / TILE);
+        *spent += self.v.program_col_band(&self.v_logical, t / TILE);
+    }
+
+    /// One head's attention for query `q` over cache rows `0..limit`:
+    /// score MVM through the K bank, LDSU softmax, context MVM through
+    /// the Vᵀ bank into `ctx`. `scores` and `vin` are `max_seq` wide.
+    fn attend(
+        &mut self,
+        q: &[f64],
+        limit: usize,
+        scores: &mut [f64],
+        vin: &mut [f64],
+        ctx: &mut [f64],
+        ldsu: &mut Ldsu,
+    ) {
+        let inv_sqrt = 1.0 / (q.len() as f64).sqrt();
+        // Score MVM: every cached K row dotted with q in one pass.
+        ldsu.gemv(&mut self.k, q, scores);
+        for (j, s) in scores.iter_mut().enumerate().take(limit) {
+            *s = *s * self.k_scale[j] * inv_sqrt;
+        }
+        ldsu.softmax(&mut scores[..limit]);
+        // Context MVM: probabilities (re-scaled per column) stream
+        // through the Vᵀ bank; masked positions carry exactly zero.
+        vin.fill(0.0);
+        for j in 0..limit {
+            vin[j] = scores[j] * self.v_scale[j];
+        }
+        ldsu.gemv(&mut self.v, vin, ctx);
+    }
+}
+
 /// One pre-norm transformer block's device state.
 #[derive(Debug)]
 struct Block {
+    ln1: Norm,
     wq: Projection,
     wk: Projection,
     wv: Projection,
+    kv: Vec<HeadKv>,
     wo: Projection,
+    ln2: Norm,
     w1: Projection,
     w2: Projection,
-    raw_wq: Vec<f64>,
-    raw_wk: Vec<f64>,
-    raw_wv: Vec<f64>,
-    raw_wo: Vec<f64>,
-    raw_w1: Vec<f64>,
-    raw_w2: Vec<f64>,
-    ln1_gamma: Vec<f64>,
-    ln1_beta: Vec<f64>,
-    ln2_gamma: Vec<f64>,
-    ln2_beta: Vec<f64>,
-    kv: Vec<HeadKv>,
+}
+
+/// Final LayerNorm + classifier/vocabulary head.
+#[derive(Debug)]
+struct Readout {
+    norm: Norm,
+    proj: Projection,
+}
+
+impl Readout {
+    /// Logits of `x` through the banks; `normed` is `d_model` scratch.
+    /// The returned logits are the call's one allocation.
+    fn logits(&mut self, x: &[f64], normed: &mut [f64], ldsu: &mut Ldsu) -> Vec<f64> {
+        ldsu.layer_norm(x, &self.norm, normed);
+        let mut logits = Vec::new();
+        logits.resize(self.proj.gemm.dims().0, 0.0);
+        self.proj.gemv(normed, &mut logits, ldsu);
+        logits
+    }
+
+    /// Digital twin of [`Readout::logits`].
+    fn exact(&self, x: &[f64]) -> Vec<f64> {
+        self.proj.exact(&self.norm.exact(x))
+    }
 }
 
 /// A transformer encoder/decoder running on simulated photonic hardware.
@@ -219,52 +394,46 @@ struct Block {
 pub struct PhotonicTransformer {
     cfg: TransformerConfig,
     blocks: Vec<Block>,
-    head: Projection,
-    raw_head: Vec<f64>,
-    lnf_gamma: Vec<f64>,
-    lnf_beta: Vec<f64>,
+    head: Readout,
     /// Cached tokens (decode mode) / tokens of the current sequence.
     cache_len: usize,
-    /// Digital-side energy (LDSU ops, psum accumulates).
-    extra_energy: EnergyLedger,
-    /// Digital-side elapsed time.
-    elapsed: Nanoseconds,
+    /// Digital-side energy and time.
+    ldsu: Ldsu,
     kv_writes: u64,
     kv_reads: u64,
     batch_out: Vec<Vec<f64>>,
-    /// Reusable per-token decode buffers (see [`DecodeScratch`]).
+    /// Working buffers of every forward path (see [`DecodeScratch`]).
     scratch: DecodeScratch,
 }
 
-/// Scratch buffers for the per-token decode hot path: grown once on the
-/// first token, then reused. After that a decode step's only heap
-/// allocation is the logits `Vec` it returns. trident-lint's
-/// `hot-path-alloc` walk starts at `try_decode_token` and rejects
-/// `vec![…]`, `Vec::with_capacity` and `.collect()` on the path; growing
-/// an empty `Vec` is not flagged, so keeping per-token buffers here is a
-/// convention the lint does not prove.
-#[derive(Debug, Default)]
+/// The working buffers of every path — decode, causal prefill and the
+/// encoder — sized once at construction and reused, so no forward
+/// allocates beyond the logits it returns. Token `t`'s hidden state and
+/// query live in row `t` of `hidden` and `queries`: decode writes its
+/// token into row `t`, a prefill copies the whole sequence in.
+/// trident-lint's `hot-path-alloc` walk starts at `try_decode_token` and
+/// `try_forward_batch` and rejects `vec![…]`, `Vec::with_capacity` and
+/// `.collect()` on those paths; growing an empty `Vec` is not flagged,
+/// so keeping buffers here is a convention the lint does not prove.
+#[derive(Debug)]
 struct DecodeScratch {
-    /// The token's running hidden state (`d_model` wide).
+    /// Running hidden states, `max_seq` rows of `d_model`.
     hidden: Vec<f64>,
+    /// Query projections, `max_seq` rows of `d_model`.
+    queries: Vec<f64>,
     /// LayerNorm output feeding the projections / FFN / head (`d_model`).
     normed: Vec<f64>,
-    /// Query, key and value projections (`d_model` wide each).
-    q: Vec<f64>,
+    /// The token's key and value projections (`d_model` wide each).
     k: Vec<f64>,
     v: Vec<f64>,
     /// Concatenated head contexts (`d_model` wide).
     attn: Vec<f64>,
-    /// Output projection of the attention sublayer (`d_model` wide).
-    proj: Vec<f64>,
-    /// FFN sublayer output (`d_model` wide).
-    ffn_out: Vec<f64>,
+    /// Sublayer output added to the residual stream (`d_model` wide).
+    delta: Vec<f64>,
     /// Attention score row (`max_seq` wide).
     scores: Vec<f64>,
     /// Re-scaled probability inputs to the Vᵀ bank (`max_seq` wide).
     vin: Vec<f64>,
-    /// One head's context slice (`d_head` wide).
-    ctx: Vec<f64>,
     /// FFN pre-activation (`d_ff` wide).
     h1: Vec<f64>,
     /// FFN post-activation (`d_ff` wide).
@@ -273,11 +442,24 @@ struct DecodeScratch {
     pooled: Vec<f64>,
 }
 
-/// Uniform init in `±√(1/fan_in)` — keeps every weight well inside the
-/// bank's `[-1, 1]` programmable range.
-fn init_matrix(rng: &mut StdRng, out_dim: usize, in_dim: usize) -> Vec<f64> {
-    let bound = (1.0 / in_dim as f64).sqrt();
-    (0..out_dim * in_dim).map(|_| rng.gen_range(-bound..bound)).collect()
+impl DecodeScratch {
+    fn new(cfg: &TransformerConfig) -> Self {
+        let (d, rows) = (cfg.d_model, cfg.max_seq);
+        Self {
+            hidden: vec![0.0; rows * d],
+            queries: vec![0.0; rows * d],
+            normed: vec![0.0; d],
+            k: vec![0.0; d],
+            v: vec![0.0; d],
+            attn: vec![0.0; d],
+            delta: vec![0.0; d],
+            scores: vec![0.0; rows],
+            vin: vec![0.0; rows],
+            h1: vec![0.0; cfg.d_ff],
+            act: vec![0.0; cfg.d_ff],
+            pooled: vec![0.0; d],
+        }
+    }
 }
 
 /// Safe softmax in place (f64): subtract max, exponentiate, one
@@ -304,24 +486,18 @@ fn softmax64(row: &mut [f64]) {
     }
 }
 
-/// Row LayerNorm (f64): population mean/variance, affine gamma/beta.
-fn layer_norm64(x: &[f64], gamma: &[f64], beta: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    let n = x.len() as f64;
-    let mut mean = 0.0;
-    for &v in x {
-        mean += v;
+/// Mean of the `d`-wide token rows of `hidden` into `out` — the
+/// classifier's pooling, shared by the photonic path and the twin.
+fn mean_pool(hidden: &[f64], d: usize, out: &mut [f64]) {
+    let inv = 1.0 / (hidden.len() / d) as f64;
+    out.fill(0.0);
+    for tok in hidden.chunks(d) {
+        for (p, &v) in out.iter_mut().zip(tok) {
+            *p += v;
+        }
     }
-    mean /= n;
-    let mut var = 0.0;
-    for &v in x {
-        let d = v - mean;
-        var += d * d;
-    }
-    var /= n;
-    let inv_std = 1.0 / (var + LN_EPS).sqrt();
-    for (j, &v) in x.iter().enumerate() {
-        out.push((v - mean) * inv_std * gamma[j] + beta[j]);
+    for p in out.iter_mut() {
+        *p *= inv;
     }
 }
 
@@ -332,11 +508,6 @@ fn gst64(h: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Straight-line f64 matvec (k ascending) over a raw weight matrix.
-fn matvec64(w: &[f64], in_dim: usize, x: &[f64]) -> Vec<f64> {
-    w.chunks(in_dim).map(|row| row.iter().zip(x).map(|(&a, &b)| a * b).sum()).collect()
 }
 
 impl PhotonicTransformer {
@@ -357,66 +528,41 @@ impl PhotonicTransformer {
                 spec
             })
         };
-        let mut blocks = Vec::with_capacity(cfg.depth);
-        for _ in 0..cfg.depth {
-            let raw_wq = init_matrix(&mut rng, d, d);
-            let raw_wk = init_matrix(&mut rng, d, d);
-            let raw_wv = init_matrix(&mut rng, d, d);
-            let raw_wo = init_matrix(&mut rng, d, d);
-            let raw_w1 = init_matrix(&mut rng, cfg.d_ff, d);
-            let raw_w2 = init_matrix(&mut rng, d, cfg.d_ff);
-            let wq = Projection::deploy(grid(d, d), &raw_wq);
-            let wk = Projection::deploy(grid(d, d), &raw_wk);
-            let wv = Projection::deploy(grid(d, d), &raw_wv);
-            let wo = Projection::deploy(grid(d, d), &raw_wo);
-            let w1 = Projection::deploy(grid(cfg.d_ff, d), &raw_w1);
-            let w2 = Projection::deploy(grid(d, cfg.d_ff), &raw_w2);
-            let kv = (0..cfg.heads)
-                .map(|_| HeadKv {
-                    k: grid(cfg.max_seq, d_head),
-                    v: grid(d_head, cfg.max_seq),
-                    k_logical: vec![0.0; cfg.max_seq * d_head],
-                    v_logical: vec![0.0; d_head * cfg.max_seq],
-                    k_scale: vec![1.0; cfg.max_seq],
-                    v_scale: vec![1.0; cfg.max_seq],
-                })
-                .collect();
-            blocks.push(Block {
-                wq,
-                wk,
-                wv,
-                wo,
-                w1,
-                w2,
-                raw_wq,
-                raw_wk,
-                raw_wv,
-                raw_wo,
-                raw_w1,
-                raw_w2,
-                ln1_gamma: vec![1.0; d],
-                ln1_beta: vec![0.0; d],
-                ln2_gamma: vec![1.0; d],
-                ln2_beta: vec![0.0; d],
-                kv,
-            });
-        }
-        let raw_head = init_matrix(&mut rng, cfg.out_dim, d);
-        let head = Projection::deploy(grid(cfg.out_dim, d), &raw_head);
+        let blocks = (0..cfg.depth)
+            .map(|_| {
+                // Weights and bank identities are independent streams;
+                // each runs wq, wk, wv, wo, w1, w2, then the KV banks.
+                let wq = Projection::init(&mut rng, grid(d, d));
+                let wk = Projection::init(&mut rng, grid(d, d));
+                let wv = Projection::init(&mut rng, grid(d, d));
+                let wo = Projection::init(&mut rng, grid(d, d));
+                let w1 = Projection::init(&mut rng, grid(cfg.d_ff, d));
+                let w2 = Projection::init(&mut rng, grid(d, cfg.d_ff));
+                let kv = (0..cfg.heads)
+                    .map(|_| HeadKv {
+                        k: grid(cfg.max_seq, d_head),
+                        v: grid(d_head, cfg.max_seq),
+                        k_logical: vec![0.0; cfg.max_seq * d_head],
+                        v_logical: vec![0.0; d_head * cfg.max_seq],
+                        k_scale: vec![1.0; cfg.max_seq],
+                        v_scale: vec![1.0; cfg.max_seq],
+                    })
+                    .collect();
+                Block { ln1: Norm::unit(d), wq, wk, wv, kv, wo, ln2: Norm::unit(d), w1, w2 }
+            })
+            .collect();
+        let head =
+            Readout { norm: Norm::unit(d), proj: Projection::init(&mut rng, grid(cfg.out_dim, d)) };
         Ok(Self {
+            scratch: DecodeScratch::new(&cfg),
             cfg,
             blocks,
             head,
-            raw_head,
-            lnf_gamma: vec![1.0; d],
-            lnf_beta: vec![0.0; d],
             cache_len: 0,
-            extra_energy: EnergyLedger::new(),
-            elapsed: Nanoseconds(0.0),
+            ldsu: Ldsu::default(),
             kv_writes: 0,
             kv_reads: 0,
             batch_out: Vec::new(),
-            scratch: DecodeScratch::default(),
         })
     }
 
@@ -451,7 +597,7 @@ impl PhotonicTransformer {
                 h.v.calibrate(EnergyPj::ZERO);
             }
         }
-        self.head.gemm.calibrate(EnergyPj::ZERO);
+        self.head.proj.gemm.calibrate(EnergyPj::ZERO);
     }
 
     /// Forget the cached sequence. Bank contents are overwritten on the
@@ -469,18 +615,19 @@ impl PhotonicTransformer {
     /// Total optical + digital energy since construction.
     pub fn total_energy(&self) -> EnergyPj {
         self.grids().map(|g| g.fold_energy(EnergyPj::ZERO)).sum::<EnergyPj>()
-            + self.extra_energy.total()
+            + self.ldsu.energy.total()
     }
 
     /// Total simulated time (sequential-tile upper bound) since
     /// construction.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.grids().map(|g| g.fold_elapsed(Nanoseconds::ZERO)).sum::<Nanoseconds>() + self.elapsed
+        self.grids().map(|g| g.fold_elapsed(Nanoseconds::ZERO)).sum::<Nanoseconds>()
+            + self.ldsu.elapsed
     }
 
     /// Itemised energy ledger across every PE plus the digital side.
     pub fn energy_ledger(&self) -> EnergyLedger {
-        let mut ledger = self.extra_energy.clone();
+        let mut ledger = self.ldsu.energy.clone();
         for g in self.grids() {
             g.absorb_into(&mut ledger);
         }
@@ -496,320 +643,150 @@ impl PhotonicTransformer {
                     .map(|p| &p.gemm)
                     .chain(b.kv.iter().flat_map(|h| [&h.k, &h.v]))
             })
-            .chain(std::iter::once(&self.head.gemm))
+            .chain(std::iter::once(&self.head.proj.gemm))
     }
 
-    fn charge_digital(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
-        let n = elems as f64;
-        self.extra_energy.charge(what, EnergyPj(pj_per_elem * n));
-        self.elapsed += Nanoseconds(DIGITAL_NS_PER_ELEM * n);
-    }
-
-    /// LDSU softmax over `row`, billed per element.
-    fn ldsu_softmax(&mut self, row: &mut [f64]) {
-        softmax64(row);
-        self.charge_digital("ldsu softmax", row.len(), LDSU_SOFTMAX_PJ_PER_ELEM);
-        obs::add(obs::Counter::LdsuSoftmaxRows, 1);
-    }
-
-    /// LDSU LayerNorm of `x` into `out`, billed per element.
-    fn ldsu_layer_norm(
-        &mut self,
-        x: &[f64],
-        gamma_beta: (&[f64], &[f64]),
-        out: &mut Vec<f64>,
-    ) {
-        layer_norm64(x, gamma_beta.0, gamma_beta.1, out);
-        self.charge_digital("ldsu layernorm", x.len(), LDSU_LAYERNORM_PJ_PER_ELEM);
-        obs::add(obs::Counter::LdsuLayerNormRows, 1);
-    }
-
-    /// Residual add `acc += delta`, billed per element.
-    fn ldsu_residual(&mut self, acc_delta_len: usize) {
-        self.charge_digital("ldsu residual", acc_delta_len, LDSU_RESIDUAL_PJ_PER_ELEM);
-    }
-
-    /// Append one token's K row and V column to block `b`'s per-head
-    /// banks at position `t`, fixing the write-time scales, and program
-    /// the touched row/column bands. Once a band has been written, only
-    /// the token's own row and column change; every other cell of those
-    /// tiles hits its bank's write memo and costs neither a pulse nor a
-    /// LUT search. Billed as KV-cache traffic when the model is causal.
-    fn append_kv(&mut self, b: usize, t: usize, k_tok: &[f64], v_tok: &[f64]) {
-        let d_head = self.cfg.d_model / self.cfg.heads;
-        let causal = self.cfg.causal;
+    /// Phase one of token `t` through block `b`: LN1, the Q/K/V
+    /// projections (the query into row `t` of the query buffer), then the
+    /// K/V append at position `t` — billed as KV-cache traffic when the
+    /// model is causal.
+    fn block_in(&mut self, b: usize, t: usize) {
+        let d = self.cfg.d_model;
+        let d_head = d / self.cfg.heads;
+        let Self { blocks, scratch: s, ldsu, .. } = self;
+        let block = &mut blocks[b];
+        let row = t * d..(t + 1) * d;
+        ldsu.layer_norm(&s.hidden[row.clone()], &block.ln1, &mut s.normed);
+        block.wq.gemv(&s.normed, &mut s.queries[row], ldsu);
+        block.wk.gemv(&s.normed, &mut s.k, ldsu);
+        block.wv.gemv(&s.normed, &mut s.v, ldsu);
         let mut spent = EnergyPj::ZERO;
-        let block = &mut self.blocks[b];
-        for (h, kv) in block.kv.iter_mut().enumerate() {
-            let ks = &k_tok[h * d_head..(h + 1) * d_head];
-            let vs = &v_tok[h * d_head..(h + 1) * d_head];
-            let k_max = ks.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
-            let v_max = vs.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR);
-            kv.k_scale[t] = k_max;
-            kv.v_scale[t] = v_max;
-            for (j, &v) in ks.iter().enumerate() {
-                kv.k_logical[t * d_head + j] = (v / k_max).clamp(-1.0, 1.0);
-            }
-            for (r, &v) in vs.iter().enumerate() {
-                kv.v_logical[r * self.cfg.max_seq + t] = (v / v_max).clamp(-1.0, 1.0);
-            }
-            spent += kv.k.program_row_band(&kv.k_logical, t / TILE);
-            spent += kv.v.program_col_band(&kv.v_logical, t / TILE);
+        let heads = s.k.chunks(d_head).zip(s.v.chunks(d_head));
+        for (kv, (k, v)) in block.kv.iter_mut().zip(heads) {
+            kv.append(t, k, v, &mut spent);
         }
-        if causal {
-            let elems = 2 * self.cfg.d_model as u64;
+        if self.cfg.causal {
+            let elems = 2 * d as u64;
             self.kv_writes += elems;
             obs::add(obs::Counter::KvCacheWrites, elems);
             obs::add_pj(obs::Counter::KvCacheFj, spent.value());
         }
     }
 
-    /// Multi-head attention for one query at position `pos` (attends to
-    /// cache rows `0..limit`): score MVM through the K banks, LDSU
-    /// softmax, context MVM through the Vᵀ banks, heads concatenated
-    /// into `out` (`d_model` wide).
-    fn attention(&mut self, b: usize, q_tok: &[f64], limit: usize, out: &mut Vec<f64>) {
-        let d_head = self.cfg.d_model / self.cfg.heads;
-        let inv_sqrt = 1.0 / (d_head as f64).sqrt();
-        let max_seq = self.cfg.max_seq;
-        out.clear();
-        out.resize(self.cfg.d_model, 0.0);
-        // Pull the scratch out of `self` so the bank MVMs below can
-        // borrow `blocks`/`extra_energy` disjointly; restored at the end.
-        let mut s = std::mem::take(&mut self.scratch);
-        s.scores.clear();
-        s.scores.resize(max_seq, 0.0);
-        s.vin.clear();
-        s.vin.resize(max_seq, 0.0);
-        let (scores, vin, ctx) = (&mut s.scores, &mut s.vin, &mut s.ctx);
-        for h in 0..self.cfg.heads {
-            let q_h = &q_tok[h * d_head..(h + 1) * d_head];
-            // Score MVM: every cached K row dotted with q in one pass.
-            {
-                let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                gemv_billed(&mut blocks[b].kv[h].k, q_h, scores, extra);
-            }
-            let k_scale = &self.blocks[b].kv[h].k_scale;
-            for (j, s) in scores.iter_mut().enumerate().take(limit) {
-                *s = *s * k_scale[j] * inv_sqrt;
-            }
-            self.ldsu_softmax(&mut scores[..limit]);
-            // Context MVM: probabilities (re-scaled per column) stream
-            // through the Vᵀ bank; masked positions carry exactly zero.
-            vin.fill(0.0);
-            let v_scale = &self.blocks[b].kv[h].v_scale;
-            for j in 0..limit {
-                vin[j] = scores[j] * v_scale[j];
-            }
-            {
-                let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-                gemv_billed(&mut blocks[b].kv[h].v, vin, ctx, extra);
-            }
-            out[h * d_head..(h + 1) * d_head].copy_from_slice(ctx);
+    /// Phase two of token `t` through block `b`: multi-head attention
+    /// over cache rows `0..limit`, `wo` and the residual add, then LN2,
+    /// the FFN (`w1`, per-band photonic GST activation, `w2`) and its
+    /// residual add.
+    fn block_out(&mut self, b: usize, t: usize, limit: usize) {
+        let d = self.cfg.d_model;
+        let d_head = d / self.cfg.heads;
+        let Self { blocks, scratch: s, ldsu, .. } = self;
+        let block = &mut blocks[b];
+        let row = t * d..(t + 1) * d;
+        let heads = s.queries[row.clone()].chunks(d_head).zip(s.attn.chunks_mut(d_head));
+        for (kv, (q, ctx)) in block.kv.iter_mut().zip(heads) {
+            kv.attend(q, limit, &mut s.scores, &mut s.vin, ctx, ldsu);
         }
-        self.scratch = s;
+        block.wo.gemv(&s.attn, &mut s.delta, ldsu);
+        let hidden = &mut s.hidden[row];
+        ldsu.residual(hidden, &s.delta);
+        ldsu.layer_norm(hidden, &block.ln2, &mut s.normed);
+        block.w1.gemv(&s.normed, &mut s.h1, ldsu);
+        block.w1.gemm.activate_rows(&s.h1, &mut s.act);
+        block.w2.gemv(&s.act, &mut s.delta, ldsu);
+        ldsu.residual(hidden, &s.delta);
         if self.cfg.causal {
-            let reads = 2 * self.cfg.d_model as u64 * limit as u64;
+            let reads = 2 * d as u64 * limit as u64;
             self.kv_reads += reads;
             obs::add(obs::Counter::KvCacheReads, reads);
         }
     }
 
-    /// FFN: `w1` MVM, per-band photonic GST activation, `w2` MVM.
-    fn ffn(&mut self, b: usize, x: &[f64], out: &mut Vec<f64>) {
-        let mut s = std::mem::take(&mut self.scratch);
-        {
-            let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w1.gemv_scaled(x, &mut s.h1, extra);
-        }
-        s.act.clear();
-        s.act.resize(self.cfg.d_ff, 0.0);
-        self.blocks[b].w1.gemm.activate_rows(&s.h1, &mut s.act);
-        {
-            let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].w2.gemv_scaled(&s.act, out, extra);
-        }
-        self.scratch = s;
-    }
-
-    /// One token through block `b`: pre-norm attention sublayer (with KV
-    /// append at position `t`) then pre-norm FFN sublayer, both residual.
-    /// `limit` is the attention window (`t + 1` causal, sequence length
-    /// otherwise — the caller decides).
-    fn block_step(&mut self, b: usize, t: usize, limit: usize, hidden: &mut [f64]) {
-        // Pull the buffers out of the scratch (`attention`/`ffn` take the
-        // rest of it); every one is overwritten before it is read.
-        let s = &mut self.scratch;
-        let mut normed = std::mem::take(&mut s.normed);
-        let mut q = std::mem::take(&mut s.q);
-        let mut k = std::mem::take(&mut s.k);
-        let mut v = std::mem::take(&mut s.v);
-        let mut attn = std::mem::take(&mut s.attn);
-        let mut proj = std::mem::take(&mut s.proj);
-        let mut ffn_out = std::mem::take(&mut s.ffn_out);
-        {
-            let gamma = std::mem::take(&mut self.blocks[b].ln1_gamma);
-            let beta = std::mem::take(&mut self.blocks[b].ln1_beta);
-            self.ldsu_layer_norm(hidden, (&gamma, &beta), &mut normed);
-            self.blocks[b].ln1_gamma = gamma;
-            self.blocks[b].ln1_beta = beta;
-        }
-        {
-            let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wq.gemv_scaled(&normed, &mut q, extra);
-            blocks[b].wk.gemv_scaled(&normed, &mut k, extra);
-            blocks[b].wv.gemv_scaled(&normed, &mut v, extra);
-        }
-        self.append_kv(b, t, &k, &v);
-        self.attention(b, &q, limit, &mut attn);
-        {
-            let (blocks, extra) = (&mut self.blocks, &mut self.extra_energy);
-            blocks[b].wo.gemv_scaled(&attn, &mut proj, extra);
-        }
-        for (hv, &p) in hidden.iter_mut().zip(&proj) {
-            *hv += p;
-        }
-        self.ldsu_residual(self.cfg.d_model);
-        {
-            let gamma = std::mem::take(&mut self.blocks[b].ln2_gamma);
-            let beta = std::mem::take(&mut self.blocks[b].ln2_beta);
-            self.ldsu_layer_norm(hidden, (&gamma, &beta), &mut normed);
-            self.blocks[b].ln2_gamma = gamma;
-            self.blocks[b].ln2_beta = beta;
-        }
-        self.ffn(b, &normed, &mut ffn_out);
-        for (hv, &p) in hidden.iter_mut().zip(&ffn_out) {
-            *hv += p;
-        }
-        self.ldsu_residual(self.cfg.d_model);
-        let s = &mut self.scratch;
-        (s.normed, s.q, s.k, s.v) = (normed, q, k, v);
-        (s.attn, s.proj, s.ffn_out) = (attn, proj, ffn_out);
-    }
-
-    /// Final LayerNorm + head MVM for one `d_model`-wide vector. The
-    /// returned logits are the call's one allocation.
-    fn head_logits(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut normed = std::mem::take(&mut self.scratch.normed);
-        {
-            let gamma = std::mem::take(&mut self.lnf_gamma);
-            let beta = std::mem::take(&mut self.lnf_beta);
-            self.ldsu_layer_norm(x, (&gamma, &beta), &mut normed);
-            self.lnf_gamma = gamma;
-            self.lnf_beta = beta;
-        }
-        let mut logits = Vec::new();
-        let (head, extra) = (&mut self.head, &mut self.extra_energy);
-        head.gemv_scaled(&normed, &mut logits, extra);
-        self.scratch.normed = normed;
-        logits
-    }
-
-    fn check_token_width(&self, len: usize) -> Result<(), ArchError> {
-        if len == self.cfg.d_model {
-            Ok(())
-        } else {
-            Err(ArchError::ShapeMismatch { expected: self.cfg.d_model, got: len })
-        }
-    }
-
-    /// Split a flat `seq × d_model` buffer into per-token vectors.
-    fn split_tokens(&self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
+    /// Token count of a flat `seq × d_model` input, `1 ≤ seq ≤ max_seq`.
+    fn check_seq(&self, len: usize) -> Result<usize, ArchError> {
         let d = self.cfg.d_model;
-        if x.is_empty() || !x.len().is_multiple_of(d) || x.len() / d > self.cfg.max_seq {
-            return Err(ArchError::ShapeMismatch {
-                expected: self.cfg.input_width(),
-                got: x.len(),
-            });
+        if len == 0 || !len.is_multiple_of(d) || len / d > self.cfg.max_seq {
+            return Err(ArchError::ShapeMismatch { expected: self.cfg.input_width(), got: len });
         }
-        Ok(x.chunks(d).map(<[f64]>::to_vec).collect())
+        Ok(len / d)
     }
 
-    /// Full-sequence forward over `x` (flat `seq × d_model`, `seq ≤
-    /// max_seq`), layer-major like a prefill: per block, all tokens are
-    /// normed/projected, the per-head K/V banks are rebuilt, then every
-    /// query streams through them (window = whole sequence, or the
-    /// causal prefix when `cfg.causal`). Returns per-token final hidden
-    /// states. Resets the cache first.
-    pub fn try_forward_hidden(&mut self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
-        let mut hidden = self.split_tokens(x)?;
-        let seq = hidden.len();
-        self.reset_cache();
+    /// Full-sequence forward over `x` (flat `seq × d_model`), layer-major
+    /// like a prefill: the tokens are copied into the hidden rows, then
+    /// each block runs over all of them. Causal models run each token's
+    /// two phases back to back — the decode schedule — while an encoder
+    /// banks the whole sequence's K/V before any query attends. Leaves
+    /// the sequence cached and returns its length.
+    fn prefill(&mut self, x: &[f64]) -> Result<usize, ArchError> {
+        let seq = self.check_seq(x.len())?;
+        self.scratch.hidden[..x.len()].copy_from_slice(x);
         for b in 0..self.blocks.len() {
-            // The per-token schedule below is arithmetic-identical to
-            // the incremental decode path (block_step), which is exactly
-            // what the KV bitwise invariant pins. We run attention
-            // *inside* the same token loop only for causal models;
-            // encoder attention needs the whole sequence banked first.
             if self.cfg.causal {
-                for (t, tok) in hidden.iter_mut().enumerate() {
-                    self.cache_len = t;
-                    // block_step appends at t and attends over 0..=t.
-                    block_step_token(self, b, t, t + 1, tok);
+                for t in 0..seq {
+                    self.block_in(b, t);
+                    self.block_out(b, t, t + 1);
                 }
             } else {
-                encoder_block(self, b, &mut hidden, seq);
+                for t in 0..seq {
+                    self.block_in(b, t);
+                }
+                for t in 0..seq {
+                    self.block_out(b, t, seq);
+                }
             }
         }
         self.cache_len = seq;
-        Ok(hidden)
+        Ok(seq)
     }
 
     /// Classifier forward (the ViT serving path): full-sequence encode,
     /// digital mean-pool, head MVM → `out_dim` logits.
     pub fn try_forward_classify(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
-        let hidden = self.try_forward_hidden(x)?;
+        let seq = self.prefill(x)?;
         let d = self.cfg.d_model;
-        let inv = 1.0 / hidden.len() as f64;
-        let mut pooled = std::mem::take(&mut self.scratch.pooled);
-        pooled.clear();
-        pooled.resize(d, 0.0);
-        for tok in &hidden {
-            for (p, &v) in pooled.iter_mut().zip(tok) {
-                *p += v;
-            }
-        }
-        for p in pooled.iter_mut() {
-            *p *= inv;
-        }
-        self.ldsu_residual(d);
-        let logits = self.head_logits(&pooled);
-        self.scratch.pooled = pooled;
-        Ok(logits)
+        let Self { head, scratch: s, ldsu, .. } = self;
+        mean_pool(&s.hidden[..seq * d], d, &mut s.pooled);
+        ldsu.charge("ldsu residual", d, LDSU_RESIDUAL_PJ_PER_ELEM);
+        Ok(head.logits(&s.pooled, &mut s.normed, ldsu))
     }
 
     /// Per-position logits of a causal full-sequence forward — the
     /// recompute reference the KV invariant tests compare decode against.
     pub fn try_forward_causal(&mut self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
         if !self.cfg.causal {
-            return Err(ArchError::ShapeMismatch { expected: 1, got: 0 });
+            return Err(ArchError::InvalidParameter {
+                name: "causal",
+                value: 0,
+                expected: "a causal decoder (per-position logits)",
+            });
         }
-        let hidden = self.try_forward_hidden(x)?;
-        Ok(hidden.iter().map(|tok| self.head_logits(tok)).collect())
+        let seq = self.prefill(x)?;
+        let d = self.cfg.d_model;
+        let Self { head, scratch: s, ldsu, .. } = self;
+        Ok(s.hidden[..seq * d].chunks(d).map(|tok| head.logits(tok, &mut s.normed, ldsu)).collect())
     }
 
     /// Decode one token through the KV-cache path: appends the token's
     /// K/V to every block's banks (one row/column band program each) and
     /// returns its `out_dim` logits. Errors when the context is full.
     pub fn try_decode_token(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
-        self.check_token_width(x.len())?;
-        if self.cache_len >= self.cfg.max_seq {
-            return Err(ArchError::ShapeMismatch {
-                expected: self.cfg.max_seq,
-                got: self.cache_len + 1,
-            });
+        let d = self.cfg.d_model;
+        if x.len() != d {
+            return Err(ArchError::ShapeMismatch { expected: d, got: x.len() });
         }
         let t = self.cache_len;
-        let mut hidden = std::mem::take(&mut self.scratch.hidden);
-        hidden.clear();
-        hidden.extend_from_slice(x);
+        if t >= self.cfg.max_seq {
+            return Err(ArchError::ShapeMismatch { expected: self.cfg.max_seq, got: t + 1 });
+        }
+        let row = t * d..(t + 1) * d;
+        self.scratch.hidden[row.clone()].copy_from_slice(x);
         for b in 0..self.blocks.len() {
-            block_step_token(self, b, t, t + 1, &mut hidden);
+            self.block_in(b, t);
+            self.block_out(b, t, t + 1);
         }
         self.cache_len = t + 1;
-        let logits = self.head_logits(&hidden);
-        self.scratch.hidden = hidden;
-        Ok(logits)
+        let Self { head, scratch: s, ldsu, .. } = self;
+        Ok(head.logits(&s.hidden[row], &mut s.normed, ldsu))
     }
 
     /// Batched classifier forward for the serving fleet: one
@@ -830,25 +807,21 @@ impl PhotonicTransformer {
     // ---- digital twins -------------------------------------------------
 
     /// Straight-line f64 forward of one token sequence over the raw
-    /// (unquantized) weights. Same schedule, same LDSU formulas; only
-    /// the MVMs differ (exact f64 instead of banked optics).
-    fn digital_hidden(&self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
-        let mut hidden = self.split_tokens(x)?;
-        let seq = hidden.len();
+    /// (unquantized) weights, returned as flat `seq × d_model` hidden
+    /// states. Same schedule, same LDSU formulas; only the MVMs differ
+    /// (exact f64 instead of banked optics).
+    fn digital_hidden(&self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
+        let seq = self.check_seq(x.len())?;
         let d = self.cfg.d_model;
         let d_head = d / self.cfg.heads;
         let inv_sqrt = 1.0 / (d_head as f64).sqrt();
+        let mut hidden = x.to_vec();
         for block in &self.blocks {
-            let mut normed: Vec<Vec<f64>> = Vec::with_capacity(seq);
-            for tok in &hidden {
-                let mut n = Vec::new();
-                layer_norm64(tok, &block.ln1_gamma, &block.ln1_beta, &mut n);
-                normed.push(n);
-            }
-            let q: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wq, d, n)).collect();
-            let k: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wk, d, n)).collect();
-            let v: Vec<Vec<f64>> = normed.iter().map(|n| matvec64(&block.raw_wv, d, n)).collect();
-            for (t, tok) in hidden.iter_mut().enumerate() {
+            let normed: Vec<Vec<f64>> = hidden.chunks(d).map(|tok| block.ln1.exact(tok)).collect();
+            let q: Vec<Vec<f64>> = normed.iter().map(|n| block.wq.exact(n)).collect();
+            let k: Vec<Vec<f64>> = normed.iter().map(|n| block.wk.exact(n)).collect();
+            let v: Vec<Vec<f64>> = normed.iter().map(|n| block.wv.exact(n)).collect();
+            for (t, tok) in hidden.chunks_mut(d).enumerate() {
                 let limit = if self.cfg.causal { t + 1 } else { seq };
                 let mut concat = vec![0.0f64; d];
                 for h in 0..self.cfg.heads {
@@ -870,16 +843,12 @@ impl PhotonicTransformer {
                         }
                     }
                 }
-                let proj = matvec64(&block.raw_wo, d, &concat);
-                for (hv, &p) in tok.iter_mut().zip(&proj) {
+                for (hv, &p) in tok.iter_mut().zip(&block.wo.exact(&concat)) {
                     *hv += p;
                 }
-                let mut n2 = Vec::new();
-                layer_norm64(tok, &block.ln2_gamma, &block.ln2_beta, &mut n2);
-                let h1 = matvec64(&block.raw_w1, d, &n2);
+                let h1 = block.w1.exact(&block.ln2.exact(tok));
                 let act: Vec<f64> = h1.iter().map(|&h| gst64(h)).collect();
-                let ffn_out = matvec64(&block.raw_w2, self.cfg.d_ff, &act);
-                for (hv, &p) in tok.iter_mut().zip(&ffn_out) {
+                for (hv, &p) in tok.iter_mut().zip(&block.w2.exact(&act)) {
                     *hv += p;
                 }
             }
@@ -887,104 +856,18 @@ impl PhotonicTransformer {
         Ok(hidden)
     }
 
-    fn digital_head(&self, x: &[f64]) -> Vec<f64> {
-        let mut normed = Vec::new();
-        layer_norm64(x, &self.lnf_gamma, &self.lnf_beta, &mut normed);
-        matvec64(&self.raw_head, self.cfg.d_model, &normed)
-    }
-
     /// Digital twin of [`PhotonicTransformer::try_forward_classify`].
     pub fn digital_forward_classify(&self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
         let hidden = self.digital_hidden(x)?;
-        let d = self.cfg.d_model;
-        let inv = 1.0 / hidden.len() as f64;
-        let mut pooled = vec![0.0f64; d];
-        for tok in &hidden {
-            for (p, &v) in pooled.iter_mut().zip(tok) {
-                *p += v;
-            }
-        }
-        for p in pooled.iter_mut() {
-            *p *= inv;
-        }
-        Ok(self.digital_head(&pooled))
+        let mut pooled = vec![0.0f64; self.cfg.d_model];
+        mean_pool(&hidden, self.cfg.d_model, &mut pooled);
+        Ok(self.head.exact(&pooled))
     }
 
     /// Digital twin of [`PhotonicTransformer::try_forward_causal`].
     pub fn digital_forward_causal(&self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
         let hidden = self.digital_hidden(x)?;
-        Ok(hidden.iter().map(|tok| self.digital_head(tok)).collect())
-    }
-}
-
-/// Free-function shim so `try_forward_hidden`'s causal loop and
-/// `try_decode_token` share the exact same code path (monomorphic call,
-/// no closure-over-`self` borrow fights).
-fn block_step_token(
-    tx: &mut PhotonicTransformer,
-    b: usize,
-    t: usize,
-    limit: usize,
-    hidden: &mut [f64],
-) {
-    tx.block_step(b, t, limit, hidden);
-}
-
-/// Encoder-attention block schedule: bank the whole sequence's K/V
-/// first, then stream every query with a full-sequence window. Token
-/// arithmetic is identical to [`PhotonicTransformer::block_step`]; only
-/// the append/attend interleaving differs (encoders have no causal
-/// frontier to respect).
-fn encoder_block(tx: &mut PhotonicTransformer, b: usize, hidden: &mut [Vec<f64>], seq: usize) {
-    let mut normed_all = Vec::with_capacity(seq);
-    let mut q_all = Vec::with_capacity(seq);
-    for tok in hidden.iter() {
-        let mut normed = Vec::new();
-        {
-            let gamma = std::mem::take(&mut tx.blocks[b].ln1_gamma);
-            let beta = std::mem::take(&mut tx.blocks[b].ln1_beta);
-            tx.ldsu_layer_norm(tok, (&gamma, &beta), &mut normed);
-            tx.blocks[b].ln1_gamma = gamma;
-            tx.blocks[b].ln1_beta = beta;
-        }
-        let (mut q, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
-        {
-            let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wq.gemv_scaled(&normed, &mut q, extra);
-            blocks[b].wk.gemv_scaled(&normed, &mut k, extra);
-            blocks[b].wv.gemv_scaled(&normed, &mut v, extra);
-        }
-        let t = normed_all.len();
-        tx.append_kv(b, t, &k, &v);
-        normed_all.push(normed);
-        q_all.push(q);
-    }
-    for (t, tok) in hidden.iter_mut().enumerate() {
-        let mut attn = Vec::new();
-        tx.attention(b, &q_all[t], seq, &mut attn);
-        let mut proj = Vec::new();
-        {
-            let (blocks, extra) = (&mut tx.blocks, &mut tx.extra_energy);
-            blocks[b].wo.gemv_scaled(&attn, &mut proj, extra);
-        }
-        for (hv, &p) in tok.iter_mut().zip(&proj) {
-            *hv += p;
-        }
-        tx.ldsu_residual(tx.cfg.d_model);
-        let mut n2 = Vec::new();
-        {
-            let gamma = std::mem::take(&mut tx.blocks[b].ln2_gamma);
-            let beta = std::mem::take(&mut tx.blocks[b].ln2_beta);
-            tx.ldsu_layer_norm(tok, (&gamma, &beta), &mut n2);
-            tx.blocks[b].ln2_gamma = gamma;
-            tx.blocks[b].ln2_beta = beta;
-        }
-        let mut ffn_out = Vec::new();
-        tx.ffn(b, &n2, &mut ffn_out);
-        for (hv, &p) in tok.iter_mut().zip(&ffn_out) {
-            *hv += p;
-        }
-        tx.ldsu_residual(tx.cfg.d_model);
+        Ok(hidden.chunks(self.cfg.d_model).map(|tok| self.head.exact(tok)).collect())
     }
 }
 
@@ -1062,6 +945,23 @@ mod tests {
         let mut bad = TransformerConfig::tiny_vit();
         bad.heads = 3; // 16 % 3 != 0
         assert!(PhotonicTransformer::try_new(bad).is_err());
+        // Each bad field is named, not reported as a shape mismatch.
+        let field = |edit: fn(&mut TransformerConfig)| {
+            let mut cfg = TransformerConfig::tiny_vit();
+            edit(&mut cfg);
+            match PhotonicTransformer::try_new(cfg).err() {
+                Some(ArchError::InvalidParameter { name, .. }) => name,
+                other => panic!("expected InvalidParameter, got {other:?}"),
+            }
+        };
+        assert_eq!(field(|c| c.depth = 0), "depth");
+        assert_eq!(field(|c| c.d_ff = 0), "d_ff");
+        assert_eq!(field(|c| c.heads = 3), "heads");
+        let x = seq_input(tx.config(), 4);
+        assert!(matches!(
+            tx.try_forward_causal(&x),
+            Err(ArchError::InvalidParameter { name: "causal", .. })
+        ));
     }
 
     #[test]
