@@ -119,7 +119,6 @@ pub struct PhotonicMlp {
     cached_logits: Vec<Vec<f64>>,
     /// Engine-level (non-PE) energy: partial-sum accumulation etc.
     extra_energy: EnergyLedger,
-    elapsed: Nanoseconds,
     /// When set (after [`PhotonicMlp::inject_faults`]), forward-weight
     /// programming runs through the banks' closed-loop program-and-verify
     /// path with remap/mask degradation instead of ideal open-loop pulses.
@@ -246,7 +245,6 @@ impl PhotonicMlp {
             cached_inputs: Vec::new(),
             cached_logits: Vec::new(),
             extra_energy: EnergyLedger::new(),
-            elapsed: Nanoseconds(0.0),
             fault_tolerant_writes: false,
             write_policy: WriteVerifyPolicy::default(),
             write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
@@ -462,27 +460,21 @@ impl PhotonicMlp {
 
     /// Fallible form of [`PhotonicMlp::forward`].
     pub fn try_forward(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
-        self.try_forward_stage(x, true)
-    }
-
-    /// Forward one sample through this engine as **one stage of a
-    /// layer-sharded pipeline**. With `tail = true` this is exactly
-    /// [`PhotonicMlp::try_forward`]: the last layer's logits pass through
-    /// unactivated (the network tail, read by the loss). With
-    /// `tail = false` the last layer is an interior layer of a larger
-    /// network split across stage engines, so its rows go through the
-    /// same `latch_and_activate` path every other hidden layer uses and
-    /// the activated vector feeds the next stage.
-    pub fn try_forward_stage(&mut self, x: &[f64], tail: bool) -> Result<Vec<f64>, ArchError> {
         let mut out = Vec::new();
-        self.try_forward_stage_into(x, tail, &mut out)?;
+        self.try_forward_stage_into(x, true, &mut out)?;
         Ok(out)
     }
 
-    /// [`PhotonicMlp::try_forward_stage`] writing the stage output into a
-    /// caller-owned buffer (cleared first) — the zero-allocation form: a
-    /// warm engine with a warm `out` buffer performs no engine-side heap
-    /// allocation here.
+    /// Forward one sample through this engine as **one stage of a
+    /// layer-sharded pipeline**, writing the stage output into a
+    /// caller-owned buffer (cleared first). With `tail = true` this is
+    /// exactly [`PhotonicMlp::try_forward`]: the last layer's logits pass
+    /// through unactivated (the network tail, read by the loss). With
+    /// `tail = false` the last layer is an interior layer of a larger
+    /// network split across stage engines, so its rows go through the
+    /// same `latch_and_activate` path every other hidden layer uses and
+    /// the activated vector feeds the next stage. A warm engine with a
+    /// warm `out` buffer performs no engine-side heap allocation here.
     pub fn try_forward_stage_into(
         &mut self,
         x: &[f64],
@@ -525,11 +517,11 @@ impl PhotonicMlp {
     /// tiles, then either the tail identity (logits out) or the LDSU
     /// latch-and-activate; the resulting vector replaces `y`'s contents.
     ///
-    /// This is exactly the per-layer body of the pre-scratch
-    /// `try_forward_stage` — same float operations in the same order, same
-    /// PE call sequence, same psum energy charges — only the transient
-    /// `vec![]`s are replaced by reused buffers, so outputs stay bitwise
-    /// identical (pinned by `scratch_forward_is_bitwise_identical` below).
+    /// Shared by the per-sample and batched forwards — same float
+    /// operations in the same order, same PE call sequence, same psum
+    /// energy charges, with every transient in a reused buffer — so their
+    /// outputs are bitwise identical (pinned by
+    /// `scratch_forward_is_bitwise_identical` below).
     fn forward_layer_step(
         &mut self,
         k: usize,
@@ -573,7 +565,7 @@ impl PhotonicMlp {
     ///
     /// Returns per-sample outputs in input order; the slice borrows the
     /// engine's reusable batch buffers and is valid until the next
-    /// forward. With `tail` as in [`PhotonicMlp::try_forward_stage`].
+    /// forward. With `tail` as in [`PhotonicMlp::try_forward_stage_into`].
     pub fn try_forward_batch<S: AsRef<[f64]>>(
         &mut self,
         inputs: &[S],
@@ -969,7 +961,6 @@ impl PhotonicMlp {
     /// Simulated time across PEs (sequential-tile upper bound).
     pub fn total_elapsed(&self) -> Nanoseconds {
         self.layers.iter().fold(Nanoseconds::ZERO, |acc, layer| layer.fold_elapsed(acc))
-            + self.elapsed
     }
 
     /// The activation function the hardware applies between layers.
@@ -1026,7 +1017,7 @@ pub(crate) fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
 
 /// Index of the largest logit. Logits are ranked with a total order, so
 /// a pathological (NaN) output can never crash a classifier.
-pub(crate) fn argmax(logits: &[f64]) -> usize {
+pub fn argmax(logits: &[f64]) -> usize {
     logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
 }
 

@@ -23,7 +23,7 @@
 //! tables use.
 
 use crate::{Request, ServeError};
-use trident_arch::engine::{EngineOptions, PhotonicMlp};
+use trident_arch::engine::{argmax, EngineOptions, PhotonicMlp};
 use trident_arch::faults::{FaultPlan, FaultReport};
 use trident_arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident_arch::ArchError;
@@ -101,13 +101,7 @@ pub enum ReplicaEngine {
     /// enum stays pointer-sized regardless of engine footprint.
     Mlp(Box<PhotonicMlp>),
     /// ViT-style photonic transformer (classify forward only).
-    Vit {
-        /// The transformer engine.
-        tx: Box<PhotonicTransformer>,
-        /// Pseudo layer widths (`[input, d_model, out_dim]`) so fleet
-        /// scratch sizing keeps working unchanged.
-        dims: Vec<usize>,
-    },
+    Vit(Box<PhotonicTransformer>),
 }
 
 impl ReplicaEngine {
@@ -118,67 +112,60 @@ impl ReplicaEngine {
     ) -> Result<&[Vec<f64>], ArchError> {
         match self {
             ReplicaEngine::Mlp(e) => e.try_forward_batch(batch, tail),
-            ReplicaEngine::Vit { tx, .. } => tx.try_forward_batch(batch),
+            ReplicaEngine::Vit(tx) => tx.try_forward_batch(batch),
         }
     }
 
     fn total_elapsed_ns(&self) -> f64 {
         match self {
             ReplicaEngine::Mlp(e) => e.total_elapsed().value(),
-            ReplicaEngine::Vit { tx, .. } => tx.total_elapsed().value(),
+            ReplicaEngine::Vit(tx) => tx.total_elapsed().value(),
         }
     }
 
     fn total_energy_pj(&self) -> f64 {
         match self {
             ReplicaEngine::Mlp(e) => e.total_energy().value(),
-            ReplicaEngine::Vit { tx, .. } => tx.total_energy().value(),
+            ReplicaEngine::Vit(tx) => tx.total_energy().value(),
         }
     }
 
     fn reserve_forward_scratch(&mut self, batch: usize) {
         match self {
             ReplicaEngine::Mlp(e) => e.reserve_forward_scratch(batch),
-            // The transformer forward stages its own per-token buffers;
-            // there is no pre-sizable scratch, and correspondingly no
-            // zero-alloc steady-state claim for ViT fleets (the MLP
+            // The transformer sizes its scratch at construction, but each
+            // request still returns freshly allocated logits, so ViT
+            // fleets make no zero-alloc steady-state claim (the MLP
             // engine's `hot_path_allocs` contract stays MLP-only).
-            ReplicaEngine::Vit { .. } => {}
+            ReplicaEngine::Vit(_) => {}
         }
     }
 
     fn hot_path_allocs(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.hot_path_allocs(),
-            ReplicaEngine::Vit { .. } => 0,
-        }
-    }
-
-    fn dims(&self) -> &[usize] {
-        match self {
-            ReplicaEngine::Mlp(e) => e.dims(),
-            ReplicaEngine::Vit { dims, .. } => dims,
+            ReplicaEngine::Vit(_) => 0,
         }
     }
 
     fn masked_rings(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.masked_rings() as u64,
-            ReplicaEngine::Vit { .. } => 0,
+            ReplicaEngine::Vit(_) => 0,
         }
     }
 
     fn remapped_rings(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.remapped_rings(),
-            ReplicaEngine::Vit { .. } => 0,
+            ReplicaEngine::Vit(_) => 0,
         }
     }
 
     fn write_failures(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.write_failures(),
-            ReplicaEngine::Vit { .. } => 0,
+            ReplicaEngine::Vit(_) => 0,
         }
     }
 }
@@ -197,16 +184,6 @@ struct Replica {
     batches: u64,
     correct: u64,
     busy_ns: u64,
-}
-
-/// NaN-safe argmax over logits (total order, empty → class 0).
-fn argmax(logits: &[f64]) -> usize {
-    logits
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 /// End-of-run wear/energy/accuracy numbers for one replica.
@@ -366,10 +343,9 @@ impl Fleet {
                 return Err(ServeError::VitUnsupported { what: "receiver noise" });
             }
             let tx = Box::new(PhotonicTransformer::try_new(vit.clone())?);
-            let dims = vec![vit.input_width(), vit.d_model, vit.out_dim];
             let energy_baseline_pj = tx.total_energy().value();
             replicas.push(Replica {
-                engine: ReplicaEngine::Vit { tx, dims },
+                engine: ReplicaEngine::Vit(tx),
                 tail: true,
                 free_at_ns: 0,
                 energy_baseline_pj,
@@ -398,18 +374,25 @@ impl Fleet {
         for r in &mut self.replicas {
             r.engine.reserve_forward_scratch(batch);
         }
-        let wmax = self
-            .replicas
-            .iter()
-            .flat_map(|r| r.engine.dims().iter().copied())
-            .max()
-            .unwrap_or(0);
-        while self.stage_io.len() < batch {
-            self.stage_io.push(Vec::new());
-        }
-        for slot in &mut self.stage_io {
-            if slot.capacity() < wmax {
-                slot.reserve(wmax - slot.len());
+        // Only layer-pipeline dispatch hands stage outputs through
+        // `stage_io`, and only MLP fleets are layer-sharded.
+        if self.sharding == Sharding::LayerPipeline {
+            let wmax = self
+                .replicas
+                .iter()
+                .filter_map(|r| match &r.engine {
+                    ReplicaEngine::Mlp(e) => e.dims().iter().copied().max(),
+                    ReplicaEngine::Vit(_) => None,
+                })
+                .max()
+                .unwrap_or(0);
+            while self.stage_io.len() < batch {
+                self.stage_io.push(Vec::new());
+            }
+            for slot in &mut self.stage_io {
+                if slot.capacity() < wmax {
+                    slot.reserve(wmax - slot.len());
+                }
             }
         }
         if self.pred_scratch.capacity() < batch {
@@ -618,7 +601,7 @@ impl Fleet {
             .ok_or(ServeError::ReplicaOutOfRange { replica, replicas })?;
         match &mut target.engine {
             ReplicaEngine::Mlp(e) => Ok(e.inject_faults(plan)),
-            ReplicaEngine::Vit { .. } => {
+            ReplicaEngine::Vit(_) => {
                 Err(ServeError::VitUnsupported { what: "fault injection" })
             }
         }
