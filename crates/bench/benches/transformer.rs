@@ -1,7 +1,8 @@
 //! Criterion benchmarks of the transformer workloads (DESIGN.md §16):
 //! the photonic ViT/GPT engines. The `gpt_decode_token` median is the
 //! per-token serving figure the KV cache exists to protect — compare it
-//! against a full-sequence recompute growing quadratically with context.
+//! against `gpt_prefill`, the full-context causal recompute that a
+//! cache-free decoder would pay per token.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -25,6 +26,12 @@ fn photonic_transformers(c: &mut Criterion) {
             }
             black_box(gpt.try_decode_token(black_box(&token)).unwrap())
         })
+    });
+    c.bench_function("gpt_prefill", |b| {
+        let cfg = TransformerConfig::tiny_gpt();
+        let x: Vec<f64> = (0..cfg.input_width()).map(|i| ((i % 7) as f64 - 3.0) / 3.0).collect();
+        let mut gpt = PhotonicTransformer::try_new(cfg).unwrap();
+        b.iter(|| black_box(gpt.try_forward_causal(black_box(&x)).unwrap()))
     });
 }
 
