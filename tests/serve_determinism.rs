@@ -3,8 +3,8 @@
 //! report **byte for byte** in its machine-readable JSON form, at any
 //! thread count. The simulation guarantees this by running on a virtual
 //! clock with counter-addressed randomness (no wall time, no thread
-//! interleaving in any result), and the front-end by reassembling its
-//! sharded request preparation in shard order.
+//! interleaving in any result), and the front-end by preparing requests
+//! in one plain in-order loop.
 //!
 //! The thread override is process-global, so everything lives in one
 //! `#[test]` — the same pattern as `determinism_threads.rs`.
