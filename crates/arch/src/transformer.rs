@@ -16,7 +16,7 @@
 //!   row/column band per token while a full recompute reprograms
 //!   everything — the energy gap `workload::kv` quantifies.
 //! * **Digital LDSU ops** — softmax, LayerNorm, residual adds and the
-//!   mean-pool head run on the digital load/store unit ([`Ldsu`]), one
+//!   mean-pool head run on the digital load/store unit (`Ldsu`), one
 //!   ledger of typed energy/time charges (`EnergyPj` / [`Nanoseconds`])
 //!   plus obs counters (`ldsu_softmax_rows`, `ldsu_layer_norm_rows`,
 //!   `kv_cache_*`).
@@ -24,7 +24,7 @@
 //! ## One block schedule
 //!
 //! Every path streams tokens through one two-phase block step over one
-//! [`DecodeScratch`]: `block_in` (LN1, Q/K/V, K/V append at position
+//! `DecodeScratch`: `block_in` (LN1, Q/K/V, K/V append at position
 //! `t`) and `block_out` (attention over cache rows `0..limit`, `wo` and
 //! residual, LN2, FFN and residual). Decode and causal prefill run the
 //! two phases back to back per token with `limit = t + 1`; the encoder
@@ -530,8 +530,9 @@ impl PhotonicTransformer {
         };
         let blocks = (0..cfg.depth)
             .map(|_| {
-                // Weights and bank identities are independent streams;
-                // each runs wq, wk, wv, wo, w1, w2, then the KV banks.
+                // Weight draws and bank identities are independent
+                // streams: draws run wq…w2, identities wq…w2 and then
+                // each head's K and V bank.
                 let wq = Projection::init(&mut rng, grid(d, d));
                 let wk = Projection::init(&mut rng, grid(d, d));
                 let wv = Projection::init(&mut rng, grid(d, d));
