@@ -101,7 +101,7 @@ pub struct ProgramReport {
 /// use trident_pcm::gst::GstParameters;
 ///
 /// let mut bank = WeightBank::new(2, 2, GstParameters::default());
-/// bank.program(&[&[0.5, -0.5], &[1.0, 0.0]]).0; // optical writes
+/// bank.program_flat(&[0.5, -0.5, 1.0, 0.0]);    // optical writes
 /// let y = bank.mvm(&[1.0, 1.0]);                // optical dot products
 /// assert!((y[0] - 0.0).abs() < 0.05);
 /// assert!((y[1] - 1.0).abs() < 0.05);
@@ -353,10 +353,10 @@ impl WeightBank {
         &self.rings[r * self.cols + c]
     }
 
-    /// Program the whole bank from a row-major weight matrix (`rows`
-    /// slices of `cols` weights each, entries in `[-1, 1]`). All rings
-    /// program in parallel optically, so wall-clock cost is one write time
-    /// when anything changed. Returns `(energy, time)` spent.
+    /// Program the whole bank from a flat row-major `rows × cols` weight
+    /// matrix (entries in `[-1, 1]`). All rings program in parallel
+    /// optically, so wall-clock cost is one write time when anything
+    /// changed. Returns `(energy, time)` spent.
     ///
     /// This is the fast open-loop path (one ideal calibrated pulse per
     /// cell). Masked slots are skipped; writes rejected by stuck or worn
@@ -365,23 +365,14 @@ impl WeightBank {
     /// remapping path is [`WeightBank::try_program_verified`].
     ///
     /// # Panics
-    /// Panics on shape mismatches or out-of-range weights (caller bugs).
-    pub fn program(&mut self, weights: &[&[f64]]) -> (EnergyPj, Nanoseconds) {
-        assert_eq!(weights.len(), self.rows, "row count mismatch");
-        for (r, row) in weights.iter().enumerate() {
-            assert_eq!(row.len(), self.cols, "column count mismatch in row {r}");
-        }
-        self.program_cells(|r, c| weights[r][c])
-    }
-
-    /// [`WeightBank::program`] from a flat row-major matrix (for tensors).
+    /// Panics on a size mismatch or out-of-range weights (caller bugs).
     pub fn program_flat(&mut self, weights: &[f64]) -> (EnergyPj, Nanoseconds) {
         assert_eq!(weights.len(), self.rows * self.cols, "matrix size mismatch");
         let cols = self.cols;
         self.program_cells(|r, c| weights[r * cols + c])
     }
 
-    /// The open-loop write sweep behind [`WeightBank::program`], reading
+    /// The open-loop write sweep behind [`WeightBank::program_flat`], reading
     /// the weight of cell `(r, c)` from `weight` (the caller has checked
     /// the shape). A cell asked for the weight it last accepted is a
     /// write no-op and is skipped without a LUT search. Each row whose
@@ -1045,8 +1036,7 @@ mod tests {
     }
 
     fn program(bank: &mut WeightBank, w: &[[f64; 4]; 4]) {
-        let rows: Vec<&[f64]> = w.iter().map(|r| r.as_slice()).collect();
-        bank.program(&rows);
+        bank.program_flat(w.as_flattened());
     }
 
     #[test]
@@ -1159,7 +1149,7 @@ mod tests {
         let mut b = WeightBank::new(1, 16, GstParameters::default());
         let mut w = vec![1.0; 16];
         w[8] = 0.0;
-        b.program(&[&w]);
+        b.program_flat(&w);
         // Drive only channel 8; the row output should be ~0 despite the
         // 15 loud neighbours.
         let mut x = vec![0.0; 16];
@@ -1217,9 +1207,7 @@ mod tests {
     #[should_panic]
     fn program_rejects_wrong_shape() {
         let mut b = bank4();
-        let row = [0.0f64; 3];
-        let rows: Vec<&[f64]> = vec![&row; 4];
-        b.program(&rows);
+        b.program_flat(&[0.0; 12]);
     }
 
     // ---- fault-aware programming and graceful degradation ----
@@ -1520,9 +1508,8 @@ mod equivalence_tests {
                 for _ in 0..3 {
                     last[rng.gen_range(0..n)] = f64::from(rng.gen_range(-8i32..=8)) / 8.0;
                 }
-                let rows: Vec<&[f64]> = last.chunks(size).collect();
                 forget(b);
-                write(b.program(&rows))
+                write(b.program_flat(last))
             }
             2 => {
                 if rng.gen_bool(0.5) {

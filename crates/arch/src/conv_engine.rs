@@ -26,6 +26,7 @@ use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::convert::Infallible;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
@@ -336,7 +337,7 @@ impl PhotonicCnn {
     }
 
     /// Heap-growth events on the forward hot path since construction
-    /// (see [`ConvScratch`]). Zero across a window of warm forwards is
+    /// (see `ConvScratch`). Zero across a window of warm forwards is
     /// the zero-allocation claim.
     pub fn hot_path_allocs(&self) -> u64 {
         self.scratch.heap_allocs
@@ -470,7 +471,8 @@ impl PhotonicCnn {
 
     /// Accuracy over a labelled set.
     pub fn accuracy(&mut self, images: &[Vec<f64>], labels: &[usize]) -> f64 {
-        accuracy_of(images, labels, |x| self.forward(x))
+        let Ok(accuracy) = accuracy_of(images, labels, |x| Ok::<_, Infallible>(self.forward(x)));
+        accuracy
     }
 
     /// One in-situ training step. The dense gradients use the Table II

@@ -86,22 +86,10 @@ impl DfaFeedback {
     }
 }
 
-/// One DFA training step on `engine` using `feedback`. Returns the loss.
-///
+/// DFA training over a dataset for `epochs`: per sample,
 /// [`PhotonicMlp::try_train_sample`] with the gradient-vector phase
-/// swapped out: each hidden layer's error arrives via its fixed feedback
-/// bank (no `Wᵀ` reprogramming sweeps).
-pub fn train_sample_dfa(
-    engine: &mut PhotonicMlp,
-    feedback: &mut DfaFeedback,
-    x: &[f64],
-    label: usize,
-    learning_rate: f64,
-) -> Result<f64, ArchError> {
-    engine.train_step(x, label, learning_rate, Some(feedback))
-}
-
-/// DFA training over a dataset for `epochs`. Returns per-epoch losses.
+/// swapped out — each hidden layer's error arrives via its fixed feedback
+/// bank (no `Wᵀ` reprogramming sweeps). Returns per-epoch losses.
 pub fn train_dfa(
     engine: &mut PhotonicMlp,
     feedback: &mut DfaFeedback,
@@ -116,7 +104,12 @@ pub fn train_dfa(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineOptions;
     use trident_nn::data::synthetic_digits;
+
+    fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
+        PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
+    }
 
     fn digit_data(per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
         let data = synthetic_digits(per_class, 0.05, 31);
@@ -128,7 +121,7 @@ mod tests {
 
     #[test]
     fn projection_matches_matrix_math() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
+        let engine = mlp(&[10, 8, 4], 5);
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         assert_eq!(fb.layer_count(), 1);
         let e = vec![0.5, -0.25, 0.75, -1.0];
@@ -146,7 +139,7 @@ mod tests {
 
     #[test]
     fn feedback_banks_are_programmed_once() {
-        let engine = PhotonicMlp::new(&[10, 8, 4], 5, None, 8);
+        let engine = mlp(&[10, 8, 4], 5);
         let mut fb = DfaFeedback::for_engine(&engine, 99);
         let before = fb.programming_energy();
         assert!(before.value() > 0.0);
@@ -160,14 +153,14 @@ mod tests {
     #[test]
     fn dfa_learns_the_digit_task() {
         let (xs, labels) = digit_data(3);
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
+        let mut engine = mlp(&[64, 16, 10], 7);
         let mut fb = DfaFeedback::for_engine(&engine, 41);
         let history = train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
         assert!(
             history.last().unwrap() < history.first().unwrap(),
             "DFA loss should fall: {history:?}"
         );
-        let acc = engine.accuracy(&xs, &labels);
+        let acc = engine.accuracy(&xs, &labels).unwrap();
         assert!(acc > 0.5, "DFA accuracy {acc} should beat chance decisively");
     }
 
@@ -176,13 +169,13 @@ mod tests {
         // §VI's point: DFA is the weaker signal. With identical budgets,
         // true backpropagation should do at least as well.
         let (xs, labels) = digit_data(3);
-        let mut bp = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
-        let bp_outcome = bp.train(&xs, &labels, 0.1, 10);
+        let mut bp = mlp(&[64, 16, 10], 7);
+        let bp_outcome = bp.try_train(&xs, &labels, 0.1, 10).unwrap();
 
-        let mut dfa_engine = PhotonicMlp::new(&[64, 16, 10], 7, None, 8);
+        let mut dfa_engine = mlp(&[64, 16, 10], 7);
         let mut fb = DfaFeedback::for_engine(&dfa_engine, 41);
         train_dfa(&mut dfa_engine, &mut fb, &xs, &labels, 0.3, 10).unwrap();
-        let dfa_acc = dfa_engine.accuracy(&xs, &labels);
+        let dfa_acc = dfa_engine.accuracy(&xs, &labels).unwrap();
 
         assert!(
             bp_outcome.final_accuracy >= dfa_acc - 0.05,

@@ -180,25 +180,11 @@ impl Default for EngineOptions {
 
 impl PhotonicMlp {
     /// Build a photonic MLP with layer widths `dims` (e.g. `[64, 16, 10]`)
-    /// on 16×16 PEs, Xavier-initialised from `seed`.
-    /// `noise_seed` enables receiver noise; `weight_bits` sets the
-    /// quantization the tuning technology supports.
-    pub fn new(dims: &[usize], seed: u64, noise_seed: Option<u64>, weight_bits: u8) -> Self {
-        Self::with_options(dims, EngineOptions { seed, noise_seed, weight_bits, ..Default::default() })
-    }
-
-    /// Build with full [`EngineOptions`] (fabrication variation etc.).
-    ///
-    /// # Panics
-    /// Panics on fewer than two layer widths, weight bits outside
-    /// `2..=8`, or an unrecoverable device error in the verified initial
-    /// programming pass; [`PhotonicMlp::try_with_options`] is the
-    /// typed-error form.
-    pub fn with_options(dims: &[usize], opts: EngineOptions) -> Self {
-        Self::try_with_options(dims, opts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::with_options`].
+    /// on 16×16 PEs, Xavier-initialised from `opts.seed`, with the rest of
+    /// [`EngineOptions`] (receiver noise, weight bits, fabrication
+    /// variation, statistical PCM model). Fails on fewer than two layer
+    /// widths, weight bits outside `2..=8`, or a device error in the
+    /// initial programming pass.
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
             opts;
@@ -450,15 +436,6 @@ impl PhotonicMlp {
 
     /// Forward one sample photonically. Input entries must lie in `[0, 1]`
     /// (image-like data). Returns the output logits.
-    ///
-    /// # Panics
-    /// Panics on an input-width mismatch; [`PhotonicMlp::try_forward`] is
-    /// the typed-error form.
-    pub fn forward(&mut self, x: &[f64]) -> Vec<f64> {
-        self.try_forward(x).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::forward`].
     pub fn try_forward(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
         let mut out = Vec::new();
         self.try_forward_stage_into(x, true, &mut out)?;
@@ -650,7 +627,7 @@ impl PhotonicMlp {
     }
 
     /// Heap-growth events on the forward hot path since construction
-    /// (see [`ForwardScratch`]). Zero growth across a window of warm
+    /// (see `ForwardScratch`). Zero growth across a window of warm
     /// forwards is the zero-allocation claim `ablation_serve` checks.
     pub fn hot_path_allocs(&self) -> u64 {
         self.scratch.heap_allocs
@@ -662,24 +639,12 @@ impl PhotonicMlp {
     }
 
     /// Accuracy over a set of samples.
-    ///
-    /// # Panics
-    /// Panics on an input-width mismatch.
-    pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> f64 {
-        accuracy_of(xs, labels, |x| self.forward(x))
+    pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> Result<f64, ArchError> {
+        accuracy_of(xs, labels, |x| self.try_forward(x))
     }
 
     /// One in-situ training step on a single sample (the paper's
     /// alternating forward/backward schedule). Returns the sample loss.
-    ///
-    /// # Panics
-    /// Panics on bad input width or label;
-    /// [`PhotonicMlp::try_train_sample`] is the typed-error form.
-    pub fn train_sample(&mut self, x: &[f64], label: usize, learning_rate: f64) -> f64 {
-        self.try_train_sample(x, label, learning_rate).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train_sample`].
     pub fn try_train_sample(
         &mut self,
         x: &[f64],
@@ -701,10 +666,7 @@ impl PhotonicMlp {
         learning_rate: f64,
         mut feedback: Option<&mut DfaFeedback>,
     ) -> Result<f64, ArchError> {
-        let classes = self.dims.last().copied().unwrap_or(0);
-        if label >= classes {
-            return Err(ArchError::LabelOutOfRange { label, classes });
-        }
+        self.check_label(label)?;
         let _span = obs::span("engine.train_sample");
         let logits = self.try_forward(x)?;
         let (loss, error) = softmax_grad(&logits, label);
@@ -725,6 +687,15 @@ impl PhotonicMlp {
         weight_grads.reverse();
         self.apply_weight_grads(&weight_grads, learning_rate)?;
         Ok(loss)
+    }
+
+    /// `LabelOutOfRange` unless `label` names one of the output classes.
+    fn check_label(&self, label: usize) -> Result<(), ArchError> {
+        let classes = self.dims.last().copied().unwrap_or(0);
+        if label >= classes {
+            return Err(ArchError::LabelOutOfRange { label, classes });
+        }
+        Ok(())
     }
 
     /// Mini-batch training: one weight update per `batch_size` samples,
@@ -753,6 +724,7 @@ impl PhotonicMlp {
                 expected: "at least 1",
             });
         }
+        labels.iter().try_for_each(|&label| self.check_label(label))?;
         let _span = obs::span("engine.train_batched");
         let layer_count = self.layer_count();
         let mut loss_history = Vec::with_capacity(epochs);
@@ -807,7 +779,7 @@ impl PhotonicMlp {
             }
             loss_history.push(epoch_loss / xs.len() as f64);
         }
-        Ok(self.outcome(loss_history, xs, labels))
+        self.outcome(loss_history, xs, labels)
     }
 
     /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
@@ -871,21 +843,6 @@ impl PhotonicMlp {
     }
 
     /// Train for `epochs` over a dataset, evaluating on the same set.
-    ///
-    /// # Panics
-    /// Panics on mismatched inputs/labels or a device error;
-    /// [`PhotonicMlp::try_train`] is the typed-error form.
-    pub fn train(
-        &mut self,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-        learning_rate: f64,
-        epochs: usize,
-    ) -> TrainingOutcome {
-        self.try_train(xs, labels, learning_rate, epochs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`PhotonicMlp::train`].
     pub fn try_train(
         &mut self,
         xs: &[Vec<f64>],
@@ -894,7 +851,7 @@ impl PhotonicMlp {
         epochs: usize,
     ) -> Result<TrainingOutcome, ArchError> {
         let loss_history = self.train_epochs(xs, labels, learning_rate, epochs, None)?;
-        Ok(self.outcome(loss_history, xs, labels))
+        self.outcome(loss_history, xs, labels)
     }
 
     /// A finished run's report: `loss_history`, the accuracy on the
@@ -904,14 +861,14 @@ impl PhotonicMlp {
         loss_history: Vec<f64>,
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> TrainingOutcome {
-        TrainingOutcome {
+    ) -> Result<TrainingOutcome, ArchError> {
+        Ok(TrainingOutcome {
             loss_history,
-            final_accuracy: self.accuracy(xs, labels),
+            final_accuracy: self.accuracy(xs, labels)?,
             total_energy: self.total_energy(),
             programming_energy: self.programming_energy(),
             elapsed: self.total_elapsed(),
-        }
+        })
     }
 
     /// `epochs` passes of [`PhotonicMlp::train_step`] over a dataset, in
@@ -1021,14 +978,18 @@ pub fn argmax(logits: &[f64]) -> usize {
     logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
 }
 
-/// Fraction of `xs` whose `logits` argmax matches its label.
-pub(crate) fn accuracy_of(
+/// Fraction of `xs` whose `logits` argmax matches its label; the first
+/// failed forward ends the sweep with its error.
+pub(crate) fn accuracy_of<E>(
     xs: &[Vec<f64>],
     labels: &[usize],
-    mut logits: impl FnMut(&[f64]) -> Vec<f64>,
-) -> f64 {
-    let correct = xs.iter().zip(labels).filter(|&(x, &label)| argmax(&logits(x)) == label).count();
-    count(correct) / count(labels.len())
+    mut logits: impl FnMut(&[f64]) -> Result<Vec<f64>, E>,
+) -> Result<f64, E> {
+    let mut correct = 0;
+    for (x, &label) in xs.iter().zip(labels) {
+        correct += usize::from(argmax(&logits(x)?) == label);
+    }
+    Ok(count(correct) / count(labels.len()))
 }
 
 /// Round `w` onto the `bits`-bit tuning grid of the photonic range.
@@ -1049,6 +1010,10 @@ pub(crate) fn apply_update(weights: &mut [f64], grads: &[f64], learning_rate: f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
+        PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
+    }
 
     fn reference_forward(engine: &PhotonicMlp, x: &[f64]) -> Vec<f64> {
         // Float-math mirror of the photonic forward pass.
@@ -1077,9 +1042,9 @@ mod tests {
 
     #[test]
     fn photonic_forward_matches_float_reference() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 42, None, 8);
+        let mut engine = mlp(&[8, 6, 3], 42);
         let x: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let reference = reference_forward(&engine, &x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
@@ -1093,10 +1058,10 @@ mod tests {
     fn tiled_layer_matches_reference() {
         // 40 inputs forces column tiling (3 tiles of 16). Seed pinned
         // against the vendored RNG stream with 2× margin on the bound.
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
+        let mut engine = mlp(&[40, 20, 4], 23);
         assert!(engine.pe_count() > 3 * 2, "tiling must allocate PEs");
         let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let reference = reference_forward(&engine, &x);
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
@@ -1108,9 +1073,9 @@ mod tests {
 
     #[test]
     fn gradient_vector_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[6, 5, 3], 3, None, 8);
+        let mut engine = mlp(&[6, 5, 3], 3);
         let x = [0.2, 0.9, 0.4, 0.1, 0.7, 0.5];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let delta = vec![0.3, -0.7, 0.2];
         let photonic = engine.gradient_vector_layer(1, &delta).expect("valid layer");
         // Math: (W1ᵀ δ) ⊙ f'(h0).
@@ -1135,9 +1100,9 @@ mod tests {
 
     #[test]
     fn outer_product_mode_matches_math() {
-        let mut engine = PhotonicMlp::new(&[5, 4, 2], 5, None, 8);
+        let mut engine = mlp(&[5, 4, 2], 5);
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let delta = vec![0.5, -1.0];
         let grad = engine.outer_product_layer(1, &delta);
         let y = engine.cached_inputs[1].clone();
@@ -1157,7 +1122,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_insitu() {
-        let mut engine = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
+        let mut engine = mlp(&[8, 8, 3], 11);
         // Three linearly separable prototype inputs.
         let xs: Vec<Vec<f64>> = vec![
             vec![1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -1165,7 +1130,7 @@ mod tests {
             vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
         ];
         let labels = vec![0, 1, 2];
-        let outcome = engine.train(&xs, &labels, 0.4, 25);
+        let outcome = engine.try_train(&xs, &labels, 0.4, 25).unwrap();
         let first = outcome.loss_history.first().copied().unwrap();
         let last = outcome.loss_history.last().copied().unwrap();
         assert!(last < first, "loss should fall: {first} → {last}");
@@ -1180,10 +1145,11 @@ mod tests {
 
     #[test]
     fn weight_updates_are_quantized_and_clipped() {
-        let mut engine = PhotonicMlp::new(&[4, 3, 2], 2, None, 6);
+        let opts = EngineOptions { seed: 2, weight_bits: 6, ..Default::default() };
+        let mut engine = PhotonicMlp::try_with_options(&[4, 3, 2], opts).unwrap();
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         let labels = vec![0];
-        engine.train(&xs, &labels, 10.0, 3); // huge lr to force clipping
+        engine.try_train(&xs, &labels, 10.0, 3).unwrap(); // huge lr to force clipping
         let step = 2.0 / ((1u32 << 6) - 2) as f64;
         for k in 0..engine.layer_count() {
             for &w in engine.layer_weights(k) {
@@ -1216,7 +1182,7 @@ mod tests {
 
     #[test]
     fn zero_batch_size_is_a_typed_error() {
-        let mut engine = PhotonicMlp::new(&[4, 2], 1, None, 8);
+        let mut engine = mlp(&[4, 2], 1);
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         assert!(matches!(
             engine.try_train_batched(&xs, &[0], 0.1, 1, 0),
@@ -1225,8 +1191,23 @@ mod tests {
     }
 
     #[test]
+    fn batched_out_of_range_label_is_a_typed_error() {
+        let mut engine = mlp(&[4, 3], 1);
+        let before = engine.snapshot_weights();
+        let energy = engine.total_energy();
+        let xs = vec![vec![1.0, 0.0, 1.0, 0.0]; 2];
+        // The bad label sits in the second sample: nothing may run first.
+        assert!(matches!(
+            engine.try_train_batched(&xs, &[0, 7], 0.1, 1, 2),
+            Err(ArchError::LabelOutOfRange { label: 7, classes: 3 })
+        ));
+        assert_eq!(engine.snapshot_weights(), before);
+        assert_eq!(engine.total_energy(), energy);
+    }
+
+    #[test]
     fn set_layer_weights_round_trips() {
-        let mut engine = PhotonicMlp::new(&[3, 2, 2], 1, None, 8);
+        let mut engine = mlp(&[3, 2, 2], 1);
         let w = vec![0.5, -0.5, 0.25, -0.25, 0.75, -0.75];
         engine.try_set_layer_weights(0, &w).unwrap();
         for (got, want) in engine.layer_weights(0).iter().zip(&w) {
@@ -1244,10 +1225,10 @@ mod tests {
         ];
         let labels = vec![0usize, 1, 2, 0];
 
-        let mut per_sample = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
-        let per_sample_outcome = per_sample.train(&xs, &labels, 0.4, 12);
+        let mut per_sample = mlp(&[8, 8, 3], 11);
+        let per_sample_outcome = per_sample.try_train(&xs, &labels, 0.4, 12).unwrap();
 
-        let mut batched = PhotonicMlp::new(&[8, 8, 3], 11, None, 8);
+        let mut batched = mlp(&[8, 8, 3], 11);
         let batched_outcome = batched.try_train_batched(&xs, &labels, 0.4, 12, 4).unwrap();
 
         assert!(
@@ -1268,13 +1249,13 @@ mod tests {
 
     #[test]
     fn energy_grows_with_work() {
-        let mut engine = PhotonicMlp::new(&[8, 6, 3], 9, None, 8);
+        let mut engine = mlp(&[8, 6, 3], 9);
         let after_init = engine.total_energy();
         let x: Vec<f64> = vec![0.5; 8];
-        engine.forward(&x);
+        engine.try_forward(&x).unwrap();
         let after_forward = engine.total_energy();
         assert!(after_forward.value() > after_init.value());
-        engine.train_sample(&x, 1, 0.1);
+        engine.try_train_sample(&x, 1, 0.1).unwrap();
         assert!(engine.total_energy().value() > after_forward.value());
         assert!(engine.total_elapsed().value() > 0.0);
     }
@@ -1291,9 +1272,11 @@ mod tests {
         // call visible: the batched layer-major sweep must hand each PE
         // the exact per-sample call sequence the per-sample loop does.
         let xs = batch_inputs(4, 40);
-        let mut sequential = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
-        let expected: Vec<Vec<f64>> = xs.iter().map(|x| sequential.forward(x)).collect();
-        let mut batched = PhotonicMlp::new(&[40, 20, 4], 23, Some(7), 8);
+        let opts = EngineOptions { seed: 23, noise_seed: Some(7), ..Default::default() };
+        let mut sequential = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
+        let expected: Vec<Vec<f64>> =
+            xs.iter().map(|x| sequential.try_forward(x).unwrap()).collect();
+        let mut batched = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
         let got = batched.try_forward_batch(&xs, true).unwrap();
         assert_eq!(got.len(), expected.len());
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
@@ -1327,7 +1310,7 @@ mod tests {
 
     #[test]
     fn warm_engine_forwards_without_heap_allocs() {
-        let mut engine = PhotonicMlp::new(&[40, 20, 4], 23, None, 8);
+        let mut engine = mlp(&[40, 20, 4], 23);
         let xs = batch_inputs(8, 40);
         engine.reserve_forward_scratch(xs.len());
         // First batch may still grow cold corners (e.g. an output buffer

@@ -12,9 +12,10 @@
 //!
 //! * [`FaultPlan`] — a seedable description of a fault population, either
 //!   given directly as per-ring probabilities or sampled from a projected
-//!   [`EnduranceReport`](crate::endurance::EnduranceReport);
-//! * [`FaultReport`] — what [`PhotonicMlp::inject_faults`] actually
-//!   injected;
+//!   [`EnduranceReport`];
+//! * [`FaultReport`] — what
+//!   [`PhotonicMlp::inject_faults`](crate::engine::PhotonicMlp::inject_faults)
+//!   actually injected;
 //! * [`DeploymentStudy::run_faults`] — the end-to-end campaign on the
 //!   shared deploy-and-fine-tune protocol: pretrain on a healthy chip,
 //!   inject faults, measure the accuracy drop, fine-tune in situ on the
@@ -86,7 +87,8 @@ impl FaultPlan {
     }
 }
 
-/// What [`PhotonicMlp::inject_faults`] actually injected.
+/// What [`PhotonicMlp::inject_faults`](crate::engine::PhotonicMlp::inject_faults)
+/// actually injected.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Cells pinned fully amorphous.
@@ -173,12 +175,12 @@ impl DeploymentStudy {
                 // weights and dead rings read zero. Recovery then comes from
                 // the first verified reprogram (remap/mask) plus in-situ
                 // fine-tuning.
-                let faulted = chip.accuracy(xs, labels);
+                let faulted = chip.accuracy(xs, labels)?;
                 chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
                 Ok([
                     report.hard_fault_fraction(),
                     faulted,
-                    chip.accuracy(xs, labels),
+                    chip.accuracy(xs, labels)?,
                     chip.write_failures() as f64,
                     chip.remapped_rings() as f64,
                     chip.masked_rings() as f64,
@@ -210,6 +212,10 @@ mod tests {
     use trident_nn::data::synthetic_digits;
     use trident_workload::zoo;
 
+    fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
+        PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
+    }
+
     fn digit_data(per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
         let data = synthetic_digits(per_class, 0.05, 99);
         let xs = (0..data.len())
@@ -221,12 +227,12 @@ mod tests {
     #[test]
     fn plans_are_deterministic_in_their_seed() {
         let plan = FaultPlan::stuck_cells(0.05, 42);
-        let mut a = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
-        let mut b = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
+        let mut a = mlp(&[16, 8, 4], 1);
+        let mut b = mlp(&[16, 8, 4], 1);
         let ra = a.inject_faults(&plan);
         let rb = b.inject_faults(&plan);
         assert_eq!(ra, rb, "same plan + seed must inject identical faults");
-        let mut c = PhotonicMlp::new(&[16, 8, 4], 1, None, 8);
+        let mut c = mlp(&[16, 8, 4], 1);
         let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan });
         assert_ne!(
             (ra.stuck_amorphous, ra.stuck_crystalline),

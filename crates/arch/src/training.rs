@@ -196,17 +196,19 @@ pub struct AdaptationOutcome {
 impl DualAdaptiveTrainer {
     /// Learn a fresh error model by sweeping the adaptation inputs
     /// through both the photonic hardware and its digital twin.
-    pub fn learn_error_model(&self, engine: &mut PhotonicMlp, xs: &[Vec<f64>]) -> ErrorModel {
-        let layers = engine.layer_count();
-        assert!(layers > 0, "engine has no layers");
-        let (outputs, _) = engine.layer_dims(layers - 1);
+    pub fn learn_error_model(
+        &self,
+        engine: &mut PhotonicMlp,
+        xs: &[Vec<f64>],
+    ) -> Result<ErrorModel, ArchError> {
+        let (outputs, _) = engine.layer_dims(engine.layer_count() - 1);
         let mut model = ErrorModel::new(outputs, self.error_smoothing);
         for x in xs {
-            let photonic = engine.forward(x);
+            let photonic = engine.try_forward(x)?;
             let reference = engine.digital_forward(x);
             model.observe(&photonic, &reference);
         }
-        model
+        Ok(model)
     }
 
     /// Accuracy of the engine with `model`-corrected logits.
@@ -215,10 +217,18 @@ impl DualAdaptiveTrainer {
         model: &ErrorModel,
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> f64 {
-        assert_eq!(xs.len(), labels.len(), "samples/labels length mismatch");
-        assert!(!xs.is_empty(), "need at least one sample");
-        accuracy_of(xs, labels, |x| model.corrected(&engine.forward(x)))
+    ) -> Result<f64, ArchError> {
+        if xs.len() != labels.len() {
+            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
+        }
+        if xs.is_empty() {
+            return Err(ArchError::InvalidParameter {
+                name: "samples",
+                value: 0,
+                expected: "at least 1",
+            });
+        }
+        accuracy_of(xs, labels, |x| Ok(model.corrected(&engine.try_forward(x)?)))
     }
 
     /// Run the full dual loop on a (degraded) engine: learn the error
@@ -230,7 +240,7 @@ impl DualAdaptiveTrainer {
         engine: &mut PhotonicMlp,
         xs: &[Vec<f64>],
         labels: &[usize],
-    ) -> AdaptationOutcome {
+    ) -> Result<AdaptationOutcome, ArchError> {
         let _span = if trident_obs::enabled() {
             trident_obs::span_owned("training.dual_adaptive".to_string())
         } else {
@@ -239,8 +249,8 @@ impl DualAdaptiveTrainer {
         if engine.stat_enabled() {
             engine.calibrate_drift_compensation();
         }
-        let pre = self.learn_error_model(engine, xs);
-        let corrected_accuracy = Self::corrected_accuracy(engine, &pre, xs, labels);
+        let pre = self.learn_error_model(engine, xs)?;
+        let corrected_accuracy = Self::corrected_accuracy(engine, &pre, xs, labels)?;
         // Fine-tuning reprograms (and thereby un-drifts) cells one write
         // at a time, so the calibrated gain goes stale mid-campaign and
         // would amplify forward *and* backward products of the refreshed
@@ -248,14 +258,14 @@ impl DualAdaptiveTrainer {
         // Open the compensation loop for the campaign, then recalibrate.
         if self.finetune_epochs > 0 {
             engine.disengage_drift_compensation();
-            engine.train(xs, labels, self.learning_rate, self.finetune_epochs);
+            engine.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
             if engine.stat_enabled() {
                 engine.calibrate_drift_compensation();
             }
         }
-        let error_model = self.learn_error_model(engine, xs);
-        let adapted_accuracy = Self::corrected_accuracy(engine, &error_model, xs, labels);
-        AdaptationOutcome { error_model, corrected_accuracy, adapted_accuracy }
+        let error_model = self.learn_error_model(engine, xs)?;
+        let adapted_accuracy = Self::corrected_accuracy(engine, &error_model, xs, labels)?;
+        Ok(AdaptationOutcome { error_model, corrected_accuracy, adapted_accuracy })
     }
 }
 
@@ -419,15 +429,14 @@ mod tests {
             .collect();
         let labels = data.labels;
 
-        let mut chip = PhotonicMlp::with_options(
-            &[64, 16, 10],
-            EngineOptions { seed: 11, stat: Some(StatParams::default()), ..Default::default() },
-        );
-        chip.train(&xs, &labels, 0.1, 8);
+        let stat = Some(StatParams::default());
+        let opts = EngineOptions { seed: 11, stat, ..Default::default() };
+        let mut chip = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
+        chip.try_train(&xs, &labels, 0.1, 8).unwrap();
         chip.advance_deployment(Hours::from_days(30.0));
-        let degraded = chip.accuracy(&xs, &labels);
+        let degraded = chip.accuracy(&xs, &labels).unwrap();
 
-        let outcome = DualAdaptiveTrainer::default().adapt(&mut chip, &xs, &labels);
+        let outcome = DualAdaptiveTrainer::default().adapt(&mut chip, &xs, &labels).unwrap();
         assert!(outcome.error_model.update_count() > 0);
         assert!(
             outcome.adapted_accuracy >= degraded - 1e-9,

@@ -111,9 +111,9 @@ impl DeploymentStudy {
                 ..Default::default()
             },
             |_, _, chip| {
-                let deployed = chip.accuracy(xs, labels);
+                let deployed = chip.accuracy(xs, labels)?;
                 chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
-                Ok([deployed, chip.accuracy(xs, labels)])
+                Ok([deployed, chip.accuracy(xs, labels)?])
             },
             |&sigma_nm, ideal_accuracy, [deployed, finetuned]| VariationRow {
                 sigma_nm,
@@ -148,12 +148,12 @@ impl DeploymentStudy {
                 EngineOptions { seed: 11, stat: Some(stat), ..Default::default() }
             },
             |&hours, _, chip| {
-                let baseline = chip.accuracy(xs, labels);
+                let baseline = chip.accuracy(xs, labels)?;
                 chip.advance_deployment(Hours(hours));
-                let uncompensated = chip.accuracy(xs, labels);
+                let uncompensated = chip.accuracy(xs, labels)?;
                 chip.calibrate_drift_compensation();
-                let compensated = chip.accuracy(xs, labels);
-                let adaptive = trainer.adapt(chip, xs, labels).adapted_accuracy;
+                let compensated = chip.accuracy(xs, labels)?;
+                let adaptive = trainer.adapt(chip, xs, labels)?.adapted_accuracy;
                 Ok([baseline, uncompensated, compensated, adaptive])
             },
             |&hours, _, [baseline, uncompensated, compensated, adaptive]| DriftRow {

@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use trident::arch::engine::PhotonicMlp;
+use trident::arch::engine::{EngineOptions, PhotonicMlp};
 use trident::arch::pe::ProcessingElement;
 
 fn pe_modes(c: &mut Criterion) {
@@ -36,14 +36,16 @@ fn pe_modes(c: &mut Criterion) {
 
 fn engine_passes(c: &mut Criterion) {
     c.bench_function("mlp_forward_64_16_10", |b| {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 1, None, 8);
+        let opts = EngineOptions { seed: 1, ..Default::default() };
+        let mut engine = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
         let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 / 7.0).collect();
-        b.iter(|| black_box(engine.forward(black_box(&x))))
+        b.iter(|| black_box(engine.try_forward(black_box(&x)).unwrap()))
     });
     c.bench_function("mlp_train_sample_64_16_10", |b| {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 1, None, 8);
+        let opts = EngineOptions { seed: 1, ..Default::default() };
+        let mut engine = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
         let x: Vec<f64> = (0..64).map(|i| (i % 7) as f64 / 7.0).collect();
-        b.iter(|| black_box(engine.train_sample(black_box(&x), 3, 0.05)))
+        b.iter(|| black_box(engine.try_train_sample(black_box(&x), 3, 0.05).unwrap()))
     });
 }
 

@@ -73,7 +73,7 @@ fn serve_batch(c: &mut Criterion) {
                 id: i as u64,
                 arrival_ns: 0,
                 deadline_ns: cfg.slo_ns,
-                input: cfg.dataset[i % cfg.dataset.len()].0.clone(),
+                input: &cfg.dataset[i % cfg.dataset.len()].0,
                 label: cfg.dataset[i % cfg.dataset.len()].1,
             })
             .collect();

@@ -8,7 +8,7 @@
 
 use crate::report::{f, TextTable};
 use trident_arch::config::TridentConfig;
-use trident_arch::engine::PhotonicMlp;
+use trident_arch::engine::{EngineOptions, PhotonicMlp};
 use trident_arch::perf::TridentPerfModel;
 use trident_arch::{ArchError, DeploymentStudy};
 use trident_nn::data::synthetic_digits;
@@ -67,14 +67,16 @@ pub mod bits {
             .iter()
             .map(|&bits| {
                 // Seed pinned against the vendored RNG stream (vendor/rand);
-                // chosen for a healthy initial draw at test-sized runs.
-                let mut engine = PhotonicMlp::new(&[64, 16, 10], 16, None, bits);
-                let outcome = engine.train(&xs, &labels, 0.1, epochs);
-                Row {
-                    bits,
-                    accuracy: outcome.final_accuracy,
-                    final_loss: outcome.loss_history.last().copied().unwrap_or(f64::NAN),
-                }
+                // chosen for a healthy initial draw at test-sized runs. A
+                // run that fails reports NaN accuracy and loss.
+                let opts = EngineOptions { seed: 16, weight_bits: bits, ..Default::default() };
+                let (accuracy, final_loss) = PhotonicMlp::try_with_options(&[64, 16, 10], opts)
+                    .and_then(|mut engine| engine.try_train(&xs, &labels, 0.1, epochs))
+                    .map_or((f64::NAN, f64::NAN), |outcome| {
+                        let loss = outcome.loss_history.last().copied().unwrap_or(f64::NAN);
+                        (outcome.final_accuracy, loss)
+                    });
+                Row { bits, accuracy, final_loss }
             })
             .collect()
     }
@@ -276,7 +278,6 @@ pub mod scale {
 pub mod dfa_vs_bp {
     use super::*;
     use trident_arch::dfa::{train_dfa, DfaFeedback};
-    use trident_arch::engine::EngineOptions;
 
     /// Comparison of the two training rules on identical hardware/data.
     #[derive(Debug, Clone, PartialEq)]
@@ -301,7 +302,7 @@ pub mod dfa_vs_bp {
         let dfa = PhotonicMlp::try_with_options(&[64, 16, 10], opts).and_then(|mut engine| {
             let mut fb = DfaFeedback::for_engine(&engine, 41);
             train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, epochs)?;
-            let accuracy = engine.accuracy(&xs, &labels);
+            let accuracy = engine.accuracy(&xs, &labels)?;
             Ok((accuracy, engine.programming_energy() + fb.programming_energy()))
         });
         [("backpropagation (Table II)", backprop), ("direct feedback alignment", dfa)]
@@ -465,7 +466,6 @@ pub mod drift {
 /// replica-parallel and layer-pipeline sharding.
 pub mod serve {
     use super::*;
-    use trident_arch::engine::EngineOptions;
     use trident_serve::{ArrivalProcess, ReplicaProfile, ServeConfig, ServeReport, Sharding};
 
     /// Network served by every scenario — the repo's standard digit MLP
@@ -476,12 +476,12 @@ pub mod serve {
 
     /// Pretrain the shared model once on the synthetic digit task and
     /// return its deployable weights.
-    fn pretrain(per_class: usize) -> Vec<Vec<f64>> {
+    fn pretrain(per_class: usize) -> Result<Vec<Vec<f64>>, ArchError> {
         let (xs, labels) = digits(per_class, 42);
         let mut ideal =
-            PhotonicMlp::with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() });
-        ideal.train(&xs, &labels, 0.1, 12);
-        ideal.snapshot_weights()
+            PhotonicMlp::try_with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() })?;
+        ideal.try_train(&xs, &labels, 0.1, 12)?;
+        Ok(ideal.snapshot_weights())
     }
 
     /// The sample pool requests draw from.
@@ -532,9 +532,10 @@ pub mod serve {
 
     /// Run the three standard scenarios — Poisson and bursty arrivals
     /// over a 3-replica parallel fleet, then Poisson over a 2-stage
-    /// layer pipeline — sharing one pretrained model.
+    /// layer pipeline — sharing one pretrained model. A scenario that
+    /// fails is left out; a failed pretrain leaves them all out.
     pub fn run(per_class: usize, requests: usize) -> Vec<ServeReport> {
-        let weights = pretrain(per_class);
+        let Ok(weights) = pretrain(per_class) else { return Vec::new() };
         let pool = dataset(per_class);
         let poisson = ArrivalProcess::Poisson { mean_interarrival_ns: 15_000 };
         // Bursts arrive at ~10 requests/µs — denser than the fleet's

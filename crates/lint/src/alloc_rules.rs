@@ -42,7 +42,6 @@ pub const HOT_PATH_CRATES: &[&str] = &["arch", "nn", "serve"];
 /// dispatchers, the engines' batched forwards and the transformer's
 /// per-token KV-cache decode step.
 pub const ENTRY_POINTS: &[&str] = &[
-    "dispatch",
     "dispatch_into",
     "try_forward_batch",
     "try_forward_stage_into",

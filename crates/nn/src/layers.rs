@@ -98,41 +98,29 @@ pub trait Layer: Send {
 // Dense
 // ---------------------------------------------------------------------------
 
-/// Fully connected layer `y = x·Wᵀ (+ b)`.
+/// Fully connected layer `y = x·Wᵀ`.
 ///
 /// Photonic PEs implement the matrix product directly (weights in the MRR
-/// bank) and have no bias path, so the bias is optional and off by default
-/// for photonic-mirrored models.
+/// bank) and have no bias path, so neither does the float mirror.
 #[derive(Debug, Clone)]
 pub struct Dense {
     /// Weight matrix `[out, in]` — each row maps to one PE row.
     pub weights: Tensor,
-    /// Optional bias `[out]`.
-    pub bias: Option<Tensor>,
     grad_w: Tensor,
-    grad_b: Option<Tensor>,
     cached_input: Option<Tensor>,
 }
 
 impl Dense {
-    /// Dense layer with explicit weights and no bias.
+    /// Dense layer with explicit weights.
     pub fn from_weights(weights: Tensor) -> Self {
         assert_eq!(weights.ndim(), 2, "dense weights must be a matrix");
         let shape = weights.shape().to_vec();
-        Self { weights, bias: None, grad_w: Tensor::zeros(&shape), grad_b: None, cached_input: None }
+        Self { weights, grad_w: Tensor::zeros(&shape), cached_input: None }
     }
 
-    /// Randomly initialised dense layer (Xavier), no bias.
+    /// Randomly initialised dense layer (Xavier).
     pub fn new(out_features: usize, in_features: usize, rng: &mut rand::rngs::StdRng) -> Self {
         Self::from_weights(crate::init::xavier_uniform(out_features, in_features, rng))
-    }
-
-    /// Enable a zero-initialised bias.
-    pub fn with_bias(mut self) -> Self {
-        let out = self.weights.shape()[0];
-        self.bias = Some(Tensor::zeros(&[out]));
-        self.grad_b = Some(Tensor::zeros(&[out]));
-        self
     }
 
     /// Output width.
@@ -163,16 +151,7 @@ impl Layer for Dense {
         self.cached_input = Some(x.clone());
         // y = x Wᵀ : [batch, out]
         let wt = self.weights.transposed();
-        let mut y = linalg::matmul(x, &wt);
-        if let Some(b) = &self.bias {
-            for r in 0..y.shape()[0] {
-                let row = y.row_mut(r);
-                for (v, &bi) in row.iter_mut().zip(b.data()) {
-                    *v += bi;
-                }
-            }
-        }
-        Ok(y)
+        Ok(linalg::matmul(x, &wt))
     }
 
     fn try_backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
@@ -191,13 +170,6 @@ impl Layer for Dense {
         let gt = grad_out.transposed();
         let dw = linalg::matmul(&gt, x);
         self.grad_w.axpy(1.0, &dw);
-        if let (Some(_), Some(gb)) = (&self.bias, &mut self.grad_b) {
-            for r in 0..grad_out.shape()[0] {
-                for (g, &go) in gb.data_mut().iter_mut().zip(grad_out.row(r)) {
-                    *g += go;
-                }
-            }
-        }
         // dX = grad · W : [batch, in]
         Ok(linalg::matmul(grad_out, &self.weights))
     }
@@ -205,14 +177,10 @@ impl Layer for Dense {
     fn update(&mut self, opt: &Sgd) {
         opt.step(&mut self.weights, &self.grad_w);
         self.grad_w.zero_();
-        if let (Some(b), Some(gb)) = (&mut self.bias, &mut self.grad_b) {
-            opt.step(b, gb);
-            gb.zero_();
-        }
     }
 
     fn param_count(&self) -> usize {
-        self.weights.len() + self.bias.as_ref().map_or(0, Tensor::len)
+        self.weights.len()
     }
 }
 

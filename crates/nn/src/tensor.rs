@@ -86,11 +86,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the flat data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshape in place (same element count).
     ///
     /// # Panics
@@ -117,21 +112,6 @@ impl Tensor {
         &mut self.data[r * cols + c]
     }
 
-    /// 4-D element access `(n, c, h, w)`.
-    #[inline]
-    pub fn at4(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        debug_assert_eq!(self.ndim(), 4);
-        let (_, cc, hh, ww) = (self.shape[0], self.shape[1], self.shape[2], self.shape[3]);
-        self.data[((n * cc + c) * hh + h) * ww + w]
-    }
-
-    /// Mutable 4-D element access.
-    #[inline]
-    pub fn at4_mut(&mut self, n: usize, c: usize, h: usize, w: usize) -> &mut f32 {
-        debug_assert_eq!(self.ndim(), 4);
-        let (cc, hh, ww) = (self.shape[1], self.shape[2], self.shape[3]);
-        &mut self.data[((n * cc + c) * hh + h) * ww + w]
-    }
 
     /// Row `r` of a 2-D tensor as a slice.
     #[inline]
@@ -241,14 +221,6 @@ mod tests {
     #[should_panic]
     fn from_vec_rejects_bad_length() {
         let _ = Tensor::from_vec(&[2, 2], vec![1.0]);
-    }
-
-    #[test]
-    fn indexing_4d_is_row_major() {
-        let mut t = Tensor::zeros(&[2, 3, 4, 5]);
-        *t.at4_mut(1, 2, 3, 4) = 7.0;
-        assert_eq!(t.at4(1, 2, 3, 4), 7.0);
-        assert_eq!(t.data()[((3 + 2) * 4 + 3) * 5 + 4], 7.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ## The off switch is the contract
 //!
 //! Instrumentation call sites throughout the workspace go through the
-//! free functions here ([`span`], [`add`], [`add_pj`], …), which check
+//! free functions here ([`span()`], [`add`], [`add_pj`], …), which check
 //! [`enabled`] first — one relaxed atomic load — and do nothing when
 //! tracing is off. Tracing is **off by default** and enabled by setting
 //! `TRIDENT_TRACE=1` (or programmatically via [`set_enabled_override`],

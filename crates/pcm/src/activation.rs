@@ -180,11 +180,6 @@ impl GstActivationCell {
         self.params.reset_energy
     }
 
-    /// Idealized functional form of this cell (for the math-side engine).
-    pub fn as_relu_over_energy(&self) -> GstRelu {
-        GstRelu { threshold: self.params.threshold.value(), slope: self.params.slope }
-    }
-
     /// Number of firings so far.
     #[inline]
     pub fn firing_count(&self) -> u64 {

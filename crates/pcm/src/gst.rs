@@ -156,9 +156,9 @@ pub struct WriteReport {
 /// it, and its switching-cycle wear.
 ///
 /// Two programming modes are provided:
-/// * [`GstCell::program`] — levels uniformly spaced in crystallinity (the
+/// * [`GstCell::try_program`] — levels uniformly spaced in crystallinity (the
 ///   raw device grid);
-/// * [`GstCell::program_calibrated`] — a program-and-verify write to an
+/// * [`GstCell::try_program_calibrated`] — a program-and-verify write to an
 ///   arbitrary crystallinity associated with a level index. This is how
 ///   the weight bank realises levels uniform in *weight* space (see
 ///   `crate::weight::WeightLut`), matching the per-level calibration used
@@ -228,17 +228,8 @@ impl GstCell {
 
     /// Program the cell to `level`, spending one write pulse if the level
     /// actually changes. Returns the energy spent (zero for a no-op — the
-    /// non-volatile state needs no refresh).
-    ///
-    /// # Panics
-    /// Panics if `level` is out of range, the cell is worn out, or a fault
-    /// has been injected. Fault-aware callers use [`GstCell::try_program`].
-    pub fn program(&mut self, level: u16) -> EnergyPj {
-        self.try_program(level).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`GstCell::program`]: faults, wear-out, and range
-    /// violations surface as [`PcmError`]s instead of panics.
+    /// non-volatile state needs no refresh). Faults, wear-out, and range
+    /// violations surface as [`PcmError`]s.
     pub fn try_program(&mut self, level: u16) -> Result<EnergyPj, PcmError> {
         if level >= self.params.levels {
             return Err(PcmError::LevelOutOfRange { level, levels: self.params.levels });
@@ -250,17 +241,8 @@ impl GstCell {
     /// Ideal calibrated write: set the cell to `crystallinity`, recording
     /// it as calibrated level `level`. Costs one write pulse when the level
     /// changes. (The closed-loop iterative write with read-back is
-    /// [`GstCell::program_verified`].)
-    ///
-    /// # Panics
-    /// Panics if the level or crystallinity is out of range, the cell is
-    /// worn out, or a fault has been injected. Fault-aware callers use
-    /// [`GstCell::try_program_calibrated`].
-    pub fn program_calibrated(&mut self, level: u16, crystallinity: f64) -> EnergyPj {
-        self.try_program_calibrated(level, crystallinity).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`GstCell::program_calibrated`].
+    /// [`GstCell::program_verified`].) Errors as [`GstCell::try_program`],
+    /// plus a crystallinity outside `[0, 1]`.
     pub fn try_program_calibrated(
         &mut self,
         level: u16,
@@ -407,23 +389,6 @@ impl GstCell {
         self.fault
     }
 
-    /// True when the cell responds to programming pulses (no fault, not
-    /// worn out).
-    #[inline]
-    pub fn is_programmable(&self) -> bool {
-        self.fault.is_none() && !self.is_worn_out()
-    }
-
-    /// Program to the nearest level for a crystallinity fraction.
-    pub fn program_fraction(&mut self, crystallinity: f64) -> EnergyPj {
-        assert!(
-            (0.0..=1.0).contains(&crystallinity),
-            "crystallinity {crystallinity} outside [0, 1]"
-        );
-        let level = (crystallinity * f64::from(self.params.levels - 1)).round() as u16;
-        self.program(level)
-    }
-
     /// Read the cell with a low-power probe pulse. Returns the amplitude
     /// transmission; reading is non-destructive but costs energy.
     pub fn read(&mut self) -> f64 {
@@ -531,27 +496,22 @@ mod tests {
     #[test]
     fn programming_costs_energy_only_on_change() {
         let mut c = GstCell::with_defaults();
-        assert_eq!(c.program(100), EnergyPj(660.0));
-        assert_eq!(c.program(100), EnergyPj::ZERO, "re-programming same level is free");
+        assert_eq!(c.try_program(100).unwrap(), EnergyPj(660.0));
+        assert_eq!(
+            c.try_program(100).unwrap(),
+            EnergyPj::ZERO,
+            "re-programming same level is free"
+        );
         assert_eq!(c.write_count(), 1);
-        assert_eq!(c.program(0), EnergyPj(660.0));
+        assert_eq!(c.try_program(0).unwrap(), EnergyPj(660.0));
         assert_eq!(c.write_count(), 2);
         assert_eq!(c.energy_spent(), EnergyPj(1320.0));
     }
 
     #[test]
-    fn fraction_programming_quantizes() {
-        let mut c = GstCell::with_defaults();
-        c.program_fraction(0.5);
-        assert_eq!(c.level(), 127);
-        // Round-trip error is bounded by half an LSB.
-        assert!((c.crystallinity() - 0.5).abs() <= 0.5 / 254.0);
-    }
-
-    #[test]
     fn reads_are_nondestructive_but_cost_energy() {
         let mut c = GstCell::with_defaults();
-        c.program(200);
+        c.try_program(200).unwrap();
         let before = c.level();
         let a1 = c.read();
         let a2 = c.read();
@@ -565,9 +525,9 @@ mod tests {
     fn endurance_depletes_with_writes() {
         let params = GstParameters { endurance_cycles: 3, ..GstParameters::default() };
         let mut c = GstCell::new(params);
-        c.program(1);
-        c.program(2);
-        c.program(3);
+        c.try_program(1).unwrap();
+        c.try_program(2).unwrap();
+        c.try_program(3).unwrap();
         assert!(c.is_worn_out());
         assert_eq!(c.endurance_remaining(), 0);
     }
@@ -577,14 +537,14 @@ mod tests {
     fn worn_cell_refuses_writes() {
         let params = GstParameters { endurance_cycles: 1, ..GstParameters::default() };
         let mut c = GstCell::new(params);
-        c.program(1);
-        c.program(2);
+        c.try_program(1).unwrap();
+        c.try_program(2).unwrap();
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_level_rejected() {
-        GstCell::with_defaults().program(255);
+        GstCell::with_defaults().try_program(255).unwrap();
     }
 
     #[test]
@@ -593,7 +553,7 @@ mod tests {
         // lifetime the stored level has drifted at most half an 8-bit
         // step, so every level remains distinguishable.
         let mut c = GstCell::with_defaults();
-        c.program(100);
+        c.try_program(100).unwrap();
         assert!(c.projected_drift_lsb(10.0) <= 0.5 + 1e-9);
         assert!(c.projected_drift_lsb(1.0) < 0.1);
         // Far beyond the rating the state decays measurably.
@@ -603,13 +563,13 @@ mod tests {
     #[test]
     fn aging_moves_toward_crystalline_only() {
         let mut amorphous = GstCell::with_defaults();
-        amorphous.program(0);
+        amorphous.try_program(0).unwrap();
         let before = amorphous.crystallinity();
         amorphous.age(10.0);
         assert!(amorphous.crystallinity() >= before, "drift recrystallizes");
 
         let mut crystalline = GstCell::with_defaults();
-        crystalline.program(254);
+        crystalline.try_program(254).unwrap();
         crystalline.age(50.0);
         assert!(
             (crystalline.crystallinity() - 1.0).abs() < 1e-9,
@@ -620,7 +580,7 @@ mod tests {
     #[test]
     fn stuck_cell_rejects_writes_with_typed_error() {
         let mut c = GstCell::with_defaults();
-        c.program(100);
+        c.try_program(100).unwrap();
         c.inject_fault(GstFault::StuckCrystalline);
         assert_eq!(c.level(), 254);
         assert!((c.crystallinity() - 1.0).abs() < 1e-12);

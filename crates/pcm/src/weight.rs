@@ -224,18 +224,9 @@ impl PcmMrr {
 
     /// Program a normalized weight through `lut` with an ideal calibrated
     /// write (single exact pulse). Returns the optical write energy spent
-    /// (zero when the level is unchanged — non-volatility).
-    ///
-    /// # Panics
-    /// Panics on out-of-range weights, worn-out or faulted cells; the
-    /// fault-aware closed-loop path is [`PcmMrr::set_weight_verified`].
-    pub fn set_weight(&mut self, w: f64, lut: &WeightLut) -> EnergyPj {
-        let level = lut.level_for(w);
-        self.cell.program_calibrated(level, lut.crystallinity_at(level))
-    }
-
-    /// Fallible form of [`PcmMrr::set_weight`]: a single ideal pulse, with
-    /// faults and wear surfacing as [`PcmError`]s.
+    /// (zero when the level is unchanged — non-volatility). Out-of-range
+    /// weights, faults and wear surface as [`PcmError`]s; the closed-loop
+    /// path is [`PcmMrr::set_weight_verified`].
     pub fn try_set_weight(&mut self, w: f64, lut: &WeightLut) -> Result<EnergyPj, PcmError> {
         let level = lut.try_level_for(w)?;
         let result = self.cell.try_program_calibrated(level, lut.crystallinity_at(level));
@@ -408,7 +399,7 @@ mod tests {
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
         for &w in &[0.75, -0.3, 0.0, 1.0, -1.0, 0.123] {
-            unit.set_weight(w, &l);
+            unit.try_set_weight(w, &l).unwrap();
             assert!(
                 (unit.weight(&l) - w).abs() <= 0.5 * LSB + 1e-6,
                 "w={w} read back as {}",
@@ -421,8 +412,8 @@ mod tests {
     fn reprogramming_same_weight_is_free() {
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        let e1 = unit.set_weight(0.5, &l);
-        let e2 = unit.set_weight(0.5, &l);
+        let e1 = unit.try_set_weight(0.5, &l).unwrap();
+        let e2 = unit.try_set_weight(0.5, &l).unwrap();
         assert!(e1.value() > 0.0);
         assert_eq!(e2, EnergyPj::ZERO);
         assert_eq!(unit.write_count(), 1);
@@ -433,7 +424,7 @@ mod tests {
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
         for &w in &[0.4, -0.8, 0.05] {
-            unit.set_weight(w, &l);
+            unit.try_set_weight(w, &l).unwrap();
             let t = unit.transfer_on_resonance();
             let raw = t.drop - t.through;
             assert!(
@@ -504,7 +495,7 @@ mod tests {
     fn off_resonance_input_mostly_ignored() {
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        unit.set_weight(1.0, &l);
+        unit.try_set_weight(1.0, &l).unwrap();
         let t = unit.transfer(Wavelength::from_nm(1551.6));
         assert!(t.through > 0.9, "neighbouring channel should pass through");
     }
@@ -529,7 +520,7 @@ mod prop_tests {
             let ring =
                 AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
             let mut unit = PcmMrr::new(ring, GstParameters::default());
-            unit.set_weight(w, &lut);
+            unit.try_set_weight(w, &lut).unwrap();
             let t = unit.transfer(Wavelength::from_nm(1550.0 + detune));
             prop_assert!(t.drop >= 0.0 && t.drop <= 1.0);
             prop_assert!(t.through >= 0.0 && t.through <= 1.0);

@@ -45,7 +45,6 @@ pub mod laser;
 pub mod ledger;
 pub mod link;
 pub mod mrr;
-pub mod mzm;
 pub mod noise;
 pub mod spectrum;
 pub mod thermal;
@@ -61,7 +60,6 @@ pub use laser::{EoModulator, LaserSource};
 pub use ledger::{EnergyLedger, PowerLedger};
 pub use link::{LinkBudget, LinkReport};
 pub use mrr::{AddDropMrr, MrrGeometry};
-pub use mzm::MachZehnder;
 pub use thermal::ThermalTunerArray;
 pub use noise::NoiseModel;
 pub use spectrum::{drop_extinction_db, find_resonances, sweep as sweep_spectrum, SpectrumPoint};

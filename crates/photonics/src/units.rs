@@ -275,12 +275,6 @@ impl PowerMw {
         self.0 * 1e-3
     }
 
-    /// Construct from microwatts.
-    #[inline]
-    pub fn from_uw(uw: f64) -> Self {
-        Self(uw * 1e-3)
-    }
-
     /// Energy dissipated when this power is applied for `t`.
     ///
     /// 1 mW × 1 ns = 1 pJ, so the conversion is exact in these units.
@@ -291,18 +285,6 @@ impl PowerMw {
 }
 
 impl Hertz {
-    /// Construct from gigahertz.
-    #[inline]
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self(ghz * 1e9)
-    }
-
-    /// Construct from megahertz.
-    #[inline]
-    pub fn from_mhz(mhz: f64) -> Self {
-        Self(mhz * 1e6)
-    }
-
     /// Convert to gigahertz.
     #[inline]
     pub fn ghz(self) -> f64 {
@@ -319,14 +301,6 @@ impl Hertz {
 }
 
 impl EnergyPj {
-    /// Construct from picojoules (explicit-name twin of the tuple
-    /// constructor, for call sites that read better with the unit spelled
-    /// out).
-    #[inline]
-    pub fn from_pj(pj: f64) -> Self {
-        Self(pj)
-    }
-
     /// Construct from nanojoules.
     #[inline]
     pub fn from_nj(nj: f64) -> Self {
@@ -375,12 +349,6 @@ impl Nanoseconds {
     #[inline]
     pub fn from_us(us: f64) -> Self {
         Self(us * 1e3)
-    }
-
-    /// Construct from milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> Self {
-        Self(ms * 1e6)
     }
 
     /// Construct from seconds.
@@ -488,12 +456,6 @@ impl Wavelength {
         self.0 * 1e-9
     }
 
-    /// Optical frequency in hertz (`c / λ`).
-    #[inline]
-    pub fn frequency_hz(self) -> f64 {
-        crate::SPEED_OF_LIGHT_M_S / self.meters()
-    }
-
     /// Signed detuning from another wavelength, in nanometres.
     #[inline]
     pub fn detuning_nm(self, other: Wavelength) -> f64 {
@@ -563,12 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn wavelength_detuning_and_frequency() {
+    fn wavelength_detuning() {
         let a = Wavelength::from_nm(1550.0);
         let b = Wavelength::from_nm(1551.6);
         assert!((b.detuning_nm(a) - 1.6).abs() < 1e-12);
-        // ~193.4 THz for 1550 nm
-        assert!((a.frequency_hz() / 1e12 - 193.41).abs() < 0.1);
     }
 
     #[test]
@@ -598,11 +558,10 @@ mod tests {
 
     #[test]
     fn hertz_round_trips_and_period() {
-        let f = Hertz::from_ghz(1.37);
+        let f = Hertz(1.37e9);
         assert!((f.ghz() - 1.37).abs() < 1e-12);
         assert!((f.period().value() - 1.0 / 1.37).abs() < 1e-12);
         assert!((Nanoseconds(2.889).rate().value() - Nanoseconds(2.889).rate_hz()).abs() < 1e-6);
-        assert!((Hertz::from_mhz(500.0).value() - 5e8).abs() < 1.0);
     }
 
     #[test]
@@ -625,11 +584,9 @@ mod tests {
     }
 
     #[test]
-    fn millijoule_and_picojoule_constructors() {
-        assert_eq!(EnergyPj::from_pj(660.0), EnergyPj(660.0));
+    fn millijoule_constructor() {
         let e = EnergyPj::from_mj(1.5);
         assert!((e.millijoules() - 1.5).abs() < 1e-12);
         assert!((e.joules() - 1.5e-3).abs() < 1e-15);
-        assert!((Nanoseconds::from_ms(2.0).millis() - 2.0).abs() < 1e-12);
     }
 }

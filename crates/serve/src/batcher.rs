@@ -56,17 +56,17 @@ pub enum Enqueue {
 
 /// The dynamic batcher state.
 #[derive(Debug)]
-pub struct Batcher {
+pub struct Batcher<'a> {
     policy: BatchPolicy,
-    pending: Vec<Request>,
+    pending: Vec<Request<'a>>,
     /// Storage handed back by [`Batcher::recycle`], reused as the next
     /// open batch so the close/dispatch cycle stops allocating once the
     /// capacity has grown to the steady batch size.
-    spare: Option<Vec<Request>>,
+    spare: Option<Vec<Request<'a>>>,
     generation: u64,
 }
 
-impl Batcher {
+impl<'a> Batcher<'a> {
     /// An empty batcher with the given policy (`batch_max` is clamped to
     /// at least 1).
     pub fn new(policy: BatchPolicy) -> Self {
@@ -78,7 +78,7 @@ impl Batcher {
     /// Admission test: shed when the estimated completion time is past
     /// the request's deadline. `est_done_ns` comes from the fleet's
     /// service-time model at the arrival instant.
-    pub fn should_shed(req: &Request, est_done_ns: u64) -> bool {
+    pub fn should_shed(req: &Request<'_>, est_done_ns: u64) -> bool {
         est_done_ns > req.deadline_ns
     }
 
@@ -93,7 +93,7 @@ impl Batcher {
     }
 
     /// Queue an admitted request at virtual time `now_ns`.
-    pub fn enqueue(&mut self, req: Request, now_ns: u64) -> Enqueue {
+    pub fn enqueue(&mut self, req: Request<'a>, now_ns: u64) -> Enqueue {
         let was_empty = self.pending.is_empty();
         self.pending.push(req);
         if self.pending.len() >= self.policy.batch_max {
@@ -117,7 +117,7 @@ impl Batcher {
     /// Close the open batch: take the pending requests and bump the
     /// generation (invalidating any armed timer). The next open batch
     /// reuses any storage returned via [`Batcher::recycle`].
-    pub fn close(&mut self) -> Vec<Request> {
+    pub fn close(&mut self) -> Vec<Request<'a>> {
         self.generation += 1;
         let next = self.spare.take().unwrap_or_default();
         std::mem::replace(&mut self.pending, next)
@@ -125,7 +125,7 @@ impl Batcher {
 
     /// Hand a dispatched batch's storage back so the next open batch can
     /// reuse it instead of growing a fresh `Vec`.
-    pub fn recycle(&mut self, mut batch: Vec<Request>) {
+    pub fn recycle(&mut self, mut batch: Vec<Request<'a>>) {
         batch.clear();
         self.spare = Some(batch);
     }
@@ -135,8 +135,8 @@ impl Batcher {
 mod tests {
     use super::*;
 
-    fn req(id: u64, arrival: u64, deadline: u64) -> Request {
-        Request { id, arrival_ns: arrival, deadline_ns: deadline, input: vec![0.0], label: 0 }
+    fn req(id: u64, arrival: u64, deadline: u64) -> Request<'static> {
+        Request { id, arrival_ns: arrival, deadline_ns: deadline, input: &[0.0], label: 0 }
     }
 
     #[test]

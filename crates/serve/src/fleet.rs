@@ -248,7 +248,7 @@ impl Fleet {
         if profiles.is_empty() {
             return Err(ServeError::NoReplicas);
         }
-        let layers = dims.len() - 1;
+        let layers = dims.len().saturating_sub(1);
         if sharding == Sharding::LayerPipeline && profiles.len() > layers {
             return Err(ServeError::BadPipeline { stages: profiles.len(), layers });
         }
@@ -444,27 +444,12 @@ impl Fleet {
         self.est_ns_per_item.saturating_mul(items)
     }
 
-    /// Route one closed batch through the fleet at virtual time
-    /// `now_ns`. Returns per-request completions; replica ledgers and
-    /// the admission estimator update as a side effect.
-    ///
-    /// Allocating wrapper over [`Fleet::dispatch_into`]; the event loop
-    /// uses the `_into` form with a reused completion buffer.
-    pub fn dispatch(
-        &mut self,
-        now_ns: u64,
-        batch: &[Request],
-    ) -> Result<Vec<Completion>, ServeError> {
-        let mut completions = Vec::new();
-        self.dispatch_into(now_ns, batch, &mut completions)?;
-        Ok(completions)
-    }
-
-    /// Route one closed batch through the fleet, writing per-request
-    /// completions into a caller-owned buffer (cleared first). Each
-    /// engine forward goes through its batched zero-alloc path, so a
-    /// warm fleet with a warm `completions` buffer dispatches an entire
-    /// batch without heap allocation.
+    /// Route one closed batch through the fleet at virtual time `now_ns`,
+    /// writing per-request completions into a caller-owned buffer
+    /// (cleared first); replica ledgers and the admission estimator
+    /// update as a side effect. Each engine forward goes through its
+    /// batched zero-alloc path, so a warm fleet with a warm `completions`
+    /// buffer dispatches an entire batch without heap allocation.
     pub fn dispatch_into(
         &mut self,
         now_ns: u64,
@@ -631,13 +616,13 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    fn tiny_requests(n: usize, width: usize) -> Vec<Request> {
+    fn tiny_requests(n: usize) -> Vec<Request<'static>> {
         (0..n)
             .map(|i| Request {
                 id: i as u64,
                 arrival_ns: i as u64 * 100,
                 deadline_ns: u64::MAX,
-                input: vec![0.5; width],
+                input: &[0.5; 8],
                 label: i % 4,
             })
             .collect()
@@ -656,9 +641,10 @@ mod tests {
             1000,
         )
         .unwrap();
-        let reqs = tiny_requests(2, 8);
-        let c1 = fleet.dispatch(0, &reqs).unwrap();
-        let c2 = fleet.dispatch(0, &reqs).unwrap();
+        let reqs = tiny_requests(2);
+        let (mut c1, mut c2) = (Vec::new(), Vec::new());
+        fleet.dispatch_into(0, &reqs, &mut c1).unwrap();
+        fleet.dispatch_into(0, &reqs, &mut c2).unwrap();
         // Second batch must land on the other (still-idle) replica.
         assert_ne!(c1[0].replica, c2[0].replica);
         let ledgers = fleet.ledgers();
@@ -693,9 +679,10 @@ mod tests {
             1000,
         )
         .unwrap();
-        let reqs = tiny_requests(3, 8);
-        let a = mono.dispatch(0, &reqs).unwrap();
-        let b = pipe.dispatch(0, &reqs).unwrap();
+        let reqs = tiny_requests(3);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        mono.dispatch_into(0, &reqs, &mut a).unwrap();
+        pipe.dispatch_into(0, &reqs, &mut b).unwrap();
         let pa: Vec<usize> = a.iter().map(|c| c.predicted).collect();
         let pb: Vec<usize> = b.iter().map(|c| c.predicted).collect();
         assert_eq!(pa, pb, "pipeline must compute the same function as the monolith");
@@ -715,6 +702,27 @@ mod tests {
                 1000,
             ),
             Err(ServeError::BadPipeline { stages: 2, layers: 1 })
+        ));
+    }
+
+    fn build_without_dims(sharding: Sharding) -> Result<Fleet, ServeError> {
+        let profiles = [ReplicaProfile::with_seed(0)];
+        Fleet::try_build(&[], EngineOptions::default(), &profiles, None, sharding, 1000)
+    }
+
+    #[test]
+    fn empty_dims_is_a_typed_error_replica_parallel() {
+        assert!(matches!(
+            build_without_dims(Sharding::ReplicaParallel),
+            Err(ServeError::Arch(ArchError::InvalidParameter { name: "layer widths", .. }))
+        ));
+    }
+
+    #[test]
+    fn empty_dims_is_a_typed_error_layer_pipeline() {
+        assert!(matches!(
+            build_without_dims(Sharding::LayerPipeline),
+            Err(ServeError::BadPipeline { stages: 1, layers: 0 })
         ));
     }
 

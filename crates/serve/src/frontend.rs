@@ -19,14 +19,14 @@ fn prepare_one(
     dataset: &[(Vec<f64>, usize)],
     seed: u64,
     slo_ns: u64,
-) -> Request {
+) -> Request<'_> {
     let pick = seeded_u64(seed, STREAM_TRAFFIC_INPUT, id) % (dataset.len() as u64);
     let (input, label) = &dataset[usize::try_from(pick).unwrap_or(0)];
     Request {
         id,
         arrival_ns,
         deadline_ns: arrival_ns.saturating_add(slo_ns),
-        input: input.clone(),
+        input,
         label: *label,
     }
 }
@@ -35,13 +35,14 @@ fn prepare_one(
 ///
 /// Validates the dataset (non-empty, uniform width matching
 /// `input_width`), then prepares one request per arrival, in order.
-pub fn prepare_requests(
+/// Each request borrows its sample from `dataset`.
+pub fn prepare_requests<'a>(
     arrivals: &[u64],
-    dataset: &[(Vec<f64>, usize)],
+    dataset: &'a [(Vec<f64>, usize)],
     input_width: usize,
     seed: u64,
     slo_ns: u64,
-) -> Result<Vec<Request>, ServeError> {
+) -> Result<Vec<Request<'a>>, ServeError> {
     if dataset.is_empty() {
         return Err(ServeError::EmptyDataset);
     }

@@ -59,9 +59,10 @@ pub use traffic::ArrivalProcess;
 
 use trident_arch::ArchError;
 
-/// One inference request flowing through the service.
-#[derive(Debug, Clone)]
-pub struct Request {
+/// One inference request flowing through the service. Its input
+/// borrows the dataset sample it was drawn from.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
     /// Monotone request id (also the arrival order).
     pub id: u64,
     /// Arrival time on the simulated clock, nanoseconds.
@@ -69,17 +70,17 @@ pub struct Request {
     /// Absolute SLO deadline, nanoseconds (`arrival_ns + slo_ns`).
     pub deadline_ns: u64,
     /// Input vector (one dataset sample, engine input width).
-    pub input: Vec<f64>,
+    pub input: &'a [f64],
     /// Ground-truth class, for served-accuracy accounting.
     pub label: usize,
 }
 
-impl AsRef<[f64]> for Request {
+impl AsRef<[f64]> for Request<'_> {
     /// The input vector — lets a `&[Request]` batch feed
     /// `PhotonicMlp::try_forward_batch` directly, with no per-dispatch
     /// slice-of-slices staging allocation.
     fn as_ref(&self) -> &[f64] {
-        &self.input
+        self.input
     }
 }
 

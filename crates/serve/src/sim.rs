@@ -198,7 +198,7 @@ fn run_on_fleet(
     #[allow(clippy::too_many_arguments)]
     fn close_and_dispatch(
         now_ns: u64,
-        batcher: &mut Batcher,
+        batcher: &mut Batcher<'_>,
         fleet: &mut Fleet,
         hists: &mut [LatencyHistogram],
         tallies: &mut Tallies,

@@ -67,7 +67,7 @@ pub const STREAM_TRAFFIC_INPUT: u64 = 3;
 
 /// The full registry. `trident-lint` audits the constant declarations
 /// above; this table is the runtime mirror the uniqueness tests (and
-/// any future tooling) consume, and [`registry_is_consistent`] proves
+/// any future tooling) consume, and the `registry_is_consistent` test proves
 /// the two views agree.
 pub const REGISTRY: &[StreamDef] = &[
     StreamDef { domain: "pcm.stat", name: "STREAM_PCM_NU", id: STREAM_PCM_NU },

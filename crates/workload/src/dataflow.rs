@@ -41,11 +41,6 @@ impl DataflowModel {
         self.bank_rows * self.bank_cols
     }
 
-    /// MACs available per streamed vector across the whole array.
-    pub fn macs_per_vector(&self) -> u64 {
-        (self.mrrs_per_pe() * self.num_pes) as u64
-    }
-
     /// Map one MAC layer onto the array.
     ///
     /// Returns `None` for layers without a GEMM view (pool/merge layers).
@@ -163,21 +158,6 @@ impl ModelMapping {
     /// Total weight writes.
     pub fn total_weight_writes(&self) -> u64 {
         self.total(|l| l.weight_writes)
-    }
-
-    /// Total cache reads (input activations).
-    pub fn total_input_reads(&self) -> u64 {
-        self.total(|l| l.input_reads)
-    }
-
-    /// Total outputs written.
-    pub fn total_output_writes(&self) -> u64 {
-        self.total(|l| l.output_writes)
-    }
-
-    /// Total electronic partial-sum additions.
-    pub fn total_psum_accumulations(&self) -> u64 {
-        self.total(|l| l.psum_accumulations)
     }
 
     /// Total activation firings.

@@ -59,12 +59,6 @@ impl ModelSpec {
         2 * self.total_macs()
     }
 
-    /// Largest single-layer weight matrix (rows × cols per group), the
-    /// quantity that decides how many tiles the biggest layer needs.
-    pub fn max_layer_params(&self) -> u64 {
-        self.layers.iter().map(LayerSpec::params).max().unwrap_or(0)
-    }
-
     /// Arithmetic intensity in MACs per byte moved, assuming 8-bit weights
     /// and activations each touched once: the roofline x-coordinate that
     /// separates compute-bound networks (VGG's convolutions) from

@@ -10,7 +10,7 @@
 
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
-use trident::arch::engine::PhotonicMlp;
+use trident::arch::engine::{EngineOptions, PhotonicMlp};
 use trident::nn::data::synthetic_digits;
 
 fn main() {
@@ -27,13 +27,14 @@ fn main() {
         .collect();
 
     for (label, bits) in [("GST / 8-bit", 8u8), ("thermal / 6-bit", 6u8)] {
-        let mut engine = PhotonicMlp::new(&[64, 16, 10], 7, None, bits);
+        let opts = EngineOptions { seed: 7, weight_bits: bits, ..Default::default() };
+        let mut engine = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
         println!(
             "{label}: {} PEs allocated across {} layers",
             engine.pe_count(),
             engine.layer_count()
         );
-        let outcome = engine.train(&xs, &data.labels, 0.1, epochs);
+        let outcome = engine.try_train(&xs, &data.labels, 0.1, epochs).unwrap();
         for (e, loss) in outcome.loss_history.iter().enumerate() {
             if e % 3 == 0 || e + 1 == outcome.loss_history.len() {
                 println!("  epoch {e:>3}: loss {loss:.4}");

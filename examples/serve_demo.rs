@@ -31,9 +31,9 @@ fn pretrained_and_pool() -> (Vec<Vec<f64>>, Pool) {
     let xs: Vec<Vec<f64>> = (0..data.len())
         .map(|i| data.inputs.row(i).iter().map(|&v| f64::from(v)).collect())
         .collect();
-    let mut ideal =
-        PhotonicMlp::with_options(&DIMS, EngineOptions { seed: 11, ..Default::default() });
-    ideal.train(&xs, &data.labels, 0.1, 12);
+    let opts = EngineOptions { seed: 11, ..Default::default() };
+    let mut ideal = PhotonicMlp::try_with_options(&DIMS, opts).unwrap();
+    ideal.try_train(&xs, &data.labels, 0.1, 12).unwrap();
     let pool = xs.into_iter().zip(data.labels.iter().copied()).collect();
     (ideal.snapshot_weights(), pool)
 }

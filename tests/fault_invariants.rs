@@ -87,12 +87,10 @@ proptest! {
     fn zeroed_stat_layer_is_exact_passthrough(seed in 0u64..512, bank_seed in 0u64..64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let weights: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let rows: Vec<&[f64]> = weights.chunks(4).collect();
-
         let mut det = WeightBank::new(4, 4, GstParameters::default());
-        det.program(&rows);
+        det.program_flat(&weights);
         let mut stat = WeightBank::new(4, 4, GstParameters::default());
-        stat.program(&rows);
+        stat.program_flat(&weights);
         stat.enable_stat(
             StatParams {
                 prog_sigma_min_weight: 0.0,
@@ -134,9 +132,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let weights: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let rows: Vec<&[f64]> = weights.chunks(4).collect();
         let mut bank = WeightBank::new(4, 4, GstParameters::default());
-        bank.program(&rows);
+        bank.program_flat(&weights);
         // Drift only — zero noise keeps the readout deterministic so the
         // comparison is exact, and the per-cell exponent spread is live.
         bank.enable_stat(

@@ -23,6 +23,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use trident::arch::dfa::{train_dfa, DfaFeedback};
+use trident::arch::engine::EngineOptions;
 use trident::arch::fidelity;
 use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::arch::{PhotonicCnn, PhotonicMlp};
@@ -316,15 +317,16 @@ fn training_paths_json() -> String {
     };
     let mut rows = Vec::new();
 
-    let mut bp = PhotonicMlp::new(&dims, 11, Some(5), 8);
+    let opts = |seed| EngineOptions { seed, noise_seed: Some(5), ..Default::default() };
+    let mut bp = PhotonicMlp::try_with_options(&dims, opts(11)).unwrap();
     let outcome = bp.try_train(&xs, labels, 0.1, 2).unwrap();
     rows.push(mlp_row("backprop", &bp, &outcome.loss_history));
 
-    let mut batched = PhotonicMlp::new(&dims, 11, Some(5), 8);
+    let mut batched = PhotonicMlp::try_with_options(&dims, opts(11)).unwrap();
     let outcome = batched.try_train_batched(&xs, labels, 0.1, 2, 4).unwrap();
     rows.push(mlp_row("batched_backprop", &batched, &outcome.loss_history));
 
-    let mut dfa = PhotonicMlp::new(&dims, 7, Some(5), 8);
+    let mut dfa = PhotonicMlp::try_with_options(&dims, opts(7)).unwrap();
     let mut feedback = DfaFeedback::for_engine(&dfa, 41);
     let losses = train_dfa(&mut dfa, &mut feedback, &xs, labels, 0.3, 2).unwrap();
     rows.push(mlp_row("dfa", &dfa, &losses));
@@ -524,9 +526,8 @@ fn golden_transformer_kv() {
 /// through the exactly deterministic path and stays byte-identical.
 #[test]
 fn statistical_layer_defaults_off() {
-    use trident::arch::engine::{EngineOptions, PhotonicMlp};
     assert!(EngineOptions::default().stat.is_none(), "stat layer crept into the defaults");
-    let engine = PhotonicMlp::with_options(&[8, 4], EngineOptions::default());
+    let engine = PhotonicMlp::try_with_options(&[8, 4], EngineOptions::default()).unwrap();
     assert!(!engine.stat_enabled(), "default engine must not carry statistical banks");
 }
 

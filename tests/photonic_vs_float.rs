@@ -4,11 +4,15 @@
 //! Cross-crate equivalence: the photonic engine (trident-arch) against
 //! the float reference (trident-nn), layer by layer and end to end.
 
-use trident::arch::engine::PhotonicMlp;
+use trident::arch::engine::{EngineOptions, PhotonicMlp};
 use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use trident::nn::tensor::Tensor;
 use trident::pcm::stat::StatParams;
+
+fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
+    PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
+}
 
 /// Build an nn-crate mirror of the photonic engine's weights.
 fn mirror_network(engine: &PhotonicMlp) -> Vec<(Dense, Option<ActivationLayer>)> {
@@ -43,11 +47,11 @@ fn float_forward(net: &mut [(Dense, Option<ActivationLayer>)], x: &[f64]) -> Vec
 
 #[test]
 fn forward_pass_matches_float_reference_within_quantization() {
-    let mut engine = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
+    let mut engine = mlp(&[12, 10, 4], 31);
     let mut mirror = mirror_network(&engine);
     for trial in 0..8 {
         let x: Vec<f64> = (0..12).map(|i| ((i * 7 + trial * 13) % 10) as f64 / 10.0).collect();
-        let photonic = engine.forward(&x);
+        let photonic = engine.try_forward(&x).unwrap();
         let float = float_forward(&mut mirror, &x);
         for (r, (&p, &f)) in photonic.iter().zip(&float).enumerate() {
             assert!(
@@ -60,11 +64,12 @@ fn forward_pass_matches_float_reference_within_quantization() {
 
 #[test]
 fn forward_pass_with_receiver_noise_stays_close() {
-    let mut ideal = PhotonicMlp::new(&[12, 10, 4], 31, None, 8);
-    let mut noisy = PhotonicMlp::new(&[12, 10, 4], 31, Some(5), 8);
+    let mut ideal = mlp(&[12, 10, 4], 31);
+    let opts = EngineOptions { seed: 31, noise_seed: Some(5), ..Default::default() };
+    let mut noisy = PhotonicMlp::try_with_options(&[12, 10, 4], opts).unwrap();
     let x: Vec<f64> = (0..12).map(|i| (i % 5) as f64 / 5.0).collect();
-    let yi = ideal.forward(&x);
-    let yn = noisy.forward(&x);
+    let yi = ideal.try_forward(&x).unwrap();
+    let yn = noisy.try_forward(&x).unwrap();
     for (r, (&a, &b)) in yi.iter().zip(&yn).enumerate() {
         assert!((a - b).abs() < 0.1, "output {r}: ideal {a} vs noisy {b}");
     }
@@ -75,10 +80,10 @@ fn tiled_wide_layer_matches_float_reference() {
     // 50 inputs → 4 column tiles; 20 hidden → 2 row tiles. Seed pinned
     // against the vendored RNG stream (16 of 23 scanned seeds fit the
     // 0.15 crosstalk bound; this one leaves 2× margin).
-    let mut engine = PhotonicMlp::new(&[50, 20, 5], 12, None, 8);
+    let mut engine = mlp(&[50, 20, 5], 12);
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = (0..50).map(|i| ((i * 3) % 8) as f64 / 8.0).collect();
-    let photonic = engine.forward(&x);
+    let photonic = engine.try_forward(&x).unwrap();
     let float = float_forward(&mut mirror, &x);
     for (r, (&p, &f)) in photonic.iter().zip(&float).enumerate() {
         assert!((p - f).abs() < 0.15, "output {r}: photonic {p} vs float {f}");
@@ -194,7 +199,7 @@ fn insitu_gradient_matches_float_backprop() {
     // One supervised step on identical weights/data: the photonic weight
     // update direction must agree with autograd.
     let dims = [8usize, 6, 3];
-    let mut engine = PhotonicMlp::new(&dims, 77, None, 8);
+    let mut engine = mlp(&dims, 77);
     let mut mirror = mirror_network(&engine);
     let x: Vec<f64> = vec![0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4];
     let label = 1usize;
@@ -222,7 +227,7 @@ fn insitu_gradient_matches_float_backprop() {
     let lr = 0.05;
     let before: Vec<Vec<f64>> =
         (0..2).map(|k| engine.layer_weights(k).to_vec()).collect();
-    engine.train_sample(&x, label, lr);
+    engine.try_train_sample(&x, label, lr).unwrap();
     for k in 0..2 {
         let after = engine.layer_weights(k);
         let reference = match k {
