@@ -19,7 +19,7 @@
 //! end-to-end on simulated optics.
 
 use crate::engine::{
-    accuracy_of, apply_update, argmax, cache_set, copy_reuse, reserve_to, softmax_grad, zero_reuse,
+    accuracy_of, apply_update, argmax, grow_slots, refill, reserve_slots, softmax_grad,
 };
 use crate::error::ArchError;
 use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
@@ -30,33 +30,14 @@ use std::convert::Infallible;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
-/// Reusable CNN forward working memory — the conv-engine analogue of the
-/// MLP engine's `ForwardScratch`. The patch gather is restructured from
-/// one `Vec` per output position into a single reusable im2col matrix
-/// (`cols`), which feeds the filter bank one row at a time: same values,
-/// same PE call order, so outputs stay bitwise identical while the warm
-/// steady state allocates nothing engine-side. Device-model internals
-/// (MVM returns, latch vectors) sit outside this boundary.
-#[derive(Debug, Default)]
-struct ConvScratch {
-    /// im2col matrix, `conv_h·conv_w` rows of `in_c·k·k` lanes.
-    cols: Vec<f64>,
-    /// Per-position conv logits (`out_c` wide).
-    logits: Vec<f64>,
-    /// Per-position GST activations (`out_c` wide).
-    fired: Vec<f64>,
-    /// Post-activation conv feature map.
-    activ: Vec<f64>,
-    /// Pooled features entering the dense head.
-    features: Vec<f64>,
-    /// Per-sample outputs of the latest [`PhotonicCnn::try_forward_batch`].
-    batch_out: Vec<Vec<f64>>,
-    /// Heap-growth events on the managed buffers (and layer caches).
-    heap_allocs: u64,
-}
-
 /// A small photonic CNN: one conv layer, GST activation, 2×2 maxpool,
 /// and a dense classifier head.
+///
+/// Working memory follows the MLP engine's rule (DESIGN.md §15): the
+/// im2col matrix, conv logits, feature map, pool routing and pooled
+/// features are sized from the geometry at construction and double as
+/// the backward pass's caches; only the per-sample output slots grow,
+/// tallied in [`PhotonicCnn::hot_path_allocs`].
 pub struct PhotonicCnn {
     in_h: usize,
     in_w: usize,
@@ -73,14 +54,22 @@ pub struct PhotonicCnn {
     /// The dense head, `classes × features`.
     dense: TileGemm,
     weight_bits: u8,
-    // Forward caches for training.
-    cached_patches: Vec<Vec<f64>>,
-    cached_conv_logits: Vec<Vec<f64>>,
-    cached_pool_argmax: Vec<usize>,
-    cached_features: Vec<f64>,
+    /// im2col matrix of the latest image: one `in_c·k·k` patch row per
+    /// output position.
+    patches: Vec<f64>,
+    /// Conv logits of the latest image, one `out_c` row per position.
+    conv_logits: Vec<f64>,
+    /// Post-activation conv feature map, `out_c × conv_h·conv_w`.
+    activ: Vec<f64>,
+    /// Feature-map index each pooled feature was taken from.
+    pool_argmax: Vec<usize>,
+    /// Pooled features entering the dense head.
+    features: Vec<f64>,
     extra_energy: EnergyLedger,
-    /// Reusable forward working memory (zero-alloc steady state).
-    scratch: ConvScratch,
+    /// Per-sample logits of the latest forward.
+    outputs: Vec<Vec<f64>>,
+    /// Growth events on `outputs` since construction.
+    heap_allocs: u64,
 }
 
 impl PhotonicCnn {
@@ -105,6 +94,7 @@ impl PhotonicCnn {
         let (conv_h, conv_w) = (in_h - kernel + 1, in_w - kernel + 1);
         let (pool_h, pool_w) = (conv_h / 2, conv_w / 2);
         let features = out_c * pool_h * pool_w;
+        let positions = conv_h * conv_w;
 
         let mut rng = StdRng::seed_from_u64(seed);
         let conv_limit = (6.0 / (patch + out_c) as f64).sqrt().min(1.0);
@@ -126,12 +116,14 @@ impl PhotonicCnn {
             conv: TileGemm::new(out_c, patch),
             dense: TileGemm::new(classes, features),
             weight_bits,
-            cached_patches: Vec::new(),
-            cached_conv_logits: Vec::new(),
-            cached_pool_argmax: Vec::new(),
-            cached_features: Vec::new(),
+            patches: vec![0.0; positions * patch],
+            conv_logits: vec![0.0; positions * out_c],
+            activ: vec![0.0; out_c * positions],
+            pool_argmax: vec![0; features],
+            features: vec![0.0; features],
             extra_energy: EnergyLedger::new(),
-            scratch: ConvScratch::default(),
+            outputs: Vec::new(),
+            heap_allocs: 0,
         };
         cnn.program_all();
         cnn
@@ -162,31 +154,57 @@ impl PhotonicCnn {
     /// Forward one image (`in_c·in_h·in_w` values in `[0, 1]`). Returns
     /// class logits. Caches everything the backward pass needs.
     pub fn forward(&mut self, image: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.forward_into(image, &mut out);
-        out
+        assert_eq!(image.len(), self.in_c * self.in_h * self.in_w, "image size mismatch");
+        self.sweep(&[image])[0].clone()
     }
 
-    /// [`PhotonicCnn::forward`] writing the logits into a caller-owned
-    /// buffer (cleared first) — the zero-allocation form: a warm engine
-    /// with a warm `out` buffer performs no engine-side heap allocation.
-    pub fn forward_into(&mut self, image: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(image.len(), self.in_c * self.in_h * self.in_w, "image size mismatch");
+    /// Forward a batch of images into the engine's reusable per-sample
+    /// output slots. The sweep is sample-major — identical PE call order
+    /// to calling [`PhotonicCnn::forward`] per image, so outputs are
+    /// bitwise identical to the sequential path.
+    ///
+    /// Returns per-sample logits in input order; the slice borrows the
+    /// engine's output slots and is valid until the next forward.
+    pub fn try_forward_batch<S: AsRef<[f64]>>(
+        &mut self,
+        inputs: &[S],
+    ) -> Result<&[Vec<f64>], ArchError> {
+        let expected = self.in_c * self.in_h * self.in_w;
+        if let Some(x) = inputs.iter().find(|x| x.as_ref().len() != expected) {
+            return Err(ArchError::ShapeMismatch { expected, got: x.as_ref().len() });
+        }
+        Ok(self.sweep(inputs))
+    }
+
+    /// The one forward sweep behind both entry points.
+    fn sweep<S: AsRef<[f64]>>(&mut self, inputs: &[S]) -> &[Vec<f64>] {
+        let n = inputs.len();
+        let mut outputs = std::mem::take(&mut self.outputs);
+        grow_slots(&mut outputs, n, &mut self.heap_allocs);
+        for (slot, x) in outputs.iter_mut().zip(inputs) {
+            self.forward_image(x.as_ref(), slot);
+        }
+        self.outputs = outputs;
+        &self.outputs[..n]
+    }
+
+    /// One image through im2col, the filter bank, the GST activation,
+    /// the pool and the dense head, refilling the caches on the way and
+    /// writing the logits into `out`.
+    fn forward_image(&mut self, image: &[f64], out: &mut Vec<f64>) {
         let (conv_h, conv_w) = self.conv_hw();
         let positions = conv_h * conv_w;
         let patch_len = self.in_c * self.kernel * self.kernel;
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let out_c = self.out_c;
 
-        // im2col gather: every receptive field lands in one reusable
-        // matrix, one `patch_len`-wide row per output position.
-        zero_reuse(&mut scratch.cols, positions * patch_len, &mut scratch.heap_allocs);
+        // im2col gather: one `patch_len`-wide row per output position.
         for oy in 0..conv_h {
             for ox in 0..conv_w {
                 let mut i = (oy * conv_w + ox) * patch_len;
                 for c in 0..self.in_c {
                     for ky in 0..self.kernel {
                         for kx in 0..self.kernel {
-                            scratch.cols[i] =
+                            self.patches[i] =
                                 image[(c * self.in_h + oy + ky) * self.in_w + ox + kx];
                             i += 1;
                         }
@@ -197,45 +215,23 @@ impl PhotonicCnn {
 
         // Conv: stream each im2col row through the filter bank, fire the
         // GST activation per position (per-position f' bits cached to L1).
-        zero_reuse(&mut scratch.activ, self.out_c * positions, &mut scratch.heap_allocs);
-        zero_reuse(&mut scratch.logits, self.out_c, &mut scratch.heap_allocs);
-        zero_reuse(&mut scratch.fired, self.out_c, &mut scratch.heap_allocs);
-        for oy in 0..conv_h {
-            for ox in 0..conv_w {
-                let pos = oy * conv_w + ox;
-                let patch = &scratch.cols[pos * patch_len..(pos + 1) * patch_len];
-                let scale = patch.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-                self.conv.gemv_unsigned(patch, |v| v / scale, scale, &mut scratch.logits);
-                self.conv.activate_rows(&scratch.logits, &mut scratch.fired);
-                for (f, &y) in scratch.fired.iter().enumerate() {
-                    scratch.activ[(f * conv_h + oy) * conv_w + ox] = y;
-                }
-                cache_set(&mut self.cached_patches, pos, patch, &mut scratch.heap_allocs);
-                cache_set(
-                    &mut self.cached_conv_logits,
-                    pos,
-                    &scratch.logits,
-                    &mut scratch.heap_allocs,
-                );
-                // One bit per row per position spilled to L1.
-                self.extra_energy
-                    .charge("ldsu fifo", EnergyPj(0.01 * self.out_c as f64));
+        let mut fired = [0.0; TILE];
+        for pos in 0..positions {
+            let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
+            let logits = &mut self.conv_logits[pos * out_c..(pos + 1) * out_c];
+            let scale = patch.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
+            self.conv.gemv_unsigned(patch, |v| v / scale, scale, logits);
+            self.conv.activate_rows(logits, &mut fired[..out_c]);
+            for (f, &y) in fired[..out_c].iter().enumerate() {
+                self.activ[f * positions + pos] = y;
             }
+            // One bit per row per position spilled to L1.
+            self.extra_energy.charge("ldsu fifo", EnergyPj(0.01 * out_c as f64));
         }
-        self.cached_patches.truncate(positions);
-        self.cached_conv_logits.truncate(positions);
 
         // 2×2 max pool with argmax routing cached.
         let (pool_h, pool_w) = self.pool_hw();
-        let feature_total = self.feature_count();
-        zero_reuse(&mut scratch.features, feature_total, &mut scratch.heap_allocs);
-        let had_argmax = self.cached_pool_argmax.capacity();
-        self.cached_pool_argmax.clear();
-        self.cached_pool_argmax.resize(feature_total, 0);
-        if self.cached_pool_argmax.capacity() > had_argmax {
-            scratch.heap_allocs += 1;
-        }
-        for f in 0..self.out_c {
+        for f in 0..out_c {
             for py in 0..pool_h {
                 for px in 0..pool_w {
                     let mut best = f64::NEG_INFINITY;
@@ -244,103 +240,38 @@ impl PhotonicCnn {
                         for dx in 0..2 {
                             let idx =
                                 (f * conv_h + 2 * py + dy) * conv_w + 2 * px + dx;
-                            if scratch.activ[idx] > best {
-                                best = scratch.activ[idx];
+                            if self.activ[idx] > best {
+                                best = self.activ[idx];
                                 best_idx = idx;
                             }
                         }
                     }
                     let out_idx = (f * pool_h + py) * pool_w + px;
-                    scratch.features[out_idx] = best;
-                    self.cached_pool_argmax[out_idx] = best_idx;
+                    self.features[out_idx] = best;
+                    self.pool_argmax[out_idx] = best_idx;
                 }
             }
         }
-        copy_reuse(&mut self.cached_features, &scratch.features, &mut scratch.heap_allocs);
 
         // Dense head (its partial sums are not billed; DESIGN.md §16).
-        let scale = scratch.features.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-        zero_reuse(out, self.classes, &mut scratch.heap_allocs);
-        self.dense.gemv_unsigned(&scratch.features, |v| v / scale, scale, out);
-        self.scratch = scratch;
+        let scale = self.features.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
+        refill(out, &mut self.heap_allocs, |out| {
+            out.resize(self.classes, 0.0);
+            self.dense.gemv_unsigned(&self.features, |v| v / scale, scale, out);
+        });
     }
 
-    /// Forward a batch of images, amortizing dispatch into the engine's
-    /// reusable per-sample output buffers. The sweep is sample-major —
-    /// identical PE call order to calling [`PhotonicCnn::forward`] per
-    /// image, so outputs are bitwise identical to the sequential path.
-    ///
-    /// Returns per-sample logits in input order; the slice borrows the
-    /// engine's batch buffers and is valid until the next forward.
-    pub fn try_forward_batch<S: AsRef<[f64]>>(
-        &mut self,
-        inputs: &[S],
-    ) -> Result<&[Vec<f64>], ArchError> {
-        let expected = self.in_c * self.in_h * self.in_w;
-        for x in inputs {
-            if x.as_ref().len() != expected {
-                return Err(ArchError::ShapeMismatch { expected, got: x.as_ref().len() });
-            }
-        }
-        let n = inputs.len();
-        while self.scratch.batch_out.len() < n {
-            self.scratch.batch_out.push(Vec::new());
-            self.scratch.heap_allocs += 1;
-        }
-        for (s, x) in inputs.iter().enumerate() {
-            let mut slot = std::mem::take(&mut self.scratch.batch_out[s]);
-            self.forward_into(x.as_ref(), &mut slot);
-            self.scratch.batch_out[s] = slot;
-        }
-        Ok(&self.scratch.batch_out[..n])
-    }
-
-    /// Pre-size the forward scratch, the training caches, and `batch`
-    /// per-sample output buffers so steady-state forwards perform no
-    /// engine-side heap allocation. Growth here is warm-up, not counted
-    /// in [`PhotonicCnn::hot_path_allocs`].
+    /// Pre-grow `batch` per-sample output slots so steady-state forwards
+    /// perform no engine-side heap allocation. Growth here is warm-up,
+    /// not counted in [`PhotonicCnn::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
-        let (conv_h, conv_w) = self.conv_hw();
-        let positions = conv_h * conv_w;
-        let patch_len = self.in_c * self.kernel * self.kernel;
-        let feature_total = self.feature_count();
-        let (out_c, classes) = (self.out_c, self.classes);
-        let s = &mut self.scratch;
-        reserve_to(&mut s.cols, positions * patch_len);
-        reserve_to(&mut s.logits, out_c);
-        reserve_to(&mut s.fired, out_c);
-        reserve_to(&mut s.activ, out_c * positions);
-        reserve_to(&mut s.features, feature_total);
-        while s.batch_out.len() < batch {
-            s.batch_out.push(Vec::new());
-        }
-        for slot in &mut s.batch_out {
-            reserve_to(slot, classes);
-        }
-        while self.cached_patches.len() < positions {
-            self.cached_patches.push(Vec::new());
-        }
-        for slot in &mut self.cached_patches {
-            reserve_to(slot, patch_len);
-        }
-        while self.cached_conv_logits.len() < positions {
-            self.cached_conv_logits.push(Vec::new());
-        }
-        for slot in &mut self.cached_conv_logits {
-            reserve_to(slot, out_c);
-        }
-        if self.cached_pool_argmax.capacity() < feature_total {
-            let need = feature_total - self.cached_pool_argmax.len();
-            self.cached_pool_argmax.reserve(need);
-        }
-        reserve_to(&mut self.cached_features, feature_total);
+        reserve_slots(&mut self.outputs, batch, self.classes);
     }
 
-    /// Heap-growth events on the forward hot path since construction
-    /// (see `ConvScratch`). Zero across a window of warm forwards is
-    /// the zero-allocation claim.
+    /// Output-slot growth events since construction. Zero across a
+    /// window of warm forwards is the zero-allocation claim.
     pub fn hot_path_allocs(&self) -> u64 {
-        self.scratch.heap_allocs
+        self.heap_allocs
     }
 
     /// Digital float reference of the same network with the convolution
@@ -484,7 +415,7 @@ impl PhotonicCnn {
         let (loss, delta_out) = softmax_grad(&logits, label);
 
         // Dense outer product: δW = δ ⊗ features (photonic, tile-wise).
-        let dense_grad = self.dense.outer_product(&delta_out, &self.cached_features);
+        let dense_grad = self.dense.outer_product(&delta_out, &self.features);
 
         // Gradient into the pooled features: δ_feat = Wᵀ δ (photonic
         // signed MVM over the transposed head, restored by `program_all`
@@ -498,20 +429,20 @@ impl PhotonicCnn {
         let (conv_h, conv_w) = self.conv_hw();
         let patch_len = self.in_c * self.kernel * self.kernel;
         let mut conv_grad = vec![0.0; self.out_c * patch_len];
-        for (out_idx, &src_idx) in self.cached_pool_argmax.iter().enumerate() {
+        for (out_idx, &src_idx) in self.pool_argmax.iter().enumerate() {
             let d = delta_feat[out_idx];
             if d == 0.0 {
                 continue;
             }
             // src_idx = f·positions + pos, pos = oy·conv_w + ox
             let (f, pos) = (src_idx / (conv_h * conv_w), src_idx % (conv_h * conv_w));
-            let h = self.cached_conv_logits[pos][f];
+            let h = self.conv_logits[pos * self.out_c + f];
             if h < LOGIT_THRESHOLD {
                 continue;
             }
             let delta_h = spilled_hadamard(d, h);
             // Per-position outer product row: δW_conv[f] += δh · patch.
-            let patch = &self.cached_patches[pos];
+            let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
             let p_scale =
                 patch.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
             let mut y_slice = [0.0; TILE];
@@ -683,12 +614,14 @@ mod tests {
         let xs = &xs[..6];
         let mut sequential = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
         let expected: Vec<Vec<f64>> = xs.iter().map(|x| sequential.forward(x)).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        // A one-sample batch is the single-image call, bit for bit.
+        let mut one = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+        assert_eq!(bits(&one.try_forward_batch(&xs[..1]).unwrap()[0]), bits(&expected[0]));
         let mut batched = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
         let got = batched.try_forward_batch(xs).unwrap();
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
-            let gb: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u64> = e.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, eb, "sample {s}: batched CNN output must be bitwise identical");
+            assert_eq!(bits(g), bits(e), "sample {s}: batched CNN output must be bitwise equal");
         }
         assert_eq!(
             sequential.total_energy().value().to_bits(),
@@ -702,10 +635,10 @@ mod tests {
         let xs = &xs[..4];
         let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 7, 8);
         cnn.reserve_forward_scratch(xs.len());
-        cnn.try_forward_batch(xs).unwrap();
         let warm = cnn.hot_path_allocs();
         for _ in 0..3 {
             cnn.try_forward_batch(xs).unwrap();
+            cnn.forward(&xs[0]);
         }
         assert_eq!(
             cnn.hot_path_allocs(),

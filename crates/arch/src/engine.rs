@@ -37,74 +37,43 @@ use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{count, EnergyPj, Hours, Nanoseconds};
 use trident_streams::bank_identity;
 
-/// Reusable forward-pass working memory. Every buffer is cleared and
-/// refilled in place each use, so once the engine is warm (capacities
-/// grown to the network's widths) a forward pass performs no engine-side
-/// heap allocation. Growth events are tallied in `heap_allocs` — the
-/// number `ablation_serve` proves is zero in the steady state. The
-/// modeled device dataflow inside the PEs (per-tile MVM returns, LDSU
-/// latch vectors) sits outside this boundary: those allocations are part
-/// of the hardware model, not the dispatch path (DESIGN.md §15).
-#[derive(Debug, Default)]
-struct ForwardScratch {
-    /// Current activation vector for the single-sample path.
-    y: Vec<f64>,
-    /// Per-layer logit accumulator.
-    h: Vec<f64>,
-    /// Post-LDSU activation staging.
-    act: Vec<f64>,
-    /// Per-sample outputs of the latest [`PhotonicMlp::try_forward_batch`].
-    batch_out: Vec<Vec<f64>>,
-    /// Heap-growth events on the managed buffers (and layer caches).
-    heap_allocs: u64,
-}
-
-/// Clear-and-copy into a reused buffer, tallying capacity growth.
-pub(crate) fn copy_reuse(dst: &mut Vec<f64>, src: &[f64], allocs: &mut u64) {
-    let had = dst.capacity();
-    dst.clear();
-    dst.extend_from_slice(src);
-    if dst.capacity() > had {
-        *allocs += 1;
+/// Make `slots` hold at least `n` per-sample output buffers, tallying
+/// each new one in `allocs`.
+pub(crate) fn grow_slots(slots: &mut Vec<Vec<f64>>, n: usize, allocs: &mut u64) {
+    if slots.len() < n {
+        *allocs += (n - slots.len()) as u64;
+        slots.resize_with(n, Vec::new);
     }
 }
 
-/// Clear `dst` and refill it with `n` zeros, tallying capacity growth.
-pub(crate) fn zero_reuse(dst: &mut Vec<f64>, n: usize, allocs: &mut u64) {
-    let had = dst.capacity();
-    dst.clear();
-    dst.resize(n, 0.0);
-    if dst.capacity() > had {
-        *allocs += 1;
+/// Pre-grow `batch` per-sample output slots to `width` values each —
+/// warm-up, so nothing is tallied.
+pub(crate) fn reserve_slots(slots: &mut Vec<Vec<f64>>, batch: usize, width: usize) {
+    if slots.len() < batch {
+        slots.resize_with(batch, Vec::new);
+    }
+    for slot in slots {
+        slot.reserve(width.saturating_sub(slot.len()));
     }
 }
 
-/// Write layer `k`'s cache slot in place. The pre-scratch implementation
-/// rebuilt the cache with `clear()` + `push(value.clone())` every
-/// forward; reusing the inner buffers keeps the cached values identical
-/// while making the steady state allocation-free.
-pub(crate) fn cache_set(cache: &mut Vec<Vec<f64>>, k: usize, src: &[f64], allocs: &mut u64) {
-    if cache.len() <= k {
-        cache.push(Vec::new());
-        *allocs += 1;
-    }
-    let slot = &mut cache[k];
+/// Clear a reused output slot and refill it through `fill`, tallying a
+/// capacity growth in `allocs`.
+pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&mut Vec<f64>)) {
     let had = slot.capacity();
     slot.clear();
-    slot.extend_from_slice(src);
-    if slot.capacity() > had {
-        *allocs += 1;
-    }
-}
-
-/// Grow `v`'s capacity to at least `cap` (warm-up helper, not counted).
-pub(crate) fn reserve_to(v: &mut Vec<f64>, cap: usize) {
-    if v.capacity() < cap {
-        v.reserve(cap - v.len());
-    }
+    fill(slot);
+    *allocs += u64::from(slot.capacity() > had);
 }
 
 /// A dense network running on simulated photonic hardware.
+///
+/// Working memory follows one rule (DESIGN.md §15): the layer caches,
+/// whose sizes `dims` fixes, are allocated at construction; only the
+/// per-sample output slots grow, and each growth is tallied in
+/// [`PhotonicMlp::hot_path_allocs`]. The modeled device dataflow inside
+/// the PEs (per-tile MVM returns, LDSU latch vectors) is part of the
+/// hardware model and sits outside this boundary.
 pub struct PhotonicMlp {
     dims: Vec<usize>,
     /// Master (electronic) weight copies, row-major `[out × in]` per layer.
@@ -113,9 +82,9 @@ pub struct PhotonicMlp {
     layers: Vec<TileGemm>,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
-    /// Cached per-layer inputs (`y_{k-1}`) from the latest forward pass.
+    /// Per-layer inputs (`y_{k-1}`) of the latest forward pass.
     cached_inputs: Vec<Vec<f64>>,
-    /// Cached per-layer logits (`h_k`) from the latest forward pass.
+    /// Per-layer logits (`h_k`) of the latest forward pass.
     cached_logits: Vec<Vec<f64>>,
     /// Engine-level (non-PE) energy: partial-sum accumulation etc.
     extra_energy: EnergyLedger,
@@ -127,8 +96,10 @@ pub struct PhotonicMlp {
     write_policy: WriteVerifyPolicy,
     /// Pulse-jitter stream for program-and-verify writes.
     write_rng: StdRng,
-    /// Reusable forward-pass working memory (zero-alloc steady state).
-    scratch: ForwardScratch,
+    /// Per-sample outputs of the latest forward.
+    outputs: Vec<Vec<f64>>,
+    /// Growth events on `outputs` since construction.
+    heap_allocs: u64,
 }
 
 /// Result of an in-situ training run.
@@ -228,13 +199,14 @@ impl PhotonicMlp {
             weights,
             layers,
             weight_bits,
-            cached_inputs: Vec::new(),
-            cached_logits: Vec::new(),
+            cached_inputs: dims[..dims.len() - 1].iter().map(|&w| vec![0.0; w]).collect(),
+            cached_logits: dims[1..].iter().map(|&w| vec![0.0; w]).collect(),
             extra_energy: EnergyLedger::new(),
             fault_tolerant_writes: false,
             write_policy: WriteVerifyPolicy::default(),
             write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            scratch: ForwardScratch::default(),
+            outputs: Vec::new(),
+            heap_allocs: 0,
         };
         engine.program_forward_weights()?;
         Ok(engine)
@@ -305,8 +277,11 @@ impl PhotonicMlp {
 
     /// Inject a sampled fault population into every PE of the engine and
     /// switch weight programming to the fault-tolerant closed-loop path.
-    /// Deterministic in `plan.seed`. Returns what was actually injected.
-    pub fn inject_faults(&mut self, plan: &FaultPlan) -> FaultReport {
+    /// Deterministic in `plan.seed`. Returns what was actually injected,
+    /// or the plan's first out-of-range field (see [`FaultPlan::validate`])
+    /// before anything is touched.
+    pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<FaultReport, ArchError> {
+        plan.validate()?;
         let _span = obs::span("engine.inject_faults");
         let mut rng = StdRng::seed_from_u64(plan.seed);
         let mut report = FaultReport {
@@ -350,7 +325,7 @@ impl PhotonicMlp {
         );
         obs::add(obs::Counter::FaultMaskEvents, report.dead_rings as u64);
         self.fault_tolerant_writes = true;
-        report
+        Ok(report)
     }
 
     /// Advance every bank's degradation clock by `delta` hours of
@@ -435,102 +410,18 @@ impl PhotonicMlp {
     }
 
     /// Forward one sample photonically. Input entries must lie in `[0, 1]`
-    /// (image-like data). Returns the output logits.
+    /// (image-like data). Returns the output logits: the same sweep as a
+    /// one-sample [`PhotonicMlp::try_forward_batch`], under its own
+    /// `engine.forward` span.
     pub fn try_forward(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
-        let mut out = Vec::new();
-        self.try_forward_stage_into(x, true, &mut out)?;
-        Ok(out)
-    }
-
-    /// Forward one sample through this engine as **one stage of a
-    /// layer-sharded pipeline**, writing the stage output into a
-    /// caller-owned buffer (cleared first). With `tail = true` this is
-    /// exactly [`PhotonicMlp::try_forward`]: the last layer's logits pass
-    /// through unactivated (the network tail, read by the loss). With
-    /// `tail = false` the last layer is an interior layer of a larger
-    /// network split across stage engines, so its rows go through the
-    /// same `latch_and_activate` path every other hidden layer uses and
-    /// the activated vector feeds the next stage. A warm engine with a
-    /// warm `out` buffer performs no engine-side heap allocation here.
-    pub fn try_forward_stage_into(
-        &mut self,
-        x: &[f64],
-        tail: bool,
-        out: &mut Vec<f64>,
-    ) -> Result<(), ArchError> {
-        if x.len() != self.dims[0] {
-            return Err(ArchError::ShapeMismatch { expected: self.dims[0], got: x.len() });
-        }
-        let trace = obs::enabled();
-        let _forward_span = obs::span("engine.forward");
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let allocs_before = scratch.heap_allocs;
-        let mut y = std::mem::take(&mut scratch.y);
-        copy_reuse(&mut y, x, &mut scratch.heap_allocs);
-        let layer_count = self.layer_count();
-        for k in 0..layer_count {
-            let _layer_span = if trace {
-                obs::span_owned(format!("forward.layer{k}"))
-            } else {
-                obs::SpanGuard::disabled()
-            };
-            let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-            self.forward_layer_step(k, k + 1 == layer_count, tail, &mut y, &mut scratch);
-            if trace {
-                let dt = self.total_elapsed() - sim_start;
-                obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
-                obs::add(obs::Counter::LayersForwarded, 1);
-            }
-        }
-        copy_reuse(out, &y, &mut scratch.heap_allocs);
-        scratch.y = y;
-        obs::add(obs::Counter::HotPathAllocs, scratch.heap_allocs - allocs_before);
-        self.scratch = scratch;
-        Ok(())
-    }
-
-    /// One layer of the forward dataflow for one sample: MVM tiles into
-    /// `scratch.h` with electronic partial-sum accumulation across column
-    /// tiles, then either the tail identity (logits out) or the LDSU
-    /// latch-and-activate; the resulting vector replaces `y`'s contents.
-    ///
-    /// Shared by the per-sample and batched forwards — same float
-    /// operations in the same order, same PE call sequence, same psum
-    /// energy charges, with every transient in a reused buffer — so their
-    /// outputs are bitwise identical (pinned by
-    /// `scratch_forward_is_bitwise_identical` below).
-    fn forward_layer_step(
-        &mut self,
-        k: usize,
-        last: bool,
-        tail: bool,
-        y: &mut Vec<f64>,
-        scratch: &mut ForwardScratch,
-    ) {
-        cache_set(&mut self.cached_inputs, k, y, &mut scratch.heap_allocs);
-        let (out, _) = self.layer_dims(k);
-        // Normalize activations onto the lasers (electronic AGC).
-        let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        zero_reuse(&mut scratch.h, out, &mut scratch.heap_allocs);
-        let psums =
-            self.layers[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, &mut scratch.h);
-        charge_psums(&mut self.extra_energy, psums);
-        cache_set(&mut self.cached_logits, k, &scratch.h, &mut scratch.heap_allocs);
-        if last && tail {
-            // Output layer: identity (read by the loss).
-            copy_reuse(y, &scratch.h, &mut scratch.heap_allocs);
-        } else {
-            zero_reuse(&mut scratch.act, out, &mut scratch.heap_allocs);
-            self.layers[k].activate_rows(&scratch.h, &mut scratch.act);
-            copy_reuse(y, &scratch.act, &mut scratch.heap_allocs);
-        }
+        Ok(self.sweep("engine.forward", &[x], true)?[0].clone())
     }
 
     /// Forward a batch of samples, amortizing per-layer dispatch: the
     /// sweep is layer-major (`for layer { for sample }`), so each layer's
     /// span/bookkeeping overhead is paid once per batch rather than once
     /// per sample and every per-sample output lands in a reused
-    /// engine-owned buffer.
+    /// engine-owned slot.
     ///
     /// Determinism: each PE belongs to exactly one `(layer, tile)` slot,
     /// so it observes the same call sequence (sample 0, 1, … in order)
@@ -540,35 +431,41 @@ impl PhotonicMlp {
     /// per-sample path. The layer caches end holding the *last* sample's
     /// vectors, the same end state the per-sample loop leaves.
     ///
-    /// Returns per-sample outputs in input order; the slice borrows the
-    /// engine's reusable batch buffers and is valid until the next
-    /// forward. With `tail` as in [`PhotonicMlp::try_forward_stage_into`].
+    /// With `tail = true` the last layer's logits pass through
+    /// unactivated (the network tail, read by the loss). With
+    /// `tail = false` the engine is one stage of a layer-sharded
+    /// pipeline: its last layer is an interior layer of the larger
+    /// network, so its rows go through the same latch-and-activate path
+    /// as every hidden layer and the activated vectors feed the next
+    /// stage. Returns per-sample outputs in input order; the slice
+    /// borrows the engine's output slots and is valid until the next
+    /// forward.
     pub fn try_forward_batch<S: AsRef<[f64]>>(
         &mut self,
         inputs: &[S],
         tail: bool,
     ) -> Result<&[Vec<f64>], ArchError> {
-        for x in inputs {
-            if x.as_ref().len() != self.dims[0] {
-                return Err(ArchError::ShapeMismatch {
-                    expected: self.dims[0],
-                    got: x.as_ref().len(),
-                });
-            }
+        self.sweep("engine.forward_batch", inputs, tail)
+    }
+
+    /// The one forward sweep behind both entry points, under span `name`.
+    fn sweep<S: AsRef<[f64]>>(
+        &mut self,
+        name: &'static str,
+        inputs: &[S],
+        tail: bool,
+    ) -> Result<&[Vec<f64>], ArchError> {
+        if let Some(x) = inputs.iter().find(|x| x.as_ref().len() != self.dims[0]) {
+            return Err(ArchError::ShapeMismatch { expected: self.dims[0], got: x.as_ref().len() });
         }
         let trace = obs::enabled();
-        let _span = obs::span("engine.forward_batch");
+        let _span = obs::span(name);
         let n = inputs.len();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let allocs_before = scratch.heap_allocs;
-        while scratch.batch_out.len() < n {
-            scratch.batch_out.push(Vec::new());
-            scratch.heap_allocs += 1;
-        }
-        for (s, x) in inputs.iter().enumerate() {
-            let mut slot = std::mem::take(&mut scratch.batch_out[s]);
-            copy_reuse(&mut slot, x.as_ref(), &mut scratch.heap_allocs);
-            scratch.batch_out[s] = slot;
+        let allocs_before = self.heap_allocs;
+        let mut outputs = std::mem::take(&mut self.outputs);
+        grow_slots(&mut outputs, n, &mut self.heap_allocs);
+        for (slot, x) in outputs.iter_mut().zip(inputs) {
+            refill(slot, &mut self.heap_allocs, |s| s.extend_from_slice(x.as_ref()));
         }
         let layer_count = self.layer_count();
         for k in 0..layer_count {
@@ -577,11 +474,10 @@ impl PhotonicMlp {
             } else {
                 obs::SpanGuard::disabled()
             };
-            for s in 0..n {
+            let activate = !(tail && k + 1 == layer_count);
+            for y in &mut outputs[..n] {
                 let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-                let mut y = std::mem::take(&mut scratch.batch_out[s]);
-                self.forward_layer_step(k, k + 1 == layer_count, tail, &mut y, &mut scratch);
-                scratch.batch_out[s] = y;
+                self.forward_layer(k, activate, y);
                 if trace {
                     let dt = self.total_elapsed() - sim_start;
                     obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
@@ -589,48 +485,48 @@ impl PhotonicMlp {
                 }
             }
         }
-        obs::add(obs::Counter::HotPathAllocs, scratch.heap_allocs - allocs_before);
-        self.scratch = scratch;
-        Ok(&self.scratch.batch_out[..n])
+        obs::add(obs::Counter::HotPathAllocs, self.heap_allocs - allocs_before);
+        self.outputs = outputs;
+        Ok(&self.outputs[..n])
     }
 
-    /// Pre-size the forward scratch, the layer caches, and `batch`
-    /// per-sample output buffers so steady-state forwards perform no
-    /// engine-side heap allocation. Fleet builders call this once per
-    /// replica at build time; growth here is warm-up and is not counted
-    /// in [`PhotonicMlp::hot_path_allocs`].
+    /// One layer of the forward dataflow for one sample: cache the layer
+    /// input, run the MVM tiles into the logit cache with electronic
+    /// partial-sum accumulation across column tiles, then replace `y`
+    /// with the LDSU latch-and-activate of those logits, or with the raw
+    /// logits when `activate` is off (the network tail).
+    fn forward_layer(&mut self, k: usize, activate: bool, y: &mut Vec<f64>) {
+        self.cached_inputs[k].copy_from_slice(y);
+        // Normalize activations onto the lasers (electronic AGC).
+        let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
+        let h = &mut self.cached_logits[k];
+        let psums = self.layers[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, h);
+        charge_psums(&mut self.extra_energy, psums);
+        refill(y, &mut self.heap_allocs, |y| {
+            if activate {
+                y.resize(h.len(), 0.0);
+                self.layers[k].activate_rows(h, y);
+            } else {
+                y.extend_from_slice(h);
+            }
+        });
+    }
+
+    /// Pre-grow `batch` per-sample output slots to the widest layer, so
+    /// steady-state forwards perform no engine-side heap allocation.
+    /// Fleet builders call this once per replica at build time; growth
+    /// here is warm-up and is not counted in
+    /// [`PhotonicMlp::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
         let wmax = self.dims.iter().copied().max().unwrap_or(0);
-        let layers = self.layer_count();
-        let s = &mut self.scratch;
-        reserve_to(&mut s.y, wmax);
-        reserve_to(&mut s.h, wmax);
-        reserve_to(&mut s.act, wmax);
-        while s.batch_out.len() < batch {
-            s.batch_out.push(Vec::new());
-        }
-        for slot in &mut s.batch_out {
-            reserve_to(slot, wmax);
-        }
-        while self.cached_inputs.len() < layers {
-            self.cached_inputs.push(Vec::new());
-        }
-        for slot in &mut self.cached_inputs {
-            reserve_to(slot, wmax);
-        }
-        while self.cached_logits.len() < layers {
-            self.cached_logits.push(Vec::new());
-        }
-        for slot in &mut self.cached_logits {
-            reserve_to(slot, wmax);
-        }
+        reserve_slots(&mut self.outputs, batch, wmax);
     }
 
-    /// Heap-growth events on the forward hot path since construction
-    /// (see `ForwardScratch`). Zero growth across a window of warm
-    /// forwards is the zero-allocation claim `ablation_serve` checks.
+    /// Output-slot growth events since construction. Zero growth across
+    /// a window of warm forwards is the zero-allocation claim
+    /// `ablation_serve` checks.
     pub fn hot_path_allocs(&self) -> u64 {
-        self.scratch.heap_allocs
+        self.heap_allocs
     }
 
     /// Predicted class for one sample (NaN-safe, see [`argmax`]).
@@ -1276,13 +1172,15 @@ mod tests {
         let mut sequential = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
         let expected: Vec<Vec<f64>> =
             xs.iter().map(|x| sequential.try_forward(x).unwrap()).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        // A one-sample batch is the single-sample call, bit for bit.
+        let mut one = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
+        assert_eq!(bits(&one.try_forward_batch(&xs[..1], true).unwrap()[0]), bits(&expected[0]));
         let mut batched = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
         let got = batched.try_forward_batch(&xs, true).unwrap();
         assert_eq!(got.len(), expected.len());
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
-            let gb: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u64> = e.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(gb, eb, "sample {s}: batched output must be bitwise identical");
+            assert_eq!(bits(g), bits(e), "sample {s}: batched output must be bitwise identical");
         }
         // The layer caches end holding the last sample's vectors in both
         // dispatch orders, so training code sees the same end state.
@@ -1313,15 +1211,14 @@ mod tests {
         let mut engine = mlp(&[40, 20, 4], 23);
         let xs = batch_inputs(8, 40);
         engine.reserve_forward_scratch(xs.len());
-        // First batch may still grow cold corners (e.g. an output buffer
-        // narrower than the reserve bound); from then on, nothing.
-        let mut out = Vec::new();
-        engine.try_forward_batch(&xs, true).unwrap();
-        engine.try_forward_stage_into(&xs[0], true, &mut out).unwrap();
+        // Reserved slots never grow, whether the last layer is the tail
+        // or a pipeline stage boundary; the single-sample forward reuses
+        // slot 0 of the same sweep.
         let warm = engine.hot_path_allocs();
         for _ in 0..4 {
             engine.try_forward_batch(&xs, true).unwrap();
-            engine.try_forward_stage_into(&xs[0], true, &mut out).unwrap();
+            engine.try_forward_batch(&xs, false).unwrap();
+            engine.try_forward(&xs[0]).unwrap();
         }
         assert_eq!(
             engine.hot_path_allocs(),

@@ -51,6 +51,15 @@ pub enum ArchError {
         /// The accepted range.
         expected: &'static str,
     },
+    /// A fraction (a fault rate or a laser droop) outside its valid range.
+    FractionOutOfRange {
+        /// The field's name.
+        name: &'static str,
+        /// The value provided.
+        value: f64,
+        /// The accepted range.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ArchError {
@@ -70,6 +79,9 @@ impl fmt::Display for ArchError {
                 write!(f, "layer {layer} out of range for {layers} weight layers")
             }
             Self::InvalidParameter { name, value, expected } => {
+                write!(f, "invalid {name} {value}: expected {expected}")
+            }
+            Self::FractionOutOfRange { name, value, expected } => {
                 write!(f, "invalid {name} {value}: expected {expected}")
             }
         }

@@ -80,6 +80,24 @@ impl FaultPlan {
         }
     }
 
+    /// The first field outside its range, as a typed error naming it:
+    /// every rate must lie in `[0, 1]` and `laser_droop` in `[0, 1)`.
+    pub fn validate(&self) -> Result<(), ArchError> {
+        let rate = |v: f64| (0.0..=1.0).contains(&v);
+        let checks = [
+            ("stuck_amorphous", self.stuck_amorphous, rate(self.stuck_amorphous), "[0, 1]"),
+            ("stuck_crystalline", self.stuck_crystalline, rate(self.stuck_crystalline), "[0, 1]"),
+            ("dead_rings", self.dead_rings, rate(self.dead_rings), "[0, 1]"),
+            ("laser_droop", self.laser_droop, (0.0..1.0).contains(&self.laser_droop), "[0, 1)"),
+        ];
+        match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
+            Some((name, value, _, expected)) => {
+                Err(ArchError::FractionOutOfRange { name, value, expected })
+            }
+            None => Ok(()),
+        }
+    }
+
     /// The expected fraction of rings carrying a hard fault (stuck either
     /// way, or dead).
     pub fn hard_fault_rate(&self) -> f64 {
@@ -170,7 +188,7 @@ impl DeploymentStudy {
             |_, _| EngineOptions { seed: 11, ..Default::default() },
             |plan, t, chip| {
                 let seed = trial_identity(plan.seed, t);
-                let report = chip.inject_faults(&FaultPlan { seed, ..*plan });
+                let report = chip.inject_faults(&FaultPlan { seed, ..*plan })?;
                 // Measure the raw hit first: stuck cells hold their frozen
                 // weights and dead rings read zero. Recovery then comes from
                 // the first verified reprogram (remap/mask) plus in-situ
@@ -229,11 +247,11 @@ mod tests {
         let plan = FaultPlan::stuck_cells(0.05, 42);
         let mut a = mlp(&[16, 8, 4], 1);
         let mut b = mlp(&[16, 8, 4], 1);
-        let ra = a.inject_faults(&plan);
-        let rb = b.inject_faults(&plan);
+        let ra = a.inject_faults(&plan).unwrap();
+        let rb = b.inject_faults(&plan).unwrap();
         assert_eq!(ra, rb, "same plan + seed must inject identical faults");
         let mut c = mlp(&[16, 8, 4], 1);
-        let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan });
+        let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan }).unwrap();
         assert_ne!(
             (ra.stuck_amorphous, ra.stuck_crystalline),
             (rc.stuck_amorphous, rc.stuck_crystalline),

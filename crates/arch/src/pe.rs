@@ -183,12 +183,7 @@ impl ProcessingElement {
     /// Program the bank from a flat row-major matrix.
     pub fn program(&mut self, weights: &[f64]) {
         let (energy, time) = self.bank.program_flat(weights);
-        if energy.value() > 0.0 {
-            self.energy.charge("gst write", energy);
-            self.elapsed += time;
-            obs::add(obs::Counter::PcmWrites, 1);
-            obs::add_pj(obs::Counter::PcmWriteFj, energy.value());
-        }
+        self.charge_write(energy, time);
     }
 
     /// Fault-aware programming: route every weight through the bank's
@@ -202,12 +197,7 @@ impl ProcessingElement {
         rng: &mut StdRng,
     ) -> Result<ProgramReport, ArchError> {
         let report = self.bank.try_program_verified(weights, policy, rng)?;
-        if report.energy.value() > 0.0 {
-            self.energy.charge("gst write", report.energy);
-            self.elapsed += report.time;
-            obs::add(obs::Counter::PcmWrites, 1);
-            obs::add_pj(obs::Counter::PcmWriteFj, report.energy.value());
-        }
+        self.charge_write(report.energy, report.time);
         obs::add(obs::Counter::FaultRemapEvents, report.remapped as u64);
         obs::add(obs::Counter::FaultMaskEvents, report.masked as u64);
         Ok(report)
@@ -215,13 +205,8 @@ impl ProcessingElement {
 
     /// Unsigned optical MVM: `x[j] ∈ [0, 1]`, returns per-row dot products.
     pub fn mvm_unsigned(&mut self, x: &[f64]) -> Vec<f64> {
-        // The statistical readout needs `&mut` for its draw counter; the
-        // deterministic bank path is untouched when the layer is off.
-        let mut y = if self.bank.stat_enabled() {
-            self.bank.mvm_stat(x)
-        } else {
-            self.bank.mvm(x)
-        };
+        // Deterministic `mvm` when the statistical layer is off.
+        let mut y = self.bank.mvm_stat(x);
         if self.laser_droop > 0.0 {
             // A drooped pump delivers less power on every channel; all
             // detected dot products shrink by the same factor.
@@ -320,23 +305,27 @@ impl ProcessingElement {
         let (energy, time) = self
             .bank
             .program_cells(|r, c| if r == 0 && c < y.len() { y[c] } else { 0.0 });
-        if energy.value() > 0.0 {
-            self.energy.charge("gst write", energy);
-            self.elapsed += time;
-            obs::add(obs::Counter::PcmWrites, 1);
-            obs::add_pj(obs::Counter::PcmWriteFj, energy.value());
-        }
-        let readout: Vec<f64> = if self.bank.stat_enabled() {
-            (0..y.len()).map(|c| self.bank.ring_readout_stat(0, c)).collect()
-        } else {
-            (0..y.len()).map(|c| self.bank.ring_readout(0, c)).collect()
-        };
+        self.charge_write(energy, time);
+        // Deterministic `ring_readout` when the statistical layer is off.
+        let readout: Vec<f64> = (0..y.len()).map(|c| self.bank.ring_readout_stat(0, c)).collect();
         let mut out = Vec::with_capacity(dh.len());
         for &d in dh {
             self.charge_symbol(y.len());
             out.push(readout.iter().map(|&w| w * d).collect());
         }
         out
+    }
+
+    /// Charge one GST write: its energy to `"gst write"`, its time to the
+    /// PE clock, and the PCM write counters. A write that changed no cell
+    /// costs nothing.
+    fn charge_write(&mut self, energy: EnergyPj, time: Nanoseconds) {
+        if energy.value() > 0.0 {
+            self.energy.charge("gst write", energy);
+            self.elapsed += time;
+            obs::add(obs::Counter::PcmWrites, 1);
+            obs::add_pj(obs::Counter::PcmWriteFj, energy.value());
+        }
     }
 
     fn charge_symbol(&mut self, active_channels: usize) {

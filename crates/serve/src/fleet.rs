@@ -133,39 +133,35 @@ impl ReplicaEngine {
     fn reserve_forward_scratch(&mut self, batch: usize) {
         match self {
             ReplicaEngine::Mlp(e) => e.reserve_forward_scratch(batch),
-            // The transformer sizes its scratch at construction, but each
-            // request still returns freshly allocated logits, so ViT
-            // fleets make no zero-alloc steady-state claim (the MLP
-            // engine's `hot_path_allocs` contract stays MLP-only).
-            ReplicaEngine::Vit(_) => {}
+            ReplicaEngine::Vit(tx) => tx.reserve_forward_scratch(batch),
         }
     }
 
     fn hot_path_allocs(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.hot_path_allocs(),
-            ReplicaEngine::Vit(_) => 0,
+            ReplicaEngine::Vit(tx) => tx.hot_path_allocs(),
         }
     }
 
     fn masked_rings(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.masked_rings() as u64,
-            ReplicaEngine::Vit(_) => 0,
+            ReplicaEngine::Vit(tx) => tx.masked_rings() as u64,
         }
     }
 
     fn remapped_rings(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.remapped_rings(),
-            ReplicaEngine::Vit(_) => 0,
+            ReplicaEngine::Vit(tx) => tx.remapped_rings(),
         }
     }
 
     fn write_failures(&self) -> u64 {
         match self {
             ReplicaEngine::Mlp(e) => e.write_failures(),
-            ReplicaEngine::Vit(_) => 0,
+            ReplicaEngine::Vit(tx) => tx.write_failures(),
         }
     }
 }
@@ -178,12 +174,32 @@ struct Replica {
     tail: bool,
     /// Virtual time this replica is busy until.
     free_at_ns: u64,
+    /// Engine clock when its current forward started, ns.
+    elapsed_mark_ns: f64,
     /// Engine energy already spent before serving began, pJ.
     energy_baseline_pj: f64,
     requests: u64,
     batches: u64,
     correct: u64,
     busy_ns: u64,
+}
+
+impl Replica {
+    /// A fresh replica around a deployed engine; whatever the engine has
+    /// spent so far is its energy baseline.
+    fn new(engine: ReplicaEngine, tail: bool) -> Self {
+        Self {
+            energy_baseline_pj: engine.total_energy_pj(),
+            engine,
+            tail,
+            free_at_ns: 0,
+            elapsed_mark_ns: 0.0,
+            requests: 0,
+            batches: 0,
+            correct: 0,
+            busy_ns: 0,
+        }
+    }
 }
 
 /// End-of-run wear/energy/accuracy numbers for one replica.
@@ -220,9 +236,6 @@ pub struct Fleet {
     est_ns_per_item: u64,
     /// Reused per-dispatch prediction buffer.
     pred_scratch: Vec<usize>,
-    /// Reused per-sample activation buffers the pipeline stages hand off
-    /// through (replica-parallel dispatch never touches them).
-    stage_io: Vec<Vec<f64>>,
     /// Fleet-side heap-growth events on the dispatch path (the engines
     /// keep their own counters; [`Fleet::hot_path_allocs`] sums both).
     local_allocs: u64,
@@ -245,15 +258,11 @@ impl Fleet {
         sharding: Sharding,
         est_ns_per_item_init: u64,
     ) -> Result<Self, ServeError> {
-        if profiles.is_empty() {
-            return Err(ServeError::NoReplicas);
-        }
         let layers = dims.len().saturating_sub(1);
         if sharding == Sharding::LayerPipeline && profiles.len() > layers {
             return Err(ServeError::BadPipeline { stages: profiles.len(), layers });
         }
-        let mut replicas = Vec::with_capacity(profiles.len());
-        for (id, profile) in profiles.iter().enumerate() {
+        Self::assemble(sharding, profiles, est_ns_per_item_init, |id, profile| {
             let opts = EngineOptions {
                 variation_seed: profile.variation_seed,
                 noise_seed: profile.noise_seed,
@@ -262,14 +271,14 @@ impl Fleet {
             // Pipeline stage s owns layers [s·L/S, (s+1)·L/S): contiguous,
             // non-empty (S <= L), covering all layers exactly once.
             let (stage_dims, layer_lo, tail) = match sharding {
-                Sharding::ReplicaParallel => (dims.to_vec(), 0, true),
+                Sharding::ReplicaParallel => (dims, 0, true),
                 Sharding::LayerPipeline => {
                     let lo = id * layers / profiles.len();
                     let hi = (id + 1) * layers / profiles.len();
-                    (dims[lo..=hi].to_vec(), lo, id + 1 == profiles.len())
+                    (&dims[lo..=hi], lo, id + 1 == profiles.len())
                 }
             };
-            let mut engine = PhotonicMlp::try_with_options(&stage_dims, opts)?;
+            let mut engine = PhotonicMlp::try_with_options(stage_dims, opts)?;
             if let Some(weights) = pretrained {
                 let stage_weights = &weights[layer_lo..layer_lo + engine.layer_count()];
                 engine.try_deploy_weights(stage_weights)?;
@@ -278,37 +287,16 @@ impl Fleet {
                 // Laser-only fault plan: models this replica's reduced
                 // optical power budget without injecting cell faults.
                 engine.inject_faults(&FaultPlan {
-                    stuck_amorphous: 0.0,
-                    stuck_crystalline: 0.0,
-                    dead_rings: 0.0,
-                    drift_years: 0.0,
                     laser_droop: profile.laser_droop,
                     seed: profile.variation_seed,
-                });
+                    ..FaultPlan::default()
+                })?;
             }
             if profile.pre_age_hours > 0.0 {
                 engine.advance_deployment(Hours(profile.pre_age_hours));
                 engine.calibrate_drift_compensation();
             }
-            let energy_baseline_pj = engine.total_energy().value();
-            replicas.push(Replica {
-                engine: ReplicaEngine::Mlp(Box::new(engine)),
-                tail,
-                free_at_ns: 0,
-                energy_baseline_pj,
-                requests: 0,
-                batches: 0,
-                correct: 0,
-                busy_ns: 0,
-            });
-        }
-        Ok(Self {
-            sharding,
-            replicas,
-            est_ns_per_item: est_ns_per_item_init.max(1),
-            pred_scratch: Vec::new(),
-            stage_io: Vec::new(),
-            local_allocs: 0,
+            Ok((ReplicaEngine::Mlp(Box::new(engine)), tail))
         })
     }
 
@@ -325,14 +313,10 @@ impl Fleet {
         sharding: Sharding,
         est_ns_per_item_init: u64,
     ) -> Result<Self, ServeError> {
-        if profiles.is_empty() {
-            return Err(ServeError::NoReplicas);
-        }
-        if sharding != Sharding::ReplicaParallel {
-            return Err(ServeError::VitUnsupported { what: "layer-pipeline sharding" });
-        }
-        let mut replicas = Vec::with_capacity(profiles.len());
-        for profile in profiles {
+        Self::assemble(sharding, profiles, est_ns_per_item_init, |_, profile| {
+            if sharding != Sharding::ReplicaParallel {
+                return Err(ServeError::VitUnsupported { what: "layer-pipeline sharding" });
+            }
             if profile.laser_droop > 0.0 {
                 return Err(ServeError::VitUnsupported { what: "laser droop" });
             }
@@ -342,25 +326,33 @@ impl Fleet {
             if profile.noise_seed.is_some() {
                 return Err(ServeError::VitUnsupported { what: "receiver noise" });
             }
-            let tx = Box::new(PhotonicTransformer::try_new(vit.clone())?);
-            let energy_baseline_pj = tx.total_energy().value();
-            replicas.push(Replica {
-                engine: ReplicaEngine::Vit(tx),
-                tail: true,
-                free_at_ns: 0,
-                energy_baseline_pj,
-                requests: 0,
-                batches: 0,
-                correct: 0,
-                busy_ns: 0,
-            });
+            let tx = PhotonicTransformer::try_new(vit.clone())?;
+            Ok((ReplicaEngine::Vit(Box::new(tx)), true))
+        })
+    }
+
+    /// The fleet assembly both builders share: one replica per profile,
+    /// its engine (and whether it carries the network tail) from
+    /// `deploy(id, profile)`.
+    fn assemble(
+        sharding: Sharding,
+        profiles: &[ReplicaProfile],
+        est_ns_per_item_init: u64,
+        mut deploy: impl FnMut(usize, &ReplicaProfile) -> Result<(ReplicaEngine, bool), ServeError>,
+    ) -> Result<Self, ServeError> {
+        if profiles.is_empty() {
+            return Err(ServeError::NoReplicas);
+        }
+        let mut replicas = Vec::with_capacity(profiles.len());
+        for (id, profile) in profiles.iter().enumerate() {
+            let (engine, tail) = deploy(id, profile)?;
+            replicas.push(Replica::new(engine, tail));
         }
         Ok(Self {
             sharding,
             replicas,
             est_ns_per_item: est_ns_per_item_init.max(1),
             pred_scratch: Vec::new(),
-            stage_io: Vec::new(),
             local_allocs: 0,
         })
     }
@@ -374,31 +366,7 @@ impl Fleet {
         for r in &mut self.replicas {
             r.engine.reserve_forward_scratch(batch);
         }
-        // Only layer-pipeline dispatch hands stage outputs through
-        // `stage_io`, and only MLP fleets are layer-sharded.
-        if self.sharding == Sharding::LayerPipeline {
-            let wmax = self
-                .replicas
-                .iter()
-                .filter_map(|r| match &r.engine {
-                    ReplicaEngine::Mlp(e) => e.dims().iter().copied().max(),
-                    ReplicaEngine::Vit(_) => None,
-                })
-                .max()
-                .unwrap_or(0);
-            while self.stage_io.len() < batch {
-                self.stage_io.push(Vec::new());
-            }
-            for slot in &mut self.stage_io {
-                if slot.capacity() < wmax {
-                    slot.reserve(wmax - slot.len());
-                }
-            }
-        }
-        if self.pred_scratch.capacity() < batch {
-            let need = batch - self.pred_scratch.len();
-            self.pred_scratch.reserve(need);
-        }
+        self.pred_scratch.reserve(batch.saturating_sub(self.pred_scratch.len()));
     }
 
     /// Heap-growth events on the dispatch hot path since construction:
@@ -447,9 +415,18 @@ impl Fleet {
     /// Route one closed batch through the fleet at virtual time `now_ns`,
     /// writing per-request completions into a caller-owned buffer
     /// (cleared first); replica ledgers and the admission estimator
-    /// update as a side effect. Each engine forward goes through its
-    /// batched zero-alloc path, so a warm fleet with a warm `completions`
-    /// buffer dispatches an entire batch without heap allocation.
+    /// update as a side effect.
+    ///
+    /// Both shardings are one stage loop over a route: replica-parallel
+    /// routes through the single least-loaded replica (ties to the
+    /// lowest id — a pure function of the ledger state), layer-pipeline
+    /// through every stage in order, each stage consuming the previous
+    /// stage's output slots. Stage `s` frees at its own completion, so
+    /// the next batch can enter stage `s` while this one is in stage
+    /// `s+1`. Each engine forward goes through its batched zero-alloc
+    /// path and the last stage's outputs feed `argmax` directly, so a
+    /// warm fleet with a warm `completions` buffer dispatches an entire
+    /// batch without heap allocation.
     pub fn dispatch_into(
         &mut self,
         now_ns: u64,
@@ -462,97 +439,54 @@ impl Fleet {
         }
         let _span = obs::span("serve.dispatch");
         let n = batch.len();
-        let (done_ns, tail_id, total_service) = match self.sharding {
+        let route = match self.sharding {
             Sharding::ReplicaParallel => {
-                // Least-loaded routing, ties to the lowest id — a pure
-                // function of the ledger state, so fully deterministic.
                 let pick = self
                     .replicas
                     .iter()
                     .enumerate()
                     .min_by_key(|(id, r)| (r.free_at_ns, *id))
-                    .map(|(id, _)| id)
-                    .unwrap_or(0);
-                let mut preds = std::mem::take(&mut self.pred_scratch);
-                let had_preds = preds.capacity();
-                preds.clear();
-                let replica = &mut self.replicas[pick];
-                let start = now_ns.max(replica.free_at_ns);
-                let elapsed_before = replica.engine.total_elapsed_ns();
-                let outputs = replica.engine.try_forward_batch(batch, replica.tail)?;
-                preds.extend(outputs.iter().map(|o| argmax(o)));
-                let service = obs::counter::ns_from_ns_f64(
-                    replica.engine.total_elapsed_ns() - elapsed_before,
-                )
-                .max(1);
-                let done = start.saturating_add(service);
-                replica.free_at_ns = done;
-                replica.busy_ns += service;
-                replica.batches += 1;
-                replica.requests += n as u64;
-                if preds.capacity() > had_preds {
-                    self.local_allocs += 1;
-                }
-                self.pred_scratch = preds;
-                (done, pick, service)
+                    .map_or(0, |(id, _)| id);
+                pick..pick + 1
             }
-            Sharding::LayerPipeline => {
-                // The batch flows through every stage; stage s frees at
-                // its own completion, so the next batch can enter stage
-                // s while this one is in stage s+1. Stage outputs hand
-                // off through the fleet's reused `stage_io` buffers.
-                while self.stage_io.len() < n {
-                    self.stage_io.push(Vec::new());
-                    self.local_allocs += 1;
-                }
-                let mut t = now_ns;
-                let mut total_service = 0u64;
-                let last = self.replicas.len() - 1;
-                for s in 0..self.replicas.len() {
-                    let stage = &mut self.replicas[s];
-                    let start = t.max(stage.free_at_ns);
-                    let elapsed_before = stage.engine.total_elapsed_ns();
-                    let outputs = if s == 0 {
-                        stage.engine.try_forward_batch(batch, stage.tail)?
-                    } else {
-                        stage.engine.try_forward_batch(&self.stage_io[..n], stage.tail)?
-                    };
-                    let mut grew = 0u64;
-                    for (slot, out) in self.stage_io.iter_mut().take(n).zip(outputs) {
-                        let had = slot.capacity();
-                        slot.clear();
-                        slot.extend_from_slice(out);
-                        if slot.capacity() > had {
-                            grew += 1;
-                        }
-                    }
-                    let service = obs::counter::ns_from_ns_f64(
-                        stage.engine.total_elapsed_ns() - elapsed_before,
-                    )
-                    .max(1);
-                    t = start.saturating_add(service);
-                    stage.free_at_ns = t;
-                    stage.busy_ns += service;
-                    stage.batches += 1;
-                    stage.requests += n as u64;
-                    total_service = total_service.saturating_add(service);
-                    self.local_allocs += grew;
-                }
-                let mut preds = std::mem::take(&mut self.pred_scratch);
-                let had_preds = preds.capacity();
-                preds.clear();
-                preds.extend(self.stage_io.iter().take(n).map(|o| argmax(o)));
-                if preds.capacity() > had_preds {
-                    self.local_allocs += 1;
-                }
-                self.pred_scratch = preds;
-                (t, last, total_service)
-            }
+            Sharding::LayerPipeline => 0..self.replicas.len(),
         };
+        let tail_id = route.end - 1;
+        let mut outputs: Option<&[Vec<f64>]> = None;
+        for stage in &mut self.replicas[route.clone()] {
+            stage.elapsed_mark_ns = stage.engine.total_elapsed_ns();
+            outputs = Some(match outputs {
+                None => stage.engine.try_forward_batch(batch, stage.tail)?,
+                Some(prev) => stage.engine.try_forward_batch(prev, stage.tail)?,
+            });
+        }
+        let had_preds = self.pred_scratch.capacity();
+        self.pred_scratch.clear();
+        self.pred_scratch.extend(outputs.unwrap_or_default().iter().map(|o| argmax(o)));
+        if self.pred_scratch.capacity() > had_preds {
+            self.local_allocs += 1;
+        }
+        let mut done_ns = now_ns;
+        let mut total_service = 0u64;
+        for stage in &mut self.replicas[route] {
+            let start = done_ns.max(stage.free_at_ns);
+            let service = obs::counter::ns_from_ns_f64(
+                stage.engine.total_elapsed_ns() - stage.elapsed_mark_ns,
+            )
+            .max(1);
+            done_ns = start.saturating_add(service);
+            stage.free_at_ns = done_ns;
+            stage.busy_ns += service;
+            stage.batches += 1;
+            stage.requests += n as u64;
+            total_service = total_service.saturating_add(service);
+        }
         // Integer EWMA of per-request service time feeds admission
-        // control; deterministic by construction.
+        // control; deterministic by construction, and saturating so an
+        // unbounded initial estimate cannot overflow.
         let actual_per_item = (total_service / n as u64).max(1);
-        self.est_ns_per_item = (3 * self.est_ns_per_item + actual_per_item) / 4;
+        self.est_ns_per_item =
+            self.est_ns_per_item.saturating_mul(3).saturating_add(actual_per_item) / 4;
 
         let had_completions = completions.capacity();
         for (slot, (req, &predicted)) in batch.iter().zip(&self.pred_scratch).enumerate() {
@@ -585,7 +519,7 @@ impl Fleet {
             .get_mut(replica)
             .ok_or(ServeError::ReplicaOutOfRange { replica, replicas })?;
         match &mut target.engine {
-            ReplicaEngine::Mlp(e) => Ok(e.inject_faults(plan)),
+            ReplicaEngine::Mlp(e) => Ok(e.inject_faults(plan)?),
             ReplicaEngine::Vit(_) => {
                 Err(ServeError::VitUnsupported { what: "fault injection" })
             }
@@ -630,17 +564,8 @@ mod tests {
 
     #[test]
     fn replica_parallel_routes_to_least_loaded() {
-        let dims = [8, 6, 4];
         let profiles = [ReplicaProfile::with_seed(1), ReplicaProfile::with_seed(2)];
-        let mut fleet = Fleet::try_build(
-            &dims,
-            EngineOptions::default(),
-            &profiles,
-            None,
-            Sharding::ReplicaParallel,
-            1000,
-        )
-        .unwrap();
+        let mut fleet = small_fleet(&profiles, 1000).unwrap();
         let reqs = tiny_requests(2);
         let (mut c1, mut c2) = (Vec::new(), Vec::new());
         fleet.dispatch_into(0, &reqs, &mut c1).unwrap();
@@ -726,19 +651,43 @@ mod tests {
         ));
     }
 
+    fn small_fleet(profiles: &[ReplicaProfile], est: u64) -> Result<Fleet, ServeError> {
+        let opts = EngineOptions::default();
+        Fleet::try_build(&[8, 6, 4], opts, profiles, None, Sharding::ReplicaParallel, est)
+    }
+
+    #[test]
+    fn unbounded_initial_estimate_saturates() {
+        let profiles = [ReplicaProfile::with_seed(1), ReplicaProfile::with_seed(2)];
+        let mut fleet = small_fleet(&profiles, u64::MAX).unwrap();
+        fleet.dispatch_into(0, &tiny_requests(2), &mut Vec::new()).unwrap();
+        assert_eq!(fleet.est_batch_ns(1), u64::MAX / 4);
+    }
+
+    #[test]
+    fn full_laser_droop_is_a_typed_build_error() {
+        let profiles = [ReplicaProfile { laser_droop: 1.0, ..ReplicaProfile::with_seed(1) }];
+        assert!(matches!(
+            small_fleet(&profiles, 1000),
+            Err(ServeError::Arch(ref e)) if e.to_string().contains("laser_droop")
+        ));
+    }
+
+    #[test]
+    fn out_of_range_fault_rate_is_a_typed_injection_error() {
+        let profiles = [ReplicaProfile::with_seed(1), ReplicaProfile::with_seed(2)];
+        let mut fleet = small_fleet(&profiles, 1000).unwrap();
+        let plan = FaultPlan { dead_rings: 2.0, seed: 3, ..FaultPlan::default() };
+        assert!(matches!(
+            fleet.inject_fault(0, &plan),
+            Err(ServeError::Arch(ref e)) if e.to_string().contains("dead_rings")
+        ));
+    }
+
     #[test]
     fn fault_injection_targets_one_replica() {
-        let dims = [8, 6, 4];
         let profiles = [ReplicaProfile::with_seed(1), ReplicaProfile::with_seed(2)];
-        let mut fleet = Fleet::try_build(
-            &dims,
-            EngineOptions::default(),
-            &profiles,
-            None,
-            Sharding::ReplicaParallel,
-            1000,
-        )
-        .unwrap();
+        let mut fleet = small_fleet(&profiles, 1000).unwrap();
         let plan = FaultPlan {
             stuck_amorphous: 0.0,
             stuck_crystalline: 0.0,

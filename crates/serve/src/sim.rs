@@ -322,6 +322,7 @@ fn run_on_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_arch::transformer::TransformerConfig;
 
     fn tiny_config() -> ServeConfig {
         let dataset: Vec<(Vec<f64>, usize)> =
@@ -366,6 +367,19 @@ mod tests {
         assert!(a.replicas.iter().any(|r| r.energy_pj > 0.0));
     }
 
+    /// The tiny config serving ViT-tiny token sequences.
+    fn tiny_vit_config() -> (ServeConfig, TransformerConfig) {
+        let vit = TransformerConfig::tiny_vit();
+        let width = vit.input_width();
+        let mut cfg = tiny_config();
+        cfg.scenario = "vit".to_string();
+        cfg.dataset = (0..6)
+            .map(|c| (vec![f64::from(c) / 6.0 - 0.4; width], usize::try_from(c).unwrap() % 4))
+            .collect();
+        cfg.requests = 24;
+        (cfg, vit)
+    }
+
     #[test]
     fn steady_state_dispatch_allocates_nothing() {
         for sharding in [Sharding::ReplicaParallel, Sharding::LayerPipeline] {
@@ -381,6 +395,12 @@ mod tests {
                 sharding.key()
             );
         }
+        // ViT fleets make the same claim: 3 replicas, replica-parallel.
+        let (cfg, vit) = tiny_vit_config();
+        assert_eq!(cfg.replicas.len(), 3);
+        let report = run_vit(&cfg, &vit).unwrap();
+        assert!(report.served > cfg.batch_max as u64, "needs multiple batches to be meaningful");
+        assert_eq!(report.steady_state_allocs, 0, "vit: dispatch after warm-up must not allocate");
     }
 
     #[test]
@@ -449,16 +469,7 @@ mod tests {
 
     #[test]
     fn vit_fleet_serves_end_to_end_and_is_reproducible() {
-        use trident_arch::transformer::TransformerConfig;
-        let vit = TransformerConfig::tiny_vit();
-        let width = vit.input_width();
-        let dataset: Vec<(Vec<f64>, usize)> = (0..6)
-            .map(|c| (vec![f64::from(c) / 6.0 - 0.4; width], usize::try_from(c).unwrap() % 4))
-            .collect();
-        let mut cfg = tiny_config();
-        cfg.scenario = "vit".to_string();
-        cfg.dataset = dataset;
-        cfg.requests = 24;
+        let (cfg, vit) = tiny_vit_config();
         let a = run_vit(&cfg, &vit).unwrap();
         let b = run_vit(&cfg, &vit).unwrap();
         assert_eq!(a.to_json(), b.to_json(), "ViT serving must be reproducible");
