@@ -18,6 +18,7 @@
 //! flatten → dense`, enough to classify the synthetic digit images
 //! end-to-end on simulated optics.
 
+use crate::chip::Chip;
 use crate::engine::{
     accuracy_of, apply_update, argmax, grow_slots, refill, reserve_slots, softmax_grad,
 };
@@ -27,8 +28,11 @@ use crate::tile::{TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::convert::Infallible;
-use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
+
+/// Chip grids: the `out_c × in_c·k·k` filter bank, the dense head.
+const CONV: usize = 0;
+const DENSE: usize = 1;
 
 /// A small photonic CNN: one conv layer, GST activation, 2×2 maxpool,
 /// and a dense classifier head.
@@ -49,10 +53,8 @@ pub struct PhotonicCnn {
     conv_weights: Vec<f64>,
     /// Dense head, row-major `[classes × features]`.
     dense_weights: Vec<f64>,
-    /// The filter bank: one `out_c × in_c·k·k` tile.
-    conv: TileGemm,
-    /// The dense head, `classes × features`.
-    dense: TileGemm,
+    /// The filter bank and the dense head ([`CONV`], [`DENSE`]).
+    chip: Chip,
     weight_bits: u8,
     /// im2col matrix of the latest image: one `in_c·k·k` patch row per
     /// output position.
@@ -65,7 +67,6 @@ pub struct PhotonicCnn {
     pool_argmax: Vec<usize>,
     /// Pooled features entering the dense head.
     features: Vec<f64>,
-    extra_energy: EnergyLedger,
     /// Per-sample logits of the latest forward.
     outputs: Vec<Vec<f64>>,
     /// Growth events on `outputs` since construction.
@@ -104,6 +105,7 @@ impl PhotonicCnn {
         let dense_weights: Vec<f64> =
             (0..classes * features).map(|_| rng.gen_range(-dense_limit..dense_limit)).collect();
 
+        let grids = vec![TileGemm::new(out_c, patch), TileGemm::new(classes, features)];
         let mut cnn = Self {
             in_h,
             in_w,
@@ -113,15 +115,13 @@ impl PhotonicCnn {
             classes,
             conv_weights,
             dense_weights,
-            conv: TileGemm::new(out_c, patch),
-            dense: TileGemm::new(classes, features),
+            chip: Chip::new(grids, seed),
             weight_bits,
             patches: vec![0.0; positions * patch],
             conv_logits: vec![0.0; positions * out_c],
             activ: vec![0.0; out_c * positions],
             pool_argmax: vec![0; features],
             features: vec![0.0; features],
-            extra_energy: EnergyLedger::new(),
             outputs: Vec::new(),
             heap_allocs: 0,
         };
@@ -146,13 +146,27 @@ impl PhotonicCnn {
         self.out_c * h * w
     }
 
-    fn program_all(&mut self) {
-        self.conv.program(&self.conv_weights);
-        self.dense.program(&self.dense_weights);
+    /// The chip both banks run on: faults, aging, drift, ring tallies.
+    pub fn chip(&self) -> &Chip {
+        &self.chip
     }
 
-    /// Forward one image (`in_c·in_h·in_w` values in `[0, 1]`). Returns
-    /// class logits. Caches everything the backward pass needs.
+    /// The chip, mutably.
+    pub fn chip_mut(&mut self) -> &mut Chip {
+        &mut self.chip
+    }
+
+    /// Program both banks through the chip's write path. Only a caller bug
+    /// fails a write, and the clipped, quantized masters rule those out.
+    fn program_all(&mut self) {
+        let written = self.chip.program(CONV, &self.conv_weights);
+        let written = written.and_then(|()| self.chip.program(DENSE, &self.dense_weights));
+        assert!(written.is_ok(), "CNN weight write failed: {written:?}");
+    }
+
+    /// Forward one image (`in_c·in_h·in_w` values in `[0, 1]`; a negative
+    /// value drives its laser lane at zero, as in the MLP). Returns class
+    /// logits. Caches everything the backward pass needs.
     pub fn forward(&mut self, image: &[f64]) -> Vec<f64> {
         assert_eq!(image.len(), self.in_c * self.in_h * self.in_w, "image size mismatch");
         self.sweep(&[image])[0].clone()
@@ -220,13 +234,13 @@ impl PhotonicCnn {
             let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
             let logits = &mut self.conv_logits[pos * out_c..(pos + 1) * out_c];
             let scale = patch.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-            self.conv.gemv_unsigned(patch, |v| v / scale, scale, logits);
-            self.conv.activate_rows(logits, &mut fired[..out_c]);
+            self.chip.grids[CONV].gemv_unsigned(patch, |v| (v / scale).max(0.0), scale, logits);
+            self.chip.grids[CONV].activate_rows(logits, &mut fired[..out_c]);
             for (f, &y) in fired[..out_c].iter().enumerate() {
                 self.activ[f * positions + pos] = y;
             }
             // One bit per row per position spilled to L1.
-            self.extra_energy.charge("ldsu fifo", EnergyPj(0.01 * out_c as f64));
+            self.chip.ldsu.energy.charge("ldsu fifo", EnergyPj(0.01 * out_c as f64));
         }
 
         // 2×2 max pool with argmax routing cached.
@@ -257,7 +271,8 @@ impl PhotonicCnn {
         let scale = self.features.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
         refill(out, &mut self.heap_allocs, |out| {
             out.resize(self.classes, 0.0);
-            self.dense.gemv_unsigned(&self.features, |v| v / scale, scale, out);
+            let lane = |v: f64| (v / scale).max(0.0);
+            self.chip.grids[DENSE].gemv_unsigned(&self.features, lane, scale, out);
         });
     }
 
@@ -415,14 +430,14 @@ impl PhotonicCnn {
         let (loss, delta_out) = softmax_grad(&logits, label);
 
         // Dense outer product: δW = δ ⊗ features (photonic, tile-wise).
-        let dense_grad = self.dense.outer_product(&delta_out, &self.features);
+        let dense_grad = self.chip.grids[DENSE].outer_product(&delta_out, &self.features);
 
         // Gradient into the pooled features: δ_feat = Wᵀ δ (photonic
         // signed MVM over the transposed head, restored by `program_all`
         // below; these partial sums are not billed, DESIGN.md §16).
-        self.dense.program_transposed(&self.dense_weights);
+        self.chip.grids[DENSE].program_transposed(&self.dense_weights);
         let mut delta_feat = vec![0.0; self.feature_count()];
-        self.dense.gemv_signed(&delta_out, &mut delta_feat);
+        self.chip.grids[DENSE].gemv_signed(&delta_out, &mut delta_feat);
 
         // Unpool: route each feature's error to its argmax position, then
         // apply the per-position latched derivative.
@@ -449,8 +464,8 @@ impl PhotonicCnn {
             for (s, &v) in y_slice.iter_mut().zip(patch) {
                 *s = v / p_scale;
             }
-            let products =
-                self.conv.pes_mut()[0].outer_product(&[delta_h], &y_slice[..patch.len()]);
+            let pe = &mut self.chip.grids[CONV].pes_mut()[0];
+            let products = pe.outer_product(&[delta_h], &y_slice[..patch.len()]);
             for (j, &p) in products[0].iter().enumerate() {
                 conv_grad[f * patch_len + j] += p * p_scale;
             }
@@ -484,17 +499,12 @@ impl PhotonicCnn {
 
     /// Total optical energy spent so far.
     pub fn total_energy(&self) -> EnergyPj {
-        self.dense.fold_energy(self.conv.fold_energy(EnergyPj::ZERO)) + self.extra_energy.total()
-    }
-
-    /// GST programming energy alone.
-    pub fn programming_energy(&self) -> EnergyPj {
-        self.dense.fold_write_energy(self.conv.fold_write_energy(EnergyPj::ZERO))
+        self.chip.total_energy()
     }
 
     /// Simulated time across both banks.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.dense.fold_elapsed(self.conv.fold_elapsed(Nanoseconds::ZERO))
+        self.chip.pe_elapsed()
     }
 
     /// Conv filter weights (master copy, for verification).
@@ -645,6 +655,21 @@ mod tests {
             warm,
             "steady-state CNN forwards must not grow engine scratch"
         );
+    }
+
+    #[test]
+    fn negative_pixel_forwards_like_a_dark_one() {
+        // Lanes clamp at zero like the MLP's: a negative pixel is a dark
+        // channel, not an out-of-range laser power.
+        let (xs, _) = digit_images(1);
+        let (mut dark, mut negative) = (xs[0].clone(), xs[0].clone());
+        dark[9] = 0.0;
+        negative[9] = -0.5;
+        let want = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8).forward(&dark);
+        let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+        let got = &cnn.try_forward_batch(&[negative]).unwrap()[0];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(got), bits(&want));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! the outer products, the Hadamard with the latched `f'(h)` and the
 //! Eq. 1 update are the same calls backprop makes.
 
+use crate::chip::Chip;
 use crate::engine::PhotonicMlp;
 use crate::error::ArchError;
 use crate::tile::TileGemm;
@@ -35,7 +36,7 @@ pub struct DfaFeedback {
     /// `B_k` for each hidden layer `k` (row-major `[hidden_k × classes]`).
     matrices: Vec<Vec<f64>>,
     /// Dedicated banks holding each `B_k`, programmed once.
-    banks: Vec<TileGemm>,
+    chip: Chip,
 }
 
 impl DfaFeedback {
@@ -57,7 +58,7 @@ impl DfaFeedback {
             matrices.push(b);
             banks.push(bank);
         }
-        Self { matrices, banks }
+        Self { matrices, chip: Chip::new(banks, seed) }
     }
 
     /// Number of hidden layers covered.
@@ -67,16 +68,16 @@ impl DfaFeedback {
 
     /// One-time optical programming energy of all feedback banks.
     pub fn programming_energy(&self) -> EnergyPj {
-        self.banks.iter().fold(EnergyPj::ZERO, |acc, bank| bank.fold_write_energy(acc))
+        self.chip.programming_energy()
     }
 
     /// Photonic projection `B_k · e` (signed MVM over the feedback bank;
     /// its partial sums are not billed, DESIGN.md §16).
     pub fn project(&mut self, k: usize, error: &[f64]) -> Vec<f64> {
-        let (hidden, classes) = self.banks[k].dims();
+        let (hidden, classes) = self.chip.grids[k].dims();
         assert_eq!(error.len(), classes, "error width mismatch");
         let mut v = vec![0.0; hidden];
-        self.banks[k].gemv_signed(error, &mut v);
+        self.chip.grids[k].gemv_signed(error, &mut v);
         v
     }
 

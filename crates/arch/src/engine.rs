@@ -23,15 +23,14 @@
 //! Every optical programming event and symbol is charged to the energy
 //! ledgers, so the training demos report honest device-level costs.
 
+use crate::chip::Chip;
 use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
-use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{charge_psums, PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
-use trident_pcm::gst::{GstFault, WriteVerifyPolicy};
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{count, EnergyPj, Hours, Nanoseconds};
@@ -78,24 +77,14 @@ pub struct PhotonicMlp {
     dims: Vec<usize>,
     /// Master (electronic) weight copies, row-major `[out × in]` per layer.
     weights: Vec<Vec<f64>>,
-    /// One tile grid per layer.
-    layers: Vec<TileGemm>,
+    /// The chip: one tile grid per layer.
+    chip: Chip,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
     /// Per-layer inputs (`y_{k-1}`) of the latest forward pass.
     cached_inputs: Vec<Vec<f64>>,
     /// Per-layer logits (`h_k`) of the latest forward pass.
     cached_logits: Vec<Vec<f64>>,
-    /// Engine-level (non-PE) energy: partial-sum accumulation etc.
-    extra_energy: EnergyLedger,
-    /// When set (after [`PhotonicMlp::inject_faults`]), forward-weight
-    /// programming runs through the banks' closed-loop program-and-verify
-    /// path with remap/mask degradation instead of ideal open-loop pulses.
-    fault_tolerant_writes: bool,
-    /// Retry policy for the fault-tolerant write path.
-    write_policy: WriteVerifyPolicy,
-    /// Pulse-jitter stream for program-and-verify writes.
-    write_rng: StdRng,
     /// Per-sample outputs of the latest forward.
     outputs: Vec<Vec<f64>>,
     /// Growth events on `outputs` since construction.
@@ -197,18 +186,16 @@ impl PhotonicMlp {
         let mut engine = Self {
             dims: dims.to_vec(),
             weights,
-            layers,
+            chip: Chip::new(layers, seed),
             weight_bits,
             cached_inputs: dims[..dims.len() - 1].iter().map(|&w| vec![0.0; w]).collect(),
             cached_logits: dims[1..].iter().map(|&w| vec![0.0; w]).collect(),
-            extra_energy: EnergyLedger::new(),
-            fault_tolerant_writes: false,
-            write_policy: WriteVerifyPolicy::default(),
-            write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             outputs: Vec::new(),
             heap_allocs: 0,
         };
-        engine.program_forward_weights()?;
+        for (k, w) in engine.weights.iter().enumerate() {
+            engine.chip.program(k, w)?;
+        }
         Ok(engine)
     }
 
@@ -227,11 +214,6 @@ impl PhotonicMlp {
         &self.dims
     }
 
-    /// Total PEs allocated.
-    pub fn pe_count(&self) -> usize {
-        self.layers.iter().map(TileGemm::tile_count).sum()
-    }
-
     /// Direct access to layer `k`'s master weights (for equivalence tests).
     pub fn layer_weights(&self, k: usize) -> &[f64] {
         &self.weights[k]
@@ -248,7 +230,7 @@ impl PhotonicMlp {
             return Err(ArchError::ShapeMismatch { expected: out * inp, got: w.len() });
         }
         self.weights[k] = w.iter().map(|&v| quantize(v, self.weight_bits)).collect();
-        self.program_layer_forward(k)
+        self.chip.program(k, &self.weights[k])
     }
 
     /// A copy of every layer's master weights, in layer order — the
@@ -275,138 +257,24 @@ impl PhotonicMlp {
         Ok(())
     }
 
-    /// Inject a sampled fault population into every PE of the engine and
-    /// switch weight programming to the fault-tolerant closed-loop path.
-    /// Deterministic in `plan.seed`. Returns what was actually injected,
-    /// or the plan's first out-of-range field (see [`FaultPlan::validate`])
-    /// before anything is touched.
-    pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<FaultReport, ArchError> {
-        plan.validate()?;
-        let _span = obs::span("engine.inject_faults");
-        let mut rng = StdRng::seed_from_u64(plan.seed);
-        let mut report = FaultReport {
-            stuck_amorphous: 0,
-            stuck_crystalline: 0,
-            dead_rings: 0,
-            total_rings: 0,
-            laser_droop: plan.laser_droop,
-            drift_years: plan.drift_years,
-        };
-        for pe in self.layers.iter_mut().flat_map(TileGemm::pes_mut) {
-            if plan.laser_droop > 0.0 {
-                pe.set_laser_droop(plan.laser_droop);
-            }
-            let (rows, cols) = (pe.rows(), pe.cols());
-            let bank = pe.bank_mut();
-            for r in 0..rows {
-                for c in 0..cols {
-                    report.total_rings += 1;
-                    let u: f64 = rng.gen_range(0.0..1.0);
-                    if u < plan.stuck_amorphous {
-                        bank.inject_ring_fault(r, c, GstFault::StuckAmorphous);
-                        report.stuck_amorphous += 1;
-                    } else if u < plan.stuck_amorphous + plan.stuck_crystalline {
-                        bank.inject_ring_fault(r, c, GstFault::StuckCrystalline);
-                        report.stuck_crystalline += 1;
-                    }
-                    if plan.dead_rings > 0.0 && rng.gen_bool(plan.dead_rings) {
-                        bank.mask_ring(r, c);
-                        report.dead_rings += 1;
-                    }
-                }
-            }
-            if plan.drift_years > 0.0 {
-                bank.advance_years(plan.drift_years);
-            }
-        }
-        obs::add(
-            obs::Counter::FaultInjectEvents,
-            (report.stuck_amorphous + report.stuck_crystalline) as u64,
-        );
-        obs::add(obs::Counter::FaultMaskEvents, report.dead_rings as u64);
-        self.fault_tolerant_writes = true;
-        Ok(report)
+    /// The chip the layers run on: faults, aging, drift, ring tallies.
+    pub fn chip(&self) -> &Chip {
+        &self.chip
     }
 
-    /// Advance every bank's degradation clock by `delta` hours of
-    /// simulated deployment time and apply the active degradation law —
-    /// statistical power-law drift when built with
-    /// [`EngineOptions::stat`], deterministic crystallinity relaxation
-    /// otherwise. This is the single way time passes for a deployed
-    /// engine.
+    /// The chip, mutably.
+    pub fn chip_mut(&mut self) -> &mut Chip {
+        &mut self.chip
+    }
+
+    /// [`Chip::advance_deployment`].
     pub fn advance_deployment(&mut self, delta: Hours) {
-        let _span = obs::span("engine.advance_deployment");
-        for layer in &mut self.layers {
-            layer.advance_hours(delta);
-        }
+        self.chip.advance_deployment(delta);
     }
 
-    /// Run one drift-calibration pass on every bank (one reference-column
-    /// read each), updating the global compensation gains. The probe
-    /// energy lands in each bank's `"drift calibration"` ledger entry (so
-    /// [`PhotonicMlp::total_energy`] and the obs counters both see it);
-    /// the total is returned. A no-op returning zero without the
-    /// statistical layer.
+    /// [`Chip::calibrate_drift_compensation`].
     pub fn calibrate_drift_compensation(&mut self) -> EnergyPj {
-        let _span = obs::span("engine.drift_calibration");
-        self.layers.iter_mut().fold(EnergyPj::ZERO, |spent, layer| layer.calibrate(spent))
-    }
-
-    /// Open every bank's drift-compensation loop (gain back to unity) for
-    /// the duration of a reprogramming campaign — see
-    /// [`WeightBank::disengage_compensation`](crate::bank::WeightBank::disengage_compensation)
-    /// for why training under a stale gain is unsafe. A no-op without the
-    /// statistical layer.
-    pub fn disengage_drift_compensation(&mut self) {
-        for layer in &mut self.layers {
-            layer.disengage_compensation();
-        }
-    }
-
-    /// Whether the statistical device layer is active on the engine's
-    /// banks.
-    pub fn stat_enabled(&self) -> bool {
-        self.layers.iter().any(TileGemm::stat_enabled)
-    }
-
-    /// Whether programming runs through the fault-tolerant verified path.
-    pub fn fault_tolerant_writes(&self) -> bool {
-        self.fault_tolerant_writes
-    }
-
-    /// Writes rejected by stuck cells or failed by verify, summed over
-    /// every bank.
-    pub fn write_failures(&self) -> u64 {
-        self.layers.iter().map(TileGemm::write_failures).sum()
-    }
-
-    /// Faulty or worn cells remapped onto spare rings, summed over banks.
-    pub fn remapped_rings(&self) -> u64 {
-        self.layers.iter().map(TileGemm::remapped_rings).sum()
-    }
-
-    /// Dead slots masked out of the optics, summed over banks.
-    pub fn masked_rings(&self) -> usize {
-        self.layers.iter().map(TileGemm::masked_rings).sum()
-    }
-
-    fn program_layer_forward(&mut self, k: usize) -> Result<(), ArchError> {
-        if self.fault_tolerant_writes {
-            // Closed-loop writes; per-cell failures are absorbed by the
-            // bank's remap/mask degradation and tallied in the ring
-            // counters, so only internal-shape bugs can error here.
-            self.layers[k].program_verified(&self.weights[k], &self.write_policy, &mut self.write_rng)
-        } else {
-            self.layers[k].program(&self.weights[k]);
-            Ok(())
-        }
-    }
-
-    fn program_forward_weights(&mut self) -> Result<(), ArchError> {
-        for k in 0..self.layer_count() {
-            self.program_layer_forward(k)?;
-        }
-        Ok(())
+        self.chip.calibrate_drift_compensation()
     }
 
     /// Forward one sample photonically. Input entries must lie in `[0, 1]`
@@ -500,12 +368,12 @@ impl PhotonicMlp {
         // Normalize activations onto the lasers (electronic AGC).
         let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
         let h = &mut self.cached_logits[k];
-        let psums = self.layers[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, h);
-        charge_psums(&mut self.extra_energy, psums);
+        let psums = self.chip.grids[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, h);
+        charge_psums(&mut self.chip.ldsu.energy, psums);
         refill(y, &mut self.heap_allocs, |y| {
             if activate {
                 y.resize(h.len(), 0.0);
-                self.layers[k].activate_rows(h, y);
+                self.chip.grids[k].activate_rows(h, y);
             } else {
                 y.extend_from_slice(h);
             }
@@ -576,7 +444,7 @@ impl PhotonicMlp {
                 // Layer k−1's error: (W_kᵀ δh_k) or (B_{k−1} e), ⊙ f'(h_{k−1}).
                 delta = match feedback.as_deref_mut() {
                     None => self.gradient_vector_layer(k, &delta)?,
-                    Some(fb) => self.layers[k - 1].hadamard_latched(&fb.project(k - 1, &error)),
+                    Some(fb) => self.chip.grids[k - 1].hadamard_latched(&fb.project(k - 1, &error)),
                 };
             }
         }
@@ -657,18 +525,18 @@ impl PhotonicMlp {
                         }
                     }
                     if k > 0 {
-                        self.layers[k].program_transposed(&self.weights[k]);
+                        self.chip.grids[k].program_transposed(&self.weights[k]);
                         for s in 0..bx.len() {
                             // Signed MVM through Wᵀ; this sweep bills no
                             // partial sums (DESIGN.md §16).
                             let mut v = vec![0.0; self.dims[k]];
-                            self.layers[k].gemv_signed(&sample_deltas[s], &mut v);
+                            self.chip.grids[k].gemv_signed(&sample_deltas[s], &mut v);
                             // Hadamard with the spilled f'(h_{k-1}) bits.
                             let h = &sample_logits[s][k - 1];
                             sample_deltas[s] =
                                 v.iter().zip(h).map(|(&vi, &hi)| spilled_hadamard(vi, hi)).collect();
                         }
-                        self.program_layer_forward(k)?;
+                        self.chip.program(k, &self.weights[k])?;
                     }
                 }
                 self.apply_weight_grads(&grads, learning_rate)?;
@@ -687,7 +555,7 @@ impl PhotonicMlp {
     ) -> Result<(), ArchError> {
         for k in 0..self.layer_count() {
             apply_update(&mut self.weights[k], &weight_grads[k], learning_rate, self.weight_bits);
-            self.program_layer_forward(k)?;
+            self.chip.program(k, &self.weights[k])?;
         }
         Ok(())
     }
@@ -705,18 +573,17 @@ impl PhotonicMlp {
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
         let (out, inp) = self.layer_dims(k);
         assert_eq!(delta.len(), out);
-        self.layers[k].program_transposed(&self.weights[k]);
+        self.chip.grids[k].program_transposed(&self.weights[k]);
         let mut v = vec![0.0; inp];
-        let psums = self.layers[k].gemv_signed(delta, &mut v);
-        charge_psums(&mut self.extra_energy, psums);
+        self.chip.gemv_signed(k, delta, &mut v);
         // Restore the forward weights for the next forward pass.
-        self.program_layer_forward(k)?;
+        self.chip.program(k, &self.weights[k])?;
         if trace {
             let dt = self.total_elapsed() - sim_start;
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
         }
         // Hadamard with f'(h_{k-1}) from the previous layer's LDSUs.
-        Ok(self.layers[k - 1].hadamard_latched(&v))
+        Ok(self.chip.grids[k - 1].hadamard_latched(&v))
     }
 
     /// Table II outer-product mode for layer `k`: `δW = δh ⊗ y_{k-1}`,
@@ -730,7 +597,7 @@ impl PhotonicMlp {
         };
         let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
         assert_eq!(delta.len(), self.layer_dims(k).0);
-        let grad = self.layers[k].outer_product(delta, &self.cached_inputs[k]);
+        let grad = self.chip.grids[k].outer_product(delta, &self.cached_inputs[k]);
         if trace {
             let dt = self.total_elapsed() - sim_start;
             obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
@@ -762,7 +629,7 @@ impl PhotonicMlp {
             loss_history,
             final_accuracy: self.accuracy(xs, labels)?,
             total_energy: self.total_energy(),
-            programming_energy: self.programming_energy(),
+            programming_energy: self.chip.programming_energy(),
             elapsed: self.total_elapsed(),
         })
     }
@@ -793,27 +660,17 @@ impl PhotonicMlp {
 
     /// Aggregate energy across all PEs and engine-level charges.
     pub fn total_energy(&self) -> EnergyPj {
-        self.layers.iter().fold(EnergyPj::ZERO, |acc, layer| layer.fold_energy(acc))
-            + self.extra_energy.total()
+        self.chip.total_energy()
     }
 
-    /// GST programming energy alone.
-    pub fn programming_energy(&self) -> EnergyPj {
-        self.layers.iter().fold(EnergyPj::ZERO, |acc, layer| layer.fold_write_energy(acc))
-    }
-
-    /// Full merged energy ledger.
+    /// Full merged energy ledger ([`Chip::energy_ledger`]).
     pub fn energy_ledger(&self) -> EnergyLedger {
-        let mut ledger = self.extra_energy.clone();
-        for layer in &self.layers {
-            layer.absorb_into(&mut ledger);
-        }
-        ledger
+        self.chip.energy_ledger()
     }
 
     /// Simulated time across PEs (sequential-tile upper bound).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.layers.iter().fold(Nanoseconds::ZERO, |acc, layer| layer.fold_elapsed(acc))
+        self.chip.pe_elapsed()
     }
 
     /// The activation function the hardware applies between layers.
@@ -955,7 +812,7 @@ mod tests {
         // 40 inputs forces column tiling (3 tiles of 16). Seed pinned
         // against the vendored RNG stream with 2× margin on the bound.
         let mut engine = mlp(&[40, 20, 4], 23);
-        assert!(engine.pe_count() > 3 * 2, "tiling must allocate PEs");
+        assert!(engine.chip().pe_count() > 3 * 2, "tiling must allocate PEs");
         let x: Vec<f64> = (0..40).map(|i| ((i * 7) % 10) as f64 / 10.0).collect();
         let photonic = engine.try_forward(&x).unwrap();
         let reference = reference_forward(&engine, &x);

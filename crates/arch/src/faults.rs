@@ -13,9 +13,8 @@
 //! * [`FaultPlan`] — a seedable description of a fault population, either
 //!   given directly as per-ring probabilities or sampled from a projected
 //!   [`EnduranceReport`];
-//! * [`FaultReport`] — what
-//!   [`PhotonicMlp::inject_faults`](crate::engine::PhotonicMlp::inject_faults)
-//!   actually injected;
+//! * [`FaultReport`] — what [`Chip::inject_faults`](crate::chip::Chip::inject_faults)
+//!   actually injected, on any engine's chip;
 //! * [`DeploymentStudy::run_faults`] — the end-to-end campaign on the
 //!   shared deploy-and-fine-tune protocol: pretrain on a healthy chip,
 //!   inject faults, measure the accuracy drop, fine-tune in situ on the
@@ -105,9 +104,9 @@ impl FaultPlan {
     }
 }
 
-/// What [`PhotonicMlp::inject_faults`](crate::engine::PhotonicMlp::inject_faults)
-/// actually injected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// What [`Chip::inject_faults`](crate::chip::Chip::inject_faults) actually
+/// injected.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Cells pinned fully amorphous.
     pub stuck_amorphous: usize,
@@ -186,22 +185,22 @@ impl DeploymentStudy {
             plans,
             (xs, labels),
             |_, _| EngineOptions { seed: 11, ..Default::default() },
-            |plan, t, chip| {
+            |plan, t, engine| {
                 let seed = trial_identity(plan.seed, t);
-                let report = chip.inject_faults(&FaultPlan { seed, ..*plan })?;
+                let report = engine.chip_mut().inject_faults(&FaultPlan { seed, ..*plan })?;
                 // Measure the raw hit first: stuck cells hold their frozen
                 // weights and dead rings read zero. Recovery then comes from
                 // the first verified reprogram (remap/mask) plus in-situ
                 // fine-tuning.
-                let faulted = chip.accuracy(xs, labels)?;
-                chip.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
+                let faulted = engine.accuracy(xs, labels)?;
+                engine.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
                 Ok([
                     report.hard_fault_fraction(),
                     faulted,
-                    chip.accuracy(xs, labels)?,
-                    chip.write_failures() as f64,
-                    chip.remapped_rings() as f64,
-                    chip.masked_rings() as f64,
+                    engine.accuracy(xs, labels)?,
+                    engine.chip().write_failures() as f64,
+                    engine.chip().remapped_rings() as f64,
+                    engine.chip().masked_rings() as f64,
                 ])
             },
             |&plan, ideal_accuracy, [hard, faulted, finetuned, failures, remaps, masks]| {
@@ -247,11 +246,11 @@ mod tests {
         let plan = FaultPlan::stuck_cells(0.05, 42);
         let mut a = mlp(&[16, 8, 4], 1);
         let mut b = mlp(&[16, 8, 4], 1);
-        let ra = a.inject_faults(&plan).unwrap();
-        let rb = b.inject_faults(&plan).unwrap();
+        let ra = a.chip_mut().inject_faults(&plan).unwrap();
+        let rb = b.chip_mut().inject_faults(&plan).unwrap();
         assert_eq!(ra, rb, "same plan + seed must inject identical faults");
         let mut c = mlp(&[16, 8, 4], 1);
-        let rc = c.inject_faults(&FaultPlan { seed: 43, ..plan }).unwrap();
+        let rc = c.chip_mut().inject_faults(&FaultPlan { seed: 43, ..plan }).unwrap();
         assert_ne!(
             (ra.stuck_amorphous, ra.stuck_crystalline),
             (rc.stuck_amorphous, rc.stuck_crystalline),

@@ -14,6 +14,8 @@
 //! * `tile` — `TileGemm`, the one GEMM primitive every model lowers onto:
 //!   a logical matrix on a grid of 16×16 PEs, cut into tiles, programmed,
 //!   multiplied and partial-sum accumulated in one place.
+//! * [`chip`] — a model's tile grids and the chip-wide operations:
+//!   faults, the write path, aging, drift calibration, ring accounting.
 //! * [`engine`] — a multi-PE engine that runs whole dense networks
 //!   photonically, for inference and full in-situ backpropagation, with
 //!   energy/time ledgers.
@@ -44,6 +46,7 @@
 
 pub mod area;
 pub mod bank;
+pub mod chip;
 pub mod config;
 pub mod conv_engine;
 pub mod design_space;
@@ -64,6 +67,7 @@ pub mod transformer;
 pub mod variation;
 
 pub use bank::{ProgramReport, WeightBank};
+pub use chip::Chip;
 pub use config::TridentConfig;
 pub use error::ArchError;
 pub use faults::{FaultCampaignRow, FaultPlan, FaultReport};

@@ -175,11 +175,6 @@ impl ProcessingElement {
         self.laser_droop = droop;
     }
 
-    /// Current fractional laser-power droop.
-    pub fn laser_droop(&self) -> f64 {
-        self.laser_droop
-    }
-
     /// Program the bank from a flat row-major matrix.
     pub fn program(&mut self, weights: &[f64]) {
         let (energy, time) = self.bank.program_flat(weights);

@@ -26,7 +26,7 @@ use std::ops::Range;
 use trident_pcm::gst::WriteVerifyPolicy;
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
-use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
+use trident_photonics::units::EnergyPj;
 
 /// Rows and columns of every PCM-MRR weight bank.
 pub(crate) const TILE: usize = 16;
@@ -100,12 +100,12 @@ impl TileGemm {
         (self.out, self.inp)
     }
 
-    /// Number of PEs (tiles) in the grid.
-    pub(crate) fn tile_count(&self) -> usize {
-        self.pes.len()
+    /// The grid's PEs, row-major.
+    pub(crate) fn pes(&self) -> &[ProcessingElement] {
+        &self.pes
     }
 
-    /// The grid's PEs, row-major — the fault-injection entry point.
+    /// The grid's PEs, row-major, mutably.
     pub(crate) fn pes_mut(&mut self) -> &mut [ProcessingElement] {
         &mut self.pes
     }
@@ -320,72 +320,6 @@ impl TileGemm {
         }
         grad
     }
-
-    // The sums below fold onto a caller-supplied accumulator in tile
-    // order, so a model's total over several matrices stays bitwise equal
-    // to one flat sum over all its PEs.
-
-    /// `acc` plus every tile's total energy.
-    pub(crate) fn fold_energy(&self, acc: EnergyPj) -> EnergyPj {
-        self.pes.iter().fold(acc, |a, pe| a + pe.energy().total())
-    }
-
-    /// `acc` plus every tile's GST programming energy.
-    pub(crate) fn fold_write_energy(&self, acc: EnergyPj) -> EnergyPj {
-        self.pes.iter().fold(acc, |a, pe| a + pe.energy().get("gst write"))
-    }
-
-    /// `acc` plus every tile's simulated time.
-    pub(crate) fn fold_elapsed(&self, acc: Nanoseconds) -> Nanoseconds {
-        self.pes.iter().fold(acc, |a, pe| a + pe.elapsed())
-    }
-
-    /// Merge every tile's energy ledger into `ledger`.
-    pub(crate) fn absorb_into(&self, ledger: &mut EnergyLedger) {
-        for pe in &self.pes {
-            ledger.absorb(pe.energy());
-        }
-    }
-
-    /// Run one drift-calibration pass on every bank; returns `acc` plus
-    /// the probe energy spent.
-    pub(crate) fn calibrate(&mut self, acc: EnergyPj) -> EnergyPj {
-        self.pes.iter_mut().fold(acc, |a, pe| a + pe.bank_mut().calibrate_compensation())
-    }
-
-    /// Open every bank's drift-compensation loop.
-    pub(crate) fn disengage_compensation(&mut self) {
-        for pe in &mut self.pes {
-            pe.bank_mut().disengage_compensation();
-        }
-    }
-
-    /// Advance every bank's degradation clock by `delta`.
-    pub(crate) fn advance_hours(&mut self, delta: Hours) {
-        for pe in &mut self.pes {
-            pe.bank_mut().advance_hours(delta);
-        }
-    }
-
-    /// Whether any bank runs the statistical device layer.
-    pub(crate) fn stat_enabled(&self) -> bool {
-        self.pes.iter().any(|pe| pe.bank().stat_enabled())
-    }
-
-    /// Writes rejected or failed across the grid's banks.
-    pub(crate) fn write_failures(&self) -> u64 {
-        self.pes.iter().map(|pe| pe.bank().write_failures()).sum()
-    }
-
-    /// Cells remapped onto spare rings across the grid's banks.
-    pub(crate) fn remapped_rings(&self) -> u64 {
-        self.pes.iter().map(|pe| pe.bank().remapped_count()).sum()
-    }
-
-    /// Dead slots masked out across the grid's banks.
-    pub(crate) fn masked_rings(&self) -> usize {
-        self.pes.iter().map(|pe| pe.bank().masked_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -544,14 +478,15 @@ mod tests {
         let w: Vec<f64> = (0..out * inp).map(|n| (n % 13) as f64 / 6.5 - 1.0).collect();
         let mut gemm = TileGemm::new(out, inp);
         gemm.program(&w);
-        let written = gemm.fold_write_energy(EnergyPj::ZERO);
-        assert!(written.value() > 0.0);
+        let written = |g: &TileGemm| g.pes().iter().map(|pe| pe.energy().get("gst write")).sum();
+        let before: EnergyPj = written(&gemm);
+        assert!(before.value() > 0.0);
         for band in 0..2 {
             assert_eq!(gemm.program_row_band(&w, band), EnergyPj::ZERO);
         }
         for band in 0..3 {
             assert_eq!(gemm.program_col_band(&w, band), EnergyPj::ZERO);
         }
-        assert_eq!(gemm.fold_write_energy(EnergyPj::ZERO), written);
+        assert_eq!(written(&gemm), before);
     }
 }

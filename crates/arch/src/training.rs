@@ -246,9 +246,7 @@ impl DualAdaptiveTrainer {
         } else {
             trident_obs::SpanGuard::disabled()
         };
-        if engine.stat_enabled() {
-            engine.calibrate_drift_compensation();
-        }
+        engine.calibrate_drift_compensation();
         let pre = self.learn_error_model(engine, xs)?;
         let corrected_accuracy = Self::corrected_accuracy(engine, &pre, xs, labels)?;
         // Fine-tuning reprograms (and thereby un-drifts) cells one write
@@ -257,11 +255,9 @@ impl DualAdaptiveTrainer {
         // cells — at deep drift that destabilizes the gradient steps.
         // Open the compensation loop for the campaign, then recalibrate.
         if self.finetune_epochs > 0 {
-            engine.disengage_drift_compensation();
+            engine.chip_mut().disengage_drift_compensation();
             engine.try_train(xs, labels, self.learning_rate, self.finetune_epochs)?;
-            if engine.stat_enabled() {
-                engine.calibrate_drift_compensation();
-            }
+            engine.calibrate_drift_compensation();
         }
         let error_model = self.learn_error_model(engine, xs)?;
         let adapted_accuracy = Self::corrected_accuracy(engine, &error_model, xs, labels)?;

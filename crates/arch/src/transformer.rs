@@ -43,10 +43,11 @@
 //! outputs within the bank's ENOB, exactly as `tests/photonic_vs_float.rs`
 //! does for the MLP engine.
 
+use crate::chip::{Chip, Ldsu};
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
 use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
-use crate::tile::{charge_psums, PeSpec, TileGemm, TILE};
+use crate::tile::{PeSpec, TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -159,12 +160,13 @@ fn max_abs(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(SCALE_FLOOR)
 }
 
-/// A static weight matrix on its tile grid: programmed once from the
+/// A static weight matrix on chip grid `grid`: programmed once from the
 /// max-abs-normalised weights, with that global magnitude restored after
 /// detection. `raw` keeps the unquantized weights for the digital twin.
 #[derive(Debug)]
 struct Projection {
-    gemm: TileGemm,
+    grid: usize,
+    in_dim: usize,
     scale: f64,
     raw: Vec<f64>,
 }
@@ -173,20 +175,20 @@ impl Projection {
     /// Draw `±√(1/fan_in)` uniform weights (well inside the bank's
     /// `[-1, 1]` range) for `gemm`'s shape, normalise them by their max
     /// magnitude so the banks see the full LUT range, program every
-    /// tile, remember the restore scale.
-    fn init(rng: &mut StdRng, mut gemm: TileGemm) -> Self {
+    /// tile, remember the restore scale, and add `gemm` to `chip`.
+    fn init(rng: &mut StdRng, chip: &mut Chip, mut gemm: TileGemm) -> Self {
         let (out_dim, in_dim) = gemm.dims();
         let bound = (1.0 / in_dim as f64).sqrt();
         let raw: Vec<f64> = (0..out_dim * in_dim).map(|_| rng.gen_range(-bound..bound)).collect();
         let scale = max_abs(&raw);
         let logical: Vec<f64> = raw.iter().map(|&w| (w / scale).clamp(-1.0, 1.0)).collect();
         gemm.program(&logical);
-        Self { gemm, scale, raw }
+        Self { grid: chip.push(gemm), in_dim, scale, raw }
     }
 
     /// `y = W·x`: the billed signed MVM, then the global scale restored.
-    fn gemv(&mut self, x: &[f64], y: &mut [f64], ldsu: &mut Ldsu) {
-        ldsu.gemv(&mut self.gemm, x, y);
+    fn gemv(&self, chip: &mut Chip, x: &[f64], y: &mut [f64]) {
+        chip.gemv_signed(self.grid, x, y);
         if self.scale.to_bits() != 1.0f64.to_bits() {
             for v in y.iter_mut() {
                 *v *= self.scale;
@@ -196,8 +198,8 @@ impl Projection {
 
     /// Straight-line f64 `W·x` over the raw weights (digital twin).
     fn exact(&self, x: &[f64]) -> Vec<f64> {
-        let in_dim = self.gemm.dims().1;
-        self.raw.chunks(in_dim).map(|row| row.iter().zip(x).map(|(&a, &b)| a * b).sum()).collect()
+        let dot = |row: &[f64]| row.iter().zip(x).map(|(&a, &b)| a * b).sum();
+        self.raw.chunks(self.in_dim).map(dot).collect()
     }
 }
 
@@ -243,26 +245,13 @@ impl Norm {
     }
 }
 
-/// The digital load/store unit's ledger: every digital-side charge
-/// (softmax, LayerNorm, residual adds, cross-tile partial-sum
-/// accumulates) and the time it takes.
-#[derive(Debug, Default)]
-struct Ldsu {
-    energy: EnergyLedger,
-    elapsed: Nanoseconds,
-}
-
+/// The chip's load/store units run the transformer's digital ops: each
+/// charge bills energy per element and one clock cycle per element.
 impl Ldsu {
     fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
         let n = elems as f64;
         self.energy.charge(what, EnergyPj(pj_per_elem * n));
         self.elapsed += Nanoseconds(DIGITAL_NS_PER_ELEM * n);
-    }
-
-    /// Signed MVM into `y` (the matrix's rows wide), billing every
-    /// cross-tile partial-sum accumulate.
-    fn gemv(&mut self, gemm: &mut TileGemm, x: &[f64], y: &mut [f64]) {
-        charge_psums(&mut self.energy, gemm.gemv_signed(x, y));
     }
 
     /// Softmax over `row`, billed per element.
@@ -288,13 +277,13 @@ impl Ldsu {
     }
 }
 
-/// Per-head KV banks: K rows (`max_seq × d_head`) and Vᵀ columns
-/// (`d_head × max_seq`), the normalised matrices they mirror, and the
-/// write-time scales that restore row/column magnitudes after detection.
+/// Per-head KV banks: the grids of K rows (`max_seq × d_head`) and Vᵀ
+/// columns (`d_head × max_seq`), the normalised matrices they mirror, and
+/// the write-time scales that restore row/column magnitudes after detection.
 #[derive(Debug)]
 struct HeadKv {
-    k: TileGemm,
-    v: TileGemm,
+    k: usize,
+    v: usize,
     k_logical: Vec<f64>,
     v_logical: Vec<f64>,
     k_scale: Vec<f64>,
@@ -302,13 +291,12 @@ struct HeadKv {
 }
 
 impl HeadKv {
-    /// Append one token's K row and V column at position `t`, fixing
-    /// the write-time scales, and program the touched row/column bands,
-    /// adding their write energy to `spent`. Once a band has been
-    /// written, only the token's own row and column change; every other
-    /// cell of those tiles hits its bank's write memo and costs neither a
-    /// pulse nor a LUT search.
-    fn append(&mut self, t: usize, k: &[f64], v: &[f64], spent: &mut EnergyPj) {
+    /// Append one token's K row and V column at position `t` to the
+    /// normalised matrices, fixing the write-time scales. Once the
+    /// caller has programmed a touched band, only the token's own row and
+    /// column change; every other cell of those tiles hits its bank's
+    /// write memo and costs neither a pulse nor a LUT search.
+    fn append(&mut self, t: usize, k: &[f64], v: &[f64]) {
         let (max_seq, d_head) = (self.k_scale.len(), k.len());
         let (k_max, v_max) = (max_abs(k), max_abs(v));
         self.k_scale[t] = k_max;
@@ -319,36 +307,34 @@ impl HeadKv {
         for (r, &x) in v.iter().enumerate() {
             self.v_logical[r * max_seq + t] = (x / v_max).clamp(-1.0, 1.0);
         }
-        *spent += self.k.program_row_band(&self.k_logical, t / TILE);
-        *spent += self.v.program_col_band(&self.v_logical, t / TILE);
     }
 
     /// One head's attention for query `q` over cache rows `0..limit`:
     /// score MVM through the K bank, LDSU softmax, context MVM through
     /// the Vᵀ bank into `ctx`. `scores` and `vin` are `max_seq` wide.
     fn attend(
-        &mut self,
+        &self,
+        chip: &mut Chip,
         q: &[f64],
         limit: usize,
         scores: &mut [f64],
         vin: &mut [f64],
         ctx: &mut [f64],
-        ldsu: &mut Ldsu,
     ) {
         let inv_sqrt = 1.0 / (q.len() as f64).sqrt();
         // Score MVM: every cached K row dotted with q in one pass.
-        ldsu.gemv(&mut self.k, q, scores);
+        chip.gemv_signed(self.k, q, scores);
         for (j, s) in scores.iter_mut().enumerate().take(limit) {
             *s = *s * self.k_scale[j] * inv_sqrt;
         }
-        ldsu.softmax(&mut scores[..limit]);
+        chip.ldsu.softmax(&mut scores[..limit]);
         // Context MVM: probabilities (re-scaled per column) stream
         // through the Vᵀ bank; masked positions carry exactly zero.
         vin.fill(0.0);
         for j in 0..limit {
             vin[j] = scores[j] * self.v_scale[j];
         }
-        ldsu.gemv(&mut self.v, vin, ctx);
+        chip.gemv_signed(self.v, vin, ctx);
     }
 }
 
@@ -376,10 +362,10 @@ struct Readout {
 impl Readout {
     /// Logits of `x` through the banks, written into the emptied `out`;
     /// `normed` is `d_model` scratch.
-    fn logits(&mut self, x: &[f64], normed: &mut [f64], out: &mut Vec<f64>, ldsu: &mut Ldsu) {
-        ldsu.layer_norm(x, &self.norm, normed);
-        out.resize(self.proj.gemm.dims().0, 0.0);
-        self.proj.gemv(normed, out, ldsu);
+    fn logits(&self, chip: &mut Chip, x: &[f64], normed: &mut [f64], out: &mut Vec<f64>) {
+        chip.ldsu.layer_norm(x, &self.norm, normed);
+        out.resize(self.proj.raw.len() / self.proj.in_dim, 0.0);
+        self.proj.gemv(chip, normed, out);
     }
 
     /// Digital twin of [`Readout::logits`].
@@ -392,12 +378,12 @@ impl Readout {
 #[derive(Debug)]
 pub struct PhotonicTransformer {
     cfg: TransformerConfig,
+    /// Every grid in construction order, and the digital side.
+    chip: Chip,
     blocks: Vec<Block>,
     head: Readout,
     /// Cached tokens (decode mode) / tokens of the current sequence.
     cache_len: usize,
-    /// Digital-side energy and time.
-    ldsu: Ldsu,
     kv_writes: u64,
     kv_reads: u64,
     /// Working buffers of every forward path (see [`DecodeScratch`]).
@@ -520,6 +506,7 @@ impl PhotonicTransformer {
         // the statistical layer is on.
         let mut identity = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let stat = cfg.stat;
+        let mut chip = Chip::new(Vec::new(), cfg.seed);
         let mut grid = |out_dim: usize, in_dim: usize| {
             TileGemm::with_pes(out_dim, in_dim, |_| {
                 let spec = PeSpec { stat: stat.map(|p| (p, identity)), ..PeSpec::default() };
@@ -532,16 +519,16 @@ impl PhotonicTransformer {
                 // Weight draws and bank identities are independent
                 // streams: draws run wq…w2, identities wq…w2 and then
                 // each head's K and V bank.
-                let wq = Projection::init(&mut rng, grid(d, d));
-                let wk = Projection::init(&mut rng, grid(d, d));
-                let wv = Projection::init(&mut rng, grid(d, d));
-                let wo = Projection::init(&mut rng, grid(d, d));
-                let w1 = Projection::init(&mut rng, grid(cfg.d_ff, d));
-                let w2 = Projection::init(&mut rng, grid(d, cfg.d_ff));
+                let wq = Projection::init(&mut rng, &mut chip, grid(d, d));
+                let wk = Projection::init(&mut rng, &mut chip, grid(d, d));
+                let wv = Projection::init(&mut rng, &mut chip, grid(d, d));
+                let wo = Projection::init(&mut rng, &mut chip, grid(d, d));
+                let w1 = Projection::init(&mut rng, &mut chip, grid(cfg.d_ff, d));
+                let w2 = Projection::init(&mut rng, &mut chip, grid(d, cfg.d_ff));
                 let kv = (0..cfg.heads)
                     .map(|_| HeadKv {
-                        k: grid(cfg.max_seq, d_head),
-                        v: grid(d_head, cfg.max_seq),
+                        k: chip.push(grid(cfg.max_seq, d_head)),
+                        v: chip.push(grid(d_head, cfg.max_seq)),
                         k_logical: vec![0.0; cfg.max_seq * d_head],
                         v_logical: vec![0.0; d_head * cfg.max_seq],
                         k_scale: vec![1.0; cfg.max_seq],
@@ -551,15 +538,15 @@ impl PhotonicTransformer {
                 Block { ln1: Norm::unit(d), wq, wk, wv, kv, wo, ln2: Norm::unit(d), w1, w2 }
             })
             .collect();
-        let head =
-            Readout { norm: Norm::unit(d), proj: Projection::init(&mut rng, grid(cfg.out_dim, d)) };
+        let proj = Projection::init(&mut rng, &mut chip, grid(cfg.out_dim, d));
+        let head = Readout { norm: Norm::unit(d), proj };
         Ok(Self {
             scratch: DecodeScratch::new(&cfg),
+            chip,
             cfg,
             blocks,
             head,
             cache_len: 0,
-            ldsu: Ldsu::default(),
             kv_writes: 0,
             kv_reads: 0,
             outputs: Vec::new(),
@@ -587,18 +574,14 @@ impl PhotonicTransformer {
         self.kv_reads
     }
 
-    /// Run one drift-compensation calibration pass over every bank.
-    pub fn calibrate_compensation(&mut self) {
-        for b in &mut self.blocks {
-            for p in [&mut b.wq, &mut b.wk, &mut b.wv, &mut b.wo, &mut b.w1, &mut b.w2] {
-                p.gemm.calibrate(EnergyPj::ZERO);
-            }
-            for h in &mut b.kv {
-                h.k.calibrate(EnergyPj::ZERO);
-                h.v.calibrate(EnergyPj::ZERO);
-            }
-        }
-        self.head.proj.gemm.calibrate(EnergyPj::ZERO);
+    /// The chip every grid runs on: faults, aging, drift, ring tallies.
+    pub fn chip(&self) -> &Chip {
+        &self.chip
+    }
+
+    /// The chip, mutably.
+    pub fn chip_mut(&mut self) -> &mut Chip {
+        &mut self.chip
     }
 
     /// Forget the cached sequence. Bank contents are overwritten on the
@@ -613,54 +596,24 @@ impl PhotonicTransformer {
         self.cache_len = 0;
     }
 
-    /// Writes rejected by stuck cells or failed by verify, summed over
-    /// every bank.
-    pub fn write_failures(&self) -> u64 {
-        self.grids().map(TileGemm::write_failures).sum()
-    }
-
-    /// Faulty or worn cells remapped onto spare rings, summed over banks.
-    pub fn remapped_rings(&self) -> u64 {
-        self.grids().map(TileGemm::remapped_rings).sum()
-    }
-
-    /// Dead slots masked out of the optics, summed over banks.
-    pub fn masked_rings(&self) -> usize {
-        self.grids().map(TileGemm::masked_rings).sum()
-    }
-
-    /// Total optical + digital energy since construction.
+    /// Total optical + digital energy since construction, summed grid
+    /// by grid.
     pub fn total_energy(&self) -> EnergyPj {
-        self.grids().map(|g| g.fold_energy(EnergyPj::ZERO)).sum::<EnergyPj>()
-            + self.ldsu.energy.total()
+        let grid = |g: &TileGemm| g.pes().iter().map(|pe| pe.energy().total()).sum::<EnergyPj>();
+        self.chip.grids.iter().map(grid).sum::<EnergyPj>() + self.chip.ldsu.energy.total()
     }
 
     /// Total simulated time (sequential-tile upper bound) since
     /// construction.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.grids().map(|g| g.fold_elapsed(Nanoseconds::ZERO)).sum::<Nanoseconds>()
-            + self.ldsu.elapsed
+        let grid = |g: &TileGemm| g.pes().iter().map(|pe| pe.elapsed()).sum::<Nanoseconds>();
+        self.chip.grids.iter().map(grid).sum::<Nanoseconds>() + self.chip.ldsu.elapsed
     }
 
-    /// Itemised energy ledger across every PE plus the digital side.
+    /// Itemised energy ledger ([`Chip::energy_ledger`]) across every PE
+    /// plus the digital side.
     pub fn energy_ledger(&self) -> EnergyLedger {
-        let mut ledger = self.ldsu.energy.clone();
-        for g in self.grids() {
-            g.absorb_into(&mut ledger);
-        }
-        ledger
-    }
-
-    fn grids(&self) -> impl Iterator<Item = &TileGemm> {
-        self.blocks
-            .iter()
-            .flat_map(|b| {
-                [&b.wq, &b.wk, &b.wv, &b.wo, &b.w1, &b.w2]
-                    .into_iter()
-                    .map(|p| &p.gemm)
-                    .chain(b.kv.iter().flat_map(|h| [&h.k, &h.v]))
-            })
-            .chain(std::iter::once(&self.head.proj.gemm))
+        self.chip.energy_ledger()
     }
 
     /// Phase one of token `t` through block `b`: LN1, the Q/K/V
@@ -670,17 +623,19 @@ impl PhotonicTransformer {
     fn block_in(&mut self, b: usize, t: usize) {
         let d = self.cfg.d_model;
         let d_head = d / self.cfg.heads;
-        let Self { blocks, scratch: s, ldsu, .. } = self;
+        let Self { chip, blocks, scratch: s, .. } = self;
         let block = &mut blocks[b];
         let row = t * d..(t + 1) * d;
-        ldsu.layer_norm(&s.hidden[row.clone()], &block.ln1, &mut s.normed);
-        block.wq.gemv(&s.normed, &mut s.queries[row], ldsu);
-        block.wk.gemv(&s.normed, &mut s.k, ldsu);
-        block.wv.gemv(&s.normed, &mut s.v, ldsu);
+        chip.ldsu.layer_norm(&s.hidden[row.clone()], &block.ln1, &mut s.normed);
+        block.wq.gemv(chip, &s.normed, &mut s.queries[row]);
+        block.wk.gemv(chip, &s.normed, &mut s.k);
+        block.wv.gemv(chip, &s.normed, &mut s.v);
         let mut spent = EnergyPj::ZERO;
         let heads = s.k.chunks(d_head).zip(s.v.chunks(d_head));
         for (kv, (k, v)) in block.kv.iter_mut().zip(heads) {
-            kv.append(t, k, v, &mut spent);
+            kv.append(t, k, v);
+            spent += chip.grids[kv.k].program_row_band(&kv.k_logical, t / TILE);
+            spent += chip.grids[kv.v].program_col_band(&kv.v_logical, t / TILE);
         }
         if self.cfg.causal {
             let elems = 2 * d as u64;
@@ -697,21 +652,21 @@ impl PhotonicTransformer {
     fn block_out(&mut self, b: usize, t: usize, limit: usize) {
         let d = self.cfg.d_model;
         let d_head = d / self.cfg.heads;
-        let Self { blocks, scratch: s, ldsu, .. } = self;
-        let block = &mut blocks[b];
+        let Self { chip, blocks, scratch: s, .. } = self;
+        let block = &blocks[b];
         let row = t * d..(t + 1) * d;
         let heads = s.queries[row.clone()].chunks(d_head).zip(s.attn.chunks_mut(d_head));
-        for (kv, (q, ctx)) in block.kv.iter_mut().zip(heads) {
-            kv.attend(q, limit, &mut s.scores, &mut s.vin, ctx, ldsu);
+        for (kv, (q, ctx)) in block.kv.iter().zip(heads) {
+            kv.attend(chip, q, limit, &mut s.scores, &mut s.vin, ctx);
         }
-        block.wo.gemv(&s.attn, &mut s.delta, ldsu);
+        block.wo.gemv(chip, &s.attn, &mut s.delta);
         let hidden = &mut s.hidden[row];
-        ldsu.residual(hidden, &s.delta);
-        ldsu.layer_norm(hidden, &block.ln2, &mut s.normed);
-        block.w1.gemv(&s.normed, &mut s.h1, ldsu);
-        block.w1.gemm.activate_rows(&s.h1, &mut s.act);
-        block.w2.gemv(&s.act, &mut s.delta, ldsu);
-        ldsu.residual(hidden, &s.delta);
+        chip.ldsu.residual(hidden, &s.delta);
+        chip.ldsu.layer_norm(hidden, &block.ln2, &mut s.normed);
+        block.w1.gemv(chip, &s.normed, &mut s.h1);
+        chip.grids[block.w1.grid].activate_rows(&s.h1, &mut s.act);
+        block.w2.gemv(chip, &s.act, &mut s.delta);
+        chip.ldsu.residual(hidden, &s.delta);
         if self.cfg.causal {
             let reads = 2 * d as u64 * limit as u64;
             self.kv_reads += reads;
@@ -777,10 +732,10 @@ impl PhotonicTransformer {
         self.check_seq(x.len())?;
         let seq = self.prefill(x);
         let d = self.cfg.d_model;
-        let Self { head, scratch: s, ldsu, .. } = self;
+        let Self { chip, head, scratch: s, .. } = self;
         let logits = |tok| {
             let mut out = Vec::new();
-            head.logits(tok, &mut s.normed, &mut out, ldsu);
+            head.logits(chip, tok, &mut s.normed, &mut out);
             out
         };
         Ok(s.hidden[..seq * d].chunks(d).map(logits).collect())
@@ -805,9 +760,9 @@ impl PhotonicTransformer {
             self.block_out(b, t, t + 1);
         }
         self.cache_len = t + 1;
-        let Self { head, scratch: s, ldsu, .. } = self;
+        let Self { chip, head, scratch: s, .. } = self;
         let mut logits = Vec::new();
-        head.logits(&s.hidden[row], &mut s.normed, &mut logits, ldsu);
+        head.logits(chip, &s.hidden[row], &mut s.normed, &mut logits);
         Ok(logits)
     }
 
@@ -829,10 +784,10 @@ impl PhotonicTransformer {
         grow_slots(&mut outputs, n, &mut self.heap_allocs);
         for (slot, x) in outputs.iter_mut().zip(batch) {
             let seq = self.prefill(x.as_ref());
-            let Self { head, scratch: s, ldsu, heap_allocs, .. } = self;
+            let Self { chip, head, scratch: s, heap_allocs, .. } = self;
             mean_pool(&s.hidden[..seq * d], d, &mut s.pooled);
-            ldsu.charge("ldsu residual", d, LDSU_RESIDUAL_PJ_PER_ELEM);
-            refill(slot, heap_allocs, |out| head.logits(&s.pooled, &mut s.normed, out, ldsu));
+            chip.ldsu.charge("ldsu residual", d, LDSU_RESIDUAL_PJ_PER_ELEM);
+            refill(slot, heap_allocs, |out| head.logits(chip, &s.pooled, &mut s.normed, out));
         }
         self.outputs = outputs;
         Ok(&self.outputs[..n])

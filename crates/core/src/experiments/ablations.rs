@@ -303,7 +303,7 @@ pub mod dfa_vs_bp {
             let mut fb = DfaFeedback::for_engine(&engine, 41);
             train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, epochs)?;
             let accuracy = engine.accuracy(&xs, &labels)?;
-            Ok((accuracy, engine.programming_energy() + fb.programming_energy()))
+            Ok((accuracy, engine.chip().programming_energy() + fb.programming_energy()))
         });
         [("backpropagation (Table II)", backprop), ("direct feedback alignment", dfa)]
             .into_iter()
@@ -504,11 +504,9 @@ pub mod serve {
         let profiles = (0..replicas)
             .map(|i| ReplicaProfile {
                 variation_seed: 100 + i as u64,
-                noise_seed: None,
                 // Replica 0 runs at full power; later replicas droop a
                 // little more each — independent laser budgets.
                 laser_droop: 0.02 * i as f64,
-                pre_age_hours: 0.0,
             })
             .collect();
         ServeConfig {

@@ -1,11 +1,11 @@
 //! The replica fleet and shard router.
 //!
-//! Every replica **owns** its engine: an independent `PhotonicMlp` with
-//! its own fabrication variation, receiver-noise stream, laser-power
-//! droop, energy/latency ledgers, fault state, and wear trajectory.
-//! Nothing is shared between replicas — the ownership model a real
-//! fleet has, where one chip's dead rings or drifted cells cannot touch
-//! its neighbours.
+//! Every replica **owns** its engine — a `PhotonicMlp` or a
+//! `PhotonicTransformer` on its own chip, with its own fabrication
+//! variation, laser-power droop, energy/latency ledgers, fault state, and
+//! wear trajectory. Nothing is shared between replicas — the ownership
+//! model a real fleet has, where one chip's dead rings or drifted cells
+//! cannot touch its neighbours.
 //!
 //! Two sharding modes route batches through the fleet:
 //!
@@ -26,9 +26,8 @@ use crate::{Request, ServeError};
 use trident_arch::engine::{argmax, EngineOptions, PhotonicMlp};
 use trident_arch::faults::{FaultPlan, FaultReport};
 use trident_arch::transformer::{PhotonicTransformer, TransformerConfig};
-use trident_arch::ArchError;
+use trident_arch::{ArchError, Chip};
 use trident_obs as obs;
-use trident_photonics::units::Hours;
 
 /// How the fleet shards the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,24 +51,14 @@ impl Sharding {
 
 /// Per-replica deployment identity: what makes chip `i` a *different
 /// physical chip* from chip `j` running the same weights.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaProfile {
     /// Fabrication-variation seed (the chip identity).
     pub variation_seed: u64,
-    /// Receiver-noise seed (`None` = ideal detectors).
-    pub noise_seed: Option<u64>,
     /// Fractional pump-laser power droop for this replica's budget,
-    /// `[0, 1)` — applied at deployment as a laser-only fault plan.
+    /// `[0, 1)` — applied at deployment as a laser-only fault plan, on
+    /// any engine.
     pub laser_droop: f64,
-    /// Hours of PCM wear already on this chip's clock at deployment
-    /// (only observable when the statistical device model is enabled).
-    pub pre_age_hours: f64,
-}
-
-impl Default for ReplicaProfile {
-    fn default() -> Self {
-        Self { variation_seed: 0, noise_seed: None, laser_droop: 0.0, pre_age_hours: 0.0 }
-    }
 }
 
 impl ReplicaProfile {
@@ -94,14 +83,26 @@ pub struct Completion {
 
 /// The engine a replica owns: the paper's dense MLP engine, or a
 /// [`PhotonicTransformer`] serving the ViT classify path. The enum
-/// forwards exactly the call set the dispatch path uses, so the event
-/// loop, batcher, and report never care which fabric is underneath.
+/// forwards exactly the call set the dispatch path uses and hands out
+/// the engine's [`Chip`] for faults, droop and ring accounting, so the
+/// event loop, batcher, and report never care which fabric is
+/// underneath.
 pub enum ReplicaEngine {
     /// Dense photonic MLP (the original serving target). Boxed so the
     /// enum stays pointer-sized regardless of engine footprint.
     Mlp(Box<PhotonicMlp>),
     /// ViT-style photonic transformer (classify forward only).
     Vit(Box<PhotonicTransformer>),
+}
+
+/// `$call` with `$e` bound to whichever engine `$engine` holds.
+macro_rules! on_engine {
+    ($engine:expr, |$e:ident| $call:expr) => {
+        match $engine {
+            ReplicaEngine::Mlp($e) => $call,
+            ReplicaEngine::Vit($e) => $call,
+        }
+    };
 }
 
 impl ReplicaEngine {
@@ -117,52 +118,29 @@ impl ReplicaEngine {
     }
 
     fn total_elapsed_ns(&self) -> f64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.total_elapsed().value(),
-            ReplicaEngine::Vit(tx) => tx.total_elapsed().value(),
-        }
+        on_engine!(self, |e| e.total_elapsed().value())
     }
 
     fn total_energy_pj(&self) -> f64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.total_energy().value(),
-            ReplicaEngine::Vit(tx) => tx.total_energy().value(),
-        }
+        on_engine!(self, |e| e.total_energy().value())
     }
 
     fn reserve_forward_scratch(&mut self, batch: usize) {
-        match self {
-            ReplicaEngine::Mlp(e) => e.reserve_forward_scratch(batch),
-            ReplicaEngine::Vit(tx) => tx.reserve_forward_scratch(batch),
-        }
+        on_engine!(self, |e| e.reserve_forward_scratch(batch));
     }
 
     fn hot_path_allocs(&self) -> u64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.hot_path_allocs(),
-            ReplicaEngine::Vit(tx) => tx.hot_path_allocs(),
-        }
+        on_engine!(self, |e| e.hot_path_allocs())
     }
 
-    fn masked_rings(&self) -> u64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.masked_rings() as u64,
-            ReplicaEngine::Vit(tx) => tx.masked_rings() as u64,
-        }
+    /// The chip the engine runs on.
+    pub fn chip(&self) -> &Chip {
+        on_engine!(self, |e| e.chip())
     }
 
-    fn remapped_rings(&self) -> u64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.remapped_rings(),
-            ReplicaEngine::Vit(tx) => tx.remapped_rings(),
-        }
-    }
-
-    fn write_failures(&self) -> u64 {
-        match self {
-            ReplicaEngine::Mlp(e) => e.write_failures(),
-            ReplicaEngine::Vit(tx) => tx.write_failures(),
-        }
+    /// The chip the engine runs on, mutably.
+    pub fn chip_mut(&mut self) -> &mut Chip {
+        on_engine!(self, |e| e.chip_mut())
     }
 }
 
@@ -243,13 +221,15 @@ pub struct Fleet {
 
 impl Fleet {
     /// Build a fleet: one engine per profile, pretrained weights
-    /// deployed onto every chip, per-replica droop and pre-age applied.
+    /// deployed onto every chip, per-replica droop applied.
     ///
     /// `base` supplies the shared architecture knobs (bank geometry,
-    /// weight bits, statistical model); each profile overrides the
-    /// identity seeds. With [`Sharding::LayerPipeline`], profile `s`
-    /// becomes pipeline stage `s` and owns a contiguous slice of the
-    /// weight layers (requires `profiles.len() <= layer count`).
+    /// weight bits, receiver noise, statistical model); each profile
+    /// overrides the fabrication-variation seed. With
+    /// [`Sharding::LayerPipeline`], profile `s` becomes pipeline stage
+    /// `s` and owns a contiguous slice of the weight layers (requires
+    /// `profiles.len() <= layer count`). A `pretrained` set must hold
+    /// exactly one matrix per layer.
     pub fn try_build(
         dims: &[usize],
         base: EngineOptions,
@@ -259,15 +239,11 @@ impl Fleet {
         est_ns_per_item_init: u64,
     ) -> Result<Self, ServeError> {
         let layers = dims.len().saturating_sub(1);
-        if sharding == Sharding::LayerPipeline && profiles.len() > layers {
-            return Err(ServeError::BadPipeline { stages: profiles.len(), layers });
+        if let Some(weights) = pretrained.filter(|w| w.len() != layers) {
+            return Err(ArchError::LayerOutOfRange { layer: weights.len(), layers }.into());
         }
-        Self::assemble(sharding, profiles, est_ns_per_item_init, |id, profile| {
-            let opts = EngineOptions {
-                variation_seed: profile.variation_seed,
-                noise_seed: profile.noise_seed,
-                ..base
-            };
+        Self::assemble(sharding, profiles, layers, est_ns_per_item_init, |id, profile| {
+            let opts = EngineOptions { variation_seed: profile.variation_seed, ..base };
             // Pipeline stage s owns layers [s·L/S, (s+1)·L/S): contiguous,
             // non-empty (S <= L), covering all layers exactly once.
             let (stage_dims, layer_lo, tail) = match sharding {
@@ -283,49 +259,22 @@ impl Fleet {
                 let stage_weights = &weights[layer_lo..layer_lo + engine.layer_count()];
                 engine.try_deploy_weights(stage_weights)?;
             }
-            if profile.laser_droop > 0.0 {
-                // Laser-only fault plan: models this replica's reduced
-                // optical power budget without injecting cell faults.
-                engine.inject_faults(&FaultPlan {
-                    laser_droop: profile.laser_droop,
-                    seed: profile.variation_seed,
-                    ..FaultPlan::default()
-                })?;
-            }
-            if profile.pre_age_hours > 0.0 {
-                engine.advance_deployment(Hours(profile.pre_age_hours));
-                engine.calibrate_drift_compensation();
-            }
             Ok((ReplicaEngine::Mlp(Box::new(engine)), tail))
         })
     }
 
     /// Build a ViT fleet: one [`PhotonicTransformer`] per profile, all
     /// programmed from the same `vit` configuration (same weights on
-    /// every chip, like a deployed model). Replica-parallel only — a
-    /// transformer block is not layer-shardable the way a dense stack
-    /// is — and the MLP-only deployment knobs (laser droop, pre-age,
-    /// receiver noise) are rejected with a typed error rather than
-    /// silently ignored.
+    /// every chip, like a deployed model), per-replica droop applied. A
+    /// transformer is one pipeline stage, so a layer pipeline takes a
+    /// single profile.
     pub fn try_build_vit(
         vit: &TransformerConfig,
         profiles: &[ReplicaProfile],
         sharding: Sharding,
         est_ns_per_item_init: u64,
     ) -> Result<Self, ServeError> {
-        Self::assemble(sharding, profiles, est_ns_per_item_init, |_, profile| {
-            if sharding != Sharding::ReplicaParallel {
-                return Err(ServeError::VitUnsupported { what: "layer-pipeline sharding" });
-            }
-            if profile.laser_droop > 0.0 {
-                return Err(ServeError::VitUnsupported { what: "laser droop" });
-            }
-            if profile.pre_age_hours > 0.0 {
-                return Err(ServeError::VitUnsupported { what: "pre-aging" });
-            }
-            if profile.noise_seed.is_some() {
-                return Err(ServeError::VitUnsupported { what: "receiver noise" });
-            }
+        Self::assemble(sharding, profiles, 1, est_ns_per_item_init, |_, _| {
             let tx = PhotonicTransformer::try_new(vit.clone())?;
             Ok((ReplicaEngine::Vit(Box::new(tx)), true))
         })
@@ -333,19 +282,33 @@ impl Fleet {
 
     /// The fleet assembly both builders share: one replica per profile,
     /// its engine (and whether it carries the network tail) from
-    /// `deploy(id, profile)`.
+    /// `deploy(id, profile)`, then the profile's laser droop as a
+    /// laser-only fault plan — before the replica takes its energy
+    /// baseline. A layer pipeline needs one of the model's `layers` per
+    /// stage.
     fn assemble(
         sharding: Sharding,
         profiles: &[ReplicaProfile],
+        layers: usize,
         est_ns_per_item_init: u64,
         mut deploy: impl FnMut(usize, &ReplicaProfile) -> Result<(ReplicaEngine, bool), ServeError>,
     ) -> Result<Self, ServeError> {
+        if sharding == Sharding::LayerPipeline && profiles.len() > layers {
+            return Err(ServeError::BadPipeline { stages: profiles.len(), layers });
+        }
         if profiles.is_empty() {
             return Err(ServeError::NoReplicas);
         }
         let mut replicas = Vec::with_capacity(profiles.len());
         for (id, profile) in profiles.iter().enumerate() {
-            let (engine, tail) = deploy(id, profile)?;
+            let (mut engine, tail) = deploy(id, profile)?;
+            if profile.laser_droop > 0.0 {
+                engine.chip_mut().inject_faults(&FaultPlan {
+                    laser_droop: profile.laser_droop,
+                    seed: profile.variation_seed,
+                    ..FaultPlan::default()
+                })?;
+            }
             replicas.push(Replica::new(engine, tail));
         }
         Ok(Self {
@@ -506,24 +469,18 @@ impl Fleet {
         Ok(())
     }
 
-    /// Inject a fault plan into one replica mid-run (the graceful-
-    /// degradation scenario). Returns what was actually injected.
+    /// Inject a fault plan into one replica's chip mid-run (the graceful-
+    /// degradation scenario), whatever engine it runs. Returns what was
+    /// actually injected.
     pub fn inject_fault(
         &mut self,
         replica: usize,
         plan: &FaultPlan,
     ) -> Result<FaultReport, ServeError> {
         let replicas = self.replicas.len();
-        let target = self
-            .replicas
-            .get_mut(replica)
-            .ok_or(ServeError::ReplicaOutOfRange { replica, replicas })?;
-        match &mut target.engine {
-            ReplicaEngine::Mlp(e) => Ok(e.inject_faults(plan)?),
-            ReplicaEngine::Vit(_) => {
-                Err(ServeError::VitUnsupported { what: "fault injection" })
-            }
-        }
+        let target = self.replicas.get_mut(replica);
+        let target = target.ok_or(ServeError::ReplicaOutOfRange { replica, replicas })?;
+        Ok(target.engine.chip_mut().inject_faults(plan)?)
     }
 
     /// End-of-run ledgers, one per replica, in id order.
@@ -531,16 +488,19 @@ impl Fleet {
         self.replicas
             .iter()
             .enumerate()
-            .map(|(id, r)| ReplicaLedger {
-                id,
-                requests: r.requests,
-                batches: r.batches,
-                correct: r.correct,
-                busy_ns: r.busy_ns,
-                energy_pj: r.engine.total_energy_pj() - r.energy_baseline_pj,
-                masked_rings: r.engine.masked_rings(),
-                remapped_rings: r.engine.remapped_rings(),
-                write_failures: r.engine.write_failures(),
+            .map(|(id, r)| {
+                let chip = r.engine.chip();
+                ReplicaLedger {
+                    id,
+                    requests: r.requests,
+                    batches: r.batches,
+                    correct: r.correct,
+                    busy_ns: r.busy_ns,
+                    energy_pj: r.engine.total_energy_pj() - r.energy_baseline_pj,
+                    masked_rings: chip.masked_rings() as u64,
+                    remapped_rings: chip.remapped_rings(),
+                    write_failures: chip.write_failures(),
+                }
             })
             .collect()
     }
@@ -648,6 +608,33 @@ mod tests {
         assert!(matches!(
             build_without_dims(Sharding::LayerPipeline),
             Err(ServeError::BadPipeline { stages: 1, layers: 0 })
+        ));
+    }
+
+    fn build_with_pretrained(sharding: Sharding, matrices: usize) -> Result<Fleet, ServeError> {
+        let profiles = [ReplicaProfile::with_seed(0), ReplicaProfile::with_seed(1)];
+        let weights = vec![vec![0.1; 6 * 8]; matrices];
+        let opts = EngineOptions::default();
+        Fleet::try_build(&[8, 6, 4], opts, &profiles, Some(&weights), sharding, 1000)
+    }
+
+    #[test]
+    fn short_pretrained_set_is_a_typed_error_replica_parallel() {
+        assert!(matches!(
+            build_with_pretrained(Sharding::ReplicaParallel, 1),
+            Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 1, layers: 2 }))
+        ));
+        assert!(matches!(
+            build_with_pretrained(Sharding::ReplicaParallel, 3),
+            Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 3, layers: 2 }))
+        ));
+    }
+
+    #[test]
+    fn short_pretrained_set_is_a_typed_error_layer_pipeline() {
+        assert!(matches!(
+            build_with_pretrained(Sharding::LayerPipeline, 1),
+            Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 1, layers: 2 }))
         ));
     }
 

@@ -20,11 +20,11 @@
 //!   batch close with generation-tagged timers, plus deadline-aware
 //!   admission control that sheds requests whose estimated completion
 //!   would already miss their SLO.
-//! * [`fleet`] — N replicas, each **owning** an independent engine —
-//!   a [`trident_arch::engine::PhotonicMlp`] (its own laser/thermal
-//!   budget, fabrication variation, fault state, and wear trajectory)
-//!   or a [`trident_arch::transformer::PhotonicTransformer`] for the
-//!   ViT classify path ([`Fleet::try_build_vit`] / [`sim::run_vit`]) —
+//! * [`fleet`] — N replicas, each **owning** an independent engine on
+//!   its own chip (laser budget, fabrication variation, fault state,
+//!   wear trajectory) — a [`trident_arch::engine::PhotonicMlp`] or a
+//!   [`trident_arch::transformer::PhotonicTransformer`] for the ViT
+//!   classify path ([`Fleet::try_build_vit`] / [`sim::run_vit`]) —
 //!   behind a shard router: replica-parallel or layer-sharded pipeline.
 //! * [`sim`] — the event loop: a binary heap of (virtual-time, seq)
 //!   events drives arrivals, batch timers, and mid-run fault injection
@@ -107,13 +107,6 @@ pub enum ServeError {
         /// Weight layers available to shard.
         layers: usize,
     },
-    /// A deployment knob the ViT engine does not model was requested on
-    /// a ViT fleet (laser droop, pre-aging, receiver noise, pipeline
-    /// sharding, fault injection are MLP-engine features).
-    VitUnsupported {
-        /// The unsupported feature.
-        what: &'static str,
-    },
     /// A fault event targets a replica index outside the fleet.
     ReplicaOutOfRange {
         /// Offending replica index.
@@ -136,9 +129,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "layer pipeline needs stages <= layers, got {stages} stages for {layers} layers"
             ),
-            ServeError::VitUnsupported { what } => {
-                write!(f, "ViT fleets do not support {what}")
-            }
             ServeError::ReplicaOutOfRange { replica, replicas } => {
                 write!(f, "fault event targets replica {replica} of a {replicas}-replica fleet")
             }

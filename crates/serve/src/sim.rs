@@ -441,9 +441,7 @@ mod tests {
 
     #[test]
     fn mid_run_fault_is_applied() {
-        let mut cfg = tiny_config();
-        cfg.scenario = "fault".to_string();
-        cfg.fault_events = vec![FaultEvent {
+        let fault = FaultEvent {
             at_ns: 100_000,
             replica: 1,
             plan: FaultPlan {
@@ -454,11 +452,19 @@ mod tests {
                 laser_droop: 0.0,
                 seed: 5,
             },
-        }];
-        let report = run(&cfg).unwrap();
-        assert_eq!(report.faults_applied, 1);
-        assert!(report.replicas[1].masked_rings > 0, "dead rings must be masked");
-        assert_eq!(report.replicas[0].masked_rings, 0);
+        };
+        let mut cfg = tiny_config();
+        cfg.scenario = "fault".to_string();
+        cfg.fault_events = vec![fault.clone()];
+        let (mut vit_cfg, vit) = tiny_vit_config();
+        vit_cfg.fault_events = vec![fault];
+        for report in [run(&cfg).unwrap(), run_vit(&vit_cfg, &vit).unwrap()] {
+            assert_eq!(report.faults_applied, 1, "{}", report.scenario);
+            let scenario = &report.scenario;
+            assert!(report.replicas[1].masked_rings > 0, "{scenario}: dead rings must be masked");
+            assert_eq!(report.replicas[0].masked_rings, 0, "{}", report.scenario);
+            assert_eq!(report.replicas[2].masked_rings, 0, "{}", report.scenario);
+        }
         assert!(run(&{
             let mut bad = cfg.clone();
             bad.fault_events[0].replica = 9;
@@ -476,19 +482,20 @@ mod tests {
         assert_eq!(a.served + a.shed, a.offered);
         assert!(a.served > 0, "the tiny ViT fleet must serve something");
         assert!(a.replicas.iter().any(|r| r.energy_pj > 0.0), "serving must charge energy");
-        // MLP-only deployment knobs are typed errors, not silent no-ops.
+        // Laser droop is a chip property, so a drooped ViT replica serves
+        // reproducibly too.
         let mut droopy = cfg.clone();
         droopy.replicas[0].laser_droop = 0.1;
-        assert!(matches!(
-            run_vit(&droopy, &vit),
-            Err(ServeError::VitUnsupported { what: "laser droop" })
-        ));
+        let d = run_vit(&droopy, &vit).unwrap();
+        assert_eq!(d.to_json(), run_vit(&droopy, &vit).unwrap().to_json());
+        assert_eq!(d.served + d.shed, d.offered);
+        // A transformer is one pipeline stage.
         let mut piped = cfg.clone();
         piped.sharding = Sharding::LayerPipeline;
         piped.replicas.truncate(2);
         assert!(matches!(
             run_vit(&piped, &vit),
-            Err(ServeError::VitUnsupported { what: "layer-pipeline sharding" })
+            Err(ServeError::BadPipeline { stages: 2, layers: 1 })
         ));
     }
 

@@ -31,7 +31,7 @@ fn main() {
         let mut engine = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
         println!(
             "{label}: {} PEs allocated across {} layers",
-            engine.pe_count(),
+            engine.chip().pe_count(),
             engine.layer_count()
         );
         let outcome = engine.try_train(&xs, &data.labels, 0.1, epochs).unwrap();

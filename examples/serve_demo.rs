@@ -47,14 +47,7 @@ fn config(scenario: &str, fault_events: Vec<FaultEvent>) -> ServeConfig {
         engine: EngineOptions::default(),
         pretrained: Some(weights),
         dataset: pool,
-        replicas: (0..3)
-            .map(|i| ReplicaProfile {
-                variation_seed: 100 + i,
-                noise_seed: None,
-                laser_droop: 0.0,
-                pre_age_hours: 0.0,
-            })
-            .collect(),
+        replicas: (0..3).map(|i| ReplicaProfile::with_seed(100 + i)).collect(),
         sharding: Sharding::ReplicaParallel,
         batch_max: 8,
         linger_ns: 5_000,

@@ -310,7 +310,7 @@ fn training_paths_json() -> String {
         let digest = weight_digest((0..engine.layer_count()).map(|k| engine.layer_weights(k)));
         let ledgers = [
             engine.total_energy().value(),
-            engine.programming_energy().value(),
+            engine.chip().programming_energy().value(),
             engine.total_elapsed().value(),
         ];
         training_row(path, losses, &digest, ledgers)
@@ -336,7 +336,7 @@ fn training_paths_json() -> String {
     let digest = weight_digest([cnn.conv_weights(), cnn.dense_weights()]);
     let ledgers = [
         cnn.total_energy().value(),
-        cnn.programming_energy().value(),
+        cnn.chip().programming_energy().value(),
         cnn.total_elapsed().value(),
     ];
     rows.push(training_row("cnn", &losses, &digest, ledgers));
@@ -452,7 +452,7 @@ fn transformer_paths_json() -> String {
                 x.chunks(cfg.d_model).map(|tok| gpt.try_decode_token(tok).unwrap()).collect();
             digests.push((round.into(), logit_digest(&logits)));
         }
-        gpt.calibrate_compensation();
+        gpt.chip_mut().calibrate_drift_compensation();
         let short = &x[..5 * cfg.d_model];
         let calibrated = gpt.try_forward_causal(short).unwrap();
         digests.push(("calibrated_prefill".into(), logit_digest(&calibrated)));
@@ -528,7 +528,7 @@ fn golden_transformer_kv() {
 fn statistical_layer_defaults_off() {
     assert!(EngineOptions::default().stat.is_none(), "stat layer crept into the defaults");
     let engine = PhotonicMlp::try_with_options(&[8, 4], EngineOptions::default()).unwrap();
-    assert!(!engine.stat_enabled(), "default engine must not carry statistical banks");
+    assert!(!engine.chip().stat_enabled(), "default engine must not carry statistical banks");
 }
 
 #[test]

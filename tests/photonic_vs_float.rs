@@ -171,7 +171,7 @@ fn zeroed_stat_layer_is_bitwise_passthrough_for_transformers() {
         let mut stat_cfg = cfg;
         stat_cfg.stat = Some(zeroed_stat());
         let mut stat = PhotonicTransformer::try_new(stat_cfg).unwrap();
-        stat.calibrate_compensation();
+        stat.chip_mut().calibrate_drift_compensation();
         if causal {
             let yd = det.try_forward_causal(&x).unwrap();
             let ys = stat.try_forward_causal(&x).unwrap();

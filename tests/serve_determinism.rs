@@ -12,7 +12,11 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 
 use rayon::pool;
+use trident::arch::engine::EngineOptions;
+use trident::arch::faults::FaultPlan;
+use trident::arch::transformer::TransformerConfig;
 use trident::experiments::ablations::serve;
+use trident::serve::{sim, ArrivalProcess, FaultEvent, ReplicaProfile, ServeConfig, Sharding};
 
 fn at_threads<T>(threads: usize, run: impl Fn() -> T) -> T {
     pool::set_thread_override(Some(threads));
@@ -27,6 +31,41 @@ fn reports_json(threads: usize) -> String {
     at_threads(threads, || {
         serve::run(2, 120).iter().map(|r| r.to_json()).collect::<Vec<_>>().join(",\n")
     })
+}
+
+/// A ViT fleet with one drooped replica and a mid-run dead-ring fault on
+/// another, as its report JSON.
+fn vit_json(threads: usize) -> String {
+    let vit = TransformerConfig::tiny_vit();
+    let width = vit.input_width();
+    let dataset = (0..8)
+        .map(|c| ((0..width).map(|j| ((c * 7 + j) % 11) as f64 / 11.0 - 0.4).collect(), c % 4))
+        .collect();
+    let cfg = ServeConfig {
+        scenario: "vit/droop+fault".to_string(),
+        seed: 31,
+        dims: Vec::new(),
+        engine: EngineOptions::default(),
+        pretrained: None,
+        dataset,
+        replicas: vec![
+            ReplicaProfile { laser_droop: 0.05, ..ReplicaProfile::with_seed(1) },
+            ReplicaProfile::with_seed(2),
+        ],
+        sharding: Sharding::ReplicaParallel,
+        batch_max: 4,
+        linger_ns: 20_000,
+        slo_ns: 5_000_000,
+        est_ns_per_item_init: 2_000,
+        arrivals: ArrivalProcess::Poisson { mean_interarrival_ns: 10_000 },
+        requests: 24,
+        fault_events: vec![FaultEvent {
+            at_ns: 100_000,
+            replica: 1,
+            plan: FaultPlan { dead_rings: 0.2, seed: 7, ..FaultPlan::default() },
+        }],
+    };
+    at_threads(threads, || sim::run_vit(&cfg, &vit).unwrap().to_json())
 }
 
 #[test]
@@ -49,4 +88,11 @@ fn serve_reports_identical_at_1_and_8_threads() {
     // And re-running at the same thread count reproduces the run exactly
     // — no hidden process-global state leaks between scenarios.
     assert_eq!(reports_json(8), parallel, "serve run is not repeatable in-process");
+
+    // Droop and faults live on the chip, so a ViT fleet carries both and
+    // stays just as reproducible.
+    let vit = vit_json(1);
+    assert_eq!(vit, vit_json(8), "ViT serve report JSON drifted across thread counts");
+    assert!(vit.contains("\"faults_applied\": 1,"), "the fault event never struck:\n{vit}");
+    assert!(!vit.contains("\"served\": 0,"), "the ViT scenario served nothing:\n{vit}");
 }
