@@ -9,13 +9,16 @@
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
-use crate::tile::{charge_psums, TileGemm};
+use crate::tile::TileGemm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, WriteVerifyPolicy};
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
+
+/// Digital energy of one cross-tile partial-sum accumulate.
+const PSUM_PJ: f64 = 0.1;
 
 /// The tile grids of one model, in construction order, plus its digital
 /// side and weight-write path.
@@ -64,10 +67,41 @@ impl Chip {
         self.grids.iter_mut().flat_map(TileGemm::pes_mut)
     }
 
+    /// The dense forward step on grid `g`: the AGC-scaled, clamped-lane
+    /// unsigned MVM ([`TileGemm::gemv_unsigned`]) into `y`, billing its
+    /// cross-tile partial sums.
+    pub(crate) fn gemv_unsigned(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
+        let psums = self.grids[g].gemv_unsigned(x, y);
+        self.charge_psums(psums);
+    }
+
     /// Signed MVM of grid `g` into `y` (overwritten), billing its
-    /// cross-tile partial sums to the digital side.
+    /// cross-tile partial sums.
     pub(crate) fn gemv_signed(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
-        charge_psums(&mut self.ldsu.energy, self.grids[g].gemv_signed(x, y));
+        let psums = self.grids[g].gemv_signed(x, y);
+        self.charge_psums(psums);
+    }
+
+    /// Bill `n` cross-tile partial-sum accumulates, one charge each; the
+    /// two MVMs above are the only MVM entry points, so every path bills.
+    fn charge_psums(&mut self, n: usize) {
+        for _ in 0..n {
+            self.ldsu.energy.charge("psum accumulate", EnergyPj(PSUM_PJ));
+        }
+    }
+
+    /// Table II gradient-vector mode on grid `g`: program `wᵀ` (`w` is
+    /// the grid's `out × in` matrix, row-major) and replace each `δ` with
+    /// the billed signed MVM `wᵀ·δ`. The grid holds `wᵀ` until the next
+    /// [`Chip::program`].
+    pub(crate) fn gradient_vectors(&mut self, g: usize, w: &[f64], deltas: &mut [Vec<f64>]) {
+        self.grids[g].program_transposed(w);
+        let inp = self.grids[g].dims().1;
+        for delta in deltas {
+            let mut v = vec![0.0; inp];
+            self.gemv_signed(g, delta, &mut v);
+            *delta = v;
+        }
     }
 
     /// Program grid `g` with `w` (`out × in`, row-major): open-loop on a
@@ -196,14 +230,15 @@ impl Chip {
     }
 
     /// Every PE's energy as one flat sum in grid order, plus the digital
-    /// side's.
-    pub(crate) fn total_energy(&self) -> EnergyPj {
+    /// side's — every engine's total.
+    pub fn total_energy(&self) -> EnergyPj {
         self.pes().map(|pe| pe.energy().total()).sum::<EnergyPj>() + self.ldsu.energy.total()
     }
 
-    /// Simulated time of every PE, one flat sum in grid order.
-    pub(crate) fn pe_elapsed(&self) -> Nanoseconds {
-        self.pes().map(ProcessingElement::elapsed).sum()
+    /// Every PE's simulated time as one flat sum in grid order (the
+    /// sequential-tile upper bound), plus the digital side's.
+    pub fn total_elapsed(&self) -> Nanoseconds {
+        self.pes().map(ProcessingElement::elapsed).sum::<Nanoseconds>() + self.ldsu.elapsed
     }
 
     /// The itemised ledger: the digital side's charges plus every PE's,
@@ -220,6 +255,7 @@ impl Chip {
 #[cfg(test)]
 mod tests {
     use crate::conv_engine::PhotonicCnn;
+    use crate::dfa::DfaFeedback;
     use crate::engine::{EngineOptions, PhotonicMlp};
     use crate::faults::{FaultPlan, FaultReport};
     use crate::transformer::{PhotonicTransformer, TransformerConfig};
@@ -290,6 +326,65 @@ mod tests {
             PhotonicTransformer::chip_mut,
             |tx| tx.try_forward_classify(&x).unwrap(),
         );
+    }
+
+    #[test]
+    fn negative_pixel_forwards_like_a_dark_one() {
+        // The one dense step clamps lanes at zero: a negative input is a
+        // dark channel, not an out-of-range laser power, on every engine
+        // — even when it outweighs every positive input.
+        let image: Vec<f64> = (0..64).map(|i| (i % 10) as f64 / 10.0).collect();
+        let (mut dark, mut negative) = (image.clone(), image);
+        dark[9] = 0.0;
+        negative[9] = -0.95;
+        let cnn = || PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+        let want = cnn().forward(&dark);
+        assert_eq!(bits(&cnn().try_forward_batch(&[&negative]).unwrap()[0]), bits(&want));
+        let mlp = || PhotonicMlp::try_with_options(&[64, 16, 10], EngineOptions::default());
+        let want = mlp().unwrap().try_forward(&dark).unwrap();
+        assert_eq!(bits(&mlp().unwrap().try_forward(&negative).unwrap()), bits(&want));
+    }
+
+    /// Psum charges on `chip` so far (0.1 pJ each).
+    fn psums(chip: &Chip) -> usize {
+        (chip.energy_ledger().get("psum accumulate").value() / 0.1).round() as usize
+    }
+
+    #[test]
+    fn every_mvm_route_bills_its_partial_sums() {
+        // Each route runs on a grid with more than one column tile and
+        // bills rows × (col_tiles − 1) accumulates per MVM.
+        let opts = EngineOptions::default();
+        let routes = [
+            ("mlp forward", {
+                let mut mlp = PhotonicMlp::try_with_options(&[40, 4], opts).unwrap();
+                mlp.try_forward(&[0.5; 40]).unwrap();
+                (psums(mlp.chip()), 4 * 2)
+            }),
+            ("cnn head", {
+                // 54 pooled features: the 10-row head has 4 column tiles.
+                let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+                cnn.forward(&[0.5; 64]);
+                (psums(cnn.chip()), 10 * 3)
+            }),
+            ("batched Wᵀ", {
+                // Layer 1's Wᵀ is 8 × 20, two column tiles; one batch of
+                // two samples, and no other grid has a second column tile.
+                let mut mlp = PhotonicMlp::try_with_options(&[4, 8, 20], opts).unwrap();
+                let xs = vec![vec![0.5, 0.25, 1.0, 0.0]; 2];
+                mlp.try_train_batched(&xs, &[3, 17], 0.1, 1, 2).unwrap();
+                (psums(mlp.chip()), 2 * 8)
+            }),
+            ("dfa projection", {
+                let mlp = PhotonicMlp::try_with_options(&[4, 8, 20], opts).unwrap();
+                let mut fb = DfaFeedback::for_engine(&mlp, 3);
+                fb.project(0, &[0.1; 20]);
+                (psums(&fb.chip), 8)
+            }),
+        ];
+        for (route, (billed, want)) in routes {
+            assert_eq!(billed, want, "{route}");
+        }
     }
 
     #[test]

@@ -233,8 +233,7 @@ impl PhotonicCnn {
         for pos in 0..positions {
             let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
             let logits = &mut self.conv_logits[pos * out_c..(pos + 1) * out_c];
-            let scale = patch.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-            self.chip.grids[CONV].gemv_unsigned(patch, |v| (v / scale).max(0.0), scale, logits);
+            self.chip.gemv_unsigned(CONV, patch, logits);
             self.chip.grids[CONV].activate_rows(logits, &mut fired[..out_c]);
             for (f, &y) in fired[..out_c].iter().enumerate() {
                 self.activ[f * positions + pos] = y;
@@ -267,12 +266,10 @@ impl PhotonicCnn {
             }
         }
 
-        // Dense head (its partial sums are not billed; DESIGN.md §16).
-        let scale = self.features.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
+        // Dense head: the same chip step as an MLP layer.
         refill(out, &mut self.heap_allocs, |out| {
             out.resize(self.classes, 0.0);
-            let lane = |v: f64| (v / scale).max(0.0);
-            self.chip.grids[DENSE].gemv_unsigned(&self.features, lane, scale, out);
+            self.chip.gemv_unsigned(DENSE, &self.features, out);
         });
     }
 
@@ -421,31 +418,27 @@ impl PhotonicCnn {
         accuracy
     }
 
-    /// One in-situ training step. The dense gradients use the Table II
-    /// outer-product mode; the conv gradient accumulates per-position
-    /// outer products of the pooled-and-routed error with the cached
-    /// patches.
+    /// One in-situ training step. The dense head's backward is the MLP's
+    /// layer steps (outer product, billed `Wᵀ` MVM); the conv gradient
+    /// accumulates per-position outer products of the pooled-and-routed
+    /// error with the cached patches.
     pub fn train_sample(&mut self, image: &[f64], label: usize, lr: f64) -> f64 {
         let logits = self.forward(image);
-        let (loss, delta_out) = softmax_grad(&logits, label);
-
-        // Dense outer product: δW = δ ⊗ features (photonic, tile-wise).
-        let dense_grad = self.chip.grids[DENSE].outer_product(&delta_out, &self.features);
-
-        // Gradient into the pooled features: δ_feat = Wᵀ δ (photonic
-        // signed MVM over the transposed head, restored by `program_all`
-        // below; these partial sums are not billed, DESIGN.md §16).
-        self.chip.grids[DENSE].program_transposed(&self.dense_weights);
-        let mut delta_feat = vec![0.0; self.feature_count()];
-        self.chip.grids[DENSE].gemv_signed(&delta_out, &mut delta_feat);
+        let (loss, mut delta) = softmax_grad(&logits, label);
+        let mut dense_grad = vec![0.0; self.dense_weights.len()];
+        self.chip.grids[DENSE].outer_product(&delta, &self.features, 1.0, &mut dense_grad);
+        // δ ← Wᵀ δ, the pooled features' error. The head stays transposed
+        // until the update's `program_all` restores it: restoring here as
+        // well would rewrite the whole head every step.
+        self.chip.gradient_vectors(DENSE, &self.dense_weights, std::slice::from_mut(&mut delta));
 
         // Unpool: route each feature's error to its argmax position, then
-        // apply the per-position latched derivative.
+        // apply its per-position spilled `f'(h)` bit.
         let (conv_h, conv_w) = self.conv_hw();
         let patch_len = self.in_c * self.kernel * self.kernel;
         let mut conv_grad = vec![0.0; self.out_c * patch_len];
         for (out_idx, &src_idx) in self.pool_argmax.iter().enumerate() {
-            let d = delta_feat[out_idx];
+            let d = delta[out_idx];
             if d == 0.0 {
                 continue;
             }
@@ -455,20 +448,10 @@ impl PhotonicCnn {
             if h < LOGIT_THRESHOLD {
                 continue;
             }
-            let delta_h = spilled_hadamard(d, h);
             // Per-position outer product row: δW_conv[f] += δh · patch.
             let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
-            let p_scale =
-                patch.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-            let mut y_slice = [0.0; TILE];
-            for (s, &v) in y_slice.iter_mut().zip(patch) {
-                *s = v / p_scale;
-            }
-            let pe = &mut self.chip.grids[CONV].pes_mut()[0];
-            let products = pe.outer_product(&[delta_h], &y_slice[..patch.len()]);
-            for (j, &p) in products[0].iter().enumerate() {
-                conv_grad[f * patch_len + j] += p * p_scale;
-            }
+            let row = &mut conv_grad[f * patch_len..(f + 1) * patch_len];
+            self.chip.grids[CONV].outer_product(&[spilled_hadamard(d, h)], patch, 1.0, row);
         }
 
         // Eq. 1 updates + reprogram.
@@ -502,9 +485,9 @@ impl PhotonicCnn {
         self.chip.total_energy()
     }
 
-    /// Simulated time across both banks.
+    /// Simulated time across both banks ([`Chip::total_elapsed`]).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.chip.pe_elapsed()
+        self.chip.total_elapsed()
     }
 
     /// Conv filter weights (master copy, for verification).
@@ -655,21 +638,6 @@ mod tests {
             warm,
             "steady-state CNN forwards must not grow engine scratch"
         );
-    }
-
-    #[test]
-    fn negative_pixel_forwards_like_a_dark_one() {
-        // Lanes clamp at zero like the MLP's: a negative pixel is a dark
-        // channel, not an out-of-range laser power.
-        let (xs, _) = digit_images(1);
-        let (mut dark, mut negative) = (xs[0].clone(), xs[0].clone());
-        dark[9] = 0.0;
-        negative[9] = -0.5;
-        let want = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8).forward(&dark);
-        let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
-        let got = &cnn.try_forward_batch(&[negative]).unwrap()[0];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(got), bits(&want));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! DFA is not a second training loop: it is the second error source of
 //! the engine's one backward walk. Given a [`DfaFeedback`], that walk
 //! takes layer `k−1`'s error from `B_{k−1}·e` instead of `W_kᵀ δh_k`;
-//! the outer products, the Hadamard with the latched `f'(h)` and the
+//! the outer products, the spilled-bit Hadamard with `f'(h)` and the
 //! Eq. 1 update are the same calls backprop makes.
 
 use crate::chip::Chip;
@@ -36,7 +36,7 @@ pub struct DfaFeedback {
     /// `B_k` for each hidden layer `k` (row-major `[hidden_k × classes]`).
     matrices: Vec<Vec<f64>>,
     /// Dedicated banks holding each `B_k`, programmed once.
-    chip: Chip,
+    pub(crate) chip: Chip,
 }
 
 impl DfaFeedback {
@@ -71,14 +71,35 @@ impl DfaFeedback {
         self.chip.programming_energy()
     }
 
-    /// Photonic projection `B_k · e` (signed MVM over the feedback bank;
-    /// its partial sums are not billed, DESIGN.md §16).
+    /// Photonic projection `B_k · e`: the signed MVM over the feedback
+    /// bank, its partial sums billed to the feedback chip.
     pub fn project(&mut self, k: usize, error: &[f64]) -> Vec<f64> {
         let (hidden, classes) = self.chip.grids[k].dims();
         assert_eq!(error.len(), classes, "error width mismatch");
         let mut v = vec![0.0; hidden];
-        self.chip.grids[k].gemv_signed(error, &mut v);
+        self.chip.gemv_signed(k, error, &mut v);
         v
+    }
+
+    /// `LayerOutOfRange` unless there is one bank per hidden layer of
+    /// `engine` (naming the first layer one side lacks), `ShapeMismatch`
+    /// unless bank `k` is `hidden_k × classes`.
+    fn check(&self, engine: &PhotonicMlp) -> Result<(), ArchError> {
+        let hidden = engine.layer_count() - 1;
+        if self.layer_count() != hidden {
+            let both = hidden.min(self.layer_count());
+            return Err(ArchError::LayerOutOfRange { layer: both, layers: both });
+        }
+        let classes = engine.layer_dims(hidden).0;
+        for (k, bank) in self.chip.grids.iter().enumerate() {
+            let (rows, cols) = bank.dims();
+            for (expected, got) in [(engine.layer_dims(k).0, rows), (classes, cols)] {
+                if got != expected {
+                    return Err(ArchError::ShapeMismatch { expected, got });
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The exact `B_k` matrix (for verification tests).
@@ -90,7 +111,9 @@ impl DfaFeedback {
 /// DFA training over a dataset for `epochs`: per sample,
 /// [`PhotonicMlp::try_train_sample`] with the gradient-vector phase
 /// swapped out — each hidden layer's error arrives via its fixed feedback
-/// bank (no `Wᵀ` reprogramming sweeps). Returns per-epoch losses.
+/// bank (no `Wᵀ` reprogramming sweeps). Feedback built for another
+/// network is a typed error before the first step. Returns per-epoch
+/// losses.
 pub fn train_dfa(
     engine: &mut PhotonicMlp,
     feedback: &mut DfaFeedback,
@@ -99,7 +122,8 @@ pub fn train_dfa(
     learning_rate: f64,
     epochs: usize,
 ) -> Result<Vec<f64>, ArchError> {
-    engine.train_epochs(xs, labels, learning_rate, epochs, Some(feedback))
+    feedback.check(engine)?;
+    engine.train_epochs(xs, labels, learning_rate, epochs, 1, Some(feedback))
 }
 
 #[cfg(test)]
@@ -149,6 +173,26 @@ mod tests {
             fb.project(0, &[0.1, 0.2, 0.3, 0.4]);
         }
         assert_eq!(fb.programming_energy(), before);
+    }
+
+    #[test]
+    fn feedback_for_another_network_is_a_typed_error() {
+        let (xs, labels) = digit_data(1);
+        let fb_engine = mlp(&[64, 16, 10], 7);
+        let mut engine = mlp(&[64, 32, 16, 10], 7);
+        let before = engine.snapshot_weights();
+        let mut fb = DfaFeedback::for_engine(&fb_engine, 41);
+        assert!(matches!(
+            train_dfa(&mut engine, &mut fb, &xs, &labels, 0.3, 1),
+            Err(ArchError::LayerOutOfRange { layer: 1, layers: 1 })
+        ));
+        // Same depth, other hidden width.
+        let mut fb = DfaFeedback::for_engine(&mlp(&[64, 24, 10], 7), 41);
+        assert!(matches!(
+            train_dfa(&mut mlp(&[64, 16, 10], 7), &mut fb, &xs, &labels, 0.3, 1),
+            Err(ArchError::ShapeMismatch { expected: 16, got: 24 })
+        ));
+        assert_eq!(engine.snapshot_weights(), before);
     }
 
     #[test]

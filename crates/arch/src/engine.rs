@@ -5,20 +5,21 @@
 //! layer sizes). Inference keeps weights stationary; training follows the
 //! paper's per-sample schedule:
 //!
-//! 1. **forward** — per layer: optical MVM tiles, electronic partial-sum
-//!    accumulation across column tiles, LDSU latch, GST activation.
-//! 2. **backward walk**, output layer first — per layer `k`:
-//!    - **outer product** (Table II mode 3): banks programmed with the
-//!      cached layer input, per-ring demux readout of `δW_k`;
-//!    - **error for layer `k−1`** from one of two sources. Backprop uses
-//!      the gradient-vector mode (Table II mode 2): banks reprogrammed
-//!      with `W_kᵀ`, signed MVM of `δh_k`. Direct feedback alignment
-//!      ([`crate::dfa`]) projects the output error through a fixed bank,
-//!      `B_{k−1}·e`. Either way the Hadamard with the latched
-//!      `f'(h_{k−1})` runs on layer `k−1`'s TIA gains.
-//! 3. **update** (Eq. 1) — `W ← W − β·δW`, clipped to the photonic range,
-//!    quantized to the tuning method's bit resolution, and programmed back
-//!    into the forward banks.
+//! 1. **forward** — per layer, the chip's dense step (AGC, clamped laser
+//!    lanes, optical MVM tiles, billed cross-tile partial sums), then the
+//!    GST activation.
+//! 2. **backward walk** over a batch (a per-sample step is a batch of
+//!    one), output layer first — per layer `k`:
+//!    - **outer product** (Table II mode 3): banks programmed with each
+//!      sample's layer input, per-ring demux readout of `δW_k`;
+//!    - **error for layer `k−1`**, per sample, from backprop's
+//!      gradient-vector mode (Table II mode 2: `W_kᵀ` programmed once, a
+//!      signed MVM of each `δh_k`, one restore) or from direct feedback
+//!      alignment's fixed bank, `B_{k−1}·e` ([`crate::dfa`]), times
+//!      `f'(h_{k−1})` ([`spilled_hadamard`]).
+//! 3. **update** (Eq. 1) — `W ← W − β·δW` with the batch-mean gradient,
+//!    clipped to the photonic range, quantized to the tuning method's bit
+//!    resolution, and programmed back into the forward banks.
 //!
 //! Every optical programming event and symbol is charged to the energy
 //! ledgers, so the training demos report honest device-level costs.
@@ -26,8 +27,8 @@
 use crate::chip::Chip;
 use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
-use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
-use crate::tile::{charge_psums, PeSpec, TileGemm};
+use crate::pe::{gst_activation, spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
+use crate::tile::{PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
@@ -71,7 +72,7 @@ pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&m
 /// whose sizes `dims` fixes, are allocated at construction; only the
 /// per-sample output slots grow, and each growth is tallied in
 /// [`PhotonicMlp::hot_path_allocs`]. The modeled device dataflow inside
-/// the PEs (per-tile MVM returns, LDSU latch vectors) is part of the
+/// the PEs (per-tile MVM returns, activation vectors) is part of the
 /// hardware model and sits outside this boundary.
 pub struct PhotonicMlp {
     dims: Vec<usize>,
@@ -303,7 +304,7 @@ impl PhotonicMlp {
     /// unactivated (the network tail, read by the loss). With
     /// `tail = false` the engine is one stage of a layer-sharded
     /// pipeline: its last layer is an interior layer of the larger
-    /// network, so its rows go through the same latch-and-activate path
+    /// network, so its rows go through the same GST activation path
     /// as every hidden layer and the activated vectors feed the next
     /// stage. Returns per-sample outputs in input order; the slice
     /// borrows the engine's output slots and is valid until the next
@@ -323,9 +324,7 @@ impl PhotonicMlp {
         inputs: &[S],
         tail: bool,
     ) -> Result<&[Vec<f64>], ArchError> {
-        if let Some(x) = inputs.iter().find(|x| x.as_ref().len() != self.dims[0]) {
-            return Err(ArchError::ShapeMismatch { expected: self.dims[0], got: x.as_ref().len() });
-        }
+        self.check_widths(inputs)?;
         let trace = obs::enabled();
         let _span = obs::span(name);
         let n = inputs.len();
@@ -359,17 +358,13 @@ impl PhotonicMlp {
     }
 
     /// One layer of the forward dataflow for one sample: cache the layer
-    /// input, run the MVM tiles into the logit cache with electronic
-    /// partial-sum accumulation across column tiles, then replace `y`
-    /// with the LDSU latch-and-activate of those logits, or with the raw
-    /// logits when `activate` is off (the network tail).
+    /// input, run the chip's dense step into the logit cache, then
+    /// replace `y` with the GST activation of those logits, or with the
+    /// raw logits when `activate` is off (the network tail).
     fn forward_layer(&mut self, k: usize, activate: bool, y: &mut Vec<f64>) {
         self.cached_inputs[k].copy_from_slice(y);
-        // Normalize activations onto the lasers (electronic AGC).
-        let scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
         let h = &mut self.cached_logits[k];
-        let psums = self.chip.grids[k].gemv_unsigned(y, |v| (v / scale).max(0.0), scale, h);
-        charge_psums(&mut self.chip.ldsu.energy, psums);
+        self.chip.gemv_unsigned(k, y, h);
         refill(y, &mut self.heap_allocs, |y| {
             if activate {
                 y.resize(h.len(), 0.0);
@@ -402,73 +397,79 @@ impl PhotonicMlp {
         Ok(argmax(&self.try_forward(x)?))
     }
 
-    /// Accuracy over a set of samples.
+    /// Accuracy over a labelled set; an unpaired, empty or mislabelled
+    /// set is a typed error before the first forward.
     pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> Result<f64, ArchError> {
+        self.check_set(xs, labels)?;
         accuracy_of(xs, labels, |x| self.try_forward(x))
     }
 
+    /// `ShapeMismatch` unless `xs` and `labels` pair up one to one and
+    /// every input is `dims[0]` wide, `InvalidParameter` on an empty set,
+    /// `LabelOutOfRange` unless every label names an output class.
+    pub(crate) fn check_set<S: AsRef<[f64]>>(
+        &self,
+        xs: &[S],
+        labels: &[usize],
+    ) -> Result<(), ArchError> {
+        if xs.len() != labels.len() {
+            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
+        }
+        if xs.is_empty() {
+            return Err(ArchError::InvalidParameter {
+                name: "samples",
+                value: 0,
+                expected: "at least 1",
+            });
+        }
+        self.check_widths(xs)?;
+        let classes = self.dims[self.dims.len() - 1];
+        match labels.iter().find(|&&label| label >= classes) {
+            Some(&label) => Err(ArchError::LabelOutOfRange { label, classes }),
+            None => Ok(()),
+        }
+    }
+
+    /// `ShapeMismatch` unless every input is `dims[0]` wide.
+    fn check_widths<S: AsRef<[f64]>>(&self, inputs: &[S]) -> Result<(), ArchError> {
+        let expected = self.dims[0];
+        match inputs.iter().map(|x| x.as_ref().len()).find(|&got| got != expected) {
+            Some(got) => Err(ArchError::ShapeMismatch { expected, got }),
+            None => Ok(()),
+        }
+    }
+
     /// One in-situ training step on a single sample (the paper's
-    /// alternating forward/backward schedule). Returns the sample loss.
+    /// alternating forward/backward schedule): the backward walk over a
+    /// batch of one. Returns the sample loss.
     pub fn try_train_sample(
         &mut self,
         x: &[f64],
         label: usize,
         learning_rate: f64,
     ) -> Result<f64, ArchError> {
-        self.train_step(x, label, learning_rate, None)
+        self.check_set(&[x], &[label])?;
+        self.train_batch(&[x], &[label], learning_rate, None)
     }
 
-    /// One in-situ training step: forward, then the backward walk from
-    /// the output layer down, then the Eq. 1 update. Each hidden layer's
-    /// error comes from the chained `Wᵀ` products (backprop) or, given
-    /// `feedback`, from its fixed DFA bank (see [`crate::dfa`]). Returns
-    /// the sample loss.
-    pub(crate) fn train_step(
+    /// Train for `epochs` over a dataset, one sample per step, evaluating
+    /// on the same set: [`PhotonicMlp::try_train_batched`] with batches of
+    /// one.
+    pub fn try_train(
         &mut self,
-        x: &[f64],
-        label: usize,
+        xs: &[Vec<f64>],
+        labels: &[usize],
         learning_rate: f64,
-        mut feedback: Option<&mut DfaFeedback>,
-    ) -> Result<f64, ArchError> {
-        self.check_label(label)?;
-        let _span = obs::span("engine.train_sample");
-        let logits = self.try_forward(x)?;
-        let (loss, error) = softmax_grad(&logits, label);
-        let layer_count = self.layer_count();
-        let mut delta = error.clone();
-        let mut weight_grads: Vec<Vec<f64>> = Vec::with_capacity(layer_count);
-        for k in (0..layer_count).rev() {
-            // Outer product for layer k: δW_k = δh_k ⊗ y_{k-1}.
-            weight_grads.push(self.outer_product_layer(k, &delta));
-            if k > 0 {
-                // Layer k−1's error: (W_kᵀ δh_k) or (B_{k−1} e), ⊙ f'(h_{k−1}).
-                delta = match feedback.as_deref_mut() {
-                    None => self.gradient_vector_layer(k, &delta)?,
-                    Some(fb) => self.chip.grids[k - 1].hadamard_latched(&fb.project(k - 1, &error)),
-                };
-            }
-        }
-        weight_grads.reverse();
-        self.apply_weight_grads(&weight_grads, learning_rate)?;
-        Ok(loss)
-    }
-
-    /// `LabelOutOfRange` unless `label` names one of the output classes.
-    fn check_label(&self, label: usize) -> Result<(), ArchError> {
-        let classes = self.dims.last().copied().unwrap_or(0);
-        if label >= classes {
-            return Err(ArchError::LabelOutOfRange { label, classes });
-        }
-        Ok(())
+        epochs: usize,
+    ) -> Result<TrainingOutcome, ArchError> {
+        self.try_train_batched(xs, labels, learning_rate, epochs, 1)
     }
 
     /// Mini-batch training: one weight update per `batch_size` samples,
     /// amortizing the bank-retuning sweeps the way the Table V model
-    /// assumes. Per batch this schedule programs `Wᵀ` once per layer
-    /// (instead of once per sample) and reprograms the forward weights
-    /// once; the per-sample `f'(h)` bits are spilled to the PE's L1 (the
-    /// same one-bit-per-position FIFO the convolutional engine uses), and
-    /// the per-sample `y` outer-product programming remains — it cannot
+    /// assumes. Per batch the walk programs `Wᵀ` once per layer (instead
+    /// of once per sample) and restores the forward weights once; the
+    /// per-sample `y` outer-product programming remains — it cannot
     /// amortize because every sample's activations differ.
     pub fn try_train_batched(
         &mut self,
@@ -478,153 +479,7 @@ impl PhotonicMlp {
         epochs: usize,
         batch_size: usize,
     ) -> Result<TrainingOutcome, ArchError> {
-        if xs.len() != labels.len() {
-            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
-        }
-        if batch_size == 0 {
-            return Err(ArchError::InvalidParameter {
-                name: "batch_size",
-                value: 0,
-                expected: "at least 1",
-            });
-        }
-        labels.iter().try_for_each(|&label| self.check_label(label))?;
-        let _span = obs::span("engine.train_batched");
-        let layer_count = self.layer_count();
-        let mut loss_history = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut epoch_loss = 0.0;
-            for (bx, bl) in xs.chunks(batch_size).zip(labels.chunks(batch_size)) {
-                // Forward every sample with stationary weights; cache the
-                // per-sample logits (the spilled LDSU bits) and inputs.
-                // `sample_deltas[s]` always holds the *current* (deepest
-                // computed) error vector of sample `s`.
-                let mut sample_deltas: Vec<Vec<f64>> = Vec::with_capacity(bx.len());
-                let mut sample_logits = Vec::with_capacity(bx.len());
-                let mut sample_inputs = Vec::with_capacity(bx.len());
-                for (x, &label) in bx.iter().zip(bl) {
-                    let logits = self.try_forward(x)?;
-                    let (loss, delta) = softmax_grad(&logits, label);
-                    epoch_loss += loss;
-                    sample_deltas.push(delta);
-                    sample_logits.push(self.cached_logits.clone());
-                    sample_inputs.push(self.cached_inputs.clone());
-                }
-                // Backward, layer by layer: program Wᵀ once, sweep the
-                // whole batch through it, restore once.
-                let mut grads: Vec<Vec<f64>> =
-                    self.weights.iter().map(|w| vec![0.0; w.len()]).collect();
-                for k in (0..layer_count).rev() {
-                    // Outer products for layer k, per sample.
-                    for s in 0..bx.len() {
-                        // Point the outer product at this sample's input.
-                        self.cached_inputs = sample_inputs[s].clone();
-                        let g = self.outer_product_layer(k, &sample_deltas[s]);
-                        for (acc, v) in grads[k].iter_mut().zip(&g) {
-                            *acc += v / bx.len() as f64;
-                        }
-                    }
-                    if k > 0 {
-                        self.chip.grids[k].program_transposed(&self.weights[k]);
-                        for s in 0..bx.len() {
-                            // Signed MVM through Wᵀ; this sweep bills no
-                            // partial sums (DESIGN.md §16).
-                            let mut v = vec![0.0; self.dims[k]];
-                            self.chip.grids[k].gemv_signed(&sample_deltas[s], &mut v);
-                            // Hadamard with the spilled f'(h_{k-1}) bits.
-                            let h = &sample_logits[s][k - 1];
-                            sample_deltas[s] =
-                                v.iter().zip(h).map(|(&vi, &hi)| spilled_hadamard(vi, hi)).collect();
-                        }
-                        self.chip.program(k, &self.weights[k])?;
-                    }
-                }
-                self.apply_weight_grads(&grads, learning_rate)?;
-            }
-            loss_history.push(epoch_loss / xs.len() as f64);
-        }
-        self.outcome(loss_history, xs, labels)
-    }
-
-    /// Eq. 1: `W ← W − β δW`, clipped to the photonic range, quantized to
-    /// the tuning grid, and programmed back into the forward banks.
-    fn apply_weight_grads(
-        &mut self,
-        weight_grads: &[Vec<f64>],
-        learning_rate: f64,
-    ) -> Result<(), ArchError> {
-        for k in 0..self.layer_count() {
-            apply_update(&mut self.weights[k], &weight_grads[k], learning_rate, self.weight_bits);
-            self.chip.program(k, &self.weights[k])?;
-        }
-        Ok(())
-    }
-
-    /// Table II gradient-vector mode for layer `k`: program `W_kᵀ`, run a
-    /// signed MVM of `delta`, apply the latched `f'(h_{k-1})` of the
-    /// *previous* layer via its TIA gains.
-    fn gradient_vector_layer(&mut self, k: usize, delta: &[f64]) -> Result<Vec<f64>, ArchError> {
-        let trace = obs::enabled();
-        let _span = if trace {
-            obs::span_owned(format!("backward.layer{k}.gradient_vector"))
-        } else {
-            obs::SpanGuard::disabled()
-        };
-        let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-        let (out, inp) = self.layer_dims(k);
-        assert_eq!(delta.len(), out);
-        self.chip.grids[k].program_transposed(&self.weights[k]);
-        let mut v = vec![0.0; inp];
-        self.chip.gemv_signed(k, delta, &mut v);
-        // Restore the forward weights for the next forward pass.
-        self.chip.program(k, &self.weights[k])?;
-        if trace {
-            let dt = self.total_elapsed() - sim_start;
-            obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
-        }
-        // Hadamard with f'(h_{k-1}) from the previous layer's LDSUs.
-        Ok(self.chip.grids[k - 1].hadamard_latched(&v))
-    }
-
-    /// Table II outer-product mode for layer `k`: `δW = δh ⊗ y_{k-1}`,
-    /// tile by tile, returned row-major.
-    fn outer_product_layer(&mut self, k: usize, delta: &[f64]) -> Vec<f64> {
-        let trace = obs::enabled();
-        let _span = if trace {
-            obs::span_owned(format!("backward.layer{k}.outer_product"))
-        } else {
-            obs::SpanGuard::disabled()
-        };
-        let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-        assert_eq!(delta.len(), self.layer_dims(k).0);
-        let grad = self.chip.grids[k].outer_product(delta, &self.cached_inputs[k]);
-        if trace {
-            let dt = self.total_elapsed() - sim_start;
-            obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, dt.value());
-        }
-        grad
-    }
-
-    /// Train for `epochs` over a dataset, evaluating on the same set.
-    pub fn try_train(
-        &mut self,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-        learning_rate: f64,
-        epochs: usize,
-    ) -> Result<TrainingOutcome, ArchError> {
-        let loss_history = self.train_epochs(xs, labels, learning_rate, epochs, None)?;
-        self.outcome(loss_history, xs, labels)
-    }
-
-    /// A finished run's report: `loss_history`, the accuracy on the
-    /// training set, and the ledgers so far.
-    fn outcome(
-        &mut self,
-        loss_history: Vec<f64>,
-        xs: &[Vec<f64>],
-        labels: &[usize],
-    ) -> Result<TrainingOutcome, ArchError> {
+        let loss_history = self.train_epochs(xs, labels, learning_rate, epochs, batch_size, None)?;
         Ok(TrainingOutcome {
             loss_history,
             final_accuracy: self.accuracy(xs, labels)?,
@@ -634,31 +489,118 @@ impl PhotonicMlp {
         })
     }
 
-    /// `epochs` passes of [`PhotonicMlp::train_step`] over a dataset, in
-    /// order; returns the mean loss per epoch.
+    /// `epochs` passes over a dataset in order, one
+    /// [`PhotonicMlp::train_batch`] per `batch_size` samples, each hidden
+    /// layer's error from `feedback` when given. The whole set is checked
+    /// before the engine is touched. Returns the mean loss per epoch.
     pub(crate) fn train_epochs(
         &mut self,
         xs: &[Vec<f64>],
         labels: &[usize],
         learning_rate: f64,
         epochs: usize,
+        batch_size: usize,
         mut feedback: Option<&mut DfaFeedback>,
     ) -> Result<Vec<f64>, ArchError> {
-        if xs.len() != labels.len() {
-            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
+        if batch_size == 0 {
+            return Err(ArchError::InvalidParameter {
+                name: "batch_size",
+                value: 0,
+                expected: "at least 1",
+            });
         }
+        self.check_set(xs, labels)?;
         let mut loss_history = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
-            for (x, &label) in xs.iter().zip(labels) {
-                total += self.train_step(x, label, learning_rate, feedback.as_deref_mut())?;
+            for (bx, bl) in xs.chunks(batch_size).zip(labels.chunks(batch_size)) {
+                total += self.train_batch(bx, bl, learning_rate, feedback.as_deref_mut())?;
             }
             loss_history.push(total / xs.len() as f64);
         }
         Ok(loss_history)
     }
 
-    /// Aggregate energy across all PEs and engine-level charges.
+    /// The one backward walk, over a checked batch: forward every sample
+    /// with stationary weights, keeping its layer inputs and logits (the
+    /// spilled `f'(h)` bits); then per layer, output layer first, every
+    /// sample's outer product and then every sample's error for layer
+    /// `k−1` — through one `W_kᵀ` program and one restore (backprop) or,
+    /// given `feedback`, the fixed DFA bank — times `f'(h_{k−1})`; then
+    /// one Eq. 1 update with the batch-mean gradient. Returns the summed
+    /// loss of the batch.
+    fn train_batch<S: AsRef<[f64]>>(
+        &mut self,
+        xs: &[S],
+        labels: &[usize],
+        learning_rate: f64,
+        mut feedback: Option<&mut DfaFeedback>,
+    ) -> Result<f64, ArchError> {
+        let _span = obs::span("engine.train_sample");
+        let mut loss = 0.0;
+        let (mut errors, mut inputs, mut logits) = (Vec::new(), Vec::new(), Vec::new());
+        for (x, &label) in xs.iter().zip(labels) {
+            let (sample_loss, error) = softmax_grad(&self.try_forward(x.as_ref())?, label);
+            loss += sample_loss;
+            errors.push(error);
+            inputs.push(self.cached_inputs.clone());
+            logits.push(self.cached_logits.clone());
+        }
+        let mut deltas = errors.clone();
+        let mut grads = Vec::with_capacity(self.layer_count());
+        for k in (0..self.layer_count()).rev() {
+            grads.push(self.backward_step(k, "outer_product", |mlp| {
+                let mut grad = vec![0.0; mlp.weights[k].len()];
+                for (dh, y) in deltas.iter().zip(&inputs) {
+                    mlp.chip.grids[k].outer_product(dh, &y[k], xs.len() as f64, &mut grad);
+                }
+                grad
+            }));
+            if k == 0 {
+                break;
+            }
+            self.backward_step(k, "gradient_vector", |mlp| match feedback.as_deref_mut() {
+                None => {
+                    mlp.chip.gradient_vectors(k, &mlp.weights[k], &mut deltas);
+                    mlp.chip.program(k, &mlp.weights[k])
+                }
+                Some(fb) => {
+                    for (delta, error) in deltas.iter_mut().zip(&errors) {
+                        *delta = fb.project(k - 1, error);
+                    }
+                    Ok(())
+                }
+            })?;
+            for (delta, h) in deltas.iter_mut().zip(&logits) {
+                for (d, &hv) in delta.iter_mut().zip(&h[k - 1]) {
+                    *d = spilled_hadamard(*d, hv);
+                }
+            }
+        }
+        // Eq. 1, layer 0 first: W ← W − β·δW, clipped, quantized and
+        // programmed back into the forward banks.
+        for (k, grad) in grads.iter().rev().enumerate() {
+            apply_update(&mut self.weights[k], grad, learning_rate, self.weight_bits);
+            self.chip.program(k, &self.weights[k])?;
+        }
+        Ok(loss)
+    }
+
+    /// Run `step` under span `backward.layer{k}.{phase}`, adding the
+    /// simulated time it spends to `BackwardLayerSimNs` when tracing.
+    fn backward_step<T>(&mut self, k: usize, phase: &str, step: impl FnOnce(&mut Self) -> T) -> T {
+        if !obs::enabled() {
+            return step(self);
+        }
+        let _span = obs::span_owned(format!("backward.layer{k}.{phase}"));
+        let start = self.total_elapsed();
+        let out = step(self);
+        obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, (self.total_elapsed() - start).value());
+        out
+    }
+
+    /// Aggregate energy across all PEs and engine-level charges
+    /// ([`Chip::total_energy`]).
     pub fn total_energy(&self) -> EnergyPj {
         self.chip.total_energy()
     }
@@ -668,9 +610,9 @@ impl PhotonicMlp {
         self.chip.energy_ledger()
     }
 
-    /// Simulated time across PEs (sequential-tile upper bound).
+    /// Simulated time across PEs ([`Chip::total_elapsed`]).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.chip.pe_elapsed()
+        self.chip.total_elapsed()
     }
 
     /// The activation function the hardware applies between layers.
@@ -685,7 +627,6 @@ impl PhotonicMlp {
     /// equivalence tests use it to bound device noise.
     pub fn digital_forward(&self, x: &[f64]) -> Vec<f64> {
         let mut y: Vec<f64> = x.to_vec();
-        let (threshold, slope) = self.activation();
         for k in 0..self.layer_count() {
             let (out, inp) = self.layer_dims(k);
             let w = self.layer_weights(k);
@@ -695,14 +636,8 @@ impl PhotonicMlp {
                     h[i] += w[i * inp + j] * y[j];
                 }
             }
-            if k + 1 == self.layer_count() {
-                y = h;
-            } else {
-                y = h
-                    .iter()
-                    .map(|&v| if v >= threshold { slope * (v - threshold) } else { 0.0 })
-                    .collect();
-            }
+            let tail = k + 1 == self.layer_count();
+            y = if tail { h } else { h.into_iter().map(gst_activation).collect() };
         }
         y
     }
@@ -830,11 +765,15 @@ mod tests {
         let x = [0.2, 0.9, 0.4, 0.1, 0.7, 0.5];
         engine.try_forward(&x).unwrap();
         let delta = vec![0.3, -0.7, 0.2];
-        let photonic = engine.gradient_vector_layer(1, &delta).expect("valid layer");
+        // The walk's steps: W1ᵀ δ on the chip, then the spilled f'(h0).
+        let mut photonic = vec![delta.clone()];
+        engine.chip.gradient_vectors(1, &engine.weights[1], &mut photonic);
+        let h0 = engine.cached_logits[0].clone();
+        let photonic: Vec<f64> =
+            photonic[0].iter().zip(&h0).map(|(&v, &h)| spilled_hadamard(v, h)).collect();
         // Math: (W1ᵀ δ) ⊙ f'(h0).
         let (out, inp) = engine.layer_dims(1);
         let w = engine.layer_weights(1).to_vec();
-        let h0 = engine.cached_logits[0].clone();
         let (threshold, slope) = engine.activation();
         for j in 0..inp {
             let mut v = 0.0;
@@ -856,9 +795,10 @@ mod tests {
         let mut engine = mlp(&[5, 4, 2], 5);
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
         engine.try_forward(&x).unwrap();
-        let delta = vec![0.5, -1.0];
-        let grad = engine.outer_product_layer(1, &delta);
+        let delta = [0.5, -1.0];
         let y = engine.cached_inputs[1].clone();
+        let mut grad = vec![0.0; engine.weights[1].len()];
+        engine.chip.grids[1].outer_product(&delta, &y, 1.0, &mut grad);
         let (out, inp) = engine.layer_dims(1);
         assert_eq!(grad.len(), out * inp);
         for i in 0..out {
@@ -956,6 +896,66 @@ mod tests {
         ));
         assert_eq!(engine.snapshot_weights(), before);
         assert_eq!(engine.total_energy(), energy);
+    }
+
+    #[test]
+    fn unpaired_accuracy_set_is_a_shape_error() {
+        let mut engine = mlp(&[4, 3], 1);
+        let energy = engine.total_energy();
+        let xs = vec![vec![1.0, 0.0, 1.0, 0.0]; 10];
+        assert!(matches!(
+            engine.accuracy(&xs, &[0, 1, 2]),
+            Err(ArchError::ShapeMismatch { expected: 10, got: 3 })
+        ));
+        assert_eq!(engine.total_energy(), energy, "a rejected set must not touch the chip");
+    }
+
+    #[test]
+    fn empty_sets_are_typed_errors() {
+        let mut engine = mlp(&[4, 3], 1);
+        let empty = |r: Result<_, ArchError>| {
+            matches!(r, Err(ArchError::InvalidParameter { name: "samples", value: 0, .. }))
+        };
+        assert!(empty(engine.accuracy(&[], &[])), "accuracy");
+        assert!(empty(engine.try_train(&[], &[], 0.1, 1).map(|o| o.final_accuracy)), "train");
+        let batched = engine.try_train_batched(&[], &[], 0.1, 1, 4);
+        assert!(empty(batched.map(|o| o.final_accuracy)), "batched");
+    }
+
+    #[test]
+    fn batch_of_one_is_per_sample_training_bit_for_bit() {
+        let xs = batch_inputs(6, 40);
+        let labels = [0, 3, 1, 2, 3, 0];
+        let opts = EngineOptions { seed: 23, noise_seed: Some(7), ..Default::default() };
+        // 0: batches of one, 1: try_train, 2: a try_train_sample loop.
+        let run = |entry: u8| {
+            let mut engine = PhotonicMlp::try_with_options(&[40, 20, 4], opts).unwrap();
+            let losses = match entry {
+                0 => engine.try_train_batched(&xs, &labels, 0.2, 2, 1).unwrap().loss_history,
+                1 => engine.try_train(&xs, &labels, 0.2, 2).unwrap().loss_history,
+                _ => {
+                    let losses = (0..2)
+                        .map(|_| {
+                            let steps = xs.iter().zip(&labels);
+                            let total: f64 = steps
+                                .map(|(x, &l)| engine.try_train_sample(x, l, 0.2).unwrap())
+                                .fold(0.0, |acc, l| acc + l);
+                            total / xs.len() as f64
+                        })
+                        .collect();
+                    engine.accuracy(&xs, &labels).unwrap();
+                    losses
+                }
+            };
+            let weights: Vec<u64> =
+                engine.snapshot_weights().iter().flatten().map(|w| w.to_bits()).collect();
+            let losses: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+            let ledgers = [engine.total_energy().value(), engine.total_elapsed().value()];
+            (weights, losses, ledgers.map(f64::to_bits))
+        };
+        let batched = run(0);
+        assert_eq!(batched, run(1));
+        assert_eq!(batched, run(2));
     }
 
     #[test]

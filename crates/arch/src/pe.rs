@@ -12,6 +12,9 @@
 //! | BPD output        | `w_k·x_k`  | `W_{k+1}ᵀ·δh_{k+1}`      | `δh_k·y_{k-1}ᵀ`    |
 //! | TIA / E-O lasers  | `y`        | `⊙ f'(h_k)` (LDSU gain)  | amplify `δW_k`     |
 //!
+//! The simulator applies `⊙ f'(h_k)` with one rule, [`spilled_hadamard`],
+//! on the `f'(h)` bit kept with its logit rather than as a TIA gain.
+//!
 //! Signed vectors (gradients) use two optical passes (positive and
 //! negative parts) with electronic subtraction — optical power cannot be
 //! negative. The outer-product mode programs the bank with `y`, streams
@@ -26,7 +29,6 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
 use trident_pcm::gst::{GstParameters, WriteVerifyPolicy};
-use trident_pcm::ldsu::Ldsu;
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::laser::EoModulator;
 use trident_photonics::ledger::EnergyLedger;
@@ -77,10 +79,22 @@ pub const LOGIT_THRESHOLD: f64 = 430.0 / LOGIT_ENERGY_PJ;
 /// Activation slope of the GST cell above threshold (Fig. 3).
 pub const GST_SLOPE: f64 = 0.34;
 
-/// Hadamard of error `v` with the `f'(h)` bit of logit `h` spilled to L1
-/// (batched MLP, convolution) instead of latched on a TIA. The branch
-/// matters: `v * 0.0` would turn a negative error into `-0.0`.
-pub(crate) fn spilled_hadamard(v: f64, h: f64) -> f64 {
+/// The GST activation transfer `f(h)` of Fig. 3 in plain `f64`: what the
+/// activation cells compute, for the digital twins.
+pub fn gst_activation(h: f64) -> f64 {
+    if h >= LOGIT_THRESHOLD {
+        GST_SLOPE * (h - LOGIT_THRESHOLD)
+    } else {
+        0.0
+    }
+}
+
+/// Hadamard of error `v` with the `f'(h)` bit of logit `h` (Eq. 3), the
+/// one rule every backward path uses: MLP backprop and DFA, per sample or
+/// batched, and the CNN's per-position bits. `spilled_hadamard(1.0, h)` is
+/// `f'(h)` itself. The branch matters: `v * 0.0` would turn a negative
+/// error into `-0.0`.
+pub fn spilled_hadamard(v: f64, h: f64) -> f64 {
     if h >= LOGIT_THRESHOLD {
         v * GST_SLOPE
     } else {
@@ -93,7 +107,6 @@ pub(crate) fn spilled_hadamard(v: f64, h: f64) -> f64 {
 pub struct ProcessingElement {
     bank: WeightBank,
     tias: Vec<TransimpedanceAmplifier>,
-    ldsus: Vec<Ldsu>,
     activations: Vec<GstActivationCell>,
     modulator: EoModulator,
     noise: NoiseModel,
@@ -134,7 +147,6 @@ impl ProcessingElement {
         Self {
             bank,
             tias: vec![TransimpedanceAmplifier::default(); rows],
-            ldsus: vec![Ldsu::paper(LOGIT_THRESHOLD); rows],
             activations: vec![
                 GstActivationCell::new(ActivationCellParams::default());
                 rows
@@ -236,14 +248,15 @@ impl ProcessingElement {
         yp.into_iter().zip(yn).map(|(p, n)| (p - n) * max).collect()
     }
 
-    /// Latch the LDSUs on logits `h` and fire the GST activation cells.
-    /// Returns the activations `y = f(h)` (the Fig. 3 transfer).
+    /// Fire the GST activation cells on logits `h`. Returns the
+    /// activations `y = f(h)` (the Fig. 3 transfer); the backward pass
+    /// reads each row's `f'(h)` bit from the logit through
+    /// [`spilled_hadamard`].
     pub fn latch_and_activate(&mut self, h: &[f64]) -> Vec<f64> {
         assert!(h.len() <= self.rows(), "more logits than rows");
         let mut out = Vec::with_capacity(h.len());
         let mut reset_energy = EnergyPj::ZERO;
         for (r, &logit) in h.iter().enumerate() {
-            self.ldsus[r].latch(logit);
             // Negative logits carry no optical power: dark pulse.
             let pulse = EnergyPj(logit.max(0.0) * LOGIT_ENERGY_PJ);
             let fired = self.activations[r].apply(pulse);
@@ -253,37 +266,7 @@ impl ProcessingElement {
         if reset_energy.value() > 0.0 {
             self.energy.charge("activation reset", reset_energy);
         }
-        // Padding rows carry no optical signal: their comparators see a
-        // dark input and latch zero derivative.
-        for r in h.len()..self.rows() {
-            self.ldsus[r].latch(f64::NEG_INFINITY);
-        }
         out
-    }
-
-    /// Program each row's TIA gain from its LDSU (`f'(h)` — the Hadamard
-    /// product of Eq. 3, fused into the readout).
-    pub fn set_backward_gains(&mut self) {
-        for (tia, ldsu) in self.tias.iter_mut().zip(&self.ldsus) {
-            tia.set_gain(ldsu.derivative());
-        }
-    }
-
-    /// Restore unity TIA gains (forward mode).
-    pub fn set_forward_gains(&mut self) {
-        for tia in &mut self.tias {
-            tia.set_gain(1.0);
-        }
-    }
-
-    /// Apply the programmed TIA gains to a per-row vector.
-    pub fn apply_tia_gains(&self, v: &[f64]) -> Vec<f64> {
-        v.iter().zip(&self.tias).map(|(&x, tia)| tia.amplify_v(x) / tia.transimpedance_kohm).collect()
-    }
-
-    /// The stored derivative of row `r` (for tests and the engine).
-    pub fn stored_derivative(&self, r: usize) -> f64 {
-        self.ldsus[r].derivative()
     }
 
     /// Outer product `δh ⊗ y`: program the bank's first row with `y`,
@@ -409,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn activation_is_gst_relu_and_latches_derivative() {
+    fn activation_is_gst_relu() {
         let mut p = pe();
         let y = p.latch_and_activate(&[0.9, 0.2, -0.5, 0.43]);
         // h = 0.9 fires: 0.34 × (0.9 − 0.43) ≈ 0.16.
@@ -417,24 +400,28 @@ mod tests {
         assert_eq!(y[1], 0.0, "0.2 is below the 0.43 threshold");
         assert_eq!(y[2], 0.0);
         assert!((y[3] - 0.0).abs() < 1e-9, "exactly at threshold fires with zero output");
-        assert_eq!(p.stored_derivative(0), 0.34);
-        assert_eq!(p.stored_derivative(1), 0.0);
-        assert_eq!(p.stored_derivative(3), 0.34);
     }
 
     #[test]
-    fn backward_gains_apply_stored_derivatives() {
-        let mut p = pe();
-        p.latch_and_activate(&[0.9, 0.1, 0.9, 0.1]);
-        p.set_backward_gains();
-        let v = p.apply_tia_gains(&[1.0, 1.0, 2.0, 2.0]);
-        assert!((v[0] - 0.34).abs() < 1e-9);
-        assert_eq!(v[1], 0.0);
-        assert!((v[2] - 0.68).abs() < 1e-9);
-        assert_eq!(v[3], 0.0);
-        p.set_forward_gains();
-        let v = p.apply_tia_gains(&[1.0, 1.0, 1.0, 1.0]);
-        assert!(v.iter().all(|&g| (g - 1.0).abs() < 1e-9));
+    fn spilled_hadamard_applies_the_derivative_bit() {
+        let got: Vec<f64> = [(1.0, 0.9), (1.0, 0.1), (2.0, 0.9), (-2.0, 0.1)]
+            .iter()
+            .map(|&(v, h)| spilled_hadamard(v, h))
+            .collect();
+        assert!((got[0] - 0.34).abs() < 1e-9);
+        assert_eq!(got[1], 0.0);
+        assert!((got[2] - 0.68).abs() < 1e-9);
+        // A blocked negative error is +0.0, never -0.0.
+        assert_eq!(got[3].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn spilled_derivative_matches_gst_relu_semantics() {
+        use trident_pcm::activation::GstRelu;
+        let relu = GstRelu { threshold: LOGIT_THRESHOLD, slope: GST_SLOPE };
+        for h in [-1.0, 0.0, 0.4299, LOGIT_THRESHOLD, 0.431, 10.0] {
+            assert_eq!(spilled_hadamard(1.0, h), relu.derivative(h), "h = {h}");
+        }
     }
 
     #[test]

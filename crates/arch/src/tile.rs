@@ -16,23 +16,17 @@
 //! Partial sums accumulate digitally, `k`-ascending: every output row
 //! receives its column tiles' contributions in column-tile order, so
 //! results are bitwise reproducible. The MVMs return how many cross-tile
-//! accumulations they made; each model decides whether to bill them
-//! (DESIGN.md §16 lists which paths do).
+//! accumulations they made, and [`crate::chip::Chip`] bills every one.
 
 use crate::error::ArchError;
 use crate::pe::ProcessingElement;
 use rand::rngs::StdRng;
-use std::ops::Range;
 use trident_pcm::gst::WriteVerifyPolicy;
 use trident_pcm::stat::StatParams;
-use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::EnergyPj;
 
 /// Rows and columns of every PCM-MRR weight bank.
 pub(crate) const TILE: usize = 16;
-
-/// Digital energy of one cross-tile partial-sum accumulate.
-const PSUM_PJ: f64 = 0.1;
 
 /// How to build one tile's PE. The default is an ideal PE: no receiver
 /// noise, no fabrication variation, deterministic device model.
@@ -57,14 +51,6 @@ pub(crate) struct TileGemm {
     transposed: bool,
     /// Row-major tiles of the held matrix.
     pes: Vec<ProcessingElement>,
-}
-
-/// Bill `n` cross-tile partial-sum accumulates to `ledger`, one charge
-/// each (the per-element digital adds of the accumulation).
-pub(crate) fn charge_psums(ledger: &mut EnergyLedger, n: usize) {
-    for _ in 0..n {
-        ledger.charge("psum accumulate", EnergyPj(PSUM_PJ));
-    }
 }
 
 impl TileGemm {
@@ -207,18 +193,14 @@ impl TileGemm {
     }
 
     /// Unsigned MVM of the held matrix into `y` (overwritten; one entry
-    /// per held row). Laser lane `j` carries `lane(x[j])`, which must lie
-    /// in `[0, 1]`; each detected partial is multiplied by `scale` (the
-    /// caller's AGC gain) before it accumulates. Returns the number of
-    /// cross-tile accumulations.
-    pub(crate) fn gemv_unsigned(
-        &mut self,
-        x: &[f64],
-        lane: impl Fn(f64) -> f64,
-        scale: f64,
-        y: &mut [f64],
-    ) -> usize {
-        self.gemv(x, lane, scale, false, y)
+    /// per held row), the dense forward step. The electronic AGC divides
+    /// `x` by its largest entry (floored at 1e-12) onto the lasers, a
+    /// negative entry drives its lane dark, and each detected partial is
+    /// multiplied back by that scale before it accumulates. Returns the
+    /// number of cross-tile accumulations.
+    pub(crate) fn gemv_unsigned(&mut self, x: &[f64], y: &mut [f64]) -> usize {
+        let scale = x.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
+        self.gemv(x, |v| (v / scale).max(0.0), scale, false, y)
     }
 
     /// Signed MVM of the held matrix (two optical passes per tile) into
@@ -266,46 +248,30 @@ impl TileGemm {
         psums
     }
 
-    /// Each forward row band's rows with the index of the PE whose LDSUs
-    /// and TIAs serve it (the band's first column tile).
-    fn row_bands(&self) -> impl Iterator<Item = (usize, Range<usize>)> {
-        let (out, col_tiles) = (self.out, self.inp.div_ceil(TILE));
-        (0..out.div_ceil(TILE)).map(move |rt| (rt * col_tiles, rt * TILE..(rt * TILE + TILE).min(out)))
-    }
-
-    /// Latch every row band's LDSUs on the logits `h` (`out` wide) and
-    /// fire its GST activation cells into `act`.
+    /// Fire every forward row band's GST activation cells on the logits
+    /// `h` (`out` wide) into `act`; the band's first column tile's PE
+    /// serves its rows.
     pub(crate) fn activate_rows(&mut self, h: &[f64], act: &mut [f64]) {
-        for (t, rows) in self.row_bands() {
-            let fired = self.pes[t].latch_and_activate(&h[rows.clone()]);
+        let col_tiles = self.inp.div_ceil(TILE);
+        for rt in 0..self.out.div_ceil(TILE) {
+            let rows = rt * TILE..(rt * TILE + TILE).min(self.out);
+            let fired = self.pes[rt * col_tiles].latch_and_activate(&h[rows.clone()]);
             act[rows].copy_from_slice(&fired);
         }
     }
 
-    /// Multiply a per-row vector by the latched `f'(h)` through each
-    /// band's programmed TIA gains (the Hadamard of Eq. 3).
-    pub(crate) fn hadamard_latched(&mut self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.out, "vector width mismatch");
-        let mut result = vec![0.0; self.out];
-        for (t, rows) in self.row_bands() {
-            let pe = &mut self.pes[t];
-            pe.set_backward_gains();
-            result[rows.clone()].copy_from_slice(&pe.apply_tia_gains(&v[rows]));
-            pe.set_forward_gains();
-        }
-        result
-    }
-
-    /// Table II outer-product mode, tile by tile: `δW = δh ⊗ y`, returned
-    /// row-major `out × in`. `y` enters the banks as weights, so it is
-    /// normalised by its largest magnitude and restored after readout.
-    pub(crate) fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<f64> {
+    /// Table II outer-product mode, tile by tile: add `δW = δh ⊗ y`,
+    /// divided by `n` (the batch size), into `grad` (row-major, `in`
+    /// wide). `y` enters the banks as weights, so it is normalised by its
+    /// largest magnitude and restored after readout. `δh` is `out` wide,
+    /// or shorter on a one-row-tile grid: the CNN streams one filter's
+    /// error per position into that filter's row of `grad`.
+    pub(crate) fn outer_product(&mut self, dh: &[f64], y: &[f64], n: f64, grad: &mut [f64]) {
         let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
         let col_tiles = self.inp.div_ceil(TILE);
-        let mut grad = vec![0.0; self.out * self.inp];
         for (t, pe) in self.pes.iter_mut().enumerate() {
             let (dh_lo, y_lo) = (t / col_tiles * TILE, t % col_tiles * TILE);
-            let dh_slice = &dh[dh_lo..(dh_lo + TILE).min(self.out)];
+            let dh_slice = &dh[dh_lo..(dh_lo + TILE).min(dh.len())];
             let y_tile = &y[y_lo..(y_lo + TILE).min(self.inp)];
             let mut y_slice = [0.0; TILE];
             for (s, &v) in y_slice.iter_mut().zip(y_tile) {
@@ -314,11 +280,10 @@ impl TileGemm {
             let products = pe.outer_product(dh_slice, &y_slice[..y_tile.len()]);
             for (i, row) in products.iter().enumerate() {
                 for (j, &p) in row.iter().enumerate() {
-                    grad[(dh_lo + i) * self.inp + (y_lo + j)] = p * y_scale;
+                    grad[(dh_lo + i) * self.inp + (y_lo + j)] += p * y_scale / n;
                 }
             }
         }
-        grad
     }
 }
 
@@ -416,9 +381,10 @@ mod tests {
             gemm.program(&w);
             let mut reference = Reference::new(out, inp, seed, &w);
             let mut y = vec![0.0; out];
-            let n = gemm.gemv_unsigned(&x, |v| v / 2.0, 2.0, &mut y);
-            let halved: Vec<f64> = x.iter().map(|v| v / 2.0).collect();
-            let (want, want_n) = reference.mvm(&halved, 2.0, false);
+            let n = gemm.gemv_unsigned(&x, &mut y);
+            let scale = x.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
+            let lanes: Vec<f64> = x.iter().map(|v| v / scale).collect();
+            let (want, want_n) = reference.mvm(&lanes, scale, false);
             prop_assert_eq!(bits(&y), bits(&want));
             prop_assert_eq!(n, want_n);
             let n = gemm.gemv_signed(&x, &mut y);

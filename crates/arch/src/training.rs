@@ -201,6 +201,7 @@ impl DualAdaptiveTrainer {
         engine: &mut PhotonicMlp,
         xs: &[Vec<f64>],
     ) -> Result<ErrorModel, ArchError> {
+        self.check_smoothing()?;
         let (outputs, _) = engine.layer_dims(engine.layer_count() - 1);
         let mut model = ErrorModel::new(outputs, self.error_smoothing);
         for x in xs {
@@ -218,17 +219,17 @@ impl DualAdaptiveTrainer {
         xs: &[Vec<f64>],
         labels: &[usize],
     ) -> Result<f64, ArchError> {
-        if xs.len() != labels.len() {
-            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
-        }
-        if xs.is_empty() {
-            return Err(ArchError::InvalidParameter {
-                name: "samples",
-                value: 0,
-                expected: "at least 1",
-            });
-        }
+        engine.check_set(xs, labels)?;
         accuracy_of(xs, labels, |x| Ok(model.corrected(&engine.try_forward(x)?)))
+    }
+
+    /// `FractionOutOfRange` unless `error_smoothing` lies in `(0, 1]`.
+    fn check_smoothing(&self) -> Result<(), ArchError> {
+        let value = self.error_smoothing;
+        if value > 0.0 && value <= 1.0 {
+            return Ok(());
+        }
+        Err(ArchError::FractionOutOfRange { name: "error_smoothing", value, expected: "(0, 1]" })
     }
 
     /// Run the full dual loop on a (degraded) engine: learn the error
@@ -246,6 +247,8 @@ impl DualAdaptiveTrainer {
         } else {
             trident_obs::SpanGuard::disabled()
         };
+        self.check_smoothing()?;
+        engine.check_set(xs, labels)?;
         engine.calibrate_drift_compensation();
         let pre = self.learn_error_model(engine, xs)?;
         let corrected_accuracy = Self::corrected_accuracy(engine, &pre, xs, labels)?;
@@ -445,6 +448,20 @@ mod tests {
             outcome.adapted_accuracy,
             outcome.corrected_accuracy
         );
+    }
+
+    #[test]
+    fn out_of_range_smoothing_is_a_typed_error() {
+        use crate::engine::{EngineOptions, PhotonicMlp};
+        let mut chip = PhotonicMlp::try_with_options(&[4, 3], EngineOptions::default()).unwrap();
+        let energy = chip.total_energy();
+        let trainer = DualAdaptiveTrainer { error_smoothing: 0.0, ..Default::default() };
+        let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
+        assert!(matches!(
+            trainer.adapt(&mut chip, &xs, &[0]),
+            Err(ArchError::FractionOutOfRange { name: "error_smoothing", .. })
+        ));
+        assert_eq!(chip.total_energy(), energy, "nothing may run first");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use crate::chip::{Chip, Ldsu};
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
-use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
+use crate::pe::gst_activation;
 use crate::tile::{PeSpec, TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -486,15 +486,6 @@ fn mean_pool(hidden: &[f64], d: usize, out: &mut [f64]) {
     }
 }
 
-/// The GST activation transfer (digital-twin form, engine parity).
-fn gst64(h: f64) -> f64 {
-    if h >= LOGIT_THRESHOLD {
-        (h - LOGIT_THRESHOLD) * GST_SLOPE
-    } else {
-        0.0
-    }
-}
-
 impl PhotonicTransformer {
     /// Build and program a transformer from seeded weights.
     pub fn try_new(cfg: TransformerConfig) -> Result<Self, ArchError> {
@@ -596,18 +587,16 @@ impl PhotonicTransformer {
         self.cache_len = 0;
     }
 
-    /// Total optical + digital energy since construction, summed grid
-    /// by grid.
+    /// Total optical + digital energy since construction
+    /// ([`Chip::total_energy`]).
     pub fn total_energy(&self) -> EnergyPj {
-        let grid = |g: &TileGemm| g.pes().iter().map(|pe| pe.energy().total()).sum::<EnergyPj>();
-        self.chip.grids.iter().map(grid).sum::<EnergyPj>() + self.chip.ldsu.energy.total()
+        self.chip.total_energy()
     }
 
     /// Total simulated time (sequential-tile upper bound) since
-    /// construction.
+    /// construction ([`Chip::total_elapsed`]).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        let grid = |g: &TileGemm| g.pes().iter().map(|pe| pe.elapsed()).sum::<Nanoseconds>();
-        self.chip.grids.iter().map(grid).sum::<Nanoseconds>() + self.chip.ldsu.elapsed
+        self.chip.total_elapsed()
     }
 
     /// Itemised energy ledger ([`Chip::energy_ledger`]) across every PE
@@ -849,7 +838,7 @@ impl PhotonicTransformer {
                     *hv += p;
                 }
                 let h1 = block.w1.exact(&block.ln2.exact(tok));
-                let act: Vec<f64> = h1.iter().map(|&h| gst64(h)).collect();
+                let act: Vec<f64> = h1.into_iter().map(gst_activation).collect();
                 for (hv, &p) in tok.iter_mut().zip(&block.w2.exact(&act)) {
                     *hv += p;
                 }

@@ -4,27 +4,19 @@
 //! (0 below threshold, 0.34 above), storing `f'(h_k)` for the backward
 //! pass needs only one bit per row: an analog voltage comparator against
 //! the activation threshold, latched into a D-flip-flop during the forward
-//! pass. When the gradient-vector computation runs (Eq. 3), the latched bit
-//! programs the row's TIA gain to `f'(h_k)`, fusing the Hadamard product
-//! into the readout for free.
+//! pass.
 //!
 //! The LDSU is what removes the ADCs between layers: nothing about `h_k`
-//! other than this bit ever needs to leave the PE.
+//! other than this bit ever needs to leave the PE. The functional engines
+//! keep the bit with its logit and apply it with one rule,
+//! `trident_arch::pe::spilled_hadamard`; this module holds the unit's
+//! power and area for the analytical models.
 
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::{AreaUm2, PowerMw};
 
 /// One row's comparator + D-flip-flop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ldsu {
-    /// Comparator threshold in the logit's units.
-    threshold: f64,
-    /// Derivative value emitted when the latched bit is set.
-    slope: f64,
-    /// The latched bit; `None` until the first forward pass latches it.
-    bit: Option<bool>,
-    latch_events: u64,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ldsu;
 
 impl Ldsu {
     /// Static power of one LDSU (comparator + flip-flop): Table III budgets
@@ -33,63 +25,6 @@ impl Ldsu {
 
     /// Footprint of one comparator + flip-flop in a 28 nm-class process.
     pub const AREA_PER_UNIT: AreaUm2 = AreaUm2(25.0);
-
-    /// Build an LDSU comparing against `threshold` and emitting `slope`.
-    pub fn new(threshold: f64, slope: f64) -> Self {
-        assert!(threshold.is_finite(), "threshold must be finite");
-        assert!(slope.is_finite() && slope >= 0.0, "slope must be finite and >= 0");
-        Self { threshold, slope, bit: None, latch_events: 0 }
-    }
-
-    /// The paper's unit: threshold at the activation threshold, slope 0.34.
-    pub fn paper(threshold: f64) -> Self {
-        Self::new(threshold, 0.34)
-    }
-
-    /// Comparator threshold.
-    #[inline]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Latch the comparator output for logit `h` (forward pass).
-    ///
-    /// Returns the latched bit.
-    pub fn latch(&mut self, h: f64) -> bool {
-        let bit = h >= self.threshold;
-        self.bit = Some(bit);
-        self.latch_events += 1;
-        bit
-    }
-
-    /// The stored derivative `f'(h)` for the backward pass.
-    ///
-    /// # Panics
-    /// Panics if no forward pass has latched a bit yet — reading an
-    /// unlatched LDSU means the training schedule is wrong.
-    pub fn derivative(&self) -> f64 {
-        match self.bit.expect("LDSU read before any forward pass latched it") {
-            true => self.slope,
-            false => 0.0,
-        }
-    }
-
-    /// The raw latched bit, if any.
-    #[inline]
-    pub fn stored_bit(&self) -> Option<bool> {
-        self.bit
-    }
-
-    /// Number of latch events (one per forward pass through the row).
-    #[inline]
-    pub fn latch_count(&self) -> u64 {
-        self.latch_events
-    }
-
-    /// Clear the latch (e.g. when a PE is re-assigned to another layer).
-    pub fn clear(&mut self) {
-        self.bit = None;
-    }
 }
 
 #[cfg(test)]
@@ -97,65 +32,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn latch_compares_against_threshold() {
-        let mut l = Ldsu::paper(430.0);
-        assert!(!l.latch(100.0));
-        assert_eq!(l.derivative(), 0.0);
-        assert!(l.latch(500.0));
-        assert_eq!(l.derivative(), 0.34);
-    }
-
-    #[test]
-    fn threshold_boundary_is_inclusive() {
-        // Must agree with GstRelu::derivative, which fires at h == θ.
-        let mut l = Ldsu::paper(430.0);
-        assert!(l.latch(430.0));
-        assert_eq!(l.derivative(), 0.34);
-    }
-
-    #[test]
-    #[should_panic]
-    fn reading_unlatched_unit_panics() {
-        let l = Ldsu::paper(0.0);
-        let _ = l.derivative();
-    }
-
-    #[test]
-    fn clear_resets_the_latch() {
-        let mut l = Ldsu::paper(0.0);
-        l.latch(1.0);
-        l.clear();
-        assert_eq!(l.stored_bit(), None);
-    }
-
-    #[test]
-    fn relatching_overwrites() {
-        let mut l = Ldsu::paper(0.0);
-        l.latch(1.0);
-        l.latch(-1.0);
-        assert_eq!(l.derivative(), 0.0);
-        assert_eq!(l.latch_count(), 2);
-    }
-
-    #[test]
     fn ldsu_power_is_negligible() {
         // Table III: the LDSU line is 0.01 % of PE power — the whole point
         // of replacing ADCs with a comparator and a flip-flop.
         assert!(Ldsu::POWER_PER_UNIT.value() * 16.0 < 0.1);
-    }
-
-    #[test]
-    fn matches_gst_relu_derivative_semantics() {
-        use crate::activation::GstRelu;
-        let relu = GstRelu { threshold: 430.0, slope: 0.34 };
-        let mut l = Ldsu::paper(430.0);
-        for h in [-100.0, 0.0, 429.9, 430.0, 431.0, 10_000.0] {
-            l.latch(h);
-            assert_eq!(
-                l.derivative(),
-                relu.derivative(h),
-                "LDSU and GstRelu disagree at h={h}"
-            );
-        }
     }
 }

@@ -16,7 +16,8 @@
 //!   realises a ReLU-like optical nonlinearity, plus its reset cycle.
 //! * [`ldsu`] — the Linear Derivative Storage Unit (Fig. 2d): an analog
 //!   comparator and a D-flip-flop per row that capture `f'(h)` during the
-//!   forward pass so the backward pass never touches memory.
+//!   forward pass so the backward pass never touches memory (its power and
+//!   area; the engines apply the bit through one Hadamard rule).
 //! * [`stat`] — the seeded *statistical* device layer over [`gst`]:
 //!   level-dependent programming noise, per-probe read noise, power-law
 //!   conductance drift with per-cell exponents, and the

@@ -17,8 +17,8 @@
 //!   every stage in order, and stage `s` becomes free as soon as its
 //!   part is done, so successive batches overlap across stages.
 //!
-//! Service time is the engines' own simulated latency: the fleet diffs
-//! `total_elapsed()` around each forward call, so serving latency,
+//! Service time is the engines' own simulated latency: the fleet diffs the
+//! chip's `total_elapsed()` around each forward call, so serving latency,
 //! energy, and accuracy all come from the same device models the paper
 //! tables use.
 
@@ -117,14 +117,6 @@ impl ReplicaEngine {
         }
     }
 
-    fn total_elapsed_ns(&self) -> f64 {
-        on_engine!(self, |e| e.total_elapsed().value())
-    }
-
-    fn total_energy_pj(&self) -> f64 {
-        on_engine!(self, |e| e.total_energy().value())
-    }
-
     fn reserve_forward_scratch(&mut self, batch: usize) {
         on_engine!(self, |e| e.reserve_forward_scratch(batch));
     }
@@ -167,7 +159,7 @@ impl Replica {
     /// spent so far is its energy baseline.
     fn new(engine: ReplicaEngine, tail: bool) -> Self {
         Self {
-            energy_baseline_pj: engine.total_energy_pj(),
+            energy_baseline_pj: engine.chip().total_energy().value(),
             engine,
             tail,
             free_at_ns: 0,
@@ -417,7 +409,7 @@ impl Fleet {
         let tail_id = route.end - 1;
         let mut outputs: Option<&[Vec<f64>]> = None;
         for stage in &mut self.replicas[route.clone()] {
-            stage.elapsed_mark_ns = stage.engine.total_elapsed_ns();
+            stage.elapsed_mark_ns = stage.engine.chip().total_elapsed().value();
             outputs = Some(match outputs {
                 None => stage.engine.try_forward_batch(batch, stage.tail)?,
                 Some(prev) => stage.engine.try_forward_batch(prev, stage.tail)?,
@@ -434,7 +426,7 @@ impl Fleet {
         for stage in &mut self.replicas[route] {
             let start = done_ns.max(stage.free_at_ns);
             let service = obs::counter::ns_from_ns_f64(
-                stage.engine.total_elapsed_ns() - stage.elapsed_mark_ns,
+                stage.engine.chip().total_elapsed().value() - stage.elapsed_mark_ns,
             )
             .max(1);
             done_ns = start.saturating_add(service);
@@ -496,7 +488,7 @@ impl Fleet {
                     batches: r.batches,
                     correct: r.correct,
                     busy_ns: r.busy_ns,
-                    energy_pj: r.engine.total_energy_pj() - r.energy_baseline_pj,
+                    energy_pj: chip.total_energy().value() - r.energy_baseline_pj,
                     masked_rings: chip.masked_rings() as u64,
                     remapped_rings: chip.remapped_rings(),
                     write_failures: chip.write_failures(),

@@ -7,7 +7,7 @@
 
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
-use trident::arch::pe::ProcessingElement;
+use trident::arch::pe::{spilled_hadamard, ProcessingElement};
 use trident::pcm::activation::GstRelu;
 
 fn main() {
@@ -40,7 +40,8 @@ fn main() {
     }
 
     // Photonic activation: the GST cell fires when a row's weighted-sum
-    // pulse exceeds the 430 pJ threshold; the LDSU latches f'(h).
+    // pulse exceeds the 430 pJ threshold. The backward pass reads f'(h)
+    // from the kept logit: the spilled-bit Hadamard of a unit error.
     let relu = GstRelu { threshold: 0.43, slope: 0.34 };
     let y = pe.latch_and_activate(&h);
     println!("\nGST activation (threshold 0.43, slope 0.34):");
@@ -48,7 +49,7 @@ fn main() {
         println!(
             "row {r}: h = {hv:+.4} -> y = {yv:+.4} (reference {:+.4}), f'(h) = {}",
             relu.forward(*hv),
-            pe.stored_derivative(r)
+            spilled_hadamard(1.0, *hv)
         );
     }
 
