@@ -659,11 +659,6 @@ impl WeightBank {
         }
     }
 
-    /// The bank's deployment-time source.
-    pub fn clock(&self) -> &DegradationClock {
-        &self.clock
-    }
-
     /// The deterministic structural-relaxation law over every cell (the
     /// legacy `age` body — reached only through the clock now).
     fn relax_cells(&mut self, years: f64) {

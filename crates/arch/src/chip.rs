@@ -6,6 +6,7 @@
 //! every model. Chip-wide walks visit every PE of every grid in
 //! construction order.
 
+use crate::config::TridentConfig;
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
@@ -16,9 +17,6 @@ use trident_obs as obs;
 use trident_pcm::gst::{GstFault, WriteVerifyPolicy};
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
-
-/// Digital energy of one cross-tile partial-sum accumulate.
-const PSUM_PJ: f64 = 0.1;
 
 /// The tile grids of one model, in construction order, plus its digital
 /// side and weight-write path.
@@ -82,11 +80,13 @@ impl Chip {
         self.charge_psums(psums);
     }
 
-    /// Bill `n` cross-tile partial-sum accumulates, one charge each; the
-    /// two MVMs above are the only MVM entry points, so every path bills.
+    /// Bill `n` cross-tile partial-sum accumulates at the configuration's
+    /// psum price, one charge each; the two MVMs above are the only MVM
+    /// entry points, so every path bills.
     fn charge_psums(&mut self, n: usize) {
+        let psum = TridentConfig::paper().psum_energy;
         for _ in 0..n {
-            self.ldsu.energy.charge("psum accumulate", EnergyPj(PSUM_PJ));
+            self.ldsu.energy.charge("psum accumulate", psum);
         }
     }
 

@@ -4,9 +4,16 @@
 //! ablations can sweep them: bank geometry (16×16 = 256 MRRs per PE),
 //! 44 PEs under the 30 W edge envelope, the 1.37 GHz maximum clock, the
 //! E/O-limited vector symbol rate that yields the paper's 7.8 TOPS, cache
-//! sizes, and the Table III device powers.
+//! sizes, and the Table III device powers. Every device constant the
+//! functional chip also models is read from the device that defines it
+//! (`photonics`, `pcm`), so both simulated paths price the same table.
 
 use serde::{Deserialize, Serialize};
+use trident_pcm::activation::ActivationCellParams;
+use trident_pcm::gst::GstParameters;
+use trident_pcm::ldsu::Ldsu;
+use trident_photonics::detector::TransimpedanceAmplifier;
+use trident_photonics::laser::EoModulator;
 use trident_photonics::tuning::TuningProfile;
 use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 use trident_workload::dataflow::DataflowModel;
@@ -63,23 +70,23 @@ pub struct TridentConfig {
 impl TridentConfig {
     /// The configuration evaluated in the paper.
     pub fn paper() -> Self {
+        let rows: usize = 16;
         Self {
-            bank_rows: 16,
+            bank_rows: rows,
             bank_cols: 16,
             num_pes: 44,
             tuning: TuningProfile::gst(),
-            // 44 PEs × 256 MACs × 2 ops / 2.889 ns = 7.8 TOPS (§V-A).
-            symbol_time: Nanoseconds(2.889),
+            symbol_time: EoModulator::SYMBOL_TIME,
             clock_hz: 1.37e9,
             l1_bytes: 16 * 1024,
             l2_bytes: 32 * 1024 * 1024,
             cache_access_energy: EnergyPj(1.0),
             psum_energy: EnergyPj(0.1),
             adc_energy: EnergyPj::ZERO,
-            activation_reset_energy: EnergyPj(1000.0),
-            mrr_read_energy: EnergyPj(20.0),
-            bpd_tia_power: PowerMw(12.1),
-            ldsu_power: PowerMw(0.09),
+            activation_reset_energy: ActivationCellParams::default().reset_energy,
+            mrr_read_energy: GstParameters::default().read_energy,
+            bpd_tia_power: TransimpedanceAmplifier::default().power * rows,
+            ldsu_power: Ldsu::POWER_PER_UNIT * rows,
             eo_laser_power: PowerMw(0.032),
             cache_power: PowerMw(30.0),
             extra_pe_power: PowerMw::ZERO,
@@ -189,5 +196,54 @@ mod tests {
         let df = TridentConfig::paper().dataflow();
         assert_eq!(df.mrrs_per_pe(), 256);
         assert_eq!(df.num_pes, 44);
+    }
+}
+
+/// The device table reconciled: the functional chip and the analytical
+/// model read the same Table I/III constants, so one PE symbol prices
+/// exactly what [`TridentConfig::paper`] and [`PePowerModel`] price.
+///
+/// [`PePowerModel`]: crate::power::PePowerModel
+#[cfg(test)]
+mod device_table {
+    use super::*;
+    use crate::pe::{ProcessingElement, GST_SLOPE, LOGIT_ENERGY_PJ, LOGIT_THRESHOLD};
+    use crate::power::PePowerModel;
+
+    /// A fresh 16×16 PE after one unsigned MVM.
+    fn one_symbol() -> ProcessingElement {
+        let mut pe = ProcessingElement::new(16, 16, None);
+        let _ = pe.mvm_unsigned(&[0.5; 16]);
+        pe
+    }
+
+    #[test]
+    fn pe_symbol_is_the_configured_symbol_time() {
+        let symbol = TridentConfig::paper().symbol_time;
+        assert_eq!(one_symbol().elapsed().value().to_bits(), symbol.value().to_bits());
+    }
+
+    #[test]
+    fn pe_read_charge_is_the_power_models_read_power() {
+        let c = TridentConfig::paper();
+        let per_symbol = one_symbol().energy().get("mrr read").over_duration(c.symbol_time);
+        let model = PePowerModel::new(&c).read_power();
+        let rel = ((per_symbol - model) / model).abs();
+        assert!(rel <= 1e-12, "PE {per_symbol:?} vs model {model:?}");
+    }
+
+    #[test]
+    fn pe_receivers_sum_to_the_bpd_tia_line() {
+        let c = TridentConfig::paper();
+        let tias = TransimpedanceAmplifier::default().power * c.bank_rows;
+        assert_eq!(tias.value().to_bits(), c.bpd_tia_power.value().to_bits());
+    }
+
+    #[test]
+    fn logit_activation_comes_from_the_activation_cell() {
+        let cell = ActivationCellParams::default();
+        let threshold = cell.threshold.value() / LOGIT_ENERGY_PJ;
+        assert_eq!(LOGIT_THRESHOLD.to_bits(), threshold.to_bits());
+        assert_eq!(GST_SLOPE.to_bits(), cell.slope.to_bits());
     }
 }

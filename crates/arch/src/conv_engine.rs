@@ -20,14 +20,14 @@
 
 use crate::chip::Chip;
 use crate::engine::{
-    accuracy_of, apply_update, argmax, grow_slots, refill, reserve_slots, softmax_grad,
+    accuracy_of, apply_update, argmax, check_set, check_widths, grow_slots, refill,
+    reserve_slots, softmax_grad,
 };
 use crate::error::ArchError;
 use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::{TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::convert::Infallible;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
 /// Chip grids: the `out_c × in_c·k·k` filter bank, the dense head.
@@ -76,7 +76,8 @@ pub struct PhotonicCnn {
 impl PhotonicCnn {
     /// Build a CNN for `in_c × in_h × in_w` inputs: `out_c` filters of
     /// `kernel × kernel`, stride 1, no padding, then 2×2 pool and a dense
-    /// head to `classes`.
+    /// head to `classes`, trained on a `weight_bits`-bit grid in `2..=8`
+    /// (the MLP's range).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         in_c: usize,
@@ -92,6 +93,7 @@ impl PhotonicCnn {
         let patch = in_c * kernel * kernel;
         assert!(patch <= TILE, "receptive field must fit the bank's channels");
         assert!(out_c <= TILE, "filters must fit the bank's rows");
+        assert!((2..=8).contains(&weight_bits), "weight_bits {weight_bits} outside 2..=8");
         let (conv_h, conv_w) = (in_h - kernel + 1, in_w - kernel + 1);
         let (pool_h, pool_w) = (conv_h / 2, conv_w / 2);
         let features = out_c * pool_h * pool_w;
@@ -183,10 +185,7 @@ impl PhotonicCnn {
         &mut self,
         inputs: &[S],
     ) -> Result<&[Vec<f64>], ArchError> {
-        let expected = self.in_c * self.in_h * self.in_w;
-        if let Some(x) = inputs.iter().find(|x| x.as_ref().len() != expected) {
-            return Err(ArchError::ShapeMismatch { expected, got: x.as_ref().len() });
-        }
+        check_widths(inputs, self.in_c * self.in_h * self.in_w)?;
         Ok(self.sweep(inputs))
     }
 
@@ -407,15 +406,20 @@ impl PhotonicCnn {
             .collect()
     }
 
-    /// Predicted class.
-    pub fn predict(&mut self, image: &[f64]) -> usize {
-        argmax(&self.forward(image))
+    /// Predicted class for one image (NaN-safe, see [`argmax`]).
+    pub fn try_predict(&mut self, image: &[f64]) -> Result<usize, ArchError> {
+        Ok(argmax(&self.try_forward_batch(&[image])?[0]))
     }
 
-    /// Accuracy over a labelled set.
-    pub fn accuracy(&mut self, images: &[Vec<f64>], labels: &[usize]) -> f64 {
-        let Ok(accuracy) = accuracy_of(images, labels, |x| Ok::<_, Infallible>(self.forward(x)));
-        accuracy
+    /// Accuracy over a labelled set; an unpaired, empty or mislabelled
+    /// set is a typed error before the first forward.
+    pub fn try_accuracy(
+        &mut self,
+        images: &[Vec<f64>],
+        labels: &[usize],
+    ) -> Result<f64, ArchError> {
+        check_set(images, labels, self.in_c * self.in_h * self.in_w, self.classes)?;
+        accuracy_of(images, labels, |x| Ok(self.forward(x)))
     }
 
     /// One in-situ training step. The dense head's backward is the MLP's
@@ -461,14 +465,16 @@ impl PhotonicCnn {
         loss
     }
 
-    /// Train over a dataset; returns per-epoch mean losses.
-    pub fn train(
+    /// Train over a dataset, checked as [`PhotonicCnn::try_accuracy`]
+    /// checks it before the chip is touched; returns per-epoch mean losses.
+    pub fn try_train(
         &mut self,
         images: &[Vec<f64>],
         labels: &[usize],
         lr: f64,
         epochs: usize,
-    ) -> Vec<f64> {
+    ) -> Result<Vec<f64>, ArchError> {
+        check_set(images, labels, self.in_c * self.in_h * self.in_w, self.classes)?;
         let mut history = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
@@ -477,7 +483,7 @@ impl PhotonicCnn {
             }
             history.push(total / images.len() as f64);
         }
-        history
+        Ok(history)
     }
 
     /// Total optical energy spent so far.
@@ -584,12 +590,12 @@ mod tests {
     fn cnn_trains_on_digits() {
         let (xs, labels) = digit_images(3);
         let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
-        let history = cnn.train(&xs, &labels, 0.1, 10);
+        let history = cnn.try_train(&xs, &labels, 0.1, 10).unwrap();
         assert!(
             history.last().unwrap() < history.first().unwrap(),
             "conv training loss should fall: {history:?}"
         );
-        let acc = cnn.accuracy(&xs, &labels);
+        let acc = cnn.try_accuracy(&xs, &labels).unwrap();
         assert!(acc > 0.5, "photonic CNN accuracy {acc}");
         assert!(cnn.total_energy().value() > 0.0);
     }
@@ -599,6 +605,46 @@ mod tests {
     fn oversized_receptive_field_rejected() {
         // 3 channels × 3×3 = 27 > 16 channels.
         let _ = PhotonicCnn::new(3, 8, 8, 4, 3, 10, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight_bits 1 outside 2..=8")]
+    fn one_bit_weights_rejected() {
+        // One bit leaves a single level: quantize would divide by zero.
+        let _ = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight_bits 0 outside 2..=8")]
+    fn zero_bit_weights_rejected() {
+        let _ = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 0);
+    }
+
+    #[test]
+    fn bad_sets_are_typed_errors_before_the_chip_is_touched() {
+        let (xs, mut labels) = digit_images(1);
+        let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+        let untouched = cnn.total_energy().value().to_bits();
+        assert!(matches!(
+            cnn.try_accuracy(&[], &[]),
+            Err(ArchError::InvalidParameter { name: "samples", value: 0, .. })
+        ));
+        labels[3] = 10;
+        assert!(matches!(
+            cnn.try_train(&xs, &labels, 0.1, 1),
+            Err(ArchError::LabelOutOfRange { label: 10, classes: 10 })
+        ));
+        assert!(matches!(
+            cnn.try_accuracy(&xs[..2], &labels[..1]),
+            Err(ArchError::ShapeMismatch { expected: 2, got: 1 })
+        ));
+        assert!(matches!(
+            cnn.try_predict(&[0.5; 63]),
+            Err(ArchError::ShapeMismatch { expected: 64, got: 63 })
+        ));
+        assert_eq!(cnn.total_energy().value().to_bits(), untouched, "no set reached the chip");
+        let class = cnn.try_predict(&xs[0]).unwrap();
+        assert_eq!(class, argmax(&cnn.forward(&xs[0])));
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl PhotonicMlp {
         inputs: &[S],
         tail: bool,
     ) -> Result<&[Vec<f64>], ArchError> {
-        self.check_widths(inputs)?;
+        check_widths(inputs, self.dims[0])?;
         let trace = obs::enabled();
         let _span = obs::span(name);
         let n = inputs.len();
@@ -400,43 +400,8 @@ impl PhotonicMlp {
     /// Accuracy over a labelled set; an unpaired, empty or mislabelled
     /// set is a typed error before the first forward.
     pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> Result<f64, ArchError> {
-        self.check_set(xs, labels)?;
+        check_set(xs, labels, self.dims[0], self.dims[self.dims.len() - 1])?;
         accuracy_of(xs, labels, |x| self.try_forward(x))
-    }
-
-    /// `ShapeMismatch` unless `xs` and `labels` pair up one to one and
-    /// every input is `dims[0]` wide, `InvalidParameter` on an empty set,
-    /// `LabelOutOfRange` unless every label names an output class.
-    pub(crate) fn check_set<S: AsRef<[f64]>>(
-        &self,
-        xs: &[S],
-        labels: &[usize],
-    ) -> Result<(), ArchError> {
-        if xs.len() != labels.len() {
-            return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
-        }
-        if xs.is_empty() {
-            return Err(ArchError::InvalidParameter {
-                name: "samples",
-                value: 0,
-                expected: "at least 1",
-            });
-        }
-        self.check_widths(xs)?;
-        let classes = self.dims[self.dims.len() - 1];
-        match labels.iter().find(|&&label| label >= classes) {
-            Some(&label) => Err(ArchError::LabelOutOfRange { label, classes }),
-            None => Ok(()),
-        }
-    }
-
-    /// `ShapeMismatch` unless every input is `dims[0]` wide.
-    fn check_widths<S: AsRef<[f64]>>(&self, inputs: &[S]) -> Result<(), ArchError> {
-        let expected = self.dims[0];
-        match inputs.iter().map(|x| x.as_ref().len()).find(|&got| got != expected) {
-            Some(got) => Err(ArchError::ShapeMismatch { expected, got }),
-            None => Ok(()),
-        }
     }
 
     /// One in-situ training step on a single sample (the paper's
@@ -448,7 +413,7 @@ impl PhotonicMlp {
         label: usize,
         learning_rate: f64,
     ) -> Result<f64, ArchError> {
-        self.check_set(&[x], &[label])?;
+        check_set(&[x], &[label], self.dims[0], self.dims[self.dims.len() - 1])?;
         self.train_batch(&[x], &[label], learning_rate, None)
     }
 
@@ -509,7 +474,7 @@ impl PhotonicMlp {
                 expected: "at least 1",
             });
         }
-        self.check_set(xs, labels)?;
+        check_set(xs, labels, self.dims[0], self.dims[self.dims.len() - 1])?;
         let mut loss_history = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
@@ -664,6 +629,41 @@ pub(crate) fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
 /// a pathological (NaN) output can never crash a classifier.
 pub fn argmax(logits: &[f64]) -> usize {
     logits.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map_or(0, |(i, _)| i)
+}
+
+/// `ShapeMismatch` unless `xs` and `labels` pair up one to one and every
+/// input is `width` wide, `InvalidParameter` on an empty set,
+/// `LabelOutOfRange` unless every label names one of `classes`: the check
+/// every engine runs on a labelled set before touching its chip.
+pub(crate) fn check_set<S: AsRef<[f64]>>(
+    xs: &[S],
+    labels: &[usize],
+    width: usize,
+    classes: usize,
+) -> Result<(), ArchError> {
+    if xs.len() != labels.len() {
+        return Err(ArchError::ShapeMismatch { expected: xs.len(), got: labels.len() });
+    }
+    if xs.is_empty() {
+        return Err(ArchError::InvalidParameter {
+            name: "samples",
+            value: 0,
+            expected: "at least 1",
+        });
+    }
+    check_widths(xs, width)?;
+    match labels.iter().find(|&&label| label >= classes) {
+        Some(&label) => Err(ArchError::LabelOutOfRange { label, classes }),
+        None => Ok(()),
+    }
+}
+
+/// `ShapeMismatch` unless every input is `width` wide.
+pub(crate) fn check_widths<S: AsRef<[f64]>>(inputs: &[S], width: usize) -> Result<(), ArchError> {
+    match inputs.iter().map(|x| x.as_ref().len()).find(|&got| got != width) {
+        Some(got) => Err(ArchError::ShapeMismatch { expected: width, got }),
+        None => Ok(()),
+    }
 }
 
 /// Fraction of `xs` whose `logits` argmax matches its label; the first

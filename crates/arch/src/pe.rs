@@ -28,7 +28,7 @@ use crate::error::ArchError;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
-use trident_pcm::gst::{GstParameters, WriteVerifyPolicy};
+use trident_pcm::gst::{GstParameters, WriteVerifyPolicy, PULSE_WINDOW};
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::laser::EoModulator;
 use trident_photonics::ledger::EnergyLedger;
@@ -73,11 +73,11 @@ impl PeMode {
 /// 430 pJ activation threshold sits at `h = 0.43`.
 pub const LOGIT_ENERGY_PJ: f64 = 1000.0;
 
-/// The normalized activation threshold implied by the 430 pJ cell.
-pub const LOGIT_THRESHOLD: f64 = 430.0 / LOGIT_ENERGY_PJ;
+/// The activation cell's threshold in logit units.
+pub const LOGIT_THRESHOLD: f64 = ActivationCellParams::THRESHOLD.0 / LOGIT_ENERGY_PJ;
 
 /// Activation slope of the GST cell above threshold (Fig. 3).
-pub const GST_SLOPE: f64 = 0.34;
+pub const GST_SLOPE: f64 = ActivationCellParams::SLOPE;
 
 /// The GST activation transfer `f(h)` of Fig. 3 in plain `f64`: what the
 /// activation cells compute, for the digital twins.
@@ -110,7 +110,6 @@ pub struct ProcessingElement {
     activations: Vec<GstActivationCell>,
     modulator: EoModulator,
     noise: NoiseModel,
-    symbol_time: Nanoseconds,
     energy: EnergyLedger,
     elapsed: Nanoseconds,
     /// Fractional loss of input laser power (0 = healthy source). An aged
@@ -143,7 +142,6 @@ impl ProcessingElement {
             variation_seed,
         );
         let modulator = EoModulator::for_grid(bank.grid());
-        let symbol_time = modulator.symbol_time;
         Self {
             bank,
             tias: vec![TransimpedanceAmplifier::default(); rows],
@@ -153,7 +151,6 @@ impl ProcessingElement {
             ],
             modulator,
             noise: noise_seed.map_or_else(NoiseModel::disabled, NoiseModel::seeded),
-            symbol_time,
             energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
@@ -307,13 +304,15 @@ impl ProcessingElement {
     }
 
     fn charge_symbol(&mut self, active_channels: usize) {
+        let symbol_time = self.modulator.symbol_time;
         self.energy
             .charge("eo modulation", self.modulator.encode_energy(active_channels));
-        let read_energy = EnergyPj(20.0) * (self.rows() * self.cols()) as f64
-            * self.symbol_time.value()
-            / 300.0;
+        let read_energy = GstParameters::default().read_energy
+            * (self.rows() * self.cols()) as f64
+            * symbol_time.value()
+            / PULSE_WINDOW.value();
         self.energy.charge("mrr read", read_energy);
-        self.elapsed += self.symbol_time;
+        self.elapsed += symbol_time;
         if obs::enabled() {
             let rings = (self.rows() * self.cols()) as u64;
             obs::add(obs::Counter::MacOps, rings);
@@ -323,7 +322,7 @@ impl ProcessingElement {
             let receiver = self
                 .tias
                 .iter()
-                .fold(EnergyPj::ZERO, |acc, tia| acc + tia.power.for_duration(self.symbol_time));
+                .fold(EnergyPj::ZERO, |acc, tia| acc + tia.power.for_duration(symbol_time));
             obs::add_pj(obs::Counter::ReceiverFj, receiver.value());
         }
     }

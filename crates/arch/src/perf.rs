@@ -41,6 +41,7 @@
 //! steady state.
 
 use crate::config::TridentConfig;
+use crate::power::PePowerModel;
 use serde::{Deserialize, Serialize};
 use trident_photonics::units::{count, EnergyPj, Hertz, Nanoseconds, PowerMw};
 use trident_workload::dataflow::LayerMapping;
@@ -168,17 +169,9 @@ impl TridentPerfModel {
     /// Table III except tuning, which is charged per write).
     pub fn op_power_per_pe(&self) -> PowerMw {
         let c = &self.config;
-        let read = c.mrr_read_energy.over_duration(Nanoseconds(300.0))
-            * count(c.mrrs_per_pe());
+        let read = PePowerModel::new(c).read_power();
         read + c.bpd_tia_power + c.cache_power + c.ldsu_power + c.eo_laser_power
             + c.extra_pe_power
-    }
-
-    /// Standing power of the GST activation reset cycle per PE
-    /// (Table III: 16 cells × 1 nJ / 300 ns = 53.3 mW).
-    pub fn reset_power_per_pe(&self) -> PowerMw {
-        self.config.activation_reset_energy.over_duration(Nanoseconds(300.0))
-            * count(self.config.bank_rows)
     }
 
     /// Spatial replication factor for a layer occupying `tiles` tiles.
@@ -221,7 +214,8 @@ impl TridentPerfModel {
                 * (count(m.weight_writes) * count(replication) / b),
             hold_energy,
             op_energy: self.op_power_per_pe().for_duration(pe_time),
-            reset_energy: self.reset_power_per_pe().for_duration(pe_time),
+            // Table III's standing reset power: 16 cells × 1 nJ / 300 ns.
+            reset_energy: PePowerModel::new(c).activation_reset_power().for_duration(pe_time),
             cache_energy: c.cache_access_energy
                 * count(m.input_reads + m.output_writes),
             psum_energy: c.psum_energy * count(m.psum_accumulations),

@@ -13,13 +13,14 @@
 //!
 //! Every line is *derived* from device constants rather than hard-coded:
 //! tuning = 256 MRRs × (660 pJ / 300 ns); read = 256 × (20 pJ / 300 ns);
-//! activation reset = 16 rows × (1 nJ / 300 ns). The tests pin the derived
-//! numbers to the table.
+//! activation reset = 16 rows × (1 nJ / 300 ns), both over the GST
+//! [`PULSE_WINDOW`]. The tests pin the derived numbers to the table.
 
 use crate::config::TridentConfig;
 use serde::{Deserialize, Serialize};
+use trident_pcm::gst::PULSE_WINDOW;
 use trident_photonics::ledger::PowerLedger;
-use trident_photonics::units::{count, Nanoseconds, PowerMw};
+use trident_photonics::units::{count, PowerMw};
 
 /// Ledger item names used across the power model (shared with the
 /// experiment binaries so printed tables stay consistent).
@@ -65,14 +66,13 @@ impl PePowerModel {
 
     /// Read-probe power with every MRR active.
     pub fn read_power(&self) -> PowerMw {
-        let per_mrr = self.config.mrr_read_energy.over_duration(Nanoseconds(300.0));
+        let per_mrr = self.config.mrr_read_energy.over_duration(PULSE_WINDOW);
         per_mrr * count(self.config.mrrs_per_pe())
     }
 
     /// Activation-cell reset power with every row firing each cycle.
     pub fn activation_reset_power(&self) -> PowerMw {
-        let per_cell =
-            self.config.activation_reset_energy.over_duration(Nanoseconds(300.0));
+        let per_cell = self.config.activation_reset_energy.over_duration(PULSE_WINDOW);
         per_cell * count(self.config.bank_rows)
     }
 

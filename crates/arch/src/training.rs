@@ -24,7 +24,7 @@
 //! [`DeploymentStudy`], the pretrain → deploy → perturb → fine-tune
 //! protocol the fault, variation and drift studies share.
 
-use crate::engine::{accuracy_of, EngineOptions, PhotonicMlp};
+use crate::engine::{accuracy_of, check_set, EngineOptions, PhotonicMlp};
 use crate::error::ArchError;
 use crate::perf::TridentPerfModel;
 use rayon::prelude::*;
@@ -219,7 +219,8 @@ impl DualAdaptiveTrainer {
         xs: &[Vec<f64>],
         labels: &[usize],
     ) -> Result<f64, ArchError> {
-        engine.check_set(xs, labels)?;
+        let dims = engine.dims();
+        check_set(xs, labels, dims[0], dims[dims.len() - 1])?;
         accuracy_of(xs, labels, |x| Ok(model.corrected(&engine.try_forward(x)?)))
     }
 
@@ -248,7 +249,8 @@ impl DualAdaptiveTrainer {
             trident_obs::SpanGuard::disabled()
         };
         self.check_smoothing()?;
-        engine.check_set(xs, labels)?;
+        let dims = engine.dims();
+        check_set(xs, labels, dims[0], dims[dims.len() - 1])?;
         engine.calibrate_drift_compensation();
         let pre = self.learn_error_model(engine, xs)?;
         let corrected_accuracy = Self::corrected_accuracy(engine, &pre, xs, labels)?;

@@ -44,6 +44,7 @@
 //! does for the MLP engine.
 
 use crate::chip::{Chip, Ldsu};
+use crate::config::TridentConfig;
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
 use crate::pe::gst_activation;
@@ -57,9 +58,6 @@ use trident_photonics::units::{EnergyPj, Nanoseconds};
 
 /// LayerNorm variance floor.
 const LN_EPS: f64 = 1e-5;
-
-/// Digital LDSU throughput: one element per 1.37 GHz cycle.
-const DIGITAL_NS_PER_ELEM: f64 = 1.0 / 1.37;
 
 /// LDSU softmax cost per element (exp + normalise, lookup-assisted).
 const LDSU_SOFTMAX_PJ_PER_ELEM: f64 = 0.05;
@@ -251,7 +249,7 @@ impl Ldsu {
     fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
         let n = elems as f64;
         self.energy.charge(what, EnergyPj(pj_per_elem * n));
-        self.elapsed += Nanoseconds(DIGITAL_NS_PER_ELEM * n);
+        self.elapsed += Nanoseconds(1e9 / TridentConfig::paper().clock_hz * n);
     }
 
     /// Softmax over `row`, billed per element.

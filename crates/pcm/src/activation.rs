@@ -12,8 +12,9 @@
 //! the reset energy is what Table III's "GST Activation Function Reset"
 //! line accounts for.
 
+use crate::gst::PULSE_WINDOW;
 use serde::{Deserialize, Serialize};
-use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw, Wavelength};
+use trident_photonics::units::{EnergyPj, Nanoseconds, Wavelength};
 
 /// The idealized activation function realised by the cell: the form used
 /// by the training math (Eq. 3's `f'(h_k)`).
@@ -31,13 +32,6 @@ pub struct GstRelu {
 }
 
 impl GstRelu {
-    /// The paper's measured cell: slope 0.34. The threshold is expressed
-    /// in *normalized* units here (the engine maps logits to pulse energy);
-    /// a zero threshold recovers a scaled ReLU.
-    pub const fn paper() -> Self {
-        Self { threshold: 0.0, slope: 0.34 }
-    }
-
     /// Forward response.
     #[inline]
     pub fn forward(&self, h: f64) -> f64 {
@@ -76,26 +70,25 @@ pub struct ActivationCellParams {
     pub endurance_cycles: u64,
 }
 
+impl ActivationCellParams {
+    /// §III-C: "the activation threshold, 430.0 pJ".
+    pub const THRESHOLD: EnergyPj = EnergyPj(430.0);
+    /// Transmission slope above threshold at 1553.4 nm (Fig. 3).
+    pub const SLOPE: f64 = 0.34;
+}
+
 impl Default for ActivationCellParams {
     fn default() -> Self {
         Self {
-            // §III-C: "the activation threshold, 430.0 pJ".
-            threshold: EnergyPj(430.0),
-            slope: 0.34,
-            // 1 nJ recrystallization pulse over 300 ns → 3.33 mW per cell
-            // while resetting; 16 cells/PE → the 53.3 mW of Table III.
+            threshold: Self::THRESHOLD,
+            slope: Self::SLOPE,
+            // 1 nJ recrystallization pulse over the 300 ns pulse window →
+            // 3.33 mW per cell; 16 cells/PE → the 53.3 mW of Table III.
             reset_energy: EnergyPj(1000.0),
-            reset_time: Nanoseconds(300.0),
+            reset_time: PULSE_WINDOW,
             probe_wavelength: Wavelength::from_nm(1553.4),
             endurance_cycles: 1_000_000_000_000,
         }
-    }
-}
-
-impl ActivationCellParams {
-    /// Average power drawn by one cell during its reset window.
-    pub fn reset_power(&self) -> PowerMw {
-        self.reset_energy.over_duration(self.reset_time)
     }
 }
 
@@ -259,13 +252,6 @@ mod tests {
         // Resetting an armed cell is free.
         assert_eq!(cell.reset(), EnergyPj::ZERO);
         assert_eq!(cell.reset_energy_spent(), EnergyPj(1000.0));
-    }
-
-    #[test]
-    fn reset_power_matches_table_iii() {
-        // 16 cells per PE at reset power must give Table III's 53.3 mW.
-        let p = ActivationCellParams::default().reset_power();
-        assert!((p.value() * 16.0 - 53.3).abs() < 0.1, "16 cells → {} mW", p.value() * 16.0);
     }
 
     #[test]

@@ -7,17 +7,22 @@
 //! non-volatile for ~10 years and endures ~10¹² cycles (Kuzum et al.,
 //! reference \[17\]).
 //!
-//! Energetics follow Table I / §III-B of the paper:
-//! * write: ≥ 660 pJ pulse, 300 ns to settle,
-//! * read: ~20 pJ probe pulse,
-//! * hold: zero — this is the property the whole architecture leans on.
+//! Energetics follow Table I / §III-B of the paper. The write pulse and
+//! its settling time are the GST row of `trident_photonics::tuning`; the
+//! read probe and the [`PULSE_WINDOW`] are defined here. Holding a state
+//! costs nothing — the property the whole architecture leans on.
 
 use crate::error::PcmError;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use trident_photonics::tuning::TuningProfile;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
+
+/// Table III's GST pulse window: the power model spreads one read probe's
+/// energy, and one activation reset's, over it.
+pub const PULSE_WINDOW: Nanoseconds = Nanoseconds(300.0);
 
 /// Device-level constants for a GST cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,8 +49,8 @@ impl Default for GstParameters {
     fn default() -> Self {
         Self {
             levels: 255,
-            write_energy: EnergyPj(660.0),
-            write_time: Nanoseconds(300.0),
+            write_energy: TuningProfile::gst().write_energy,
+            write_time: TuningProfile::gst().write_time,
             read_energy: EnergyPj(20.0),
             amorphous_amplitude: 0.995,
             crystalline_amplitude: 0.25,

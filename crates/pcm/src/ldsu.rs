@@ -1,16 +1,17 @@
 //! The Linear Derivative Storage Unit (LDSU, Fig. 2d of the paper).
 //!
 //! Because the GST activation function has exactly two derivative values
-//! (0 below threshold, 0.34 above), storing `f'(h_k)` for the backward
-//! pass needs only one bit per row: an analog voltage comparator against
-//! the activation threshold, latched into a D-flip-flop during the forward
-//! pass.
+//! (0 below threshold, the cell's slope above), storing `f'(h_k)` for the
+//! backward pass needs only one bit per row: an analog voltage comparator
+//! against the activation threshold, latched into a D-flip-flop during the
+//! forward pass.
 //!
 //! The LDSU is what removes the ADCs between layers: nothing about `h_k`
 //! other than this bit ever needs to leave the PE. The functional engines
 //! keep the bit with its logit and apply it with one rule,
-//! `trident_arch::pe::spilled_hadamard`; this module holds the unit's
-//! power and area for the analytical models.
+//! `trident_arch::pe::spilled_hadamard`; this module is the one
+//! definition of the unit's power and area, which the analytical models
+//! read.
 
 use trident_photonics::units::{AreaUm2, PowerMw};
 
@@ -19,8 +20,8 @@ use trident_photonics::units::{AreaUm2, PowerMw};
 pub struct Ldsu;
 
 impl Ldsu {
-    /// Static power of one LDSU (comparator + flip-flop): Table III budgets
-    /// 0.09 mW for the whole PE's LDSUs; a 16-row PE gives ~5.6 µW each.
+    /// Static power of one LDSU (comparator + flip-flop): Table III's
+    /// 0.09 mW LDSU line shared by a PE's 16 rows.
     pub const POWER_PER_UNIT: PowerMw = PowerMw(0.09 / 16.0);
 
     /// Footprint of one comparator + flip-flop in a 28 nm-class process.

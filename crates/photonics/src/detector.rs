@@ -86,9 +86,9 @@ impl BalancedPhotodetector {
 pub struct TransimpedanceAmplifier {
     /// Transimpedance in kilo-ohms: output volts per milliampere.
     pub transimpedance_kohm: f64,
-    /// Programmable post-gain, in `[0, 1]` × full scale. During inference
-    /// this is 1; during the backward pass the LDSU programs it to
-    /// `f'(h) ∈ {0, 0.34}` to fuse the Hadamard product into the readout.
+    /// Programmable post-gain, in `[0, 1]` × full scale. The paper's LDSU
+    /// programs it to `f'(h)` in the backward pass; the simulator applies
+    /// `f'(h)` digitally instead (`trident_arch::pe::spilled_hadamard`).
     pub programmable_gain: f64,
     /// Static power draw of the amplifier.
     pub power: PowerMw,
@@ -100,11 +100,11 @@ pub struct TransimpedanceAmplifier {
 impl Default for TransimpedanceAmplifier {
     fn default() -> Self {
         Self {
-            // 12.1 mW / 16 rows ≈ 0.76 mW per BPD+TIA slice; the TIA takes
-            // most of it (the BPD is essentially passive).
             transimpedance_kohm: 10.0,
             programmable_gain: 1.0,
-            power: PowerMw(0.756),
+            // Table III's 12.1 mW BPD + TIA line over a PE's 16 rows; the
+            // TIA takes it all (the BPD is essentially passive).
+            power: PowerMw(12.1 / 16.0),
             area: AreaUm2::from_mm2(0.72),
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! Each input element of a Trident PE is carried by one CW laser whose
 //! amplitude is modulated to the analog value being fed in. Between layers,
-//! compact E/O lasers (budgeted at 0.032 mW each from reference \[28\] of
-//! the paper) re-emit the electronically accumulated row outputs back into
-//! the optical domain for the next PE.
+//! compact E/O lasers (reference \[28\] of the paper) re-emit the
+//! electronically accumulated row outputs back into the optical domain for
+//! the next PE; their power is Table III's E/O laser line, which only the
+//! analytical model bills (`TridentConfig::eo_laser_power`).
 
 use crate::units::{EnergyPj, Nanoseconds, PowerMw, Wavelength};
 use crate::wdm::{WdmGrid, WdmSignal};
@@ -17,15 +18,12 @@ pub struct LaserSource {
     pub wavelength: Wavelength,
     /// Full-scale optical output power.
     pub full_scale: PowerMw,
-    /// Wall-plug electrical power at full drive.
-    pub electrical_power: PowerMw,
 }
 
 impl LaserSource {
-    /// A 1 mW full-scale channel laser at `wavelength`, with the paper's
-    /// 0.032 mW E/O laser electrical budget.
+    /// A 1 mW full-scale channel laser at `wavelength`.
     pub fn channel(wavelength: Wavelength) -> Self {
-        Self { wavelength, full_scale: PowerMw(1.0), electrical_power: PowerMw(0.032) }
+        Self { wavelength, full_scale: PowerMw(1.0) }
     }
 
     /// Emit at a normalized drive level `x ∈ [0, 1]`.
@@ -56,6 +54,10 @@ pub struct EoModulator {
 }
 
 impl EoModulator {
+    /// The E/O symbol: one vector through a programmed bank. 44 PEs ×
+    /// 256 MACs × 2 ops / 2.889 ns = the paper's 7.8 TOPS (§V-A).
+    pub const SYMBOL_TIME: Nanoseconds = Nanoseconds(2.889);
+
     /// Build a modulator bank covering every channel of `grid`.
     pub fn for_grid(grid: &WdmGrid) -> Self {
         let lasers = grid.channels().map(LaserSource::channel).collect();
@@ -63,7 +65,7 @@ impl EoModulator {
             lasers,
             // ~0.1 pJ/symbol for a depletion-mode silicon modulator.
             energy_per_symbol: EnergyPj(0.1),
-            symbol_time: Nanoseconds(2.89),
+            symbol_time: Self::SYMBOL_TIME,
         }
     }
 
@@ -97,11 +99,6 @@ impl EoModulator {
     /// Energy to encode one full vector (one symbol per active channel).
     pub fn encode_energy(&self, active_channels: usize) -> EnergyPj {
         self.energy_per_symbol * active_channels
-    }
-
-    /// Total electrical power of the laser bank when all channels idle on.
-    pub fn bank_power(&self) -> PowerMw {
-        self.lasers.iter().map(|l| l.electrical_power).sum()
     }
 
     /// Full-scale optical power of channel `idx` (for decoding currents
@@ -148,11 +145,5 @@ mod tests {
         let m = modulator();
         assert_eq!(m.encode_energy(4), m.energy_per_symbol * 4.0);
         assert_eq!(m.encode_energy(0), EnergyPj::ZERO);
-    }
-
-    #[test]
-    fn bank_power_sums_lasers() {
-        let m = modulator();
-        assert!((m.bank_power().value() - 4.0 * 0.032).abs() < 1e-12);
     }
 }

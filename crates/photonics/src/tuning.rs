@@ -1,12 +1,10 @@
 //! MRR tuning technologies (Table I of the paper).
 //!
-//! Three ways to set a microring's weight are compared by the paper:
-//!
-//! | method   | tuning energy | speed  | volatile | bits |
-//! |----------|---------------|--------|----------|------|
-//! | thermal  | 1.02 nJ       | 0.6 µs | yes      | 6    |
-//! | electric | 0.18 pm/V     | 500 ns | yes      | —    |
-//! | GST      | 660 pJ        | 300 ns | no       | 8    |
+//! The paper compares three ways to set a microring's weight: thermal,
+//! electro-optic and GST. Each [`TuningProfile`] constructor below is the
+//! one definition of its Table I row; the GST cell model
+//! (`trident_pcm::gst::GstParameters`) and the analytical configuration
+//! read [`TuningProfile::gst`] rather than restating it.
 //!
 //! Thermal and electro-optic tuning hold a weight only while power is
 //! applied; GST is non-volatile, so holding a programmed weight is free.

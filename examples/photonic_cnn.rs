@@ -32,9 +32,10 @@ fn main() {
         "feature path: 1x8x8 -> conv {ch}x{cw}x6 -> pool {ph}x{pw}x6 -> {} features -> 10 classes",
         cnn.feature_count()
     );
-    println!("initial accuracy: {:.1}%\n", cnn.accuracy(&images, &data.labels) * 100.0);
+    let initial = cnn.try_accuracy(&images, &data.labels).unwrap();
+    println!("initial accuracy: {:.1}%\n", initial * 100.0);
 
-    let history = cnn.train(&images, &data.labels, 0.1, epochs);
+    let history = cnn.try_train(&images, &data.labels, 0.1, epochs).unwrap();
     for (e, loss) in history.iter().enumerate() {
         if e % 2 == 0 || e + 1 == history.len() {
             println!("epoch {e:>3}: loss {loss:.4}");
@@ -42,7 +43,7 @@ fn main() {
     }
     println!(
         "\nfinal accuracy: {:.1}%",
-        cnn.accuracy(&images, &data.labels) * 100.0
+        cnn.try_accuracy(&images, &data.labels).unwrap() * 100.0
     );
     println!(
         "total optical energy: {:.2} uJ",
