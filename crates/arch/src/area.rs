@@ -10,6 +10,7 @@
 
 use crate::config::TridentConfig;
 use serde::{Deserialize, Serialize};
+use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::mrr::MrrGeometry;
 use trident_photonics::units::{count, AreaUm2};
 use std::collections::BTreeMap;
@@ -52,11 +53,8 @@ impl AreaModel {
         let rows = count(c.bank_rows);
         let mrrs = count(c.mrrs_per_pe());
         let mut map = BTreeMap::new();
-        // One TIA per row. The receiver co-design of Li et al. [19] pairs
-        // each BPD with a differential TIA whose analog front end dwarfs
-        // the photonics; 0.83 mm² per slice lands the chip at the paper's
-        // 604.6 mm² with TIAs dominating, matching Fig. 5.
-        map.insert(items::TIA, AreaUm2::from_mm2(0.83) * rows);
+        // One TIA per row, the component that dominates Fig. 5.
+        map.insert(items::TIA, TransimpedanceAmplifier::default().area * rows);
         map.insert(items::WEIGHT_BANK, MrrGeometry::weight_bank().footprint() * mrrs);
         map.insert(
             items::ACTIVATION,
@@ -129,6 +127,13 @@ mod tests {
         ] {
             assert!(m.share(item) < tia, "{item} share must be below the TIA share");
         }
+    }
+
+    #[test]
+    fn tia_line_is_one_tia_slice_per_row() {
+        let slice = TransimpedanceAmplifier::default().area;
+        assert!((slice.mm2() - 0.83).abs() < 1e-12, "TIA slice {} mm²", slice.mm2());
+        assert_eq!(model().pe_breakdown()[items::TIA], slice * count(16));
     }
 
     #[test]

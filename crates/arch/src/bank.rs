@@ -52,7 +52,6 @@ use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
 use trident_pcm::stat::{seeded_gaussian, DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
 use trident_pcm::weight::{PcmMrr, WeightLut};
 use trident_pcm::PcmError;
-use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry};
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
 use trident_photonics::wdm::WdmGrid;
@@ -143,8 +142,6 @@ pub struct WeightBank {
     drop_coeff: Vec<f64>,
     /// Cached linear through response `[row][channel]`.
     through_coeff: Vec<f64>,
-    energy: EnergyLedger,
-    program_events: u64,
     /// The bank's single simulated-deployment-time source: both the
     /// deterministic relaxation law and the statistical drift model read
     /// elapsed time from here, so time can never advance two ways.
@@ -242,8 +239,6 @@ impl WeightBank {
             round_trip: vec![0.0; rows * cols],
             drop_coeff: vec![0.0; rows * cols],
             through_coeff: vec![0.0; rows * cols],
-            energy: EnergyLedger::new(),
-            program_events: 0,
             clock: DegradationClock::new(),
             stat: None,
         };
@@ -415,8 +410,6 @@ impl WeightBank {
             }
         }
         let time = if spent.value() > 0.0 {
-            self.program_events += 1;
-            self.energy.charge("gst write", spent);
             self.rings[0].cell().params().write_time
         } else {
             Nanoseconds(0.0)
@@ -515,10 +508,6 @@ impl WeightBank {
             }
         }
         let time = if changed {
-            self.program_events += 1;
-            if report.energy.value() > 0.0 {
-                self.energy.charge("gst write", report.energy);
-            }
             report.time
         } else {
             Nanoseconds(0.0)
@@ -750,10 +739,10 @@ impl WeightBank {
     /// One drift-calibration pass: read back the bank's reference column
     /// (one probe per row), infer the youngest cohort's decay from its
     /// characterized floor exponent, and set the global compensation
-    /// gain to the reciprocal. The optical probe energy is billed to the
-    /// `"drift calibration"` ledger entry and the obs counters; returns
-    /// the energy spent. A no-op returning zero when the statistical
-    /// layer is off.
+    /// gain to the reciprocal. Returns the optical probe energy, which
+    /// the obs counters tally and the PE bills to its `"drift
+    /// calibration"` ledger entry. A no-op returning zero when the
+    /// statistical layer is off.
     pub fn calibrate_compensation(&mut self) -> EnergyPj {
         let now = self.clock.now();
         let rows = self.rows;
@@ -762,7 +751,6 @@ impl WeightBank {
         let column = stat.params.reference_column(read_energy);
         stat.gain = column.compensation_gain_at(now - stat.ref_prog_at);
         let spent = column.readout_energy(rows);
-        self.energy.charge("drift calibration", spent);
         if obs::enabled() {
             obs::add(obs::Counter::CompensationPasses, 1);
             obs::add_pj(obs::Counter::CompensationFj, spent.value());
@@ -998,16 +986,6 @@ impl WeightBank {
         out
     }
 
-    /// Total optical energy delivered to the bank's GST cells so far.
-    pub fn write_energy(&self) -> EnergyPj {
-        self.energy.total()
-    }
-
-    /// Number of programming events (parallel write cycles).
-    pub fn program_events(&self) -> u64 {
-        self.program_events
-    }
-
     /// Total individual ring writes so far.
     pub fn ring_writes(&self) -> u64 {
         self.rings.iter().map(PcmMrr::write_count).sum()
@@ -1097,12 +1075,11 @@ mod tests {
     fn programming_costs_energy_once() {
         let mut b = bank4();
         let w = [[0.5; 4]; 4];
-        program(&mut b, &w);
-        let first = b.write_energy();
-        assert!(first.value() > 0.0);
-        program(&mut b, &w);
-        assert_eq!(b.write_energy(), first, "identical reprogram is free (non-volatile)");
-        assert_eq!(b.program_events(), 1);
+        let (energy, time) = b.program_flat(w.as_flattened());
+        assert!(energy.value() > 0.0 && time.value() > 0.0);
+        let again = b.program_flat(w.as_flattened());
+        let free = (EnergyPj::ZERO, Nanoseconds(0.0));
+        assert_eq!(again, free, "identical reprogram is free (non-volatile)");
     }
 
     #[test]
@@ -1583,12 +1560,6 @@ mod equivalence_tests {
         }
         assert_eq!(b.ring_writes(), shadow.ring_writes(), "ring_writes after op {step}");
         assert_eq!(b.write_failures(), shadow.write_failures(), "write_failures after op {step}");
-        assert_eq!(b.program_events(), shadow.program_events(), "program_events after op {step}");
-        assert_eq!(
-            b.write_energy().value().to_bits(),
-            shadow.write_energy().value().to_bits(),
-            "write_energy after op {step}"
-        );
         let draws = |b: &WeightBank| b.stat.as_ref().map(|s| (s.prog_draws, s.read_draws));
         assert_eq!(draws(b), draws(shadow), "stat draw counters after op {step}");
     }

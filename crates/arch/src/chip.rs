@@ -176,13 +176,11 @@ impl Chip {
 
     /// One drift-calibration pass on every bank (a reference-column read
     /// each) to update its compensation gain. The probe energy lands in
-    /// each bank's `"drift calibration"` ledger entry and is returned;
-    /// zero without the statistical layer.
+    /// each PE's `"drift calibration"` ledger entry, so the chip's totals
+    /// carry it, and is returned; zero without the statistical layer.
     pub fn calibrate_drift_compensation(&mut self) -> EnergyPj {
         let _span = obs::span("engine.drift_calibration");
-        self.pes_mut().fold(EnergyPj::ZERO, |spent, pe| {
-            spent + pe.bank_mut().calibrate_compensation()
-        })
+        self.pes_mut().fold(EnergyPj::ZERO, |spent, pe| spent + pe.calibrate_drift())
     }
 
     /// Open every bank's drift-compensation loop (gain back to unity) for
@@ -260,6 +258,8 @@ mod tests {
     use crate::faults::{FaultPlan, FaultReport};
     use crate::transformer::{PhotonicTransformer, TransformerConfig};
     use crate::Chip;
+    use trident_pcm::stat::StatParams;
+    use trident_photonics::units::Hours;
 
     const DEAD: FaultPlan = FaultPlan {
         stuck_amorphous: 0.02,
@@ -385,6 +385,20 @@ mod tests {
         for (route, (billed, want)) in routes {
             assert_eq!(billed, want, "{route}");
         }
+    }
+
+    #[test]
+    fn drift_calibration_reaches_the_chip_totals() {
+        let opts = EngineOptions { stat: Some(StatParams::default()), ..Default::default() };
+        let mut mlp = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
+        mlp.advance_deployment(Hours(720.0));
+        let before = mlp.total_energy().value();
+        let spent = mlp.calibrate_drift_compensation().value();
+        assert!(spent > 0.0);
+        let itemised = mlp.energy_ledger().get("drift calibration").value();
+        assert!((itemised - spent).abs() <= 1e-12 * spent, "ledger {itemised} vs spent {spent}");
+        let grown = mlp.total_energy().value() - before;
+        assert!((grown - spent).abs() <= 1e-9 * before, "total grew {grown}, spent {spent}");
     }
 
     #[test]

@@ -16,61 +16,115 @@
 //!
 //! The demo topology is `conv(k×k) → GST activation → 2×2 maxpool →
 //! flatten → dense`, enough to classify the synthetic digit images
-//! end-to-end on simulated optics.
+//! end-to-end on simulated optics. It is a conv-pool layer and a dense
+//! head on the one network engine ([`PhotonicMlp`]), whose sweep and
+//! backward walk run it; this module keeps the geometry, the digital
+//! references and the public face.
 
 use crate::chip::Chip;
-use crate::engine::{
-    accuracy_of, apply_update, argmax, check_set, check_widths, grow_slots, refill,
-    reserve_slots, softmax_grad,
-};
+use crate::engine::{EngineOptions, Layer, PhotonicMlp};
 use crate::error::ArchError;
-use crate::pe::{spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
-use crate::tile::{TileGemm, TILE};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
+use crate::tile::TILE;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
-/// Chip grids: the `out_c × in_c·k·k` filter bank, the dense head.
-const CONV: usize = 0;
-const DENSE: usize = 1;
+/// A stride-1, unpadded `kernel × kernel` convolution of `in_c × in_h ×
+/// in_w` images into `out_c` filters, then a 2×2 max pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvGeometry {
+    in_c: usize,
+    in_h: usize,
+    in_w: usize,
+    kernel: usize,
+    pub(crate) out_c: usize,
+}
+
+impl ConvGeometry {
+    fn conv_hw(&self) -> (usize, usize) {
+        (self.in_h - self.kernel + 1, self.in_w - self.kernel + 1)
+    }
+
+    fn pool_hw(&self) -> (usize, usize) {
+        let (h, w) = self.conv_hw();
+        (h / 2, w / 2)
+    }
+
+    /// One im2col patch's width: the filter bank's columns.
+    pub(crate) fn patch_len(&self) -> usize {
+        self.in_c * self.kernel * self.kernel
+    }
+
+    /// Output positions of the convolution.
+    pub(crate) fn positions(&self) -> usize {
+        let (h, w) = self.conv_hw();
+        h * w
+    }
+
+    /// Pooled features, `out_c × pool_h·pool_w` filter-major.
+    pub(crate) fn features(&self) -> usize {
+        let (h, w) = self.pool_hw();
+        self.out_c * h * w
+    }
+
+    /// im2col gather of `image` into `cols`: one `patch_len`-wide row per
+    /// output position, row-major, each value through `cast`.
+    pub(crate) fn im2col<T>(&self, image: &[f64], cols: &mut [T], cast: impl Fn(f64) -> T) {
+        let (conv_h, conv_w) = self.conv_hw();
+        let mut i = 0;
+        for oy in 0..conv_h {
+            for ox in 0..conv_w {
+                for c in 0..self.in_c {
+                    for ky in 0..self.kernel {
+                        for kx in 0..self.kernel {
+                            cols[i] = cast(image[(c * self.in_h + oy + ky) * self.in_w + ox + kx]);
+                            i += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// 2×2 max pool of a `positions × out_c` activation map: `emit`
+    /// receives each pooled feature's index (filter-major), value, and the
+    /// map index it was taken from (the first of a tie; 0 when nothing
+    /// beats `lowest`).
+    pub(crate) fn pool<T>(&self, activ: &[T], lowest: T, mut emit: impl FnMut(usize, T, usize))
+    where
+        T: Copy + PartialOrd,
+    {
+        let conv_w = self.conv_hw().1;
+        let (pool_h, pool_w) = self.pool_hw();
+        for f in 0..self.out_c {
+            for py in 0..pool_h {
+                for px in 0..pool_w {
+                    let (mut best, mut at) = (lowest, 0);
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let idx = ((2 * py + dy) * conv_w + 2 * px + dx) * self.out_c + f;
+                            if activ[idx] > best {
+                                (best, at) = (activ[idx], idx);
+                            }
+                        }
+                    }
+                    emit((f * pool_h + py) * pool_w + px, best, at);
+                }
+            }
+        }
+    }
+}
 
 /// A small photonic CNN: one conv layer, GST activation, 2×2 maxpool,
 /// and a dense classifier head.
 ///
-/// Working memory follows the MLP engine's rule (DESIGN.md §15): the
-/// im2col matrix, conv logits, feature map, pool routing and pooled
-/// features are sized from the geometry at construction and double as
-/// the backward pass's caches; only the per-sample output slots grow,
-/// tallied in [`PhotonicCnn::hot_path_allocs`].
+/// Working memory follows the engine's rule (DESIGN.md §15): the im2col
+/// patches, conv logits and activation map are sized from the geometry
+/// at construction; only the per-sample output slots grow, tallied in
+/// [`PhotonicCnn::hot_path_allocs`].
 pub struct PhotonicCnn {
-    in_h: usize,
-    in_w: usize,
-    in_c: usize,
-    kernel: usize,
-    out_c: usize,
-    classes: usize,
-    /// Conv filters, row-major `[out_c × in_c·k·k]` (master copy).
-    conv_weights: Vec<f64>,
-    /// Dense head, row-major `[classes × features]`.
-    dense_weights: Vec<f64>,
-    /// The filter bank and the dense head ([`CONV`], [`DENSE`]).
-    chip: Chip,
-    weight_bits: u8,
-    /// im2col matrix of the latest image: one `in_c·k·k` patch row per
-    /// output position.
-    patches: Vec<f64>,
-    /// Conv logits of the latest image, one `out_c` row per position.
-    conv_logits: Vec<f64>,
-    /// Post-activation conv feature map, `out_c × conv_h·conv_w`.
-    activ: Vec<f64>,
-    /// Feature-map index each pooled feature was taken from.
-    pool_argmax: Vec<usize>,
-    /// Pooled features entering the dense head.
-    features: Vec<f64>,
-    /// Per-sample logits of the latest forward.
-    outputs: Vec<Vec<f64>>,
-    /// Growth events on `outputs` since construction.
-    heap_allocs: u64,
+    geometry: ConvGeometry,
+    /// The conv-pool layer and the dense head on the one network engine.
+    net: PhotonicMlp,
 }
 
 impl PhotonicCnn {
@@ -90,94 +144,55 @@ impl PhotonicCnn {
         weight_bits: u8,
     ) -> Self {
         assert!(in_h > kernel && in_w > kernel, "image too small for the kernel");
-        let patch = in_c * kernel * kernel;
-        assert!(patch <= TILE, "receptive field must fit the bank's channels");
+        let geometry = ConvGeometry { in_c, in_h, in_w, kernel, out_c };
+        assert!(geometry.patch_len() <= TILE, "receptive field must fit the bank's channels");
         assert!(out_c <= TILE, "filters must fit the bank's rows");
         assert!((2..=8).contains(&weight_bits), "weight_bits {weight_bits} outside 2..=8");
-        let (conv_h, conv_w) = (in_h - kernel + 1, in_w - kernel + 1);
-        let (pool_h, pool_w) = (conv_h / 2, conv_w / 2);
-        let features = out_c * pool_h * pool_w;
-        let positions = conv_h * conv_w;
-
-        let mut rng = StdRng::seed_from_u64(seed);
-        let conv_limit = (6.0 / (patch + out_c) as f64).sqrt().min(1.0);
-        let conv_weights: Vec<f64> =
-            (0..out_c * patch).map(|_| rng.gen_range(-conv_limit..conv_limit)).collect();
-        let dense_limit = (6.0 / (features + classes) as f64).sqrt().min(1.0);
-        let dense_weights: Vec<f64> =
-            (0..classes * features).map(|_| rng.gen_range(-dense_limit..dense_limit)).collect();
-
-        let grids = vec![TileGemm::new(out_c, patch), TileGemm::new(classes, features)];
-        let mut cnn = Self {
-            in_h,
-            in_w,
-            in_c,
-            kernel,
-            out_c,
-            classes,
-            conv_weights,
-            dense_weights,
-            chip: Chip::new(grids, seed),
-            weight_bits,
-            patches: vec![0.0; positions * patch],
-            conv_logits: vec![0.0; positions * out_c],
-            activ: vec![0.0; out_c * positions],
-            pool_argmax: vec![0; features],
-            features: vec![0.0; features],
-            outputs: Vec::new(),
-            heap_allocs: 0,
-        };
-        cnn.program_all();
-        cnn
+        let dims = [in_c * in_h * in_w, geometry.features(), classes];
+        let layers = vec![Layer::ConvPool(geometry), Layer::Dense];
+        let opts = EngineOptions { seed, weight_bits, ..EngineOptions::default() };
+        Self { geometry, net: PhotonicMlp::build(&dims, layers, opts, "cnn.") }
     }
 
     /// Convolution output spatial size.
     pub fn conv_hw(&self) -> (usize, usize) {
-        (self.in_h - self.kernel + 1, self.in_w - self.kernel + 1)
+        self.geometry.conv_hw()
     }
 
     /// Pooled feature-map spatial size.
     pub fn pool_hw(&self) -> (usize, usize) {
-        let (h, w) = self.conv_hw();
-        (h / 2, w / 2)
+        self.geometry.pool_hw()
     }
 
     /// Flattened feature count entering the dense head.
     pub fn feature_count(&self) -> usize {
-        let (h, w) = self.pool_hw();
-        self.out_c * h * w
+        self.geometry.features()
     }
 
     /// The chip both banks run on: faults, aging, drift, ring tallies.
     pub fn chip(&self) -> &Chip {
-        &self.chip
+        self.net.chip()
     }
 
     /// The chip, mutably.
     pub fn chip_mut(&mut self) -> &mut Chip {
-        &mut self.chip
-    }
-
-    /// Program both banks through the chip's write path. Only a caller bug
-    /// fails a write, and the clipped, quantized masters rule those out.
-    fn program_all(&mut self) {
-        let written = self.chip.program(CONV, &self.conv_weights);
-        let written = written.and_then(|()| self.chip.program(DENSE, &self.dense_weights));
-        assert!(written.is_ok(), "CNN weight write failed: {written:?}");
+        self.net.chip_mut()
     }
 
     /// Forward one image (`in_c·in_h·in_w` values in `[0, 1]`; a negative
     /// value drives its laser lane at zero, as in the MLP). Returns class
-    /// logits. Caches everything the backward pass needs.
+    /// logits and keeps everything the backward walk needs.
     pub fn forward(&mut self, image: &[f64]) -> Vec<f64> {
-        assert_eq!(image.len(), self.in_c * self.in_h * self.in_w, "image size mismatch");
-        self.sweep(&[image])[0].clone()
+        let logits = self.net.try_forward(image);
+        assert!(logits.is_ok(), "image size mismatch: {logits:?}");
+        logits.unwrap_or_default()
     }
 
     /// Forward a batch of images into the engine's reusable per-sample
-    /// output slots. The sweep is sample-major — identical PE call order
-    /// to calling [`PhotonicCnn::forward`] per image, so outputs are
-    /// bitwise identical to the sequential path.
+    /// output slots. The sweep is layer-major, and each PE belongs to one
+    /// layer, so every PE sees the call order of calling
+    /// [`PhotonicCnn::forward`] per image: outputs are bitwise identical
+    /// to the sequential path.
     ///
     /// Returns per-sample logits in input order; the slice borrows the
     /// engine's output slots and is valid until the next forward.
@@ -185,104 +200,20 @@ impl PhotonicCnn {
         &mut self,
         inputs: &[S],
     ) -> Result<&[Vec<f64>], ArchError> {
-        check_widths(inputs, self.in_c * self.in_h * self.in_w)?;
-        Ok(self.sweep(inputs))
-    }
-
-    /// The one forward sweep behind both entry points.
-    fn sweep<S: AsRef<[f64]>>(&mut self, inputs: &[S]) -> &[Vec<f64>] {
-        let n = inputs.len();
-        let mut outputs = std::mem::take(&mut self.outputs);
-        grow_slots(&mut outputs, n, &mut self.heap_allocs);
-        for (slot, x) in outputs.iter_mut().zip(inputs) {
-            self.forward_image(x.as_ref(), slot);
-        }
-        self.outputs = outputs;
-        &self.outputs[..n]
-    }
-
-    /// One image through im2col, the filter bank, the GST activation,
-    /// the pool and the dense head, refilling the caches on the way and
-    /// writing the logits into `out`.
-    fn forward_image(&mut self, image: &[f64], out: &mut Vec<f64>) {
-        let (conv_h, conv_w) = self.conv_hw();
-        let positions = conv_h * conv_w;
-        let patch_len = self.in_c * self.kernel * self.kernel;
-        let out_c = self.out_c;
-
-        // im2col gather: one `patch_len`-wide row per output position.
-        for oy in 0..conv_h {
-            for ox in 0..conv_w {
-                let mut i = (oy * conv_w + ox) * patch_len;
-                for c in 0..self.in_c {
-                    for ky in 0..self.kernel {
-                        for kx in 0..self.kernel {
-                            self.patches[i] =
-                                image[(c * self.in_h + oy + ky) * self.in_w + ox + kx];
-                            i += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Conv: stream each im2col row through the filter bank, fire the
-        // GST activation per position (per-position f' bits cached to L1).
-        let mut fired = [0.0; TILE];
-        for pos in 0..positions {
-            let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
-            let logits = &mut self.conv_logits[pos * out_c..(pos + 1) * out_c];
-            self.chip.gemv_unsigned(CONV, patch, logits);
-            self.chip.grids[CONV].activate_rows(logits, &mut fired[..out_c]);
-            for (f, &y) in fired[..out_c].iter().enumerate() {
-                self.activ[f * positions + pos] = y;
-            }
-            // One bit per row per position spilled to L1.
-            self.chip.ldsu.energy.charge("ldsu fifo", EnergyPj(0.01 * out_c as f64));
-        }
-
-        // 2×2 max pool with argmax routing cached.
-        let (pool_h, pool_w) = self.pool_hw();
-        for f in 0..out_c {
-            for py in 0..pool_h {
-                for px in 0..pool_w {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx =
-                                (f * conv_h + 2 * py + dy) * conv_w + 2 * px + dx;
-                            if self.activ[idx] > best {
-                                best = self.activ[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let out_idx = (f * pool_h + py) * pool_w + px;
-                    self.features[out_idx] = best;
-                    self.pool_argmax[out_idx] = best_idx;
-                }
-            }
-        }
-
-        // Dense head: the same chip step as an MLP layer.
-        refill(out, &mut self.heap_allocs, |out| {
-            out.resize(self.classes, 0.0);
-            self.chip.gemv_unsigned(DENSE, &self.features, out);
-        });
+        self.net.try_forward_batch(inputs, true)
     }
 
     /// Pre-grow `batch` per-sample output slots so steady-state forwards
     /// perform no engine-side heap allocation. Growth here is warm-up,
     /// not counted in [`PhotonicCnn::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
-        reserve_slots(&mut self.outputs, batch, self.classes);
+        self.net.reserve_forward_scratch(batch);
     }
 
     /// Output-slot growth events since construction. Zero across a
     /// window of warm forwards is the zero-allocation claim.
     pub fn hot_path_allocs(&self) -> u64 {
-        self.heap_allocs
+        self.net.hot_path_allocs()
     }
 
     /// Digital float reference of the same network with the convolution
@@ -293,50 +224,18 @@ impl PhotonicCnn {
     /// [`PhotonicCnn::digital_forward_naive`].
     pub fn digital_forward(&self, image: &[f64]) -> Vec<f64> {
         use trident_nn::{linalg, Tensor};
-        let (conv_h, conv_w) = self.conv_hw();
-        let positions = conv_h * conv_w;
-        let patch_len = self.in_c * self.kernel * self.kernel;
-        // im2col: [positions, patch_len] patch matrix.
+        let g = &self.geometry;
+        let (positions, patch_len) = (g.positions(), g.patch_len());
         let mut cols = Tensor::zeros(&[positions, patch_len]);
-        {
-            let data = cols.data_mut();
-            for oy in 0..conv_h {
-                for ox in 0..conv_w {
-                    let mut i = (oy * conv_w + ox) * patch_len;
-                    for c in 0..self.in_c {
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                data[i] = image
-                                    [(c * self.in_h + oy + ky) * self.in_w + ox + kx]
-                                    as f32;
-                                i += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        g.im2col(image, cols.data_mut(), |v| v as f32);
         // Filters transposed to [patch_len, out_c] so one GEMM produces
         // all positions × all filters.
-        let mut wt = Tensor::zeros(&[patch_len, self.out_c]);
-        {
-            let data = wt.data_mut();
-            for f in 0..self.out_c {
-                for j in 0..patch_len {
-                    data[j * self.out_c + f] = self.conv_weights[f * patch_len + j] as f32;
-                }
-            }
+        let mut wt = Tensor::zeros(&[patch_len, g.out_c]);
+        for (i, &w) in self.conv_weights().iter().enumerate() {
+            wt.data_mut()[i % patch_len * g.out_c + i / patch_len] = w as f32;
         }
         let h = linalg::matmul(&cols, &wt); // [positions, out_c]
-        let mut activ = vec![0.0f32; self.out_c * positions];
-        for pos in 0..positions {
-            for f in 0..self.out_c {
-                let v = h.data()[pos * self.out_c + f];
-                let threshold = LOGIT_THRESHOLD as f32;
-                activ[f * positions + pos] =
-                    if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
-            }
-        }
+        let activ: Vec<f32> = h.data().iter().map(|&v| digital_activation(v)).collect();
         self.digital_head(&activ)
     }
 
@@ -344,71 +243,39 @@ impl PhotonicCnn {
     /// loops (no im2col, no GEMM) — the naive baseline for the
     /// `cnn_forward_im2col_gemm` bench.
     pub fn digital_forward_naive(&self, image: &[f64]) -> Vec<f64> {
-        let (conv_h, conv_w) = self.conv_hw();
-        let positions = conv_h * conv_w;
-        let patch_len = self.in_c * self.kernel * self.kernel;
-        let mut activ = vec![0.0f32; self.out_c * positions];
-        for f in 0..self.out_c {
-            for oy in 0..conv_h {
-                for ox in 0..conv_w {
-                    let mut v = 0.0f32;
-                    for c in 0..self.in_c {
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let w = self.conv_weights
-                                    [f * patch_len + (c * self.kernel + ky) * self.kernel + kx]
-                                    as f32;
-                                let px = image
-                                    [(c * self.in_h + oy + ky) * self.in_w + ox + kx]
-                                    as f32;
-                                v += w * px;
-                            }
-                        }
+        let ConvGeometry { in_c, in_h, in_w, kernel, out_c } = self.geometry;
+        let (conv_w, patch_len) = (self.geometry.conv_hw().1, self.geometry.patch_len());
+        let mut activ = vec![0.0f32; self.geometry.positions() * out_c];
+        for (i, a) in activ.iter_mut().enumerate() {
+            let (oy, ox, f) = (i / out_c / conv_w, i / out_c % conv_w, i % out_c);
+            let filter = &self.conv_weights()[f * patch_len..(f + 1) * patch_len];
+            let mut v = 0.0f32;
+            for c in 0..in_c {
+                for ky in 0..kernel {
+                    for kx in 0..kernel {
+                        let px = image[(c * in_h + oy + ky) * in_w + ox + kx];
+                        v += filter[(c * kernel + ky) * kernel + kx] as f32 * px as f32;
                     }
-                    let threshold = LOGIT_THRESHOLD as f32;
-                    activ[f * positions + oy * conv_w + ox] =
-                        if v >= threshold { GST_SLOPE as f32 * (v - threshold) } else { 0.0 };
                 }
             }
+            *a = digital_activation(v);
         }
         self.digital_head(&activ)
     }
 
     /// Shared pool + dense head of the digital reference paths. `activ`
-    /// is `[out_c × conv_h·conv_w]` feature-major.
+    /// is the `positions × out_c` activation map.
     fn digital_head(&self, activ: &[f32]) -> Vec<f64> {
-        let (conv_h, conv_w) = self.conv_hw();
-        let (pool_h, pool_w) = self.pool_hw();
-        let feature_total = self.feature_count();
-        let mut features = vec![0.0f32; feature_total];
-        for f in 0..self.out_c {
-            for py in 0..pool_h {
-                for px in 0..pool_w {
-                    let mut best = f32::NEG_INFINITY;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = f * conv_h * conv_w
-                                + (2 * py + dy) * conv_w
-                                + (2 * px + dx);
-                            best = best.max(activ[idx]);
-                        }
-                    }
-                    features[(f * pool_h + py) * pool_w + px] = best;
-                }
-            }
-        }
-        (0..self.classes)
-            .map(|class| {
-                (0..feature_total)
-                    .map(|j| self.dense_weights[class * feature_total + j] * f64::from(features[j]))
-                    .sum()
-            })
-            .collect()
+        let mut features = Vec::with_capacity(self.feature_count());
+        self.geometry.pool(activ, f32::NEG_INFINITY, |_, v, _| features.push(f64::from(v)));
+        let head = self.dense_weights().chunks_exact(features.len());
+        head.map(|row| row.iter().zip(&features).map(|(w, x)| w * x).sum()).collect()
     }
 
-    /// Predicted class for one image (NaN-safe, see [`argmax`]).
+    /// Predicted class for one image (NaN-safe, see
+    /// [`argmax`](crate::engine::argmax)).
     pub fn try_predict(&mut self, image: &[f64]) -> Result<usize, ArchError> {
-        Ok(argmax(&self.try_forward_batch(&[image])?[0]))
+        self.net.try_predict(image)
     }
 
     /// Accuracy over a labelled set; an unpaired, empty or mislabelled
@@ -418,51 +285,18 @@ impl PhotonicCnn {
         images: &[Vec<f64>],
         labels: &[usize],
     ) -> Result<f64, ArchError> {
-        check_set(images, labels, self.in_c * self.in_h * self.in_w, self.classes)?;
-        accuracy_of(images, labels, |x| Ok(self.forward(x)))
+        self.net.accuracy(images, labels)
     }
 
-    /// One in-situ training step. The dense head's backward is the MLP's
-    /// layer steps (outer product, billed `Wᵀ` MVM); the conv gradient
-    /// accumulates per-position outer products of the pooled-and-routed
-    /// error with the cached patches.
+    /// One in-situ training step: the engine's backward walk over a batch
+    /// of one. The dense head's backward is the MLP's layer steps (outer
+    /// product, billed `Wᵀ` MVM); the conv gradient accumulates
+    /// per-position outer products of the pooled-and-routed error with
+    /// the taped patches. Returns the sample loss.
     pub fn train_sample(&mut self, image: &[f64], label: usize, lr: f64) -> f64 {
-        let logits = self.forward(image);
-        let (loss, mut delta) = softmax_grad(&logits, label);
-        let mut dense_grad = vec![0.0; self.dense_weights.len()];
-        self.chip.grids[DENSE].outer_product(&delta, &self.features, 1.0, &mut dense_grad);
-        // δ ← Wᵀ δ, the pooled features' error. The head stays transposed
-        // until the update's `program_all` restores it: restoring here as
-        // well would rewrite the whole head every step.
-        self.chip.gradient_vectors(DENSE, &self.dense_weights, std::slice::from_mut(&mut delta));
-
-        // Unpool: route each feature's error to its argmax position, then
-        // apply its per-position spilled `f'(h)` bit.
-        let (conv_h, conv_w) = self.conv_hw();
-        let patch_len = self.in_c * self.kernel * self.kernel;
-        let mut conv_grad = vec![0.0; self.out_c * patch_len];
-        for (out_idx, &src_idx) in self.pool_argmax.iter().enumerate() {
-            let d = delta[out_idx];
-            if d == 0.0 {
-                continue;
-            }
-            // src_idx = f·positions + pos, pos = oy·conv_w + ox
-            let (f, pos) = (src_idx / (conv_h * conv_w), src_idx % (conv_h * conv_w));
-            let h = self.conv_logits[pos * self.out_c + f];
-            if h < LOGIT_THRESHOLD {
-                continue;
-            }
-            // Per-position outer product row: δW_conv[f] += δh · patch.
-            let patch = &self.patches[pos * patch_len..(pos + 1) * patch_len];
-            let row = &mut conv_grad[f * patch_len..(f + 1) * patch_len];
-            self.chip.grids[CONV].outer_product(&[spilled_hadamard(d, h)], patch, 1.0, row);
-        }
-
-        // Eq. 1 updates + reprogram.
-        apply_update(&mut self.dense_weights, &dense_grad, lr, self.weight_bits);
-        apply_update(&mut self.conv_weights, &conv_grad, lr, self.weight_bits);
-        self.program_all();
-        loss
+        let loss = self.net.try_train_sample(image, label, lr);
+        assert!(loss.is_ok(), "CNN training step failed: {loss:?}");
+        loss.unwrap_or(f64::NAN)
     }
 
     /// Train over a dataset, checked as [`PhotonicCnn::try_accuracy`]
@@ -474,42 +308,44 @@ impl PhotonicCnn {
         lr: f64,
         epochs: usize,
     ) -> Result<Vec<f64>, ArchError> {
-        check_set(images, labels, self.in_c * self.in_h * self.in_w, self.classes)?;
-        let mut history = Vec::with_capacity(epochs);
-        for _ in 0..epochs {
-            let mut total = 0.0;
-            for (x, &l) in images.iter().zip(labels) {
-                total += self.train_sample(x, l, lr);
-            }
-            history.push(total / images.len() as f64);
-        }
-        Ok(history)
+        self.net.train_epochs(images, labels, lr, epochs, 1, None)
     }
 
     /// Total optical energy spent so far.
     pub fn total_energy(&self) -> EnergyPj {
-        self.chip.total_energy()
+        self.net.total_energy()
     }
 
     /// Simulated time across both banks ([`Chip::total_elapsed`]).
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.chip.total_elapsed()
+        self.net.total_elapsed()
     }
 
     /// Conv filter weights (master copy, for verification).
     pub fn conv_weights(&self) -> &[f64] {
-        &self.conv_weights
+        self.net.layer_weights(0)
     }
 
     /// Dense-head weights (master copy, for verification).
     pub fn dense_weights(&self) -> &[f64] {
-        &self.dense_weights
+        self.net.layer_weights(1)
+    }
+}
+
+/// The GST activation transfer in `f32`, for the digital references.
+fn digital_activation(v: f32) -> f32 {
+    let threshold = LOGIT_THRESHOLD as f32;
+    if v >= threshold {
+        GST_SLOPE as f32 * (v - threshold)
+    } else {
+        0.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::argmax;
     use trident_nn::data::synthetic_digits;
 
     fn digit_images(per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -575,7 +411,7 @@ mod tests {
         let ft = cnn.feature_count();
         for class in 0..10 {
             let exact: f64 =
-                (0..ft).map(|j| cnn.dense_weights[class * ft + j] * features[j]).sum();
+                (0..ft).map(|j| cnn.dense_weights()[class * ft + j] * features[j]).sum();
             // 54 analog accumulations (quantization + crosstalk per
             // feature) widen the budget relative to the MLP tests.
             assert!(

@@ -1,30 +1,38 @@
-//! The photonic MLP engine: whole networks on simulated Trident hardware.
+//! The photonic network engine: whole networks on simulated Trident hardware.
 //!
 //! One PE is allocated per 16×16 weight tile (the paper assigns "one PE to
 //! each layer" for networks that fit; tiling generalises that to arbitrary
-//! layer sizes). Inference keeps weights stationary; training follows the
-//! paper's per-sample schedule:
+//! layer sizes). A layer is dense or, for the digit CNN
+//! ([`crate::conv_engine`]), a conv-pool layer whose grid is the
+//! `out_c × in_c·k·k` filter bank. Inference keeps weights stationary;
+//! training follows the paper's per-sample schedule:
 //!
 //! 1. **forward** — per layer, the chip's dense step (AGC, clamped laser
 //!    lanes, optical MVM tiles, billed cross-tile partial sums), then the
-//!    GST activation.
+//!    GST activation. A conv-pool layer runs the step once per im2col
+//!    patch, then max-pools 2×2.
 //! 2. **backward walk** over a batch (a per-sample step is a batch of
 //!    one), output layer first — per layer `k`:
 //!    - **outer product** (Table II mode 3): banks programmed with each
-//!      sample's layer input, per-ring demux readout of `δW_k`;
+//!      sample's layer input, per-ring demux readout of `δW_k`; a
+//!      conv-pool layer routes each pooled feature's error to its argmax
+//!      position and adds one single-row outer product per feature;
 //!    - **error for layer `k−1`**, per sample, from backprop's
 //!      gradient-vector mode (Table II mode 2: `W_kᵀ` programmed once, a
-//!      signed MVM of each `δh_k`, one restore) or from direct feedback
-//!      alignment's fixed bank, `B_{k−1}·e` ([`crate::dfa`]), times
-//!      `f'(h_{k−1})` ([`spilled_hadamard`]).
+//!      signed MVM of each `δh_k`; the banks hold `W_kᵀ` until the
+//!      update) or from direct feedback alignment's fixed bank,
+//!      `B_{k−1}·e` ([`crate::dfa`]), times `f'(h_{k−1})`
+//!      ([`spilled_hadamard`]).
 //! 3. **update** (Eq. 1) — `W ← W − β·δW` with the batch-mean gradient,
 //!    clipped to the photonic range, quantized to the tuning method's bit
-//!    resolution, and programmed back into the forward banks.
+//!    resolution, and programmed back into the forward banks: the walk's
+//!    one restore point.
 //!
 //! Every optical programming event and symbol is charged to the energy
 //! ledgers, so the training demos report honest device-level costs.
 
 use crate::chip::Chip;
+use crate::conv_engine::ConvGeometry;
 use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
 use crate::pe::{gst_activation, spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
@@ -66,30 +74,82 @@ pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&m
     *allocs += u64::from(slot.capacity() > had);
 }
 
-/// A dense network running on simulated photonic hardware.
+/// A network running on simulated photonic hardware: dense layers, or
+/// the digit CNN's conv-pool layer and dense head.
 ///
-/// Working memory follows one rule (DESIGN.md §15): the layer caches,
-/// whose sizes `dims` fixes, are allocated at construction; only the
+/// Working memory follows one rule (DESIGN.md §15): the layer tapes,
+/// whose sizes the layers fix, are allocated at construction; only the
 /// per-sample output slots grow, and each growth is tallied in
 /// [`PhotonicMlp::hot_path_allocs`]. The modeled device dataflow inside
 /// the PEs (per-tile MVM returns, activation vectors) is part of the
 /// hardware model and sits outside this boundary.
 pub struct PhotonicMlp {
+    /// Widths of the vectors between layers, input first.
     dims: Vec<usize>,
-    /// Master (electronic) weight copies, row-major `[out × in]` per layer.
+    layers: Vec<Layer>,
+    /// Master (electronic) weight copies, row-major `[out × in]` per
+    /// layer grid.
     weights: Vec<Vec<f64>>,
     /// The chip: one tile grid per layer.
     chip: Chip,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
-    /// Per-layer inputs (`y_{k-1}`) of the latest forward pass.
-    cached_inputs: Vec<Vec<f64>>,
-    /// Per-layer logits (`h_k`) of the latest forward pass.
-    cached_logits: Vec<Vec<f64>>,
+    /// What each layer's latest forward kept for the backward walk.
+    tape: Vec<Tape>,
     /// Per-sample outputs of the latest forward.
     outputs: Vec<Vec<f64>>,
     /// Growth events on `outputs` since construction.
     heap_allocs: u64,
+    /// Prefix of every span this engine opens: empty for an MLP, `"cnn."`
+    /// for the CNN, so the two never share a trace name.
+    trace: &'static str,
+}
+
+/// One layer: what its grid holds and how the sweep and the walk use it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layer {
+    /// `y ← f(W·y)` (the network tail skips `f`); the grid holds `W`.
+    Dense,
+    /// Conv → GST activation → 2×2 max pool; the grid holds the filter
+    /// bank. Only ever layer 0, so the walk never needs its `Wᵀ`.
+    ConvPool(ConvGeometry),
+}
+
+/// What one layer's forward keeps for the backward walk.
+#[derive(Debug, Clone)]
+struct Tape {
+    /// The vectors the grid read: `y_{k−1}`, or the im2col patches, one
+    /// per position.
+    input: Vec<f64>,
+    /// The logits `h_k` (one `out_c` row per position for a conv), whose
+    /// `f'(h)` bits the walk reads.
+    logits: Vec<f64>,
+    /// A conv-pool layer's activation map, shaped like its logits: the
+    /// pool's input, from which the walk re-derives each feature's route.
+    activ: Vec<f64>,
+}
+
+impl Layer {
+    /// Add `grid`'s `δW` for one sample, taped in `t`, into `grad`, each
+    /// product divided by the batch size `n`. A dense layer's `delta` is
+    /// `δh_k`; a conv-pool layer's is the pooled features' error, which it
+    /// routes to each feature's argmax position, skipping zero errors and
+    /// dark positions, and weights by that position's `f'(h)` bit.
+    fn outer_product(self, grid: &mut TileGemm, delta: &[f64], t: &Tape, n: f64, grad: &mut [f64]) {
+        let Layer::ConvPool(g) = self else {
+            return grid.outer_product(delta, &t.input, n, grad);
+        };
+        let p = g.patch_len();
+        g.pool(&t.activ, f64::NEG_INFINITY, |i, _, at| {
+            let (d, h) = (delta[i], t.logits[at]);
+            if d == 0.0 || h < LOGIT_THRESHOLD {
+                return;
+            }
+            let (pos, f) = (at / g.out_c, at % g.out_c);
+            let patch = &t.input[pos * p..(pos + 1) * p];
+            grid.outer_product(&[spilled_hadamard(d, h)], patch, n, &mut grad[f * p..(f + 1) * p]);
+        });
+    }
 }
 
 /// Result of an in-situ training run.
@@ -144,11 +204,8 @@ impl PhotonicMlp {
     /// on 16×16 PEs, Xavier-initialised from `opts.seed`, with the rest of
     /// [`EngineOptions`] (receiver noise, weight bits, fabrication
     /// variation, statistical PCM model). Fails on fewer than two layer
-    /// widths, weight bits outside `2..=8`, or a device error in the
-    /// initial programming pass.
+    /// widths or weight bits outside `2..=8`.
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
-        let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
-            opts;
         if dims.len() < 2 {
             return Err(ArchError::InvalidParameter {
                 name: "layer widths",
@@ -156,58 +213,76 @@ impl PhotonicMlp {
                 expected: "at least 2 (input and output)",
             });
         }
-        if !(2..=8).contains(&weight_bits) {
+        if !(2..=8).contains(&opts.weight_bits) {
             return Err(ArchError::InvalidParameter {
                 name: "weight_bits",
-                value: usize::from(weight_bits),
+                value: usize::from(opts.weight_bits),
                 expected: "2..=8",
             });
         }
+        Ok(Self::build(dims, vec![Layer::Dense; dims.len() - 1], opts, ""))
+    }
+
+    /// The one constructor: `layers` between vectors of widths `dims`
+    /// (one more than `layers`), grid shapes from the layers, spans under
+    /// `trace`. The caller has checked `opts.weight_bits`.
+    pub(crate) fn build(
+        dims: &[usize],
+        layers: Vec<Layer>,
+        opts: EngineOptions,
+        trace: &'static str,
+    ) -> Self {
+        let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
+            opts;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut weights = Vec::new();
-        for k in 1..dims.len() {
-            let (out, inp) = (dims[k], dims[k - 1]);
+        let (mut grids, mut weights, mut tape) = (vec![], vec![], vec![]);
+        for (k, layer) in layers.iter().enumerate() {
+            let (out, inp, positions) = match layer {
+                Layer::Dense => (dims[k + 1], dims[k], 1),
+                Layer::ConvPool(g) => (g.out_c, g.patch_len(), g.positions()),
+            };
+            grids.push(TileGemm::with_pes(out, inp, |t| PeSpec {
+                noise_seed: noise_seed.map(|s| bank_identity(s, k, t)),
+                resonance_sigma_nm,
+                variation_seed: bank_identity(variation_seed, k, t),
+                // Per-bank identity mixed into the master seed, the same
+                // (k, t) convention the receiver-noise and variation
+                // draws use (trident-streams owns the derivation
+                // arithmetic).
+                stat: stat.map(|params| (params, bank_identity(params.seed, k, t))),
+            }));
             let limit = (6.0 / (out + inp) as f64).sqrt().min(1.0);
             weights.push((0..out * inp).map(|_| rng.gen_range(-limit..limit)).collect());
+            let logits = vec![0.0; positions * out];
+            let activ = if *layer == Layer::Dense { vec![] } else { logits.clone() };
+            tape.push(Tape { input: vec![0.0; positions * inp], logits, activ });
         }
-        let layers = (0..dims.len() - 1)
-            .map(|k| {
-                TileGemm::with_pes(dims[k + 1], dims[k], |t| PeSpec {
-                    noise_seed: noise_seed.map(|s| bank_identity(s, k, t)),
-                    resonance_sigma_nm,
-                    variation_seed: bank_identity(variation_seed, k, t),
-                    // Per-bank identity mixed into the master seed, the
-                    // same (k, t) convention the receiver-noise and
-                    // variation draws use (trident-streams owns the
-                    // derivation arithmetic).
-                    stat: stat.map(|params| (params, bank_identity(params.seed, k, t))),
-                })
-            })
-            .collect();
         let mut engine = Self {
             dims: dims.to_vec(),
+            layers,
             weights,
-            chip: Chip::new(layers, seed),
+            chip: Chip::new(grids, seed),
             weight_bits,
-            cached_inputs: dims[..dims.len() - 1].iter().map(|&w| vec![0.0; w]).collect(),
-            cached_logits: dims[1..].iter().map(|&w| vec![0.0; w]).collect(),
+            tape,
             outputs: Vec::new(),
             heap_allocs: 0,
+            trace,
         };
-        for (k, w) in engine.weights.iter().enumerate() {
-            engine.chip.program(k, w)?;
+        // A fresh chip writes open-loop, which cannot fail.
+        for (grid, w) in engine.chip.grids.iter_mut().zip(&engine.weights) {
+            grid.program(w);
         }
-        Ok(engine)
+        engine
     }
 
     /// Number of weight layers.
     pub fn layer_count(&self) -> usize {
-        self.dims.len() - 1
+        self.layers.len()
     }
 
     /// Layer `k`'s weight matrix dimensions `(out, in)`.
     pub fn layer_dims(&self, k: usize) -> (usize, usize) {
-        (self.dims[k + 1], self.dims[k])
+        self.chip.grids[k].dims()
     }
 
     /// The layer widths this engine was built with (input first).
@@ -297,7 +372,7 @@ impl PhotonicMlp {
     /// under layer-major dispatch as under per-sample [`PhotonicMlp::
     /// try_forward`] — its noise streams, drift clocks, and energy ledger
     /// evolve identically, and outputs are bitwise identical to the
-    /// per-sample path. The layer caches end holding the *last* sample's
+    /// per-sample path. The layer tapes end holding the *last* sample's
     /// vectors, the same end state the per-sample loop leaves.
     ///
     /// With `tail = true` the last layer's logits pass through
@@ -317,7 +392,16 @@ impl PhotonicMlp {
         self.sweep("engine.forward_batch", inputs, tail)
     }
 
-    /// The one forward sweep behind both entry points, under span `name`.
+    /// Span `name` under the engine's trace prefix.
+    fn span(&self, name: &'static str) -> obs::SpanGuard<'static> {
+        match self.trace {
+            "" => obs::span(name),
+            prefix if obs::enabled() => obs::span_owned(format!("{prefix}{name}")),
+            _ => obs::SpanGuard::disabled(),
+        }
+    }
+
+    /// The one forward sweep behind every entry point, under span `name`.
     fn sweep<S: AsRef<[f64]>>(
         &mut self,
         name: &'static str,
@@ -326,7 +410,7 @@ impl PhotonicMlp {
     ) -> Result<&[Vec<f64>], ArchError> {
         check_widths(inputs, self.dims[0])?;
         let trace = obs::enabled();
-        let _span = obs::span(name);
+        let _span = self.span(name);
         let n = inputs.len();
         let allocs_before = self.heap_allocs;
         let mut outputs = std::mem::take(&mut self.outputs);
@@ -337,7 +421,7 @@ impl PhotonicMlp {
         let layer_count = self.layer_count();
         for k in 0..layer_count {
             let _layer_span = if trace {
-                obs::span_owned(format!("forward.layer{k}"))
+                obs::span_owned(format!("{}forward.layer{k}", self.trace))
             } else {
                 obs::SpanGuard::disabled()
             };
@@ -357,21 +441,37 @@ impl PhotonicMlp {
         Ok(&self.outputs[..n])
     }
 
-    /// One layer of the forward dataflow for one sample: cache the layer
-    /// input, run the chip's dense step into the logit cache, then
-    /// replace `y` with the GST activation of those logits, or with the
-    /// raw logits when `activate` is off (the network tail).
+    /// One layer of the forward dataflow for one sample, keeping its tape.
+    /// A dense layer runs the chip's dense step on `y`, then replaces `y`
+    /// with the GST activation of the logits, or with the raw logits when
+    /// `activate` is off (the network tail). A conv-pool layer runs the
+    /// step and the activation once per im2col patch of `y`, spilling one
+    /// `f'(h)` bit per row per position to L1, then replaces `y` with the
+    /// 2×2 max pool of the activation map.
     fn forward_layer(&mut self, k: usize, activate: bool, y: &mut Vec<f64>) {
-        self.cached_inputs[k].copy_from_slice(y);
-        let h = &mut self.cached_logits[k];
-        self.chip.gemv_unsigned(k, y, h);
+        let tape = &mut self.tape[k];
+        let Layer::ConvPool(g) = self.layers[k] else {
+            tape.input.copy_from_slice(y);
+            let h = &mut tape.logits;
+            self.chip.gemv_unsigned(k, y, h);
+            return refill(y, &mut self.heap_allocs, |y| {
+                if activate {
+                    y.resize(h.len(), 0.0);
+                    self.chip.grids[k].activate_rows(h, y);
+                } else {
+                    y.extend_from_slice(h);
+                }
+            });
+        };
+        g.im2col(y, &mut tape.input, |v| v);
+        let rows = tape.logits.chunks_exact_mut(g.out_c).zip(tape.activ.chunks_exact_mut(g.out_c));
+        for (patch, (h, act)) in tape.input.chunks_exact(g.patch_len()).zip(rows) {
+            self.chip.gemv_unsigned(k, patch, h);
+            self.chip.grids[k].activate_rows(h, act);
+            self.chip.ldsu.energy.charge("ldsu fifo", EnergyPj(0.01 * g.out_c as f64));
+        }
         refill(y, &mut self.heap_allocs, |y| {
-            if activate {
-                y.resize(h.len(), 0.0);
-                self.chip.grids[k].activate_rows(h, y);
-            } else {
-                y.extend_from_slice(h);
-            }
+            g.pool(&tape.activ, f64::NEG_INFINITY, |_, v, _| y.push(v));
         });
     }
 
@@ -433,8 +533,8 @@ impl PhotonicMlp {
     /// Mini-batch training: one weight update per `batch_size` samples,
     /// amortizing the bank-retuning sweeps the way the Table V model
     /// assumes. Per batch the walk programs `Wᵀ` once per layer (instead
-    /// of once per sample) and restores the forward weights once; the
-    /// per-sample `y` outer-product programming remains — it cannot
+    /// of once per sample) and the forward weights once, at the update;
+    /// the per-sample `y` outer-product programming remains — it cannot
     /// amortize because every sample's activations differ.
     pub fn try_train_batched(
         &mut self,
@@ -487,13 +587,14 @@ impl PhotonicMlp {
     }
 
     /// The one backward walk, over a checked batch: forward every sample
-    /// with stationary weights, keeping its layer inputs and logits (the
-    /// spilled `f'(h)` bits); then per layer, output layer first, every
-    /// sample's outer product and then every sample's error for layer
-    /// `k−1` — through one `W_kᵀ` program and one restore (backprop) or,
+    /// with stationary weights, keeping its tape (layer inputs and the
+    /// logits whose `f'(h)` bits are spilled); then per layer, output
+    /// layer first, every sample's outer product and then every sample's
+    /// error for layer `k−1` — through one `W_kᵀ` program (backprop) or,
     /// given `feedback`, the fixed DFA bank — times `f'(h_{k−1})`; then
-    /// one Eq. 1 update with the batch-mean gradient. Returns the summed
-    /// loss of the batch.
+    /// one Eq. 1 update with the batch-mean gradient, which reprograms
+    /// every forward bank: the walk's one restore point. Returns the
+    /// summed loss of the batch.
     fn train_batch<S: AsRef<[f64]>>(
         &mut self,
         xs: &[S],
@@ -501,23 +602,23 @@ impl PhotonicMlp {
         learning_rate: f64,
         mut feedback: Option<&mut DfaFeedback>,
     ) -> Result<f64, ArchError> {
-        let _span = obs::span("engine.train_sample");
+        let _span = self.span("engine.train_sample");
         let mut loss = 0.0;
-        let (mut errors, mut inputs, mut logits) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut errors, mut tapes) = (Vec::new(), Vec::new());
         for (x, &label) in xs.iter().zip(labels) {
             let (sample_loss, error) = softmax_grad(&self.try_forward(x.as_ref())?, label);
             loss += sample_loss;
             errors.push(error);
-            inputs.push(self.cached_inputs.clone());
-            logits.push(self.cached_logits.clone());
+            tapes.push(self.tape.clone());
         }
         let mut deltas = errors.clone();
         let mut grads = Vec::with_capacity(self.layer_count());
         for k in (0..self.layer_count()).rev() {
             grads.push(self.backward_step(k, "outer_product", |mlp| {
                 let mut grad = vec![0.0; mlp.weights[k].len()];
-                for (dh, y) in deltas.iter().zip(&inputs) {
-                    mlp.chip.grids[k].outer_product(dh, &y[k], xs.len() as f64, &mut grad);
+                for (delta, tape) in deltas.iter().zip(&tapes) {
+                    let grid = &mut mlp.chip.grids[k];
+                    mlp.layers[k].outer_product(grid, delta, &tape[k], xs.len() as f64, &mut grad);
                 }
                 grad
             }));
@@ -525,27 +626,28 @@ impl PhotonicMlp {
                 break;
             }
             self.backward_step(k, "gradient_vector", |mlp| match feedback.as_deref_mut() {
-                None => {
-                    mlp.chip.gradient_vectors(k, &mlp.weights[k], &mut deltas);
-                    mlp.chip.program(k, &mlp.weights[k])
-                }
+                None => mlp.chip.gradient_vectors(k, &mlp.weights[k], &mut deltas),
                 Some(fb) => {
                     for (delta, error) in deltas.iter_mut().zip(&errors) {
                         *delta = fb.project(k - 1, error);
                     }
-                    Ok(())
                 }
-            })?;
-            for (delta, h) in deltas.iter_mut().zip(&logits) {
-                for (d, &hv) in delta.iter_mut().zip(&h[k - 1]) {
-                    *d = spilled_hadamard(*d, hv);
+            });
+            // A conv-pool layer reads its f'(h) bits per routed feature.
+            if self.layers[k - 1] == Layer::Dense {
+                for (delta, tape) in deltas.iter_mut().zip(&tapes) {
+                    for (d, &h) in delta.iter_mut().zip(&tape[k - 1].logits) {
+                        *d = spilled_hadamard(*d, h);
+                    }
                 }
             }
         }
         // Eq. 1, layer 0 first: W ← W − β·δW, clipped, quantized and
         // programmed back into the forward banks.
         for (k, grad) in grads.iter().rev().enumerate() {
-            apply_update(&mut self.weights[k], grad, learning_rate, self.weight_bits);
+            for (w, &g) in self.weights[k].iter_mut().zip(grad) {
+                *w = quantize((*w - learning_rate * g).clamp(-1.0, 1.0), self.weight_bits);
+            }
             self.chip.program(k, &self.weights[k])?;
         }
         Ok(loss)
@@ -557,7 +659,7 @@ impl PhotonicMlp {
         if !obs::enabled() {
             return step(self);
         }
-        let _span = obs::span_owned(format!("backward.layer{k}.{phase}"));
+        let _span = obs::span_owned(format!("{}backward.layer{k}.{phase}", self.trace));
         let start = self.total_elapsed();
         let out = step(self);
         obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, (self.total_elapsed() - start).value());
@@ -610,7 +712,7 @@ impl PhotonicMlp {
 
 /// Softmax cross-entropy loss and gradient for one sample (f64) — the
 /// electronic output error every photonic training path starts from.
-pub(crate) fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
+fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
     assert!(label < logits.len(), "label out of range");
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
@@ -681,18 +783,10 @@ pub(crate) fn accuracy_of<E>(
 }
 
 /// Round `w` onto the `bits`-bit tuning grid of the photonic range.
-pub(crate) fn quantize(w: f64, bits: u8) -> f64 {
+fn quantize(w: f64, bits: u8) -> f64 {
     let levels = (1u32 << bits) - 1;
     let step = 2.0 / f64::from(levels - 1);
     (w.clamp(-1.0, 1.0) / step).round() * step
-}
-
-/// Eq. 1 on one weight matrix: `W ← W − β·δW`, clipped to the photonic
-/// range and quantized to the `bits`-bit tuning grid.
-pub(crate) fn apply_update(weights: &mut [f64], grads: &[f64], learning_rate: f64, bits: u8) {
-    for (w, &g) in weights.iter_mut().zip(grads) {
-        *w = quantize((*w - learning_rate * g).clamp(-1.0, 1.0), bits);
-    }
 }
 
 #[cfg(test)]
@@ -768,7 +862,7 @@ mod tests {
         // The walk's steps: W1ᵀ δ on the chip, then the spilled f'(h0).
         let mut photonic = vec![delta.clone()];
         engine.chip.gradient_vectors(1, &engine.weights[1], &mut photonic);
-        let h0 = engine.cached_logits[0].clone();
+        let h0 = engine.tape[0].logits.clone();
         let photonic: Vec<f64> =
             photonic[0].iter().zip(&h0).map(|(&v, &h)| spilled_hadamard(v, h)).collect();
         // Math: (W1ᵀ δ) ⊙ f'(h0).
@@ -796,7 +890,7 @@ mod tests {
         let x = [0.8, 0.1, 0.6, 0.3, 0.9];
         engine.try_forward(&x).unwrap();
         let delta = [0.5, -1.0];
-        let y = engine.cached_inputs[1].clone();
+        let y = engine.tape[1].input.clone();
         let mut grad = vec![0.0; engine.weights[1].len()];
         engine.chip.grids[1].outer_product(&delta, &y, 1.0, &mut grad);
         let (out, inp) = engine.layer_dims(1);
@@ -1041,17 +1135,8 @@ mod tests {
         }
         // The layer caches end holding the last sample's vectors in both
         // dispatch orders, so training code sees the same end state.
-        let seq_logits: Vec<Vec<u64>> = sequential
-            .cached_logits
-            .iter()
-            .map(|l| l.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        let bat_logits: Vec<Vec<u64>> = batched
-            .cached_logits
-            .iter()
-            .map(|l| l.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        assert_eq!(seq_logits, bat_logits);
+        let logits = |e: &PhotonicMlp| e.tape.iter().map(|t| bits(&t.logits)).collect::<Vec<_>>();
+        assert_eq!(logits(&sequential), logits(&batched));
         // And the global energy/time ledgers agree exactly.
         assert_eq!(
             sequential.total_energy().value().to_bits(),

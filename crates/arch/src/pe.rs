@@ -106,7 +106,6 @@ pub fn spilled_hadamard(v: f64, h: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {
     bank: WeightBank,
-    tias: Vec<TransimpedanceAmplifier>,
     activations: Vec<GstActivationCell>,
     modulator: EoModulator,
     noise: NoiseModel,
@@ -144,7 +143,6 @@ impl ProcessingElement {
         let modulator = EoModulator::for_grid(bank.grid());
         Self {
             bank,
-            tias: vec![TransimpedanceAmplifier::default(); rows],
             activations: vec![
                 GstActivationCell::new(ActivationCellParams::default());
                 rows
@@ -205,6 +203,17 @@ impl ProcessingElement {
         obs::add(obs::Counter::FaultRemapEvents, report.remapped as u64);
         obs::add(obs::Counter::FaultMaskEvents, report.masked as u64);
         Ok(report)
+    }
+
+    /// One drift-calibration pass on the bank
+    /// ([`WeightBank::calibrate_compensation`]), its probe energy billed
+    /// to `"drift calibration"`. Returns that energy.
+    pub(crate) fn calibrate_drift(&mut self) -> EnergyPj {
+        let spent = self.bank.calibrate_compensation();
+        if spent.value() > 0.0 {
+            self.energy.charge("drift calibration", spent);
+        }
+        spent
     }
 
     /// Unsigned optical MVM: `x[j] ∈ [0, 1]`, returns per-row dot products.
@@ -318,11 +327,9 @@ impl ProcessingElement {
             obs::add(obs::Counter::MacOps, rings);
             obs::add(obs::Counter::PcmReads, rings);
             obs::add_pj(obs::Counter::PcmReadFj, read_energy.value());
-            // Receiver chain: every row's BPD+TIA is live for the symbol.
-            let receiver = self
-                .tias
-                .iter()
-                .fold(EnergyPj::ZERO, |acc, tia| acc + tia.power.for_duration(symbol_time));
+            // Every row's BPD+TIA is live; summing per row keeps the bits.
+            let tia = TransimpedanceAmplifier::default().power.for_duration(symbol_time);
+            let receiver = (0..self.rows()).fold(EnergyPj::ZERO, |acc, _| acc + tia);
             obs::add_pj(obs::Counter::ReceiverFj, receiver.value());
         }
     }

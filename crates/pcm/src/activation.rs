@@ -12,7 +12,7 @@
 //! the reset energy is what Table III's "GST Activation Function Reset"
 //! line accounts for.
 
-use crate::gst::PULSE_WINDOW;
+use crate::gst::{ENDURANCE_CYCLES, PULSE_WINDOW};
 use serde::{Deserialize, Serialize};
 use trident_photonics::units::{EnergyPj, Nanoseconds, Wavelength};
 
@@ -87,7 +87,7 @@ impl Default for ActivationCellParams {
             reset_energy: EnergyPj(1000.0),
             reset_time: PULSE_WINDOW,
             probe_wavelength: Wavelength::from_nm(1553.4),
-            endurance_cycles: 1_000_000_000_000,
+            endurance_cycles: ENDURANCE_CYCLES,
         }
     }
 }

@@ -24,6 +24,10 @@ use trident_photonics::units::{EnergyPj, Nanoseconds};
 /// energy, and one activation reset's, over it.
 pub const PULSE_WINDOW: Nanoseconds = Nanoseconds(300.0);
 
+/// GST switching cycles before wear-out (Kuzum et al., reference \[17\]),
+/// for weight cells and activation cells alike.
+pub const ENDURANCE_CYCLES: u64 = 1_000_000_000_000;
+
 /// Device-level constants for a GST cell.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GstParameters {
@@ -48,13 +52,14 @@ pub struct GstParameters {
 impl Default for GstParameters {
     fn default() -> Self {
         Self {
-            levels: 255,
+            // The GST tuning row's resolution: 8 bits, 255 levels.
+            levels: (1 << TuningProfile::gst().bit_resolution) - 1,
             write_energy: TuningProfile::gst().write_energy,
             write_time: TuningProfile::gst().write_time,
             read_energy: EnergyPj(20.0),
             amorphous_amplitude: 0.995,
             crystalline_amplitude: 0.25,
-            endurance_cycles: 1_000_000_000_000,
+            endurance_cycles: ENDURANCE_CYCLES,
             retention_years: 10.0,
         }
     }

@@ -17,8 +17,8 @@
 //! * [`waveguide`] — propagation loss and group delay of routing waveguides.
 //! * [`laser`] — CW laser sources and electro-optic modulators that encode
 //!   analog values onto channel amplitudes.
-//! * [`detector`] — balanced photodetectors (BPDs) and transimpedance
-//!   amplifiers (TIAs), including shot/thermal noise models.
+//! * [`detector`] — photodiodes and the transimpedance amplifier (TIA)
+//!   behind each balanced photodetector: receiver power and area.
 //! * [`crosstalk`] — inter-channel crosstalk analysis of a WDM ring bank and
 //!   the effective bit resolution it permits (the paper's 6-bit thermal
 //!   limit vs 8-bit PCM operation).
@@ -55,7 +55,7 @@ pub mod wdm;
 
 pub use crosstalk::{effective_bit_resolution, BankOperatingPoint, CrosstalkReport};
 pub use calib::{drift_decay_factor, ReferenceColumn};
-pub use detector::{BalancedPhotodetector, Photodetector, TransimpedanceAmplifier};
+pub use detector::{Photodetector, TransimpedanceAmplifier};
 pub use laser::{EoModulator, LaserSource};
 pub use ledger::{EnergyLedger, PowerLedger};
 pub use link::{LinkBudget, LinkReport};
