@@ -8,10 +8,18 @@
 //! and through rails accumulate, and the balanced detector reads the
 //! signed sum.
 //!
-//! The bank keeps its **linear response matrices** `D[r][j]` / `T[r][j]`
-//! (drop/through power reaching the rails from channel `j` of row `r`,
-//! including upstream ring attenuation and inter-channel crosstalk).
-//! Optics is linear in power, so an MVM is two cached mat-vecs.
+//! Optics is linear in power, so the bank caches its **linear response**:
+//! one net read coefficient `D[r][j] − T[r][j]` per slot (drop minus
+//! through power reaching the balanced rails from channel `j` of row `r`,
+//! including upstream ring attenuation and inter-channel crosstalk),
+//! stored transposed, `[channel][row]`, each channel's rows padded with
+//! zeros to whole 16-row chunks. With the statistical layer on, a
+//! second table of the same shape holds each slot's coefficient with its
+//! programming error and drift factor applied. An MVM is one cached
+//! mat-vec, read row-parallel: every row of a 16-row chunk keeps its
+//! accumulator in flight while the channels stream past in ascending
+//! order, so each row sums exactly the terms, in exactly the order, of a
+//! one-row-at-a-time dot product.
 //!
 //! A bank write costs what it physically changes. Each ring's transfer on
 //! each channel factors into a per-channel term, `sin(φ/2)` of its
@@ -25,7 +33,8 @@
 //! built with variation keeps a per-ring `rows·cols·cols` table.
 //!
 //! A row's response reads only that row's rings, so programming re-derives
-//! `D`/`T` for the rows whose rings changed and leaves the others alone.
+//! the coefficients of the rows whose rings changed and leaves the others
+//! alone.
 //! The refresh walks the rings in order with every channel of the row in
 //! flight at once: each channel still accumulates its rings in ascending
 //! order with the same operations, so the result is bitwise that of the
@@ -66,8 +75,8 @@ pub const DEFAULT_SPARES_PER_ROW: usize = 2;
 /// range check), a NaN request included.
 const UNHELD: f64 = f64::NAN;
 
-/// Channels a row refresh keeps in flight at once (the paper's bank
-/// width; wider banks refresh in chunks of this many).
+/// Channels a row refresh, or rows a read, keeps in flight at once (the
+/// paper's bank width; wider banks work in chunks of this many).
 const LANES: usize = 16;
 
 /// Accounting record of one fault-aware bank programming event
@@ -138,10 +147,11 @@ pub struct WeightBank {
     /// Net round-trip amplitude per ring, `[row][ring]`; refreshed on
     /// every change of the ring's GST state.
     round_trip: Vec<f64>,
-    /// Cached linear drop response `[row][channel]`.
-    drop_coeff: Vec<f64>,
-    /// Cached linear through response `[row][channel]`.
-    through_coeff: Vec<f64>,
+    /// Cached net rail response `D − T` per slot, transposed
+    /// `[channel][row]` (rows padded by [`read_stride`]) so a read
+    /// streams each channel's rows contiguously; zero for a masked slot.
+    /// Refreshed by [`Self::recompute_row`].
+    net_coeff: Vec<f64>,
     /// The bank's single simulated-deployment-time source: both the
     /// deterministic relaxation law and the statistical drift model read
     /// elapsed time from here, so time can never advance two ways.
@@ -171,6 +181,11 @@ struct BankStat {
     prog_at: Vec<Hours>,
     /// Cached decay factor per slot at the clock's current time.
     factor: Vec<f64>,
+    /// The read coefficient `((D − T) + δ·scale) · f` per slot, transposed
+    /// `[channel][row]` like the bank's `net_coeff`; zero for a masked
+    /// slot. Refreshed wherever an input changes: a row's response, the
+    /// decay factors, and enabling the layer.
+    read_coeff: Vec<f64>,
     /// Global scale-calibration gain from the last reference-column read.
     gain: f64,
     /// Deployment time of the reference column's last rewrite (it is
@@ -237,8 +252,7 @@ impl WeightBank {
             half_sin: vec![0.0; tabled_rings * cols],
             held: vec![UNHELD; rows * cols],
             round_trip: vec![0.0; rows * cols],
-            drop_coeff: vec![0.0; rows * cols],
-            through_coeff: vec![0.0; rows * cols],
+            net_coeff: vec![0.0; read_stride(rows) * cols],
             clock: DegradationClock::new(),
             stat: None,
         };
@@ -681,11 +695,13 @@ impl WeightBank {
             prog_offset: vec![0.0; n],
             prog_at: vec![now; n],
             factor: vec![1.0; n],
+            read_coeff: vec![0.0; read_stride(self.rows) * self.cols],
             gain: 1.0,
             ref_prog_at: now,
             prog_draws: 0,
             read_draws: 0,
         });
+        self.refresh_read_coeffs();
     }
 
     /// Whether the statistical device layer is active.
@@ -709,6 +725,32 @@ impl WeightBank {
         }
         if obs::enabled() {
             obs::add(obs::Counter::DriftUpdates, stat.factor.len() as u64);
+        }
+        self.refresh_read_coeffs();
+    }
+
+    /// Re-derive every slot's statistical read coefficient.
+    fn refresh_read_coeffs(&mut self) {
+        for r in 0..self.rows {
+            self.refresh_read_row(r);
+        }
+    }
+
+    /// Re-derive row `r`'s statistical read coefficients
+    /// `((D − T) + δ·scale) · f` from the net response, programming error
+    /// and decay factor of each slot (a no-op with the layer off). A
+    /// masked slot's channel is cancelled, error and all, so it reads 0.
+    fn refresh_read_row(&mut self, r: usize) {
+        let scale = self.lut.scale();
+        let stride = read_stride(self.rows);
+        let Some(stat) = self.stat.as_mut() else { return };
+        for j in 0..self.cols {
+            let (idx, at) = (r * self.cols + j, j * stride + r);
+            stat.read_coeff[at] = if self.masked[idx] {
+                0.0
+            } else {
+                (self.net_coeff[at] + stat.prog_offset[idx] * scale) * stat.factor[idx]
+            };
         }
     }
 
@@ -815,9 +857,10 @@ impl WeightBank {
         }
     }
 
-    /// Recompute row `r`'s linear rail response from its rings' cached
+    /// Recompute row `r`'s net rail response from its rings' cached
     /// detuning factors and amplitudes (the transcendental physics lives
-    /// in [`Self::refresh_half_sin`] and [`Self::refresh_round_trip`]).
+    /// in [`Self::refresh_half_sin`] and [`Self::refresh_round_trip`]),
+    /// then the row's statistical read coefficients.
     ///
     /// Rings outer, channels inner: a chunk of up to [`LANES`] channels
     /// carries its running power `p` and dropped power in stack arrays,
@@ -827,6 +870,7 @@ impl WeightBank {
     /// sweep.
     fn recompute_row(&mut self, r: usize) {
         let base = r * self.cols;
+        let stride = read_stride(self.rows);
         for j0 in (0..self.cols).step_by(LANES) {
             let lanes = LANES.min(self.cols - j0);
             let mut p = [1.0f64; LANES]; // unit input power per channel
@@ -859,10 +903,10 @@ impl WeightBank {
                 // offset): the column contributes exactly zero to this
                 // row.
                 let (drop, through) = if self.masked[at] { (0.0, 0.0) } else { (d, pj) };
-                self.drop_coeff[at] = drop;
-                self.through_coeff[at] = through;
+                self.net_coeff[(j0 + jj) * stride + r] = drop - through;
             }
         }
+        self.refresh_read_row(r);
     }
 
     /// Optical matrix-vector product: unit-full-scale channel powers
@@ -872,21 +916,27 @@ impl WeightBank {
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
     pub fn mvm(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "input width mismatch");
-        for (j, &v) in x.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
-        }
+        let mut y = vec![0.0; self.rows];
+        self.mvm_into(x, &mut y);
+        y
+    }
+
+    /// [`WeightBank::mvm`] into `y` (overwritten; one entry per row).
+    ///
+    /// # Panics
+    /// Panics on width mismatch or out-of-range inputs.
+    pub fn mvm_into(&self, x: &[f64], y: &mut [f64]) {
+        self.check_read(x, y);
+        self.read_net(x, y);
+    }
+
+    /// The deterministic read of a checked input.
+    fn read_net(&self, x: &[f64], y: &mut [f64]) {
+        read_rows(&self.net_coeff, x, y);
         let scale = self.lut.scale();
-        (0..self.rows)
-            .map(|r| {
-                let base = r * self.cols;
-                let mut acc = 0.0;
-                for j in 0..self.cols {
-                    acc += (self.drop_coeff[base + j] - self.through_coeff[base + j]) * x[j];
-                }
-                acc / scale
-            })
-            .collect()
+        for v in y {
+            *v /= scale;
+        }
     }
 
     /// Statistical matrix-vector product: the deterministic optics of
@@ -903,37 +953,42 @@ impl WeightBank {
     /// [`WeightBank::mvm`] (the noise-off passthrough the proptests pin);
     /// with the layer off it *is* `mvm`.
     pub fn mvm_stat(&mut self, x: &[f64]) -> Vec<f64> {
-        let Some(mut stat) = self.stat.take() else {
-            return self.mvm(x);
+        let mut y = vec![0.0; self.rows];
+        self.mvm_stat_into(x, &mut y);
+        y
+    }
+
+    /// [`WeightBank::mvm_stat`] into `y` (overwritten; one entry per
+    /// row). The sums come from the cached read coefficients; the read
+    /// noise is then drawn once per row, in row order.
+    ///
+    /// # Panics
+    /// Panics on width mismatch or out-of-range inputs.
+    pub fn mvm_stat_into(&mut self, x: &[f64], y: &mut [f64]) {
+        self.check_read(x, y);
+        let Some(stat) = self.stat.as_mut() else {
+            return self.read_net(x, y);
         };
-        assert_eq!(x.len(), self.cols, "input width mismatch");
-        for (j, &v) in x.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
-        }
+        read_rows(&stat.read_coeff, x, y);
         let scale = self.lut.scale();
-        let mut y = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
-            let base = r * self.cols;
-            let mut acc = 0.0;
-            for j in 0..self.cols {
-                let idx = base + j;
-                if self.masked[idx] {
-                    continue; // dead slot: channel cancelled, no offset either
-                }
-                let coeff = (self.drop_coeff[idx] - self.through_coeff[idx])
-                    + stat.prog_offset[idx] * scale;
-                acc += coeff * stat.factor[idx] * x[j];
-            }
+        for v in y {
             let noise = stat.params.read_sigma_weight
                 * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
             stat.read_draws += 1;
-            y.push((acc / scale + noise) * stat.gain);
+            *v = (*v / scale + noise) * stat.gain;
         }
         if obs::enabled() {
             obs::add(obs::Counter::StatNoiseSamples, self.rows as u64);
         }
-        self.stat = Some(stat);
-        y
+    }
+
+    /// The shape and range checks of a read.
+    fn check_read(&self, x: &[f64], y: &[f64]) {
+        assert_eq!(x.len(), self.cols, "input width mismatch");
+        assert_eq!(y.len(), self.rows, "output width mismatch");
+        for (j, &v) in x.iter().enumerate() {
+            assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
+        }
     }
 
     /// Per-ring balanced readout coefficient for the outer-product mode:
@@ -995,6 +1050,35 @@ impl WeightBank {
     /// invariant tests assert this never exceeds the endurance rating).
     pub fn max_ring_writes(&self) -> u64 {
         self.rings.iter().map(PcmMrr::write_count).max().unwrap_or(0)
+    }
+}
+
+/// Rows per channel in a transposed read table: the bank's rows padded
+/// to whole [`LANES`] chunks (the padding holds zeros, never read out).
+fn read_stride(rows: usize) -> usize {
+    rows.next_multiple_of(LANES)
+}
+
+/// Row-parallel read of a transposed `[channel][row]` coefficient table
+/// (rows padded by [`read_stride`]): `y[r] = Σ_j coeff[j][r] · x[j]`,
+/// channels ascending. Each chunk of [`LANES`] rows keeps its
+/// accumulators in a fixed-size stack array and every channel updates all
+/// of them, so each row performs the `acc += c · x` chain of a one-row dot
+/// product, term for term and in order: the result is bitwise that of the
+/// serial sum, but the rows' adds are independent and pipeline. A masked
+/// slot's zero coefficient adds `+0.0` (or `−0.0`), which leaves an
+/// accumulator that starts at `+0.0` unchanged.
+fn read_rows(coeff: &[f64], x: &[f64], y: &mut [f64]) {
+    let stride = read_stride(y.len());
+    for (r0, out) in (0..stride).step_by(LANES).zip(y.chunks_mut(LANES)) {
+        let mut acc = [0.0f64; LANES];
+        for (j, &xj) in x.iter().enumerate() {
+            let col = &coeff[j * stride + r0..][..LANES];
+            for (a, &c) in acc.iter_mut().zip(col) {
+                *a += c * xj;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
     }
 }
 
@@ -1361,9 +1445,9 @@ mod equivalence_tests {
         for r in 0..b.rows {
             for j in 0..b.cols {
                 let at = r * b.cols + j;
+                let net = &mut s.net_coeff[j * read_stride(b.rows) + r];
                 if b.masked[at] {
-                    s.drop_coeff[at] = 0.0;
-                    s.through_coeff[at] = 0.0;
+                    *net = 0.0;
                     continue;
                 }
                 let mut p = 1.0;
@@ -1373,10 +1457,10 @@ mod equivalence_tests {
                     dropped += p * drop;
                     p *= through;
                 }
-                s.drop_coeff[at] = dropped;
-                s.through_coeff[at] = p;
+                *net = dropped - p;
             }
         }
+        s.refresh_read_coeffs();
         s
     }
 
@@ -1609,6 +1693,117 @@ mod equivalence_tests {
             ops in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..=10),
         ) {
             run(16, case, &ops);
+        }
+    }
+
+    /// Row `r`'s read straight from the device state, one row at a time:
+    /// each coefficient swept from [`WeightBank::port`] along the row,
+    /// then the slot's programming error, decay factor and masking, the
+    /// row's read-noise draw (`draw`) and the calibration gain. With the
+    /// layer off, the plain `D − T` read.
+    fn naive_row(b: &WeightBank, x: &[f64], r: usize, draw: u64) -> f64 {
+        let scale = b.lut.scale();
+        let mut acc = 0.0;
+        for (j, &xj) in x.iter().enumerate() {
+            let idx = r * b.cols + j;
+            if b.masked[idx] {
+                continue;
+            }
+            let (mut p, mut dropped) = (1.0, 0.0);
+            for k in 0..b.cols {
+                let (drop, through) = b.port(r * b.cols + k, j);
+                dropped += p * drop;
+                p *= through;
+            }
+            let net = dropped - p;
+            acc += match &b.stat {
+                None => net * xj,
+                Some(st) => (net + st.prog_offset[idx] * scale) * st.factor[idx] * xj,
+            };
+        }
+        match &b.stat {
+            None => acc / scale,
+            Some(st) => {
+                let noise = st.params.read_sigma_weight
+                    * seeded_gaussian(st.bank_seed, STREAM_PCM_READ, draw);
+                (acc / scale + noise) * st.gain
+            }
+        }
+    }
+
+    /// `mvm_into` and `mvm_stat_into` of `b` against [`naive_row`], bit
+    /// for bit, read noise and draw counter included.
+    fn assert_reads_naive(b: &WeightBank, x: &[f64], step: usize) {
+        let mut y = vec![f64::NAN; b.rows];
+        b.mvm_into(x, &mut y);
+        let plain = WeightBank { stat: None, ..b.clone() };
+        let want: Vec<f64> = (0..b.rows).map(|r| naive_row(&plain, x, r, 0)).collect();
+        assert_eq!(bits(&y), bits(&want), "mvm_into differs from the naive read after op {step}");
+        let draws = b.stat.as_ref().map_or(0, |s| s.read_draws);
+        let mut read = b.clone();
+        y.fill(f64::NAN);
+        read.mvm_stat_into(x, &mut y);
+        let want: Vec<f64> = (0..b.rows).map(|r| naive_row(b, x, r, draws + r as u64)).collect();
+        assert_eq!(bits(&y), bits(&want), "mvm_stat_into differs from the naive read after op {step}");
+        let after = read.stat.as_ref().map(|s| s.read_draws);
+        assert_eq!(after, b.stat.as_ref().map(|_| draws + b.rows as u64), "read draws after op {step}");
+    }
+
+    /// Apply read-cache op `kind` to `b`: every operation that changes an
+    /// input of the cached read coefficients.
+    fn apply_read_op(b: &mut WeightBank, kind: u8, rng: &mut StdRng) {
+        let (r, c) = (rng.gen_range(0..b.rows), rng.gen_range(0..b.cols));
+        let n = b.rows * b.cols;
+        match kind {
+            0 => {
+                b.program_flat(&weights(rng, n));
+            }
+            1 => {
+                // A stuck cell the verified write remaps onto a spare
+                // (or, with the row's spares gone, masks).
+                b.inject_ring_fault(r, c, stuck(rng));
+                let policy = WriteVerifyPolicy::default();
+                let w = weights(rng, n);
+                b.try_program_verified(&w, &policy, rng).expect("valid shape");
+            }
+            2 => b.mask_ring(r, c),
+            3 => b.inject_ring_fault(r, c, stuck(rng)),
+            4 => b.advance_hours(Hours(rng.gen_range(1.0..2000.0))),
+            5 => {
+                b.calibrate_compensation();
+            }
+            _ => b.disengage_compensation(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The cached, transposed, row-parallel read equals a naive
+        /// row-at-a-time read of the device state after every kind of
+        /// op, on banks wide and tall enough to chunk, with and without
+        /// fabrication variation and the statistical layer.
+        #[test]
+        fn cached_read_matches_the_naive_read_bitwise(
+            rows in 1usize..=20,
+            cols in 1usize..=20,
+            case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
+            ops in proptest::collection::vec(0u8..7, 1..=8),
+        ) {
+            let (seed, varied, stat) = case;
+            let sigma = if varied { 0.05 } else { 0.0 };
+            let mut b = WeightBank::new_varied(rows, cols, GstParameters::default(), sigma, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            b.program_flat(&weights(&mut rng, rows * cols));
+            if stat {
+                // Enabled on a programmed bank, so the layer's first read
+                // coefficients come from a non-trivial response.
+                b.enable_stat(StatParams::default(), seed);
+            }
+            for (step, &kind) in ops.iter().enumerate() {
+                apply_read_op(&mut b, kind, &mut rng);
+                let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.0..=1.0)).collect();
+                assert_reads_naive(&b, &x, step);
+            }
         }
     }
 }

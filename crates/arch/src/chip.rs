@@ -81,13 +81,11 @@ impl Chip {
     }
 
     /// Bill `n` cross-tile partial-sum accumulates at the configuration's
-    /// psum price, one charge each; the two MVMs above are the only MVM
-    /// entry points, so every path bills.
+    /// psum price, one add each after one ledger lookup; the two MVMs
+    /// above are the only MVM entry points, so every path bills.
     fn charge_psums(&mut self, n: usize) {
         let psum = TridentConfig::paper().psum_energy;
-        for _ in 0..n {
-            self.ldsu.energy.charge("psum accumulate", psum);
-        }
+        self.ldsu.energy.charge_times("psum accumulate", psum, n);
     }
 
     /// Table II gradient-vector mode on grid `g`: program `wᵀ` (`w` is

@@ -114,6 +114,12 @@ pub struct ProcessingElement {
     /// Fractional loss of input laser power (0 = healthy source). An aged
     /// or degraded pump scales every detected product down uniformly.
     laser_droop: f64,
+    /// One pass's lane powers of a signed MVM (`cols` wide), sized at
+    /// construction.
+    lanes: Vec<f64>,
+    /// The negative pass's detected products of a signed MVM (`rows`
+    /// wide), sized at construction.
+    dark: Vec<f64>,
 }
 
 impl ProcessingElement {
@@ -152,6 +158,8 @@ impl ProcessingElement {
             energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
+            lanes: vec![0.0; cols],
+            dark: vec![0.0; rows],
         }
     }
 
@@ -218,12 +226,20 @@ impl ProcessingElement {
 
     /// Unsigned optical MVM: `x[j] ∈ [0, 1]`, returns per-row dot products.
     pub fn mvm_unsigned(&mut self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows()];
+        self.mvm_unsigned_into(x, &mut y);
+        y
+    }
+
+    /// [`ProcessingElement::mvm_unsigned`] into `y` (overwritten; one
+    /// entry per row).
+    pub fn mvm_unsigned_into(&mut self, x: &[f64], y: &mut [f64]) {
         // Deterministic `mvm` when the statistical layer is off.
-        let mut y = self.bank.mvm_stat(x);
+        self.bank.mvm_stat_into(x, y);
         if self.laser_droop > 0.0 {
             // A drooped pump delivers less power on every channel; all
             // detected dot products shrink by the same factor.
-            for v in &mut y {
+            for v in y.iter_mut() {
                 *v *= 1.0 - self.laser_droop;
             }
         }
@@ -231,27 +247,46 @@ impl ProcessingElement {
         // the 1 mW full-scale channel power and the LUT scale.
         let total_power = trident_photonics::units::PowerMw(x.iter().sum::<f64>());
         let denom = self.bank.lut().scale();
-        for v in &mut y {
+        for v in y {
             let n = self.noise.receiver_current_noise_ma(total_power);
             *v += n / denom;
         }
         self.charge_symbol(x.len());
-        y
     }
 
     /// Signed optical MVM via two passes (positive and negative parts)
     /// and electronic subtraction. Inputs may have any magnitude; they are
     /// normalized onto the lasers and rescaled after detection.
     pub fn mvm_signed(&mut self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.rows()];
+        self.mvm_signed_into(x, &mut y);
+        y
+    }
+
+    /// [`ProcessingElement::mvm_signed`] into `y` (overwritten; one entry
+    /// per row).
+    pub fn mvm_signed_into(&mut self, x: &[f64], y: &mut [f64]) {
         let max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         if max == 0.0 {
-            return vec![0.0; self.rows()];
+            y.fill(0.0);
+            return;
         }
-        let pos: Vec<f64> = x.iter().map(|&v| (v.max(0.0)) / max).collect();
-        let neg: Vec<f64> = x.iter().map(|&v| (-v).max(0.0) / max).collect();
-        let yp = self.mvm_unsigned(&pos);
-        let yn = self.mvm_unsigned(&neg);
-        yp.into_iter().zip(yn).map(|(p, n)| (p - n) * max).collect()
+        assert_eq!(x.len(), self.cols(), "input width mismatch");
+        let mut lanes = std::mem::take(&mut self.lanes);
+        let mut dark = std::mem::take(&mut self.dark);
+        for (l, &v) in lanes.iter_mut().zip(x) {
+            *l = v.max(0.0) / max;
+        }
+        self.mvm_unsigned_into(&lanes, y);
+        for (l, &v) in lanes.iter_mut().zip(x) {
+            *l = (-v).max(0.0) / max;
+        }
+        self.mvm_unsigned_into(&lanes, &mut dark);
+        for (p, &n) in y.iter_mut().zip(&dark) {
+            *p = (*p - n) * max;
+        }
+        self.lanes = lanes;
+        self.dark = dark;
     }
 
     /// Fire the GST activation cells on logits `h`. Returns the

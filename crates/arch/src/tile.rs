@@ -222,6 +222,7 @@ impl TileGemm {
         y.fill(0.0);
         let width = cols.min(x.len());
         let mut lanes = [0.0; TILE];
+        let mut partial = [0.0; TILE];
         let mut psums = 0;
         for ct in 0..col_tiles {
             lanes.fill(0.0);
@@ -233,7 +234,11 @@ impl TileGemm {
             }
             for rt in 0..rows.div_ceil(TILE) {
                 let pe = &mut self.pes[rt * col_tiles + ct];
-                let partial = if signed { pe.mvm_signed(&lanes) } else { pe.mvm_unsigned(&lanes) };
+                if signed {
+                    pe.mvm_signed_into(&lanes, &mut partial);
+                } else {
+                    pe.mvm_unsigned_into(&lanes, &mut partial);
+                }
                 for (i, &p) in partial.iter().enumerate() {
                     let row = rt * TILE + i;
                     if row < rows {

@@ -34,7 +34,14 @@ use trident_workload::model::ModelSpec;
 /// Streaming phases per training step (forward, gradient, outer product).
 pub const TRAINING_STREAM_PHASES: f64 = 3.0;
 
-/// Bank retuning sweeps per training step (Wᵀ, y, restore ×&nbsp;update).
+/// Bank retuning sweeps per training step in the analytical model (Wᵀ,
+/// y, restore ×&nbsp;update).
+///
+/// The functional backward walk no longer makes the restore sweep: it
+/// reprograms `W` only at the Eq. 1 update, so the engines bill one write
+/// event fewer per hidden layer per step than this count. The value stays
+/// 5.0, so Tables IV/V do not move, until the analytical training-time
+/// model is reconciled with the functional walk (ROADMAP item 7).
 pub const TRAINING_RETUNE_SWEEPS: f64 = 5.0;
 
 /// Training-time estimate for one model on Trident.

@@ -1,16 +1,18 @@
 //! Criterion microbenchmarks of the photonic device substrate: ring
 //! transfer evaluation, weight-LUT calibration, bank construction and
-//! programming, and the cached optical matrix-vector product — the hot
-//! paths of the functional simulator.
+//! programming, and the cached optical matrix-vector product, plain and
+//! with the statistical device layer — the hot paths of the functional
+//! simulator.
 
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use trident::arch::bank::WeightBank;
 use trident::pcm::gst::GstParameters;
+use trident::pcm::stat::StatParams;
 use trident::pcm::weight::WeightLut;
 use trident::photonics::mrr::{AddDropMrr, MrrGeometry};
-use trident::photonics::units::Wavelength;
+use trident::photonics::units::{Hours, Wavelength};
 
 fn ring_transfer(c: &mut Criterion) {
     let ring = AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
@@ -80,6 +82,23 @@ fn bank_ops(c: &mut Criterion) {
             let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
             b.iter(|| black_box(bank.mvm(black_box(&x))))
         });
+        if size == 16 {
+            // The classify MLP's read: statistical layer on, aged a month
+            // and drift-calibrated, read into a caller buffer.
+            group.bench_with_input(BenchmarkId::new("mvm_stat", size), &size, |b, &s| {
+                let mut bank = WeightBank::new(s, s, GstParameters::default());
+                bank.enable_stat(StatParams::default(), 7);
+                bank.program_flat(&weights);
+                bank.advance_hours(Hours(720.0));
+                bank.calibrate_compensation();
+                let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
+                let mut y = vec![0.0; s];
+                b.iter(|| {
+                    bank.mvm_stat_into(black_box(&x), &mut y);
+                    black_box(&y);
+                })
+            });
+        }
     }
     group.finish();
 }

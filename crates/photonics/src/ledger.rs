@@ -8,15 +8,18 @@
 
 use crate::units::{EnergyPj, PowerMw};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 macro_rules! ledger {
     ($(#[$doc:meta])* $name:ident, $unit:ty) => {
         $(#[$doc])*
+        ///
+        /// A ledger holds a handful of line items and is charged several
+        /// times per MVM, so they live in a `Vec` kept sorted by name
+        /// (byte order) and found by a linear scan.
         #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
         pub struct $name {
-            entries: BTreeMap<String, $unit>,
+            entries: Vec<(String, $unit)>,
         }
 
         impl $name {
@@ -31,28 +34,48 @@ macro_rules! ledger {
             /// Panics on negative or non-finite amounts: device
             /// contributions are physical and only accumulate.
             pub fn charge(&mut self, item: &str, amount: $unit) {
+                self.charge_times(item, amount, 1);
+            }
+
+            /// Add `amount` to the named line item `times` times, one add
+            /// after another (bitwise `times` calls of
+            /// [`Self::charge`], for one lookup). Zero times charges
+            /// nothing and creates no item.
+            ///
+            /// # Panics
+            /// As [`Self::charge`].
+            pub fn charge_times(&mut self, item: &str, amount: $unit, times: usize) {
+                if times == 0 {
+                    return;
+                }
                 assert!(
                     amount.is_finite() && amount.value() >= 0.0,
                     "ledger charge for {item:?} must be finite and non-negative, got {amount}"
                 );
-                // Look up before allocating: the key exists on every charge
-                // after an item's first, and this runs once per partial sum.
-                match self.entries.get_mut(item) {
-                    Some(total) => *total += amount,
+                // Look up before allocating: the item exists on every
+                // charge after its first.
+                let at = match self.entries.iter().position(|(k, _)| k == item) {
+                    Some(at) => at,
                     None => {
-                        self.entries.insert(item.to_string(), <$unit>::default() + amount);
+                        let at = self.entries.partition_point(|(k, _)| k.as_str() < item);
+                        self.entries.insert(at, (item.to_string(), <$unit>::default()));
+                        at
                     }
+                };
+                let total = &mut self.entries[at].1;
+                for _ in 0..times {
+                    *total += amount;
                 }
             }
 
             /// Current value of a line item (zero when absent).
             pub fn get(&self, item: &str) -> $unit {
-                self.entries.get(item).copied().unwrap_or_default()
+                self.iter().find(|&(k, _)| k == item).map(|(_, v)| v).unwrap_or_default()
             }
 
             /// Sum of all line items.
             pub fn total(&self) -> $unit {
-                self.entries.values().copied().sum()
+                self.iter().map(|(_, v)| v).sum()
             }
 
             /// Fraction of the total attributed to `item`, in `[0, 1]`.
@@ -68,7 +91,7 @@ macro_rules! ledger {
 
             /// Iterate line items in name order.
             pub fn iter(&self) -> impl Iterator<Item = (&str, $unit)> {
-                self.entries.iter().map(|(k, &v)| (k.as_str(), v))
+                self.entries.iter().map(|(k, v)| (k.as_str(), *v))
             }
 
             /// Line items sorted by contribution, largest first.
@@ -93,7 +116,7 @@ macro_rules! ledger {
                     entries: self
                         .entries
                         .iter()
-                        .map(|(k, &v)| (k.clone(), v * factor))
+                        .map(|(k, v)| (k.clone(), *v * factor))
                         .collect(),
                 }
             }
@@ -187,6 +210,30 @@ mod tests {
         let doubled = a.scaled(2.0);
         assert_eq!(doubled.total(), EnergyPj(14.0));
         assert!(a.scaled(0.0).total() == EnergyPj::ZERO);
+    }
+
+    #[test]
+    fn charge_times_is_repeated_charge() {
+        let mut once = EnergyLedger::new();
+        for _ in 0..7 {
+            once.charge("psum accumulate", EnergyPj(0.1));
+        }
+        let mut many = EnergyLedger::new();
+        many.charge_times("psum accumulate", EnergyPj(0.1), 7);
+        many.charge_times("never", EnergyPj(1.0), 0);
+        assert_eq!(many, once, "same bits, and zero times creates no item");
+        assert_eq!(many.len(), 1);
+    }
+
+    #[test]
+    fn items_iterate_in_byte_order_of_their_names() {
+        let mut l = EnergyLedger::new();
+        for item in ["mrr read", "gst write", "eo modulation", "Z", "mrr read"] {
+            l.charge(item, EnergyPj(1.0));
+        }
+        let names: Vec<_> = l.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["Z", "eo modulation", "gst write", "mrr read"]);
+        assert_eq!(l.get("mrr read"), EnergyPj(2.0));
     }
 
     #[test]
