@@ -9,7 +9,6 @@
 //! tests pin the total and the TIA-dominance claim.
 
 use crate::config::TridentConfig;
-use serde::{Deserialize, Serialize};
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::mrr::MrrGeometry;
 use trident_photonics::units::{count, AreaUm2};
@@ -36,7 +35,7 @@ pub mod items {
 }
 
 /// Per-PE and whole-chip area breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
     config: TridentConfig,
 }

@@ -54,7 +54,6 @@
 
 use crate::error::ArchError;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
@@ -114,7 +113,7 @@ pub struct ProgramReport {
 /// assert!((y[0] - 0.0).abs() < 0.05);
 /// assert!((y[1] - 1.0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeightBank {
     rows: usize,
     cols: usize,
@@ -155,11 +154,9 @@ pub struct WeightBank {
     /// The bank's single simulated-deployment-time source: both the
     /// deterministic relaxation law and the statistical drift model read
     /// elapsed time from here, so time can never advance two ways.
-    #[serde(default)]
     clock: DegradationClock,
     /// The statistical device layer. `None` (the default) keeps the bank
     /// exactly deterministic — no draws, no extra arithmetic.
-    #[serde(default)]
     stat: Option<BankStat>,
 }
 
@@ -167,9 +164,9 @@ pub struct WeightBank {
 /// exponents, the last programming error and write time of every slot,
 /// the cached decay factors, and the calibration gain. No RNG object is
 /// stored — every draw is addressed by `(bank_seed, stream, counter)`
-/// through [`seeded_gaussian`], which keeps the bank serializable and the
-/// noise bitwise reproducible.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// through [`seeded_gaussian`], which keeps the noise bitwise
+/// reproducible.
+#[derive(Debug, Clone)]
 struct BankStat {
     params: StatParams,
     bank_seed: u64,

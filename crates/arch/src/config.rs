@@ -8,7 +8,6 @@
 //! functional chip also models is read from the device that defines it
 //! (`photonics`, `pcm`), so both simulated paths price the same table.
 
-use serde::{Deserialize, Serialize};
 use trident_pcm::activation::ActivationCellParams;
 use trident_pcm::gst::GstParameters;
 use trident_pcm::ldsu::Ldsu;
@@ -19,7 +18,7 @@ use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 use trident_workload::dataflow::DataflowModel;
 
 /// Full Trident configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TridentConfig {
     /// Weight-bank rows per PE (J).
     pub bank_rows: usize,

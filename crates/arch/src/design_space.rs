@@ -15,11 +15,10 @@
 use crate::config::TridentConfig;
 use crate::perf::TridentPerfModel;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use trident_workload::model::ModelSpec;
 
 /// One evaluated design point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Bank rows (J).
     pub bank_rows: usize,

@@ -13,12 +13,11 @@
 //! lifetime for both populations.
 
 use crate::config::TridentConfig;
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::count;
 use trident_workload::model::ModelSpec;
 
 /// Usage pattern of a deployed accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UsageProfile {
     /// Inferences per day.
     pub inferences_per_day: f64,
@@ -57,7 +56,7 @@ impl UsageProfile {
 }
 
 /// Projected wear for one deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnduranceReport {
     /// Switch cycles per year on the busiest *weight* cell.
     pub weight_cycles_per_year: f64,

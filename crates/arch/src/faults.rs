@@ -29,12 +29,11 @@ use crate::endurance::EnduranceReport;
 use crate::engine::EngineOptions;
 use crate::error::ArchError;
 use crate::training::DeploymentStudy;
-use serde::{Deserialize, Serialize};
 use trident_streams::trial_identity;
 
 /// A seedable fault population. All rates are per-ring probabilities in
 /// `[0, 1]`; the same plan + seed always injects the same faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultPlan {
     /// Probability that a GST cell is stuck fully amorphous (reads as
     /// weight +1 and rejects writes).
@@ -106,7 +105,7 @@ impl FaultPlan {
 
 /// What [`Chip::inject_faults`](crate::chip::Chip::inject_faults) actually
 /// injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultReport {
     /// Cells pinned fully amorphous.
     pub stuck_amorphous: usize,
@@ -134,7 +133,7 @@ impl FaultReport {
 }
 
 /// Result at one fault-plan point of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignRow {
     /// The plan template evaluated (trial seeds vary per chip).
     pub plan: FaultPlan,

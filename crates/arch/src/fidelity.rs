@@ -17,10 +17,9 @@ use crate::pe::ProcessingElement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Monte-Carlo fidelity measurement result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FidelityReport {
     /// Trials run.
     pub trials: usize,

@@ -9,14 +9,13 @@
 //! the device.
 
 use crate::config::TridentConfig;
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 use trident_workload::dataflow::ModelMapping;
 use trident_workload::layer::LayerSpec;
 use trident_workload::model::ModelSpec;
 
 /// Residency classification of one layer's activations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Residency {
     /// Output fits one PE's private L1.
     L1,
@@ -28,7 +27,7 @@ pub enum Residency {
 }
 
 /// Per-layer plan entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// Layer name.
     pub name: String,
@@ -44,7 +43,7 @@ pub struct LayerPlan {
 }
 
 /// A complete deployment plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentPlan {
     /// Model name.
     pub model_name: String,

@@ -26,7 +26,6 @@
 use crate::bank::{ProgramReport, WeightBank};
 use crate::error::ArchError;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
 use trident_pcm::gst::{GstParameters, WriteVerifyPolicy, PULSE_WINDOW};
 use trident_photonics::detector::TransimpedanceAmplifier;
@@ -37,7 +36,7 @@ use trident_photonics::units::{EnergyPj, Nanoseconds};
 use trident_obs as obs;
 
 /// The three Table II operating modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeMode {
     /// Forward MAC + photonic activation.
     Inference,
@@ -266,12 +265,13 @@ impl ProcessingElement {
     /// [`ProcessingElement::mvm_signed`] into `y` (overwritten; one entry
     /// per row).
     pub fn mvm_signed_into(&mut self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols(), "input width mismatch");
+        assert_eq!(y.len(), self.rows(), "output width mismatch");
         let max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         if max == 0.0 {
             y.fill(0.0);
             return;
         }
-        assert_eq!(x.len(), self.cols(), "input width mismatch");
         let mut lanes = std::mem::take(&mut self.lanes);
         let mut dark = std::mem::take(&mut self.dark);
         for (l, &v) in lanes.iter_mut().zip(x) {
@@ -430,6 +430,20 @@ mod tests {
         assert!((y[0] + 2.0).abs() < 0.15, "row 0: {}", y[0]);
         assert!((y[1] - 3.0).abs() < 0.15, "row 1: {}", y[1]);
         assert!((y[2] + 2.5).abs() < 0.2, "row 2: {}", y[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "input width mismatch")]
+    fn signed_mvm_rejects_an_all_zero_input_of_the_wrong_width() {
+        let mut y = [0.0; 4];
+        pe().mvm_signed_into(&[0.0; 3], &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "output width mismatch")]
+    fn signed_mvm_rejects_an_all_zero_input_into_the_wrong_width() {
+        let mut y = [0.0; 3];
+        pe().mvm_signed_into(&[0.0; 4], &mut y);
     }
 
     #[test]

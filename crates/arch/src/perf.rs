@@ -42,13 +42,12 @@
 
 use crate::config::TridentConfig;
 use crate::power::PePowerModel;
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::{count, EnergyPj, Hertz, Nanoseconds, PowerMw};
 use trident_workload::dataflow::LayerMapping;
 use trident_workload::model::ModelSpec;
 
 /// Energy/latency of one layer, per inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerPerf {
     /// Layer name.
     pub name: String,
@@ -92,7 +91,7 @@ impl LayerPerf {
 }
 
 /// Whole-model roll-up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPerf {
     /// Model name.
     pub model_name: String,
@@ -144,7 +143,7 @@ impl ModelPerf {
 /// assert!(analysis.inferences_per_second() > 1000.0);
 /// assert!(analysis.energy_mj() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TridentPerfModel {
     /// Architecture under analysis.
     pub config: TridentConfig,

@@ -13,12 +13,11 @@
 //! are programmed.
 
 use crate::perf::TridentPerfModel;
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::Nanoseconds;
 use trident_workload::model::ModelSpec;
 
 /// One pipeline stage (one MAC layer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// Layer name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct Stage {
 }
 
 /// Result of a pipelined run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Model name.
     pub model_name: String,

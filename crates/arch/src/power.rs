@@ -17,7 +17,6 @@
 //! [`PULSE_WINDOW`]. The tests pin the derived numbers to the table.
 
 use crate::config::TridentConfig;
-use serde::{Deserialize, Serialize};
 use trident_pcm::gst::PULSE_WINDOW;
 use trident_photonics::ledger::PowerLedger;
 use trident_photonics::units::{count, PowerMw};
@@ -44,7 +43,7 @@ pub mod items {
 }
 
 /// Per-PE power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PePowerModel {
     config: TridentConfig,
 }

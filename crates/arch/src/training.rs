@@ -28,7 +28,6 @@ use crate::engine::{accuracy_of, check_set, EngineOptions, PhotonicMlp};
 use crate::error::ArchError;
 use crate::perf::TridentPerfModel;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use trident_workload::model::ModelSpec;
 
 /// Streaming phases per training step (forward, gradient, outer product).
@@ -45,7 +44,7 @@ pub const TRAINING_STREAM_PHASES: f64 = 3.0;
 pub const TRAINING_RETUNE_SWEEPS: f64 = 5.0;
 
 /// Training-time estimate for one model on Trident.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingTime {
     /// Model name.
     pub model_name: String,
@@ -115,7 +114,7 @@ pub fn inference_derived_training_time(
 /// logit pairs and learns, by exponential moving average, how far the
 /// degraded hardware sits from its electronic twin on each output; at
 /// inference the predicted error is subtracted from the photonic logits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorModel {
     bias: Vec<f64>,
     smoothing: f64,
@@ -170,7 +169,7 @@ impl ErrorModel {
 /// a learned systematic-error prediction term (applied to the photonic
 /// logits at inference) with in-situ fine-tuning (whose reprogramming
 /// pulses rewrite the drifted cells, resetting their drift clocks).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualAdaptiveTrainer {
     /// EMA coefficient for the error model, in `(0, 1]`.
     pub error_smoothing: f64,
@@ -187,7 +186,7 @@ impl Default for DualAdaptiveTrainer {
 }
 
 /// What [`DualAdaptiveTrainer::adapt`] recovered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationOutcome {
     /// Error model re-learned on the fine-tuned chip (the one a deployed
     /// system would keep applying).
@@ -281,7 +280,7 @@ impl DualAdaptiveTrainer {
 /// ([`DeploymentStudy::run_faults`]), variation
 /// ([`DeploymentStudy::run_variation`]) and drift
 /// ([`DeploymentStudy::run_drift`]) studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentStudy {
     /// Network layer widths.
     pub dims: Vec<usize>,

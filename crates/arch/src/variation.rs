@@ -16,7 +16,6 @@
 use crate::engine::EngineOptions;
 use crate::error::ArchError;
 use crate::training::{DeploymentStudy, DualAdaptiveTrainer};
-use serde::{Deserialize, Serialize};
 use trident_pcm::stat::StatParams;
 use trident_photonics::units::Hours;
 use trident_streams::trial_identity;
@@ -28,7 +27,7 @@ use trident_streams::trial_identity;
 const VARIATION_CHIP_BASE: u64 = 1000;
 
 /// Result at one variation magnitude.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationRow {
     /// Per-ring resonance offset σ in nanometres.
     pub sigma_nm: f64,
@@ -60,7 +59,7 @@ impl VariationRow {
 }
 
 /// Result at one deployment age under the statistical device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftRow {
     /// Hours since the weights were programmed.
     pub hours: f64,

@@ -13,12 +13,11 @@
 
 use crate::traits::AcceleratorModel;
 use trident_photonics::units::count;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use trident_workload::model::ModelSpec;
 
 /// An electronic accelerator model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ElectronicAccelerator {
     name: String,
     peak_tops: f64,

@@ -23,7 +23,6 @@
 //! slower writes, is where the paper's latency gaps come from.
 
 use crate::traits::AcceleratorModel;
-use serde::{Deserialize, Serialize};
 use trident_arch::config::TridentConfig;
 use trident_arch::perf::{ModelPerf, TridentPerfModel};
 use trident_photonics::tuning::TuningProfile;
@@ -32,7 +31,7 @@ use trident_workload::model::ModelSpec;
 
 /// A photonic accelerator: a configured per-device performance model plus
 /// comparison metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhotonicAccelerator {
     name: String,
     perf: TridentPerfModel,

@@ -9,7 +9,6 @@
 //! | `table1`…`table5` | Tables I–V |
 //! | `fig3`…`fig6` | Figures 3–6 |
 //! | `repro_all` | everything above in one run |
-//! | `verify_repro` | the reproduction gate (non-zero exit on failure) |
 //! | `ablation_bits` | training accuracy vs weight resolution |
 //! | `ablation_tuning` | GST vs thermal vs electric vs hybrid tuning |
 //! | `ablation_adc` | photonic activation + LDSU vs ADC-per-layer |
@@ -19,7 +18,7 @@
 //! | `design_space` | bank-geometry Pareto sweep |
 //! | `fidelity` | Monte-Carlo analog ENOB of the MVM path |
 //! | `roofline` | arithmetic intensity / roofline positions |
-//! | `trident_sim` | multi-command CLI (analyze/deploy/pipeline/compare/gate) |
+//! | `trident_sim` | multi-command CLI (analyze/deploy/pipeline/compare/gate); `gate` is the reproduction gate (non-zero exit on failure) |
 //!
 //! ## Criterion benches (`benches/`)
 //!

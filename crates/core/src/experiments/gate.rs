@@ -3,8 +3,8 @@
 //!
 //! This is the same contract the test suite enforces, packaged for CI and
 //! for users who want a one-command answer to "does this reproduction
-//! still hold?" — `cargo run -p trident-bench --bin verify_repro` exits
-//! non-zero if any claim fails.
+//! still hold?" — `cargo run -p trident-bench --bin trident_sim -- gate`
+//! exits non-zero if any claim fails.
 
 use crate::experiments::{fig5, fig6, table3, table5};
 use crate::report::TextTable;

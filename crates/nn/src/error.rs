@@ -2,8 +2,8 @@
 //!
 //! Layer forward/backward passes validate their inputs and report
 //! violations as [`NnError`] values instead of panicking, so callers that
-//! drive layers with externally-derived shapes (deserialized models, the
-//! photonic mirror) can recover.
+//! drive layers with externally-derived shapes (the photonic mirror) can
+//! recover.
 
 use std::fmt;
 

@@ -10,10 +10,9 @@ use crate::error::NnError;
 use crate::linalg;
 use crate::optim::Sgd;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Pointwise activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Activation {
     /// Pass-through (used for output layers read by a softmax loss).
     Identity,

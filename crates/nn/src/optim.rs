@@ -8,10 +8,9 @@
 //! of the balanced-detection encoding.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// SGD optimizer configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     /// Learning rate β.
     pub learning_rate: f32,

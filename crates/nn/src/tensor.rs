@@ -5,11 +5,10 @@
 //! broadcasting and views are out of scope; the photonic engine consumes
 //! plain matrices and vectors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense row-major tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -263,11 +263,6 @@ impl CounterSnapshot {
             .filter(move |&&c| self.get(c) != 0)
             .map(move |&c| (c.key(), self.get(c)))
     }
-
-    /// Iterate every `(key, value)` pair in export order.
-    pub fn iter_all(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        Counter::ALL.iter().map(move |&c| (c.key(), self.get(c)))
-    }
 }
 
 #[cfg(test)]

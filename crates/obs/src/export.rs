@@ -1,9 +1,11 @@
-//! Exporters: human summary, stable JSON, and `chrome://tracing` JSON.
+//! Exporters: a human summary and `chrome://tracing` JSON, plus
+//! [`json_string`], the one JSON string quoter every hand-written report
+//! in the workspace goes through.
 //!
-//! All three read an immutable [`ObsSnapshot`], so exporting never races
-//! live instrumentation. Output is deterministic for a given snapshot:
-//! counters print in declaration order and events in ring order, with no
-//! timestamps or hostnames injected by the exporter itself.
+//! Both exporters read an immutable [`ObsSnapshot`], so exporting never
+//! races live instrumentation. Output is deterministic for a given
+//! snapshot: counters print in declaration order and events in ring
+//! order, with no timestamps or hostnames injected by the exporter itself.
 //!
 //! The chrome-trace format emits one complete (`"ph": "X"`) slice per
 //! span — loadable directly in Perfetto (ui.perfetto.dev) or
@@ -16,9 +18,19 @@ use crate::counter::lossy_f64;
 use crate::ObsSnapshot;
 use std::fmt::Write as _;
 
-/// Escape a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `s` as a quoted JSON string literal: `"`, `\`, newline, carriage
+/// return and tab get their short escapes, every other character below
+/// U+0020 a `\u00XX` escape, and everything else passes through
+/// unchanged.
+///
+/// ```
+/// use trident_obs::export::json_string;
+///
+/// assert_eq!(json_string("a\"b\tc"), r#""a\"b\tc""#);
+/// ```
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -32,6 +44,7 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
@@ -62,38 +75,6 @@ pub fn human_summary(snap: &ObsSnapshot) -> String {
     out
 }
 
-/// Stable machine-readable JSON: schema, overflow tally, every counter
-/// (zeros included, so consumers need no key probing), and the events.
-pub fn to_json(snap: &ObsSnapshot) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n");
-    let _ = writeln!(out, "  \"dropped_events\": {},", snap.dropped_events);
-    out.push_str("  \"counters\": {\n");
-    let counters: Vec<String> = snap
-        .counters
-        .iter_all()
-        .map(|(key, value)| format!("    \"{key}\": {value}"))
-        .collect();
-    out.push_str(&counters.join(",\n"));
-    out.push_str("\n  },\n  \"events\": [\n");
-    let events: Vec<String> = snap
-        .events
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \"tid\": {}, \"depth\": {}}}",
-                escape(&e.name),
-                e.start_ns,
-                e.dur_ns,
-                e.tid,
-                e.depth
-            )
-        })
-        .collect();
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 /// Chrome trace-event JSON (the Perfetto import format).
 pub fn to_chrome_trace(snap: &ObsSnapshot) -> String {
     let mut entries: Vec<String> = Vec::with_capacity(snap.events.len() + 8);
@@ -104,9 +85,9 @@ pub fn to_chrome_trace(snap: &ObsSnapshot) -> String {
     );
     for e in &snap.events {
         entries.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"trident\", \"ph\": \"X\", \"ts\": {}, \
+            "{{\"name\": {}, \"cat\": \"trident\", \"ph\": \"X\", \"ts\": {}, \
              \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-            escape(&e.name),
+            json_string(&e.name),
             us(e.start_ns),
             us(e.dur_ns),
             e.tid
@@ -122,8 +103,9 @@ pub fn to_chrome_trace(snap: &ObsSnapshot) -> String {
         .unwrap_or(0);
     for (key, value) in snap.counters.iter_nonzero() {
         entries.push(format!(
-            "{{\"name\": \"{key}\", \"ph\": \"C\", \"ts\": {}, \"pid\": 1, \
+            "{{\"name\": {}, \"ph\": \"C\", \"ts\": {}, \"pid\": 1, \
              \"args\": {{\"value\": {value}}}}}",
+            json_string(key),
             us(end_ns)
         ));
     }
@@ -184,19 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_complete() {
-        let a = to_json(&sample());
-        let b = to_json(&sample());
-        assert_eq!(a, b, "export must be deterministic");
-        assert!(a.contains("\"mac_ops\": 512"));
-        assert!(a.contains("\"pcm_reads\": 0"), "JSON includes zero counters");
-        assert!(a.contains("\"dropped_events\": 3"));
-        assert!(a.contains("forward.layer0"));
-    }
-
-    #[test]
     fn chrome_trace_has_complete_slices_and_counter_samples() {
         let t = to_chrome_trace(&sample());
+        assert_eq!(t, to_chrome_trace(&sample()), "export must be deterministic");
         assert!(t.starts_with("{\"traceEvents\": ["));
         assert!(t.contains("\"ph\": \"X\""));
         assert!(t.contains("\"ts\": 1.000"), "ns → us conversion");
@@ -214,7 +186,17 @@ mod tests {
     fn names_are_escaped() {
         let mut snap = sample();
         snap.events[0].name = Cow::Owned("weird\"name\\with\nstuff".to_string());
-        let j = to_json(&snap);
-        assert!(j.contains("weird\\\"name\\\\with\\nstuff"));
+        let t = to_chrome_trace(&snap);
+        assert!(t.contains("{\"name\": \"weird\\\"name\\\\with\\nstuff\", "));
+    }
+
+    #[test]
+    fn json_string_escapes_every_special_character() {
+        assert_eq!(json_string(""), "\"\"");
+        assert_eq!(json_string("a\"b"), r#""a\"b""#);
+        assert_eq!(json_string("a\\b"), r#""a\\b""#);
+        assert_eq!(json_string("a\nb\rc\td"), r#""a\nb\rc\td""#);
+        assert_eq!(json_string("a\u{1}b"), r#""a\u0001b""#);
+        assert_eq!(json_string("λ = 1550 nm µW"), "\"λ = 1550 nm µW\"");
     }
 }

@@ -5,8 +5,9 @@
 //! (deterministic in tests), typed [`counter::Counter`] tallies for the
 //! quantities the model already tracks (MAC ops, PCM write/read energy,
 //! ring tuning, fault masking, executor statistics), a bounded
-//! [`ring::EventRing`] with overflow accounting, and three exporters
-//! (human summary, stable JSON, chrome-trace for Perfetto).
+//! [`ring::EventRing`] with overflow accounting, two exporters (human
+//! summary, chrome-trace for Perfetto), and
+//! [`export::json_string`], the workspace's one JSON string quoter.
 //!
 //! ## The off switch is the contract
 //!

@@ -13,7 +13,6 @@
 //! line accounts for.
 
 use crate::gst::{ENDURANCE_CYCLES, PULSE_WINDOW};
-use serde::{Deserialize, Serialize};
 use trident_photonics::units::{EnergyPj, Nanoseconds, Wavelength};
 
 /// The idealized activation function realised by the cell: the form used
@@ -23,7 +22,7 @@ use trident_photonics::units::{EnergyPj, Nanoseconds, Wavelength};
 /// f(h)  = 0.34 · (h − θ)   for h ≥ θ,   0 otherwise
 /// f'(h) = 0.34             for h ≥ θ,   0 otherwise
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GstRelu {
     /// Firing threshold in the function's input units.
     pub threshold: f64,
@@ -54,7 +53,7 @@ impl GstRelu {
 }
 
 /// Physical constants of the activation cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationCellParams {
     /// Pulse energy above which the GST patch amorphizes and the cell fires.
     pub threshold: EnergyPj,
@@ -104,7 +103,7 @@ impl Default for ActivationCellParams {
 /// assert!((out.value() - 0.34 * 500.0).abs() < 1e-9);
 /// cell.reset();                                            // recrystallize
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GstActivationCell {
     params: ActivationCellParams,
     /// True when the patch is crystalline (armed, ready to gate a pulse).

@@ -15,7 +15,6 @@
 use crate::error::PcmError;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use trident_photonics::tuning::TuningProfile;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
@@ -29,7 +28,7 @@ pub const PULSE_WINDOW: Nanoseconds = Nanoseconds(300.0);
 pub const ENDURANCE_CYCLES: u64 = 1_000_000_000_000;
 
 /// Device-level constants for a GST cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GstParameters {
     /// Number of programmable crystallinity levels (255 → 8-bit).
     pub levels: u16,
@@ -99,7 +98,7 @@ impl GstParameters {
 /// a cell that can no longer be amorphized (heater open, residual
 /// crystalline filament) or no longer crystallized (delaminated film)
 /// ignores programming pulses. Injected via [`GstCell::inject_fault`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GstFault {
     /// Pinned fully amorphous (transparent, `w = +1` territory).
     StuckAmorphous,
@@ -123,7 +122,7 @@ impl fmt::Display for GstFault {
 /// jitter — real pulses never land exactly), then verifies with a
 /// read-back probe. Retries escalate the pulse energy, mirroring how
 /// multi-level PCM programmers widen/strengthen pulses as they converge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WriteVerifyPolicy {
     /// Maximum write pulses before the write is declared failed.
     pub max_attempts: u32,
@@ -147,7 +146,7 @@ impl Default for WriteVerifyPolicy {
 }
 
 /// Accounting record of one successful program-and-verify sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WriteReport {
     /// Write pulses spent (0 for a free non-volatile no-op).
     pub pulses: u32,
@@ -173,7 +172,7 @@ pub struct WriteReport {
 ///   the weight bank realises levels uniform in *weight* space (see
 ///   `crate::weight::WeightLut`), matching the per-level calibration used
 ///   by multi-level PCM demonstrations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GstCell {
     params: GstParameters,
     /// Current level index, `0 = fully amorphous … levels-1 = fully

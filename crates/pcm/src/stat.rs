@@ -23,8 +23,8 @@
 //!   statistical power law, so time can never advance two different ways.
 //! * [`seeded_gaussian`] — counter-seeded normal draws: every sample is
 //!   addressed by `(seed, stream, draw)`, so the model needs no stored
-//!   RNG state (banks stay `Serialize`) and the same seed reproduces the
-//!   same noise bit-for-bit regardless of thread schedule.
+//!   RNG state and the same seed reproduces the same noise bit-for-bit
+//!   regardless of thread schedule.
 //!
 //! The physical decay law itself lives in `trident-photonics`'s
 //! [`calib`](trident_photonics::calib) module (the reference column is an
@@ -32,7 +32,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use trident_photonics::calib::{drift_decay_factor, ReferenceColumn};
 use trident_photonics::units::{count, EnergyPj, Hours};
 use trident_streams::mix;
@@ -49,7 +48,7 @@ pub use trident_streams::{STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
 /// — two ways for time to move. Now the bank advances the clock and the
 /// clock's elapsed time feeds whichever degradation law (deterministic
 /// relaxation or statistical power law) is active.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationClock {
     now: Hours,
 }
@@ -84,7 +83,7 @@ impl DegradationClock {
 /// Parameters of the statistical device model. All noise magnitudes live
 /// in the signed-weight domain `w ∈ [-1, 1]` (the domain the bank's
 /// balanced readout produces), so they compose with any LUT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatParams {
     /// Programming-noise σ (weight units, applied once per successful
     /// write) at level 0 — the fully amorphous end of the LUT.
@@ -164,7 +163,7 @@ impl StatParams {
 /// and one Box–Muller pair is taken, so the n-th sample of a stream is a
 /// pure function of the address. This is what makes "same seed ⇒
 /// bitwise-identical noise" a structural property instead of a schedule
-/// accident, and it keeps RNG state out of the bank's serde surface.
+/// accident.
 pub fn seeded_gaussian(seed: u64, stream: u64, draw: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(mix(seed, stream, draw));
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);

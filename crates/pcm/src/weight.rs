@@ -25,7 +25,6 @@
 use crate::error::PcmError;
 use crate::gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry, PortTransfer};
 use trident_photonics::units::{EnergyPj, Wavelength};
@@ -37,7 +36,7 @@ use trident_photonics::C_BAND_ANCHOR_NM;
 /// The table depends only on the ring design and the GST recipe, not on
 /// per-ring state, so every ring of that design shares one:
 /// [`WeightLut::shared`] hands out the process-wide copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightLut {
     /// Achieved raw weight `T_drop - T_through` for each level, uniformly
     /// spaced and monotone decreasing in the level index.
@@ -196,7 +195,7 @@ impl WeightLut {
 }
 
 /// One weight unit of the bank: an add-drop ring with an embedded GST cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcmMrr {
     ring: AddDropMrr,
     cell: GstCell,

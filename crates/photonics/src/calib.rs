@@ -15,7 +15,6 @@
 //! layer on top in `trident-pcm`'s `stat` module.
 
 use crate::units::{EnergyPj, Hours};
-use serde::{Deserialize, Serialize};
 
 /// Power-law conductance decay factor `((age + t₀)/t₀)^(−ν)`.
 ///
@@ -39,7 +38,7 @@ pub fn drift_decay_factor(age: Hours, t0: Hours, nu_slope: f64) -> f64 {
 /// exponent ν̄ ≤ ν_cell this makes its decay factor an upper bound on
 /// every live cell's factor, which is what makes the global gain safe
 /// (compensating by the bound can only shrink per-cell weight error).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceColumn {
     /// Characterized drift exponent ν̄ (dimensionless log–log slope
     /// magnitude) — the floor of the per-cell exponent distribution.

@@ -15,11 +15,10 @@
 use crate::mrr::AddDropMrr;
 use crate::units::index_clamped;
 use crate::wdm::WdmGrid;
-use serde::{Deserialize, Serialize};
 
 /// How a weight bank is operated — the knobs that decide how much of the
 /// raw optical leakage corrupts the analog weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankOperatingPoint {
     /// Worst-case intentional resonance detuning applied while modulating
     /// (thermal banks encode weights by shifting; ±0.2 nm per the paper).
@@ -56,7 +55,7 @@ impl BankOperatingPoint {
 }
 
 /// Crosstalk summary for one ring bank on one channel grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrosstalkReport {
     /// Raw worst-case ratio of aggregated neighbour power to in-channel
     /// power at any ring's drop port, before balanced rejection.

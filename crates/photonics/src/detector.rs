@@ -16,10 +16,9 @@
 //! paper budgets 12.1 mW for all BPD+TIA in one PE.
 
 use crate::units::{AreaUm2, PowerMw};
-use serde::{Deserialize, Serialize};
 
 /// Elementary photodiode: optical power in, photocurrent out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodetector {
     /// Responsivity in A/W (mA/mW). Ge-on-Si detectors reach ~1 A/W.
     pub responsivity_a_w: f64,
@@ -43,7 +42,7 @@ impl Photodetector {
 
 /// The transimpedance amplifier behind each row's balanced photodetector
 /// (BPD): the receiver's power and area.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransimpedanceAmplifier {
     /// Static power draw of the amplifier.
     pub power: PowerMw,

@@ -9,10 +9,9 @@
 
 use crate::units::{EnergyPj, Nanoseconds, PowerMw, Wavelength};
 use crate::wdm::{WdmGrid, WdmSignal};
-use serde::{Deserialize, Serialize};
 
 /// A continuous-wave laser source assigned to one WDM channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaserSource {
     /// Emission wavelength.
     pub wavelength: Wavelength,
@@ -44,7 +43,7 @@ impl LaserSource {
 /// The modulator is the boundary between the electronic and optical domains
 /// on the input side; its energy per symbol is what the paper's E/O
 /// conversion budget covers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EoModulator {
     lasers: Vec<LaserSource>,
     /// Energy to encode one analog symbol on one channel.

@@ -7,7 +7,6 @@
 //! assert on individual lines.
 
 use crate::units::{EnergyPj, PowerMw};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! ledger {
@@ -17,7 +16,7 @@ macro_rules! ledger {
         /// A ledger holds a handful of line items and is charged several
         /// times per MVM, so they live in a `Vec` kept sorted by name
         /// (byte order) and found by a linear scan.
-        #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Default, PartialEq)]
         pub struct $name {
             entries: Vec<(String, $unit)>,
         }

@@ -11,10 +11,9 @@ use crate::detector::Photodetector;
 use crate::noise::NoiseModel;
 use crate::units::PowerMw;
 use crate::waveguide::{Splitter, Waveguide};
-use serde::{Deserialize, Serialize};
 
 /// The loss chain from one laser to one row's detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkBudget {
     /// Laser output per channel.
     pub laser_power: PowerMw,
@@ -35,7 +34,7 @@ pub struct LinkBudget {
 }
 
 /// The analysis result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkReport {
     /// Optical power reaching the detector, per channel.
     pub detected: PowerMw,

@@ -26,10 +26,9 @@
 //! `FSR = λ² / (n_g·L)`.
 
 use crate::units::{AreaUm2, Wavelength};
-use serde::{Deserialize, Serialize};
 
 /// Physical geometry and coupling of a ring resonator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MrrGeometry {
     /// Ring radius in micrometres.
     pub radius_um: f64,
@@ -103,7 +102,7 @@ impl MrrGeometry {
 }
 
 /// Power transmission of the two output ports for one wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortTransfer {
     /// Fraction of input power exiting the through port, in `[0, 1]`.
     pub through: f64,
@@ -120,7 +119,7 @@ impl PortTransfer {
 }
 
 /// An add-drop microring resonator tuned to a specific resonant wavelength.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddDropMrr {
     geometry: MrrGeometry,
     resonance: Wavelength,

@@ -7,10 +7,9 @@
 
 use crate::mrr::AddDropMrr;
 use crate::units::{count, Wavelength};
-use serde::{Deserialize, Serialize};
 
 /// One sampled spectrum point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpectrumPoint {
     /// Probe wavelength in nm.
     pub wavelength_nm: f64,

@@ -10,10 +10,9 @@
 //! `BankOperatingPoint::thermal().tuner_crosstalk` figure comes from.
 
 use crate::units::count;
-use serde::{Deserialize, Serialize};
 
 /// A row of thermal tuners with nearest-region coupling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalTunerArray {
     /// Number of heaters (one per ring).
     pub count: usize,

@@ -14,10 +14,9 @@
 //! live here as a first-class type shared by Trident and the baselines.
 
 use crate::units::{EnergyPj, Nanoseconds, PowerMw};
-use serde::{Deserialize, Serialize};
 
 /// The tuning technology used to program one MRR weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuningMethod {
     /// Resistive micro-heater per ring (DEAP-CNN, PIXEL).
     Thermal,
@@ -42,7 +41,7 @@ pub enum TuningMethod {
 /// assert_eq!(gst.write_energy.value(), 660.0); // pJ, Table I
 /// assert!(!TuningProfile::thermal().supports_training());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningProfile {
     /// Which technology this profile describes.
     pub method: TuningMethod,

@@ -6,7 +6,6 @@
 //! unit errors out of the energy/latency roll-ups; arithmetic is provided
 //! only where it is dimensionally meaningful.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! scalar_unit {
     ($(#[$doc:meta])* $name:ident, $suffix:expr) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -433,7 +432,7 @@ impl AreaUm2 {
 /// Kept distinct from the scalar units because wavelengths are *labels*
 /// (channel identities) as much as quantities: adding two wavelengths is
 /// meaningless, but detuning (difference) is used by the resonator physics.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Wavelength(f64);
 
 impl Wavelength {

@@ -8,10 +8,9 @@
 
 use crate::units::{count, Nanoseconds};
 use crate::wdm::WdmSignal;
-use serde::{Deserialize, Serialize};
 
 /// A straight routing waveguide segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waveguide {
     /// Physical length in micrometres.
     pub length_um: f64,
@@ -48,7 +47,7 @@ impl Waveguide {
 }
 
 /// A 1×N power splitter distributing one waveguide to N branches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Splitter {
     /// Number of output branches.
     pub branches: usize,

@@ -7,11 +7,10 @@
 
 use crate::units::{count, index_clamped, PowerMw, Wavelength};
 use crate::MIN_CHANNEL_SPACING_NM;
-use serde::{Deserialize, Serialize};
 
 /// A fixed channel plan: `count` wavelengths spaced `spacing_nm` apart,
 /// starting at `anchor`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WdmGrid {
     anchor: Wavelength,
     spacing_nm: f64,
@@ -90,7 +89,7 @@ impl WdmGrid {
 /// Power is non-negative by construction; analog values are encoded as a
 /// fraction of a channel's full-scale power by the modulators in
 /// [`crate::laser`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WdmSignal {
     powers: Vec<PowerMw>,
 }

@@ -7,6 +7,7 @@
 //! at any thread count, with tracing on or off.
 
 pub use crate::fleet::ReplicaLedger as ReplicaReport;
+use trident_obs::export::json_string;
 use trident_obs::hist::HistSnapshot;
 
 /// The outcome of one serving scenario.
@@ -84,9 +85,9 @@ impl ServeReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        s.push_str(&format!("  \"scenario\": \"{}\",\n", escape(&self.scenario)));
+        s.push_str(&format!("  \"scenario\": {},\n", json_string(&self.scenario)));
         s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"sharding\": \"{}\",\n", self.sharding));
+        s.push_str(&format!("  \"sharding\": {},\n", json_string(self.sharding)));
         s.push_str(&format!("  \"offered\": {},\n", self.offered));
         s.push_str(&format!("  \"shed\": {},\n", self.shed));
         s.push_str(&format!("  \"served\": {},\n", self.served));
@@ -124,21 +125,6 @@ impl ServeReport {
         s.push_str("  ]\n}\n");
         s
     }
-}
-
-/// Minimal JSON string escaping (labels are plain ASCII in practice).
-fn escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -200,7 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn scenario_label_is_escaped() {
+        let mut r = tiny_report();
+        r.scenario = "burst \"x4\"\tlate".to_string();
+        let a = r.to_json();
+        assert!(a.contains(r#""scenario": "burst \"x4\"\tlate","#), "label not escaped in:\n{a}");
     }
 }

@@ -17,10 +17,9 @@
 use crate::layer::LayerSpec;
 use crate::model::ModelSpec;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// PE-array geometry a workload is mapped onto.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataflowModel {
     /// Weight-bank rows per PE (J).
     pub bank_rows: usize,
@@ -101,7 +100,7 @@ impl DataflowModel {
 }
 
 /// Cost counters for one layer under the mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerMapping {
     /// Layer name from the model spec.
     pub layer_name: String,
@@ -126,7 +125,7 @@ pub struct LayerMapping {
 }
 
 /// A whole model's mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelMapping {
     /// Model name.
     pub model_name: String,

@@ -1,9 +1,7 @@
 //! Typed layer specifications and shape arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 /// A `channels × height × width` activation shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorShape {
     /// Channel count.
     pub c: usize,
@@ -31,7 +29,7 @@ impl TensorShape {
 }
 
 /// What a layer does, with the parameters that decide its cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LayerKind {
     /// 2-D convolution.
     Conv2d {
@@ -97,7 +95,7 @@ pub enum LayerKind {
 }
 
 /// One layer instance: its kind plus the input shape it sees.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Human-readable layer name (unique within a model).
     pub name: String,
@@ -230,7 +228,7 @@ impl LayerSpec {
 }
 
 /// A MAC layer lowered to matrix form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GemmView {
     /// Weight-matrix rows per group (output channels / features).
     pub rows: usize,

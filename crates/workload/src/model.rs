@@ -2,7 +2,6 @@
 
 use crate::error::WorkloadError;
 use crate::layer::{LayerKind, LayerSpec, TensorShape};
-use serde::{Deserialize, Serialize};
 
 /// A network topology: an ordered list of layers with consistent shapes.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `Concat`). This loses nothing for cost analysis — MACs, parameters and
 /// activation traffic are per-layer quantities — and matches how Maestro
 /// consumes networks (a list of per-layer descriptors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Model name as used in the paper's figures.
     pub name: String,
@@ -74,7 +73,7 @@ impl ModelSpec {
     /// Validate structural sanity: non-empty, unique layer names, and
     /// positive shapes everywhere. Returns a typed [`WorkloadError`] naming
     /// the offender on failure (the builders uphold these by construction;
-    /// this guards hand-assembled or deserialized specs).
+    /// this guards hand-assembled specs).
     pub fn validate(&self) -> Result<(), WorkloadError> {
         if self.layers.is_empty() {
             return Err(WorkloadError::EmptyModel { model: self.name.clone() });

@@ -29,6 +29,7 @@ use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::arch::{PhotonicCnn, PhotonicMlp};
 use trident::experiments as ex;
 use trident::nn::data::synthetic_digits;
+use trident::obs::export::json_string;
 use trident::pcm::stat::StatParams;
 use trident::workload::dataflow::DataflowModel;
 use trident::workload::zoo;
@@ -138,9 +139,13 @@ fn table4_json() -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\": \"{}\", \"tops\": {:?}, \"watts\": {:?}, \
+                "    {{\"name\": {}, \"tops\": {:?}, \"watts\": {:?}, \
                  \"tops_per_watt\": {:?}, \"supports_training\": {}}}",
-                r.name, r.tops, r.watts, r.tops_per_watt, r.supports_training
+                json_string(&r.name),
+                r.tops,
+                r.watts,
+                r.tops_per_watt,
+                r.supports_training
             )
         })
         .collect();
@@ -156,9 +161,12 @@ fn table5_json() -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"model\": \"{}\", \"xavier_seconds\": {:?}, \
+                "    {{\"model\": {}, \"xavier_seconds\": {:?}, \
                  \"trident_seconds\": {:?}, \"percent_change\": {:?}}}",
-                r.model, r.xavier_seconds, r.trident_seconds, r.percent_change
+                json_string(&r.model),
+                r.xavier_seconds,
+                r.trident_seconds,
+                r.percent_change
             )
         })
         .collect();
@@ -186,9 +194,9 @@ fn dataflow_json() -> String {
         .map(|model| {
             let m = dataflow.map_model(model);
             format!(
-                "    {{\"model\": \"{}\", \"layers\": {}, \"total_macs\": {}, \
+                "    {{\"model\": {}, \"layers\": {}, \"total_macs\": {}, \
                  \"total_tiles\": {}, \"total_passes\": {}, \"total_weight_writes\": {}}}",
-                m.model_name,
+                json_string(&m.model_name),
                 m.layers.len(),
                 m.total_macs(),
                 m.total_tiles(),
@@ -289,8 +297,9 @@ fn weight_digest<'a>(layers: impl IntoIterator<Item = &'a [f64]>) -> String {
 
 fn training_row(path: &str, losses: &[f64], digest: &str, ledgers: [f64; 3]) -> String {
     let [total, programming, elapsed] = ledgers.map(f64::to_bits);
+    let (path, digest) = (json_string(path), json_string(digest));
     format!(
-        "    {{\"path\": \"{path}\", \"losses\": {losses:?}, \"weights\": \"{digest}\", \
+        "    {{\"path\": {path}, \"losses\": {losses:?}, \"weights\": {digest}, \
          \"total_energy_bits\": {total}, \"programming_energy_bits\": {programming}, \
          \"elapsed_bits\": {elapsed}}}"
     )
@@ -354,9 +363,14 @@ fn transformer_perf_json() -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"model\": \"{}\", \"gmacs\": {:?}, \"mparams\": {:?}, \
+                "    {{\"model\": {}, \"gmacs\": {:?}, \"mparams\": {:?}, \
                  \"latency_ms\": {:?}, \"energy_mj\": {:?}, \"inf_per_s\": {:?}}}",
-                r.model, r.gmacs, r.mparams, r.latency_ms, r.energy_mj, r.inf_per_s
+                json_string(&r.model),
+                r.gmacs,
+                r.mparams,
+                r.latency_ms,
+                r.energy_mj,
+                r.inf_per_s
             )
         })
         .collect();
@@ -396,15 +410,17 @@ fn transformer_seq(d_model: usize, tokens: usize, seed: u64) -> Vec<f64> {
 
 /// The digests, ledger bits and KV tallies of one transformer row.
 fn transformer_row(label: &str, digests: &[(String, String)], tx: &PhotonicTransformer) -> String {
-    let digests: Vec<String> = digests.iter().map(|(k, v)| format!("\"{k}\": \"{v}\"")).collect();
+    let digests: Vec<String> =
+        digests.iter().map(|(k, v)| format!("{}: {}", json_string(k), json_string(v))).collect();
     let ledger: Vec<String> = tx
         .energy_ledger()
         .iter()
-        .map(|(item, pj)| format!("\"{item}\": {}", pj.value().to_bits()))
+        .map(|(item, pj)| format!("{}: {}", json_string(item), pj.value().to_bits()))
         .collect();
     format!(
-        "    {{\"model\": \"{label}\", \"digests\": {{{}}}, \"total_energy_bits\": {}, \
+        "    {{\"model\": {}, \"digests\": {{{}}}, \"total_energy_bits\": {}, \
          \"elapsed_bits\": {}, \"kv_writes\": {}, \"kv_reads\": {}, \"ledger\": {{{}}}}}",
+        json_string(label),
         digests.join(", "),
         tx.total_energy().value().to_bits(),
         tx.total_elapsed().value().to_bits(),
