@@ -53,16 +53,16 @@
 //! per parameter set, not once per bank.
 
 use crate::error::ArchError;
-use rand::rngs::StdRng;
 use std::sync::Arc;
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
-use trident_pcm::stat::{seeded_gaussian, DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
+use trident_pcm::stat::{DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
 use trident_pcm::weight::{PcmMrr, WeightLut};
 use trident_pcm::PcmError;
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry};
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
 use trident_photonics::wdm::WdmGrid;
+use trident_streams::{member_identity, seeded_gaussian, STREAM_DEVICE_RESONANCE};
 
 /// Spare rings fabricated alongside each row for wear-leveling remap
 /// (12.5% redundancy on the paper's 16-wide banks).
@@ -132,6 +132,15 @@ pub struct WeightBank {
     spares: Vec<usize>,
     /// Faulty/worn cells replaced by a spare so far.
     remapped: u64,
+    /// The bank's device identity, unique within its chip and fixed at
+    /// construction: it addresses the fabrication offsets, the fault
+    /// sampling, and (through [`member_identity`]) every cell's
+    /// write-verify jitter.
+    identity: u64,
+    /// Device identity of the physical cell at each slot: ring `i` of
+    /// the original bank is member `i` of the bank's identity, the `n`-th
+    /// spare remapped in is member `rows·cols + n`.
+    cell_identity: Vec<u64>,
     /// Whether the rings carry fabrication variation, so each needs its
     /// own detuning row in `half_sin`.
     varied: bool,
@@ -207,31 +216,33 @@ impl WeightBank {
     /// so deployed weights land slightly wrong — the §I mismatch between
     /// digitally trained and physically implemented weights that
     /// motivates unified in-situ training.
+    ///
+    /// `identity` is the bank's device identity (unique within its
+    /// chip): ring `i`'s offset is draw `i` of its resonance stream.
     pub fn new_varied(
         rows: usize,
         cols: usize,
         params: GstParameters,
         resonance_sigma_nm: f64,
-        variation_seed: u64,
+        identity: u64,
     ) -> Self {
         assert!(rows >= 1 && cols >= 1, "bank needs at least one ring");
         assert!(resonance_sigma_nm >= 0.0, "sigma cannot be negative");
         let grid = WdmGrid::c_band(cols);
         let geometry = MrrGeometry::weight_bank();
         let lut = WeightLut::shared(&params);
-        let mut noise = trident_photonics::noise::NoiseModel::seeded(variation_seed);
-        let mut rings = Vec::with_capacity(rows * cols);
-        for _r in 0..rows {
-            for c in 0..cols {
+        let rings = (0..rows * cols)
+            .map(|i| {
                 let offset = if resonance_sigma_nm > 0.0 {
-                    noise.gaussian() * resonance_sigma_nm
+                    seeded_gaussian(identity, STREAM_DEVICE_RESONANCE, i as u64)
+                        * resonance_sigma_nm
                 } else {
                     0.0
                 };
-                let resonance = grid.channel(c).shifted_nm(offset);
-                rings.push(PcmMrr::new(AddDropMrr::new(geometry, resonance), params));
-            }
-        }
+                let resonance = grid.channel(i % cols).shifted_nm(offset);
+                PcmMrr::new(AddDropMrr::new(geometry, resonance), params)
+            })
+            .collect();
         let varied = resonance_sigma_nm > 0.0;
         let tabled_rings = if varied { rows * cols } else { cols };
         let mut bank = Self {
@@ -245,6 +256,8 @@ impl WeightBank {
             masked: vec![false; rows * cols],
             spares: vec![DEFAULT_SPARES_PER_ROW; rows],
             remapped: 0,
+            identity,
+            cell_identity: (0..rows * cols).map(|i| member_identity(identity, i as u64)).collect(),
             varied,
             half_sin: vec![0.0; tabled_rings * cols],
             held: vec![UNHELD; rows * cols],
@@ -458,7 +471,6 @@ impl WeightBank {
         &mut self,
         weights: &[f64],
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
     ) -> Result<ProgramReport, ArchError> {
         if weights.len() != self.rows * self.cols {
             return Err(ArchError::ShapeMismatch {
@@ -508,7 +520,7 @@ impl WeightBank {
                         continue;
                     }
                 }
-                match self.write_slot_verified(r, c, w, policy, rng, &mut report) {
+                match self.write_slot_verified(r, c, w, policy, &mut report) {
                     Ok(wrote) => dirty |= wrote,
                     Err(e) => return Err(e),
                 }
@@ -535,7 +547,6 @@ impl WeightBank {
         c: usize,
         w: f64,
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
         report: &mut ProgramReport,
     ) -> Result<bool, ArchError> {
         let idx = r * self.cols + c;
@@ -544,7 +555,8 @@ impl WeightBank {
         self.forget(idx);
         let mut remapped_retry = false;
         loop {
-            match self.rings[idx].set_weight_verified(w, &self.lut, policy, rng) {
+            let cell = self.cell_identity[idx];
+            match self.rings[idx].set_weight_verified(w, &self.lut, policy, cell) {
                 Ok(wr) => {
                     report.energy += wr.energy;
                     if wr.time.value() > report.time.value() {
@@ -591,10 +603,12 @@ impl WeightBank {
             return Err(ArchError::SparesExhausted { row: r, col: c });
         }
         self.spares[r] -= 1;
-        self.remapped += 1;
         let idx = r * self.cols + c;
+        let spare = (self.rows * self.cols) as u64 + self.remapped;
+        self.remapped += 1;
         self.rings[idx] =
             PcmMrr::new(AddDropMrr::new(self.geometry, self.grid.channel(c)), self.params);
+        self.cell_identity[idx] = member_identity(self.identity, spare);
         self.masked[idx] = false;
         self.forget(idx);
         // A nominal spare resonates exactly where the unvaried bank's
@@ -813,6 +827,11 @@ impl WeightBank {
         }
     }
 
+    /// The hard fault of the cell at `(r, c)`, if any.
+    pub fn fault(&self, r: usize, c: usize) -> Option<GstFault> {
+        self.ring(r, c).fault()
+    }
+
     /// Whether the slot at `(r, c)` has been masked out.
     pub fn is_masked(&self, r: usize, c: usize) -> bool {
         self.masked[r * self.cols + c]
@@ -839,6 +858,11 @@ impl WeightBank {
     /// Faulty or worn cells replaced by spares so far.
     pub fn remapped_count(&self) -> u64 {
         self.remapped
+    }
+
+    /// The bank's device identity (see [`WeightBank::new_varied`]).
+    pub fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// Writes rejected by stuck cells or failed by verify, summed over
@@ -1265,13 +1289,10 @@ mod tests {
 
     // ---- fault-aware programming and graceful degradation ----
 
-    use rand::SeedableRng;
     use trident_pcm::PcmError;
 
-    fn verified_program(b: &mut WeightBank, w: &[f64], seed: u64) -> ProgramReport {
-        let policy = WriteVerifyPolicy::default();
-        let mut rng = StdRng::seed_from_u64(seed);
-        b.try_program_verified(w, &policy, &mut rng).expect("shape is valid")
+    fn verified_program(b: &mut WeightBank, w: &[f64]) -> ProgramReport {
+        b.try_program_verified(w, &WriteVerifyPolicy::default()).expect("shape is valid")
     }
 
     #[test]
@@ -1286,7 +1307,7 @@ mod tests {
         ];
         program(&mut ideal, &w);
         let flat: Vec<f64> = w.iter().flatten().copied().collect();
-        let report = verified_program(&mut verified, &flat, 3);
+        let report = verified_program(&mut verified, &flat);
         // Every cell except those already at their target level (a fresh
         // cell is amorphous = level 0, i.e. w = +1) costs write pulses.
         assert!(report.cells_written >= 15, "wrote {}", report.cells_written);
@@ -1315,9 +1336,7 @@ mod tests {
     #[test]
     fn verified_program_rejects_wrong_shape_with_typed_error() {
         let mut b = bank4();
-        let policy = WriteVerifyPolicy::default();
-        let mut rng = StdRng::seed_from_u64(0);
-        let err = b.try_program_verified(&[0.0; 7], &policy, &mut rng).unwrap_err();
+        let err = b.try_program_verified(&[0.0; 7], &WriteVerifyPolicy::default()).unwrap_err();
         assert!(matches!(err, ArchError::ShapeMismatch { expected: 16, got: 7 }));
     }
 
@@ -1326,7 +1345,7 @@ mod tests {
         let mut b = bank4();
         b.inject_ring_fault(1, 2, GstFault::StuckAmorphous);
         let w: Vec<f64> = (0..16).map(|i| (i as f64) / 16.0 - 0.5).collect();
-        let report = verified_program(&mut b, &w, 7);
+        let report = verified_program(&mut b, &w);
         assert_eq!(report.remapped, 1, "the stuck cell must move to a spare");
         assert_eq!(report.masked, 0);
         assert_eq!(b.spares_remaining(1), DEFAULT_SPARES_PER_ROW - 1);
@@ -1341,7 +1360,7 @@ mod tests {
         b.set_spares_per_row(0);
         b.inject_ring_fault(0, 1, GstFault::StuckCrystalline);
         let w = vec![0.5; 16];
-        let report = verified_program(&mut b, &w, 5);
+        let report = verified_program(&mut b, &w);
         assert_eq!(report.remapped, 0);
         assert_eq!(report.masked, 1);
         assert_eq!(report.failures.len(), 1);
@@ -1357,7 +1376,7 @@ mod tests {
         // ...while healthy rows still see the channel.
         assert!((y[1] - 0.5).abs() < 0.05, "row 1 should read 0.5, got {}", y[1]);
         // Reprogramming skips the dead slot without failing.
-        let report = verified_program(&mut b, &w, 6);
+        let report = verified_program(&mut b, &w);
         assert!(report.failures.is_empty());
     }
 
@@ -1371,7 +1390,7 @@ mod tests {
         let wb = vec![-0.5, 0.5, -0.25, 0.25];
         for i in 0..30 {
             let w = if i % 2 == 0 { &wa } else { &wb };
-            verified_program(&mut b, w, 100 + i as u64);
+            verified_program(&mut b, w);
         }
         // The hard invariant: no cell — original or spare — is ever
         // programmed past its rated endurance; worn cells retire to
@@ -1424,6 +1443,7 @@ mod tests {
 mod equivalence_tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// Ring `idx`'s `(drop, through)` on channel `j`, straight from the
@@ -1571,7 +1591,7 @@ mod equivalence_tests {
                 *last = weights(&mut rng, n);
                 let policy = WriteVerifyPolicy::default();
                 forget(b);
-                let report = b.try_program_verified(last, &policy, &mut rng).expect("valid shape");
+                let report = b.try_program_verified(last, &policy).expect("valid shape");
                 Returned::Verified(format!("{report:?}"))
             }
             3 => {
@@ -1761,7 +1781,7 @@ mod equivalence_tests {
                 b.inject_ring_fault(r, c, stuck(rng));
                 let policy = WriteVerifyPolicy::default();
                 let w = weights(rng, n);
-                b.try_program_verified(&w, &policy, rng).expect("valid shape");
+                b.try_program_verified(&w, &policy).expect("valid shape");
             }
             2 => b.mask_ring(r, c),
             3 => b.inject_ring_fault(r, c, stuck(rng)),

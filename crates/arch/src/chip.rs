@@ -11,12 +11,13 @@ use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
 use crate::tile::TileGemm;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, WriteVerifyPolicy};
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
+use trident_streams::{
+    member_identity, seeded_u64, unit_open, STREAM_DEVICE_DEAD, STREAM_DEVICE_STUCK,
+};
 
 /// The tile grids of one model, in construction order, plus its digital
 /// side and weight-write path.
@@ -26,8 +27,6 @@ pub struct Chip {
     pub(crate) ldsu: Ldsu,
     /// Set by [`Chip::inject_faults`]: writes then run closed-loop.
     fault_tolerant_writes: bool,
-    /// Pulse-jitter stream of the closed-loop writes.
-    write_rng: StdRng,
 }
 
 /// The chip's digital side — cross-tile partial-sum adds and the
@@ -40,15 +39,11 @@ pub(crate) struct Ldsu {
 }
 
 impl Chip {
-    /// A healthy chip around `grids`; its write jitter derives from the
-    /// engine's weight `seed`.
-    pub(crate) fn new(grids: Vec<TileGemm>, seed: u64) -> Self {
-        Self {
-            grids,
-            ldsu: Ldsu::default(),
-            fault_tolerant_writes: false,
-            write_rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-        }
+    /// A healthy chip around `grids`. Every bank's device identity must
+    /// be unique within the chip: it addresses the bank's fault sampling
+    /// and write jitter.
+    pub(crate) fn new(grids: Vec<TileGemm>) -> Self {
+        Self { grids, ldsu: Ldsu::default(), fault_tolerant_writes: false }
     }
 
     /// Append `gemm` as the chip's next grid; returns its index.
@@ -109,7 +104,7 @@ impl Chip {
     pub(crate) fn program(&mut self, g: usize, w: &[f64]) -> Result<(), ArchError> {
         if self.fault_tolerant_writes {
             let policy = WriteVerifyPolicy::default();
-            self.grids[g].program_verified(w, &policy, &mut self.write_rng)
+            self.grids[g].program_verified(w, &policy)
         } else {
             self.grids[g].program(w);
             Ok(())
@@ -119,10 +114,14 @@ impl Chip {
     /// Inject a sampled fault population into every PE and switch writes
     /// to the closed-loop path. Deterministic in `plan.seed`; an
     /// out-of-range plan (see [`FaultPlan::validate`]) touches nothing.
+    ///
+    /// Ring `i` of a bank is stuck or dead by draw `i` of two streams
+    /// addressed by the plan's seed and the bank's device identity, so
+    /// a bank's faults do not depend on the size or order of the other
+    /// banks on the chip.
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<FaultReport, ArchError> {
         plan.validate()?;
         let _span = obs::span("engine.inject_faults");
-        let mut rng = StdRng::seed_from_u64(plan.seed);
         let mut report = FaultReport {
             laser_droop: plan.laser_droop,
             drift_years: plan.drift_years,
@@ -134,10 +133,12 @@ impl Chip {
             }
             let (rows, cols) = (pe.rows(), pe.cols());
             let bank = pe.bank_mut();
+            let seed = member_identity(plan.seed, bank.identity());
             for r in 0..rows {
                 for c in 0..cols {
                     report.total_rings += 1;
-                    let u: f64 = rng.gen_range(0.0..1.0);
+                    let ring = (r * cols + c) as u64;
+                    let u = unit_open(seeded_u64(seed, STREAM_DEVICE_STUCK, ring));
                     if u < plan.stuck_amorphous {
                         bank.inject_ring_fault(r, c, GstFault::StuckAmorphous);
                         report.stuck_amorphous += 1;
@@ -145,7 +146,7 @@ impl Chip {
                         bank.inject_ring_fault(r, c, GstFault::StuckCrystalline);
                         report.stuck_crystalline += 1;
                     }
-                    if plan.dead_rings > 0.0 && rng.gen_bool(plan.dead_rings) {
+                    if unit_open(seeded_u64(seed, STREAM_DEVICE_DEAD, ring)) < plan.dead_rings {
                         bank.mask_ring(r, c);
                         report.dead_rings += 1;
                     }
@@ -256,6 +257,7 @@ mod tests {
     use crate::faults::{FaultPlan, FaultReport};
     use crate::transformer::{PhotonicTransformer, TransformerConfig};
     use crate::Chip;
+    use trident_pcm::gst::GstFault;
     use trident_pcm::stat::StatParams;
     use trident_photonics::units::Hours;
 
@@ -341,6 +343,64 @@ mod tests {
         let mlp = || PhotonicMlp::try_with_options(&[64, 16, 10], EngineOptions::default());
         let want = mlp().unwrap().try_forward(&dark).unwrap();
         assert_eq!(bits(&mlp().unwrap().try_forward(&negative).unwrap()), bits(&want));
+    }
+
+    /// Per-ring `(fault, masked)` of every bank in grid `g`.
+    fn ring_faults(chip: &Chip, g: usize) -> Vec<(Option<GstFault>, bool)> {
+        let banks = chip.grids[g].pes().iter().map(|pe| pe.bank());
+        banks
+            .flat_map(|b| {
+                let rings = (0..b.rows()).flat_map(move |r| (0..b.cols()).map(move |c| (r, c)));
+                rings.map(move |(r, c)| (b.fault(r, c), b.is_masked(r, c)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_banks_faults_do_not_depend_on_the_banks_before_it() {
+        // Layer 1 is 16 → 10 in both nets and built from the same
+        // options, so it has the same bank identity; layer 0 differs.
+        let plan = FaultPlan { dead_rings: 0.05, ..FaultPlan::stuck_cells(0.1, 4) };
+        let faults = |dims: &[usize]| {
+            let mut mlp = PhotonicMlp::try_with_options(dims, EngineOptions::default()).unwrap();
+            mlp.chip_mut().inject_faults(&plan).unwrap();
+            ring_faults(mlp.chip(), 1)
+        };
+        let wide = faults(&[64, 16, 10]);
+        assert!(wide.iter().any(|f| f.0.is_some()) && wide.iter().any(|f| f.1));
+        assert_eq!(wide, faults(&[32, 16, 10]));
+    }
+
+    #[test]
+    fn a_banks_write_jitter_does_not_depend_on_other_writes() {
+        // Per bank of layer 1: (write pulses, write energy bits) of one
+        // closed-loop program, after an optional layer-0 reprogram.
+        let layer1_writes = |reprogram_layer0: bool| {
+            let opts = EngineOptions { variation_seed: 3, ..EngineOptions::default() };
+            let mut mlp = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
+            mlp.chip_mut().inject_faults(&FaultPlan::stuck_cells(0.05, 8)).unwrap();
+            let chip = mlp.chip_mut();
+            if reprogram_layer0 {
+                let w0: Vec<f64> = (0..16 * 64).map(|i| (i % 11) as f64 / 5.5 - 1.0).collect();
+                chip.program(0, &w0).unwrap();
+            }
+            let before: Vec<(u64, f64)> = chip.grids[1]
+                .pes()
+                .iter()
+                .map(|pe| (pe.bank().ring_writes(), pe.energy().get("gst write").value()))
+                .collect();
+            let w1: Vec<f64> = (0..10 * 16).map(|i| (i % 7) as f64 / 3.5 - 1.0).collect();
+            chip.program(1, &w1).unwrap();
+            let pes = chip.grids[1].pes().iter().zip(before);
+            let delta = pes.map(|(pe, (writes, pj))| {
+                let spent = pe.energy().get("gst write").value() - pj;
+                (pe.bank().ring_writes() - writes, spent.to_bits())
+            });
+            delta.collect::<Vec<_>>()
+        };
+        let alone = layer1_writes(false);
+        assert!(alone.iter().all(|&(pulses, _)| pulses > 0));
+        assert_eq!(alone, layer1_writes(true));
     }
 
     /// Psum charges on `chip` so far (0.1 pJ each).

@@ -26,10 +26,11 @@
 use crate::chip::Chip;
 use crate::engine::PhotonicMlp;
 use crate::error::ArchError;
-use crate::tile::TileGemm;
+use crate::tile::{PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_photonics::units::EnergyPj;
+use trident_streams::bank_identity;
 
 /// Fixed random feedback banks for a network's hidden layers.
 pub struct DfaFeedback {
@@ -53,12 +54,15 @@ impl DfaFeedback {
             let limit = (1.0 / classes as f64).sqrt();
             let b: Vec<f64> =
                 (0..hidden * classes).map(|_| rng.gen_range(-limit..limit)).collect();
-            let mut bank = TileGemm::new(hidden, classes);
+            let mut bank = TileGemm::with_pes(hidden, classes, |t| PeSpec {
+                identity: bank_identity(seed, k, t),
+                ..PeSpec::default()
+            });
             bank.program(&b);
             matrices.push(b);
             banks.push(bank);
         }
-        Self { matrices, chip: Chip::new(banks, seed) }
+        Self { matrices, chip: Chip::new(banks) }
     }
 
     /// Number of hidden layers covered.

@@ -244,10 +244,10 @@ impl PhotonicMlp {
             grids.push(TileGemm::with_pes(out, inp, |t| PeSpec {
                 noise_seed: noise_seed.map(|s| bank_identity(s, k, t)),
                 resonance_sigma_nm,
-                variation_seed: bank_identity(variation_seed, k, t),
+                identity: bank_identity(variation_seed, k, t),
                 // Per-bank identity mixed into the master seed, the same
-                // (k, t) convention the receiver-noise and variation
-                // draws use (trident-streams owns the derivation
+                // (k, t) convention the receiver-noise and device
+                // identities use (trident-streams owns the derivation
                 // arithmetic).
                 stat: stat.map(|params| (params, bank_identity(params.seed, k, t))),
             }));
@@ -261,7 +261,7 @@ impl PhotonicMlp {
             dims: dims.to_vec(),
             layers,
             weights,
-            chip: Chip::new(grids, seed),
+            chip: Chip::new(grids),
             weight_bits,
             tape,
             outputs: Vec::new(),

@@ -25,15 +25,15 @@
 
 use crate::bank::{ProgramReport, WeightBank};
 use crate::error::ArchError;
-use rand::rngs::StdRng;
 use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
 use trident_pcm::gst::{GstParameters, WriteVerifyPolicy, PULSE_WINDOW};
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::laser::EoModulator;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::noise::NoiseModel;
-use trident_photonics::units::{EnergyPj, Nanoseconds};
+use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 use trident_obs as obs;
+use trident_streams::{seeded_gaussian, STREAM_RECEIVER_NOISE};
 
 /// The three Table II operating modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +107,11 @@ pub struct ProcessingElement {
     bank: WeightBank,
     activations: Vec<GstActivationCell>,
     modulator: EoModulator,
-    noise: NoiseModel,
+    /// Receiver-noise seed (`None` = ideal detectors); row readout `n`
+    /// of this PE draws sample `n` of its receiver stream.
+    noise_seed: Option<u64>,
+    /// Row readouts that have drawn receiver noise so far.
+    noise_draws: u64,
     energy: EnergyLedger,
     elapsed: Nanoseconds,
     /// Fractional loss of input laser power (0 = healthy source). An aged
@@ -129,21 +133,21 @@ impl ProcessingElement {
     }
 
     /// Build a PE whose rings carry fabrication variation (Gaussian
-    /// resonance offsets of `resonance_sigma_nm`; see
-    /// [`WeightBank::new_varied`]).
+    /// resonance offsets of `resonance_sigma_nm`) around a bank with
+    /// device identity `identity` (see [`WeightBank::new_varied`]).
     pub fn with_variation(
         rows: usize,
         cols: usize,
         noise_seed: Option<u64>,
         resonance_sigma_nm: f64,
-        variation_seed: u64,
+        identity: u64,
     ) -> Self {
         let bank = WeightBank::new_varied(
             rows,
             cols,
             GstParameters::default(),
             resonance_sigma_nm,
-            variation_seed,
+            identity,
         );
         let modulator = EoModulator::for_grid(bank.grid());
         Self {
@@ -153,7 +157,8 @@ impl ProcessingElement {
                 rows
             ],
             modulator,
-            noise: noise_seed.map_or_else(NoiseModel::disabled, NoiseModel::seeded),
+            noise_seed,
+            noise_draws: 0,
             energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
@@ -203,9 +208,8 @@ impl ProcessingElement {
         &mut self,
         weights: &[f64],
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
     ) -> Result<ProgramReport, ArchError> {
-        let report = self.bank.try_program_verified(weights, policy, rng)?;
+        let report = self.bank.try_program_verified(weights, policy)?;
         self.charge_write(report.energy, report.time);
         obs::add(obs::Counter::FaultRemapEvents, report.remapped as u64);
         obs::add(obs::Counter::FaultMaskEvents, report.masked as u64);
@@ -242,13 +246,17 @@ impl ProcessingElement {
                 *v *= 1.0 - self.laser_droop;
             }
         }
-        // Receiver noise: convert current noise to normalized units via
-        // the 1 mW full-scale channel power and the LUT scale.
-        let total_power = trident_photonics::units::PowerMw(x.iter().sum::<f64>());
-        let denom = self.bank.lut().scale();
-        for v in y {
-            let n = self.noise.receiver_current_noise_ma(total_power);
-            *v += n / denom;
+        // Receiver noise, one draw per row: convert current noise to
+        // normalized units via the 1 mW full-scale channel power and the
+        // LUT scale.
+        if let Some(seed) = self.noise_seed {
+            let sigma = NoiseModel::default().total_rms_ma(PowerMw(x.iter().sum::<f64>()));
+            let denom = self.bank.lut().scale();
+            for v in y {
+                let n = seeded_gaussian(seed, STREAM_RECEIVER_NOISE, self.noise_draws) * sigma;
+                self.noise_draws += 1;
+                *v += n / denom;
+            }
         }
         self.charge_symbol(x.len());
     }

@@ -20,7 +20,6 @@
 
 use crate::error::ArchError;
 use crate::pe::ProcessingElement;
-use rand::rngs::StdRng;
 use trident_pcm::gst::WriteVerifyPolicy;
 use trident_pcm::stat::StatParams;
 use trident_photonics::units::EnergyPj;
@@ -36,8 +35,9 @@ pub(crate) struct PeSpec {
     pub noise_seed: Option<u64>,
     /// Per-ring Gaussian resonance offset σ (nm).
     pub resonance_sigma_nm: f64,
-    /// Fabrication-variation draw seed.
-    pub variation_seed: u64,
+    /// The bank's device identity, unique within its chip: it addresses
+    /// the fabrication offsets, fault sampling and write-verify jitter.
+    pub identity: u64,
     /// Statistical device layer and this bank's identity seed.
     pub stat: Option<(StatParams, u64)>,
 }
@@ -54,11 +54,6 @@ pub(crate) struct TileGemm {
 }
 
 impl TileGemm {
-    /// A grid of ideal PEs for an `out × in` matrix.
-    pub(crate) fn new(out: usize, inp: usize) -> Self {
-        Self::with_pes(out, inp, |_| PeSpec::default())
-    }
-
     /// A grid whose tile `t` (row-major) is built from `spec(t)`, called
     /// once per tile in tile order.
     pub(crate) fn with_pes(out: usize, inp: usize, mut spec: impl FnMut(usize) -> PeSpec) -> Self {
@@ -70,7 +65,7 @@ impl TileGemm {
                     TILE,
                     s.noise_seed,
                     s.resonance_sigma_nm,
-                    s.variation_seed,
+                    s.identity,
                 );
                 if let Some((params, identity)) = s.stat {
                     pe.bank_mut().enable_stat(params, identity);
@@ -155,12 +150,11 @@ impl TileGemm {
         &mut self,
         w: &[f64],
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
     ) -> Result<(), ArchError> {
         self.transposed = false;
         for t in 0..self.pes.len() {
             let tile = self.tile(w, t);
-            self.pes[t].program_verified(&tile, policy, rng)?;
+            self.pes[t].program_verified(&tile, policy)?;
         }
         Ok(())
     }
@@ -296,7 +290,13 @@ impl TileGemm {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A grid of ideal PEs for an `out × in` matrix.
+    fn ideal(out: usize, inp: usize) -> TileGemm {
+        TileGemm::with_pes(out, inp, |_| PeSpec::default())
+    }
 
     fn noisy(seed: u64) -> impl FnMut(usize) -> PeSpec {
         move |t| PeSpec { noise_seed: Some(seed + t as u64), ..PeSpec::default() }
@@ -412,7 +412,7 @@ mod tests {
     fn transposed_tile_lands_on_reindexed_pe() {
         let (out, inp) = (20, 40);
         let w: Vec<f64> = (0..out * inp).map(|n| (n % 19) as f64 / 9.5 - 1.0).collect();
-        let mut gemm = TileGemm::new(out, inp);
+        let mut gemm = ideal(out, inp);
         gemm.program_transposed(&w);
         let col_tiles = out.div_ceil(TILE);
         for r in 0..inp.div_ceil(TILE) {
@@ -447,7 +447,7 @@ mod tests {
     fn reprogramming_an_unchanged_band_writes_nothing() {
         let (out, inp) = (24, 40);
         let w: Vec<f64> = (0..out * inp).map(|n| (n % 13) as f64 / 6.5 - 1.0).collect();
-        let mut gemm = TileGemm::new(out, inp);
+        let mut gemm = ideal(out, inp);
         gemm.program(&w);
         let written = |g: &TileGemm| g.pes().iter().map(|pe| pe.energy().get("gst write")).sum();
         let before: EnergyPj = written(&gemm);

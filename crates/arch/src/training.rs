@@ -36,11 +36,13 @@ pub const TRAINING_STREAM_PHASES: f64 = 3.0;
 /// Bank retuning sweeps per training step in the analytical model (Wᵀ,
 /// y, restore ×&nbsp;update).
 ///
-/// The functional backward walk no longer makes the restore sweep: it
+/// The restore sweep is an analytical-only term. The functional backward
+/// walk dropped it when training moved to one restore point: it
 /// reprograms `W` only at the Eq. 1 update, so the engines bill one write
-/// event fewer per hidden layer per step than this count. The value stays
-/// 5.0, so Tables IV/V do not move, until the analytical training-time
-/// model is reconciled with the functional walk (ROADMAP item 7).
+/// event fewer per hidden layer per step than this count. The value is
+/// kept at 5.0 so that Table V does not move; ROADMAP item 7 tracks
+/// reconciling this analytical training-time model with the functional
+/// walk.
 pub const TRAINING_RETUNE_SWEEPS: f64 = 5.0;
 
 /// Training-time estimate for one model on Trident.

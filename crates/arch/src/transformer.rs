@@ -492,13 +492,15 @@ impl PhotonicTransformer {
         let d_head = d / cfg.heads;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // Every bank takes the next sequential identity, whether or not
-        // the statistical layer is on.
+        // the statistical layer is on: its device identity and its
+        // statistical seed.
         let mut identity = cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let stat = cfg.stat;
-        let mut chip = Chip::new(Vec::new(), cfg.seed);
+        let mut chip = Chip::new(Vec::new());
         let mut grid = |out_dim: usize, in_dim: usize| {
             TileGemm::with_pes(out_dim, in_dim, |_| {
-                let spec = PeSpec { stat: stat.map(|p| (p, identity)), ..PeSpec::default() };
+                let spec =
+                    PeSpec { identity, stat: stat.map(|p| (p, identity)), ..PeSpec::default() };
                 identity = identity.wrapping_add(1);
                 spec
             })

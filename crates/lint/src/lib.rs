@@ -22,7 +22,8 @@
 //!    the code paths that feed the byte-identical repro outputs.
 //! 6. **stream-*** — RNG stream hygiene ([`stream_rules`]): `STREAM_*`
 //!    ids live in the `trident-streams` registry, are unique per seed
-//!    domain, and mixer call sites pass registered constants.
+//!    domain, mixer call sites pass registered constants, and the
+//!    device model holds no stateful RNG.
 //! 7. **hot-path-alloc** — zero-alloc steady state ([`alloc_rules`]):
 //!    no `vec!`/`Vec::with_capacity`/`.collect()` in functions the call
 //!    graph reaches *forward* from the serving entry points; allocation
@@ -69,6 +70,7 @@ pub const ALL_RULES: &[&str] = &[
     "stream-local-const",
     "stream-dup",
     "stream-nonconst",
+    "stream-stateful-rng",
     "hot-path-alloc",
 ];
 
@@ -209,6 +211,9 @@ pub fn run_filtered(
         det_rules::check_file(rel, tokens, |r| filter.is_enabled(r), &mut all);
         if filter.is_enabled("stream-nonconst") {
             stream_rules::check_call_sites(rel, tokens, &mut all);
+        }
+        if filter.is_enabled("stream-stateful-rng") {
+            stream_rules::check_stateful_rng(rel, tokens, &mut all);
         }
         rules::collect_error_decls(rel, &krate, tokens, &mut enums, &mut impls);
         stream_rules::collect_consts(rel, tokens, &mut consts);

@@ -11,6 +11,7 @@
 //! | `stream-local-const` | a `STREAM_*` const defined outside the registry (`crates/streams/src/lib.rs`) |
 //! | `stream-dup`         | two registered stream consts in the same domain with the same value |
 //! | `stream-nonconst`    | a mixer call whose stream argument is not a `STREAM_*` identifier |
+//! | `stream-stateful-rng`| `StdRng`, `SeedableRng` or `thread_rng` in the device model's non-test code |
 //!
 //! The *domain* of a stream const is the second `_`-segment of its name
 //! (`STREAM_PCM_NU` → `PCM`, `STREAM_TRAFFIC_ARRIVAL` → `TRAFFIC`):
@@ -20,6 +21,13 @@
 //! The forwarding layer — `fn mix`, `fn seeded_u64`,
 //! `fn seeded_gaussian` bodies, where the stream is necessarily a
 //! parameter — is exempt from `stream-nonconst`, as is test code.
+//!
+//! The *device model* — `crates/photonics`, `crates/pcm` and the
+//! weight bank, PE, tile grid and chip of `crates/arch` — draws every
+//! sample counter-addressed by a device identity and that device's own
+//! event index. A stateful RNG there would make one device's noise
+//! depend on how many draws another made first, so
+//! `stream-stateful-rng` rejects one outside test code.
 
 use crate::rules::Finding;
 use crate::scanner::{parse_u64_literal, Token};
@@ -35,6 +43,24 @@ const FORWARDING_FNS: &[&str] = &["mix", "seeded_u64", "seeded_gaussian"];
 /// (argument index 1, zero-based, in every signature).
 const MIXER_FNS: &[&str] = &["mix", "seeded_u64", "seeded_gaussian"];
 const MIXER_STREAM_ARG: usize = 1;
+
+/// The stateful-RNG names `stream-stateful-rng` rejects.
+const STATEFUL_RNG: &[&str] = &["StdRng", "SeedableRng", "thread_rng"];
+
+/// The arch modules that belong to the device model.
+const ARCH_DEVICE_FILES: &[&str] = &[
+    "crates/arch/src/bank.rs",
+    "crates/arch/src/pe.rs",
+    "crates/arch/src/tile.rs",
+    "crates/arch/src/chip.rs",
+];
+
+/// Whether `rel` is a device-model source (see the module docs).
+pub fn is_device_model(rel: &str) -> bool {
+    rel.starts_with("crates/photonics/src/")
+        || rel.starts_with("crates/pcm/src/")
+        || ARCH_DEVICE_FILES.contains(&rel)
+}
 
 /// One `const STREAM_* : u64 = <literal>;` definition site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,6 +199,31 @@ pub fn check_call_sites(rel: &str, tokens: &[Token], findings: &mut Vec<Finding>
                 ),
             });
         }
+    }
+}
+
+/// `stream-stateful-rng`: every non-test mention of a stateful RNG in a
+/// device-model file — an import, a field or parameter type, a
+/// construction or a call.
+pub fn check_stateful_rng(rel: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
+    if !is_device_model(rel) {
+        return;
+    }
+    for t in tokens.iter().filter(|t| !t.in_test) {
+        let Some(word) = t.word().filter(|w| STATEFUL_RNG.contains(w)) else { continue };
+        findings.push(Finding {
+            file: rel.to_string(),
+            line: t.line,
+            rule: "stream-stateful-rng",
+            scope: t.enclosing_fn.clone(),
+            callers: Vec::new(),
+            message: format!(
+                "`{word}` in the device model: address each draw with \
+                 `trident_streams::seeded_gaussian`/`seeded_u64` by device identity, \
+                 registered stream and the device's own event index instead of \
+                 storing or passing RNG state"
+            ),
+        });
     }
 }
 
@@ -318,6 +369,32 @@ mod tests {
         let mut f = Vec::new();
         check_call_sites(REGISTRY_FILE, &toks(src), &mut f);
         assert!(f.is_empty());
+    }
+
+    fn stateful(rel: &str, src: &str) -> Vec<Finding> {
+        let mut f = Vec::new();
+        check_stateful_rng(rel, &toks(src), &mut f);
+        f
+    }
+
+    #[test]
+    fn stateful_rng_is_flagged_in_the_device_model() {
+        let src = "use rand::rngs::StdRng;\nfn f(rng: &mut StdRng) { let _ = thread_rng(); }";
+        for rel in ["crates/pcm/src/gst.rs", "crates/photonics/src/noise.rs", "crates/arch/src/pe.rs"] {
+            let f = stateful(rel, src);
+            assert_eq!(f.len(), 3, "{rel}: {f:?}");
+            assert!(f.iter().all(|f| f.rule == "stream-stateful-rng"));
+            assert_eq!(f[2].scope.as_deref(), Some("f"));
+        }
+    }
+
+    #[test]
+    fn stateful_rng_outside_the_device_model_or_in_tests_is_fine() {
+        let src = "use rand::SeedableRng;\nfn f() { let _ = StdRng::seed_from_u64(1); }";
+        assert!(stateful("crates/arch/src/engine.rs", src).is_empty());
+        assert!(stateful("crates/nn/src/init.rs", src).is_empty());
+        let test = "#[cfg(test)]\nmod tests { use rand::SeedableRng; fn t() { StdRng::seed_from_u64(1); } }";
+        assert!(stateful("crates/arch/src/bank.rs", test).is_empty());
     }
 
     #[test]

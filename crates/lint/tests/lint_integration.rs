@@ -81,6 +81,26 @@ fn dirty_fixture_duplicate_stream_id_names_both_sources() {
 }
 
 #[test]
+fn dirty_fixture_stateful_rng_is_flagged_only_in_the_device_model() {
+    let report = trident_lint::run(&fixture("dirty"), &[]).unwrap();
+    let hits: Vec<_> =
+        report.findings.iter().filter(|f| f.rule == "stream-stateful-rng").collect();
+    let at = |file: &str| hits.iter().filter(|f| f.file == file).count();
+    // In pcm: both imports, the stored field, the construction and the
+    // threaded parameter. In the chip: the `thread_rng` call.
+    assert_eq!(at("crates/pcm/src/jitter.rs"), 5, "{hits:?}");
+    assert_eq!(at("crates/arch/src/chip.rs"), 1, "{hits:?}");
+    // The same idiom in weight init (outside the device model) and in
+    // the pcm fixture's test module is not flagged.
+    assert_eq!(hits.len(), 6, "{hits:?}");
+    let stored = hits
+        .iter()
+        .find(|f| f.scope.as_deref() == Some("new"))
+        .expect("the construction of the stored RNG");
+    assert!(stored.message.contains("StdRng"), "{}", stored.message);
+}
+
+#[test]
 fn dirty_fixture_hot_path_allocs_carry_entry_point_attribution() {
     let report = trident_lint::run(&fixture("dirty"), &[]).unwrap();
     let hits: Vec<_> =
@@ -109,7 +129,10 @@ fn rule_filter_limits_the_run() {
         "only stream rules may fire: {:?}",
         report.findings.iter().map(|f| f.rule).collect::<Vec<_>>()
     );
-    assert_eq!(report.rules_run, ["stream-local-const", "stream-dup", "stream-nonconst"]);
+    assert_eq!(
+        report.rules_run,
+        ["stream-local-const", "stream-dup", "stream-nonconst", "stream-stateful-rng"]
+    );
 }
 
 #[test]
@@ -150,6 +173,16 @@ reason = "fixture"
 [[allow]]
 file = "crates/serve/src/hotpath.rs"
 rules = ["hot-path-alloc"]
+reason = "fixture"
+
+[[allow]]
+file = "crates/pcm/src/jitter.rs"
+rules = ["stream-stateful-rng"]
+reason = "fixture"
+
+[[allow]]
+file = "crates/arch/src/chip.rs"
+rules = ["stream-stateful-rng"]
 reason = "fixture"
 
 [[allow]]

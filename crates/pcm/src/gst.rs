@@ -13,11 +13,10 @@
 //! costs nothing — the property the whole architecture leans on.
 
 use crate::error::PcmError;
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::fmt;
 use trident_photonics::tuning::TuningProfile;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
+use trident_streams::{seeded_gaussian, STREAM_DEVICE_JITTER};
 
 /// Table III's GST pulse window: the power model spreads one read probe's
 /// energy, and one activation reset's, over it.
@@ -291,19 +290,24 @@ impl GstCell {
     ///
     /// Each attempt fires a partial programming pulse (correcting
     /// `policy.pulse_gain` of the remaining error, with stochastic gain
-    /// jitter from `rng`), spends one endurance cycle and an escalating
+    /// jitter), spends one endurance cycle and an escalating
     /// pulse energy, then verifies with a read-back probe. Succeeds once
     /// the read-back is within `tolerance` of the target; fails with
     /// [`PcmError::WriteVerifyFailed`] when `policy.max_attempts` pulses
     /// are exhausted (leaving the cell mid-trajectory, as real hardware
     /// would).
+    ///
+    /// The jitter of a pulse is counter-addressed: `identity` is this
+    /// cell's device identity (unique within its bank) and the draw
+    /// index is the cell's own pulse count, so a cell's jitter never
+    /// depends on what any other cell did.
     pub fn program_verified(
         &mut self,
         level: u16,
         crystallinity: f64,
         tolerance: f64,
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
+        identity: u64,
     ) -> Result<WriteReport, PcmError> {
         if level >= self.params.levels {
             return Err(PcmError::LevelOutOfRange { level, levels: self.params.levels });
@@ -337,7 +341,8 @@ impl GstCell {
             // Partial pulse: corrects a jittered fraction of the remaining
             // error. The clamp keeps pathological jitter draws physical
             // (a pulse never overshoots past the target's far side).
-            let jitter = 1.0 + policy.gain_jitter_sigma * gaussian(rng);
+            let g = seeded_gaussian(identity, STREAM_DEVICE_JITTER, self.writes);
+            let jitter = 1.0 + policy.gain_jitter_sigma * g;
             let gain = (policy.pulse_gain * jitter).clamp(0.05, 0.95);
             self.crystallinity += (crystallinity - self.crystallinity) * gain;
             self.crystallinity = self.crystallinity.clamp(0.0, 1.0);
@@ -463,18 +468,10 @@ impl GstCell {
     }
 }
 
-/// Standard normal draw (Box–Muller) for write-pulse gain jitter.
-fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::error::PcmError;
-    use rand::SeedableRng;
 
     #[test]
     fn default_parameters_match_paper() {
@@ -616,9 +613,8 @@ mod tests {
     #[test]
     fn program_verified_converges_and_accounts_pulses() {
         let mut c = GstCell::with_defaults();
-        let mut rng = StdRng::seed_from_u64(42);
         let policy = WriteVerifyPolicy::default();
-        let report = c.program_verified(127, 0.5, 1e-4, &policy, &mut rng).unwrap();
+        let report = c.program_verified(127, 0.5, 1e-4, &policy, 42).unwrap();
         assert!(report.pulses >= 1 && report.pulses <= policy.max_attempts);
         assert!((c.crystallinity() - 0.5).abs() <= 1e-4);
         assert_eq!(c.level(), 127);
@@ -626,7 +622,7 @@ mod tests {
         assert_eq!(c.read_count() as u32, report.pulses, "one verify read per pulse");
         assert!(report.energy.value() >= report.pulses as f64 * 660.0);
         // Re-verifying the same state is a non-volatile no-op.
-        let again = c.program_verified(127, 0.5, 1e-4, &policy, &mut rng).unwrap();
+        let again = c.program_verified(127, 0.5, 1e-4, &policy, 42).unwrap();
         assert_eq!(again.pulses, 0);
         assert_eq!(again.energy, EnergyPj::ZERO);
     }
@@ -634,9 +630,8 @@ mod tests {
     #[test]
     fn program_verified_escalates_pulse_energy() {
         let mut c = GstCell::with_defaults();
-        let mut rng = StdRng::seed_from_u64(1);
         let policy = WriteVerifyPolicy::default();
-        let report = c.program_verified(254, 1.0, 1e-6, &policy, &mut rng).unwrap();
+        let report = c.program_verified(254, 1.0, 1e-6, &policy, 1).unwrap();
         if report.pulses >= 2 {
             // Total write energy strictly exceeds pulses × base energy
             // because retries escalate.
@@ -650,9 +645,8 @@ mod tests {
         // An unreachable tolerance must exhaust the retry budget and
         // surface a typed error, never loop forever or panic.
         let mut c = GstCell::with_defaults();
-        let mut rng = StdRng::seed_from_u64(3);
         let policy = WriteVerifyPolicy { max_attempts: 4, ..WriteVerifyPolicy::default() };
-        let err = c.program_verified(127, 0.5, 1e-15, &policy, &mut rng).unwrap_err();
+        let err = c.program_verified(127, 0.5, 1e-15, &policy, 3).unwrap_err();
         match err {
             PcmError::WriteVerifyFailed { attempts, level, .. } => {
                 assert_eq!(attempts, 4);

@@ -39,5 +39,5 @@ pub use activation::{fig3_curve, ActivationCellParams, GstActivationCell, GstRel
 pub use error::PcmError;
 pub use gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 pub use ldsu::Ldsu;
-pub use stat::{seeded_gaussian, DegradationClock, StatParams};
+pub use stat::{DegradationClock, StatParams};
 pub use weight::{PcmMrr, WeightLut};

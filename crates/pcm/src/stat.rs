@@ -21,20 +21,18 @@
 //!   weight bank advances **one** clock and dispatches to either the
 //!   deterministic relaxation law ([`relaxed_crystallinity`]) or the
 //!   statistical power law, so time can never advance two different ways.
-//! * [`seeded_gaussian`] — counter-seeded normal draws: every sample is
-//!   addressed by `(seed, stream, draw)`, so the model needs no stored
-//!   RNG state and the same seed reproduces the same noise bit-for-bit
-//!   regardless of thread schedule.
+//! * counter-addressed normal draws through
+//!   [`trident_streams::seeded_gaussian`]: every sample is addressed by
+//!   `(seed, stream, draw)`, so the model needs no stored RNG state and
+//!   the same seed reproduces the same noise bit-for-bit regardless of
+//!   thread schedule.
 //!
 //! The physical decay law itself lives in `trident-photonics`'s
 //! [`calib`](trident_photonics::calib) module (the reference column is an
 //! optical readout structure); this module layers the statistics on it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use trident_photonics::calib::{drift_decay_factor, ReferenceColumn};
 use trident_photonics::units::{count, EnergyPj, Hours};
-use trident_streams::mix;
 
 // The stream ids addressing this module's draws live in the workspace
 // stream registry (`trident-streams`, domain `pcm.stat`) — re-exported
@@ -157,20 +155,6 @@ impl StatParams {
     }
 }
 
-/// Unit-normal draw addressed by `(seed, stream, draw)`.
-///
-/// Stateless-by-construction: the triple seeds a short-lived [`StdRng`]
-/// and one Box–Muller pair is taken, so the n-th sample of a stream is a
-/// pure function of the address. This is what makes "same seed ⇒
-/// bitwise-identical noise" a structural property instead of a schedule
-/// accident.
-pub fn seeded_gaussian(seed: u64, stream: u64, draw: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(mix(seed, stream, draw));
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// The deterministic structural-relaxation law: amorphous marks relax
 /// toward the crystalline ground state, with the decay constant set so
 /// the state stays within half an 8-bit LSB over the rated retention.
@@ -193,6 +177,7 @@ pub fn relaxed_crystallinity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trident_streams::seeded_gaussian;
 
     #[test]
     fn clock_starts_at_epoch_and_advances() {
@@ -208,27 +193,6 @@ mod tests {
     #[should_panic]
     fn clock_rejects_negative_time() {
         DegradationClock::new().advance(Hours(-1.0));
-    }
-
-    #[test]
-    fn same_address_same_bits_different_address_different_bits() {
-        let a = seeded_gaussian(42, STREAM_PCM_PROG, 7);
-        let b = seeded_gaussian(42, STREAM_PCM_PROG, 7);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_ne!(a.to_bits(), seeded_gaussian(42, STREAM_PCM_PROG, 8).to_bits());
-        assert_ne!(a.to_bits(), seeded_gaussian(42, STREAM_PCM_READ, 7).to_bits());
-        assert_ne!(a.to_bits(), seeded_gaussian(43, STREAM_PCM_PROG, 7).to_bits());
-    }
-
-    #[test]
-    fn gaussian_stream_is_roughly_standard_normal() {
-        let n = 4000u64;
-        let samples: Vec<f64> = (0..n).map(|i| seeded_gaussian(5, STREAM_PCM_READ, i)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "variance {var}");
     }
 
     #[test]

@@ -24,7 +24,6 @@
 
 use crate::error::PcmError;
 use crate::gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
-use rand::rngs::StdRng;
 use std::sync::{Arc, Mutex, PoisonError};
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry, PortTransfer};
 use trident_photonics::units::{EnergyPj, Wavelength};
@@ -237,14 +236,15 @@ impl PcmMrr {
 
     /// Closed-loop program-and-verify weight write: iterative partial
     /// pulses with read-back until the cell verifies at the calibrated
-    /// level (see [`GstCell::program_verified`]). Failed writes are
+    /// level (see [`GstCell::program_verified`], which addresses the
+    /// pulse jitter by the cell's device `identity`). Failed writes are
     /// tallied in [`PcmMrr::write_failures`].
     pub fn set_weight_verified(
         &mut self,
         w: f64,
         lut: &WeightLut,
         policy: &WriteVerifyPolicy,
-        rng: &mut StdRng,
+        identity: u64,
     ) -> Result<WriteReport, PcmError> {
         let level = lut.try_level_for(w)?;
         let result = self.cell.program_verified(
@@ -252,7 +252,7 @@ impl PcmMrr {
             lut.crystallinity_at(level),
             lut.verify_tolerance(level),
             policy,
-            rng,
+            identity,
         );
         if matches!(
             result,
@@ -436,13 +436,11 @@ mod tests {
 
     #[test]
     fn verified_write_reaches_every_queried_level() {
-        use rand::SeedableRng;
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        let mut rng = StdRng::seed_from_u64(9);
         let policy = WriteVerifyPolicy::default();
         for &w in &[1.0, -1.0, 0.0, 0.37, -0.81] {
-            let report = unit.set_weight_verified(w, &l, &policy, &mut rng).unwrap();
+            let report = unit.set_weight_verified(w, &l, &policy, 9).unwrap();
             assert!(report.pulses <= policy.max_attempts);
             assert!(
                 (unit.weight(&l) - w).abs() <= 0.5 * LSB + 1e-6,
@@ -455,13 +453,11 @@ mod tests {
 
     #[test]
     fn stuck_unit_tallies_write_failures() {
-        use rand::SeedableRng;
         let l = lut();
         let mut unit = PcmMrr::new(ring(), GstParameters::default());
         unit.inject_fault(GstFault::StuckAmorphous);
-        let mut rng = StdRng::seed_from_u64(2);
         let err = unit
-            .set_weight_verified(-0.5, &l, &WriteVerifyPolicy::default(), &mut rng)
+            .set_weight_verified(-0.5, &l, &WriteVerifyPolicy::default(), 2)
             .unwrap_err();
         assert!(matches!(err, PcmError::StuckCell { .. }));
         assert_eq!(unit.write_failures(), 1);

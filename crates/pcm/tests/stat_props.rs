@@ -4,8 +4,9 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 use proptest::prelude::*;
-use trident_pcm::stat::{seeded_gaussian, StatParams};
+use trident_pcm::stat::StatParams;
 use trident_photonics::units::Hours;
+use trident_streams::seeded_gaussian;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

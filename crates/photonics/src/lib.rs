@@ -26,8 +26,8 @@
 //!   the paper (thermal, electro-optic, GST/PCM).
 //! * [`ledger`] — energy/power bookkeeping used by every higher-level crate
 //!   to roll up per-device contributions into totals.
-//! * [`noise`] — seeded stochastic noise sources for reproducible
-//!   Monte-Carlo experiments.
+//! * [`noise`] — receiver shot- and thermal-noise σ (the draws are
+//!   counter-addressed by the processing element).
 //!
 //! The physics here is deliberately *behavioural*: device responses follow
 //! the standard analytic ring-resonator equations with parameters taken

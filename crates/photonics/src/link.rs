@@ -75,9 +75,7 @@ impl LinkBudget {
         let detected = after_routing * self.bank_transmission;
         let full_scale = detected * self.channels;
         let photocurrent_ma = self.detector.photocurrent_ma(full_scale);
-        let shot = noise.shot_noise_rms_ma(full_scale);
-        let thermal = noise.thermal_noise_rms_ma();
-        let noise_rms_ma = (shot * shot + thermal * thermal).sqrt();
+        let noise_rms_ma = noise.total_rms_ma(full_scale);
         let snr = photocurrent_ma / noise_rms_ma.max(1e-18);
         LinkReport { detected, full_scale, photocurrent_ma, noise_rms_ma, snr, enob: snr.log2() }
     }
@@ -108,9 +106,7 @@ mod tests {
     /// vector symbol rate (the NoiseModel default of 5 GHz is for the raw
     /// detector, not the matched receiver).
     fn matched_noise() -> NoiseModel {
-        let mut n = NoiseModel::seeded(0);
-        n.bandwidth_hz = 5e8;
-        n
+        NoiseModel { bandwidth_hz: 5e8, ..NoiseModel::default() }
     }
 
     #[test]

@@ -1,59 +1,48 @@
-//! Seeded stochastic noise sources.
+//! Receiver-noise physics.
 //!
-//! All noise in the simulator flows through [`NoiseModel`] so that every
-//! experiment is reproducible from a seed. The receiver chain contributes
-//! two dominant terms:
+//! The optical receiver chain contributes two dominant current-noise
+//! terms:
 //!
 //! * **shot noise** — photocurrent variance `2·q·I·B`,
 //! * **thermal (input-referred TIA) noise** — a fixed current density
 //!   `i_n` integrated over the receiver bandwidth `B`.
 //!
-//! For millwatt-scale rail powers these terms are small relative to the
+//! [`NoiseModel`] holds only these σ physics; it draws nothing. The
+//! processing element scales counter-addressed unit normals
+//! (`trident_streams::seeded_gaussian`, stream `STREAM_RECEIVER_NOISE`)
+//! by [`NoiseModel::total_rms_ma`], and the link budget reads the same σ
+//! for its SNR.
+//!
+//! For milliwatt-scale rail powers these terms are small relative to the
 //! signal, which is precisely why analog photonic MACs can reach 8-bit
 //! accuracy; the tests in `crates/arch` verify that the end-to-end MVM
 //! error stays below one 8-bit LSB with the default model.
 
 use crate::units::PowerMw;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Electron charge in coulombs.
 const Q_ELECTRON: f64 = 1.602_176_634e-19;
 
-/// Gaussian noise source for the optical receiver chain.
-#[derive(Debug, Clone)]
+/// Receiver-chain parameters behind the shot- and thermal-noise σ.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
-    rng: StdRng,
     /// Receiver bandwidth in hertz.
     pub bandwidth_hz: f64,
     /// Input-referred TIA current noise density in pA/√Hz.
     pub tia_noise_pa_sqrt_hz: f64,
     /// Photodiode responsivity used for shot-noise conversion, A/W.
     pub responsivity_a_w: f64,
-    /// Global scale knob; 0 disables noise entirely.
-    pub scale: f64,
+}
+
+impl Default for NoiseModel {
+    /// The default receiver: 5 GHz bandwidth, 10 pA/√Hz TIA noise,
+    /// 1 A/W.
+    fn default() -> Self {
+        Self { bandwidth_hz: 5e9, tia_noise_pa_sqrt_hz: 10.0, responsivity_a_w: 1.0 }
+    }
 }
 
 impl NoiseModel {
-    /// Build a reproducible noise model from a seed with default receiver
-    /// parameters (5 GHz bandwidth, 10 pA/√Hz TIA noise, 1 A/W).
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            rng: StdRng::seed_from_u64(seed),
-            bandwidth_hz: 5e9,
-            tia_noise_pa_sqrt_hz: 10.0,
-            responsivity_a_w: 1.0,
-            scale: 1.0,
-        }
-    }
-
-    /// A noise model that produces exactly zero noise (ideal devices).
-    pub fn disabled() -> Self {
-        let mut m = Self::seeded(0);
-        m.scale = 0.0;
-        m
-    }
-
     /// RMS shot-noise current (mA) for a given total detected power.
     pub fn shot_noise_rms_ma(&self, detected: PowerMw) -> f64 {
         let i_a = self.responsivity_a_w * detected.watts();
@@ -65,31 +54,12 @@ impl NoiseModel {
         self.tia_noise_pa_sqrt_hz * 1e-12 * self.bandwidth_hz.sqrt() * 1e3
     }
 
-    /// Draw one sample of total receiver current noise (mA) for a given
-    /// total optical power hitting the balanced pair.
-    pub fn receiver_current_noise_ma(&mut self, detected: PowerMw) -> f64 {
-        if self.scale == 0.0 {
-            return 0.0;
-        }
+    /// RMS total receiver current noise (mA) for a given total optical
+    /// power hitting the balanced pair: shot and thermal in quadrature.
+    pub fn total_rms_ma(&self, detected: PowerMw) -> f64 {
         let shot = self.shot_noise_rms_ma(detected);
         let thermal = self.thermal_noise_rms_ma();
-        let sigma = (shot * shot + thermal * thermal).sqrt() * self.scale;
-        self.gaussian() * sigma
-    }
-
-    /// Draw a standard-normal sample (Box–Muller; two uniforms per call).
-    pub fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Draw a uniform sample in `[lo, hi)` (used for device mismatch).
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        if self.scale == 0.0 {
-            return (lo + hi) / 2.0;
-        }
-        self.rng.gen_range(lo..hi)
+        (shot * shot + thermal * thermal).sqrt()
     }
 }
 
@@ -98,28 +68,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_model_is_silent() {
-        let mut m = NoiseModel::disabled();
-        for _ in 0..10 {
-            assert_eq!(m.receiver_current_noise_ma(PowerMw(10.0)), 0.0);
-        }
-    }
-
-    #[test]
-    fn same_seed_same_stream() {
-        let mut a = NoiseModel::seeded(42);
-        let mut b = NoiseModel::seeded(42);
-        for _ in 0..32 {
-            assert_eq!(
-                a.receiver_current_noise_ma(PowerMw(1.0)),
-                b.receiver_current_noise_ma(PowerMw(1.0))
-            );
-        }
-    }
-
-    #[test]
     fn shot_noise_grows_with_power() {
-        let m = NoiseModel::seeded(1);
+        let m = NoiseModel::default();
         assert!(m.shot_noise_rms_ma(PowerMw(10.0)) > m.shot_noise_rms_ma(PowerMw(1.0)));
         assert_eq!(m.shot_noise_rms_ma(PowerMw::ZERO), 0.0);
     }
@@ -128,20 +78,13 @@ mod tests {
     fn noise_is_small_relative_to_ma_signals() {
         // 1 mW on a 1 A/W diode gives 1 mA of signal; RMS noise should be
         // orders of magnitude below that.
-        let m = NoiseModel::seeded(1);
-        let total =
-            (m.shot_noise_rms_ma(PowerMw(1.0)).powi(2) + m.thermal_noise_rms_ma().powi(2)).sqrt();
+        let total = NoiseModel::default().total_rms_ma(PowerMw(1.0));
         assert!(total < 1e-2, "rms noise {total} mA too large");
     }
 
     #[test]
-    fn gaussian_moments_are_sane() {
-        let mut m = NoiseModel::seeded(3);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| m.gaussian()).collect();
-        let mean = samples.iter().sum::<f64>() / f64::from(n);
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / f64::from(n);
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
+    fn dark_receiver_is_thermal_limited() {
+        let m = NoiseModel::default();
+        assert_eq!(m.total_rms_ma(PowerMw::ZERO), m.thermal_noise_rms_ma());
     }
 }

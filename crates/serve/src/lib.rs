@@ -9,10 +9,10 @@
 //! The pieces, one module each:
 //!
 //! * [`traffic`] — deterministic open-loop arrival generation (seeded
-//!   Poisson and bursty ON-OFF), counter-addressed like the PCM
-//!   statistical model's `seeded_gaussian`: the n-th arrival is a pure
-//!   function of `(seed, stream, n)`, never of wall clock or thread
-//!   schedule.
+//!   Poisson and bursty ON-OFF), counter-addressed through
+//!   `trident_streams` like every device-noise draw: the n-th arrival is
+//!   a pure function of `(seed, stream, n)`, never of wall clock or
+//!   thread schedule.
 //! * [`frontend`] — request preparation: one in-order pass in which
 //!   each request is a pure function of its index, so the prepared
 //!   stream is byte-identical at any `TRIDENT_THREADS`.

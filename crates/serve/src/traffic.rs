@@ -1,8 +1,9 @@
 //! Deterministic open-loop traffic generation.
 //!
-//! Arrivals are **counter-addressed**, the same discipline as the PCM
-//! statistical model's `seeded_gaussian`: the n-th draw of a stream is a
-//! pure function of `(seed, stream, n)` through a stateless bit mixer,
+//! Arrivals are **counter-addressed**, the same discipline as every
+//! device-noise draw (`trident_streams::seeded_gaussian`): the n-th draw
+//! of a stream is a pure function of `(seed, stream, n)` through a
+//! stateless bit mixer,
 //! so the full arrival schedule is reproducible bit-for-bit from the
 //! config alone — no RNG state threads through the simulation, no wall
 //! clock, no dependence on thread schedule. Times are `u64` virtual
@@ -10,8 +11,8 @@
 
 // This module's stream ids live in the workspace stream registry
 // (`trident-streams`, domain `serve.traffic`), alongside the shared
-// mixer and splitmix finalizer.
-use trident_streams::{seeded_u64, STREAM_TRAFFIC_ARRIVAL, STREAM_TRAFFIC_ONOFF};
+// mixer, splitmix finalizer and unit-interval map.
+use trident_streams::{seeded_u64, unit_open, STREAM_TRAFFIC_ARRIVAL, STREAM_TRAFFIC_ONOFF};
 
 /// The open-loop arrival process driving the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,12 +34,6 @@ pub enum ArrivalProcess {
         /// Mean interarrival gap *within* an ON window, nanoseconds.
         on_interarrival_ns: u64,
     },
-}
-
-/// Map a raw draw to the open unit interval `(0, 1]` (53-bit mantissa;
-/// never exactly zero, so `ln` is always finite).
-fn unit_open(raw: u64) -> f64 {
-    ((raw >> 11) + 1) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 
 /// Exponential variate with the given mean, floored at 1 ns so virtual
