@@ -828,7 +828,8 @@ impl WeightBank {
     }
 
     /// The hard fault of the cell at `(r, c)`, if any.
-    pub fn fault(&self, r: usize, c: usize) -> Option<GstFault> {
+    #[cfg(test)]
+    pub(crate) fn fault(&self, r: usize, c: usize) -> Option<GstFault> {
         self.ring(r, c).fault()
     }
 
@@ -861,7 +862,7 @@ impl WeightBank {
     }
 
     /// The bank's device identity (see [`WeightBank::new_varied`]).
-    pub fn identity(&self) -> u64 {
+    pub(crate) fn identity(&self) -> u64 {
         self.identity
     }
 
