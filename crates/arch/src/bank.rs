@@ -56,13 +56,16 @@ use crate::error::ArchError;
 use std::sync::Arc;
 use trident_obs as obs;
 use trident_pcm::gst::{GstFault, GstParameters, WriteVerifyPolicy};
-use trident_pcm::stat::{DegradationClock, StatParams, STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
+use trident_pcm::stat::{DegradationClock, StatParams};
 use trident_pcm::weight::{PcmMrr, WeightLut};
 use trident_pcm::PcmError;
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry};
 use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
 use trident_photonics::wdm::WdmGrid;
-use trident_streams::{member_identity, seeded_gaussian, STREAM_DEVICE_RESONANCE};
+use trident_streams::{
+    member_identity, seeded_gaussian, STREAM_DEVICE_RESONANCE, STREAM_PCM_NU, STREAM_PCM_PROG,
+    STREAM_PCM_READ,
+};
 
 /// Spare rings fabricated alongside each row for wear-leveling remap
 /// (12.5% redundancy on the paper's 16-wide banks).

@@ -34,11 +34,6 @@
 use trident_photonics::calib::{drift_decay_factor, ReferenceColumn};
 use trident_photonics::units::{count, EnergyPj, Hours};
 
-// The stream ids addressing this module's draws live in the workspace
-// stream registry (`trident-streams`, domain `pcm.stat`) — re-exported
-// here so device-model callers keep a single import path.
-pub use trident_streams::{STREAM_PCM_NU, STREAM_PCM_PROG, STREAM_PCM_READ};
-
 /// The single source of simulated deployment time for one weight bank.
 ///
 /// Before this clock existed, deterministic drift advanced through direct
@@ -177,7 +172,7 @@ pub fn relaxed_crystallinity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trident_streams::seeded_gaussian;
+    use trident_streams::{seeded_gaussian, STREAM_PCM_NU};
 
     #[test]
     fn clock_starts_at_epoch_and_advances() {
