@@ -21,6 +21,11 @@
 //! order, so each row sums exactly the terms, in exactly the order, of a
 //! one-row-at-a-time dot product.
 //!
+//! The bank has one read, [`WeightBank::mvm_into`], and one per-ring
+//! readout, [`WeightBank::ring_readout`]; each applies the statistical
+//! layer when it is on. Reads write into the caller's buffer and the
+//! open-loop write stages nothing, so neither allocates.
+//!
 //! A bank write costs what it physically changes. Each ring's transfer on
 //! each channel factors into a per-channel term, `sin(φ/2)` of its
 //! detuning, and a per-ring term, the round-trip amplitude `a`
@@ -112,7 +117,8 @@ pub struct ProgramReport {
 ///
 /// let mut bank = WeightBank::new(2, 2, GstParameters::default());
 /// bank.program_flat(&[0.5, -0.5, 1.0, 0.0]);    // optical writes
-/// let y = bank.mvm(&[1.0, 1.0]);                // optical dot products
+/// let mut y = [0.0; 2];
+/// bank.mvm_into(&[1.0, 1.0], &mut y);           // optical dot products
 /// assert!((y[0] - 0.0).abs() < 0.05);
 /// assert!((y[1] - 1.0).abs() < 0.05);
 /// ```
@@ -934,62 +940,29 @@ impl WeightBank {
         self.refresh_read_row(r);
     }
 
-    /// Optical matrix-vector product: unit-full-scale channel powers
-    /// `x[j] ∈ [0, 1]` in, per-row **normalized dot products** out (the
-    /// balanced rail difference divided by the LUT scale).
+    /// Optical matrix-vector product into `y` (overwritten; one entry per
+    /// row): unit-full-scale channel powers `x[j] ∈ [0, 1]` in, per-row
+    /// **normalized dot products** out (the balanced rail difference
+    /// divided by the LUT scale).
     ///
-    /// # Panics
-    /// Panics on width mismatch or out-of-range inputs.
-    pub fn mvm(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.mvm_into(x, &mut y);
-        y
-    }
-
-    /// [`WeightBank::mvm`] into `y` (overwritten; one entry per row).
-    ///
-    /// # Panics
-    /// Panics on width mismatch or out-of-range inputs.
-    pub fn mvm_into(&self, x: &[f64], y: &mut [f64]) {
-        self.check_read(x, y);
-        self.read_net(x, y);
-    }
-
-    /// The deterministic read of a checked input.
-    fn read_net(&self, x: &[f64], y: &mut [f64]) {
-        read_rows(&self.net_coeff, x, y);
-        let scale = self.lut.scale();
-        for v in y {
-            *v /= scale;
-        }
-    }
-
-    /// Statistical matrix-vector product: the deterministic optics of
-    /// [`WeightBank::mvm`] with the device layer applied per slot — the
-    /// post-verify programming error rides on the coefficient, both decay
-    /// by the slot's drift factor, each row readout picks up one read-noise
-    /// draw, and the whole row is scaled by the calibration gain:
+    /// With the statistical layer on, the device layer applies per slot:
+    /// the post-verify programming error rides on the coefficient, both
+    /// decay by the slot's drift factor, each row readout picks up one
+    /// read-noise draw (in row order), and the whole row is scaled by the
+    /// calibration gain:
     ///
     /// ```text
     /// y_r = gain · ( Σ_j (D_rj − T_rj + δ_rj·scale) · f_rj · x_j / scale  +  σ_read·g )
     /// ```
     ///
     /// With every σ at zero and every ν at zero this reduces bitwise to
-    /// [`WeightBank::mvm`] (the noise-off passthrough the proptests pin);
-    /// with the layer off it *is* `mvm`.
-    pub fn mvm_stat(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.mvm_stat_into(x, &mut y);
-        y
-    }
-
-    /// [`WeightBank::mvm_stat`] into `y` (overwritten; one entry per
-    /// row). The sums come from the cached read coefficients; the read
-    /// noise is then drawn once per row, in row order.
+    /// the deterministic read of the layer off (the noise-off
+    /// passthrough the proptests pin). Either way the sums come from the
+    /// cached read coefficients.
     ///
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
-    pub fn mvm_stat_into(&mut self, x: &[f64], y: &mut [f64]) {
+    pub fn mvm_into(&mut self, x: &[f64], y: &mut [f64]) {
         self.check_read(x, y);
         let Some(stat) = self.stat.as_mut() else {
             return self.read_net(x, y);
@@ -1007,6 +980,15 @@ impl WeightBank {
         }
     }
 
+    /// The deterministic read of a checked input.
+    fn read_net(&self, x: &[f64], y: &mut [f64]) {
+        read_rows(&self.net_coeff, x, y);
+        let scale = self.lut.scale();
+        for v in y {
+            *v /= scale;
+        }
+    }
+
     /// The shape and range checks of a read.
     fn check_read(&self, x: &[f64], y: &[f64]) {
         assert_eq!(x.len(), self.cols, "input width mismatch");
@@ -1016,11 +998,36 @@ impl WeightBank {
         }
     }
 
-    /// Per-ring balanced readout coefficient for the outer-product mode:
-    /// the wavelength-demultiplexed drop−through response of ring
-    /// `(r, c)` on its own channel, including the attenuation of the other
-    /// rings on the row. Approximately `scale · w(r, c)`.
-    pub fn ring_readout(&self, r: usize, c: usize) -> f64 {
+    /// Per-ring balanced readout for the outer-product mode: the
+    /// wavelength-demultiplexed drop−through response of ring `(r, c)` on
+    /// its own channel, including the attenuation of the other rings on
+    /// the row. Approximately `w(r, c)`.
+    ///
+    /// With the statistical layer on, the slot's programming error and
+    /// drift factor apply, plus one read-noise draw and the calibration
+    /// gain, so in-situ training sees the same degraded device the
+    /// forward pass does. A masked slot reads zero without a draw.
+    pub fn ring_readout(&mut self, r: usize, c: usize) -> f64 {
+        let det = self.net_readout(r, c);
+        let idx = r * self.cols + c;
+        let Some(stat) = self.stat.as_mut() else {
+            return det;
+        };
+        if self.masked[idx] {
+            return det;
+        }
+        let noise = stat.params.read_sigma_weight
+            * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
+        stat.read_draws += 1;
+        if obs::enabled() {
+            obs::add(obs::Counter::StatNoiseSamples, 1);
+        }
+        ((det + stat.prog_offset[idx]) * stat.factor[idx] + noise) * stat.gain
+    }
+
+    /// The deterministic readout of ring `(r, c)`: its net coefficient
+    /// swept along the row, divided by the LUT scale.
+    fn net_readout(&self, r: usize, c: usize) -> f64 {
         if self.masked[r * self.cols + c] {
             return 0.0; // dead slot: channel cancelled at the receiver
         }
@@ -1037,33 +1044,6 @@ impl WeightBank {
             downstream *= at(k).1;
         }
         (upstream * own_drop - upstream * own_through * downstream) / self.lut.scale()
-    }
-
-    /// Statistical counterpart of [`WeightBank::ring_readout`]: the
-    /// deterministic coefficient with the slot's programming error and
-    /// drift factor applied, one read-noise draw, and the calibration
-    /// gain — so in-situ training sees the same degraded device the
-    /// forward pass does. Falls through to the deterministic readout
-    /// when the layer is off; masked slots stay at zero without a draw.
-    pub fn ring_readout_stat(&mut self, r: usize, c: usize) -> f64 {
-        let det = self.ring_readout(r, c);
-        let Some(mut stat) = self.stat.take() else {
-            return det;
-        };
-        let idx = r * self.cols + c;
-        let out = if self.masked[idx] {
-            det
-        } else {
-            let noise = stat.params.read_sigma_weight
-                * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
-            stat.read_draws += 1;
-            if obs::enabled() {
-                obs::add(obs::Counter::StatNoiseSamples, 1);
-            }
-            ((det + stat.prog_offset[idx]) * stat.factor[idx] + noise) * stat.gain
-        };
-        self.stat = Some(stat);
-        out
     }
 
     /// Total individual ring writes so far.
@@ -1121,6 +1101,13 @@ mod tests {
         bank.program_flat(w.as_flattened());
     }
 
+    /// A read into a fresh vector.
+    fn read(bank: &mut WeightBank, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; bank.rows()];
+        bank.mvm_into(x, &mut y);
+        y
+    }
+
     #[test]
     fn identity_bank_passes_inputs() {
         let mut b = bank4();
@@ -1129,7 +1116,7 @@ mod tests {
             row[i] = 1.0;
         }
         program(&mut b, &w);
-        let y = b.mvm(&[0.8, 0.1, 0.5, 0.0]);
+        let y = read(&mut b, &[0.8, 0.1, 0.5, 0.0]);
         for (i, &expected) in [0.8, 0.1, 0.5, 0.0].iter().enumerate() {
             assert!(
                 (y[i] - expected).abs() < 0.03,
@@ -1150,7 +1137,7 @@ mod tests {
         ];
         program(&mut b, &w);
         let x = [1.0, 0.5, 0.25, 0.75];
-        let y = b.mvm(&x);
+        let y = read(&mut b, &x);
         for r in 0..4 {
             let expected: f64 = (0..4).map(|c| w[r][c] * x[c]).sum();
             assert!(
@@ -1165,8 +1152,8 @@ mod tests {
     fn mvm_is_linear_in_input() {
         let mut b = bank4();
         program(&mut b, &[[0.3; 4]; 4]);
-        let y1 = b.mvm(&[0.2, 0.2, 0.2, 0.2]);
-        let y2 = b.mvm(&[0.4, 0.4, 0.4, 0.4]);
+        let y1 = read(&mut b, &[0.2, 0.2, 0.2, 0.2]);
+        let y2 = read(&mut b, &[0.4, 0.4, 0.4, 0.4]);
         for r in 0..4 {
             assert!((y2[r] - 2.0 * y1[r]).abs() < 1e-9, "power-domain optics is linear");
         }
@@ -1176,7 +1163,7 @@ mod tests {
     fn dark_input_gives_zero() {
         let mut b = bank4();
         program(&mut b, &[[0.7; 4]; 4]);
-        let y = b.mvm(&[0.0; 4]);
+        let y = read(&mut b, &[0.0; 4]);
         assert!(y.iter().all(|&v| v.abs() < 1e-12));
     }
 
@@ -1235,15 +1222,14 @@ mod tests {
         // 15 loud neighbours.
         let mut x = vec![0.0; 16];
         x[8] = 1.0;
-        let y = b.mvm(&x);
+        let y = read(&mut b, &x);
         assert!(y[0].abs() < 0.05, "crosstalk-induced output {}", y[0]);
     }
 
     #[test]
     #[should_panic]
     fn mvm_rejects_out_of_range_input() {
-        let b = bank4();
-        let _ = b.mvm(&[1.5, 0.0, 0.0, 0.0]);
+        let _ = read(&mut bank4(), &[1.5, 0.0, 0.0, 0.0]);
     }
 
     /// A bank whose cell 0 was written with `first` (or never written),
@@ -1325,8 +1311,8 @@ mod tests {
                 );
             }
         }
-        let y_ideal = ideal.mvm(&[1.0, 0.5, 0.25, 0.75]);
-        let y_verified = verified.mvm(&[1.0, 0.5, 0.25, 0.75]);
+        let y_ideal = read(&mut ideal, &[1.0, 0.5, 0.25, 0.75]);
+        let y_verified = read(&mut verified, &[1.0, 0.5, 0.25, 0.75]);
         for r in 0..4 {
             assert!(
                 (y_ideal[r] - y_verified[r]).abs() < 0.01,
@@ -1375,7 +1361,7 @@ mod tests {
         // The masked column contributes nothing to its row...
         let mut x = vec![0.0; 4];
         x[1] = 1.0;
-        let y = b.mvm(&x);
+        let y = read(&mut b, &x);
         assert!(y[0].abs() < 1e-9, "masked column leaked {} into row 0", y[0]);
         // ...while healthy rows still see the channel.
         assert!((y[1] - 0.5).abs() < 0.05, "row 1 should read 0.5, got {}", y[1]);
@@ -1485,7 +1471,7 @@ mod equivalence_tests {
         s
     }
 
-    /// [`WeightBank::ring_readout`] from a full sweep.
+    /// The deterministic [`WeightBank::ring_readout`] from a full sweep.
     fn swept_readout(b: &WeightBank, r: usize, c: usize) -> f64 {
         if b.masked[r * b.cols + c] {
             return 0.0;
@@ -1507,20 +1493,36 @@ mod equivalence_tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The read of `b` into a fresh vector (the statistical read when the
+    /// layer is on; its draw counter advances).
+    fn read(b: &mut WeightBank, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; b.rows];
+        b.mvm_into(x, &mut y);
+        y
+    }
+
+    /// The deterministic read of `b`, whether or not its layer is on.
+    fn net_read(b: &WeightBank, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; b.rows];
+        b.read_net(x, &mut y);
+        y
+    }
+
     fn assert_matches_sweep(b: &WeightBank, x: &[f64], step: usize) {
         let reference = swept(b);
-        assert_eq!(bits(&b.mvm(x)), bits(&reference.mvm(x)), "mvm differs after op {step}");
+        let (got, want) = (net_read(b, x), net_read(&reference, x));
+        assert_eq!(bits(&got), bits(&want), "mvm differs after op {step}");
         if b.stat_enabled() {
             assert_eq!(
-                bits(&b.clone().mvm_stat(x)),
-                bits(&reference.clone().mvm_stat(x)),
-                "mvm_stat differs after op {step}"
+                bits(&read(&mut b.clone(), x)),
+                bits(&read(&mut reference.clone(), x)),
+                "statistical mvm differs after op {step}"
             );
         }
         for r in 0..b.rows {
             for c in 0..b.cols {
                 assert_eq!(
-                    b.ring_readout(r, c).to_bits(),
+                    b.net_readout(r, c).to_bits(),
                     swept_readout(b, r, c).to_bits(),
                     "ring_readout({r},{c}) differs after op {step}"
                 );
@@ -1619,8 +1621,8 @@ mod equivalence_tests {
                     b.enable_stat(StatParams::default(), seed);
                 }
                 let x: Vec<f64> = (0..size).map(|_| rng.gen_range(0.0..=1.0)).collect();
-                let y = bits(&b.mvm_stat(&x));
-                Returned::Stat(y, b.ring_readout_stat(r, c).to_bits())
+                let y = bits(&read(b, &x));
+                Returned::Stat(y, b.ring_readout(r, c).to_bits())
             }
             8 => {
                 // Re-program exactly the last pattern: every cell is
@@ -1643,17 +1645,21 @@ mod equivalence_tests {
 
     /// Every observable of `b` against its memo-free shadow, bit for bit.
     fn assert_matches_shadow(b: &WeightBank, shadow: &WeightBank, x: &[f64], step: usize) {
-        assert_eq!(bits(&b.mvm(x)), bits(&shadow.mvm(x)), "mvm differs from shadow after op {step}");
         assert_eq!(
-            bits(&b.clone().mvm_stat(x)),
-            bits(&shadow.clone().mvm_stat(x)),
-            "mvm_stat differs from shadow after op {step}"
+            bits(&net_read(b, x)),
+            bits(&net_read(shadow, x)),
+            "mvm differs from shadow after op {step}"
+        );
+        assert_eq!(
+            bits(&read(&mut b.clone(), x)),
+            bits(&read(&mut shadow.clone(), x)),
+            "statistical mvm differs from shadow after op {step}"
         );
         for r in 0..b.rows {
             for c in 0..b.cols {
                 assert_eq!(
-                    b.ring_readout(r, c).to_bits(),
-                    shadow.ring_readout(r, c).to_bits(),
+                    b.net_readout(r, c).to_bits(),
+                    shadow.net_readout(r, c).to_bits(),
                     "ring_readout({r},{c}) differs from shadow after op {step}"
                 );
                 assert_eq!(
@@ -1752,20 +1758,20 @@ mod equivalence_tests {
         }
     }
 
-    /// `mvm_into` and `mvm_stat_into` of `b` against [`naive_row`], bit
-    /// for bit, read noise and draw counter included.
+    /// The deterministic read and `mvm_into` of `b` against
+    /// [`naive_row`], bit for bit, read noise and draw counter included.
     fn assert_reads_naive(b: &WeightBank, x: &[f64], step: usize) {
         let mut y = vec![f64::NAN; b.rows];
-        b.mvm_into(x, &mut y);
+        b.read_net(x, &mut y);
         let plain = WeightBank { stat: None, ..b.clone() };
         let want: Vec<f64> = (0..b.rows).map(|r| naive_row(&plain, x, r, 0)).collect();
-        assert_eq!(bits(&y), bits(&want), "mvm_into differs from the naive read after op {step}");
+        assert_eq!(bits(&y), bits(&want), "deterministic read differs from the naive read after op {step}");
         let draws = b.stat.as_ref().map_or(0, |s| s.read_draws);
         let mut read = b.clone();
         y.fill(f64::NAN);
-        read.mvm_stat_into(x, &mut y);
+        read.mvm_into(x, &mut y);
         let want: Vec<f64> = (0..b.rows).map(|r| naive_row(b, x, r, draws + r as u64)).collect();
-        assert_eq!(bits(&y), bits(&want), "mvm_stat_into differs from the naive read after op {step}");
+        assert_eq!(bits(&y), bits(&want), "mvm_into differs from the naive read after op {step}");
         let after = read.stat.as_ref().map(|s| s.read_draws);
         assert_eq!(after, b.stat.as_ref().map(|_| draws + b.rows as u64), "read draws after op {step}");
     }

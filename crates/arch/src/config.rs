@@ -212,7 +212,7 @@ mod device_table {
     /// A fresh 16×16 PE after one unsigned MVM.
     fn one_symbol() -> ProcessingElement {
         let mut pe = ProcessingElement::new(16, 16, None);
-        let _ = pe.mvm_unsigned(&[0.5; 16]);
+        pe.mvm_unsigned_into(&[0.5; 16], &mut [0.0; 16]);
         pe
     }
 

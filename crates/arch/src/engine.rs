@@ -80,9 +80,9 @@ pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&m
 /// Working memory follows one rule (DESIGN.md §15): the layer tapes,
 /// whose sizes the layers fix, are allocated at construction; only the
 /// per-sample output slots grow, and each growth is tallied in
-/// [`PhotonicMlp::hot_path_allocs`]. The modeled device dataflow inside
-/// the PEs (per-tile MVM returns, activation vectors) is part of the
-/// hardware model and sits outside this boundary.
+/// [`PhotonicMlp::hot_path_allocs`]. The rule runs down through the
+/// tile grids into the PEs and banks, which write into these buffers and
+/// allocate nothing themselves.
 pub struct PhotonicMlp {
     /// Widths of the vectors between layers, input first.
     dims: Vec<usize>,

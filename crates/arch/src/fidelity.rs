@@ -51,7 +51,8 @@ pub fn measure(
             let w: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.0..1.0)).collect();
             pe.program(&w);
-            let y = pe.mvm_unsigned(&x);
+            let mut y = vec![0.0; rows];
+            pe.mvm_unsigned_into(&x, &mut y);
             (0..rows)
                 .map(|r| {
                     let exact: f64 = (0..cols).map(|c| w[r * cols + c] * x[c]).sum();

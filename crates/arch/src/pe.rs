@@ -22,10 +22,19 @@
 //! the drop bus through a WDM demux (this is the reading of Table II's
 //! "utilize the entire weight bank and perform N outer products": all `N`
 //! ring products of a `δW` row emerge in parallel, one row per symbol).
+//!
+//! Each operation has one entry point, and none allocates: the MVMs and
+//! the activation write into caller buffers, the outer product hands its
+//! products to the caller, and the signed MVM's second pass reuses
+//! buffers sized at construction. The row activation cells are the
+//! stateless Fig. 3 transfer ([`ActivationCellParams::relu`]) on the pulse
+//! energy: a cell fires and is reset within one pulse window, so each
+//! firing bills one reset pulse and leaves nothing behind.
 
 use crate::bank::{ProgramReport, WeightBank};
 use crate::error::ArchError;
-use trident_pcm::activation::{ActivationCellParams, GstActivationCell};
+use crate::tile::TILE;
+use trident_pcm::activation::ActivationCellParams;
 use trident_pcm::gst::{GstParameters, WriteVerifyPolicy, PULSE_WINDOW};
 use trident_photonics::detector::TransimpedanceAmplifier;
 use trident_photonics::laser::EoModulator;
@@ -78,7 +87,7 @@ pub const LOGIT_THRESHOLD: f64 = ActivationCellParams::THRESHOLD.0 / LOGIT_ENERG
 /// Activation slope of the GST cell above threshold (Fig. 3).
 pub const GST_SLOPE: f64 = ActivationCellParams::SLOPE;
 
-/// The GST activation transfer `f(h)` of Fig. 3 in plain `f64`: what the
+/// The GST activation transfer `f(h)` of Fig. 3 in logit units: what the
 /// activation cells compute, for the digital twins.
 pub fn gst_activation(h: f64) -> f64 {
     if h >= LOGIT_THRESHOLD {
@@ -105,7 +114,6 @@ pub fn spilled_hadamard(v: f64, h: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {
     bank: WeightBank,
-    activations: Vec<GstActivationCell>,
     modulator: EoModulator,
     /// Receiver-noise seed (`None` = ideal detectors); row readout `n`
     /// of this PE draws sample `n` of its receiver stream.
@@ -152,10 +160,6 @@ impl ProcessingElement {
         let modulator = EoModulator::for_grid(bank.grid());
         Self {
             bank,
-            activations: vec![
-                GstActivationCell::new(ActivationCellParams::default());
-                rows
-            ],
             modulator,
             noise_seed,
             noise_draws: 0,
@@ -227,18 +231,10 @@ impl ProcessingElement {
         spent
     }
 
-    /// Unsigned optical MVM: `x[j] ∈ [0, 1]`, returns per-row dot products.
-    pub fn mvm_unsigned(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows()];
-        self.mvm_unsigned_into(x, &mut y);
-        y
-    }
-
-    /// [`ProcessingElement::mvm_unsigned`] into `y` (overwritten; one
-    /// entry per row).
+    /// Unsigned optical MVM into `y` (overwritten; one entry per row):
+    /// lane powers `x[j] ∈ [0, 1]` in, per-row dot products out.
     pub fn mvm_unsigned_into(&mut self, x: &[f64], y: &mut [f64]) {
-        // Deterministic `mvm` when the statistical layer is off.
-        self.bank.mvm_stat_into(x, y);
+        self.bank.mvm_into(x, y);
         if self.laser_droop > 0.0 {
             // A drooped pump delivers less power on every channel; all
             // detected dot products shrink by the same factor.
@@ -261,17 +257,10 @@ impl ProcessingElement {
         self.charge_symbol(x.len());
     }
 
-    /// Signed optical MVM via two passes (positive and negative parts)
-    /// and electronic subtraction. Inputs may have any magnitude; they are
-    /// normalized onto the lasers and rescaled after detection.
-    pub fn mvm_signed(&mut self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows()];
-        self.mvm_signed_into(x, &mut y);
-        y
-    }
-
-    /// [`ProcessingElement::mvm_signed`] into `y` (overwritten; one entry
-    /// per row).
+    /// Signed optical MVM into `y` (overwritten; one entry per row) via
+    /// two passes (positive and negative parts) and electronic
+    /// subtraction. Inputs may have any magnitude; they are normalized
+    /// onto the lasers and rescaled after detection.
     pub fn mvm_signed_into(&mut self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols(), "input width mismatch");
         assert_eq!(y.len(), self.rows(), "output width mismatch");
@@ -297,50 +286,62 @@ impl ProcessingElement {
         self.dark = dark;
     }
 
-    /// Fire the GST activation cells on logits `h`. Returns the
-    /// activations `y = f(h)` (the Fig. 3 transfer); the backward pass
-    /// reads each row's `f'(h)` bit from the logit through
-    /// [`spilled_hadamard`].
-    pub fn latch_and_activate(&mut self, h: &[f64]) -> Vec<f64> {
+    /// Fire the GST activation cells of the first `h.len()` rows on
+    /// logits `h`, writing the activations `y = f(h)` (the Fig. 3
+    /// transfer) into `act`; every cell that fires bills one reset pulse
+    /// to `"activation reset"`. The backward pass reads each row's
+    /// `f'(h)` bit from the logit through [`spilled_hadamard`].
+    pub fn latch_and_activate(&mut self, h: &[f64], act: &mut [f64]) {
         assert!(h.len() <= self.rows(), "more logits than rows");
-        let mut out = Vec::with_capacity(h.len());
-        let mut reset_energy = EnergyPj::ZERO;
-        for (r, &logit) in h.iter().enumerate() {
+        assert_eq!(act.len(), h.len(), "activation width mismatch");
+        let cell = ActivationCellParams::default();
+        let relu = cell.relu();
+        let mut resets = EnergyPj::ZERO;
+        for (a, &logit) in act.iter_mut().zip(h) {
             // Negative logits carry no optical power: dark pulse.
-            let pulse = EnergyPj(logit.max(0.0) * LOGIT_ENERGY_PJ);
-            let fired = self.activations[r].apply(pulse);
-            out.push(fired.value() / LOGIT_ENERGY_PJ);
-            reset_energy += self.activations[r].reset();
+            let pulse = logit.max(0.0) * LOGIT_ENERGY_PJ;
+            *a = relu.forward(pulse) / LOGIT_ENERGY_PJ;
+            if relu.fires(pulse) {
+                resets += cell.reset_energy;
+            }
         }
-        if reset_energy.value() > 0.0 {
-            self.energy.charge("activation reset", reset_energy);
+        if resets.value() > 0.0 {
+            self.energy.charge("activation reset", resets);
         }
-        out
     }
 
     /// Outer product `δh ⊗ y`: program the bank's first row with `y`,
     /// stream one `δh` element per symbol, read the per-wavelength ring
-    /// products via the drop-bus demux.
+    /// products via the drop-bus demux, and hand each product
+    /// `δh[i]·y[j]` to `add(i, j, product)`, row by row.
     ///
-    /// `y` entries must lie in `[-1, 1]` (they are weights); `δh` may have
-    /// any magnitude (scalar per symbol — its sign and scale stay
-    /// electronic).
-    pub fn outer_product(&mut self, dh: &[f64], y: &[f64]) -> Vec<Vec<f64>> {
-        assert!(y.len() <= self.cols(), "y wider than the bank");
+    /// `y` entries must lie in `[-1, 1]` (they are weights) and at most
+    /// one bank width of them fit; `δh` may have any magnitude (scalar
+    /// per symbol — its sign and scale stay electronic).
+    pub fn outer_product(
+        &mut self,
+        dh: &[f64],
+        y: &[f64],
+        mut add: impl FnMut(usize, usize, f64),
+    ) {
+        assert!(y.len() <= self.cols().min(TILE), "y wider than the bank");
         // Row 0 holds `y` zero-padded to the bank width; every other row
         // holds zeros.
         let (energy, time) = self
             .bank
             .program_cells(|r, c| if r == 0 && c < y.len() { y[c] } else { 0.0 });
         self.charge_write(energy, time);
-        // Deterministic `ring_readout` when the statistical layer is off.
-        let readout: Vec<f64> = (0..y.len()).map(|c| self.bank.ring_readout_stat(0, c)).collect();
-        let mut out = Vec::with_capacity(dh.len());
-        for &d in dh {
-            self.charge_symbol(y.len());
-            out.push(readout.iter().map(|&w| w * d).collect());
+        let mut readout = [0.0; TILE];
+        let readout = &mut readout[..y.len()];
+        for (c, w) in readout.iter_mut().enumerate() {
+            *w = self.bank.ring_readout(0, c);
         }
-        out
+        for (i, &d) in dh.iter().enumerate() {
+            self.charge_symbol(y.len());
+            for (j, &w) in readout.iter().enumerate() {
+                add(i, j, w * d);
+            }
+        }
     }
 
     /// Charge one GST write: its energy to `"gst write"`, its time to the
@@ -396,6 +397,23 @@ mod tests {
         ProcessingElement::new(4, 4, None)
     }
 
+    fn unsigned(p: &mut ProcessingElement, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; p.rows()];
+        p.mvm_unsigned_into(x, &mut y);
+        y
+    }
+
+    fn activate(p: &mut ProcessingElement, h: &[f64]) -> Vec<f64> {
+        let mut y = vec![f64::NAN; h.len()];
+        p.latch_and_activate(h, &mut y);
+        y
+    }
+
+    /// The reset energy billed so far, pJ.
+    fn resets(p: &ProcessingElement) -> f64 {
+        p.energy().get("activation reset").value()
+    }
+
     #[test]
     fn table_ii_mappings_are_distinct() {
         let modes = [PeMode::Inference, PeMode::GradientVector, PeMode::OuterProduct];
@@ -418,7 +436,7 @@ mod tests {
             0.0, 0.0, 1.0, 0.0, //
             0.25, 0.25, 0.25, 0.25,
         ]);
-        let y = p.mvm_unsigned(&[1.0, 1.0, 0.5, 0.0]);
+        let y = unsigned(&mut p, &[1.0, 1.0, 0.5, 0.0]);
         let expected = [1.0, 0.0, 0.5, 0.625];
         for (r, (&got, &want)) in y.iter().zip(&expected).enumerate() {
             assert!((got - want).abs() < 0.05, "row {r}: {got} vs {want}");
@@ -434,7 +452,8 @@ mod tests {
             0.5, -0.5, 0.0, 0.0, //
             0.0, 0.0, 0.0, 0.0,
         ]);
-        let y = p.mvm_signed(&[-2.0, 3.0, 0.0, 0.0]);
+        let mut y = [0.0; 4];
+        p.mvm_signed_into(&[-2.0, 3.0, 0.0, 0.0], &mut y);
         assert!((y[0] + 2.0).abs() < 0.15, "row 0: {}", y[0]);
         assert!((y[1] - 3.0).abs() < 0.15, "row 1: {}", y[1]);
         assert!((y[2] + 2.5).abs() < 0.2, "row 2: {}", y[2]);
@@ -457,12 +476,40 @@ mod tests {
     #[test]
     fn activation_is_gst_relu() {
         let mut p = pe();
-        let y = p.latch_and_activate(&[0.9, 0.2, -0.5, 0.43]);
+        let y = activate(&mut p, &[0.9, 0.2, -0.5, 0.43]);
         // h = 0.9 fires: 0.34 × (0.9 − 0.43) ≈ 0.16.
         assert!((y[0] - 0.34 * (0.9 - 0.43)).abs() < 1e-9);
         assert_eq!(y[1], 0.0, "0.2 is below the 0.43 threshold");
         assert_eq!(y[2], 0.0);
-        assert!((y[3] - 0.0).abs() < 1e-9, "exactly at threshold fires with zero output");
+        assert_eq!(y[3], 0.0, "exactly at threshold fires with zero output");
+        assert_eq!(resets(&p), 2000.0, "the two fired cells are reset");
+    }
+
+    #[test]
+    fn subthreshold_logit_is_absorbed_without_a_reset() {
+        let mut p = pe();
+        assert_eq!(activate(&mut p, &[0.4299, 0.0, -3.0]), [0.0; 3]);
+        assert_eq!(resets(&p), 0.0, "no cell fired, so none is reset");
+    }
+
+    #[test]
+    fn threshold_logit_fires_with_zero_output_and_one_reset() {
+        let mut p = pe();
+        assert_eq!(activate(&mut p, &[LOGIT_THRESHOLD]), [0.0]);
+        assert_eq!(resets(&p), 1000.0, "one 1 nJ recrystallization pulse");
+    }
+
+    #[test]
+    fn suprathreshold_output_is_the_fig3_transfer_of_the_pulse() {
+        let mut p = pe();
+        let h = [0.9, 1.43, 0.5];
+        let y = activate(&mut p, &h);
+        for (&hv, &yv) in h.iter().zip(&y) {
+            let pulse_pj = hv * LOGIT_ENERGY_PJ;
+            let want = 0.34 * (pulse_pj - 430.0) / 1000.0;
+            assert_eq!(yv.to_bits(), want.to_bits(), "h = {hv}");
+        }
+        assert_eq!(resets(&p), 3000.0, "one reset per firing");
     }
 
     #[test]
@@ -492,10 +539,9 @@ mod tests {
         let mut p = pe();
         let dh = [0.5, -1.5, 2.0];
         let y = [0.8, -0.4, 0.1, 0.9];
-        let m = p.outer_product(&dh, &y);
-        assert_eq!(m.len(), 3);
+        let mut m = [[f64::NAN; 4]; 3];
+        p.outer_product(&dh, &y, |i, j, v| m[i][j] = v);
         for (i, row) in m.iter().enumerate() {
-            assert_eq!(row.len(), 4);
             for (j, &v) in row.iter().enumerate() {
                 let want = dh[i] * y[j];
                 assert!(
@@ -511,10 +557,10 @@ mod tests {
         let mut p = pe();
         p.program(&[0.5; 16]);
         assert!(p.energy().get("gst write").value() > 0.0);
-        p.mvm_unsigned(&[0.5; 4]);
+        unsigned(&mut p, &[0.5; 4]);
         assert!(p.energy().get("eo modulation").value() > 0.0);
         assert!(p.elapsed().value() > 0.0);
-        p.latch_and_activate(&[1.0]);
+        activate(&mut p, &[1.0]);
         assert!(p.energy().get("activation reset").value() > 0.0);
     }
 
@@ -526,8 +572,8 @@ mod tests {
         ideal.program(&weights);
         noisy.program(&weights);
         let x: Vec<f64> = (0..16).map(|i| (i as f64) / 16.0).collect();
-        let yi = ideal.mvm_unsigned(&x);
-        let yn = noisy.mvm_unsigned(&x);
+        let yi = unsigned(&mut ideal, &x);
+        let yn = unsigned(&mut noisy, &x);
         for r in 0..16 {
             // One 8-bit LSB of a 16-wide dot product full-scale (±16).
             assert!(

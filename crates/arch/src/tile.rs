@@ -17,6 +17,10 @@
 //! receives its column tiles' contributions in column-tile order, so
 //! results are bitwise reproducible. The MVMs return how many cross-tile
 //! accumulations they made, and [`crate::chip::Chip`] bills every one.
+//!
+//! No operation here touches the heap: tiles, lanes and partial sums are
+//! stack arrays, and every PE call writes into the caller's buffer (the
+//! MVM output, the activation slice, the gradient), down to the bank.
 
 use crate::error::ArchError;
 use crate::pe::ProcessingElement;
@@ -254,8 +258,7 @@ impl TileGemm {
         let col_tiles = self.inp.div_ceil(TILE);
         for rt in 0..self.out.div_ceil(TILE) {
             let rows = rt * TILE..(rt * TILE + TILE).min(self.out);
-            let fired = self.pes[rt * col_tiles].latch_and_activate(&h[rows.clone()]);
-            act[rows].copy_from_slice(&fired);
+            self.pes[rt * col_tiles].latch_and_activate(&h[rows.clone()], &mut act[rows]);
         }
     }
 
@@ -267,21 +270,18 @@ impl TileGemm {
     /// error per position into that filter's row of `grad`.
     pub(crate) fn outer_product(&mut self, dh: &[f64], y: &[f64], n: f64, grad: &mut [f64]) {
         let y_scale = y.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
-        let col_tiles = self.inp.div_ceil(TILE);
+        let (inp, col_tiles) = (self.inp, self.inp.div_ceil(TILE));
         for (t, pe) in self.pes.iter_mut().enumerate() {
             let (dh_lo, y_lo) = (t / col_tiles * TILE, t % col_tiles * TILE);
             let dh_slice = &dh[dh_lo..(dh_lo + TILE).min(dh.len())];
-            let y_tile = &y[y_lo..(y_lo + TILE).min(self.inp)];
+            let y_tile = &y[y_lo..(y_lo + TILE).min(inp)];
             let mut y_slice = [0.0; TILE];
             for (s, &v) in y_slice.iter_mut().zip(y_tile) {
                 *s = v / y_scale;
             }
-            let products = pe.outer_product(dh_slice, &y_slice[..y_tile.len()]);
-            for (i, row) in products.iter().enumerate() {
-                for (j, &p) in row.iter().enumerate() {
-                    grad[(dh_lo + i) * self.inp + (y_lo + j)] += p * y_scale / n;
-                }
-            }
+            pe.outer_product(dh_slice, &y_slice[..y_tile.len()], |i, j, p| {
+                grad[(dh_lo + i) * inp + (y_lo + j)] += p * y_scale / n;
+            });
         }
     }
 }
@@ -349,7 +349,12 @@ mod tests {
                         }
                     }
                     let pe = &mut self.pes[r * ct + c];
-                    let partial = if signed { pe.mvm_signed(&slice) } else { pe.mvm_unsigned(&slice) };
+                    let mut partial = vec![0.0; TILE];
+                    if signed {
+                        pe.mvm_signed_into(&slice, &mut partial);
+                    } else {
+                        pe.mvm_unsigned_into(&slice, &mut partial);
+                    }
                     for (i, &p) in partial.iter().enumerate() {
                         if r * TILE + i < self.rows {
                             y[r * TILE + i] += p * scale;

@@ -13,24 +13,40 @@ fn pe_modes(c: &mut Criterion) {
         let mut pe = ProcessingElement::new(16, 16, None);
         pe.program(&weights);
         let x: Vec<f64> = (0..16).map(|i| i as f64 / 16.0).collect();
-        b.iter(|| black_box(pe.mvm_unsigned(black_box(&x))))
+        let mut y = [0.0; 16];
+        b.iter(|| {
+            pe.mvm_unsigned_into(black_box(&x), &mut y);
+            black_box(&y);
+        })
     });
     c.bench_function("pe_mvm_signed_16x16", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);
         pe.program(&weights);
         let x: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) / 8.0).collect();
-        b.iter(|| black_box(pe.mvm_signed(black_box(&x))))
+        let mut y = [0.0; 16];
+        b.iter(|| {
+            pe.mvm_signed_into(black_box(&x), &mut y);
+            black_box(&y);
+        })
     });
     c.bench_function("pe_outer_product_16x16", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);
         let dh: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) / 8.0).collect();
         let y: Vec<f64> = (0..16).map(|i| i as f64 / 16.0).collect();
-        b.iter(|| black_box(pe.outer_product(black_box(&dh), black_box(&y))))
+        let mut grad = [0.0; 256];
+        b.iter(|| {
+            pe.outer_product(black_box(&dh), black_box(&y), |i, j, p| grad[i * 16 + j] = p);
+            black_box(&grad);
+        })
     });
     c.bench_function("pe_latch_and_activate", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);
         let h: Vec<f64> = (0..16).map(|i| (i as f64 - 4.0) / 4.0).collect();
-        b.iter(|| black_box(pe.latch_and_activate(black_box(&h))))
+        let mut act = [0.0; 16];
+        b.iter(|| {
+            pe.latch_and_activate(black_box(&h), &mut act);
+            black_box(&act);
+        })
     });
 }
 

@@ -80,7 +80,11 @@ fn bank_ops(c: &mut Criterion) {
             let mut bank = WeightBank::new(s, s, GstParameters::default());
             bank.program_flat(&weights);
             let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
-            b.iter(|| black_box(bank.mvm(black_box(&x))))
+            let mut y = vec![0.0; s];
+            b.iter(|| {
+                bank.mvm_into(black_box(&x), &mut y);
+                black_box(&y);
+            })
         });
         if size == 16 {
             // The classify MLP's read: statistical layer on, aged a month
@@ -94,7 +98,7 @@ fn bank_ops(c: &mut Criterion) {
                 let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
                 let mut y = vec![0.0; s];
                 b.iter(|| {
-                    bank.mvm_stat_into(black_box(&x), &mut y);
+                    bank.mvm_into(black_box(&x), &mut y);
                     black_box(&y);
                 })
             });

@@ -32,7 +32,8 @@ pub fn run() -> Vec<Row> {
     // Mode 1: inference MAC.
     let mut pe = ProcessingElement::new(4, 4, None);
     pe.program(&w);
-    let y = pe.mvm_unsigned(&x);
+    let mut y = [0.0; 4];
+    pe.mvm_unsigned_into(&x, &mut y);
     let mut err_inf: f64 = 0.0;
     for r in 0..4 {
         let want: f64 = (0..4).map(|c| w[r * 4 + c] * x[c]).sum();
@@ -49,7 +50,8 @@ pub fn run() -> Vec<Row> {
     let mut pe2 = ProcessingElement::new(4, 4, None);
     pe2.program(&wt);
     let delta = [0.3, -0.7, 0.2, 0.5];
-    let v = pe2.mvm_signed(&delta);
+    let mut v = [0.0; 4];
+    pe2.mvm_signed_into(&delta, &mut v);
     let mut err_grad: f64 = 0.0;
     for j in 0..4 {
         let want: f64 = (0..4).map(|i| w[i * 4 + j] * delta[i]).sum();
@@ -60,13 +62,8 @@ pub fn run() -> Vec<Row> {
     let mut pe3 = ProcessingElement::new(4, 4, None);
     let dh = [0.5, -1.0, 0.25, 0.75];
     let yv = [0.8, -0.4, 0.1, 0.9];
-    let outer = pe3.outer_product(&dh, &yv);
     let mut err_outer: f64 = 0.0;
-    for i in 0..4 {
-        for j in 0..4 {
-            err_outer = err_outer.max((outer[i][j] - dh[i] * yv[j]).abs());
-        }
-    }
+    pe3.outer_product(&dh, &yv, |i, j, p| err_outer = err_outer.max((p - dh[i] * yv[j]).abs()));
 
     vec![
         Row {

@@ -13,16 +13,13 @@
 //! the allocation idioms that silently reintroduce per-request heap
 //! traffic.
 //!
-//! Sanctioned boundaries are pruned from the walk (and never flagged),
-//! because allocation is *correct* there:
-//!
-//! * **construction & warm-up** — `new*`/`with_*`/`from_*`/`build*`/
-//!   `try_build*`/`default`/`reserve*` run once per fleet, before the
-//!   first request; growing scratch to capacity is their whole job.
-//! * **the device model** — `mvm_unsigned` / `latch_and_activate` /
-//!   `outer_product` model the photonic crossbar's internal dataflow
-//!   (per-tile optics, LDSU latches); their temporaries stand in for
-//!   hardware registers, not host memory (DESIGN.md §15).
+//! Construction and warm-up are pruned from the walk (and never
+//! flagged), because allocation is *correct* there: `new*`/`with_*`/
+//! `from_*`/`build*`/`try_build*`/`default`/`reserve*` run once per
+//! fleet, before the first request; growing scratch to capacity is their
+//! whole job. Nothing else is exempt: the walk runs through the engines
+//! and the tile grid into the device model (PEs and weight banks), whose
+//! reads, activations and outer products write into caller buffers.
 //!
 //! `Vec::new()` is deliberately not flagged: an empty `Vec` does not
 //! touch the heap, and the reuse idiom (`std::mem::take` a scratch
@@ -49,16 +46,9 @@ pub const ENTRY_POINTS: &[&str] = &["dispatch_into", "try_forward_batch", "try_d
 /// constructor in all but prefix.
 const STOP_PREFIXES: &[&str] = &["new", "with_", "from_", "build", "try_build", "reserve"];
 
-/// Exact names pruned from the walk: the device-model boundary and
-/// `zeros` (a constructor).
-/// `mvm` / `mvm_signed` are the bank's raw and dual-rail optical reads
-/// and `program_flat` the GST write pulse train — the same device-model
-/// category as `mvm_unsigned`: their temporaries stand in for on-chip
-/// dataflow, not host memory.
-const STOP_NAMES: &[&str] = &[
-    "default", "mvm", "mvm_unsigned", "mvm_signed", "latch_and_activate", "outer_product",
-    "program_flat", "zeros",
-];
+/// Exact names pruned from the walk: `default` and `zeros`
+/// (`Tensor::zeros`), constructors in all but prefix.
+const STOP_NAMES: &[&str] = &["default", "zeros"];
 
 /// Names whose call edges are meaningless under name-based resolution:
 /// iterator-adapter and container methods (`.map(…)`, `.filter(…)`, …)
@@ -190,14 +180,35 @@ mod tests {
     }
 
     #[test]
-    fn constructors_and_device_model_are_boundaries() {
+    fn constructors_are_boundaries() {
         let hits = check_src(&[(
             "crates/arch/src/engine.rs",
-            "pub fn try_forward_batch(n: usize) { mvm_unsigned(n); with_scratch(n); }\n\
-             fn mvm_unsigned(n: usize) { let v = vec![0.0; n]; drop(v); }\n\
-             fn with_scratch(n: usize) { let v: Vec<u8> = Vec::with_capacity(n); drop(v); }",
+            "pub fn try_forward_batch(n: usize) { with_scratch(n); reserve_slots(n); }\n\
+             fn with_scratch(n: usize) { let v: Vec<u8> = Vec::with_capacity(n); drop(v); }\n\
+             fn reserve_slots(n: usize) { let v = vec![0.0; n]; drop(v); }",
         )]);
         assert!(hits.is_empty(), "boundary fns must not be flagged: {hits:?}");
+    }
+
+    #[test]
+    fn the_device_model_is_walked_into() {
+        let hits = check_src(&[
+            (
+                "crates/arch/src/tile.rs",
+                "pub fn try_forward_batch(n: usize) { mvm_unsigned(n); latch_and_activate(n); }",
+            ),
+            (
+                "crates/arch/src/pe.rs",
+                "fn mvm_unsigned(n: usize) { let v = vec![0.0; n]; drop(v); }\n\
+                 fn latch_and_activate(n: usize) { let v = vec![0.0; n]; drop(v); }",
+            ),
+        ]);
+        let scopes: Vec<Option<&str>> = hits.iter().map(|f| f.scope.as_deref()).collect();
+        assert_eq!(
+            scopes,
+            [Some("mvm_unsigned"), Some("latch_and_activate")],
+            "a PE temporary is host memory: {hits:?}"
+        );
     }
 
     #[test]

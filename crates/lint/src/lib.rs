@@ -26,9 +26,9 @@
 //!    device model holds no stateful RNG.
 //! 7. **hot-path-alloc** — zero-alloc steady state ([`alloc_rules`]):
 //!    no `vec!`/`Vec::with_capacity`/`.collect()` in functions the call
-//!    graph reaches *forward* from the serving entry points; allocation
-//!    belongs in constructors, `reserve_*` warm-up, and the device
-//!    model, never per dispatched request (DESIGN.md §15).
+//!    graph reaches *forward* from the serving entry points, down to the
+//!    device model; allocation belongs in constructors and `reserve_*`
+//!    warm-up, never per dispatched request (DESIGN.md §15).
 //!
 //! Findings from the determinism and stream families carry call-graph
 //! attribution ([`callgraph`]): the production functions from which the

@@ -11,6 +11,11 @@
 //! Every firing must be followed by a recrystallization (reset) pulse;
 //! the reset energy is what Table III's "GST Activation Function Reset"
 //! line accounts for.
+//!
+//! A firing and its reset happen within one pulse window, so the cell
+//! keeps no state between pulses and is modelled as a stateless action:
+//! the transfer [`ActivationCellParams::relu`] applied to the pulse
+//! energy, plus one [`ActivationCellParams::reset_energy`] per firing.
 
 use crate::gst::{ENDURANCE_CYCLES, PULSE_WINDOW};
 use trident_photonics::units::{EnergyPj, Nanoseconds, Wavelength};
@@ -31,10 +36,17 @@ pub struct GstRelu {
 }
 
 impl GstRelu {
+    /// Whether `h` reaches the threshold: the cell fires (and must then
+    /// be reset), even exactly at threshold where its output is zero.
+    #[inline]
+    pub fn fires(&self, h: f64) -> bool {
+        h >= self.threshold
+    }
+
     /// Forward response.
     #[inline]
     pub fn forward(&self, h: f64) -> f64 {
-        if h >= self.threshold {
+        if self.fires(h) {
             self.slope * (h - self.threshold)
         } else {
             0.0
@@ -44,7 +56,7 @@ impl GstRelu {
     /// Two-valued derivative (what the LDSU latches).
     #[inline]
     pub fn derivative(&self, h: f64) -> f64 {
-        if h >= self.threshold {
+        if self.fires(h) {
             self.slope
         } else {
             0.0
@@ -74,6 +86,12 @@ impl ActivationCellParams {
     pub const THRESHOLD: EnergyPj = EnergyPj(430.0);
     /// Transmission slope above threshold at 1553.4 nm (Fig. 3).
     pub const SLOPE: f64 = 0.34;
+
+    /// The cell's Fig. 3 transfer in pulse-energy units: output energy
+    /// (pJ) for an input pulse of energy `h` (pJ).
+    pub fn relu(&self) -> GstRelu {
+        GstRelu { threshold: self.threshold.value(), slope: self.slope }
+    }
 }
 
 impl Default for ActivationCellParams {
@@ -91,110 +109,11 @@ impl Default for ActivationCellParams {
     }
 }
 
-/// The stateful optical activation cell.
-///
-/// ```
-/// use trident_pcm::activation::GstActivationCell;
-/// use trident_photonics::units::EnergyPj;
-///
-/// let mut cell = GstActivationCell::with_defaults();
-/// assert_eq!(cell.apply(EnergyPj(400.0)), EnergyPj::ZERO); // below 430 pJ
-/// let out = cell.apply(EnergyPj(930.0));                   // fires
-/// assert!((out.value() - 0.34 * 500.0).abs() < 1e-9);
-/// cell.reset();                                            // recrystallize
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GstActivationCell {
-    params: ActivationCellParams,
-    /// True when the patch is crystalline (armed, ready to gate a pulse).
-    armed: bool,
-    firings: u64,
-    resets: u64,
-    reset_energy_spent: EnergyPj,
-}
-
-impl GstActivationCell {
-    /// A fresh, armed (crystalline) cell.
-    pub fn new(params: ActivationCellParams) -> Self {
-        Self { params, armed: true, firings: 0, resets: 0, reset_energy_spent: EnergyPj::ZERO }
-    }
-
-    /// A fresh cell with the paper's constants.
-    pub fn with_defaults() -> Self {
-        Self::new(ActivationCellParams::default())
-    }
-
-    /// Cell constants.
-    #[inline]
-    pub fn params(&self) -> &ActivationCellParams {
-        &self.params
-    }
-
-    /// True when the cell is crystalline and will gate the next pulse.
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Apply a weighted-sum pulse. Returns the transmitted output energy:
-    /// zero below threshold; `slope · (E − θ)` at or above it (the cell
-    /// fires and disarms until reset).
-    ///
-    /// # Panics
-    /// Panics if called while disarmed — the architecture must reset after
-    /// every firing, and silently absorbing that bug would corrupt whole
-    /// inference runs.
-    pub fn apply(&mut self, pulse: EnergyPj) -> EnergyPj {
-        assert!(pulse.value() >= 0.0, "pulse energy cannot be negative");
-        assert!(
-            self.armed,
-            "activation cell pulsed while amorphous (missing reset after previous firing)"
-        );
-        if pulse.value() >= self.params.threshold.value() {
-            self.armed = false;
-            self.firings += 1;
-            EnergyPj(self.params.slope * (pulse.value() - self.params.threshold.value()))
-        } else {
-            EnergyPj::ZERO
-        }
-    }
-
-    /// Recrystallize after a firing. Safe to call when already armed (it is
-    /// then a no-op costing nothing — the paper resets only fired cells).
-    /// Returns the reset energy spent.
-    pub fn reset(&mut self) -> EnergyPj {
-        if self.armed {
-            return EnergyPj::ZERO;
-        }
-        self.armed = true;
-        self.resets += 1;
-        self.reset_energy_spent += self.params.reset_energy;
-        self.params.reset_energy
-    }
-
-    /// Number of firings so far.
-    #[inline]
-    pub fn firing_count(&self) -> u64 {
-        self.firings
-    }
-
-    /// Total reset energy spent.
-    #[inline]
-    pub fn reset_energy_spent(&self) -> EnergyPj {
-        self.reset_energy_spent
-    }
-
-    /// Remaining endurance (each firing+reset is one switch cycle).
-    pub fn endurance_remaining(&self) -> u64 {
-        self.params.endurance_cycles.saturating_sub(self.firings)
-    }
-}
-
 /// Sample the Fig. 3 transfer curve: output pulse energy vs input pulse
 /// energy, over `[0, max_pj]` with `samples` points.
 pub fn fig3_curve(params: &ActivationCellParams, max_pj: f64, samples: usize) -> Vec<(f64, f64)> {
     assert!(samples >= 2, "need at least two samples");
-    let relu = GstRelu { threshold: params.threshold.value(), slope: params.slope };
+    let relu = params.relu();
     (0..samples)
         .map(|i| {
             let e = max_pj * i as f64 / (samples - 1) as f64;
@@ -206,52 +125,6 @@ pub fn fig3_curve(params: &ActivationCellParams, max_pj: f64, samples: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn subthreshold_pulse_is_absorbed() {
-        let mut cell = GstActivationCell::with_defaults();
-        let out = cell.apply(EnergyPj(400.0));
-        assert_eq!(out, EnergyPj::ZERO);
-        assert!(cell.is_armed(), "cell must stay armed below threshold");
-        assert_eq!(cell.firing_count(), 0);
-    }
-
-    #[test]
-    fn suprathreshold_pulse_fires_with_slope() {
-        let mut cell = GstActivationCell::with_defaults();
-        let out = cell.apply(EnergyPj(1430.0));
-        assert!((out.value() - 0.34 * 1000.0).abs() < 1e-9);
-        assert!(!cell.is_armed());
-        assert_eq!(cell.firing_count(), 1);
-    }
-
-    #[test]
-    fn exact_threshold_fires_with_zero_output() {
-        let mut cell = GstActivationCell::with_defaults();
-        let out = cell.apply(EnergyPj(430.0));
-        assert_eq!(out, EnergyPj::ZERO);
-        assert!(!cell.is_armed(), "threshold crossing switches the material");
-    }
-
-    #[test]
-    #[should_panic]
-    fn pulsing_a_disarmed_cell_is_a_bug() {
-        let mut cell = GstActivationCell::with_defaults();
-        cell.apply(EnergyPj(500.0));
-        cell.apply(EnergyPj(500.0)); // missing reset
-    }
-
-    #[test]
-    fn reset_rearms_and_costs_energy() {
-        let mut cell = GstActivationCell::with_defaults();
-        cell.apply(EnergyPj(500.0));
-        let e = cell.reset();
-        assert_eq!(e, EnergyPj(1000.0));
-        assert!(cell.is_armed());
-        // Resetting an armed cell is free.
-        assert_eq!(cell.reset(), EnergyPj::ZERO);
-        assert_eq!(cell.reset_energy_spent(), EnergyPj(1000.0));
-    }
 
     #[test]
     fn relu_forward_and_derivative_are_consistent() {
@@ -283,25 +156,5 @@ mod tests {
             let slope = (o1 - o0) / (e1 - e0);
             assert!((slope - 0.34).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn disabled_activation_is_identity_like() {
-        // §III-C: a fully amorphous cell "effectively eliminates the
-        // activation cell" — modelled as the disarmed pass-through state.
-        let mut cell = GstActivationCell::with_defaults();
-        cell.apply(EnergyPj(10_000.0));
-        assert!(!cell.is_armed(), "high pulse leaves the cell amorphous");
-    }
-
-    #[test]
-    fn endurance_tracks_firings() {
-        let mut cell = GstActivationCell::with_defaults();
-        for _ in 0..5 {
-            cell.apply(EnergyPj(500.0));
-            cell.reset();
-        }
-        assert_eq!(cell.firing_count(), 5);
-        assert_eq!(cell.endurance_remaining(), 1_000_000_000_000 - 5);
     }
 }

@@ -13,7 +13,9 @@
 //!   weights `w ∈ [-1, 1]` onto balanced drop/through transmission.
 //! * [`activation`] — the GST activation cell of Fig. 2e / Fig. 3: a 60 µm
 //!   ring with GST at the waveguide crossing whose switching threshold
-//!   realises a ReLU-like optical nonlinearity, plus its reset cycle.
+//!   realises a ReLU-like optical nonlinearity. It fires and is reset
+//!   within one pulse window, so it is stateless: its constants, its
+//!   transfer and the per-firing reset energy the PE bills.
 //! * [`ldsu`] — the Linear Derivative Storage Unit (Fig. 2d): an analog
 //!   comparator and a D-flip-flop per row that capture `f'(h)` during the
 //!   forward pass so the backward pass never touches memory (its power and
@@ -35,7 +37,7 @@ pub mod ldsu;
 pub mod stat;
 pub mod weight;
 
-pub use activation::{fig3_curve, ActivationCellParams, GstActivationCell, GstRelu};
+pub use activation::{fig3_curve, ActivationCellParams, GstRelu};
 pub use error::PcmError;
 pub use gst::{GstCell, GstFault, GstParameters, WriteReport, WriteVerifyPolicy};
 pub use ldsu::Ldsu;

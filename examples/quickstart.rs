@@ -32,7 +32,8 @@ fn main() {
     // Inference: encode an input vector on the WDM comb and detect the
     // per-row dot products on the balanced photodetectors.
     let x = [1.0, 0.5, 0.25, 0.75];
-    let h = pe.mvm_unsigned(&x);
+    let mut h = [0.0; 4];
+    pe.mvm_unsigned_into(&x, &mut h);
     println!("\ninput  x = {x:?}");
     for (r, v) in h.iter().enumerate() {
         let exact: f64 = (0..4).map(|c| weights[r * 4 + c] * x[c]).sum();
@@ -43,7 +44,8 @@ fn main() {
     // pulse exceeds the 430 pJ threshold. The backward pass reads f'(h)
     // from the kept logit: the spilled-bit Hadamard of a unit error.
     let relu = GstRelu { threshold: 0.43, slope: 0.34 };
-    let y = pe.latch_and_activate(&h);
+    let mut y = [0.0; 4];
+    pe.latch_and_activate(&h, &mut y);
     println!("\nGST activation (threshold 0.43, slope 0.34):");
     for (r, (hv, yv)) in h.iter().zip(&y).enumerate() {
         println!(

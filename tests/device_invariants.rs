@@ -7,6 +7,13 @@ use trident::arch::bank::WeightBank;
 use trident::pcm::gst::GstParameters;
 use trident::photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 
+/// A bank read into a fresh vector.
+fn read(bank: &mut WeightBank, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; bank.rows()];
+    bank.mvm_into(x, &mut y);
+    y
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -19,9 +26,9 @@ proptest! {
     ) {
         let mut bank = WeightBank::new(4, 4, GstParameters::default());
         bank.program_flat(&w);
-        let y1 = bank.mvm(&x);
+        let y1 = read(&mut bank, &x);
         let scaled: Vec<f64> = x.iter().map(|&v| v * alpha).collect();
-        let y2 = bank.mvm(&scaled);
+        let y2 = read(&mut bank, &scaled);
         for (a, b) in y1.iter().zip(&y2) {
             prop_assert!((b - a * alpha).abs() < 1e-9);
         }
@@ -37,9 +44,9 @@ proptest! {
         let mut bank = WeightBank::new(4, 4, GstParameters::default());
         bank.program_flat(&w);
         let sum: Vec<f64> = x1.iter().zip(&x2).map(|(a, b)| a + b).collect();
-        let y_sum = bank.mvm(&sum);
-        let y1 = bank.mvm(&x1);
-        let y2 = bank.mvm(&x2);
+        let y_sum = read(&mut bank, &sum);
+        let y1 = read(&mut bank, &x1);
+        let y2 = read(&mut bank, &x2);
         for ((s, a), b) in y_sum.iter().zip(&y1).zip(&y2) {
             prop_assert!((s - (a + b)).abs() < 1e-9);
         }
@@ -54,7 +61,7 @@ proptest! {
     ) {
         let mut bank = WeightBank::new(4, 4, GstParameters::default());
         bank.program_flat(&w);
-        let y = bank.mvm(&x);
+        let y = read(&mut bank, &x);
         for r in 0..4 {
             let exact: f64 = (0..4).map(|c| w[r * 4 + c] * x[c]).sum();
             // Quantization (half an LSB per weight) plus crosstalk that
@@ -114,7 +121,7 @@ fn ring_readout_consistent_with_row_mvm() {
     let mut bank = WeightBank::new(1, 8, GstParameters::default());
     let w: Vec<f64> = vec![0.6, -0.2, 0.9, -0.8, 0.1, 0.4, -0.5, 0.3];
     bank.program_flat(&w);
-    let row_sum = bank.mvm(&[1.0; 8])[0];
+    let row_sum = read(&mut bank, &[1.0; 8])[0];
     let demux_sum: f64 = (0..8).map(|c| bank.ring_readout(0, c)).sum();
     // Per-ring crosstalk residues (~1% of full scale each) accumulate
     // over the 8 channels, so the bound is wider than a single ring's.
