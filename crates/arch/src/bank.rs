@@ -21,10 +21,10 @@
 //! order, so each row sums exactly the terms, in exactly the order, of a
 //! one-row-at-a-time dot product.
 //!
-//! The bank has one read, [`WeightBank::mvm_into`], and one per-ring
-//! readout, [`WeightBank::ring_readout`]; each applies the statistical
-//! layer when it is on. Reads write into the caller's buffer and the
-//! open-loop write stages nothing, so neither allocates.
+//! The bank has one read, [`WeightBank::mvm_into`], and one readout,
+//! [`WeightBank::row_readouts`]; each applies the statistical layer when
+//! it is on. Reads write into the caller's buffer and the open-loop
+//! write stages nothing, so neither allocates.
 //!
 //! A bank write costs what it physically changes. Each ring's transfer on
 //! each channel factors into a per-channel term, `sin(φ/2)` of its
@@ -32,19 +32,29 @@
 //! ([`AddDropMrr::transfer_at`]). The sine table depends only on where
 //! the rings resonate, so it is computed when the bank is built (and,
 //! with fabrication variation, when a ring is remapped onto a spare) and
-//! never again; a GST write refreshes one amplitude. Without variation,
-//! ring `k` of every row resonates on channel `k`, so one nominal
-//! `cols·cols` table serves every row and every nominal spare; a bank
-//! built with variation keeps a per-ring `rows·cols·cols` table.
+//! never again. Without variation, ring `k` of every row resonates on
+//! channel `k`, so one nominal `cols·cols` table serves every row and
+//! every nominal spare; a bank built with variation keeps a per-ring
+//! `rows·cols·cols` table. A calibrated write lands a cell exactly on its
+//! level's crystallinity, so its amplitude is a lookup in the shared
+//! LUT's per-level table ([`WeightLut::round_trip_at`]); verified writes,
+//! remaps, faults and aging leave a cell off the calibrated levels and
+//! compute its amplitude from the cell.
 //!
-//! A row's response reads only that row's rings, so programming re-derives
-//! the coefficients of the rows whose rings changed and leaves the others
-//! alone.
-//! The refresh walks the rings in order with every channel of the row in
-//! flight at once: each channel still accumulates its rings in ascending
-//! order with the same operations, so the result is bitwise that of the
-//! one-channel-at-a-time sweep, but the per-channel divides are
-//! independent and pipeline.
+//! A row's response reads only that row's rings, so a write marks the
+//! rows whose rings changed stale and leaves the others alone; the next
+//! read derives the stale rows, once each, however many writes came
+//! first. (In-situ training zeroes a bank's other rows for an outer
+//! product and rewrites them right after, before anything reads them.)
+//! Each cache is a pure function of the current ring and statistical
+//! state, so deriving late gives the bits deriving eagerly would.
+//! The derivation walks the rings in order with every channel of the row
+//! in flight at once: each channel still accumulates its rings in
+//! ascending order with the same operations, so the result is bitwise
+//! that of the one-channel-at-a-time sweep, but the per-channel divides
+//! are independent and pipeline. The readout walks a row the same way,
+//! every channel's upstream, own and downstream factors in flight, and
+//! reads the rings' current state, so it needs no derived response.
 //!
 //! Each slot also remembers the last weight it accepted. Re-requesting
 //! that exact weight is a proven no-op (the cell still sits at the level
@@ -167,8 +177,18 @@ pub struct WeightBank {
     /// Cached net rail response `D − T` per slot, transposed
     /// `[channel][row]` (rows padded by [`read_stride`]) so a read
     /// streams each channel's rows contiguously; zero for a masked slot.
-    /// Refreshed by [`Self::recompute_row`].
+    /// Derived by [`Self::recompute_row`] for the rows marked `stale`.
     net_coeff: Vec<f64>,
+    /// Per row: whether its rings changed since its response (and stat
+    /// read coefficients) were last derived. Writers mark rows here; a
+    /// read derives them first ([`Self::settle`]).
+    stale: Vec<bool>,
+    /// Whether any row is `stale`, so a read of a settled bank checks
+    /// one flag.
+    any_stale: bool,
+    /// How many times each row's response has been derived.
+    #[cfg(test)]
+    derived: Vec<u32>,
     /// The bank's single simulated-deployment-time source: both the
     /// deterministic relaxation law and the statistical drift model read
     /// elapsed time from here, so time can never advance two ways.
@@ -240,7 +260,7 @@ impl WeightBank {
         let grid = WdmGrid::c_band(cols);
         let geometry = MrrGeometry::weight_bank();
         let lut = WeightLut::shared(&params);
-        let rings = (0..rows * cols)
+        let rings: Vec<PcmMrr> = (0..rows * cols)
             .map(|i| {
                 let offset = if resonance_sigma_nm > 0.0 {
                     seeded_gaussian(identity, STREAM_DEVICE_RESONANCE, i as u64)
@@ -254,6 +274,9 @@ impl WeightBank {
             .collect();
         let varied = resonance_sigma_nm > 0.0;
         let tabled_rings = if varied { rows * cols } else { cols };
+        // Every fresh cell holds the same amorphous state in the same
+        // ring design, so one amplitude serves them all.
+        let fresh = rings[0].round_trip_amplitude();
         let mut bank = Self {
             rows,
             cols,
@@ -270,8 +293,13 @@ impl WeightBank {
             varied,
             half_sin: vec![0.0; tabled_rings * cols],
             held: vec![UNHELD; rows * cols],
-            round_trip: vec![0.0; rows * cols],
+            round_trip: vec![fresh; rows * cols],
             net_coeff: vec![0.0; read_stride(rows) * cols],
+            // No row's response is derived yet.
+            stale: vec![true; rows],
+            any_stale: true,
+            #[cfg(test)]
+            derived: vec![0; rows],
             clock: DegradationClock::new(),
             stat: None,
         };
@@ -279,10 +307,6 @@ impl WeightBank {
         for idx in 0..tabled_rings {
             bank.refresh_half_sin(idx);
         }
-        for idx in 0..rows * cols {
-            bank.refresh_round_trip(idx);
-        }
-        bank.recompute_response();
         bank
     }
 
@@ -339,20 +363,6 @@ impl WeightBank {
         self.round_trip[idx] = self.rings[idx].round_trip_amplitude();
     }
 
-    /// `(drop, through)` of ring `idx` on channel `j`. A masked (dead)
-    /// ring is heater-detuned far off the bus: transparent on every
-    /// channel, contributing neither drop power nor crosstalk.
-    #[inline]
-    fn port(&self, idx: usize, j: usize) -> (f64, f64) {
-        if self.masked[idx] {
-            return (0.0, 1.0);
-        }
-        let t = self.rings[idx]
-            .ring()
-            .transfer_at(self.round_trip[idx], self.half_sin_of(idx)[j]);
-        (t.drop, t.through)
-    }
-
     /// Bank rows (J).
     #[inline]
     pub fn rows(&self) -> usize {
@@ -403,9 +413,10 @@ impl WeightBank {
     /// The open-loop write sweep behind [`WeightBank::program_flat`], reading
     /// the weight of cell `(r, c)` from `weight` (the caller has checked
     /// the shape). A cell asked for the weight it last accepted is a
-    /// write no-op and is skipped without a LUT search. Each row whose
-    /// rings changed re-derives its response at the end of its own write
-    /// loop.
+    /// write no-op and is skipped without a LUT search. A written cell
+    /// sits exactly at its level's calibrated crystallinity, so its
+    /// amplitude comes from the LUT's per-level table; each row whose
+    /// rings changed is marked stale for the next read to derive.
     pub(crate) fn program_cells(
         &mut self,
         weight: impl Fn(usize, usize) -> f64,
@@ -428,8 +439,9 @@ impl WeightBank {
                         if e.value() > 0.0 {
                             spent += e;
                             dirty = true;
-                            self.refresh_round_trip(idx);
-                            self.stat_on_write(idx, w);
+                            let level = self.rings[idx].cell().level();
+                            self.round_trip[idx] = self.lut.round_trip_at(level);
+                            self.stat_on_write(idx, level);
                         }
                     }
                     Err(e @ PcmError::WeightOutOfRange(_)) => panic!("{e}"),
@@ -439,7 +451,7 @@ impl WeightBank {
                 }
             }
             if dirty {
-                self.recompute_row(r);
+                self.mark_stale(r);
             }
         }
         let time = if spent.value() > 0.0 {
@@ -535,7 +547,7 @@ impl WeightBank {
                 }
             }
             if dirty {
-                self.recompute_row(r);
+                self.mark_stale(r);
                 changed = true;
             }
         }
@@ -578,7 +590,7 @@ impl WeightBank {
                             report.retried_cells += 1;
                         }
                         self.refresh_round_trip(idx);
-                        self.stat_on_write(idx, w);
+                        self.stat_on_write(idx, self.rings[idx].cell().level());
                         return Ok(true);
                     }
                     return Ok(remapped_retry);
@@ -606,7 +618,7 @@ impl WeightBank {
 
     /// Replace the ring at `(r, c)` with one of the row's spares (a fresh
     /// nominal ring heater-trimmed onto the slot's channel). Does not
-    /// recompute the row's response — callers batch that.
+    /// mark the row stale — callers batch that.
     fn remap_slot(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         if self.spares[r] == 0 {
             return Err(ArchError::SparesExhausted { row: r, col: c });
@@ -632,7 +644,7 @@ impl WeightBank {
     /// Remap the ring at `(r, c)` onto a spare and refresh the optics.
     pub fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         self.remap_slot(r, c)?;
-        self.recompute_row(r);
+        self.mark_stale(r);
         Ok(())
     }
 
@@ -640,7 +652,7 @@ impl WeightBank {
     /// and the receiver cancels its channel for this row (zero weight).
     pub fn mask_ring(&mut self, r: usize, c: usize) {
         self.masked[r * self.cols + c] = true;
-        self.recompute_row(r);
+        self.mark_stale(r);
     }
 
     /// Pin the GST cell at `(r, c)` in a hard fault state and refresh the
@@ -650,7 +662,7 @@ impl WeightBank {
         self.rings[idx].inject_fault(fault);
         self.forget(idx);
         self.refresh_round_trip(idx);
-        self.recompute_row(r);
+        self.mark_stale(r);
     }
 
     /// Advance simulated deployment time by `years` and apply the active
@@ -692,7 +704,8 @@ impl WeightBank {
         for idx in 0..self.rings.len() {
             self.refresh_round_trip(idx);
         }
-        self.recompute_response();
+        self.stale.fill(true);
+        self.any_stale = true;
     }
 
     /// Switch on the statistical device layer: seeded per-cell drift
@@ -749,10 +762,13 @@ impl WeightBank {
         self.refresh_read_coeffs();
     }
 
-    /// Re-derive every slot's statistical read coefficient.
+    /// Re-derive every settled row's statistical read coefficients. A
+    /// stale row's are derived with its response at the next read.
     fn refresh_read_coeffs(&mut self) {
         for r in 0..self.rows {
-            self.refresh_read_row(r);
+            if !self.stale[r] {
+                self.refresh_read_row(r);
+            }
         }
     }
 
@@ -774,15 +790,14 @@ impl WeightBank {
         }
     }
 
-    /// Statistical bookkeeping for one successful write at `idx`: draw
-    /// the level-dependent programming error, restart the slot's drift
-    /// (a rewrite re-amorphizes the mark), and refresh the reference
-    /// column alongside.
-    fn stat_on_write(&mut self, idx: usize, w: f64) {
+    /// Statistical bookkeeping for one successful write at `idx`, which
+    /// landed on calibrated `level`: draw the level-dependent programming
+    /// error, restart the slot's drift (a rewrite re-amorphizes the mark),
+    /// and refresh the reference column alongside.
+    fn stat_on_write(&mut self, idx: usize, level: u16) {
         if self.stat.is_none() {
             return;
         }
-        let level = self.lut.level_for(w);
         let levels = self.lut.levels();
         let now = self.clock.now();
         let Some(stat) = self.stat.as_mut() else { return };
@@ -881,24 +896,41 @@ impl WeightBank {
         self.rings.iter().map(PcmMrr::write_failures).sum()
     }
 
-    /// Recompute the linear rail response of every row.
-    fn recompute_response(&mut self) {
-        for r in 0..self.rows {
-            self.recompute_row(r);
+    /// Mark row `r`'s response stale: its rings changed, and the next
+    /// read derives it.
+    fn mark_stale(&mut self, r: usize) {
+        self.stale[r] = true;
+        self.any_stale = true;
+    }
+
+    /// Derive the response of every stale row. Each cache is a pure
+    /// function of the current ring and statistical state, so deriving
+    /// a row once at its next read gives the bits an eager derivation
+    /// after every write would have.
+    fn settle(&mut self) {
+        if !self.any_stale {
+            return;
         }
+        for r in 0..self.rows {
+            if self.stale[r] {
+                self.recompute_row(r);
+            }
+        }
+        self.any_stale = false;
     }
 
     /// Recompute row `r`'s net rail response from its rings' cached
     /// detuning factors and amplitudes (the transcendental physics lives
-    /// in [`Self::refresh_half_sin`] and [`Self::refresh_round_trip`]),
-    /// then the row's statistical read coefficients.
+    /// in [`Self::refresh_half_sin`], [`Self::refresh_round_trip`] and the
+    /// LUT's per-level amplitudes), then the row's statistical read
+    /// coefficients, and clear its stale mark.
     ///
     /// Rings outer, channels inner: a chunk of up to [`LANES`] channels
     /// carries its running power `p` and dropped power in stack arrays,
     /// and every ring updates all of them. Each channel sees exactly the
-    /// ring-ascending `dropped += p·drop; p *= through` chain of
-    /// [`Self::port`], so the result is bitwise that of a per-channel
-    /// sweep.
+    /// ring-ascending `dropped += p·drop; p *= through` chain of a
+    /// per-channel sweep, a masked ring passing `(drop, through) = (0, 1)`,
+    /// so the result is bitwise that sweep's.
     fn recompute_row(&mut self, r: usize) {
         let base = r * self.cols;
         let stride = read_stride(self.rows);
@@ -910,7 +942,8 @@ impl WeightBank {
                 let idx = base + k;
                 let lane = dropped[..lanes].iter_mut().zip(&mut p[..lanes]);
                 if self.masked[idx] {
-                    // A dead ring is transparent: `port`'s (0, 1).
+                    // A dead ring is heater-detuned off the bus:
+                    // transparent, (drop, through) = (0, 1).
                     for (d, pj) in lane {
                         *d += *pj * 0.0;
                         *pj *= 1.0;
@@ -938,6 +971,11 @@ impl WeightBank {
             }
         }
         self.refresh_read_row(r);
+        self.stale[r] = false;
+        #[cfg(test)]
+        {
+            self.derived[r] += 1;
+        }
     }
 
     /// Optical matrix-vector product into `y` (overwritten; one entry per
@@ -958,12 +996,14 @@ impl WeightBank {
     /// With every σ at zero and every ν at zero this reduces bitwise to
     /// the deterministic read of the layer off (the noise-off
     /// passthrough the proptests pin). Either way the sums come from the
-    /// cached read coefficients.
+    /// cached read coefficients, after the rows written since the last
+    /// read are derived.
     ///
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
     pub fn mvm_into(&mut self, x: &[f64], y: &mut [f64]) {
         self.check_read(x, y);
+        self.settle();
         let Some(stat) = self.stat.as_mut() else {
             return self.read_net(x, y);
         };
@@ -980,7 +1020,7 @@ impl WeightBank {
         }
     }
 
-    /// The deterministic read of a checked input.
+    /// The deterministic read of a checked input from a settled bank.
     fn read_net(&self, x: &[f64], y: &mut [f64]) {
         read_rows(&self.net_coeff, x, y);
         let scale = self.lut.scale();
@@ -998,52 +1038,96 @@ impl WeightBank {
         }
     }
 
-    /// Per-ring balanced readout for the outer-product mode: the
-    /// wavelength-demultiplexed drop−through response of ring `(r, c)` on
-    /// its own channel, including the attenuation of the other rings on
-    /// the row. Approximately `w(r, c)`.
+    /// Per-ring balanced readouts for the outer-product mode: the
+    /// wavelength-demultiplexed drop−through response of rings
+    /// `0..out.len()` of row `r`, each on its own channel and including
+    /// the attenuation of the other rings on the row, into `out`. Entry
+    /// `c` is approximately `w(r, c)`.
     ///
-    /// With the statistical layer on, the slot's programming error and
-    /// drift factor apply, plus one read-noise draw and the calibration
-    /// gain, so in-situ training sees the same degraded device the
-    /// forward pass does. A masked slot reads zero without a draw.
-    pub fn ring_readout(&mut self, r: usize, c: usize) -> f64 {
-        let det = self.net_readout(r, c);
-        let idx = r * self.cols + c;
-        let Some(stat) = self.stat.as_mut() else {
-            return det;
-        };
-        if self.masked[idx] {
-            return det;
+    /// With the statistical layer on, each slot's programming error and
+    /// drift factor apply, plus one read-noise draw per ring (in ring
+    /// order) and the calibration gain, so in-situ training sees the same
+    /// degraded device the forward pass does. A masked slot reads zero
+    /// without a draw. The readout evaluates the rings' current state,
+    /// so it never needs the row's derived response.
+    ///
+    /// # Panics
+    /// Panics if `out` is wider than the row.
+    pub fn row_readouts(&mut self, r: usize, out: &mut [f64]) {
+        self.net_readouts(r, out);
+        let Some(stat) = self.stat.as_mut() else { return };
+        let base = r * self.cols;
+        let mut draws = 0;
+        for (c, v) in out.iter_mut().enumerate() {
+            let idx = base + c;
+            if self.masked[idx] {
+                continue;
+            }
+            let noise = stat.params.read_sigma_weight
+                * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
+            stat.read_draws += 1;
+            draws += 1;
+            *v = ((*v + stat.prog_offset[idx]) * stat.factor[idx] + noise) * stat.gain;
         }
-        let noise = stat.params.read_sigma_weight
-            * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
-        stat.read_draws += 1;
         if obs::enabled() {
-            obs::add(obs::Counter::StatNoiseSamples, 1);
+            obs::add(obs::Counter::StatNoiseSamples, draws);
         }
-        ((det + stat.prog_offset[idx]) * stat.factor[idx] + noise) * stat.gain
     }
 
-    /// The deterministic readout of ring `(r, c)`: its net coefficient
-    /// swept along the row, divided by the LUT scale.
-    fn net_readout(&self, r: usize, c: usize) -> f64 {
-        if self.masked[r * self.cols + c] {
-            return 0.0; // dead slot: channel cancelled at the receiver
+    /// The deterministic readouts of rings `0..out.len()` of row `r`:
+    /// each ring's own-channel drop, times the through of the rings
+    /// upstream of it, minus its own through times the throughs upstream
+    /// and downstream, divided by the LUT scale.
+    ///
+    /// Rings outer, channels inner, like [`Self::recompute_row`]: a chunk
+    /// of up to [`LANES`] channels keeps its upstream product, own
+    /// transfer and downstream product in stack arrays, and every ring
+    /// updates all of them, so each channel multiplies exactly the
+    /// ring-ascending factors of a one-ring-at-a-time sweep. A masked
+    /// ring is transparent, through 1, which multiplies nothing.
+    fn net_readouts(&self, r: usize, out: &mut [f64]) {
+        assert!(out.len() <= self.cols, "more readouts than rings in the row");
+        let base = r * self.cols;
+        let scale = self.lut.scale();
+        for (c0, chunk) in (0..self.cols).step_by(LANES).zip(out.chunks_mut(LANES)) {
+            let lanes = chunk.len();
+            let mut up = [1.0f64; LANES];
+            let mut own = [(0.0f64, 0.0f64); LANES];
+            let mut down = [1.0f64; LANES];
+            for k in 0..self.cols {
+                let idx = base + k;
+                if self.masked[idx] {
+                    continue;
+                }
+                let ring = self.rings[idx].ring();
+                let a = self.round_trip[idx];
+                let s = &self.half_sin_of(idx)[c0..c0 + lanes];
+                // Lanes `..own_lo` sit downstream of ring `k`, lanes
+                // `own_hi..` upstream, and `own_lo..own_hi` is its own
+                // channel when the chunk holds it.
+                let own_lo = k.saturating_sub(c0).min(lanes);
+                let own_hi = (k + 1).saturating_sub(c0).min(lanes);
+                for (d, &sj) in down[..own_lo].iter_mut().zip(&s[..own_lo]) {
+                    *d *= ring.transfer_at(a, sj).through;
+                }
+                for (o, &sj) in own[own_lo..own_hi].iter_mut().zip(&s[own_lo..own_hi]) {
+                    let t = ring.transfer_at(a, sj);
+                    *o = (t.drop, t.through);
+                }
+                for (u, &sj) in up[own_hi..lanes].iter_mut().zip(&s[own_hi..]) {
+                    *u *= ring.transfer_at(a, sj).through;
+                }
+            }
+            for (jj, v) in chunk.iter_mut().enumerate() {
+                // A dead slot's channel is cancelled at the receiver.
+                *v = if self.masked[base + c0 + jj] {
+                    0.0
+                } else {
+                    let (own_drop, own_through) = own[jj];
+                    (up[jj] * own_drop - up[jj] * own_through * down[jj]) / scale
+                };
+            }
         }
-        // `port` already encodes masking (masked neighbours are
-        // transparent), so read the row's attenuation from it.
-        let at = |k: usize| self.port(r * self.cols + k, c);
-        let mut upstream = 1.0;
-        for k in 0..c {
-            upstream *= at(k).1;
-        }
-        let (own_drop, own_through) = at(c);
-        let mut downstream = 1.0;
-        for k in (c + 1)..self.cols {
-            downstream *= at(k).1;
-        }
-        (upstream * own_drop - upstream * own_through * downstream) / self.lut.scale()
     }
 
     /// Total individual ring writes so far.
@@ -1179,6 +1263,28 @@ mod tests {
     }
 
     #[test]
+    fn writes_defer_row_derivation_to_the_next_read() {
+        let mut b = bank4();
+        b.program_flat(&[0.5; 16]);
+        b.program_flat(&[-0.25; 16]);
+        assert_eq!(b.derived, [0; 4], "a write derives no row");
+        read(&mut b, &[0.5; 4]);
+        assert_eq!(b.derived, [1; 4], "the read derives each written row once");
+        read(&mut b, &[0.5; 4]);
+        assert_eq!(b.derived, [1; 4], "a settled bank derives nothing");
+        let mut w = [-0.25; 16];
+        w[5] = 0.75;
+        b.program_flat(&w);
+        w[6] = 0.75;
+        b.program_flat(&w);
+        let mut row = [0.0; 4];
+        b.row_readouts(1, &mut row);
+        assert_eq!(b.derived, [1; 4], "a readout needs no derived response");
+        read(&mut b, &[0.5; 4]);
+        assert_eq!(b.derived, [1, 2, 1, 1], "only the rewritten row is derived again");
+    }
+
+    #[test]
     fn weight_readback_is_quantized_program() {
         let mut b = bank4();
         program(&mut b, &[[0.123; 4]; 4]);
@@ -1190,7 +1296,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_readout_approximates_weight() {
+    fn row_readouts_approximate_weights() {
         let mut b = bank4();
         let w = [
             [0.8, -0.5, 0.2, -1.0],
@@ -1200,8 +1306,9 @@ mod tests {
         ];
         program(&mut b, &w);
         for r in 0..4 {
-            for c in 0..4 {
-                let readout = b.ring_readout(r, c);
+            let mut row = [0.0; 4];
+            b.row_readouts(r, &mut row);
+            for (c, &readout) in row.iter().enumerate() {
                 assert!(
                     (readout - w[r][c]).abs() < 0.06,
                     "ring ({r},{c}): readout {readout} vs weight {}",
@@ -1357,7 +1464,9 @@ mod tests {
         assert!(matches!(report.failures[0], (0, 1, PcmError::StuckCell { .. })));
         assert!(b.is_masked(0, 1));
         assert_eq!(b.weight(0, 1), 0.0);
-        assert_eq!(b.ring_readout(0, 1), 0.0);
+        let mut row = [f64::NAN; 4];
+        b.row_readouts(0, &mut row);
+        assert_eq!(row[1], 0.0);
         // The masked column contributes nothing to its row...
         let mut x = vec![0.0; 4];
         x[1] = 1.0;
@@ -1424,11 +1533,13 @@ mod tests {
 }
 
 /// The write path against the full-sweep physics it replaced: after any
-/// sequence of bank operations, the cached responses must equal, bit for
-/// bit, responses rebuilt from every ring's [`PcmMrr::transfer`] on every
-/// channel. A shadow bank runs the same ops with its write memo cleared
-/// before every program call, so a write the memo wrongly skipped shows
-/// up as a difference in any return value, readout or tally.
+/// sequence of bank operations, the settled read must equal, bit for
+/// bit, a read of responses rebuilt from every ring's
+/// [`PcmMrr::transfer`] on every channel. A shadow bank runs the same ops
+/// with its write memo cleared before every program call, so a write the
+/// memo wrongly skipped shows up as a difference in any return value,
+/// readout or tally. The checks read clones, so the bank under test
+/// carries its stale rows from op to op.
 #[cfg(test)]
 mod equivalence_tests {
     use super::*;
@@ -1446,9 +1557,11 @@ mod equivalence_tests {
         (t.drop, t.through)
     }
 
-    /// A copy of `b` whose rail responses are rebuilt from a full sweep.
+    /// A settled copy of `b` whose rail responses are then rebuilt from a
+    /// full sweep.
     fn swept(b: &WeightBank) -> WeightBank {
         let mut s = b.clone();
+        s.settle();
         for r in 0..b.rows {
             for j in 0..b.cols {
                 let at = r * b.cols + j;
@@ -1471,7 +1584,8 @@ mod equivalence_tests {
         s
     }
 
-    /// The deterministic [`WeightBank::ring_readout`] from a full sweep.
+    /// The deterministic readout of ring `(r, c)` from a full sweep, one
+    /// ring at a time.
     fn swept_readout(b: &WeightBank, r: usize, c: usize) -> f64 {
         if b.masked[r * b.cols + c] {
             return 0.0;
@@ -1501,11 +1615,18 @@ mod equivalence_tests {
         y
     }
 
-    /// The deterministic read of `b`, whether or not its layer is on.
+    /// The deterministic read of `b`, whether or not its layer is on,
+    /// through the settled read path of a layer-free copy.
     fn net_read(b: &WeightBank, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; b.rows];
-        b.read_net(x, &mut y);
-        y
+        let mut plain = WeightBank { stat: None, ..b.clone() };
+        read(&mut plain, x)
+    }
+
+    /// The deterministic readouts of every ring of row `r`.
+    fn net_row(b: &WeightBank, r: usize) -> Vec<f64> {
+        let mut out = vec![f64::NAN; b.cols];
+        b.net_readouts(r, &mut out);
+        out
     }
 
     fn assert_matches_sweep(b: &WeightBank, x: &[f64], step: usize) {
@@ -1520,13 +1641,8 @@ mod equivalence_tests {
             );
         }
         for r in 0..b.rows {
-            for c in 0..b.cols {
-                assert_eq!(
-                    b.net_readout(r, c).to_bits(),
-                    swept_readout(b, r, c).to_bits(),
-                    "ring_readout({r},{c}) differs after op {step}"
-                );
-            }
+            let want: Vec<f64> = (0..b.cols).map(|c| swept_readout(b, r, c)).collect();
+            assert_eq!(bits(&net_row(b, r)), bits(&want), "row {r} readouts differ after op {step}");
         }
     }
 
@@ -1550,7 +1666,10 @@ mod equivalence_tests {
         Nothing,
         Write(u64, u64),
         Verified(String),
-        Stat(Vec<u64>, u64),
+        Stat(Vec<u64>, Vec<u64>),
+        Writes(Vec<Returned>),
+        Reads(Vec<u64>),
+        Gain(u64),
     }
 
     fn write(spent: (EnergyPj, Nanoseconds)) -> Returned {
@@ -1622,7 +1741,9 @@ mod equivalence_tests {
                 }
                 let x: Vec<f64> = (0..size).map(|_| rng.gen_range(0.0..=1.0)).collect();
                 let y = bits(&read(b, &x));
-                Returned::Stat(y, b.ring_readout(r, c).to_bits())
+                let mut readouts = vec![0.0; c + 1];
+                b.row_readouts(r, &mut readouts);
+                Returned::Stat(y, bits(&readouts))
             }
             8 => {
                 // Re-program exactly the last pattern: every cell is
@@ -1630,7 +1751,7 @@ mod equivalence_tests {
                 forget(b);
                 write(b.program_flat(last))
             }
-            _ => {
+            9 => {
                 // Pin a cell, then re-request its pre-fault weight (or,
                 // half the time, the weight it is now stuck at).
                 b.inject_ring_fault(r, c, stuck(&mut rng));
@@ -1639,6 +1760,65 @@ mod equivalence_tests {
                 }
                 forget(b);
                 write(b.program_flat(last))
+            }
+            10 => {
+                // Several writes with no read in between.
+                let writes = (0..rng.gen_range(2..=4))
+                    .map(|_| {
+                        *last = weights(&mut rng, n);
+                        forget(b);
+                        write(b.program_flat(last))
+                    })
+                    .collect();
+                Returned::Writes(writes)
+            }
+            11 => {
+                // Clone a bank with stale rows and read both copies: each
+                // derives its own rows, and both draw the same noise.
+                *last = weights(&mut rng, n);
+                forget(b);
+                let spent = write(b.program_flat(last));
+                let mut copy = b.clone();
+                let x: Vec<f64> = (0..size).map(|_| rng.gen_range(0.0..=1.0)).collect();
+                let from_copy = bits(&read(&mut copy, &x));
+                let from_original = bits(&read(b, &x));
+                assert_eq!(from_copy, from_original, "a clone of a stale bank reads differently");
+                Returned::Writes(vec![spent, Returned::Reads(from_original)])
+            }
+            12 => {
+                // A statistical-layer op on a bank with stale rows.
+                *last = weights(&mut rng, n);
+                forget(b);
+                let spent = write(b.program_flat(last));
+                let gain = match rng.gen_range(0..3) {
+                    0 if !b.stat_enabled() => {
+                        b.enable_stat(StatParams::default(), seed);
+                        b.compensation_gain()
+                    }
+                    0 | 1 => {
+                        b.advance_hours(Hours(rng.gen_range(1.0..2000.0)));
+                        b.compensation_gain()
+                    }
+                    _ => {
+                        let spent = b.calibrate_compensation();
+                        spent.value() + b.compensation_gain()
+                    }
+                };
+                Returned::Writes(vec![spent, Returned::Gain(gain.to_bits())])
+            }
+            _ => {
+                // A verified program with a row short of spares and stuck
+                // cells, so it remaps and masks.
+                b.set_spares_per_row(rng.gen_range(0..=1));
+                for _ in 0..rng.gen_range(1..=3) {
+                    let (r, c) = (rng.gen_range(0..size), rng.gen_range(0..size));
+                    b.inject_ring_fault(r, c, stuck(&mut rng));
+                }
+                *last = weights(&mut rng, n);
+                forget(b);
+                let policy = WriteVerifyPolicy::default();
+                let report = b.try_program_verified(last, &policy).expect("valid shape");
+                Returned::Verified(format!("{report:?}"))
             }
         }
     }
@@ -1656,12 +1836,12 @@ mod equivalence_tests {
             "statistical mvm differs from shadow after op {step}"
         );
         for r in 0..b.rows {
+            assert_eq!(
+                bits(&net_row(b, r)),
+                bits(&net_row(shadow, r)),
+                "row {r} readouts differ from shadow after op {step}"
+            );
             for c in 0..b.cols {
-                assert_eq!(
-                    b.net_readout(r, c).to_bits(),
-                    shadow.net_readout(r, c).to_bits(),
-                    "ring_readout({r},{c}) differs from shadow after op {step}"
-                );
                 assert_eq!(
                     b.weight(r, c).to_bits(),
                     shadow.weight(r, c).to_bits(),
@@ -1706,7 +1886,7 @@ mod equivalence_tests {
         #[test]
         fn bank_4x4_matches_the_full_sweep_bitwise(
             case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
-            ops in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..=16),
+            ops in proptest::collection::vec((0u8..14, 0u64..1_000_000), 1..=16),
         ) {
             run(4, case, &ops);
         }
@@ -1717,14 +1897,25 @@ mod equivalence_tests {
         #[test]
         fn bank_16x16_matches_the_full_sweep_bitwise(
             case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
-            ops in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..=10),
+            ops in proptest::collection::vec((0u8..14, 0u64..1_000_000), 1..=10),
         ) {
             run(16, case, &ops);
         }
     }
 
+    /// `(drop, through)` of ring `idx` on channel `j` from the bank's
+    /// cached amplitude and detuning tables. A masked (dead) ring is
+    /// transparent on every channel.
+    fn port(b: &WeightBank, idx: usize, j: usize) -> (f64, f64) {
+        if b.masked[idx] {
+            return (0.0, 1.0);
+        }
+        let t = b.rings[idx].ring().transfer_at(b.round_trip[idx], b.half_sin_of(idx)[j]);
+        (t.drop, t.through)
+    }
+
     /// Row `r`'s read straight from the device state, one row at a time:
-    /// each coefficient swept from [`WeightBank::port`] along the row,
+    /// each coefficient swept from [`port`] along the row,
     /// then the slot's programming error, decay factor and masking, the
     /// row's read-noise draw (`draw`) and the calibration gain. With the
     /// layer off, the plain `D − T` read.
@@ -1738,7 +1929,7 @@ mod equivalence_tests {
             }
             let (mut p, mut dropped) = (1.0, 0.0);
             for k in 0..b.cols {
-                let (drop, through) = b.port(r * b.cols + k, j);
+                let (drop, through) = port(b, r * b.cols + k, j);
                 dropped += p * drop;
                 p *= through;
             }
@@ -1761,8 +1952,7 @@ mod equivalence_tests {
     /// The deterministic read and `mvm_into` of `b` against
     /// [`naive_row`], bit for bit, read noise and draw counter included.
     fn assert_reads_naive(b: &WeightBank, x: &[f64], step: usize) {
-        let mut y = vec![f64::NAN; b.rows];
-        b.read_net(x, &mut y);
+        let mut y = net_read(b, x);
         let plain = WeightBank { stat: None, ..b.clone() };
         let want: Vec<f64> = (0..b.rows).map(|r| naive_row(&plain, x, r, 0)).collect();
         assert_eq!(bits(&y), bits(&want), "deterministic read differs from the naive read after op {step}");
@@ -1777,7 +1967,8 @@ mod equivalence_tests {
     }
 
     /// Apply read-cache op `kind` to `b`: every operation that changes an
-    /// input of the cached read coefficients.
+    /// input of the cached read coefficients. The checks read clones, so
+    /// `b` carries its stale rows into the next op.
     fn apply_read_op(b: &mut WeightBank, kind: u8, rng: &mut StdRng) {
         let (r, c) = (rng.gen_range(0..b.rows), rng.gen_range(0..b.cols));
         let n = b.rows * b.cols;
@@ -1799,7 +1990,37 @@ mod equivalence_tests {
             5 => {
                 b.calibrate_compensation();
             }
-            _ => b.disengage_compensation(),
+            6 => b.disengage_compensation(),
+            7 => {
+                // Several writes with no read in between.
+                for _ in 0..rng.gen_range(2..=4) {
+                    b.program_flat(&weights(rng, n));
+                }
+            }
+            8 => {
+                // Carry on with a clone of a bank with stale rows.
+                b.program_flat(&weights(rng, n));
+                *b = b.clone();
+            }
+            9 => {
+                // Switch the statistical layer on (or age it) with rows
+                // stale.
+                b.program_flat(&weights(rng, n));
+                if b.stat_enabled() {
+                    b.advance_hours(Hours(rng.gen_range(1.0..2000.0)));
+                } else {
+                    b.enable_stat(StatParams::default(), rng.gen_range(0..1000));
+                }
+            }
+            _ => {
+                // A verified program that remaps and, with the row's
+                // spares gone, masks.
+                b.set_spares_per_row(rng.gen_range(0..=1));
+                b.inject_ring_fault(r, c, stuck(rng));
+                b.inject_ring_fault(r, (c + 1) % b.cols, stuck(rng));
+                let w = weights(rng, n);
+                b.try_program_verified(&w, &WriteVerifyPolicy::default()).expect("valid shape");
+            }
         }
     }
 
@@ -1814,7 +2035,7 @@ mod equivalence_tests {
             rows in 1usize..=20,
             cols in 1usize..=20,
             case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, v, e)| (s, v == 1, e == 1)),
-            ops in proptest::collection::vec(0u8..7, 1..=8),
+            ops in proptest::collection::vec(0u8..11, 1..=8),
         ) {
             let (seed, varied, stat) = case;
             let sigma = if varied { 0.05 } else { 0.0 };
@@ -1830,6 +2051,55 @@ mod equivalence_tests {
                 apply_read_op(&mut b, kind, &mut rng);
                 let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.0..=1.0)).collect();
                 assert_reads_naive(&b, &x, step);
+            }
+        }
+    }
+
+    /// [`WeightBank::row_readouts`] of every prefix of every row against
+    /// the swept one-ring-at-a-time readout, bit for bit, on a bank wide
+    /// enough to chunk, with masked rings, with and without the
+    /// statistical layer: each live ring takes the next read-noise draw
+    /// in ring order, a masked ring reads zero without one.
+    #[test]
+    fn row_readouts_match_the_swept_per_ring_readout_for_every_prefix() {
+        let (rows, cols) = (3, 20);
+        for stat in [false, true] {
+            let mut b = WeightBank::new_varied(rows, cols, GstParameters::default(), 0.05, 11);
+            b.program_flat(&weights(&mut StdRng::seed_from_u64(4), rows * cols));
+            for (r, c) in [(1, 0), (1, 3), (1, 17), (2, 19)] {
+                b.mask_ring(r, c);
+            }
+            if stat {
+                b.enable_stat(StatParams::default(), 5);
+                b.program_flat(&weights(&mut StdRng::seed_from_u64(6), rows * cols));
+                b.advance_hours(Hours(500.0));
+                b.calibrate_compensation();
+            }
+            for r in 0..rows {
+                for n in 0..=cols {
+                    let mut got = b.clone();
+                    let mut out = vec![f64::NAN; n];
+                    got.row_readouts(r, &mut out);
+                    let mut draw = b.stat.as_ref().map_or(0, |s| s.read_draws);
+                    let want: Vec<f64> = (0..n)
+                        .map(|c| {
+                            let det = swept_readout(&b, r, c);
+                            let idx = r * cols + c;
+                            match &b.stat {
+                                Some(st) if !b.masked[idx] => {
+                                    let g = seeded_gaussian(st.bank_seed, STREAM_PCM_READ, draw);
+                                    draw += 1;
+                                    let noise = st.params.read_sigma_weight * g;
+                                    ((det + st.prog_offset[idx]) * st.factor[idx] + noise) * st.gain
+                                }
+                                _ => det,
+                            }
+                        })
+                        .collect();
+                    assert_eq!(bits(&out), bits(&want), "stat {stat}, row {r}, prefix {n}");
+                    let draws = got.stat.as_ref().map(|s| s.read_draws);
+                    assert_eq!(draws, b.stat.as_ref().map(|_| draw), "stat {stat}, row {r}, prefix {n}");
+                }
             }
         }
     }

@@ -333,9 +333,7 @@ impl ProcessingElement {
         self.charge_write(energy, time);
         let mut readout = [0.0; TILE];
         let readout = &mut readout[..y.len()];
-        for (c, w) in readout.iter_mut().enumerate() {
-            *w = self.bank.ring_readout(0, c);
-        }
+        self.bank.row_readouts(0, readout);
         for (i, &d) in dh.iter().enumerate() {
             self.charge_symbol(y.len());
             for (j, &w) in readout.iter().enumerate() {

@@ -54,8 +54,13 @@ fn bank_ops(c: &mut Criterion) {
     for &size in &[4usize, 8, 16] {
         let weights: Vec<f64> =
             (0..size * size).map(|i| ((i % 21) as f64 / 10.5) - 1.0).collect();
+        // Every program probe ends with one read: a write leaves its rows'
+        // responses for the next read to derive, so a probe without the
+        // read would stop timing that derivation.
+        let x: Vec<f64> = (0..size).map(|i| (i as f64) / size as f64).collect();
         group.bench_with_input(BenchmarkId::new("program", size), &size, |b, &s| {
             let mut bank = WeightBank::new(s, s, GstParameters::default());
+            let mut y = vec![0.0; s];
             let mut toggle = false;
             b.iter(|| {
                 // Alternate two patterns so every iteration actually writes.
@@ -64,22 +69,31 @@ fn bank_ops(c: &mut Criterion) {
                     .iter()
                     .map(|&v| if toggle { v } else { -v })
                     .collect();
-                black_box(bank.program_flat(&w))
+                let spent = black_box(bank.program_flat(&w));
+                bank.mvm_into(&x, &mut y);
+                black_box(&y);
+                spent
             })
         });
         if size == 16 {
             // Re-request the matrix the bank already holds: every cell
-            // is a write no-op the bank's memo skips.
+            // is a write no-op the bank's memo skips, and the read finds
+            // no row to derive.
             group.bench_with_input(BenchmarkId::new("reprogram_same", size), &size, |b, &s| {
                 let mut bank = WeightBank::new(s, s, GstParameters::default());
                 bank.program_flat(&weights);
-                b.iter(|| black_box(bank.program_flat(black_box(&weights))))
+                let mut y = vec![0.0; s];
+                b.iter(|| {
+                    let spent = black_box(bank.program_flat(black_box(&weights)));
+                    bank.mvm_into(&x, &mut y);
+                    black_box(&y);
+                    spent
+                })
             });
         }
         group.bench_with_input(BenchmarkId::new("mvm", size), &size, |b, &s| {
             let mut bank = WeightBank::new(s, s, GstParameters::default());
             bank.program_flat(&weights);
-            let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
             let mut y = vec![0.0; s];
             b.iter(|| {
                 bank.mvm_into(black_box(&x), &mut y);
@@ -95,7 +109,6 @@ fn bank_ops(c: &mut Criterion) {
                 bank.program_flat(&weights);
                 bank.advance_hours(Hours(720.0));
                 bank.calibrate_compensation();
-                let x: Vec<f64> = (0..s).map(|i| (i as f64) / s as f64).collect();
                 let mut y = vec![0.0; s];
                 b.iter(|| {
                     bank.mvm_into(black_box(&x), &mut y);

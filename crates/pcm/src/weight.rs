@@ -42,6 +42,9 @@ pub struct WeightLut {
     raw_by_level: Vec<f64>,
     /// Calibrated crystallinity realising each level.
     crystallinity_by_level: Vec<f64>,
+    /// Net round-trip amplitude of the calibrating ring at each level's
+    /// crystallinity ([`AddDropMrr::round_trip_amplitude`]).
+    round_trip_by_level: Vec<f64>,
     /// Scale applied to normalized weights: `w_raw = scale * w`.
     scale: f64,
 }
@@ -65,6 +68,7 @@ impl WeightLut {
         let levels = params.levels as usize;
         let mut raw_by_level = Vec::with_capacity(levels);
         let mut crystallinity_by_level = Vec::with_capacity(levels);
+        let mut round_trip_by_level = Vec::with_capacity(levels);
         for lvl in 0..levels {
             // Level 0 = +scale (most amorphous used), last = -scale.
             let target = scale - 2.0 * scale * lvl as f64 / (levels - 1) as f64;
@@ -81,8 +85,9 @@ impl WeightLut {
             let c = 0.5 * (lo + hi);
             raw_by_level.push(raw_of(c));
             crystallinity_by_level.push(c);
+            round_trip_by_level.push(ring.round_trip_amplitude(params.amplitude_at(c)));
         }
-        Self { raw_by_level, crystallinity_by_level, scale }
+        Self { raw_by_level, crystallinity_by_level, round_trip_by_level, scale }
     }
 
     /// The calibration table of the weight-bank ring
@@ -133,6 +138,17 @@ impl WeightLut {
     #[inline]
     pub fn crystallinity_at(&self, level: u16) -> f64 {
         self.crystallinity_by_level[level as usize]
+    }
+
+    /// Net round-trip amplitude of a ring of the calibrating ring's
+    /// geometry holding a level's calibrated crystallinity: bitwise what
+    /// [`PcmMrr::round_trip_amplitude`] computes after a calibrated write
+    /// to that level. The intrinsic loss term depends on the geometry
+    /// alone, not on the resonance, so the entry serves such a ring on
+    /// every channel.
+    #[inline]
+    pub fn round_trip_at(&self, level: u16) -> f64 {
+        self.round_trip_by_level[level as usize]
     }
 
     /// Normalized weight achieved at a level.
@@ -484,6 +500,27 @@ mod tests {
         let l = lut();
         assert!(matches!(l.try_level_for(1.5), Err(PcmError::WeightOutOfRange(_))));
         assert!(l.try_level_for(0.5).is_ok());
+    }
+
+    #[test]
+    fn level_round_trip_is_the_written_cells_bitwise() {
+        // Units on a channel other than the calibration's: the intrinsic
+        // term does not depend on the resonance.
+        let channel = AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1551.6));
+        for levels in [255, 63] {
+            let params = GstParameters { levels, ..GstParameters::default() };
+            let l = WeightLut::shared(&params);
+            let mut unit = PcmMrr::new(channel, params);
+            for lvl in 0..l.levels() {
+                unit.try_set_weight(l.weight_at(lvl).clamp(-1.0, 1.0), &l).unwrap();
+                assert_eq!(unit.cell().level(), lvl, "{levels} levels: write missed level {lvl}");
+                assert_eq!(
+                    l.round_trip_at(lvl).to_bits(),
+                    unit.round_trip_amplitude().to_bits(),
+                    "{levels} levels: level {lvl}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -122,7 +122,9 @@ fn ring_readout_consistent_with_row_mvm() {
     let w: Vec<f64> = vec![0.6, -0.2, 0.9, -0.8, 0.1, 0.4, -0.5, 0.3];
     bank.program_flat(&w);
     let row_sum = read(&mut bank, &[1.0; 8])[0];
-    let demux_sum: f64 = (0..8).map(|c| bank.ring_readout(0, c)).sum();
+    let mut demux = [0.0; 8];
+    bank.row_readouts(0, &mut demux);
+    let demux_sum: f64 = demux.iter().sum();
     // Per-ring crosstalk residues (~1% of full scale each) accumulate
     // over the 8 channels, so the bound is wider than a single ring's.
     assert!(

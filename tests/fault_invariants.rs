@@ -51,6 +51,15 @@ fn program_and_verify_converges_for_every_level() {
     }
 }
 
+/// Every ring readout of a 4×4 bank, row-major.
+fn readouts(bank: &mut WeightBank) -> [f64; 16] {
+    let mut all = [0.0; 16];
+    for (r, row) in all.chunks_mut(4).enumerate() {
+        bank.row_readouts(r, row);
+    }
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -111,10 +120,11 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "mvm diverged: {} vs {}", a, b);
         }
         for r in 0..4 {
+            let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
+            det.row_readouts(r, &mut a);
+            stat.row_readouts(r, &mut b);
             for c in 0..4 {
-                let a = det.ring_readout(r, c);
-                let b = stat.ring_readout(r, c);
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "readout diverged at ({}, {})", r, c);
+                prop_assert_eq!(a[c].to_bits(), b[c].to_bits(), "readout diverged at ({}, {})", r, c);
             }
         }
     }
@@ -146,17 +156,14 @@ proptest! {
         );
         // At age zero, with zero noise, the readouts are the programmed
         // targets.
-        let targets: Vec<f64> =
-            (0..4).flat_map(|r| (0..4).map(move |c| (r, c))).map(|(r, c)| bank.ring_readout(r, c)).collect();
+        let targets = readouts(&mut bank);
         bank.advance_hours(Hours(age_hours));
 
         bank.disengage_compensation();
-        let drifted: Vec<f64> =
-            (0..4).flat_map(|r| (0..4).map(move |c| (r, c))).map(|(r, c)| bank.ring_readout(r, c)).collect();
+        let drifted = readouts(&mut bank);
         bank.calibrate_compensation();
         prop_assert!(bank.compensation_gain() >= 1.0);
-        let compensated: Vec<f64> =
-            (0..4).flat_map(|r| (0..4).map(move |c| (r, c))).map(|(r, c)| bank.ring_readout(r, c)).collect();
+        let compensated = readouts(&mut bank);
 
         for ((t, d), k) in targets.iter().zip(&drifted).zip(&compensated) {
             let uncomp = (t - d).abs();
