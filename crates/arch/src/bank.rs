@@ -23,8 +23,11 @@
 //!
 //! The bank has one read, [`WeightBank::mvm_into`], and one readout,
 //! [`WeightBank::row_readouts`]; each applies the statistical layer when
-//! it is on. Reads write into the caller's buffer and the open-loop
-//! write stages nothing, so neither allocates.
+//! it is on. The read is a GEMM: the bank is weight-stationary, so `n`
+//! input vectors stream through one call, which checks, settles and
+//! looks up once, and one vector is a GEMM of one. Reads write into the
+//! caller's buffer and the open-loop write stages nothing, so neither
+//! allocates.
 //!
 //! A bank write costs what it physically changes. Each ring's transfer on
 //! each channel factors into a per-channel term, `sin(φ/2)` of its
@@ -742,6 +745,12 @@ impl WeightBank {
         self.stat.is_some()
     }
 
+    /// Read-noise draws taken so far (0 with the layer off).
+    #[cfg(test)]
+    pub(crate) fn read_draws(&self) -> u64 {
+        self.stat.as_ref().map_or(0, |s| s.read_draws)
+    }
+
     /// The statistical model's current global calibration gain (1.0 when
     /// the layer is off or uncalibrated).
     pub fn compensation_gain(&self) -> f64 {
@@ -978,16 +987,19 @@ impl WeightBank {
         }
     }
 
-    /// Optical matrix-vector product into `y` (overwritten; one entry per
-    /// row): unit-full-scale channel powers `x[j] ∈ [0, 1]` in, per-row
-    /// **normalized dot products** out (the balanced rail difference
-    /// divided by the LUT scale).
+    /// Optical matrix product: `n` input vectors through the bank in one
+    /// read. `x` holds the vectors row-major, `cols` unit-full-scale
+    /// channel powers `x[j] ∈ [0, 1]` each, so `n = x.len() / cols`; `y`
+    /// (overwritten) holds `n` rows of `m = y.len() / n ≤ rows` outputs,
+    /// the **normalized dot products** (balanced rail difference divided
+    /// by the LUT scale) of the bank's first `m` rows. A tile that holds
+    /// fewer rows than the bank reads only those.
     ///
     /// With the statistical layer on, the device layer applies per slot:
     /// the post-verify programming error rides on the coefficient, both
     /// decay by the slot's drift factor, each row readout picks up one
-    /// read-noise draw (in row order), and the whole row is scaled by the
-    /// calibration gain:
+    /// read-noise draw, and the whole row is scaled by the calibration
+    /// gain:
     ///
     /// ```text
     /// y_r = gain · ( Σ_j (D_rj − T_rj + δ_rj·scale) · f_rj · x_j / scale  +  σ_read·g )
@@ -999,43 +1011,60 @@ impl WeightBank {
     /// cached read coefficients, after the rows written since the last
     /// read are derived.
     ///
+    /// One call is bitwise `n` calls of one vector each:
+    /// - each row is the same channel-ascending `acc += c·x` chain;
+    ///   skipping a dark channel (`x_j = 0`) is exact because `acc`
+    ///   starts at `+0.0`, can never become `−0.0`, and `c` is finite, so
+    ///   the skipped `±0` add would have left it unchanged;
+    /// - read-noise draws are counter-addressed in vector-major, row-minor
+    ///   order: vector `v`'s row `r` takes draw `v·rows + r` past the
+    ///   counter, which advances by the full bank height per vector, so a
+    ///   row not kept is never drawn but its draw is never reused.
+    ///
     /// # Panics
     /// Panics on width mismatch or out-of-range inputs.
     pub fn mvm_into(&mut self, x: &[f64], y: &mut [f64]) {
-        self.check_read(x, y);
+        let (n, kept) = self.check_read(x, y);
+        if n == 0 {
+            return;
+        }
         self.settle();
+        let (rows, cols) = (self.rows, self.cols);
+        let scale = self.lut.scale();
         let Some(stat) = self.stat.as_mut() else {
-            return self.read_net(x, y);
+            read_rows(&self.net_coeff, rows, cols, x, y);
+            for v in y {
+                *v /= scale;
+            }
+            return;
         };
-        read_rows(&stat.read_coeff, x, y);
-        let scale = self.lut.scale();
-        for v in y {
-            let noise = stat.params.read_sigma_weight
-                * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, stat.read_draws);
-            stat.read_draws += 1;
-            *v = (*v / scale + noise) * stat.gain;
+        read_rows(&stat.read_coeff, rows, cols, x, y);
+        for (v, out) in y.chunks_exact_mut(kept).enumerate() {
+            let first = stat.read_draws + (v * rows) as u64;
+            for (r, o) in out.iter_mut().enumerate() {
+                let noise = stat.params.read_sigma_weight
+                    * seeded_gaussian(stat.bank_seed, STREAM_PCM_READ, first + r as u64);
+                *o = (*o / scale + noise) * stat.gain;
+            }
         }
+        stat.read_draws += (n * rows) as u64;
         if obs::enabled() {
-            obs::add(obs::Counter::StatNoiseSamples, self.rows as u64);
+            obs::add(obs::Counter::StatNoiseSamples, (n * rows) as u64);
         }
     }
 
-    /// The deterministic read of a checked input from a settled bank.
-    fn read_net(&self, x: &[f64], y: &mut [f64]) {
-        read_rows(&self.net_coeff, x, y);
-        let scale = self.lut.scale();
-        for v in y {
-            *v /= scale;
+    /// The shape and range checks of a read; returns `(n, m)`, the vector
+    /// count and the rows kept per vector.
+    fn check_read(&self, x: &[f64], y: &[f64]) -> (usize, usize) {
+        let (n, kept) = batch_shape(x.len(), y.len(), self.cols, self.rows);
+        // One branch-free pass; the offending channel is looked up only
+        // to report it.
+        let lit = |v: &f64| (0.0..=1.0).contains(v);
+        if !x.iter().fold(true, |ok, v| ok & lit(v)) {
+            let j = x.iter().position(|v| !lit(v)).unwrap_or_default();
+            assert!(lit(&x[j]), "channel {} power {} outside [0, 1]", j % self.cols, x[j]);
         }
-    }
-
-    /// The shape and range checks of a read.
-    fn check_read(&self, x: &[f64], y: &[f64]) {
-        assert_eq!(x.len(), self.cols, "input width mismatch");
-        assert_eq!(y.len(), self.rows, "output width mismatch");
-        for (j, &v) in x.iter().enumerate() {
-            assert!((0.0..=1.0).contains(&v), "channel {j} power {v} outside [0, 1]");
-        }
+        (n, kept)
     }
 
     /// Per-ring balanced readouts for the outer-product mode: the
@@ -1148,26 +1177,51 @@ fn read_stride(rows: usize) -> usize {
     rows.next_multiple_of(LANES)
 }
 
+/// The shape of a batched read with `x_len` inputs into `y_len` outputs
+/// on a `rows × cols` bank: `(n, m)`, `n = x_len / cols` vectors of `m =
+/// y_len / n` kept rows each, `1 ≤ m ≤ rows` (an empty batch keeps none).
+///
+/// # Panics
+/// Panics with "input width mismatch" unless `x_len` is whole vectors and
+/// with "output width mismatch" unless `y_len` is `n` rows of `m`.
+pub(crate) fn batch_shape(x_len: usize, y_len: usize, cols: usize, rows: usize) -> (usize, usize) {
+    assert!(x_len.is_multiple_of(cols), "input width mismatch");
+    let n = x_len / cols;
+    let kept = y_len.checked_div(n).unwrap_or(0);
+    let fits = kept * n == y_len && (n == 0 || (1..=rows).contains(&kept));
+    assert!(fits, "output width mismatch");
+    (n, kept)
+}
+
 /// Row-parallel read of a transposed `[channel][row]` coefficient table
-/// (rows padded by [`read_stride`]): `y[r] = Σ_j coeff[j][r] · x[j]`,
-/// channels ascending. Each chunk of [`LANES`] rows keeps its
-/// accumulators in a fixed-size stack array and every channel updates all
-/// of them, so each row performs the `acc += c · x` chain of a one-row dot
-/// product, term for term and in order: the result is bitwise that of the
-/// serial sum, but the rows' adds are independent and pipeline. A masked
-/// slot's zero coefficient adds `+0.0` (or `−0.0`), which leaves an
-/// accumulator that starts at `+0.0` unchanged.
-fn read_rows(coeff: &[f64], x: &[f64], y: &mut [f64]) {
-    let stride = read_stride(y.len());
-    for (r0, out) in (0..stride).step_by(LANES).zip(y.chunks_mut(LANES)) {
-        let mut acc = [0.0f64; LANES];
-        for (j, &xj) in x.iter().enumerate() {
-            let col = &coeff[j * stride + r0..][..LANES];
-            for (a, &c) in acc.iter_mut().zip(col) {
-                *a += c * xj;
+/// of a `rows`-row bank (rows padded by [`read_stride`]) for each
+/// `cols`-wide vector of `x`: `y[r] = Σ_j coeff[j][r] · x[j]`, channels
+/// ascending, for the first `y.len() / n` rows. Each chunk of [`LANES`]
+/// rows keeps its accumulators in a fixed-size stack array and every
+/// channel that carries light updates all of them, so each row performs
+/// the `acc += c · x` chain of a one-row dot product, term for term and
+/// in order: the result is bitwise that of the serial sum, but the rows'
+/// adds are independent and pipeline. A dark channel, or a masked slot's
+/// zero coefficient, would add `+0.0` or `−0.0`, which leaves an
+/// accumulator that starts at `+0.0` unchanged, so dark channels are
+/// skipped.
+fn read_rows(coeff: &[f64], rows: usize, cols: usize, x: &[f64], y: &mut [f64]) {
+    let stride = read_stride(rows);
+    let kept = y.len() / (x.len() / cols);
+    for (xv, yv) in x.chunks_exact(cols).zip(y.chunks_exact_mut(kept)) {
+        for (r0, out) in (0..stride).step_by(LANES).zip(yv.chunks_mut(LANES)) {
+            let mut acc = [0.0f64; LANES];
+            for (j, &xj) in xv.iter().enumerate() {
+                if xj == 0.0 {
+                    continue;
+                }
+                let col = &coeff[j * stride + r0..][..LANES];
+                for (a, &c) in acc.iter_mut().zip(col) {
+                    *a += c * xj;
+                }
             }
+            out.copy_from_slice(&acc[..out.len()]);
         }
-        out.copy_from_slice(&acc[..out.len()]);
     }
 }
 
@@ -2052,6 +2106,48 @@ mod equivalence_tests {
                 let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(0.0..=1.0)).collect();
                 assert_reads_naive(&b, &x, step);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// One batched read equals `n` full-height one-vector reads of a
+        /// twin bank bit for bit, cut to the rows it keeps: outputs and
+        /// the read-draw counter, with and without the statistical layer
+        /// and a masked ring, on banks wide and tall enough to chunk,
+        /// with dark channels in every vector.
+        #[test]
+        fn batched_read_matches_one_vector_reads_bitwise(
+            rows in 1usize..=40,
+            cols in 1usize..=40,
+            n in 1usize..=6,
+            case in (0u64..1000, 0u8..2, 0u8..2).prop_map(|(s, t, m)| (s, t == 1, m == 1)),
+        ) {
+            let (seed, stat, masked) = case;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut batched = WeightBank::new(rows, cols, GstParameters::default());
+            batched.program_flat(&weights(&mut rng, rows * cols));
+            if stat {
+                batched.enable_stat(StatParams::default(), seed);
+                batched.advance_hours(Hours(720.0));
+                batched.calibrate_compensation();
+            }
+            if masked {
+                batched.mask_ring(rng.gen_range(0..rows), rng.gen_range(0..cols));
+            }
+            let mut single = batched.clone();
+            let kept = rng.gen_range(1..=rows);
+            let x: Vec<f64> = (0..n * cols)
+                .map(|_| if rng.gen_range(0..3) == 0 { 0.0 } else { rng.gen_range(0.0..=1.0) })
+                .collect();
+            let mut y = vec![f64::NAN; n * kept];
+            batched.mvm_into(&x, &mut y);
+            let mut want = Vec::new();
+            for xv in x.chunks(cols) {
+                want.extend_from_slice(&read(&mut single, xv)[..kept]);
+            }
+            prop_assert_eq!(bits(&y), bits(&want));
+            prop_assert_eq!(batched.read_draws(), single.read_draws());
         }
     }
 

@@ -6,7 +6,7 @@
 //! every model. Chip-wide walks visit every PE of every grid in
 //! construction order.
 
-use crate::config::TridentConfig;
+use crate::config::PSUM_ENERGY;
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
@@ -60,40 +60,41 @@ impl Chip {
         self.grids.iter_mut().flat_map(TileGemm::pes_mut)
     }
 
-    /// The dense forward step on grid `g`: the AGC-scaled, clamped-lane
-    /// unsigned MVM ([`TileGemm::gemv_unsigned`]) into `y`, billing its
-    /// cross-tile partial sums.
-    pub(crate) fn gemv_unsigned(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
-        let psums = self.grids[g].gemv_unsigned(x, y);
+    /// The dense forward step on grid `g` for `n` vectors: the
+    /// AGC-scaled, clamped-lane unsigned GEMM
+    /// ([`TileGemm::gemm_unsigned`]) of the block `x` into the block `y`,
+    /// billing its cross-tile partial sums.
+    pub(crate) fn gemm_unsigned(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
+        let psums = self.grids[g].gemm_unsigned(x, y);
         self.charge_psums(psums);
     }
 
-    /// Signed MVM of grid `g` into `y` (overwritten), billing its
-    /// cross-tile partial sums.
-    pub(crate) fn gemv_signed(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
-        let psums = self.grids[g].gemv_signed(x, y);
+    /// Signed GEMM of grid `g` ([`TileGemm::gemm_signed`]) of the block
+    /// `x` into the block `y` (overwritten), billing its cross-tile
+    /// partial sums.
+    pub(crate) fn gemm_signed(&mut self, g: usize, x: &[f64], y: &mut [f64]) {
+        let psums = self.grids[g].gemm_signed(x, y);
         self.charge_psums(psums);
     }
 
-    /// Bill `n` cross-tile partial-sum accumulates at the configuration's
-    /// psum price, one add each after one ledger lookup; the two MVMs
+    /// Bill `n` cross-tile partial-sum accumulates at the device table's
+    /// psum price, one add each after one ledger lookup; the two GEMMs
     /// above are the only MVM entry points, so every path bills.
     fn charge_psums(&mut self, n: usize) {
-        let psum = TridentConfig::paper().psum_energy;
-        self.ldsu.energy.charge_times("psum accumulate", psum, n);
+        self.ldsu.energy.charge_times("psum accumulate", PSUM_ENERGY, n);
     }
 
     /// Table II gradient-vector mode on grid `g`: program `wᵀ` (`w` is
     /// the grid's `out × in` matrix, row-major) and replace each `δ` with
-    /// the billed signed MVM `wᵀ·δ`. The grid holds `wᵀ` until the next
-    /// [`Chip::program`].
+    /// `wᵀ·δ`, all of them one billed signed GEMM. The grid holds `wᵀ`
+    /// until the next [`Chip::program`].
     pub(crate) fn gradient_vectors(&mut self, g: usize, w: &[f64], deltas: &mut [Vec<f64>]) {
         self.grids[g].program_transposed(w);
         let inp = self.grids[g].dims().1;
-        for delta in deltas {
-            let mut v = vec![0.0; inp];
-            self.gemv_signed(g, delta, &mut v);
-            *delta = v;
+        let mut v = vec![0.0; deltas.len() * inp];
+        self.gemm_signed(g, &deltas.concat(), &mut v);
+        for (delta, v) in deltas.iter_mut().zip(v.chunks_exact(inp)) {
+            *delta = v.to_vec();
         }
     }
 
@@ -236,6 +237,17 @@ impl Chip {
     /// sequential-tile upper bound), plus the digital side's.
     pub fn total_elapsed(&self) -> Nanoseconds {
         self.pes().map(ProcessingElement::elapsed).sum::<Nanoseconds>() + self.ldsu.elapsed
+    }
+
+    /// What [`Chip::total_elapsed`] reads once every PE of grid `g` has
+    /// streamed `symbols` more symbols and no other clock has moved: the
+    /// same flat sum over the same clocks, those of grid `g` advanced one
+    /// symbol at a time ([`ProcessingElement::elapsed_after`]).
+    pub(crate) fn elapsed_after(&self, g: usize, symbols: usize) -> Nanoseconds {
+        let clocks = self.grids.iter().enumerate().flat_map(|(i, grid)| {
+            grid.pes().iter().map(move |pe| if i == g { pe.elapsed_after(symbols) } else { pe.elapsed() })
+        });
+        clocks.sum::<Nanoseconds>() + self.ldsu.elapsed
     }
 
     /// The itemised ledger: the digital side's charges plus every PE's,

@@ -17,6 +17,11 @@ use trident_photonics::tuning::TuningProfile;
 use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 use trident_workload::dataflow::DataflowModel;
 
+/// One digital cross-tile partial-sum add: the price the functional
+/// chip's `"psum accumulate"` line and [`TridentConfig::paper`] both
+/// read.
+pub const PSUM_ENERGY: EnergyPj = EnergyPj(0.1);
+
 /// Full Trident configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TridentConfig {
@@ -80,7 +85,7 @@ impl TridentConfig {
             l1_bytes: 16 * 1024,
             l2_bytes: 32 * 1024 * 1024,
             cache_access_energy: EnergyPj(1.0),
-            psum_energy: EnergyPj(0.1),
+            psum_energy: PSUM_ENERGY,
             adc_energy: EnergyPj::ZERO,
             activation_reset_energy: ActivationCellParams::default().reset_energy,
             mrr_read_energy: GstParameters::default().read_energy,

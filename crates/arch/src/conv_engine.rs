@@ -22,7 +22,7 @@
 //! references and the public face.
 
 use crate::chip::Chip;
-use crate::engine::{EngineOptions, Layer, PhotonicMlp};
+use crate::engine::{EngineOptions, Layer, PhotonicMlp, CNN_SPANS};
 use crate::error::ArchError;
 use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::TILE;
@@ -151,7 +151,7 @@ impl PhotonicCnn {
         let dims = [in_c * in_h * in_w, geometry.features(), classes];
         let layers = vec![Layer::ConvPool(geometry), Layer::Dense];
         let opts = EngineOptions { seed, weight_bits, ..EngineOptions::default() };
-        Self { geometry, net: PhotonicMlp::build(&dims, layers, opts, "cnn.") }
+        Self { geometry, net: PhotonicMlp::build(&dims, layers, opts, &CNN_SPANS) }
     }
 
     /// Convolution output spatial size.

@@ -75,13 +75,15 @@ impl DfaFeedback {
         self.chip.programming_energy()
     }
 
-    /// Photonic projection `B_k · e`: the signed MVM over the feedback
-    /// bank, its partial sums billed to the feedback chip.
-    pub fn project(&mut self, k: usize, error: &[f64]) -> Vec<f64> {
+    /// Photonic projection `B_k · e` of every error in `errors` (one or
+    /// more `classes`-wide vectors, row-major): one signed GEMM over the
+    /// feedback bank, its partial sums billed to the feedback chip.
+    /// Returns the projections, `hidden_k` wide each, in input order.
+    pub fn project(&mut self, k: usize, errors: &[f64]) -> Vec<f64> {
         let (hidden, classes) = self.chip.grids[k].dims();
-        assert_eq!(error.len(), classes, "error width mismatch");
-        let mut v = vec![0.0; hidden];
-        self.chip.gemv_signed(k, error, &mut v);
+        assert!(errors.len().is_multiple_of(classes), "error width mismatch");
+        let mut v = vec![0.0; errors.len() / classes * hidden];
+        self.chip.gemm_signed(k, errors, &mut v);
         v
     }
 

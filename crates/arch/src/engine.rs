@@ -8,9 +8,10 @@
 //! training follows the paper's per-sample schedule:
 //!
 //! 1. **forward** — per layer, the chip's dense step (AGC, clamped laser
-//!    lanes, optical MVM tiles, billed cross-tile partial sums), then the
-//!    GST activation. A conv-pool layer runs the step once per im2col
-//!    patch, then max-pools 2×2.
+//!    lanes, optical GEMM tiles, billed cross-tile partial sums) over the
+//!    whole batch, then the GST activation. A conv-pool layer runs the
+//!    step once per image over its im2col patches, activates the map,
+//!    then max-pools 2×2.
 //! 2. **backward walk** over a batch (a per-sample step is a batch of
 //!    one), output layer first — per layer `k`:
 //!    - **outer product** (Table II mode 3): banks programmed with each
@@ -65,6 +66,14 @@ pub(crate) fn reserve_slots(slots: &mut Vec<Vec<f64>>, batch: usize, width: usiz
     }
 }
 
+/// Resize a staging buffer to `len`, tallying a capacity growth in
+/// `allocs`.
+fn fit(buf: &mut Vec<f64>, len: usize, allocs: &mut u64) {
+    let had = buf.capacity();
+    buf.resize(len, 0.0);
+    *allocs += u64::from(buf.capacity() > had);
+}
+
 /// Clear a reused output slot and refill it through `fill`, tallying a
 /// capacity growth in `allocs`.
 pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&mut Vec<f64>)) {
@@ -74,15 +83,60 @@ pub(crate) fn refill(slot: &mut Vec<f64>, allocs: &mut u64, fill: impl FnOnce(&m
     *allocs += u64::from(slot.capacity() > had);
 }
 
+/// Layers with their own span names; deeper layers share the last.
+const SPAN_LAYERS: usize = 8;
+
+/// The span names of one engine family, its trace prefix included, so a
+/// traced run names every span without building a string.
+pub(crate) struct SpanNames {
+    forward: &'static str,
+    forward_batch: &'static str,
+    train_sample: &'static str,
+    layers: [LayerSpans; SPAN_LAYERS],
+}
+
+/// One layer's span names.
+struct LayerSpans {
+    forward: &'static str,
+    outer_product: &'static str,
+    gradient_vector: &'static str,
+}
+
+impl SpanNames {
+    fn layer(&self, k: usize) -> &LayerSpans {
+        &self.layers[k.min(SPAN_LAYERS - 1)]
+    }
+}
+
+macro_rules! span_names {
+    ($prefix:literal; $($k:literal)*) => {
+        SpanNames {
+            forward: concat!($prefix, "engine.forward"),
+            forward_batch: concat!($prefix, "engine.forward_batch"),
+            train_sample: concat!($prefix, "engine.train_sample"),
+            layers: [$(LayerSpans {
+                forward: concat!($prefix, "forward.layer", $k),
+                outer_product: concat!($prefix, "backward.layer", $k, ".outer_product"),
+                gradient_vector: concat!($prefix, "backward.layer", $k, ".gradient_vector"),
+            }),*],
+        }
+    };
+}
+
+/// The MLP's span names.
+pub(crate) static MLP_SPANS: SpanNames = span_names!(""; "0" "1" "2" "3" "4" "5" "6" "7+");
+/// The digit CNN's, under `cnn.` so the two never share a trace name.
+pub(crate) static CNN_SPANS: SpanNames = span_names!("cnn."; "0" "1" "2" "3" "4" "5" "6" "7+");
+
 /// A network running on simulated photonic hardware: dense layers, or
 /// the digit CNN's conv-pool layer and dense head.
 ///
 /// Working memory follows one rule (DESIGN.md §15): the layer tapes,
 /// whose sizes the layers fix, are allocated at construction; only the
-/// per-sample output slots grow, and each growth is tallied in
-/// [`PhotonicMlp::hot_path_allocs`]. The rule runs down through the
-/// tile grids into the PEs and banks, which write into these buffers and
-/// allocate nothing themselves.
+/// per-sample output slots and the batch staging grow, and each growth is
+/// tallied in [`PhotonicMlp::hot_path_allocs`]. The rule runs down through
+/// the tile grids into the PEs and banks, which write into these buffers;
+/// the grids' GEMM staging grows to the largest batch it has seen.
 pub struct PhotonicMlp {
     /// Widths of the vectors between layers, input first.
     dims: Vec<usize>,
@@ -98,11 +152,13 @@ pub struct PhotonicMlp {
     tape: Vec<Tape>,
     /// Per-sample outputs of the latest forward.
     outputs: Vec<Vec<f64>>,
-    /// Growth events on `outputs` since construction.
+    /// The sweep's batch staging: one layer's input vectors and its
+    /// output vectors, row-major, swapped after every layer.
+    stage: [Vec<f64>; 2],
+    /// Growth events on `outputs` and `stage` since construction.
     heap_allocs: u64,
-    /// Prefix of every span this engine opens: empty for an MLP, `"cnn."`
-    /// for the CNN, so the two never share a trace name.
-    trace: &'static str,
+    /// The names of every span this engine opens.
+    spans: &'static SpanNames,
 }
 
 /// One layer: what its grid holds and how the sweep and the walk use it.
@@ -220,17 +276,17 @@ impl PhotonicMlp {
                 expected: "2..=8",
             });
         }
-        Ok(Self::build(dims, vec![Layer::Dense; dims.len() - 1], opts, ""))
+        Ok(Self::build(dims, vec![Layer::Dense; dims.len() - 1], opts, &MLP_SPANS))
     }
 
     /// The one constructor: `layers` between vectors of widths `dims`
-    /// (one more than `layers`), grid shapes from the layers, spans under
-    /// `trace`. The caller has checked `opts.weight_bits`.
+    /// (one more than `layers`), grid shapes from the layers, spans named
+    /// from `spans`. The caller has checked `opts.weight_bits`.
     pub(crate) fn build(
         dims: &[usize],
         layers: Vec<Layer>,
         opts: EngineOptions,
-        trace: &'static str,
+        spans: &'static SpanNames,
     ) -> Self {
         let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
             opts;
@@ -265,8 +321,9 @@ impl PhotonicMlp {
             weight_bits,
             tape,
             outputs: Vec::new(),
+            stage: [Vec::new(), Vec::new()],
             heap_allocs: 0,
-            trace,
+            spans,
         };
         // A fresh chip writes open-loop, which cannot fail.
         for (grid, w) in engine.chip.grids.iter_mut().zip(&engine.weights) {
@@ -358,22 +415,21 @@ impl PhotonicMlp {
     /// one-sample [`PhotonicMlp::try_forward_batch`], under its own
     /// `engine.forward` span.
     pub fn try_forward(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
-        Ok(self.sweep("engine.forward", &[x], true)?[0].clone())
+        Ok(self.sweep(self.spans.forward, &[x], true)?[0].clone())
     }
 
-    /// Forward a batch of samples, amortizing per-layer dispatch: the
-    /// sweep is layer-major (`for layer { for sample }`), so each layer's
-    /// span/bookkeeping overhead is paid once per batch rather than once
-    /// per sample and every per-sample output lands in a reused
-    /// engine-owned slot.
+    /// Forward a batch of samples: the sweep is layer-major, and each
+    /// dense layer is one GEMM over the whole batch, so every PE is read
+    /// once per layer and the span and bookkeeping overhead is paid once
+    /// per batch; every per-sample output lands in a reused engine-owned
+    /// slot.
     ///
     /// Determinism: each PE belongs to exactly one `(layer, tile)` slot,
-    /// so it observes the same call sequence (sample 0, 1, … in order)
-    /// under layer-major dispatch as under per-sample [`PhotonicMlp::
-    /// try_forward`] — its noise streams, drift clocks, and energy ledger
-    /// evolve identically, and outputs are bitwise identical to the
-    /// per-sample path. The layer tapes end holding the *last* sample's
-    /// vectors, the same end state the per-sample loop leaves.
+    /// and the GEMM hands it the samples in order, so its noise streams,
+    /// drift clocks, and energy ledger evolve exactly as under per-sample
+    /// [`PhotonicMlp::try_forward`], and outputs are bitwise identical to
+    /// the per-sample path. The layer tapes end holding the *last*
+    /// sample's vectors, the same end state the per-sample loop leaves.
     ///
     /// With `tail = true` the last layer's logits pass through
     /// unactivated (the network tail, read by the loss). With
@@ -389,19 +445,12 @@ impl PhotonicMlp {
         inputs: &[S],
         tail: bool,
     ) -> Result<&[Vec<f64>], ArchError> {
-        self.sweep("engine.forward_batch", inputs, tail)
+        self.sweep(self.spans.forward_batch, inputs, tail)
     }
 
-    /// Span `name` under the engine's trace prefix.
-    fn span(&self, name: &'static str) -> obs::SpanGuard<'static> {
-        match self.trace {
-            "" => obs::span(name),
-            prefix if obs::enabled() => obs::span_owned(format!("{prefix}{name}")),
-            _ => obs::SpanGuard::disabled(),
-        }
-    }
-
-    /// The one forward sweep behind every entry point, under span `name`.
+    /// The one forward sweep behind every entry point, under span `name`:
+    /// the inputs staged as one block, each layer run over the whole
+    /// block, the outputs copied into the per-sample slots.
     fn sweep<S: AsRef<[f64]>>(
         &mut self,
         name: &'static str,
@@ -410,79 +459,117 @@ impl PhotonicMlp {
     ) -> Result<&[Vec<f64>], ArchError> {
         check_widths(inputs, self.dims[0])?;
         let trace = obs::enabled();
-        let _span = self.span(name);
+        let _span = obs::span(name);
         let n = inputs.len();
         let allocs_before = self.heap_allocs;
-        let mut outputs = std::mem::take(&mut self.outputs);
-        grow_slots(&mut outputs, n, &mut self.heap_allocs);
-        for (slot, x) in outputs.iter_mut().zip(inputs) {
-            refill(slot, &mut self.heap_allocs, |s| s.extend_from_slice(x.as_ref()));
+        let [mut xs, mut ys] = std::mem::take(&mut self.stage);
+        fit(&mut xs, n * self.dims[0], &mut self.heap_allocs);
+        for (row, x) in xs.chunks_exact_mut(self.dims[0]).zip(inputs) {
+            row.copy_from_slice(x.as_ref());
         }
         let layer_count = self.layer_count();
         for k in 0..layer_count {
-            let _layer_span = if trace {
-                obs::span_owned(format!("{}forward.layer{k}", self.trace))
-            } else {
-                obs::SpanGuard::disabled()
-            };
+            let _layer_span = obs::span(self.spans.layer(k).forward);
+            let settled = if trace { self.tally_layer_sim_ns(k, n) } else { Nanoseconds(0.0) };
             let activate = !(tail && k + 1 == layer_count);
-            for y in &mut outputs[..n] {
-                let sim_start = if trace { self.total_elapsed() } else { Nanoseconds(0.0) };
-                self.forward_layer(k, activate, y);
-                if trace {
-                    let dt = self.total_elapsed() - sim_start;
-                    obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, dt.value());
-                    obs::add(obs::Counter::LayersForwarded, 1);
-                }
-            }
+            self.forward_layer(k, activate, n, &mut xs, &mut ys);
+            debug_assert!(!trace || settled.value().to_bits() == self.total_elapsed().value().to_bits());
+        }
+        let mut outputs = std::mem::take(&mut self.outputs);
+        grow_slots(&mut outputs, n, &mut self.heap_allocs);
+        let width = self.dims[layer_count];
+        for (slot, y) in outputs.iter_mut().zip(xs.chunks_exact(width)) {
+            refill(slot, &mut self.heap_allocs, |s| s.extend_from_slice(y));
         }
         obs::add(obs::Counter::HotPathAllocs, self.heap_allocs - allocs_before);
+        self.stage = [xs, ys];
         self.outputs = outputs;
         Ok(&self.outputs[..n])
     }
 
-    /// One layer of the forward dataflow for one sample, keeping its tape.
-    /// A dense layer runs the chip's dense step on `y`, then replaces `y`
-    /// with the GST activation of the logits, or with the raw logits when
-    /// `activate` is off (the network tail). A conv-pool layer runs the
-    /// step and the activation once per im2col patch of `y`, spilling one
-    /// `f'(h)` bit per row per position to L1, then replaces `y` with the
-    /// 2×2 max pool of the activation map.
-    fn forward_layer(&mut self, k: usize, activate: bool, y: &mut Vec<f64>) {
-        let tape = &mut self.tape[k];
-        let Layer::ConvPool(g) = self.layers[k] else {
-            tape.input.copy_from_slice(y);
-            let h = &mut tape.logits;
-            self.chip.gemv_unsigned(k, y, h);
-            return refill(y, &mut self.heap_allocs, |y| {
-                if activate {
-                    y.resize(h.len(), 0.0);
-                    self.chip.grids[k].activate_rows(h, y);
-                } else {
-                    y.extend_from_slice(h);
-                }
-            });
+    /// Add layer `k`'s simulated time per sample of an `n`-sample batch
+    /// to `ForwardLayerSimNs`, before the layer runs, and return the
+    /// chip's total time once it has. A sample streams `reads` symbols
+    /// through every PE of the layer's grid and moves no other clock, so
+    /// the total after each sample is [`Chip::elapsed_after`], and each
+    /// sample's share is bitwise what a one-sample sweep would add.
+    fn tally_layer_sim_ns(&self, k: usize, n: usize) -> Nanoseconds {
+        let reads = match self.layers[k] {
+            Layer::Dense => 1,
+            Layer::ConvPool(g) => g.positions(),
         };
-        g.im2col(y, &mut tape.input, |v| v);
-        let rows = tape.logits.chunks_exact_mut(g.out_c).zip(tape.activ.chunks_exact_mut(g.out_c));
-        for (patch, (h, act)) in tape.input.chunks_exact(g.patch_len()).zip(rows) {
-            self.chip.gemv_unsigned(k, patch, h);
-            self.chip.grids[k].activate_rows(h, act);
-            self.chip.ldsu.energy.charge("ldsu fifo", EnergyPj(0.01 * g.out_c as f64));
+        let mut before = self.total_elapsed();
+        for i in 1..=n {
+            let after = self.chip.elapsed_after(k, reads * i);
+            obs::add_sim_ns(obs::Counter::ForwardLayerSimNs, (after - before).value());
+            before = after;
         }
-        refill(y, &mut self.heap_allocs, |y| {
-            g.pool(&tape.activ, f64::NEG_INFINITY, |_, v, _| y.push(v));
-        });
+        obs::add(obs::Counter::LayersForwarded, n as u64);
+        before
     }
 
-    /// Pre-grow `batch` per-sample output slots to the widest layer, so
-    /// steady-state forwards perform no engine-side heap allocation.
-    /// Fleet builders call this once per replica at build time; growth
-    /// here is warm-up and is not counted in
+    /// One layer of the forward dataflow for the `n` vectors staged in
+    /// `xs`, leaving their outputs in `xs` (`ys` is scratch) and the last
+    /// sample's vectors on the layer's tape. A dense layer is one GEMM of
+    /// the chip's dense step over the batch, then the GST activation of
+    /// the logits, or the raw logits when `activate` is off (the network
+    /// tail). A conv-pool layer runs one GEMM per image over its im2col
+    /// patches, activates the whole map, spilling one `f'(h)` bit per row
+    /// per position to L1, then max-pools it 2×2.
+    fn forward_layer(
+        &mut self,
+        k: usize,
+        activate: bool,
+        n: usize,
+        xs: &mut Vec<f64>,
+        ys: &mut Vec<f64>,
+    ) {
+        let (inp, out) = (self.dims[k], self.dims[k + 1]);
+        let tape = &mut self.tape[k];
+        fit(ys, n * out, &mut self.heap_allocs);
+        let Layer::ConvPool(g) = self.layers[k] else {
+            self.chip.gemm_unsigned(k, xs, ys);
+            if n > 0 {
+                tape.input.copy_from_slice(&xs[(n - 1) * inp..]);
+                tape.logits.copy_from_slice(&ys[(n - 1) * out..]);
+            }
+            if activate {
+                fit(xs, n * out, &mut self.heap_allocs);
+                self.chip.grids[k].activate_rows(ys, xs);
+            } else {
+                std::mem::swap(xs, ys);
+            }
+            return;
+        };
+        for (image, pooled) in xs.chunks_exact(inp).zip(ys.chunks_exact_mut(out)) {
+            g.im2col(image, &mut tape.input, |v| v);
+            self.chip.gemm_unsigned(k, &tape.input, &mut tape.logits);
+            self.chip.grids[k].activate_rows(&tape.logits, &mut tape.activ);
+            let fifo = EnergyPj(0.01 * g.out_c as f64);
+            self.chip.ldsu.energy.charge_times("ldsu fifo", fifo, g.positions());
+            g.pool(&tape.activ, f64::NEG_INFINITY, |i, v, _| pooled[i] = v);
+        }
+        std::mem::swap(xs, ys);
+    }
+
+    /// Pre-grow `batch` per-sample output slots and the batch staging to
+    /// the widest layer, and every grid's GEMM staging to the vectors it
+    /// reads per batch, so steady-state forwards perform no heap
+    /// allocation. Fleet builders call this once per replica at build
+    /// time; growth here is warm-up and is not counted in
     /// [`PhotonicMlp::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
         let wmax = self.dims.iter().copied().max().unwrap_or(0);
         reserve_slots(&mut self.outputs, batch, wmax);
+        for buf in &mut self.stage {
+            buf.reserve((batch * wmax).saturating_sub(buf.len()));
+        }
+        for (grid, layer) in self.chip.grids.iter_mut().zip(&self.layers) {
+            grid.reserve(match layer {
+                Layer::Dense => batch,
+                Layer::ConvPool(g) => g.positions(),
+            });
+        }
     }
 
     /// Output-slot growth events since construction. Zero growth across
@@ -602,7 +689,7 @@ impl PhotonicMlp {
         learning_rate: f64,
         mut feedback: Option<&mut DfaFeedback>,
     ) -> Result<f64, ArchError> {
-        let _span = self.span("engine.train_sample");
+        let _span = obs::span(self.spans.train_sample);
         let mut loss = 0.0;
         let (mut errors, mut tapes) = (Vec::new(), Vec::new());
         for (x, &label) in xs.iter().zip(labels) {
@@ -614,7 +701,8 @@ impl PhotonicMlp {
         let mut deltas = errors.clone();
         let mut grads = Vec::with_capacity(self.layer_count());
         for k in (0..self.layer_count()).rev() {
-            grads.push(self.backward_step(k, "outer_product", |mlp| {
+            let names = self.spans.layer(k);
+            grads.push(self.backward_step(names.outer_product, |mlp| {
                 let mut grad = vec![0.0; mlp.weights[k].len()];
                 for (delta, tape) in deltas.iter().zip(&tapes) {
                     let grid = &mut mlp.chip.grids[k];
@@ -625,11 +713,13 @@ impl PhotonicMlp {
             if k == 0 {
                 break;
             }
-            self.backward_step(k, "gradient_vector", |mlp| match feedback.as_deref_mut() {
+            self.backward_step(names.gradient_vector, |mlp| match feedback.as_deref_mut() {
                 None => mlp.chip.gradient_vectors(k, &mlp.weights[k], &mut deltas),
                 Some(fb) => {
-                    for (delta, error) in deltas.iter_mut().zip(&errors) {
-                        *delta = fb.project(k - 1, error);
+                    let projected = fb.project(k - 1, &errors.concat());
+                    let hidden = projected.len() / errors.len();
+                    for (delta, v) in deltas.iter_mut().zip(projected.chunks_exact(hidden)) {
+                        *delta = v.to_vec();
                     }
                 }
             });
@@ -653,13 +743,13 @@ impl PhotonicMlp {
         Ok(loss)
     }
 
-    /// Run `step` under span `backward.layer{k}.{phase}`, adding the
-    /// simulated time it spends to `BackwardLayerSimNs` when tracing.
-    fn backward_step<T>(&mut self, k: usize, phase: &str, step: impl FnOnce(&mut Self) -> T) -> T {
+    /// Run `step` under span `name`, adding the simulated time it spends
+    /// to `BackwardLayerSimNs` when tracing.
+    fn backward_step<T>(&mut self, name: &'static str, step: impl FnOnce(&mut Self) -> T) -> T {
         if !obs::enabled() {
             return step(self);
         }
-        let _span = obs::span_owned(format!("{}backward.layer{k}.{phase}", self.trace));
+        let _span = obs::span(name);
         let start = self.total_elapsed();
         let out = step(self);
         obs::add_sim_ns(obs::Counter::BackwardLayerSimNs, (self.total_elapsed() - start).value());

@@ -23,15 +23,20 @@
 //! "utilize the entire weight bank and perform N outer products": all `N`
 //! ring products of a `δW` row emerge in parallel, one row per symbol).
 //!
-//! Each operation has one entry point, and none allocates: the MVMs and
-//! the activation write into caller buffers, the outer product hands its
-//! products to the caller, and the signed MVM's second pass reuses
-//! buffers sized at construction. The row activation cells are the
+//! Each operation has one entry point. The MVMs are GEMMs: `n` vectors
+//! read the bank once and charge `n` symbols with one ledger lookup per
+//! line, and one vector is a GEMM of one. Nothing allocates in steady
+//! state: the MVMs and the activation write into caller buffers, the
+//! outer product hands its products to the caller, and the signed MVM
+//! stages its passes in buffers sized at construction for one vector,
+//! which grow once to the largest batch they see. A symbol's read-probe
+//! and receiver energies are fixed by the bank's shape, so they are
+//! computed once, at construction. The row activation cells are the
 //! stateless Fig. 3 transfer ([`ActivationCellParams::relu`]) on the pulse
 //! energy: a cell fires and is reset within one pulse window, so each
 //! firing bills one reset pulse and leaves nothing behind.
 
-use crate::bank::{ProgramReport, WeightBank};
+use crate::bank::{batch_shape, ProgramReport, WeightBank};
 use crate::error::ArchError;
 use crate::tile::TILE;
 use trident_pcm::activation::ActivationCellParams;
@@ -125,12 +130,15 @@ pub struct ProcessingElement {
     /// Fractional loss of input laser power (0 = healthy source). An aged
     /// or degraded pump scales every detected product down uniformly.
     laser_droop: f64,
-    /// One pass's lane powers of a signed MVM (`cols` wide), sized at
-    /// construction.
+    /// Every ring's read probe over one symbol, billed to `"mrr read"`.
+    symbol_read: EnergyPj,
+    /// Every row's BPD + TIA over one symbol (the traced `receiver_fj`).
+    symbol_receiver: EnergyPj,
+    /// A signed MVM's lane powers, a positive and a negative pass per
+    /// vector (`cols` wide each).
     lanes: Vec<f64>,
-    /// The negative pass's detected products of a signed MVM (`rows`
-    /// wide), sized at construction.
-    dark: Vec<f64>,
+    /// A signed MVM's detected products, one row per pass.
+    passes: Vec<f64>,
 }
 
 impl ProcessingElement {
@@ -158,6 +166,13 @@ impl ProcessingElement {
             identity,
         );
         let modulator = EoModulator::for_grid(bank.grid());
+        let symbol_time = modulator.symbol_time;
+        let symbol_read = GstParameters::default().read_energy * (rows * cols) as f64
+            * symbol_time.value()
+            / PULSE_WINDOW.value();
+        // Every row's BPD+TIA is live; summing per row keeps the bits.
+        let tia = TransimpedanceAmplifier::default().power.for_duration(symbol_time);
+        let symbol_receiver = (0..rows).fold(EnergyPj::ZERO, |acc, _| acc + tia);
         Self {
             bank,
             modulator,
@@ -166,8 +181,10 @@ impl ProcessingElement {
             energy: EnergyLedger::new(),
             elapsed: Nanoseconds(0.0),
             laser_droop: 0.0,
-            lanes: vec![0.0; cols],
-            dark: vec![0.0; rows],
+            symbol_read,
+            symbol_receiver,
+            lanes: Vec::with_capacity(2 * cols),
+            passes: Vec::with_capacity(2 * rows),
         }
     }
 
@@ -231,10 +248,23 @@ impl ProcessingElement {
         spent
     }
 
-    /// Unsigned optical MVM into `y` (overwritten; one entry per row):
-    /// lane powers `x[j] ∈ [0, 1]` in, per-row dot products out.
+    /// Unsigned optical MVM of `n` vectors in one read of the bank
+    /// ([`WeightBank::mvm_into`]): `x` holds `n` rows of `cols` lane
+    /// powers in `[0, 1]`, `y` (overwritten) `n` rows of the first
+    /// `y.len() / n` rows' dot products. Each vector is one symbol.
+    ///
+    /// Bitwise `n` calls of one vector each: droop scales every output
+    /// alike, receiver-noise draws are counter-addressed vector-major and
+    /// row-minor with the counter advancing by the full bank height per
+    /// vector (a row not kept is not drawn), and every ledger line gets
+    /// the same constant adds in the same number.
     pub fn mvm_unsigned_into(&mut self, x: &[f64], y: &mut [f64]) {
         self.bank.mvm_into(x, y);
+        let (rows, cols) = (self.rows(), self.cols());
+        let n = x.len() / cols;
+        if n == 0 {
+            return;
+        }
         if self.laser_droop > 0.0 {
             // A drooped pump delivers less power on every channel; all
             // detected dot products shrink by the same factor.
@@ -246,44 +276,69 @@ impl ProcessingElement {
         // normalized units via the 1 mW full-scale channel power and the
         // LUT scale.
         if let Some(seed) = self.noise_seed {
-            let sigma = NoiseModel::default().total_rms_ma(PowerMw(x.iter().sum::<f64>()));
+            let receiver = NoiseModel::default();
             let denom = self.bank.lut().scale();
-            for v in y {
-                let n = seeded_gaussian(seed, STREAM_RECEIVER_NOISE, self.noise_draws) * sigma;
-                self.noise_draws += 1;
-                *v += n / denom;
+            let kept = y.len() / n;
+            for (v, (xv, yv)) in x.chunks_exact(cols).zip(y.chunks_exact_mut(kept)).enumerate() {
+                let sigma = receiver.total_rms_ma(PowerMw(xv.iter().sum::<f64>()));
+                let first = self.noise_draws + (v * rows) as u64;
+                for (r, o) in yv.iter_mut().enumerate() {
+                    let noise =
+                        seeded_gaussian(seed, STREAM_RECEIVER_NOISE, first + r as u64) * sigma;
+                    *o += noise / denom;
+                }
             }
+            self.noise_draws += (n * rows) as u64;
         }
-        self.charge_symbol(x.len());
+        self.charge_symbols(cols, n);
     }
 
-    /// Signed optical MVM into `y` (overwritten; one entry per row) via
-    /// two passes (positive and negative parts) and electronic
-    /// subtraction. Inputs may have any magnitude; they are normalized
-    /// onto the lasers and rescaled after detection.
+    /// Signed optical MVM of `n` vectors (shaped as in
+    /// [`ProcessingElement::mvm_unsigned_into`]) via two passes per vector
+    /// (positive and negative parts) and electronic subtraction. Inputs
+    /// may have any magnitude; each vector is normalized onto the lasers
+    /// by its largest magnitude and rescaled after detection. Every pass
+    /// of every vector streams through one unsigned read, a vector's
+    /// positive pass first, so receiver and read noise are drawn in the
+    /// order `n` single-vector calls draw them. An all-zero vector reads
+    /// zeros without a pass: it bills and draws nothing.
     pub fn mvm_signed_into(&mut self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols(), "input width mismatch");
-        assert_eq!(y.len(), self.rows(), "output width mismatch");
-        let max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if max == 0.0 {
-            y.fill(0.0);
+        let cols = self.cols();
+        let (n, kept) = batch_shape(x.len(), y.len(), cols, self.rows());
+        if n == 0 {
             return;
         }
         let mut lanes = std::mem::take(&mut self.lanes);
-        let mut dark = std::mem::take(&mut self.dark);
-        for (l, &v) in lanes.iter_mut().zip(x) {
-            *l = v.max(0.0) / max;
+        lanes.clear();
+        for xv in x.chunks_exact(cols) {
+            let max = peak(xv);
+            if max > 0.0 {
+                lanes.extend(xv.iter().map(|&v| v.max(0.0) / max));
+                lanes.extend(xv.iter().map(|&v| (-v).max(0.0) / max));
+            }
         }
-        self.mvm_unsigned_into(&lanes, y);
-        for (l, &v) in lanes.iter_mut().zip(x) {
-            *l = (-v).max(0.0) / max;
+        let mut passes = std::mem::take(&mut self.passes);
+        passes.clear();
+        passes.resize(lanes.len() / cols * kept, 0.0);
+        if !lanes.is_empty() {
+            self.mvm_unsigned_into(&lanes, &mut passes);
         }
-        self.mvm_unsigned_into(&lanes, &mut dark);
-        for (p, &n) in y.iter_mut().zip(&dark) {
-            *p = (*p - n) * max;
+        let mut pairs = passes.chunks_exact(2 * kept);
+        for (xv, yv) in x.chunks_exact(cols).zip(y.chunks_exact_mut(kept)) {
+            let max = peak(xv);
+            let pair = if max > 0.0 { pairs.next() } else { None };
+            match pair {
+                Some(pair) => {
+                    let (pos, neg) = pair.split_at(kept);
+                    for ((o, &p), &q) in yv.iter_mut().zip(pos).zip(neg) {
+                        *o = (p - q) * max;
+                    }
+                }
+                None => yv.fill(0.0),
+            }
         }
         self.lanes = lanes;
-        self.dark = dark;
+        self.passes = passes;
     }
 
     /// Fire the GST activation cells of the first `h.len()` rows on
@@ -334,8 +389,8 @@ impl ProcessingElement {
         let mut readout = [0.0; TILE];
         let readout = &mut readout[..y.len()];
         self.bank.row_readouts(0, readout);
+        self.charge_symbols(y.len(), dh.len());
         for (i, &d) in dh.iter().enumerate() {
-            self.charge_symbol(y.len());
             for (j, &w) in readout.iter().enumerate() {
                 add(i, j, w * d);
             }
@@ -354,26 +409,36 @@ impl ProcessingElement {
         }
     }
 
-    fn charge_symbol(&mut self, active_channels: usize) {
-        let symbol_time = self.modulator.symbol_time;
-        self.energy
-            .charge("eo modulation", self.modulator.encode_energy(active_channels));
-        let read_energy = GstParameters::default().read_energy
-            * (self.rows() * self.cols()) as f64
-            * symbol_time.value()
-            / PULSE_WINDOW.value();
-        self.energy.charge("mrr read", read_energy);
-        self.elapsed += symbol_time;
+    /// Charge `n` symbols on `active_channels` lasers: per symbol, the
+    /// E/O encode to `"eo modulation"`, every ring's read probe to `"mrr
+    /// read"`, and the symbol time to the PE clock; when tracing, the
+    /// MAC, PCM-read and receiver counters. Each ledger line is looked up
+    /// once and gets its constant charge `n` times, one add after
+    /// another, so the bits are those of `n` single-symbol charges.
+    fn charge_symbols(&mut self, active_channels: usize, n: usize) {
+        let eo = self.modulator.encode_energy(active_channels);
+        self.energy.charge_times("eo modulation", eo, n);
+        self.energy.charge_times("mrr read", self.symbol_read, n);
+        self.elapsed = self.elapsed_after(n);
         if obs::enabled() {
-            let rings = (self.rows() * self.cols()) as u64;
-            obs::add(obs::Counter::MacOps, rings);
-            obs::add(obs::Counter::PcmReads, rings);
-            obs::add_pj(obs::Counter::PcmReadFj, read_energy.value());
-            // Every row's BPD+TIA is live; summing per row keeps the bits.
-            let tia = TransimpedanceAmplifier::default().power.for_duration(symbol_time);
-            let receiver = (0..self.rows()).fold(EnergyPj::ZERO, |acc, _| acc + tia);
-            obs::add_pj(obs::Counter::ReceiverFj, receiver.value());
+            let (rings, n) = ((self.rows() * self.cols()) as u64, n as u64);
+            obs::add(obs::Counter::MacOps, rings * n);
+            obs::add(obs::Counter::PcmReads, rings * n);
+            let fj = obs::counter::fj_from_pj;
+            obs::add(obs::Counter::PcmReadFj, fj(self.symbol_read.value()) * n);
+            obs::add(obs::Counter::ReceiverFj, fj(self.symbol_receiver.value()) * n);
         }
+    }
+
+    /// The PE clock once `symbols` more symbols have streamed: the symbol
+    /// time added one symbol at a time, as [`Self::charge_symbols`]
+    /// advances it.
+    pub(crate) fn elapsed_after(&self, symbols: usize) -> Nanoseconds {
+        let mut t = self.elapsed;
+        for _ in 0..symbols {
+            t += self.modulator.symbol_time;
+        }
+        t
     }
 
     /// Energy ledger of everything this PE has done.
@@ -385,6 +450,17 @@ impl ProcessingElement {
     pub fn elapsed(&self) -> Nanoseconds {
         self.elapsed
     }
+
+    /// Row readouts that have drawn receiver noise so far.
+    #[cfg(test)]
+    pub(crate) fn noise_draws(&self) -> u64 {
+        self.noise_draws
+    }
+}
+
+/// Largest magnitude of a signed vector: its laser normalisation.
+fn peak(x: &[f64]) -> f64 {
+    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
 #[cfg(test)]
@@ -467,7 +543,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "output width mismatch")]
     fn signed_mvm_rejects_an_all_zero_input_into_the_wrong_width() {
-        let mut y = [0.0; 3];
+        // Wider than the bank's 4 rows: no row count of one vector fits.
+        let mut y = [0.0; 5];
         pe().mvm_signed_into(&[0.0; 4], &mut y);
     }
 

@@ -13,14 +13,26 @@
 //! gradient-vector mode) with `⌈out/16⌉` columns — both grids have the
 //! same tile count, so the re-indexing never leaves the PE vector.
 //!
-//! Partial sums accumulate digitally, `k`-ascending: every output row
-//! receives its column tiles' contributions in column-tile order, so
-//! results are bitwise reproducible. The MVMs return how many cross-tile
-//! accumulations they made, and [`crate::chip::Chip`] bills every one.
+//! The banks are weight-stationary, so the MVM is a GEMM: `n` input
+//! vectors, one row-major block, stream through the grid in one call
+//! ([`TileGemm::gemm_unsigned`], [`TileGemm::gemm_signed`]), and one
+//! vector is a GEMM of one. Each column tile's lanes are staged for every
+//! vector, then each PE of that column reads all of them in one bank
+//! read, keeping only the rows its tile holds. Partial sums accumulate
+//! digitally, `k`-ascending: every output row of every vector receives
+//! its column tiles' contributions in column-tile order, so results are
+//! bitwise reproducible, and bitwise those of `n` one-vector calls: each
+//! PE sees the vectors in order, and its noise, clock and ledger move
+//! exactly as they would one vector at a time. The GEMMs return how many
+//! cross-tile accumulations they made, and [`crate::chip::Chip`] bills
+//! every one.
 //!
-//! No operation here touches the heap: tiles, lanes and partial sums are
-//! stack arrays, and every PE call writes into the caller's buffer (the
-//! MVM output, the activation slice, the gradient), down to the bank.
+//! Programming stages each tile on the stack. A GEMM stages its lanes,
+//! partial products and AGC scales in buffers the grid keeps, which grow
+//! to the largest batch they have seen ([`TileGemm::reserve`] grows them
+//! ahead), and every PE call writes into the caller's buffer (the GEMM
+//! output, the activation slice, the gradient), down to the bank; so a
+//! warm GEMM touches no heap.
 
 use crate::error::ArchError;
 use crate::pe::ProcessingElement;
@@ -55,6 +67,12 @@ pub(crate) struct TileGemm {
     transposed: bool,
     /// Row-major tiles of the held matrix.
     pes: Vec<ProcessingElement>,
+    /// One GEMM's staging: each vector's lanes for one column tile.
+    lanes: Vec<f64>,
+    /// One GEMM's staging: each vector's kept rows from one PE.
+    partial: Vec<f64>,
+    /// One GEMM's staging: each vector's AGC scale.
+    scales: Vec<f64>,
 }
 
 impl TileGemm {
@@ -77,7 +95,23 @@ impl TileGemm {
                 pe
             })
             .collect();
-        Self { out, inp, transposed: false, pes }
+        Self {
+            out,
+            inp,
+            transposed: false,
+            pes,
+            lanes: Vec::new(),
+            partial: Vec::new(),
+            scales: Vec::new(),
+        }
+    }
+
+    /// Grow the GEMM staging to batches of `n` vectors, so a GEMM of up to
+    /// `n` allocates nothing.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        for (buf, len) in [(&mut self.lanes, n * TILE), (&mut self.partial, n * TILE), (&mut self.scales, n)] {
+            buf.reserve(len.saturating_sub(buf.len()));
+        }
     }
 
     /// The logical matrix shape `(out, in)`.
@@ -190,61 +224,75 @@ impl TileGemm {
         pe.energy().get("gst write") - before
     }
 
-    /// Unsigned MVM of the held matrix into `y` (overwritten; one entry
-    /// per held row), the dense forward step. The electronic AGC divides
-    /// `x` by its largest entry (floored at 1e-12) onto the lasers, a
-    /// negative entry drives its lane dark, and each detected partial is
-    /// multiplied back by that scale before it accumulates. Returns the
-    /// number of cross-tile accumulations.
-    pub(crate) fn gemv_unsigned(&mut self, x: &[f64], y: &mut [f64]) -> usize {
-        let scale = x.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
-        self.gemv(x, |v| (v / scale).max(0.0), scale, false, y)
+    /// Unsigned GEMM of the held matrix: `x` holds `n` input vectors
+    /// row-major (held-columns wide), `y` (overwritten) their `n` output
+    /// vectors (held-rows wide); the dense forward step. Per vector, the
+    /// electronic AGC divides it by its largest entry (floored at 1e-12)
+    /// onto the lasers, a negative entry drives its lane dark, and each
+    /// detected partial is multiplied back by that scale before it
+    /// accumulates. Returns the number of cross-tile accumulations.
+    pub(crate) fn gemm_unsigned(&mut self, x: &[f64], y: &mut [f64]) -> usize {
+        self.gemm(x, false, y)
     }
 
-    /// Signed MVM of the held matrix (two optical passes per tile) into
-    /// `y` (overwritten). Returns the number of cross-tile accumulations.
-    pub(crate) fn gemv_signed(&mut self, x: &[f64], y: &mut [f64]) -> usize {
-        self.gemv(x, |v| v, 1.0, true, y)
+    /// Signed GEMM of the held matrix (two optical passes per vector per
+    /// tile; [`ProcessingElement::mvm_signed_into`]), shaped as
+    /// [`TileGemm::gemm_unsigned`]. Returns the number of cross-tile
+    /// accumulations.
+    pub(crate) fn gemm_signed(&mut self, x: &[f64], y: &mut [f64]) -> usize {
+        self.gemm(x, true, y)
     }
 
-    fn gemv(
-        &mut self,
-        x: &[f64],
-        lane: impl Fn(f64) -> f64,
-        scale: f64,
-        signed: bool,
-        y: &mut [f64],
-    ) -> usize {
+    /// The one GEMM. Column tiles outer, ascending; for each, every
+    /// vector's lanes are staged and each row tile's PE reads them all in
+    /// one call, keeping the rows the tile holds, before each vector's
+    /// partials accumulate into its output rows.
+    fn gemm(&mut self, x: &[f64], signed: bool, y: &mut [f64]) -> usize {
         let (rows, cols, col_tiles) = self.held();
-        assert_eq!(y.len(), rows, "output width mismatch");
+        assert!(x.len().is_multiple_of(cols), "input width mismatch");
+        let n = x.len() / cols;
+        assert_eq!(y.len(), n * rows, "output width mismatch");
+        if n == 0 {
+            return 0;
+        }
+        self.scales.clear();
+        self.scales.extend(x.chunks_exact(cols).map(|xv| {
+            if signed {
+                1.0
+            } else {
+                xv.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12)
+            }
+        }));
+        self.lanes.resize(n * TILE, 0.0);
         y.fill(0.0);
-        let width = cols.min(x.len());
-        let mut lanes = [0.0; TILE];
-        let mut partial = [0.0; TILE];
         let mut psums = 0;
         for ct in 0..col_tiles {
-            lanes.fill(0.0);
-            for (c, l) in lanes.iter_mut().enumerate() {
-                let j = ct * TILE + c;
-                if j < width {
-                    *l = lane(x[j]);
+            let (lo, width) = (ct * TILE, TILE.min(cols - ct * TILE));
+            let staged = self.lanes.chunks_exact_mut(TILE).zip(x.chunks_exact(cols));
+            for ((lanes, xv), &scale) in staged.zip(&self.scales) {
+                let (light, dark) = lanes.split_at_mut(width);
+                for (l, &v) in light.iter_mut().zip(&xv[lo..lo + width]) {
+                    *l = if signed { v } else { (v / scale).max(0.0) };
                 }
+                dark.fill(0.0);
             }
             for rt in 0..rows.div_ceil(TILE) {
+                let (top, kept) = (rt * TILE, TILE.min(rows - rt * TILE));
+                self.partial.resize(n * kept, 0.0);
                 let pe = &mut self.pes[rt * col_tiles + ct];
                 if signed {
-                    pe.mvm_signed_into(&lanes, &mut partial);
+                    pe.mvm_signed_into(&self.lanes, &mut self.partial);
                 } else {
-                    pe.mvm_unsigned_into(&lanes, &mut partial);
+                    pe.mvm_unsigned_into(&self.lanes, &mut self.partial);
                 }
-                for (i, &p) in partial.iter().enumerate() {
-                    let row = rt * TILE + i;
-                    if row < rows {
-                        y[row] += p * scale;
-                        if ct > 0 {
-                            psums += 1;
-                        }
+                let outputs = y.chunks_exact_mut(rows).zip(self.partial.chunks_exact(kept));
+                for ((yv, partial), &scale) in outputs.zip(&self.scales) {
+                    for (o, &p) in yv[top..top + kept].iter_mut().zip(partial) {
+                        *o += p * scale;
                     }
+                }
+                if ct > 0 {
+                    psums += n * kept;
                 }
             }
         }
@@ -252,16 +300,18 @@ impl TileGemm {
     }
 
     /// Fire every forward row band's GST activation cells on the logits
-    /// `h` (`out` wide) into `act`; the band's first column tile's PE
-    /// serves its rows.
+    /// `h` into `act`, for each `out`-wide vector of the block; the band's
+    /// first column tile's PE serves its rows.
     pub(crate) fn activate_rows(&mut self, h: &[f64], act: &mut [f64]) {
+        assert!(h.len().is_multiple_of(self.out) && act.len() == h.len(), "activation width mismatch");
         let col_tiles = self.inp.div_ceil(TILE);
-        for rt in 0..self.out.div_ceil(TILE) {
-            let rows = rt * TILE..(rt * TILE + TILE).min(self.out);
-            self.pes[rt * col_tiles].latch_and_activate(&h[rows.clone()], &mut act[rows]);
+        for (hv, av) in h.chunks_exact(self.out).zip(act.chunks_exact_mut(self.out)) {
+            for rt in 0..self.out.div_ceil(TILE) {
+                let rows = rt * TILE..(rt * TILE + TILE).min(self.out);
+                self.pes[rt * col_tiles].latch_and_activate(&hv[rows.clone()], &mut av[rows]);
+            }
         }
     }
-
     /// Table II outer-product mode, tile by tile: add `δW = δh ⊗ y`,
     /// divided by `n` (the batch size), into `grad` (row-major, `in`
     /// wide). `y` enters the banks as weights, so it is normalised by its
@@ -292,6 +342,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use trident_photonics::units::Hours;
 
     /// A grid of ideal PEs for an `out × in` matrix.
     fn ideal(out: usize, inp: usize) -> TileGemm {
@@ -378,8 +429,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(5))]
 
-        /// Signed and unsigned MVMs, plain and transposed, equal the
-        /// naive per-tile loop bit for bit, psum count included.
+        /// Signed and unsigned GEMMs of one vector, plain and transposed,
+        /// equal the naive per-tile loop bit for bit, psum count included.
         #[test]
         fn gemv_matches_naive_tile_loop(out in 1usize..=40, inp in 1usize..=40, seed in 0u64..1000) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -391,13 +442,13 @@ mod tests {
             gemm.program(&w);
             let mut reference = Reference::new(out, inp, seed, &w);
             let mut y = vec![0.0; out];
-            let n = gemm.gemv_unsigned(&x, &mut y);
+            let n = gemm.gemm_unsigned(&x, &mut y);
             let scale = x.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12);
             let lanes: Vec<f64> = x.iter().map(|v| v / scale).collect();
             let (want, want_n) = reference.mvm(&lanes, scale, false);
             prop_assert_eq!(bits(&y), bits(&want));
             prop_assert_eq!(n, want_n);
-            let n = gemm.gemv_signed(&x, &mut y);
+            let n = gemm.gemm_signed(&x, &mut y);
             let (want, want_n) = reference.mvm(&x, 1.0, true);
             prop_assert_eq!(bits(&y), bits(&want));
             prop_assert_eq!(n, want_n);
@@ -406,10 +457,136 @@ mod tests {
             t_gemm.program_transposed(&w);
             let mut t_ref = Reference::new(inp, out, seed, &transpose(&w, out, inp));
             let mut v = vec![0.0; inp];
-            let n = t_gemm.gemv_signed(&delta, &mut v);
+            let n = t_gemm.gemm_signed(&delta, &mut v);
             let (want, want_n) = t_ref.mvm(&delta, 1.0, true);
             prop_assert_eq!(bits(&v), bits(&want));
             prop_assert_eq!(n, want_n);
+        }
+    }
+
+    /// Grid flags of one batched-GEMM case.
+    const STAT: u8 = 1;
+    const RECEIVER_NOISE: u8 = 2;
+    const MASKED: u8 = 4;
+    const DROOP: u8 = 8;
+
+    /// An `out × in` grid holding `w`, built and degraded per `flags`:
+    /// the statistical layer aged 30 days, receiver noise, two masked
+    /// rings per bank, a drooped pump.
+    fn flagged(out: usize, inp: usize, w: &[f64], seed: u64, flags: u8) -> TileGemm {
+        let mut gemm = TileGemm::with_pes(out, inp, |t| PeSpec {
+            noise_seed: (flags & RECEIVER_NOISE != 0).then_some(seed + t as u64),
+            identity: t as u64,
+            stat: (flags & STAT != 0).then_some((StatParams::default(), seed ^ t as u64)),
+            ..PeSpec::default()
+        });
+        gemm.program(w);
+        for pe in gemm.pes_mut() {
+            if flags & MASKED != 0 {
+                pe.bank_mut().mask_ring(0, 3);
+                pe.bank_mut().mask_ring(5, 0);
+            }
+            if flags & DROOP != 0 {
+                pe.set_laser_droop(0.15);
+            }
+            pe.bank_mut().advance_hours(Hours(720.0));
+        }
+        gemm
+    }
+
+    /// The one-vector lowering the GEMM replaced, literally: per column
+    /// tile the vector's 16 lanes, per row tile one full-height PE read,
+    /// then the rows the tile holds accumulate.
+    fn one_vector(gemm: &mut TileGemm, x: &[f64], signed: bool) -> (Vec<f64>, usize) {
+        let (rows, cols, col_tiles) = gemm.held();
+        let scale = if signed { 1.0 } else { x.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-12) };
+        let (mut y, mut psums) = (vec![0.0; rows], 0);
+        for ct in 0..col_tiles {
+            let mut lanes = [0.0; TILE];
+            for (c, l) in lanes.iter_mut().enumerate() {
+                if let Some(&v) = x.get(ct * TILE + c).filter(|_| ct * TILE + c < cols) {
+                    *l = if signed { v } else { (v / scale).max(0.0) };
+                }
+            }
+            for rt in 0..rows.div_ceil(TILE) {
+                let mut partial = [0.0; TILE];
+                let pe = &mut gemm.pes[rt * col_tiles + ct];
+                if signed {
+                    pe.mvm_signed_into(&lanes, &mut partial);
+                } else {
+                    pe.mvm_unsigned_into(&lanes, &mut partial);
+                }
+                for (i, &p) in partial.iter().enumerate().take(rows - rt * TILE) {
+                    y[rt * TILE + i] += p * scale;
+                    psums += usize::from(ct > 0);
+                }
+            }
+        }
+        (y, psums)
+    }
+
+    /// One PE's ledger lines, clock, receiver-noise draws and bank
+    /// read-noise draws, as bits.
+    type DeviceState = (Vec<(String, u64)>, u64, u64, u64);
+
+    /// Every PE's [`DeviceState`].
+    fn device_state(gemm: &TileGemm) -> Vec<DeviceState> {
+        let pes = gemm.pes().iter();
+        pes.map(|pe| {
+            let lines = pe.energy().iter().map(|(k, v)| (k.to_string(), v.value().to_bits()));
+            let draws = (pe.noise_draws(), pe.bank().read_draws());
+            (lines.collect(), pe.elapsed().value().to_bits(), draws.0, draws.1)
+        })
+        .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// One batched GEMM equals `n` one-vector reads on a twin grid
+        /// bit for bit: outputs, psum counts, every PE's ledger lines,
+        /// clock and noise counters, every bank's read-draw counter. Every
+        /// flag combination runs, signed and unsigned, with all-zero
+        /// vectors in the signed batch and negative lanes in the unsigned
+        /// one.
+        #[test]
+        fn gemm_matches_one_vector_reads(
+            out in 1usize..=40,
+            inp in 1usize..=40,
+            n in 1usize..=5,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = matrix(&mut rng, out * inp, -1.0);
+            let mut xs = matrix(&mut rng, n * inp, -1.0);
+            for flags in 0..16 {
+                let mut batched = flagged(out, inp, &w, seed, flags);
+                let mut single = flagged(out, inp, &w, seed, flags);
+                for signed in [false, true] {
+                    if signed {
+                        // Every other vector is dark: it reads zeros and
+                        // bills and draws nothing.
+                        for xv in xs.chunks_mut(inp).step_by(2) {
+                            xv.fill(0.0);
+                        }
+                    }
+                    let mut y = vec![f64::NAN; n * out];
+                    let psums = if signed {
+                        batched.gemm_signed(&xs, &mut y)
+                    } else {
+                        batched.gemm_unsigned(&xs, &mut y)
+                    };
+                    let (mut want, mut want_psums) = (Vec::new(), 0);
+                    for xv in xs.chunks(inp) {
+                        let (v, p) = one_vector(&mut single, xv, signed);
+                        want.extend(v);
+                        want_psums += p;
+                    }
+                    prop_assert_eq!(bits(&y), bits(&want));
+                    prop_assert_eq!(psums, want_psums);
+                    prop_assert_eq!(device_state(&batched), device_state(&single));
+                }
+            }
         }
     }
 

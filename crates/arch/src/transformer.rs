@@ -186,7 +186,7 @@ impl Projection {
 
     /// `y = W·x`: the billed signed MVM, then the global scale restored.
     fn gemv(&self, chip: &mut Chip, x: &[f64], y: &mut [f64]) {
-        chip.gemv_signed(self.grid, x, y);
+        chip.gemm_signed(self.grid, x, y);
         if self.scale.to_bits() != 1.0f64.to_bits() {
             for v in y.iter_mut() {
                 *v *= self.scale;
@@ -321,7 +321,7 @@ impl HeadKv {
     ) {
         let inv_sqrt = 1.0 / (q.len() as f64).sqrt();
         // Score MVM: every cached K row dotted with q in one pass.
-        chip.gemv_signed(self.k, q, scores);
+        chip.gemm_signed(self.k, q, scores);
         for (j, s) in scores.iter_mut().enumerate().take(limit) {
             *s = *s * self.k_scale[j] * inv_sqrt;
         }
@@ -332,7 +332,7 @@ impl HeadKv {
         for j in 0..limit {
             vin[j] = scores[j] * self.v_scale[j];
         }
-        chip.gemv_signed(self.v, vin, ctx);
+        chip.gemm_signed(self.v, vin, ctx);
     }
 }
 

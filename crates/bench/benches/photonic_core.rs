@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the photonic device substrate: ring
 //! transfer evaluation, weight-LUT calibration, bank construction and
-//! programming, and the cached optical matrix-vector product, plain and
-//! with the statistical device layer — the hot paths of the functional
-//! simulator.
+//! programming, and the cached optical matrix-vector product, plain,
+//! batched and with the statistical device layer — the hot paths of the
+//! functional simulator.
 
 
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
@@ -101,6 +101,22 @@ fn bank_ops(c: &mut Criterion) {
             })
         });
         if size == 16 {
+            // One image's conv patches as one GEMM: 36 vectors stream
+            // through the stationary bank in one read. Like the digit
+            // CNN's 6-filter 3x3 tile, 9 channels carry light and 6 rows
+            // are kept.
+            let patches: Vec<f64> = (0..36 * size)
+                .map(|i| if i % size < 9 { ((i * 7) % 17) as f64 / 17.0 } else { 0.0 })
+                .collect();
+            group.bench_with_input(BenchmarkId::new("mvm_batch", 36), &size, |b, &s| {
+                let mut bank = WeightBank::new(s, s, GstParameters::default());
+                bank.program_flat(&weights);
+                let mut y = vec![0.0; 36 * 6];
+                b.iter(|| {
+                    bank.mvm_into(black_box(&patches), &mut y);
+                    black_box(&y);
+                })
+            });
             // The classify MLP's read: statistical layer on, aged a month
             // and drift-calibrated, read into a caller buffer.
             group.bench_with_input(BenchmarkId::new("mvm_stat", size), &size, |b, &s| {
