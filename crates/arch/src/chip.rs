@@ -85,17 +85,15 @@ impl Chip {
     }
 
     /// Table II gradient-vector mode on grid `g`: program `wᵀ` (`w` is
-    /// the grid's `out × in` matrix, row-major) and replace each `δ` with
-    /// `wᵀ·δ`, all of them one billed signed GEMM. The grid holds `wᵀ`
-    /// until the next [`Chip::program`].
-    pub(crate) fn gradient_vectors(&mut self, g: usize, w: &[f64], deltas: &mut [Vec<f64>]) {
+    /// the grid's `out × in` matrix, row-major) and return the block of
+    /// `wᵀ·δ` for the block `deltas`: one billed signed GEMM. The grid
+    /// holds `wᵀ` until the next [`Chip::program`].
+    pub(crate) fn gradient_vectors(&mut self, g: usize, w: &[f64], deltas: &[f64]) -> Vec<f64> {
         self.grids[g].program_transposed(w);
-        let inp = self.grids[g].dims().1;
-        let mut v = vec![0.0; deltas.len() * inp];
-        self.gemm_signed(g, &deltas.concat(), &mut v);
-        for (delta, v) in deltas.iter_mut().zip(v.chunks_exact(inp)) {
-            *delta = v.to_vec();
-        }
+        let (out, inp) = self.grids[g].dims();
+        let mut v = vec![0.0; deltas.len() / out * inp];
+        self.gemm_signed(g, deltas, &mut v);
+        v
     }
 
     /// Program grid `g` with `w` (`out × in`, row-major): open-loop on a

@@ -22,6 +22,10 @@ use trident_workload::dataflow::DataflowModel;
 /// read.
 pub const PSUM_ENERGY: EnergyPj = EnergyPj(0.1);
 
+/// Maximum electronic clock (§IV: 1.37 GHz), which [`TridentConfig::paper`]
+/// and the transformer LDSU's per-element time both read.
+pub const CLOCK_HZ: f64 = 1.37e9;
+
 /// Full Trident configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TridentConfig {
@@ -81,7 +85,7 @@ impl TridentConfig {
             num_pes: 44,
             tuning: TuningProfile::gst(),
             symbol_time: EoModulator::SYMBOL_TIME,
-            clock_hz: 1.37e9,
+            clock_hz: CLOCK_HZ,
             l1_bytes: 16 * 1024,
             l2_bytes: 32 * 1024 * 1024,
             cache_access_energy: EnergyPj(1.0),

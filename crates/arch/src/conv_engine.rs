@@ -117,10 +117,10 @@ impl ConvGeometry {
 /// A small photonic CNN: one conv layer, GST activation, 2×2 maxpool,
 /// and a dense classifier head.
 ///
-/// Working memory follows the engine's rule (DESIGN.md §15): the im2col
-/// patches, conv logits and activation map are sized from the geometry
-/// at construction; only the per-sample output slots grow, tallied in
-/// [`PhotonicCnn::hot_path_allocs`].
+/// Working memory follows the engine's rule (DESIGN.md §15): the conv
+/// layer's tape holds the batch's im2col patches, conv logits and
+/// activation maps, and only it, the head's tape and the per-sample
+/// output slots grow, tallied in [`PhotonicCnn::hot_path_allocs`].
 pub struct PhotonicCnn {
     geometry: ConvGeometry,
     /// The conv-pool layer and the dense head on the one network engine.
@@ -203,15 +203,15 @@ impl PhotonicCnn {
         self.net.try_forward_batch(inputs, true)
     }
 
-    /// Pre-grow `batch` per-sample output slots so steady-state forwards
-    /// perform no engine-side heap allocation. Growth here is warm-up,
-    /// not counted in [`PhotonicCnn::hot_path_allocs`].
+    /// Pre-grow `batch` output slots and the layer tapes so steady-state
+    /// forwards perform no engine-side heap allocation. Growth here is
+    /// warm-up, not counted in [`PhotonicCnn::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
         self.net.reserve_forward_scratch(batch);
     }
 
-    /// Output-slot growth events since construction. Zero across a
-    /// window of warm forwards is the zero-allocation claim.
+    /// Tape and output-slot growth events since construction. Zero
+    /// across a window of warm forwards is the zero-allocation claim.
     pub fn hot_path_allocs(&self) -> u64 {
         self.net.hot_path_allocs()
     }
@@ -299,16 +299,18 @@ impl PhotonicCnn {
         loss.unwrap_or(f64::NAN)
     }
 
-    /// Train over a dataset, checked as [`PhotonicCnn::try_accuracy`]
-    /// checks it before the chip is touched; returns per-epoch mean losses.
-    pub fn try_train(
+    /// Train over a dataset, one Eq. 1 update per `batch_size` images,
+    /// checked as [`PhotonicCnn::try_accuracy`] checks it before the chip
+    /// is touched; returns per-epoch mean losses.
+    pub fn try_train_batched(
         &mut self,
         images: &[Vec<f64>],
         labels: &[usize],
         lr: f64,
         epochs: usize,
+        batch_size: usize,
     ) -> Result<Vec<f64>, ArchError> {
-        self.net.train_epochs(images, labels, lr, epochs, 1, None)
+        self.net.train_epochs(images, labels, lr, epochs, batch_size, None)
     }
 
     /// Total optical energy spent so far.
@@ -426,7 +428,7 @@ mod tests {
     fn cnn_trains_on_digits() {
         let (xs, labels) = digit_images(3);
         let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
-        let history = cnn.try_train(&xs, &labels, 0.1, 10).unwrap();
+        let history = cnn.try_train_batched(&xs, &labels, 0.1, 10, 1).unwrap();
         assert!(
             history.last().unwrap() < history.first().unwrap(),
             "conv training loss should fall: {history:?}"
@@ -467,7 +469,7 @@ mod tests {
         ));
         labels[3] = 10;
         assert!(matches!(
-            cnn.try_train(&xs, &labels, 0.1, 1),
+            cnn.try_train_batched(&xs, &labels, 0.1, 1, 1),
             Err(ArchError::LabelOutOfRange { label: 10, classes: 10 })
         ));
         assert!(matches!(
@@ -520,6 +522,24 @@ mod tests {
             warm,
             "steady-state CNN forwards must not grow engine scratch"
         );
+    }
+
+    #[test]
+    fn batched_training_does_not_depend_on_sample_order() {
+        // Ideal PEs read without history, so a batch's update is the same
+        // in any sample order up to the batch mean's summation order; a
+        // walk that read another sample's slice of a tape would not be.
+        let (xs, labels) = digit_images(1);
+        let train = |order: [usize; 3]| {
+            let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+            let batch: Vec<Vec<f64>> = order.iter().map(|&i| xs[i].clone()).collect();
+            let batch_labels = order.map(|i| labels[i]);
+            let loss = cnn.try_train_batched(&batch, &batch_labels, 0.5, 1, 3).unwrap()[0];
+            (loss, [cnn.conv_weights().to_vec(), cnn.dense_weights().to_vec()].concat())
+        };
+        let (first, shuffled) = (train([0, 1, 2]), train([2, 0, 1]));
+        assert!((first.0 - shuffled.0).abs() < 1e-12, "losses {} vs {}", first.0, shuffled.0);
+        assert_eq!(first.1, shuffled.1, "weights after one batch of three");
     }
 
     #[test]

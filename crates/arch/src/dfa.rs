@@ -75,13 +75,12 @@ impl DfaFeedback {
         self.chip.programming_energy()
     }
 
-    /// Photonic projection `B_k · e` of every error in `errors` (one or
-    /// more `classes`-wide vectors, row-major): one signed GEMM over the
-    /// feedback bank, its partial sums billed to the feedback chip.
-    /// Returns the projections, `hidden_k` wide each, in input order.
-    pub fn project(&mut self, k: usize, errors: &[f64]) -> Vec<f64> {
+    /// Photonic projection `B_k · e` of the block `errors` (`classes`-wide
+    /// vectors, row-major) into a block of `hidden_k`-wide projections in
+    /// input order: one signed GEMM over the feedback bank, its partial
+    /// sums billed to the feedback chip.
+    pub(crate) fn project(&mut self, k: usize, errors: &[f64]) -> Vec<f64> {
         let (hidden, classes) = self.chip.grids[k].dims();
-        assert!(errors.len().is_multiple_of(classes), "error width mismatch");
         let mut v = vec![0.0; errors.len() / classes * hidden];
         self.chip.gemm_signed(k, errors, &mut v);
         v

@@ -5,25 +5,25 @@
 //! layer sizes). A layer is dense or, for the digit CNN
 //! ([`crate::conv_engine`]), a conv-pool layer whose grid is the
 //! `out_c × in_c·k·k` filter bank. Inference keeps weights stationary;
-//! training follows the paper's per-sample schedule:
+//! training follows the paper's schedule over a batch (a per-sample step
+//! is a batch of one):
 //!
-//! 1. **forward** — per layer, the chip's dense step (AGC, clamped laser
-//!    lanes, optical GEMM tiles, billed cross-tile partial sums) over the
-//!    whole batch, then the GST activation. A conv-pool layer runs the
-//!    step once per image over its im2col patches, activates the map,
-//!    then max-pools 2×2.
-//! 2. **backward walk** over a batch (a per-sample step is a batch of
-//!    one), output layer first — per layer `k`:
+//! 1. **forward** — per layer, one GEMM of the chip's dense step (AGC,
+//!    clamped laser lanes, optical GEMM tiles, billed cross-tile partial
+//!    sums) over the whole batch, then the GST activation; a conv-pool
+//!    layer's GEMM reads every image's im2col patches, then it activates
+//!    the maps and max-pools them 2×2. Each layer's tape holds the
+//!    batch's blocks: the sweep stages through it, and the walk reads it.
+//! 2. **backward walk**, output layer first — per layer `k`:
 //!    - **outer product** (Table II mode 3): banks programmed with each
 //!      sample's layer input, per-ring demux readout of `δW_k`; a
 //!      conv-pool layer routes each pooled feature's error to its argmax
 //!      position and adds one single-row outer product per feature;
-//!    - **error for layer `k−1`**, per sample, from backprop's
-//!      gradient-vector mode (Table II mode 2: `W_kᵀ` programmed once, a
-//!      signed MVM of each `δh_k`; the banks hold `W_kᵀ` until the
-//!      update) or from direct feedback alignment's fixed bank,
-//!      `B_{k−1}·e` ([`crate::dfa`]), times `f'(h_{k−1})`
-//!      ([`spilled_hadamard`]).
+//!    - **error block for layer `k−1`**, from backprop's gradient-vector
+//!      mode (Table II mode 2: `W_kᵀ` programmed once, one signed GEMM of
+//!      the `δh_k` block; the banks hold `W_kᵀ` until the update) or from
+//!      direct feedback alignment's fixed bank, `B_{k−1}·e`
+//!      ([`crate::dfa`]), times `f'(h_{k−1})` ([`spilled_hadamard`]).
 //! 3. **update** (Eq. 1) — `W ← W − β·δW` with the batch-mean gradient,
 //!    clipped to the photonic range, quantized to the tuning method's bit
 //!    resolution, and programmed back into the forward banks: the walk's
@@ -131,12 +131,12 @@ pub(crate) static CNN_SPANS: SpanNames = span_names!("cnn."; "0" "1" "2" "3" "4"
 /// A network running on simulated photonic hardware: dense layers, or
 /// the digit CNN's conv-pool layer and dense head.
 ///
-/// Working memory follows one rule (DESIGN.md §15): the layer tapes,
-/// whose sizes the layers fix, are allocated at construction; only the
-/// per-sample output slots and the batch staging grow, and each growth is
-/// tallied in [`PhotonicMlp::hot_path_allocs`]. The rule runs down through
-/// the tile grids into the PEs and banks, which write into these buffers;
-/// the grids' GEMM staging grows to the largest batch it has seen.
+/// Working memory follows one rule (DESIGN.md §15): only the layer tapes
+/// (the batch's blocks, which the sweep stages through) and the
+/// per-sample output slots grow, to the largest batch seen, and each
+/// growth is tallied in [`PhotonicMlp::hot_path_allocs`]. The rule runs
+/// down through the tile grids into the PEs and banks, which write into
+/// these buffers; the grids' GEMM staging grows the same way.
 pub struct PhotonicMlp {
     /// Widths of the vectors between layers, input first.
     dims: Vec<usize>,
@@ -148,14 +148,11 @@ pub struct PhotonicMlp {
     chip: Chip,
     /// Weight resolution in bits (8 for GST; 6 emulates thermal banks).
     weight_bits: u8,
-    /// What each layer's latest forward kept for the backward walk.
+    /// Each layer's blocks from the latest forward, for the whole batch.
     tape: Vec<Tape>,
     /// Per-sample outputs of the latest forward.
     outputs: Vec<Vec<f64>>,
-    /// The sweep's batch staging: one layer's input vectors and its
-    /// output vectors, row-major, swapped after every layer.
-    stage: [Vec<f64>; 2],
-    /// Growth events on `outputs` and `stage` since construction.
+    /// Growth events on `tape` and `outputs` since construction.
     heap_allocs: u64,
     /// The names of every span this engine opens.
     spans: &'static SpanNames,
@@ -167,44 +164,68 @@ pub(crate) enum Layer {
     /// `y ← f(W·y)` (the network tail skips `f`); the grid holds `W`.
     Dense,
     /// Conv → GST activation → 2×2 max pool; the grid holds the filter
-    /// bank. Only ever layer 0, so the walk never needs its `Wᵀ`.
+    /// bank. Only ever layer 0, in front of a dense head, so the walk
+    /// never needs its `Wᵀ` and its pool always feeds a next layer.
     ConvPool(ConvGeometry),
 }
 
-/// What one layer's forward keeps for the backward walk.
-#[derive(Debug, Clone)]
+/// One layer's blocks for every sample of the latest forward, row-major:
+/// the layer's GEMM reads `input` and writes `logits`, and the backward
+/// walk reads both.
+#[derive(Debug, Default)]
 struct Tape {
-    /// The vectors the grid read: `y_{k−1}`, or the im2col patches, one
-    /// per position.
+    /// The vectors the grid read: `y_{k−1}` per sample, or each image's
+    /// im2col patches, one per position.
     input: Vec<f64>,
     /// The logits `h_k` (one `out_c` row per position for a conv), whose
     /// `f'(h)` bits the walk reads.
     logits: Vec<f64>,
-    /// A conv-pool layer's activation map, shaped like its logits: the
+    /// A conv-pool layer's activation maps, shaped like its logits: the
     /// pool's input, from which the walk re-derives each feature's route.
     activ: Vec<f64>,
 }
 
 impl Layer {
-    /// Add `grid`'s `δW` for one sample, taped in `t`, into `grad`, each
-    /// product divided by the batch size `n`. A dense layer's `delta` is
-    /// `δh_k`; a conv-pool layer's is the pooled features' error, which it
-    /// routes to each feature's argmax position, skipping zero errors and
-    /// dark positions, and weights by that position's `f'(h)` bit.
-    fn outer_product(self, grid: &mut TileGemm, delta: &[f64], t: &Tape, n: f64, grad: &mut [f64]) {
+    /// Vectors the layer's grid reads per sample: one, or one im2col
+    /// patch per output position.
+    fn reads(self) -> usize {
+        match self {
+            Layer::Dense => 1,
+            Layer::ConvPool(g) => g.positions(),
+        }
+    }
+
+    /// `grid`'s batch-mean `δW` from the batch taped in `t`: one outer
+    /// product per sample, each divided by the batch size. A dense
+    /// layer's `deltas` hold each sample's `δh_k`; a conv-pool layer's
+    /// hold its pooled features' errors, each routed to the feature's
+    /// argmax position (zero errors and dark positions skipped) and
+    /// weighted by that position's `f'(h)` bit.
+    fn gradient(self, grid: &mut TileGemm, deltas: &[f64], t: &Tape) -> Vec<f64> {
+        let (out, inp) = grid.dims();
+        let mut grad = vec![0.0; out * inp];
         let Layer::ConvPool(g) = self else {
-            return grid.outer_product(delta, &t.input, n, grad);
-        };
-        let p = g.patch_len();
-        g.pool(&t.activ, f64::NEG_INFINITY, |i, _, at| {
-            let (d, h) = (delta[i], t.logits[at]);
-            if d == 0.0 || h < LOGIT_THRESHOLD {
-                return;
+            let n = count(deltas.len() / out);
+            for (delta, y) in deltas.chunks_exact(out).zip(t.input.chunks_exact(inp)) {
+                grid.outer_product(delta, y, n, &mut grad);
             }
-            let (pos, f) = (at / g.out_c, at % g.out_c);
-            let patch = &t.input[pos * p..(pos + 1) * p];
-            grid.outer_product(&[spilled_hadamard(d, h)], patch, n, &mut grad[f * p..(f + 1) * p]);
-        });
+            return grad;
+        };
+        let (n, map) = (count(deltas.len() / g.features()), g.positions() * out);
+        let maps = t.logits.chunks_exact(map).zip(t.activ.chunks_exact(map));
+        let taped = t.input.chunks_exact(g.positions() * inp).zip(maps);
+        for (delta, (patches, (logits, activ))) in deltas.chunks_exact(g.features()).zip(taped) {
+            g.pool(activ, f64::NEG_INFINITY, |i, _, at| {
+                let (d, h) = (delta[i], logits[at]);
+                if d == 0.0 || h < LOGIT_THRESHOLD {
+                    return;
+                }
+                let (pos, f) = (at / out, at % out);
+                let patch = &patches[pos * inp..(pos + 1) * inp];
+                grid.outer_product(&[spilled_hadamard(d, h)], patch, n, &mut grad[f * inp..(f + 1) * inp]);
+            });
+        }
+        grad
     }
 }
 
@@ -291,11 +312,11 @@ impl PhotonicMlp {
         let EngineOptions { seed, noise_seed, weight_bits, resonance_sigma_nm, variation_seed, stat } =
             opts;
         let mut rng = StdRng::seed_from_u64(seed);
-        let (mut grids, mut weights, mut tape) = (vec![], vec![], vec![]);
+        let (mut grids, mut weights) = (vec![], vec![]);
         for (k, layer) in layers.iter().enumerate() {
-            let (out, inp, positions) = match layer {
-                Layer::Dense => (dims[k + 1], dims[k], 1),
-                Layer::ConvPool(g) => (g.out_c, g.patch_len(), g.positions()),
+            let (out, inp) = match layer {
+                Layer::Dense => (dims[k + 1], dims[k]),
+                Layer::ConvPool(g) => (g.out_c, g.patch_len()),
             };
             grids.push(TileGemm::with_pes(out, inp, |t| PeSpec {
                 noise_seed: noise_seed.map(|s| bank_identity(s, k, t)),
@@ -309,19 +330,15 @@ impl PhotonicMlp {
             }));
             let limit = (6.0 / (out + inp) as f64).sqrt().min(1.0);
             weights.push((0..out * inp).map(|_| rng.gen_range(-limit..limit)).collect());
-            let logits = vec![0.0; positions * out];
-            let activ = if *layer == Layer::Dense { vec![] } else { logits.clone() };
-            tape.push(Tape { input: vec![0.0; positions * inp], logits, activ });
         }
         let mut engine = Self {
             dims: dims.to_vec(),
+            tape: layers.iter().map(|_| Tape::default()).collect(),
             layers,
             weights,
             chip: Chip::new(grids),
             weight_bits,
-            tape,
             outputs: Vec::new(),
-            stage: [Vec::new(), Vec::new()],
             heap_allocs: 0,
             spans,
         };
@@ -419,17 +436,17 @@ impl PhotonicMlp {
     }
 
     /// Forward a batch of samples: the sweep is layer-major, and each
-    /// dense layer is one GEMM over the whole batch, so every PE is read
-    /// once per layer and the span and bookkeeping overhead is paid once
-    /// per batch; every per-sample output lands in a reused engine-owned
+    /// layer is one GEMM over the whole batch, so every PE is read once
+    /// per layer and the span and bookkeeping overhead is paid once per
+    /// batch; every per-sample output lands in a reused engine-owned
     /// slot.
     ///
     /// Determinism: each PE belongs to exactly one `(layer, tile)` slot,
     /// and the GEMM hands it the samples in order, so its noise streams,
     /// drift clocks, and energy ledger evolve exactly as under per-sample
     /// [`PhotonicMlp::try_forward`], and outputs are bitwise identical to
-    /// the per-sample path. The layer tapes end holding the *last*
-    /// sample's vectors, the same end state the per-sample loop leaves.
+    /// the per-sample path. The layer tapes end holding the whole batch,
+    /// which is what the backward walk reads.
     ///
     /// With `tail = true` the last layer's logits pass through
     /// unactivated (the network tail, read by the loss). With
@@ -449,8 +466,9 @@ impl PhotonicMlp {
     }
 
     /// The one forward sweep behind every entry point, under span `name`:
-    /// the inputs staged as one block, each layer run over the whole
-    /// block, the outputs copied into the per-sample slots.
+    /// the inputs staged on layer 0's tape, each layer run over the whole
+    /// batch from its tape into the next one's, the last layer's outputs
+    /// written into the per-sample slots.
     fn sweep<S: AsRef<[f64]>>(
         &mut self,
         name: &'static str,
@@ -462,28 +480,22 @@ impl PhotonicMlp {
         let _span = obs::span(name);
         let n = inputs.len();
         let allocs_before = self.heap_allocs;
-        let [mut xs, mut ys] = std::mem::take(&mut self.stage);
-        fit(&mut xs, n * self.dims[0], &mut self.heap_allocs);
-        for (row, x) in xs.chunks_exact_mut(self.dims[0]).zip(inputs) {
-            row.copy_from_slice(x.as_ref());
+        let (layer, input) = (self.layers[0], &mut self.tape[0].input);
+        let width = layer.reads() * self.chip.grids[0].dims().1;
+        fit(input, n * width, &mut self.heap_allocs);
+        for (x, row) in inputs.iter().zip(input.chunks_exact_mut(width)) {
+            match layer {
+                Layer::Dense => row.copy_from_slice(x.as_ref()),
+                Layer::ConvPool(g) => g.im2col(x.as_ref(), row, |v| v),
+            }
         }
-        let layer_count = self.layer_count();
-        for k in 0..layer_count {
+        for k in 0..self.layer_count() {
             let _layer_span = obs::span(self.spans.layer(k).forward);
             let settled = if trace { self.tally_layer_sim_ns(k, n) } else { Nanoseconds(0.0) };
-            let activate = !(tail && k + 1 == layer_count);
-            self.forward_layer(k, activate, n, &mut xs, &mut ys);
+            self.forward_layer(k, tail, n);
             debug_assert!(!trace || settled.value().to_bits() == self.total_elapsed().value().to_bits());
         }
-        let mut outputs = std::mem::take(&mut self.outputs);
-        grow_slots(&mut outputs, n, &mut self.heap_allocs);
-        let width = self.dims[layer_count];
-        for (slot, y) in outputs.iter_mut().zip(xs.chunks_exact(width)) {
-            refill(slot, &mut self.heap_allocs, |s| s.extend_from_slice(y));
-        }
         obs::add(obs::Counter::HotPathAllocs, self.heap_allocs - allocs_before);
-        self.stage = [xs, ys];
-        self.outputs = outputs;
         Ok(&self.outputs[..n])
     }
 
@@ -494,10 +506,7 @@ impl PhotonicMlp {
     /// the total after each sample is [`Chip::elapsed_after`], and each
     /// sample's share is bitwise what a one-sample sweep would add.
     fn tally_layer_sim_ns(&self, k: usize, n: usize) -> Nanoseconds {
-        let reads = match self.layers[k] {
-            Layer::Dense => 1,
-            Layer::ConvPool(g) => g.positions(),
-        };
+        let reads = self.layers[k].reads();
         let mut before = self.total_elapsed();
         for i in 1..=n {
             let after = self.chip.elapsed_after(k, reads * i);
@@ -508,87 +517,85 @@ impl PhotonicMlp {
         before
     }
 
-    /// One layer of the forward dataflow for the `n` vectors staged in
-    /// `xs`, leaving their outputs in `xs` (`ys` is scratch) and the last
-    /// sample's vectors on the layer's tape. A dense layer is one GEMM of
-    /// the chip's dense step over the batch, then the GST activation of
-    /// the logits, or the raw logits when `activate` is off (the network
-    /// tail). A conv-pool layer runs one GEMM per image over its im2col
-    /// patches, activates the whole map, spilling one `f'(h)` bit per row
-    /// per position to L1, then max-pools it 2×2.
-    fn forward_layer(
-        &mut self,
-        k: usize,
-        activate: bool,
-        n: usize,
-        xs: &mut Vec<f64>,
-        ys: &mut Vec<f64>,
-    ) {
-        let (inp, out) = (self.dims[k], self.dims[k + 1]);
-        let tape = &mut self.tape[k];
-        fit(ys, n * out, &mut self.heap_allocs);
-        let Layer::ConvPool(g) = self.layers[k] else {
-            self.chip.gemm_unsigned(k, xs, ys);
-            if n > 0 {
-                tape.input.copy_from_slice(&xs[(n - 1) * inp..]);
-                tape.logits.copy_from_slice(&ys[(n - 1) * out..]);
-            }
-            if activate {
-                fit(xs, n * out, &mut self.heap_allocs);
-                self.chip.grids[k].activate_rows(ys, xs);
-            } else {
-                std::mem::swap(xs, ys);
+    /// One layer of the forward dataflow over the `n` samples on its
+    /// tape: one GEMM of the chip's dense step reads the tape's input
+    /// block and writes its logits block. A dense layer then writes the
+    /// GST activation of the logits into the next layer's input block;
+    /// the last layer writes each sample's logits into its output slot,
+    /// activated unless `tail` (the network tail). A conv-pool layer
+    /// activates every map, spilling one `f'(h)` bit per row per position
+    /// to L1, then max-pools each 2×2 into the next layer's input block.
+    fn forward_layer(&mut self, k: usize, tail: bool, n: usize) {
+        let (layer, out) = (self.layers[k], self.chip.grids[k].dims().0);
+        let reads = n * layer.reads();
+        let allocs = &mut self.heap_allocs;
+        let (taped, rest) = self.tape.split_at_mut(k + 1);
+        let t = &mut taped[k];
+        fit(&mut t.logits, reads * out, allocs);
+        self.chip.gemm_unsigned(k, &t.input, &mut t.logits);
+        let grid = &mut self.chip.grids[k];
+        let Some(next) = rest.first_mut() else {
+            grow_slots(&mut self.outputs, n, allocs);
+            for (slot, h) in self.outputs.iter_mut().zip(t.logits.chunks_exact(out)) {
+                refill(slot, allocs, |s| {
+                    s.extend_from_slice(h);
+                    if !tail {
+                        grid.activate_rows(h, s);
+                    }
+                });
             }
             return;
         };
-        for (image, pooled) in xs.chunks_exact(inp).zip(ys.chunks_exact_mut(out)) {
-            g.im2col(image, &mut tape.input, |v| v);
-            self.chip.gemm_unsigned(k, &tape.input, &mut tape.logits);
-            self.chip.grids[k].activate_rows(&tape.logits, &mut tape.activ);
-            let fifo = EnergyPj(0.01 * g.out_c as f64);
-            self.chip.ldsu.energy.charge_times("ldsu fifo", fifo, g.positions());
-            g.pool(&tape.activ, f64::NEG_INFINITY, |i, v, _| pooled[i] = v);
+        let width = self.dims[k + 1];
+        fit(&mut next.input, n * width, allocs);
+        let Layer::ConvPool(g) = layer else {
+            return grid.activate_rows(&t.logits, &mut next.input);
+        };
+        fit(&mut t.activ, reads * out, allocs);
+        grid.activate_rows(&t.logits, &mut t.activ);
+        self.chip.ldsu.energy.charge_times("ldsu fifo", EnergyPj(0.01 * g.out_c as f64), reads);
+        let maps = t.activ.chunks_exact(g.positions() * out);
+        for (map, pooled) in maps.zip(next.input.chunks_exact_mut(width)) {
+            g.pool(map, f64::NEG_INFINITY, |i, v, _| pooled[i] = v);
         }
-        std::mem::swap(xs, ys);
     }
 
-    /// Pre-grow `batch` per-sample output slots and the batch staging to
-    /// the widest layer, and every grid's GEMM staging to the vectors it
-    /// reads per batch, so steady-state forwards perform no heap
-    /// allocation. Fleet builders call this once per replica at build
-    /// time; growth here is warm-up and is not counted in
-    /// [`PhotonicMlp::hot_path_allocs`].
+    /// Pre-grow `batch` per-sample output slots, every layer's tape and
+    /// every grid's GEMM staging to what a `batch`-sample forward uses,
+    /// so steady-state forwards perform no heap allocation. Fleet
+    /// builders call this once per replica at build time; growth here is
+    /// warm-up and is not counted in [`PhotonicMlp::hot_path_allocs`].
     pub fn reserve_forward_scratch(&mut self, batch: usize) {
-        let wmax = self.dims.iter().copied().max().unwrap_or(0);
-        reserve_slots(&mut self.outputs, batch, wmax);
-        for buf in &mut self.stage {
-            buf.reserve((batch * wmax).saturating_sub(buf.len()));
-        }
-        for (grid, layer) in self.chip.grids.iter_mut().zip(&self.layers) {
-            grid.reserve(match layer {
-                Layer::Dense => batch,
-                Layer::ConvPool(g) => g.positions(),
-            });
+        let width = self.dims[self.layer_count()];
+        reserve_slots(&mut self.outputs, batch, width);
+        for ((grid, layer), t) in self.chip.grids.iter_mut().zip(&self.layers).zip(&mut self.tape) {
+            let ((out, inp), reads) = (grid.dims(), batch * layer.reads());
+            grid.reserve(reads);
+            let activ = if *layer == Layer::Dense { 0 } else { reads * out };
+            for (buf, len) in [(&mut t.input, reads * inp), (&mut t.logits, reads * out), (&mut t.activ, activ)] {
+                buf.reserve(len.saturating_sub(buf.len()));
+            }
         }
     }
 
-    /// Output-slot growth events since construction. Zero growth across
-    /// a window of warm forwards is the zero-allocation claim
-    /// `ablation_serve` checks.
+    /// Tape and output-slot growth events since construction. Zero
+    /// growth across a window of warm forwards is the zero-allocation
+    /// claim `ablation_serve` checks.
     pub fn hot_path_allocs(&self) -> u64 {
         self.heap_allocs
     }
 
-    /// Predicted class for one sample (NaN-safe, see [`argmax`]).
+    /// Predicted class for one sample (NaN-safe, see [`argmax`]), read
+    /// from the sweep's output slot.
     pub fn try_predict(&mut self, x: &[f64]) -> Result<usize, ArchError> {
-        Ok(argmax(&self.try_forward(x)?))
+        Ok(argmax(&self.sweep(self.spans.forward, &[x], true)?[0]))
     }
 
     /// Accuracy over a labelled set; an unpaired, empty or mislabelled
     /// set is a typed error before the first forward.
     pub fn accuracy(&mut self, xs: &[Vec<f64>], labels: &[usize]) -> Result<f64, ArchError> {
         check_set(xs, labels, self.dims[0], self.dims[self.dims.len() - 1])?;
-        accuracy_of(xs, labels, |x| self.try_forward(x))
+        accuracy_of(xs, labels, |x| self.try_predict(x))
     }
 
     /// One in-situ training step on a single sample (the paper's
@@ -673,15 +680,16 @@ impl PhotonicMlp {
         Ok(loss_history)
     }
 
-    /// The one backward walk, over a checked batch: forward every sample
-    /// with stationary weights, keeping its tape (layer inputs and the
-    /// logits whose `f'(h)` bits are spilled); then per layer, output
-    /// layer first, every sample's outer product and then every sample's
-    /// error for layer `k−1` — through one `W_kᵀ` program (backprop) or,
-    /// given `feedback`, the fixed DFA bank — times `f'(h_{k−1})`; then
-    /// one Eq. 1 update with the batch-mean gradient, which reprograms
-    /// every forward bank: the walk's one restore point. Returns the
-    /// summed loss of the batch.
+    /// The one backward walk, over a checked batch: one sweep forwards
+    /// the batch with stationary weights, leaving every layer's blocks on
+    /// its tape (inputs, and the logits whose `f'(h)` bits are spilled);
+    /// each sample's softmax error fills one block. Then per layer,
+    /// output layer first, every sample's outer product and then the
+    /// error block for layer `k−1` — through one `W_kᵀ` program
+    /// (backprop) or, given `feedback`, the fixed DFA bank — times
+    /// `f'(h_{k−1})`; then one Eq. 1 update with the batch-mean gradient,
+    /// which reprograms every forward bank: the walk's one restore point.
+    /// Returns the summed loss of the batch.
     fn train_batch<S: AsRef<[f64]>>(
         &mut self,
         xs: &[S],
@@ -690,45 +698,32 @@ impl PhotonicMlp {
         mut feedback: Option<&mut DfaFeedback>,
     ) -> Result<f64, ArchError> {
         let _span = obs::span(self.spans.train_sample);
+        self.sweep(self.spans.forward, xs, true)?;
+        let (last, classes) = (self.layer_count() - 1, self.dims[self.layer_count()]);
+        let mut errors = vec![0.0; xs.len() * classes];
+        let logits = self.tape[last].logits.chunks_exact(classes);
         let mut loss = 0.0;
-        let (mut errors, mut tapes) = (Vec::new(), Vec::new());
-        for (x, &label) in xs.iter().zip(labels) {
-            let (sample_loss, error) = softmax_grad(&self.try_forward(x.as_ref())?, label);
-            loss += sample_loss;
-            errors.push(error);
-            tapes.push(self.tape.clone());
+        for ((h, &label), e) in logits.zip(labels).zip(errors.chunks_exact_mut(classes)) {
+            loss += softmax_grad(h, label, e);
         }
         let mut deltas = errors.clone();
         let mut grads = Vec::with_capacity(self.layer_count());
-        for k in (0..self.layer_count()).rev() {
+        for k in (0..=last).rev() {
             let names = self.spans.layer(k);
             grads.push(self.backward_step(names.outer_product, |mlp| {
-                let mut grad = vec![0.0; mlp.weights[k].len()];
-                for (delta, tape) in deltas.iter().zip(&tapes) {
-                    let grid = &mut mlp.chip.grids[k];
-                    mlp.layers[k].outer_product(grid, delta, &tape[k], xs.len() as f64, &mut grad);
-                }
-                grad
+                mlp.layers[k].gradient(&mut mlp.chip.grids[k], &deltas, &mlp.tape[k])
             }));
             if k == 0 {
                 break;
             }
-            self.backward_step(names.gradient_vector, |mlp| match feedback.as_deref_mut() {
-                None => mlp.chip.gradient_vectors(k, &mlp.weights[k], &mut deltas),
-                Some(fb) => {
-                    let projected = fb.project(k - 1, &errors.concat());
-                    let hidden = projected.len() / errors.len();
-                    for (delta, v) in deltas.iter_mut().zip(projected.chunks_exact(hidden)) {
-                        *delta = v.to_vec();
-                    }
-                }
+            deltas = self.backward_step(names.gradient_vector, |mlp| match feedback.as_deref_mut() {
+                None => mlp.chip.gradient_vectors(k, &mlp.weights[k], &deltas),
+                Some(fb) => fb.project(k - 1, &errors),
             });
             // A conv-pool layer reads its f'(h) bits per routed feature.
             if self.layers[k - 1] == Layer::Dense {
-                for (delta, tape) in deltas.iter_mut().zip(&tapes) {
-                    for (d, &h) in delta.iter_mut().zip(&tape[k - 1].logits) {
-                        *d = spilled_hadamard(*d, h);
-                    }
+                for (d, &h) in deltas.iter_mut().zip(&self.tape[k - 1].logits) {
+                    *d = spilled_hadamard(*d, h);
                 }
             }
         }
@@ -800,21 +795,19 @@ impl PhotonicMlp {
     }
 }
 
-/// Softmax cross-entropy loss and gradient for one sample (f64) — the
-/// electronic output error every photonic training path starts from.
-fn softmax_grad(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
-    assert!(label < logits.len(), "label out of range");
+/// Softmax cross-entropy loss for one sample (f64), returned, and its
+/// gradient, written into `grad` — the electronic output error every
+/// photonic training path starts from.
+fn softmax_grad(logits: &[f64], label: usize, grad: &mut [f64]) -> f64 {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    let probs: Vec<f64> = exps.iter().map(|&e| e / sum).collect();
-    let loss = -probs[label].max(1e-12).ln();
-    let grad = probs
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| if i == label { p - 1.0 } else { p })
-        .collect();
-    (loss, grad)
+    for (g, &v) in grad.iter_mut().zip(logits) {
+        *g = (v - max).exp();
+    }
+    let sum: f64 = grad.iter().sum();
+    grad.iter_mut().for_each(|g| *g /= sum);
+    let loss = -grad[label].max(1e-12).ln();
+    grad[label] -= 1.0;
+    loss
 }
 
 /// Index of the largest logit. Logits are ranked with a total order, so
@@ -858,16 +851,16 @@ pub(crate) fn check_widths<S: AsRef<[f64]>>(inputs: &[S], width: usize) -> Resul
     }
 }
 
-/// Fraction of `xs` whose `logits` argmax matches its label; the first
+/// Fraction of `xs` whose `predict`ed class matches its label; the first
 /// failed forward ends the sweep with its error.
 pub(crate) fn accuracy_of<E>(
     xs: &[Vec<f64>],
     labels: &[usize],
-    mut logits: impl FnMut(&[f64]) -> Result<Vec<f64>, E>,
+    mut predict: impl FnMut(&[f64]) -> Result<usize, E>,
 ) -> Result<f64, E> {
     let mut correct = 0;
     for (x, &label) in xs.iter().zip(labels) {
-        correct += usize::from(argmax(&logits(x)?) == label);
+        correct += usize::from(predict(x)? == label);
     }
     Ok(count(correct) / count(labels.len()))
 }
@@ -950,11 +943,10 @@ mod tests {
         engine.try_forward(&x).unwrap();
         let delta = vec![0.3, -0.7, 0.2];
         // The walk's steps: W1ᵀ δ on the chip, then the spilled f'(h0).
-        let mut photonic = vec![delta.clone()];
-        engine.chip.gradient_vectors(1, &engine.weights[1], &mut photonic);
+        let photonic = engine.chip.gradient_vectors(1, &engine.weights[1], &delta);
         let h0 = engine.tape[0].logits.clone();
         let photonic: Vec<f64> =
-            photonic[0].iter().zip(&h0).map(|(&v, &h)| spilled_hadamard(v, h)).collect();
+            photonic.iter().zip(&h0).map(|(&v, &h)| spilled_hadamard(v, h)).collect();
         // Math: (W1ᵀ δ) ⊙ f'(h0).
         let (out, inp) = engine.layer_dims(1);
         let w = engine.layer_weights(1).to_vec();
@@ -1223,10 +1215,12 @@ mod tests {
         for (s, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(bits(g), bits(e), "sample {s}: batched output must be bitwise identical");
         }
-        // The layer caches end holding the last sample's vectors in both
-        // dispatch orders, so training code sees the same end state.
-        let logits = |e: &PhotonicMlp| e.tape.iter().map(|t| bits(&t.logits)).collect::<Vec<_>>();
-        assert_eq!(logits(&sequential), logits(&batched));
+        // The batched tapes hold every sample; their last rows are what
+        // the last one-sample forward taped.
+        let last_rows = |e: &PhotonicMlp, n: usize| {
+            e.tape.iter().map(|t| bits(&t.logits[t.logits.len() / n * (n - 1)..])).collect::<Vec<_>>()
+        };
+        assert_eq!(last_rows(&sequential, 1), last_rows(&batched, 4));
         // And the global energy/time ledgers agree exactly.
         assert_eq!(
             sequential.total_energy().value().to_bits(),

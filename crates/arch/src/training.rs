@@ -24,7 +24,7 @@
 //! [`DeploymentStudy`], the pretrain → deploy → perturb → fine-tune
 //! protocol the fault, variation and drift studies share.
 
-use crate::engine::{accuracy_of, check_set, EngineOptions, PhotonicMlp};
+use crate::engine::{accuracy_of, argmax, check_set, EngineOptions, PhotonicMlp};
 use crate::error::ArchError;
 use crate::perf::TridentPerfModel;
 use rayon::prelude::*;
@@ -229,7 +229,7 @@ impl DualAdaptiveTrainer {
     ) -> Result<f64, ArchError> {
         let dims = engine.dims();
         check_set(xs, labels, dims[0], dims[dims.len() - 1])?;
-        accuracy_of(xs, labels, |x| Ok(model.corrected(&engine.try_forward(x)?)))
+        accuracy_of(xs, labels, |x| Ok(argmax(&model.corrected(&engine.try_forward(x)?))))
     }
 
     /// `FractionOutOfRange` unless `error_smoothing` lies in `(0, 1]`.

@@ -44,7 +44,7 @@
 //! does for the MLP engine.
 
 use crate::chip::{Chip, Ldsu};
-use crate::config::TridentConfig;
+use crate::config::CLOCK_HZ;
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
 use crate::pe::gst_activation;
@@ -249,7 +249,7 @@ impl Ldsu {
     fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
         let n = elems as f64;
         self.energy.charge(what, EnergyPj(pj_per_elem * n));
-        self.elapsed += Nanoseconds(1e9 / TridentConfig::paper().clock_hz * n);
+        self.elapsed += Nanoseconds(1e9 / CLOCK_HZ * n);
     }
 
     /// Softmax over `row`, billed per element.

@@ -35,7 +35,7 @@ fn main() {
     let initial = cnn.try_accuracy(&images, &data.labels).unwrap();
     println!("initial accuracy: {:.1}%\n", initial * 100.0);
 
-    let history = cnn.try_train(&images, &data.labels, 0.1, epochs).unwrap();
+    let history = cnn.try_train_batched(&images, &data.labels, 0.1, epochs, 1).unwrap();
     for (e, loss) in history.iter().enumerate() {
         if e % 2 == 0 || e + 1 == history.len() {
             println!("epoch {e:>3}: loss {loss:.4}");

@@ -1,8 +1,8 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
 //! The traced counters of a batched GEMM equal those of the one-vector
 //! reads it stands for: a PE read of `n` vectors against `n` reads of
-//! one on a twin PE, and a batched engine forward against per-sample
-//! forwards on a twin engine.
+//! one on a twin PE, and a batched engine forward, or a training batch's
+//! one forward sweep, against per-sample forwards on a twin engine.
 //!
 //! Tracing is forced on and the counters are process-global, so
 //! everything lives in one `#[test]` — the `determinism_trace` pattern.
@@ -124,10 +124,52 @@ fn sweeps_count_like_per_sample_forwards() {
     assert!(got[5] > 0 && got[6] == 16, "CNN: {got:?}");
 }
 
+/// `LayersForwarded` and `ForwardLayerSimNs` of what `run` does.
+fn forward_tally(run: impl FnOnce()) -> [u64; 2] {
+    let (c, ()) = counted(run);
+    [c[6], c[5]]
+}
+
+fn training_forwards_count_like_per_sample_forwards() {
+    let images: Vec<Vec<f64>> =
+        (0..4).map(|s| (0..64).map(|i| ((i * 5 + s * 7) % 13) as f64 / 13.0).collect()).collect();
+    let labels = [3, 1, 4, 1];
+    let opts = EngineOptions { seed: 1, ..Default::default() };
+    let mlp = || PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
+    let (mut batched, mut single) = (mlp(), mlp());
+    // The outcome's final accuracy forwards the set once more, one sample
+    // at a time, on both sides.
+    let got = forward_tally(|| {
+        batched.try_train_batched(&images, &labels, 0.1, 1, 4).unwrap();
+    });
+    let want = forward_tally(|| {
+        for x in &images {
+            single.try_forward(x).unwrap();
+        }
+        single.accuracy(&images, &labels).unwrap();
+    });
+    assert_eq!(got, want, "MLP [LayersForwarded, ForwardLayerSimNs]");
+    assert!(got[0] == 16 && got[1] > 0, "MLP: {got:?}");
+
+    let cnn = || PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+    let (mut batched, mut single) = (cnn(), cnn());
+    let got = forward_tally(|| {
+        batched.try_train_batched(&images, &labels, 0.1, 1, 4).unwrap();
+    });
+    let want = forward_tally(|| {
+        for x in &images {
+            single.forward(x);
+        }
+    });
+    assert_eq!(got, want, "CNN [LayersForwarded, ForwardLayerSimNs]");
+    assert!(got[0] == 8 && got[1] > 0, "CNN: {got:?}");
+}
+
 #[test]
 fn batched_reads_count_like_one_vector_reads() {
     obs::set_enabled_override(Some(true));
     pe_reads_count_like_one_vector_reads();
     sweeps_count_like_per_sample_forwards();
+    training_forwards_count_like_per_sample_forwards();
     obs::set_enabled_override(None);
 }

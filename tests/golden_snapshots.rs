@@ -341,7 +341,7 @@ fn training_paths_json() -> String {
     rows.push(mlp_row("dfa", &dfa, &losses));
 
     let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
-    let losses = cnn.try_train(&xs, labels, 0.1, 2).unwrap();
+    let losses = cnn.try_train_batched(&xs, labels, 0.1, 2, 1).unwrap();
     let digest = weight_digest([cnn.conv_weights(), cnn.dense_weights()]);
     let ledgers = [
         cnn.total_energy().value(),

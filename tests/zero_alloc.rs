@@ -1,11 +1,11 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp, clippy::cast_lossless)]
-//! Heap allocations of warm forwards, counted by the allocator itself
-//! (DESIGN.md §15).
+//! Heap allocations of warm forwards and training batches, counted by the
+//! allocator itself (DESIGN.md §15).
 //!
-//! The engines' `hot_path_allocs()` counters see only their own output
-//! slots; this binary installs a counting `#[global_allocator]`, so it
-//! sees every allocation a forward makes, the tile grids', PEs' and
-//! weight banks' included. The count is per thread, so tests running
+//! The engines' `hot_path_allocs()` counters see only their own tapes
+//! and output slots; this binary installs a counting
+//! `#[global_allocator]`, so it sees every allocation a forward makes,
+//! the tile grids', PEs' and weight banks' included. The count is per thread, so tests running
 //! side by side cannot add to each other's counts; every forward here
 //! runs on the calling thread. Tracing is forced off in this binary:
 //! with `TRIDENT_TRACE` set, spans record into the trace recorder, whose
@@ -82,6 +82,22 @@ fn warm_mlp_batches_allocate_nothing() {
         });
         assert_eq!(n, 0, "warm [64, 16, 10] batch of 8 (stat layer on: {on})");
     }
+}
+
+#[test]
+fn warm_training_allocates_per_batch_not_per_sample() {
+    let opts = EngineOptions { seed: 1, ..EngineOptions::default() };
+    let mut mlp = PhotonicMlp::try_with_options(&[64, 16, 10], opts).unwrap();
+    let xs = inputs(8, 64);
+    let labels: Vec<usize> = (0..8).collect();
+    mlp.try_train_batched(&xs, &labels, 0.1, 1, 8).unwrap();
+    let one = allocs_of(|| {
+        mlp.try_train_batched(&xs[..1], &labels[..1], 0.1, 1, 1).unwrap();
+    });
+    let eight = allocs_of(|| {
+        mlp.try_train_batched(&xs, &labels, 0.1, 1, 8).unwrap();
+    });
+    assert_eq!(one, eight, "a warm training batch of 1 and of 8 ([64, 16, 10])");
 }
 
 #[test]
