@@ -18,13 +18,12 @@
 //! flatten → dense`, enough to classify the synthetic digit images
 //! end-to-end on simulated optics. It is a conv-pool layer and a dense
 //! head on the one network engine ([`PhotonicMlp`]), whose sweep and
-//! backward walk run it; this module keeps the geometry, the digital
-//! references and the public face.
+//! backward walk run it, and whose digital twin is this network's float
+//! reference; this module keeps the geometry and the public face.
 
 use crate::chip::Chip;
 use crate::engine::{EngineOptions, Layer, PhotonicMlp, CNN_SPANS};
 use crate::error::ArchError;
-use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
 use crate::tile::TILE;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
 
@@ -216,60 +215,11 @@ impl PhotonicCnn {
         self.net.hot_path_allocs()
     }
 
-    /// Digital float reference of the same network with the convolution
-    /// lowered to **im2col + the blocked GEMM** from `trident_nn::linalg`
-    /// (the lowering `workload::layer::GemmView` assumes), then the pool
-    /// and dense head in plain floats. This is the software-fallback conv
-    /// path the `cnn_forward_im2col_gemm` bench measures against
-    /// [`PhotonicCnn::digital_forward_naive`].
-    pub fn digital_forward(&self, image: &[f64]) -> Vec<f64> {
-        use trident_nn::{linalg, Tensor};
-        let g = &self.geometry;
-        let (positions, patch_len) = (g.positions(), g.patch_len());
-        let mut cols = Tensor::zeros(&[positions, patch_len]);
-        g.im2col(image, cols.data_mut(), |v| v as f32);
-        // Filters transposed to [patch_len, out_c] so one GEMM produces
-        // all positions × all filters.
-        let mut wt = Tensor::zeros(&[patch_len, g.out_c]);
-        for (i, &w) in self.conv_weights().iter().enumerate() {
-            wt.data_mut()[i % patch_len * g.out_c + i / patch_len] = w as f32;
-        }
-        let h = linalg::matmul(&cols, &wt); // [positions, out_c]
-        let activ: Vec<f32> = h.data().iter().map(|&v| digital_activation(v)).collect();
-        self.digital_head(&activ)
-    }
-
-    /// Digital float reference with the convolution as direct per-pixel
-    /// loops (no im2col, no GEMM) — the naive baseline for the
-    /// `cnn_forward_im2col_gemm` bench.
-    pub fn digital_forward_naive(&self, image: &[f64]) -> Vec<f64> {
-        let ConvGeometry { in_c, in_h, in_w, kernel, out_c } = self.geometry;
-        let (conv_w, patch_len) = (self.geometry.conv_hw().1, self.geometry.patch_len());
-        let mut activ = vec![0.0f32; self.geometry.positions() * out_c];
-        for (i, a) in activ.iter_mut().enumerate() {
-            let (oy, ox, f) = (i / out_c / conv_w, i / out_c % conv_w, i % out_c);
-            let filter = &self.conv_weights()[f * patch_len..(f + 1) * patch_len];
-            let mut v = 0.0f32;
-            for c in 0..in_c {
-                for ky in 0..kernel {
-                    for kx in 0..kernel {
-                        let px = image[(c * in_h + oy + ky) * in_w + ox + kx];
-                        v += filter[(c * kernel + ky) * kernel + kx] as f32 * px as f32;
-                    }
-                }
-            }
-            *a = digital_activation(v);
-        }
-        self.digital_head(&activ)
-    }
-
-    /// Shared pool + dense head of the digital reference paths. `activ`
-    /// is the `positions × out_c` activation map.
-    fn digital_head(&self, activ: &[f32]) -> Vec<f64> {
-        let mut features = Vec::with_capacity(self.feature_count());
-        self.geometry.pool(activ, f32::NEG_INFINITY, |_, v, _| features.push(f64::from(v)));
-        let head = self.dense_weights().chunks_exact(features.len());
-        head.map(|row| row.iter().zip(&features).map(|(w, x)| w * x).sum()).collect()
+    /// The engine's digital twin of this network
+    /// ([`PhotonicMlp::digital_forward`]): the conv-pool layer and the
+    /// dense head in f64 over the master weights.
+    pub fn digital_forward(&self, image: &[f64]) -> Result<Vec<f64>, ArchError> {
+        self.net.digital_forward(image)
     }
 
     /// Predicted class for one image (NaN-safe, see
@@ -334,20 +284,12 @@ impl PhotonicCnn {
     }
 }
 
-/// The GST activation transfer in `f32`, for the digital references.
-fn digital_activation(v: f32) -> f32 {
-    let threshold = LOGIT_THRESHOLD as f32;
-    if v >= threshold {
-        GST_SLOPE as f32 * (v - threshold)
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::argmax;
+    use crate::pe::{GST_SLOPE, LOGIT_THRESHOLD};
+    use crate::training::DualAdaptiveTrainer;
     use trident_nn::data::synthetic_digits;
 
     fn digit_images(per_class: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -411,9 +353,15 @@ mod tests {
             }
         }
         let ft = cnn.feature_count();
+        let twin = cnn.digital_forward(image).unwrap();
         for class in 0..10 {
             let exact: f64 =
                 (0..ft).map(|j| cnn.dense_weights()[class * ft + j] * features[j]).sum();
+            assert!(
+                (twin[class] - exact).abs() < 1e-12,
+                "class {class}: twin {} vs float mirror {exact}",
+                twin[class]
+            );
             // 54 analog accumulations (quantization + crosstalk per
             // feature) widen the budget relative to the MLP tests.
             assert!(
@@ -543,19 +491,14 @@ mod tests {
     }
 
     #[test]
-    fn im2col_gemm_reference_matches_naive_conv() {
-        let (xs, _) = digit_images(2);
-        let cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 9, 8);
-        for x in &xs[..8] {
-            let gemm = cnn.digital_forward(x);
-            let naive = cnn.digital_forward_naive(x);
-            assert_eq!(gemm.len(), naive.len());
-            for (class, (&g, &n)) in gemm.iter().zip(&naive).enumerate() {
-                assert!(
-                    (g - n).abs() < 1e-4,
-                    "class {class}: im2col+GEMM {g} vs naive {n}"
-                );
-            }
-        }
+    fn error_model_learns_on_the_cnn_layer_list() {
+        // Dual adaptive training reads the engine's twin, so it runs on
+        // the conv-pool layer list as on a dense one.
+        let (xs, _) = digit_images(1);
+        let mut cnn = PhotonicCnn::new(1, 8, 8, 6, 3, 10, 5, 8);
+        let model = DualAdaptiveTrainer::default().learn_error_model(&mut cnn.net, &xs[..4]).unwrap();
+        assert_eq!(model.bias().len(), 10);
+        assert_eq!(model.update_count(), 4);
+        assert!(model.bias().iter().all(|b| b.abs() < 0.2), "ideal chip vs twin: {:?}", model.bias());
     }
 }

@@ -36,7 +36,7 @@ use crate::chip::Chip;
 use crate::conv_engine::ConvGeometry;
 use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
-use crate::pe::{gst_activation, spilled_hadamard, GST_SLOPE, LOGIT_THRESHOLD};
+use crate::pe::{gst_activation, spilled_hadamard, LOGIT_THRESHOLD};
 use crate::tile::{PeSpec, TileGemm};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -281,13 +281,20 @@ impl PhotonicMlp {
     /// on 16×16 PEs, Xavier-initialised from `opts.seed`, with the rest of
     /// [`EngineOptions`] (receiver noise, weight bits, fabrication
     /// variation, statistical PCM model). Fails on fewer than two layer
-    /// widths or weight bits outside `2..=8`.
+    /// widths, a zero width, or weight bits outside `2..=8`.
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         if dims.len() < 2 {
             return Err(ArchError::InvalidParameter {
                 name: "layer widths",
                 value: dims.len(),
                 expected: "at least 2 (input and output)",
+            });
+        }
+        if dims.contains(&0) {
+            return Err(ArchError::InvalidParameter {
+                name: "layer width",
+                value: 0,
+                expected: "at least 1",
             });
         }
         if !(2..=8).contains(&opts.weight_bits) {
@@ -767,31 +774,42 @@ impl PhotonicMlp {
         self.chip.total_elapsed()
     }
 
-    /// The activation function the hardware applies between layers.
-    pub fn activation(&self) -> (f64, f64) {
-        (LOGIT_THRESHOLD, GST_SLOPE)
-    }
-
     /// Float-math mirror of the photonic forward pass over the master
-    /// (electronic) weight copies — the engine's *digital twin*. The
-    /// adaptive-training error model measures the photonic hardware
-    /// against this reference to learn its systematic error; the
-    /// equivalence tests use it to bound device noise.
-    pub fn digital_forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y: Vec<f64> = x.to_vec();
-        for k in 0..self.layer_count() {
+    /// (electronic) weight copies — the engine's *digital twin*, the one
+    /// f64 interpretation of the layer list. A dense layer is `W·y` (`j`
+    /// ascending from `0.0`), then the GST activation unless it is the
+    /// tail; a conv-pool layer takes the same dot per im2col patch,
+    /// activates the maps and max-pools them 2×2, through the sweep's own
+    /// helpers. The adaptive-training error model measures the photonic
+    /// hardware against this reference to learn its systematic error; the
+    /// equivalence tests use it to bound device noise. Fails, as the sweep
+    /// does, on an input of the wrong width.
+    pub fn digital_forward(&self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
+        check_widths(&[x], self.dims[0])?;
+        let mut y = x.to_vec();
+        let last = self.layer_count() - 1;
+        for (k, (layer, w)) in self.layers.iter().zip(&self.weights).enumerate() {
             let (out, inp) = self.layer_dims(k);
-            let w = self.layer_weights(k);
-            let mut h = vec![0.0; out];
-            for i in 0..out {
-                for j in 0..inp {
-                    h[i] += w[i * inp + j] * y[j];
+            let dot = |v: &[f64], i: usize| {
+                w[i * inp..(i + 1) * inp].iter().zip(v).fold(0.0, |h, (w, v)| h + w * v)
+            };
+            y = match *layer {
+                Layer::Dense if k == last => (0..out).map(|i| dot(&y, i)).collect(),
+                Layer::Dense => (0..out).map(|i| gst_activation(dot(&y, i))).collect(),
+                Layer::ConvPool(g) => {
+                    let mut patches = vec![0.0; g.positions() * inp];
+                    g.im2col(&y, &mut patches, |v| v);
+                    let activ: Vec<f64> = patches
+                        .chunks_exact(inp)
+                        .flat_map(|p| (0..out).map(move |i| gst_activation(dot(p, i))))
+                        .collect();
+                    let mut pooled = vec![0.0; g.features()];
+                    g.pool(&activ, f64::NEG_INFINITY, |i, v, _| pooled[i] = v);
+                    pooled
                 }
-            }
-            let tail = k + 1 == self.layer_count();
-            y = if tail { h } else { h.into_iter().map(gst_activation).collect() };
+            };
         }
-        y
+        Ok(y)
     }
 }
 
@@ -875,6 +893,7 @@ fn quantize(w: f64, bits: u8) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::GST_SLOPE;
 
     fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
         PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
@@ -883,7 +902,7 @@ mod tests {
     fn reference_forward(engine: &PhotonicMlp, x: &[f64]) -> Vec<f64> {
         // Float-math mirror of the photonic forward pass.
         let mut y: Vec<f64> = x.to_vec();
-        let (threshold, slope) = engine.activation();
+        let (threshold, slope) = (LOGIT_THRESHOLD, GST_SLOPE);
         for k in 0..engine.layer_count() {
             let (out, inp) = engine.layer_dims(k);
             let w = engine.layer_weights(k);
@@ -911,6 +930,9 @@ mod tests {
         let x: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0).collect();
         let photonic = engine.try_forward(&x).unwrap();
         let reference = reference_forward(&engine, &x);
+        let twin = engine.digital_forward(&x).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&twin), bits(&reference), "the twin is the float mirror, bit for bit");
         for (r, (&p, &f)) in photonic.iter().zip(&reference).enumerate() {
             assert!(
                 (p - f).abs() < 0.05,
@@ -950,7 +972,7 @@ mod tests {
         // Math: (W1ᵀ δ) ⊙ f'(h0).
         let (out, inp) = engine.layer_dims(1);
         let w = engine.layer_weights(1).to_vec();
-        let (threshold, slope) = engine.activation();
+        let (threshold, slope) = (LOGIT_THRESHOLD, GST_SLOPE);
         for j in 0..inp {
             let mut v = 0.0;
             for i in 0..out {
@@ -1038,6 +1060,28 @@ mod tests {
             PhotonicMlp::try_with_options(&[8], EngineOptions::default()),
             Err(ArchError::InvalidParameter { name: "layer widths", value: 1, .. })
         ));
+    }
+
+    #[test]
+    fn zero_layer_width_is_a_typed_error() {
+        for dims in [&[0, 3][..], &[4, 0, 3]] {
+            assert!(matches!(
+                PhotonicMlp::try_with_options(dims, EngineOptions::default()),
+                Err(ArchError::InvalidParameter { name: "layer width", value: 0, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn twin_rejects_an_input_of_the_wrong_width() {
+        let engine = mlp(&[64, 16, 10], 1);
+        for width in [63, 65] {
+            assert!(matches!(
+                engine.digital_forward(&vec![0.5; width]),
+                Err(ArchError::ShapeMismatch { expected: 64, got }) if got == width
+            ));
+        }
+        assert_eq!(engine.digital_forward(&[0.5; 64]).unwrap().len(), 10);
     }
 
     #[test]

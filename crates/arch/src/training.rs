@@ -214,7 +214,7 @@ impl DualAdaptiveTrainer {
         let mut model = ErrorModel::new(outputs, self.error_smoothing);
         for x in xs {
             let photonic = engine.try_forward(x)?;
-            let reference = engine.digital_forward(x);
+            let reference = engine.digital_forward(x)?;
             model.observe(&photonic, &reference);
         }
         Ok(model)

@@ -72,49 +72,16 @@ fn conv_engine(c: &mut Criterion) {
         let image: Vec<f64> = (0..64).map(|i| ((i * 5) % 9) as f64 / 9.0).collect();
         b.iter(|| black_box(cnn.forward(black_box(&image))))
     });
-    // The digital conv reference, im2col + blocked GEMM vs per-pixel
-    // loops, at a 16×16 image where the patch matrix is tall enough for
-    // the blocked kernel's tiling to pay for the im2col copy.
-    c.bench_function("cnn_forward_im2col_gemm", |b| {
-        let cnn = PhotonicCnn::new(1, 16, 16, 16, 3, 10, 1, 8);
-        let image: Vec<f64> = (0..256).map(|i| ((i * 5) % 9) as f64 / 9.0).collect();
-        b.iter(|| black_box(cnn.digital_forward(black_box(&image))))
-    });
-    c.bench_function("cnn_forward_naive", |b| {
-        let cnn = PhotonicCnn::new(1, 16, 16, 16, 3, 10, 1, 8);
-        let image: Vec<f64> = (0..256).map(|i| ((i * 5) % 9) as f64 / 9.0).collect();
-        b.iter(|| black_box(cnn.digital_forward_naive(black_box(&image))))
-    });
 }
 
-/// The executor-backed hot paths: these scale with `TRIDENT_THREADS` and
-/// are the speedup gauges for the multi-threaded pool (ISSUE 4) — compare
-/// BENCH_results.json between `TRIDENT_THREADS=1` and the core count.
+/// The executor-backed path: the fidelity sweep runs its trials on the
+/// pool and scales with `TRIDENT_THREADS`, so its median is the pool's
+/// speedup gauge — compare BENCH_results.json between
+/// `TRIDENT_THREADS=1` and the core count.
 fn parallel_paths(c: &mut Criterion) {
     use trident::arch::fidelity;
-    use trident::nn::linalg;
-    use trident::nn::tensor::Tensor;
     c.bench_function("fidelity_enob_16x16_24trials", |b| {
         b.iter(|| black_box(fidelity::measure(16, 16, 24, true, 7)))
-    });
-    c.bench_function("nn_matmul_96x96x96", |b| {
-        let a = Tensor::from_vec(
-            &[96, 96],
-            (0..96 * 96).map(|i| ((i % 23) as f32 - 11.0) / 11.0).collect(),
-        );
-        let w = Tensor::from_vec(
-            &[96, 96],
-            (0..96 * 96).map(|i| ((i % 17) as f32 - 8.0) / 8.0).collect(),
-        );
-        b.iter(|| black_box(linalg::matmul(black_box(&a), black_box(&w))))
-    });
-    c.bench_function("nn_matvec_256x256", |b| {
-        let a = Tensor::from_vec(
-            &[256, 256],
-            (0..256 * 256).map(|i| ((i % 19) as f32 - 9.0) / 9.0).collect(),
-        );
-        let x: Vec<f32> = (0..256).map(|i| (i % 7) as f32 / 7.0).collect();
-        b.iter(|| black_box(linalg::matvec(black_box(&a), black_box(&x))))
     });
 }
 

@@ -9,8 +9,8 @@
 //! numbers, we need a trustworthy float reference: this crate's MLP.
 //!
 //! * [`tensor`] — a minimal dense tensor (row-major `f32`).
-//! * [`linalg`] — Rayon-parallel GEMM / GEMV / outer products (the CNN
-//!   engine's digital reference runs its im2col GEMM here).
+//! * [`linalg`] — GEMM / GEMV / outer products as plain sequential loops
+//!   (the dense layers' arithmetic).
 //! * [`init`] — seeded weight initialisers.
 //! * [`layers`] — dense and pointwise-activation layers, each with
 //!   forward *and* backward passes.

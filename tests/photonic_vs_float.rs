@@ -5,6 +5,7 @@
 //! the float reference (trident-nn), layer by layer and end to end.
 
 use trident::arch::engine::{EngineOptions, PhotonicMlp};
+use trident::arch::pe::{GST_SLOPE, LOGIT_THRESHOLD};
 use trident::arch::transformer::{PhotonicTransformer, TransformerConfig};
 use trident::nn::layers::{Activation, ActivationLayer, Dense, Layer};
 use trident::nn::tensor::Tensor;
@@ -16,7 +17,6 @@ fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
 
 /// Build an nn-crate mirror of the photonic engine's weights.
 fn mirror_network(engine: &PhotonicMlp) -> Vec<(Dense, Option<ActivationLayer>)> {
-    let (threshold, slope) = engine.activation();
     (0..engine.layer_count())
         .map(|k| {
             let (out, inp) = engine.layer_dims(k);
@@ -24,8 +24,8 @@ fn mirror_network(engine: &PhotonicMlp) -> Vec<(Dense, Option<ActivationLayer>)>
             let dense = Dense::from_weights(Tensor::from_vec(&[out, inp], w));
             let act = (k + 1 < engine.layer_count()).then(|| {
                 ActivationLayer::new(Activation::GstRelu {
-                    threshold: threshold as f32,
-                    slope: slope as f32,
+                    threshold: LOGIT_THRESHOLD as f32,
+                    slope: GST_SLOPE as f32,
                 })
             });
             (dense, act)
