@@ -645,7 +645,8 @@ impl WeightBank {
     }
 
     /// Remap the ring at `(r, c)` onto a spare and refresh the optics.
-    pub fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
+    #[cfg(test)]
+    fn remap_ring(&mut self, r: usize, c: usize) -> Result<(), ArchError> {
         self.remap_slot(r, c)?;
         self.mark_stale(r);
         Ok(())
@@ -867,7 +868,8 @@ impl WeightBank {
     }
 
     /// Whether the slot at `(r, c)` has been masked out.
-    pub fn is_masked(&self, r: usize, c: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_masked(&self, r: usize, c: usize) -> bool {
         self.masked[r * self.cols + c]
     }
 
@@ -877,13 +879,15 @@ impl WeightBank {
     }
 
     /// Spare rings still available in row `r`.
-    pub fn spares_remaining(&self, r: usize) -> usize {
+    #[cfg(test)]
+    fn spares_remaining(&self, r: usize) -> usize {
         self.spares[r]
     }
 
     /// Override the per-row spare-ring budget (applies to rows that have
     /// not yet consumed spares beyond the new budget).
-    pub fn set_spares_per_row(&mut self, spares: usize) {
+    #[cfg(test)]
+    fn set_spares_per_row(&mut self, spares: usize) {
         for s in &mut self.spares {
             *s = spares;
         }
@@ -1160,7 +1164,8 @@ impl WeightBank {
     }
 
     /// Total individual ring writes so far.
-    pub fn ring_writes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ring_writes(&self) -> u64 {
         self.rings.iter().map(PcmMrr::write_count).sum()
     }
 

@@ -22,8 +22,8 @@ use trident_workload::dataflow::DataflowModel;
 /// read.
 pub const PSUM_ENERGY: EnergyPj = EnergyPj(0.1);
 
-/// Maximum electronic clock (§IV: 1.37 GHz), which [`TridentConfig::paper`]
-/// and the transformer LDSU's per-element time both read.
+/// Maximum electronic clock (§IV: 1.37 GHz), which sets the transformer
+/// LDSU's per-element time.
 pub const CLOCK_HZ: f64 = 1.37e9;
 
 /// Full Trident configuration.
@@ -40,8 +40,6 @@ pub struct TridentConfig {
     /// Time to stream one input vector through a programmed bank
     /// (E/O modulation + TIA settling limited).
     pub symbol_time: Nanoseconds,
-    /// Maximum electronic clock (§IV: 1.37 GHz).
-    pub clock_hz: f64,
     /// Per-PE L1 cache, bytes (§IV: 16 kB).
     pub l1_bytes: usize,
     /// Shared L2 cache, bytes (§IV: 32 MB).
@@ -85,7 +83,6 @@ impl TridentConfig {
             num_pes: 44,
             tuning: TuningProfile::gst(),
             symbol_time: EoModulator::SYMBOL_TIME,
-            clock_hz: CLOCK_HZ,
             l1_bytes: 16 * 1024,
             l2_bytes: 32 * 1024 * 1024,
             cache_access_energy: EnergyPj(1.0),
@@ -161,7 +158,7 @@ mod tests {
         assert_eq!(c.mrrs_per_pe(), 256);
         assert_eq!(c.l1_bytes, 16 * 1024);
         assert_eq!(c.l2_bytes, 32 * 1024 * 1024);
-        assert!((c.clock_hz - 1.37e9).abs() < 1e6);
+        assert!((CLOCK_HZ - 1.37e9).abs() < 1e6);
         assert!(c.tuning.non_volatile);
     }
 

@@ -42,6 +42,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trident_obs as obs;
 use trident_pcm::stat::StatParams;
+use trident_pcm::PcmError;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{count, EnergyPj, Hours, Nanoseconds};
 use trident_streams::bank_identity;
@@ -281,7 +282,8 @@ impl PhotonicMlp {
     /// on 16×16 PEs, Xavier-initialised from `opts.seed`, with the rest of
     /// [`EngineOptions`] (receiver noise, weight bits, fabrication
     /// variation, statistical PCM model). Fails on fewer than two layer
-    /// widths, a zero width, or weight bits outside `2..=8`.
+    /// widths, a zero width, weight bits outside `2..=8`, or a resonance
+    /// spread that is negative or not finite.
     pub fn try_with_options(dims: &[usize], opts: EngineOptions) -> Result<Self, ArchError> {
         if dims.len() < 2 {
             return Err(ArchError::InvalidParameter {
@@ -302,6 +304,14 @@ impl PhotonicMlp {
                 name: "weight_bits",
                 value: usize::from(opts.weight_bits),
                 expected: "2..=8",
+            });
+        }
+        let sigma = opts.resonance_sigma_nm;
+        if !(0.0..f64::INFINITY).contains(&sigma) {
+            return Err(ArchError::ValueOutOfRange {
+                name: "resonance_sigma_nm",
+                value: sigma,
+                expected: "[0, inf)",
             });
         }
         Ok(Self::build(dims, vec![Layer::Dense; dims.len() - 1], opts, &MLP_SPANS))
@@ -377,8 +387,18 @@ impl PhotonicMlp {
     }
 
     /// Overwrite layer `k`'s master weights (quantized to the tuning grid)
-    /// and reprogram the banks.
+    /// and reprogram the banks. A layer out of range, a wrong shape or a
+    /// non-finite weight is a typed error before anything changes.
     pub fn try_set_layer_weights(&mut self, k: usize, w: &[f64]) -> Result<(), ArchError> {
+        self.check_layer_weights(k, w)?;
+        self.weights[k] = w.iter().map(|&v| quantize(v, self.weight_bits)).collect();
+        self.chip.program(k, &self.weights[k])
+    }
+
+    /// `LayerOutOfRange`, `ShapeMismatch`, or the `WeightOutOfRange` the
+    /// closed-loop write path reports, unless `w` fits layer `k` and is
+    /// finite.
+    fn check_layer_weights(&self, k: usize, w: &[f64]) -> Result<(), ArchError> {
         if k >= self.layer_count() {
             return Err(ArchError::LayerOutOfRange { layer: k, layers: self.layer_count() });
         }
@@ -386,8 +406,10 @@ impl PhotonicMlp {
         if w.len() != out * inp {
             return Err(ArchError::ShapeMismatch { expected: out * inp, got: w.len() });
         }
-        self.weights[k] = w.iter().map(|&v| quantize(v, self.weight_bits)).collect();
-        self.chip.program(k, &self.weights[k])
+        match w.iter().find(|v| !v.is_finite()) {
+            Some(&v) => Err(PcmError::WeightOutOfRange(v).into()),
+            None => Ok(()),
+        }
     }
 
     /// A copy of every layer's master weights, in layer order — the
@@ -401,12 +423,16 @@ impl PhotonicMlp {
     /// [`PhotonicMlp::snapshot_weights`]) onto this chip, quantizing and
     /// reprogramming every bank. The fleet-replica deployment path:
     /// pretrain once centrally, then push the same weights to N replicas.
+    /// Every layer is checked before the first one is written.
     pub fn try_deploy_weights(&mut self, weights: &[Vec<f64>]) -> Result<(), ArchError> {
         if weights.len() != self.layer_count() {
             return Err(ArchError::LayerOutOfRange {
                 layer: weights.len(),
                 layers: self.layer_count(),
             });
+        }
+        for (k, w) in weights.iter().enumerate() {
+            self.check_layer_weights(k, w)?;
         }
         for (k, w) in weights.iter().enumerate() {
             self.try_set_layer_weights(k, w)?;
@@ -614,7 +640,7 @@ impl PhotonicMlp {
         label: usize,
         learning_rate: f64,
     ) -> Result<f64, ArchError> {
-        check_set(&[x], &[label], self.dims[0], self.dims[self.dims.len() - 1])?;
+        self.check_training(&[x], &[label], learning_rate)?;
         self.train_batch(&[x], &[label], learning_rate, None)
     }
 
@@ -675,7 +701,7 @@ impl PhotonicMlp {
                 expected: "at least 1",
             });
         }
-        check_set(xs, labels, self.dims[0], self.dims[self.dims.len() - 1])?;
+        self.check_training(xs, labels, learning_rate)?;
         let mut loss_history = Vec::with_capacity(epochs);
         for _ in 0..epochs {
             let mut total = 0.0;
@@ -685,6 +711,25 @@ impl PhotonicMlp {
             loss_history.push(total / xs.len() as f64);
         }
         Ok(loss_history)
+    }
+
+    /// [`check_set`] on a training set, and a finite learning rate: what
+    /// every training entry point checks before its first sweep.
+    fn check_training<S: AsRef<[f64]>>(
+        &self,
+        xs: &[S],
+        labels: &[usize],
+        learning_rate: f64,
+    ) -> Result<(), ArchError> {
+        check_set(xs, labels, self.dims[0], self.dims[self.dims.len() - 1])?;
+        if !learning_rate.is_finite() {
+            return Err(ArchError::ValueOutOfRange {
+                name: "learning_rate",
+                value: learning_rate,
+                expected: "finite",
+            });
+        }
+        Ok(())
     }
 
     /// The one backward walk, over a checked batch: one sweep forwards
@@ -836,8 +881,9 @@ pub fn argmax(logits: &[f64]) -> usize {
 
 /// `ShapeMismatch` unless `xs` and `labels` pair up one to one and every
 /// input is `width` wide, `InvalidParameter` on an empty set,
-/// `LabelOutOfRange` unless every label names one of `classes`: the check
-/// every engine runs on a labelled set before touching its chip.
+/// `ValueOutOfRange` on a non-finite input value, `LabelOutOfRange`
+/// unless every label names one of `classes`: the check every engine runs
+/// on a labelled set before touching its chip.
 pub(crate) fn check_set<S: AsRef<[f64]>>(
     xs: &[S],
     labels: &[usize],
@@ -855,6 +901,9 @@ pub(crate) fn check_set<S: AsRef<[f64]>>(
         });
     }
     check_widths(xs, width)?;
+    if let Some(&value) = xs.iter().flat_map(|x| x.as_ref()).find(|v| !v.is_finite()) {
+        return Err(ArchError::ValueOutOfRange { name: "input", value, expected: "finite" });
+    }
     match labels.iter().find(|&&label| label >= classes) {
         Some(&label) => Err(ArchError::LabelOutOfRange { label, classes }),
         None => Ok(()),
@@ -1085,12 +1134,22 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_weight_bits_is_a_typed_error() {
+    fn out_of_range_options_are_typed_errors() {
         let opts = EngineOptions { weight_bits: 9, ..Default::default() };
         assert!(matches!(
             PhotonicMlp::try_with_options(&[4, 2], opts),
             Err(ArchError::InvalidParameter { name: "weight_bits", value: 9, .. })
         ));
+        for sigma in [-1.0, f64::NAN, f64::INFINITY] {
+            let opts = EngineOptions { resonance_sigma_nm: sigma, ..Default::default() };
+            assert!(
+                matches!(
+                    PhotonicMlp::try_with_options(&[4, 2], opts),
+                    Err(ArchError::ValueOutOfRange { name: "resonance_sigma_nm", .. })
+                ),
+                "sigma {sigma}"
+            );
+        }
     }
 
     #[test]
@@ -1104,16 +1163,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_out_of_range_label_is_a_typed_error() {
-        let mut engine = mlp(&[4, 3], 1);
+    fn bad_inputs_are_typed_errors_before_the_chip_is_touched() {
+        let mut engine = mlp(&[4, 8, 3], 1);
         let before = engine.snapshot_weights();
         let energy = engine.total_energy();
-        let xs = vec![vec![1.0, 0.0, 1.0, 0.0]; 2];
-        // The bad label sits in the second sample: nothing may run first.
+        let x = vec![1.0, 0.0, 1.0, 0.0];
+        // The bad label or value sits in the second sample: nothing may
+        // run first.
         assert!(matches!(
-            engine.try_train_batched(&xs, &[0, 7], 0.1, 1, 2),
+            engine.try_train_batched(&[x.clone(), x.clone()], &[0, 7], 0.1, 1, 2),
             Err(ArchError::LabelOutOfRange { label: 7, classes: 3 })
         ));
+        let value = |r: Result<f64, ArchError>, want: &str| {
+            matches!(r, Err(ArchError::ValueOutOfRange { name, .. }) if name == want)
+        };
+        let nan_second = [x.clone(), vec![f64::NAN, 0.0, 1.0, 0.0]];
+        let batched = engine.try_train_batched(&nan_second, &[0, 1], 0.1, 1, 2);
+        assert!(value(batched.map(|o| o.final_accuracy), "input"));
+        assert!(value(engine.try_train_sample(&[1.0, f64::INFINITY, 0.0, 0.0], 0, 0.1), "input"));
+        assert!(value(engine.try_train_sample(&x, 0, f64::NAN), "learning_rate"));
+        let nan_weight = |r: Result<(), ArchError>| {
+            matches!(r, Err(ArchError::Pcm(PcmError::WeightOutOfRange(v))) if v.is_nan())
+        };
+        assert!(nan_weight(engine.try_set_layer_weights(1, &[f64::NAN; 24])));
+        let mut weights = before.clone();
+        weights[1][5] = f64::NAN;
+        assert!(nan_weight(engine.try_deploy_weights(&weights)));
         assert_eq!(engine.snapshot_weights(), before);
         assert_eq!(engine.total_energy(), energy);
     }

@@ -51,8 +51,9 @@ pub enum ArchError {
         /// The accepted range.
         expected: &'static str,
     },
-    /// A fraction (a fault rate or a laser droop) outside its valid range.
-    FractionOutOfRange {
+    /// A real-valued parameter (a fault rate, a droop, a learning rate, a
+    /// spread) outside its valid range, NaN and infinities included.
+    ValueOutOfRange {
         /// The field's name.
         name: &'static str,
         /// The value provided.
@@ -81,7 +82,7 @@ impl fmt::Display for ArchError {
             Self::InvalidParameter { name, value, expected } => {
                 write!(f, "invalid {name} {value}: expected {expected}")
             }
-            Self::FractionOutOfRange { name, value, expected } => {
+            Self::ValueOutOfRange { name, value, expected } => {
                 write!(f, "invalid {name} {value}: expected {expected}")
             }
         }

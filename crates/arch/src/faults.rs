@@ -10,9 +10,8 @@
 //! together with the bank's remap/mask machinery and the engine's in-situ
 //! fine-tuning — recoverable:
 //!
-//! * [`FaultPlan`] — a seedable description of a fault population, either
-//!   given directly as per-ring probabilities or sampled from a projected
-//!   [`EnduranceReport`];
+//! * [`FaultPlan`] — a seedable description of a fault population as
+//!   per-ring probabilities;
 //! * [`FaultReport`] — what [`Chip::inject_faults`](crate::chip::Chip::inject_faults)
 //!   actually injected, on any engine's chip;
 //! * [`DeploymentStudy::run_faults`] — the end-to-end campaign on the
@@ -25,7 +24,6 @@
 //! `trial_identity(plan.seed, t)`; the protocol's fan-out and trial-order
 //! folds keep campaign rows bitwise identical at any thread count.
 
-use crate::endurance::EnduranceReport;
 use crate::engine::EngineOptions;
 use crate::error::ArchError;
 use crate::training::DeploymentStudy;
@@ -60,37 +58,22 @@ impl FaultPlan {
         Self { stuck_amorphous: 0.7 * rate, stuck_crystalline: 0.3 * rate, seed, ..Self::default() }
     }
 
-    /// Sample the fault population expected after `years` of the wear
-    /// projected by an [`EnduranceReport`]. Cell endurance is spread
-    /// around its rating, so stuck cells appear gradually as the busiest
-    /// cells approach their budget (quadratic onset, saturating at 1);
-    /// drift accumulates over the same period.
-    pub fn from_endurance(report: &EnduranceReport, years: f64, seed: u64) -> Self {
-        assert!(years >= 0.0, "cannot project backwards");
-        let wear = years / report.weight_lifetime_years.max(1e-12);
-        let stuck = (0.5 * wear * wear).clamp(0.0, 1.0);
-        Self {
-            stuck_amorphous: 0.7 * stuck,
-            stuck_crystalline: 0.3 * stuck,
-            drift_years: years,
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// The first field outside its range, as a typed error naming it:
-    /// every rate must lie in `[0, 1]` and `laser_droop` in `[0, 1)`.
+    /// every rate must lie in `[0, 1]`, `laser_droop` in `[0, 1)` and
+    /// `drift_years` must be finite and non-negative.
     pub fn validate(&self) -> Result<(), ArchError> {
         let rate = |v: f64| (0.0..=1.0).contains(&v);
+        let years = (0.0..f64::INFINITY).contains(&self.drift_years);
         let checks = [
             ("stuck_amorphous", self.stuck_amorphous, rate(self.stuck_amorphous), "[0, 1]"),
             ("stuck_crystalline", self.stuck_crystalline, rate(self.stuck_crystalline), "[0, 1]"),
             ("dead_rings", self.dead_rings, rate(self.dead_rings), "[0, 1]"),
             ("laser_droop", self.laser_droop, (0.0..1.0).contains(&self.laser_droop), "[0, 1)"),
+            ("drift_years", self.drift_years, years, "[0, inf)"),
         ];
         match checks.into_iter().find(|&(_, _, ok, _)| !ok) {
             Some((name, value, _, expected)) => {
-                Err(ArchError::FractionOutOfRange { name, value, expected })
+                Err(ArchError::ValueOutOfRange { name, value, expected })
             }
             None => Ok(()),
         }
@@ -222,11 +205,8 @@ impl DeploymentStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TridentConfig;
     use crate::engine::PhotonicMlp;
-    use crate::endurance::{budget, UsageProfile};
     use trident_nn::data::synthetic_digits;
-    use trident_workload::zoo;
 
     fn mlp(dims: &[usize], seed: u64) -> PhotonicMlp {
         PhotonicMlp::try_with_options(dims, EngineOptions { seed, ..Default::default() }).unwrap()
@@ -255,21 +235,6 @@ mod tests {
             (rc.stuck_amorphous, rc.stuck_crystalline),
             "a different seed should draw a different population"
         );
-    }
-
-    #[test]
-    fn endurance_sampled_plans_scale_with_age() {
-        let config = TridentConfig::paper();
-        let report = budget(&config, &zoo::vgg16(), &UsageProfile::heavy_edge());
-        let young = FaultPlan::from_endurance(&report, 1.0, 7);
-        let old = FaultPlan::from_endurance(
-            &report,
-            report.weight_lifetime_years * 1.2,
-            7,
-        );
-        assert!(young.hard_fault_rate() < old.hard_fault_rate());
-        assert!(old.hard_fault_rate() > 0.5, "past-lifetime wear should be severe");
-        assert!((young.drift_years - 1.0).abs() < 1e-12);
     }
 
     #[test]

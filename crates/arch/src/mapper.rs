@@ -81,11 +81,6 @@ impl DeploymentPlan {
             .count();
         contained as f64 / self.layers.len() as f64
     }
-
-    /// Layers that spill to external memory.
-    pub fn spilling_layers(&self) -> impl Iterator<Item = &LayerPlan> {
-        self.layers.iter().filter(|l| l.residency == Residency::External)
-    }
 }
 
 /// Plan a deployment of `model` onto `config`.
@@ -192,7 +187,6 @@ mod tests {
         let fc8 = plan.layers.iter().find(|l| l.name == "fc8").unwrap();
         assert_eq!(fc8.residency, Residency::L1);
         // Nothing in the paper's workloads spills beyond L2.
-        assert_eq!(plan.spilling_layers().count(), 0);
         assert_eq!(plan.cache_contained_fraction(), 1.0);
     }
 
@@ -209,12 +203,7 @@ mod tests {
         let config = TridentConfig::paper();
         for model in zoo::paper_models() {
             let p = plan(&config, &model);
-            assert_eq!(
-                p.spilling_layers().count(),
-                0,
-                "{} spills activations",
-                model.name
-            );
+            assert_eq!(p.cache_contained_fraction(), 1.0, "{} spills activations", model.name);
         }
     }
 }

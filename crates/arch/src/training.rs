@@ -162,7 +162,8 @@ impl ErrorModel {
     }
 
     /// How many observations have been folded in.
-    pub fn update_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn update_count(&self) -> u64 {
         self.updates
     }
 }
@@ -232,13 +233,13 @@ impl DualAdaptiveTrainer {
         accuracy_of(xs, labels, |x| Ok(argmax(&model.corrected(&engine.try_forward(x)?))))
     }
 
-    /// `FractionOutOfRange` unless `error_smoothing` lies in `(0, 1]`.
+    /// `ValueOutOfRange` unless `error_smoothing` lies in `(0, 1]`.
     fn check_smoothing(&self) -> Result<(), ArchError> {
         let value = self.error_smoothing;
         if value > 0.0 && value <= 1.0 {
             return Ok(());
         }
-        Err(ArchError::FractionOutOfRange { name: "error_smoothing", value, expected: "(0, 1]" })
+        Err(ArchError::ValueOutOfRange { name: "error_smoothing", value, expected: "(0, 1]" })
     }
 
     /// Run the full dual loop on a (degraded) engine: learn the error
@@ -469,7 +470,7 @@ mod tests {
         let xs = vec![vec![1.0, 0.0, 1.0, 0.0]];
         assert!(matches!(
             trainer.adapt(&mut chip, &xs, &[0]),
-            Err(ArchError::FractionOutOfRange { name: "error_smoothing", .. })
+            Err(ArchError::ValueOutOfRange { name: "error_smoothing", .. })
         ));
         assert_eq!(chip.total_energy(), energy, "nothing may run first");
     }

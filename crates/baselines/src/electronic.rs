@@ -47,7 +47,8 @@ impl ElectronicAccelerator {
     }
 
     /// True when the rate for `model` comes from the measured table.
-    pub fn has_measured_rate(&self, model: &ModelSpec) -> bool {
+    #[cfg(test)]
+    fn has_measured_rate(&self, model: &ModelSpec) -> bool {
         self.measured_rates.contains_key(&model.name)
     }
 }

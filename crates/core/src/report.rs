@@ -28,12 +28,6 @@ impl TextTable {
         self
     }
 
-    /// Append a row of string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
-        let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        self.row(&owned)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -116,8 +110,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = TextTable::new("Demo", &["name", "value"]);
-        t.row_strs(&["a", "1"]);
-        t.row_strs(&["longer-name", "2"]);
+        t.row(&["a".into(), "1".into()]);
+        t.row(&["longer-name".into(), "2".into()]);
         let r = t.render();
         assert!(r.contains("== Demo =="));
         assert!(r.contains("longer-name"));
@@ -130,13 +124,13 @@ mod tests {
     #[should_panic]
     fn rejects_wrong_width() {
         let mut t = TextTable::new("x", &["a", "b"]);
-        t.row_strs(&["only-one"]);
+        t.row(&["only-one".into()]);
     }
 
     #[test]
     fn csv_escapes_commas() {
         let mut t = TextTable::new("x", &["a"]);
-        t.row_strs(&["hello, world"]);
+        t.row(&["hello, world".into()]);
         assert!(t.to_csv().contains("\"hello, world\""));
     }
 

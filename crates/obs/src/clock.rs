@@ -56,12 +56,6 @@ impl ManualClock {
     pub fn advance_ns(&self, delta_ns: u64) {
         self.now_ns.fetch_add(delta_ns, Ordering::Relaxed);
     }
-
-    /// Jump the clock to an absolute reading (monotonicity is the test's
-    /// responsibility).
-    pub fn set_ns(&self, now_ns: u64) {
-        self.now_ns.store(now_ns, Ordering::Relaxed);
-    }
 }
 
 impl Clock for ManualClock {
@@ -88,7 +82,5 @@ mod tests {
         assert_eq!(c.now_ns(), 0);
         c.advance_ns(250);
         assert_eq!(c.now_ns(), 250);
-        c.set_ns(1_000);
-        assert_eq!(c.now_ns(), 1_000);
     }
 }

@@ -163,14 +163,12 @@ pub struct WriteReport {
 /// level corresponds to, the cumulative energy spent programming/reading
 /// it, and its switching-cycle wear.
 ///
-/// Two programming modes are provided:
-/// * [`GstCell::try_program`] — levels uniformly spaced in crystallinity (the
-///   raw device grid);
-/// * [`GstCell::try_program_calibrated`] — a program-and-verify write to an
-///   arbitrary crystallinity associated with a level index. This is how
-///   the weight bank realises levels uniform in *weight* space (see
-///   `crate::weight::WeightLut`), matching the per-level calibration used
-///   by multi-level PCM demonstrations.
+/// A cell is written at an arbitrary crystallinity associated with a level
+/// index, either ideally ([`GstCell::try_program_calibrated`]) or closed
+/// loop ([`GstCell::program_verified`]). This is how the weight bank
+/// realises levels uniform in *weight* space (see
+/// `crate::weight::WeightLut`), matching the per-level calibration used by
+/// multi-level PCM demonstrations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GstCell {
     params: GstParameters,
@@ -206,7 +204,8 @@ impl GstCell {
     }
 
     /// A fresh cell with the paper's default parameters.
-    pub fn with_defaults() -> Self {
+    #[cfg(test)]
+    fn with_defaults() -> Self {
         Self::new(GstParameters::default())
     }
 
@@ -234,23 +233,13 @@ impl GstCell {
         self.params.amplitude_at(self.crystallinity())
     }
 
-    /// Program the cell to `level`, spending one write pulse if the level
-    /// actually changes. Returns the energy spent (zero for a no-op — the
-    /// non-volatile state needs no refresh). Faults, wear-out, and range
-    /// violations surface as [`PcmError`]s.
-    pub fn try_program(&mut self, level: u16) -> Result<EnergyPj, PcmError> {
-        if level >= self.params.levels {
-            return Err(PcmError::LevelOutOfRange { level, levels: self.params.levels });
-        }
-        let crystallinity = f64::from(level) / f64::from(self.params.levels - 1);
-        self.try_write(level, crystallinity)
-    }
-
     /// Ideal calibrated write: set the cell to `crystallinity`, recording
-    /// it as calibrated level `level`. Costs one write pulse when the level
-    /// changes. (The closed-loop iterative write with read-back is
-    /// [`GstCell::program_verified`].) Errors as [`GstCell::try_program`],
-    /// plus a crystallinity outside `[0, 1]`.
+    /// it as calibrated level `level`. Costs one write pulse when the state
+    /// changes and returns the energy spent (zero for a no-op — the
+    /// non-volatile state needs no refresh). (The closed-loop iterative
+    /// write with read-back is [`GstCell::program_verified`].) Faults,
+    /// wear-out, a level beyond the grid and a crystallinity outside
+    /// `[0, 1]` surface as [`PcmError`]s.
     pub fn try_program_calibrated(
         &mut self,
         level: u16,
@@ -262,10 +251,6 @@ impl GstCell {
         if !(0.0..=1.0).contains(&crystallinity) {
             return Err(PcmError::CrystallinityOutOfRange(crystallinity));
         }
-        self.try_write(level, crystallinity)
-    }
-
-    fn try_write(&mut self, level: u16, crystallinity: f64) -> Result<EnergyPj, PcmError> {
         if level == self.level && (crystallinity - self.crystallinity).abs() < 1e-12 {
             return Ok(EnergyPj::ZERO);
         }
@@ -391,12 +376,6 @@ impl GstCell {
         }
     }
 
-    /// Clear an injected fault (e.g. for campaign re-runs on a shared
-    /// structure). Does not restore the pre-fault state.
-    pub fn clear_fault(&mut self) {
-        self.fault = None;
-    }
-
     /// The cell's hard fault, if any.
     #[inline]
     pub fn fault(&self) -> Option<GstFault> {
@@ -418,8 +397,8 @@ impl GstCell {
     }
 
     /// Number of read probes so far.
-    #[inline]
-    pub fn read_count(&self) -> u64 {
+    #[cfg(test)]
+    fn read_count(&self) -> u64 {
         self.reads
     }
 
@@ -473,6 +452,12 @@ mod tests {
     use super::*;
     use crate::error::PcmError;
 
+    /// Write `level` at its uniform-grid crystallinity, `level / (levels − 1)`.
+    fn program_level(c: &mut GstCell, level: u16) -> Result<EnergyPj, PcmError> {
+        let crystallinity = f64::from(level) / f64::from(c.params().levels - 1);
+        c.try_program_calibrated(level, crystallinity)
+    }
+
     #[test]
     fn default_parameters_match_paper() {
         let p = GstParameters::default();
@@ -502,14 +487,14 @@ mod tests {
     #[test]
     fn programming_costs_energy_only_on_change() {
         let mut c = GstCell::with_defaults();
-        assert_eq!(c.try_program(100).unwrap(), EnergyPj(660.0));
+        assert_eq!(program_level(&mut c, 100).unwrap(), EnergyPj(660.0));
         assert_eq!(
-            c.try_program(100).unwrap(),
+            program_level(&mut c, 100).unwrap(),
             EnergyPj::ZERO,
             "re-programming same level is free"
         );
         assert_eq!(c.write_count(), 1);
-        assert_eq!(c.try_program(0).unwrap(), EnergyPj(660.0));
+        assert_eq!(program_level(&mut c, 0).unwrap(), EnergyPj(660.0));
         assert_eq!(c.write_count(), 2);
         assert_eq!(c.energy_spent(), EnergyPj(1320.0));
     }
@@ -517,7 +502,7 @@ mod tests {
     #[test]
     fn reads_are_nondestructive_but_cost_energy() {
         let mut c = GstCell::with_defaults();
-        c.try_program(200).unwrap();
+        program_level(&mut c, 200).unwrap();
         let before = c.level();
         let a1 = c.read();
         let a2 = c.read();
@@ -531,9 +516,9 @@ mod tests {
     fn endurance_depletes_with_writes() {
         let params = GstParameters { endurance_cycles: 3, ..GstParameters::default() };
         let mut c = GstCell::new(params);
-        c.try_program(1).unwrap();
-        c.try_program(2).unwrap();
-        c.try_program(3).unwrap();
+        program_level(&mut c, 1).unwrap();
+        program_level(&mut c, 2).unwrap();
+        program_level(&mut c, 3).unwrap();
         assert!(c.is_worn_out());
         assert_eq!(c.endurance_remaining(), 0);
     }
@@ -543,14 +528,14 @@ mod tests {
     fn worn_cell_refuses_writes() {
         let params = GstParameters { endurance_cycles: 1, ..GstParameters::default() };
         let mut c = GstCell::new(params);
-        c.try_program(1).unwrap();
-        c.try_program(2).unwrap();
+        program_level(&mut c, 1).unwrap();
+        program_level(&mut c, 2).unwrap();
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_level_rejected() {
-        GstCell::with_defaults().try_program(255).unwrap();
+        program_level(&mut GstCell::with_defaults(), 255).unwrap();
     }
 
     #[test]
@@ -559,7 +544,7 @@ mod tests {
         // lifetime the stored level has drifted at most half an 8-bit
         // step, so every level remains distinguishable.
         let mut c = GstCell::with_defaults();
-        c.try_program(100).unwrap();
+        program_level(&mut c, 100).unwrap();
         assert!(c.projected_drift_lsb(10.0) <= 0.5 + 1e-9);
         assert!(c.projected_drift_lsb(1.0) < 0.1);
         // Far beyond the rating the state decays measurably.
@@ -569,13 +554,13 @@ mod tests {
     #[test]
     fn aging_moves_toward_crystalline_only() {
         let mut amorphous = GstCell::with_defaults();
-        amorphous.try_program(0).unwrap();
+        program_level(&mut amorphous, 0).unwrap();
         let before = amorphous.crystallinity();
         amorphous.age(10.0);
         assert!(amorphous.crystallinity() >= before, "drift recrystallizes");
 
         let mut crystalline = GstCell::with_defaults();
-        crystalline.try_program(254).unwrap();
+        program_level(&mut crystalline, 254).unwrap();
         crystalline.age(50.0);
         assert!(
             (crystalline.crystallinity() - 1.0).abs() < 1e-9,
@@ -586,27 +571,25 @@ mod tests {
     #[test]
     fn stuck_cell_rejects_writes_with_typed_error() {
         let mut c = GstCell::with_defaults();
-        c.try_program(100).unwrap();
+        program_level(&mut c, 100).unwrap();
         c.inject_fault(GstFault::StuckCrystalline);
         assert_eq!(c.level(), 254);
         assert!((c.crystallinity() - 1.0).abs() < 1e-12);
-        let err = c.try_program(10).unwrap_err();
+        let err = program_level(&mut c, 10).unwrap_err();
         assert!(matches!(
             err,
             PcmError::StuckCell { fault: GstFault::StuckCrystalline, requested_level: 10 }
         ));
         // Writing the stuck state itself is a free no-op, not an error.
-        assert_eq!(c.try_program(254).unwrap(), EnergyPj::ZERO);
-        c.clear_fault();
-        assert!(c.try_program(10).is_ok());
+        assert_eq!(program_level(&mut c, 254).unwrap(), EnergyPj::ZERO);
     }
 
     #[test]
     fn worn_cell_yields_typed_error_from_try_path() {
         let params = GstParameters { endurance_cycles: 1, ..GstParameters::default() };
         let mut c = GstCell::new(params);
-        c.try_program(1).unwrap();
-        let err = c.try_program(2).unwrap_err();
+        program_level(&mut c, 1).unwrap();
+        let err = program_level(&mut c, 2).unwrap_err();
         assert!(matches!(err, PcmError::WornOut { writes: 1, endurance: 1 }));
     }
 

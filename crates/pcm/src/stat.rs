@@ -65,12 +65,6 @@ impl DegradationClock {
         );
         self.now += delta;
     }
-
-    /// Elapsed deployment time in years (the deterministic relaxation
-    /// law's native scale).
-    pub fn elapsed_years(&self) -> f64 {
-        self.now.years()
-    }
 }
 
 /// Parameters of the statistical device model. All noise magnitudes live
@@ -181,7 +175,7 @@ mod tests {
         clock.advance(Hours(720.0));
         clock.advance(Hours::from_days(30.0));
         assert_eq!(clock.now(), Hours(1440.0));
-        assert!((clock.elapsed_years() - 1440.0 / 8766.0).abs() < 1e-12);
+        assert!((clock.now().years() - 1440.0 / 8766.0).abs() < 1e-12);
     }
 
     #[test]

@@ -150,14 +150,6 @@ impl TuningProfile {
     }
 }
 
-/// Whether training is possible at a given weight bit resolution.
-///
-/// Exposed as a free function because both the architecture crate and the
-/// experiment ablations use the same criterion.
-pub fn training_feasible(bits: u8) -> bool {
-    bits >= 8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,8 +208,6 @@ mod tests {
         assert!(TuningProfile::gst().supports_training());
         assert!(!TuningProfile::thermal().supports_training());
         assert!(!TuningProfile::hybrid().supports_training());
-        assert!(training_feasible(8));
-        assert!(!training_feasible(6));
     }
 
     #[test]

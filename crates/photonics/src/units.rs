@@ -289,14 +289,6 @@ impl Hertz {
     pub fn ghz(self) -> f64 {
         self.0 * 1e-9
     }
-
-    /// Period of one cycle (`1/f`).
-    ///
-    /// Returns `f64::INFINITY` nanoseconds for a zero rate.
-    #[inline]
-    pub fn period(self) -> Nanoseconds {
-        Nanoseconds(1e9 / self.0)
-    }
 }
 
 impl EnergyPj {
@@ -304,12 +296,6 @@ impl EnergyPj {
     #[inline]
     pub fn from_nj(nj: f64) -> Self {
         Self(nj * 1e3)
-    }
-
-    /// Construct from millijoules.
-    #[inline]
-    pub fn from_mj(mj: f64) -> Self {
-        Self(mj * 1e9)
     }
 
     /// Convert to millijoules.
@@ -330,12 +316,6 @@ impl EnergyPj {
         self.0 * 1e-12
     }
 
-    /// Construct from joules.
-    #[inline]
-    pub fn from_joules(j: f64) -> Self {
-        Self(j * 1e12)
-    }
-
     /// Average power when this energy is spent over `t`.
     #[inline]
     pub fn over_duration(self, t: Nanoseconds) -> PowerMw {
@@ -348,12 +328,6 @@ impl Nanoseconds {
     #[inline]
     pub fn from_us(us: f64) -> Self {
         Self(us * 1e3)
-    }
-
-    /// Construct from seconds.
-    #[inline]
-    pub fn from_secs(s: f64) -> Self {
-        Self(s * 1e9)
     }
 
     /// Convert to microseconds.
@@ -513,7 +487,6 @@ mod tests {
     #[test]
     fn time_conversions() {
         assert!((Nanoseconds::from_us(0.3).value() - 300.0).abs() < 1e-12);
-        assert!((Nanoseconds::from_secs(1.0).millis() - 1000.0).abs() < 1e-9);
         assert!((Nanoseconds(2.0).rate_hz() - 5e8).abs() < 1.0);
     }
 
@@ -556,10 +529,9 @@ mod tests {
     }
 
     #[test]
-    fn hertz_round_trips_and_period() {
+    fn hertz_round_trips() {
         let f = Hertz(1.37e9);
         assert!((f.ghz() - 1.37).abs() < 1e-12);
-        assert!((f.period().value() - 1.0 / 1.37).abs() < 1e-12);
         assert!((Nanoseconds(2.889).rate().value() - Nanoseconds(2.889).rate_hz()).abs() < 1e-6);
     }
 
@@ -583,8 +555,8 @@ mod tests {
     }
 
     #[test]
-    fn millijoule_constructor() {
-        let e = EnergyPj::from_mj(1.5);
+    fn millijoule_and_joule_readouts() {
+        let e = EnergyPj(1.5e9);
         assert!((e.millijoules() - 1.5).abs() < 1e-12);
         assert!((e.joules() - 1.5e-3).abs() < 1e-15);
     }

@@ -5,7 +5,7 @@
 //! plan (anchor wavelength + spacing); a [`WdmSignal`] is the vector of
 //! per-channel optical powers travelling on one waveguide.
 
-use crate::units::{count, index_clamped, PowerMw, Wavelength};
+use crate::units::{count, PowerMw, Wavelength};
 use crate::MIN_CHANNEL_SPACING_NM;
 
 /// A fixed channel plan: `count` wavelengths spaced `spacing_nm` apart,
@@ -69,18 +69,6 @@ impl WdmGrid {
     /// Iterator over all channel wavelengths.
     pub fn channels(&self) -> impl Iterator<Item = Wavelength> + '_ {
         (0..self.count).map(move |i| self.channel(i))
-    }
-
-    /// Index of the grid channel nearest to `λ`, with its detuning in nm.
-    pub fn nearest_channel(&self, lambda: Wavelength) -> (usize, f64) {
-        let raw = (lambda.nm() - self.anchor.nm()) / self.spacing_nm;
-        let idx = index_clamped(raw, self.count - 1);
-        (idx, lambda.detuning_nm(self.channel(idx)))
-    }
-
-    /// Total optical band occupied by the plan, in nanometres.
-    pub fn band_nm(&self) -> f64 {
-        self.spacing_nm * count(self.count.saturating_sub(1))
     }
 }
 
@@ -148,33 +136,6 @@ impl WdmSignal {
         &self.powers
     }
 
-    /// Total power summed across channels.
-    pub fn total_power(&self) -> PowerMw {
-        self.powers.iter().copied().sum()
-    }
-
-    /// Attenuate every channel by a per-channel transmission factor in `[0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths differ or any factor falls outside `[0, 1]`.
-    pub fn attenuate(&self, transmission: &[f64]) -> Self {
-        assert_eq!(
-            transmission.len(),
-            self.powers.len(),
-            "transmission vector length mismatch"
-        );
-        let powers = self
-            .powers
-            .iter()
-            .zip(transmission)
-            .map(|(&p, &t)| {
-                assert!((0.0..=1.0).contains(&t), "transmission {t} outside [0, 1]");
-                p * t
-            })
-            .collect();
-        Self { powers }
-    }
-
     /// Attenuate every channel by the same factor.
     pub fn attenuate_uniform(&self, t: f64) -> Self {
         assert!((0.0..=1.0).contains(&t), "transmission {t} outside [0, 1]");
@@ -210,34 +171,12 @@ mod tests {
             let d = g.channel(i).detuning_nm(g.channel(i - 1));
             assert!((d - 1.6).abs() < 1e-12);
         }
-        assert!((g.band_nm() - 1.6 * 7.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic]
     fn grid_rejects_tight_spacing() {
         let _ = WdmGrid::new(Wavelength::from_nm(1550.0), 0.8, 4);
-    }
-
-    #[test]
-    fn nearest_channel_snaps() {
-        let g = WdmGrid::c_band(4);
-        let (idx, det) = g.nearest_channel(Wavelength::from_nm(1551.7));
-        assert_eq!(idx, 1); // 1551.6 is channel 1
-        assert!((det - 0.1).abs() < 1e-9);
-        // Beyond-the-band wavelengths clamp to the last channel.
-        let (idx, _) = g.nearest_channel(Wavelength::from_nm(1600.0));
-        assert_eq!(idx, 3);
-    }
-
-    #[test]
-    fn signal_attenuation_and_total() {
-        let s = WdmSignal::from_powers(vec![PowerMw(1.0), PowerMw(2.0), PowerMw(3.0)]);
-        let out = s.attenuate(&[0.5, 1.0, 0.0]);
-        assert_eq!(out.power(0), PowerMw(0.5));
-        assert_eq!(out.power(1), PowerMw(2.0));
-        assert_eq!(out.power(2), PowerMw(0.0));
-        assert_eq!(s.total_power(), PowerMw(6.0));
     }
 
     #[test]
@@ -259,6 +198,6 @@ mod tests {
     #[should_panic]
     fn attenuate_rejects_gain() {
         let s = WdmSignal::dark(1);
-        let _ = s.attenuate(&[1.5]);
+        let _ = s.attenuate_uniform(1.5);
     }
 }

@@ -1,7 +1,6 @@
-//! Property tests for the `photonics::units` newtype arithmetic
-//! (ISSUE satellite c): summation is bitwise-identical to raw `f64`
-//! folds, cross-unit multiply/divide obeys mW × ns = pJ exactly, and
-//! the pJ↔J / ns↔s scale conversions round-trip within 1 ulp.
+//! Property tests for the `photonics::units` newtype arithmetic:
+//! summation is bitwise-identical to raw `f64` folds, and cross-unit
+//! multiply/divide obeys mW × ns = pJ exactly.
 
 use trident_photonics::units::{EnergyPj, Nanoseconds, PowerMw};
 use proptest::prelude::*;
@@ -43,52 +42,6 @@ proptest! {
         prop_assert!(
             ulp_distance(back.value(), p) <= 1,
             "p={p} t={t} back={}", back.value()
-        );
-    }
-
-    #[test]
-    fn pj_joule_round_trip_within_one_ulp(pj in 1e-6f64..1e15) {
-        let back = EnergyPj::from_joules(EnergyPj(pj).joules());
-        prop_assert!(
-            ulp_distance(back.value(), pj) <= 1,
-            "pj={pj} back={}", back.value()
-        );
-    }
-
-    #[test]
-    fn joule_pj_round_trip_within_one_ulp(j in 1e-15f64..1e3) {
-        let back = EnergyPj::from_joules(j).joules();
-        prop_assert!(ulp_distance(back, j) <= 1, "j={j} back={back}");
-    }
-
-    #[test]
-    fn ns_second_round_trip_within_one_ulp(ns in 1e-3f64..1e12) {
-        let back = Nanoseconds::from_secs(Nanoseconds(ns).secs());
-        prop_assert!(
-            ulp_distance(back.value(), ns) <= 1,
-            "ns={ns} back={}", back.value()
-        );
-    }
-
-    #[test]
-    fn second_ns_round_trip_within_one_ulp(s in 1e-9f64..1e3) {
-        let back = Nanoseconds::from_secs(s).secs();
-        prop_assert!(ulp_distance(back, s) <= 1, "s={s} back={back}");
-    }
-
-    #[test]
-    fn millijoule_round_trip_within_one_ulp(mj in 1e-9f64..1e6) {
-        let back = EnergyPj::from_mj(mj).millijoules();
-        prop_assert!(ulp_distance(back, mj) <= 1, "mj={mj} back={back}");
-    }
-
-    #[test]
-    fn rate_period_round_trip_within_one_ulp(ns in 1e-3f64..1e9) {
-        // t → 1/t → 1/(1/t): two correctly-rounded divides.
-        let back = Nanoseconds(ns).rate().period();
-        prop_assert!(
-            ulp_distance(back.value(), ns) <= 1,
-            "ns={ns} back={}", back.value()
         );
     }
 }

@@ -294,7 +294,9 @@ impl Fleet {
         let mut replicas = Vec::with_capacity(profiles.len());
         for (id, profile) in profiles.iter().enumerate() {
             let (mut engine, tail) = deploy(id, profile)?;
-            if profile.laser_droop > 0.0 {
+            // Any nonzero droop goes through the plan, so an out-of-range
+            // one (negative, NaN) is a typed error, not a healthy replica.
+            if profile.laser_droop != 0.0 {
                 engine.chip_mut().inject_faults(&FaultPlan {
                     laser_droop: profile.laser_droop,
                     seed: profile.variation_seed,
@@ -603,29 +605,37 @@ mod tests {
         ));
     }
 
-    fn build_with_pretrained(sharding: Sharding, matrices: usize) -> Result<Fleet, ServeError> {
+    fn build_with_pretrained(
+        sharding: Sharding,
+        matrices: usize,
+        weight: f64,
+    ) -> Result<Fleet, ServeError> {
         let profiles = [ReplicaProfile::with_seed(0), ReplicaProfile::with_seed(1)];
-        let weights = vec![vec![0.1; 6 * 8]; matrices];
+        let weights = vec![vec![weight; 6 * 8]; matrices];
         let opts = EngineOptions::default();
         Fleet::try_build(&[8, 6, 4], opts, &profiles, Some(&weights), sharding, 1000)
     }
 
     #[test]
-    fn short_pretrained_set_is_a_typed_error_replica_parallel() {
+    fn bad_pretrained_set_is_a_typed_error_replica_parallel() {
         assert!(matches!(
-            build_with_pretrained(Sharding::ReplicaParallel, 1),
+            build_with_pretrained(Sharding::ReplicaParallel, 1, 0.1),
             Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 1, layers: 2 }))
         ));
         assert!(matches!(
-            build_with_pretrained(Sharding::ReplicaParallel, 3),
+            build_with_pretrained(Sharding::ReplicaParallel, 3, 0.1),
             Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 3, layers: 2 }))
+        ));
+        assert!(matches!(
+            build_with_pretrained(Sharding::ReplicaParallel, 2, f64::NAN),
+            Err(ServeError::Arch(ArchError::Pcm(ref e))) if e.to_string().contains("NaN")
         ));
     }
 
     #[test]
     fn short_pretrained_set_is_a_typed_error_layer_pipeline() {
         assert!(matches!(
-            build_with_pretrained(Sharding::LayerPipeline, 1),
+            build_with_pretrained(Sharding::LayerPipeline, 1, 0.1),
             Err(ServeError::Arch(ArchError::LayerOutOfRange { layer: 1, layers: 2 }))
         ));
     }
@@ -645,11 +655,16 @@ mod tests {
 
     #[test]
     fn full_laser_droop_is_a_typed_build_error() {
-        let profiles = [ReplicaProfile { laser_droop: 1.0, ..ReplicaProfile::with_seed(1) }];
-        assert!(matches!(
-            small_fleet(&profiles, 1000),
-            Err(ServeError::Arch(ref e)) if e.to_string().contains("laser_droop")
-        ));
+        for droop in [1.0, -0.1, f64::NAN] {
+            let profiles = [ReplicaProfile { laser_droop: droop, ..ReplicaProfile::with_seed(1) }];
+            assert!(
+                matches!(
+                    small_fleet(&profiles, 1000),
+                    Err(ServeError::Arch(ArchError::ValueOutOfRange { name: "laser_droop", .. }))
+                ),
+                "droop {droop}"
+            );
+        }
     }
 
     #[test]
@@ -661,6 +676,16 @@ mod tests {
             fleet.inject_fault(0, &plan),
             Err(ServeError::Arch(ref e)) if e.to_string().contains("dead_rings")
         ));
+        for years in [f64::INFINITY, -1.0, f64::NAN] {
+            let plan = FaultPlan { drift_years: years, seed: 3, ..FaultPlan::default() };
+            assert!(
+                matches!(
+                    fleet.inject_fault(0, &plan),
+                    Err(ServeError::Arch(ArchError::ValueOutOfRange { name: "drift_years", .. }))
+                ),
+                "drift_years {years}"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! cached prefix optically through the score and context MVMs (the cache
 //! "reads"). This module provides the closed-form per-token expectations
 //! the functional simulator's measured counts are pinned against
-//! (`tests/kv_cache_invariants.rs`), plus the obs billing hook the
-//! repro_all KV-dataflow section uses.
+//! (`tests/kv_cache_invariants.rs`).
 //!
 //! Closed forms for decoding `T` tokens through `L` causal layers at
 //! width `d_model` (keys and values each carry `d_model` elements per
@@ -23,8 +22,6 @@
 
 use crate::layer::LayerKind;
 use crate::model::ModelSpec;
-use trident_obs as obs;
-use trident_photonics::units::EnergyPj;
 
 /// Saturating `usize → u64` for structural counts (total element counts
 /// can overflow neither in practice nor silently here).
@@ -94,25 +91,6 @@ impl KvCachePlan {
         let t = count_u64(self.tokens);
         count_u64(self.layers) * count_u64(self.d_model) * t * (t + 1)
     }
-
-    /// Energy of the decode's cache traffic: `per_write` covers one PCM
-    /// element programming event, `per_read` one optically-streamed
-    /// element read (typically orders of magnitude cheaper — in-memory
-    /// compute is the point).
-    pub fn traffic_energy(&self, per_write: EnergyPj, per_read: EnergyPj) -> EnergyPj {
-        let writes = usize::try_from(self.total_writes()).unwrap_or(usize::MAX);
-        let reads = usize::try_from(self.total_reads()).unwrap_or(usize::MAX);
-        per_write * writes + per_read * reads
-    }
-
-    /// Bill the whole decode's cache traffic to the obs counters
-    /// (`kv_cache_writes` / `kv_cache_reads` / `kv_cache_fj`). A no-op
-    /// when tracing is disabled, like every obs sink.
-    pub fn bill(&self, per_write: EnergyPj, per_read: EnergyPj) {
-        obs::add(obs::Counter::KvCacheWrites, self.total_writes());
-        obs::add(obs::Counter::KvCacheReads, self.total_reads());
-        obs::add_pj(obs::Counter::KvCacheFj, self.traffic_energy(per_write, per_read).0);
-    }
 }
 
 #[cfg(test)]
@@ -148,13 +126,5 @@ mod tests {
         let plan = KvCachePlan { d_model: 256, layers: 6, tokens: 256 };
         // Recompute writes / cached writes = (T+1)/2.
         assert_eq!(plan.recompute_writes() / plan.total_writes(), 256u64.div_ceil(2));
-    }
-
-    #[test]
-    fn traffic_energy_weights_reads_and_writes() {
-        let plan = KvCachePlan { d_model: 4, layers: 1, tokens: 2 };
-        // writes = 16, reads = 24.
-        let e = plan.traffic_energy(EnergyPj(10.0), EnergyPj(0.5));
-        assert_eq!(e, EnergyPj(16.0 * 10.0 + 24.0 * 0.5));
     }
 }

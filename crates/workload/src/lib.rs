@@ -36,6 +36,6 @@ pub use kv::KvCachePlan;
 pub use layer::{LayerKind, LayerSpec, TensorShape};
 pub use model::ModelSpec;
 pub use zoo::{
-    alexnet, by_name, googlenet, gpt_decoder, lenet5, mobilenet_v2, paper_models, resnet50,
+    alexnet, googlenet, gpt_decoder, lenet5, mobilenet_v2, paper_models, resnet50,
     transformer_models, try_by_name, vgg16, vit_tiny,
 };

@@ -263,12 +263,8 @@ pub const KNOWN_MODELS: &[&str] =
     &["alexnet", "vgg16", "googlenet", "mobilenetv2", "resnet50", "lenet5", "vittiny", "gptdecoder"];
 
 /// Look a model up by a user-facing name (case/punctuation-insensitive).
-pub fn by_name(name: &str) -> Option<ModelSpec> {
-    try_by_name(name).ok()
-}
-
-/// Like [`by_name`], but an unknown name comes back as a typed error that
-/// lists the models the zoo does know — the variant CLI front-ends want.
+/// An unknown name comes back as a typed error that lists the models the
+/// zoo does know.
 pub fn try_by_name(name: &str) -> Result<ModelSpec, WorkloadError> {
     let key: String =
         name.chars().filter(|c| c.is_ascii_alphanumeric()).collect::<String>().to_lowercase();
@@ -435,19 +431,19 @@ mod tests {
 
     #[test]
     fn transformer_zoo_keys_resolve() {
-        assert_eq!(by_name("ViT-Tiny").unwrap().name, "ViT-Tiny");
-        assert_eq!(by_name("vit").unwrap().name, "ViT-Tiny");
-        assert_eq!(by_name("gpt-decoder").unwrap().name, "GPT-Decoder");
-        assert_eq!(by_name("GPT").unwrap().name, "GPT-Decoder");
+        assert_eq!(try_by_name("ViT-Tiny").unwrap().name, "ViT-Tiny");
+        assert_eq!(try_by_name("vit").unwrap().name, "ViT-Tiny");
+        assert_eq!(try_by_name("gpt-decoder").unwrap().name, "GPT-Decoder");
+        assert_eq!(try_by_name("GPT").unwrap().name, "GPT-Decoder");
     }
 
     #[test]
-    fn by_name_resolves_aliases() {
-        assert_eq!(by_name("VGG-16").unwrap().name, "VGG-16");
-        assert_eq!(by_name("mobilenetv2").unwrap().name, "MobileNetV2");
-        assert_eq!(by_name("ResNet-50").unwrap().name, "ResNet-50");
-        assert_eq!(by_name("lenet").unwrap().name, "LeNet-5");
-        assert!(by_name("transformer").is_none());
+    fn try_by_name_resolves_aliases() {
+        assert_eq!(try_by_name("VGG-16").unwrap().name, "VGG-16");
+        assert_eq!(try_by_name("mobilenetv2").unwrap().name, "MobileNetV2");
+        assert_eq!(try_by_name("ResNet-50").unwrap().name, "ResNet-50");
+        assert_eq!(try_by_name("lenet").unwrap().name, "LeNet-5");
+        assert!(try_by_name("transformer").is_err());
     }
 
     #[test]
