@@ -47,8 +47,8 @@
 //! A row's response reads only that row's rings, so a write marks the
 //! rows whose rings changed stale and leaves the others alone; the next
 //! read derives the stale rows, once each, however many writes came
-//! first. (In-situ training zeroes a bank's other rows for an outer
-//! product and rewrites them right after, before anything reads them.)
+//! first. (An outer product writes only row 0, the row it reads; the
+//! other rows keep their weights and their derived responses.)
 //! Each cache is a pure function of the current ring and statistical
 //! state, so deriving late gives the bits deriving eagerly would.
 //! The derivation walks the rings in order with every channel of the row
@@ -410,22 +410,24 @@ impl WeightBank {
     pub fn program_flat(&mut self, weights: &[f64]) -> (EnergyPj, Nanoseconds) {
         assert_eq!(weights.len(), self.rows * self.cols, "matrix size mismatch");
         let cols = self.cols;
-        self.program_cells(|r, c| weights[r * cols + c])
+        self.program_cells(self.rows, |r, c| weights[r * cols + c])
     }
 
-    /// The open-loop write sweep behind [`WeightBank::program_flat`], reading
-    /// the weight of cell `(r, c)` from `weight` (the caller has checked
-    /// the shape). A cell asked for the weight it last accepted is a
+    /// The open-loop write sweep behind [`WeightBank::program_flat`] over
+    /// the first `rows` rows, reading the weight of cell `(r, c)` from
+    /// `weight` (the caller has checked the shape); the rows below keep
+    /// what they hold. A cell asked for the weight it last accepted is a
     /// write no-op and is skipped without a LUT search. A written cell
     /// sits exactly at its level's calibrated crystallinity, so its
     /// amplitude comes from the LUT's per-level table; each row whose
     /// rings changed is marked stale for the next read to derive.
     pub(crate) fn program_cells(
         &mut self,
+        rows: usize,
         weight: impl Fn(usize, usize) -> f64,
     ) -> (EnergyPj, Nanoseconds) {
         let mut spent = EnergyPj::ZERO;
-        for r in 0..self.rows {
+        for r in 0..rows {
             let mut dirty = false;
             for c in 0..self.cols {
                 let idx = r * self.cols + c;
@@ -1167,6 +1169,12 @@ impl WeightBank {
     #[cfg(test)]
     pub(crate) fn ring_writes(&self) -> u64 {
         self.rings.iter().map(PcmMrr::write_count).sum()
+    }
+
+    /// Writes the ring at `(r, c)` has taken.
+    #[cfg(test)]
+    pub(crate) fn writes_at(&self, r: usize, c: usize) -> u64 {
+        self.ring(r, c).write_count()
     }
 
     /// The most-written ring's write count (wear-leveling telemetry: the

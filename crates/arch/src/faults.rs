@@ -52,9 +52,10 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with `rate` of all cells stuck, split between the phases
     /// (void formation pins most wear-out failures near the amorphous
-    /// state, so the split leans 70/30).
+    /// state, so the split leans 70/30). A `rate` that puts a phase
+    /// outside `[0, 1]` (NaN, or above 1/0.7) is caught by
+    /// [`FaultPlan::validate`] at injection.
     pub fn stuck_cells(rate: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate {rate} outside [0, 1]");
         Self { stuck_amorphous: 0.7 * rate, stuck_crystalline: 0.3 * rate, seed, ..Self::default() }
     }
 

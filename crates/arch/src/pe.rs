@@ -370,6 +370,11 @@ impl ProcessingElement {
     /// products via the drop-bus demux, and hand each product
     /// `δh[i]·y[j]` to `add(i, j, product)`, row by row.
     ///
+    /// Only row 0 is written, and only row 0 is read: each row has its own
+    /// bus and detector, so rows 1.. keep their weights, cost no write
+    /// energy or wear, and need no restore. The write is still one GST
+    /// write event when it changes a cell.
+    ///
     /// `y` entries must lie in `[-1, 1]` (they are weights) and at most
     /// one bank width of them fit; `δh` may have any magnitude (scalar
     /// per symbol — its sign and scale stay electronic).
@@ -380,11 +385,10 @@ impl ProcessingElement {
         mut add: impl FnMut(usize, usize, f64),
     ) {
         assert!(y.len() <= self.cols().min(TILE), "y wider than the bank");
-        // Row 0 holds `y` zero-padded to the bank width; every other row
-        // holds zeros.
-        let (energy, time) = self
-            .bank
-            .program_cells(|r, c| if r == 0 && c < y.len() { y[c] } else { 0.0 });
+        // Row 0 holds `y` zero-padded to the bank width: its rings beyond
+        // `y` still attenuate the bus the readout sees.
+        let (energy, time) =
+            self.bank.program_cells(1, |_, c| if c < y.len() { y[c] } else { 0.0 });
         self.charge_write(energy, time);
         let mut readout = [0.0; TILE];
         let readout = &mut readout[..y.len()];
@@ -625,6 +629,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn outer_product_writes_only_the_row_it_reads() {
+        let mut p = ProcessingElement::new(16, 16, None);
+        let w: Vec<f64> = (0..256).map(|i| ((i % 17) as f64 / 8.5) - 1.0).collect();
+        p.program(&w);
+        // Weight readback and ring write count of every cell below row 0.
+        let below = |p: &ProcessingElement| -> Vec<(u64, u64)> {
+            let b = p.bank();
+            let cell = |(r, c)| (b.weight(r, c).to_bits(), b.writes_at(r, c));
+            (16..256).map(|i| cell((i / 16, i % 16))).collect()
+        };
+        let held = below(&p);
+        let written = p.energy().get("gst write");
+        let dh = [0.5, -1.5, 2.0];
+        // One write event, then one symbol per δh element.
+        let mut elapsed = p.elapsed();
+        elapsed += GstParameters::default().write_time;
+        for _ in 0..dh.len() {
+            elapsed += p.modulator.symbol_time;
+        }
+        let y: Vec<f64> = (0..16).map(|j| (j as f64 - 7.5) / 8.0).collect();
+        let mut m = [[f64::NAN; 16]; 3];
+        p.outer_product(&dh, &y, |i, j, v| m[i][j] = v);
+        for (i, row) in m.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                let want = dh[i] * y[j];
+                assert!((v - want).abs() < 0.1 * (1.0 + want.abs()), "({i},{j}): {v} vs {want}");
+            }
+        }
+        assert_eq!(below(&p), held, "rows 1-15 keep their weights and their wear");
+        assert_eq!(p.elapsed().value().to_bits(), elapsed.value().to_bits());
+        assert!(p.energy().get("gst write").value() > written.value(), "row 0 was written");
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub const TRAINING_STREAM_PHASES: f64 = 3.0;
 /// event fewer per hidden layer per step than this count. The value is
 /// kept at 5.0 so that Table V does not move; ROADMAP item 7 tracks
 /// reconciling this analytical training-time model with the functional
-/// walk.
+/// walk. The functional `y` write now programs only the row the outer
+/// product reads, but it is still one write event, so the `y` sweep keeps
+/// its place in this count and Table V still does not move.
 pub const TRAINING_RETUNE_SWEEPS: f64 = 5.0;
 
 /// Training-time estimate for one model on Trident.

@@ -122,6 +122,10 @@ impl DeploymentStudy {
     /// Run the temporal-drift study over the given deployment ages (hours
     /// since programming) on a labelled dataset. `stat` is the device
     /// model of every deployed chip; its `seed` is the base chip identity.
+    ///
+    /// # Errors
+    /// `ValueOutOfRange` naming `hours` for an age that is negative or not
+    /// finite, before any chip is built.
     pub fn run_drift(
         &self,
         stat: StatParams,
@@ -129,6 +133,9 @@ impl DeploymentStudy {
         xs: &[Vec<f64>],
         labels: &[usize],
     ) -> Result<Vec<DriftRow>, ArchError> {
+        if let Some(&value) = hour_points.iter().find(|h| !(0.0..f64::INFINITY).contains(*h)) {
+            return Err(ArchError::ValueOutOfRange { name: "hours", value, expected: "[0, inf)" });
+        }
         let trainer = DualAdaptiveTrainer {
             finetune_epochs: self.finetune_epochs,
             learning_rate: self.learning_rate,
@@ -244,6 +251,19 @@ mod tests {
             r.baseline_accuracy,
             r.adaptive_accuracy
         );
+    }
+
+    #[test]
+    fn bad_deployment_ages_are_typed_errors() {
+        let (xs, labels) = digit_data(1);
+        let study = DeploymentStudy::default();
+        for hours in [-1.0, f64::NAN] {
+            let rows = study.run_drift(StatParams::default(), &[24.0, hours], &xs, &labels);
+            assert!(
+                matches!(rows, Err(ArchError::ValueOutOfRange { name: "hours", .. })),
+                "hours {hours}"
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,28 @@ fn pe_modes(c: &mut Criterion) {
             black_box(&grad);
         })
     });
+    // One in-situ update cycle on a PE that holds a full W: an outer
+    // product whose `y` alternates between two vectors, so its row is
+    // written every time (a repeated `y` is a write-memo no-op), then the
+    // Eq. 1 update's reprogram of W.
+    c.bench_function("pe_outer_product_write_16x16", |b| {
+        let mut pe = ProcessingElement::new(16, 16, None);
+        pe.program(&weights);
+        let dh: Vec<f64> = (0..16).map(|i| (i as f64 - 8.0) / 8.0).collect();
+        let ys: [Vec<f64>; 2] = [
+            (0..16).map(|i| i as f64 / 16.0).collect(),
+            (0..16).map(|i| (i as f64 - 16.0) / 16.0).collect(),
+        ];
+        let mut grad = [0.0; 256];
+        let mut toggle = false;
+        b.iter(|| {
+            toggle = !toggle;
+            let y = &ys[usize::from(toggle)];
+            pe.outer_product(black_box(&dh), black_box(y), |i, j, p| grad[i * 16 + j] = p);
+            pe.program(&weights);
+            black_box(&grad);
+        })
+    });
     c.bench_function("pe_latch_and_activate", |b| {
         let mut pe = ProcessingElement::new(16, 16, None);
         let h: Vec<f64> = (0..16).map(|i| (i as f64 - 4.0) / 4.0).collect();

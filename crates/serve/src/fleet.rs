@@ -676,6 +676,18 @@ mod tests {
             fleet.inject_fault(0, &plan),
             Err(ServeError::Arch(ref e)) if e.to_string().contains("dead_rings")
         ));
+        for rate in [f64::NAN, 1.5] {
+            assert!(
+                matches!(
+                    fleet.inject_fault(0, &FaultPlan::stuck_cells(rate, 3)),
+                    Err(ServeError::Arch(ArchError::ValueOutOfRange {
+                        name: "stuck_amorphous",
+                        ..
+                    }))
+                ),
+                "stuck rate {rate}"
+            );
+        }
         for years in [f64::INFINITY, -1.0, f64::NAN] {
             let plan = FaultPlan { drift_years: years, seed: 3, ..FaultPlan::default() };
             assert!(
