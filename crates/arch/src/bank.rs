@@ -32,7 +32,7 @@
 //! A bank write costs what it physically changes. Each ring's transfer on
 //! each channel factors into a per-channel term, `sin(φ/2)` of its
 //! detuning, and a per-ring term, the round-trip amplitude `a`
-//! ([`AddDropMrr::transfer_at`]). The sine table depends only on where
+//! ([`MrrGeometry::transfer_at`]). The sine table depends only on where
 //! the rings resonate, so it is computed when the bank is built (and,
 //! with fabrication variation, when a ring is remapped onto a spare) and
 //! never again. Without variation, ring `k` of every row resonates on
@@ -78,7 +78,7 @@ use trident_pcm::stat::{DegradationClock, StatParams};
 use trident_pcm::weight::{PcmMrr, WeightLut};
 use trident_pcm::PcmError;
 use trident_photonics::mrr::{AddDropMrr, MrrGeometry};
-use trident_photonics::units::{EnergyPj, Hours, Nanoseconds};
+use trident_photonics::units::{EnergyPj, Hours, Nanoseconds, Wavelength};
 use trident_photonics::wdm::WdmGrid;
 use trident_streams::{
     member_identity, seeded_gaussian, STREAM_DEVICE_RESONANCE, STREAM_PCM_NU, STREAM_PCM_PROG,
@@ -142,10 +142,11 @@ pub struct WeightBank {
     grid: WdmGrid,
     /// The calibration shared by every bank of this design and recipe.
     lut: Arc<WeightLut>,
+    /// Each slot's weight unit: the mutable state of its ring's GST cell.
     rings: Vec<PcmMrr>,
-    /// The ring design, kept so spares can be minted on demand.
+    /// The ring design, one copy for every ring of the bank.
     geometry: MrrGeometry,
-    /// The GST recipe, kept for the same reason.
+    /// The GST recipe, one copy for every cell of the bank.
     params: GstParameters,
     /// Electronically masked (dead) slots: the balanced receiver cancels
     /// the slot's channel for this row, so it contributes zero weight.
@@ -163,9 +164,11 @@ pub struct WeightBank {
     /// the original bank is member `i` of the bank's identity, the `n`-th
     /// spare remapped in is member `rows·cols + n`.
     cell_identity: Vec<u64>,
-    /// Whether the rings carry fabrication variation, so each needs its
-    /// own detuning row in `half_sin`.
-    varied: bool,
+    /// The as-built resonance of each slot's ring when the rings carry
+    /// fabrication variation (so each needs its own detuning row in
+    /// `half_sin`); empty without it, where ring `k` of every row
+    /// resonates on channel `k`.
+    resonance: Vec<Wavelength>,
     /// `sin(φ/2)` of a ring's detuning from each channel: `[ring][channel]`
     /// shared by every row of an unvaried bank, `[row][ring][channel]`
     /// with variation. Set where a ring's resonance is fixed:
@@ -263,23 +266,22 @@ impl WeightBank {
         let grid = WdmGrid::c_band(cols);
         let geometry = MrrGeometry::weight_bank();
         let lut = WeightLut::shared(&params);
-        let rings: Vec<PcmMrr> = (0..rows * cols)
-            .map(|i| {
-                let offset = if resonance_sigma_nm > 0.0 {
-                    seeded_gaussian(identity, STREAM_DEVICE_RESONANCE, i as u64)
-                        * resonance_sigma_nm
-                } else {
-                    0.0
-                };
-                let resonance = grid.channel(i % cols).shifted_nm(offset);
-                PcmMrr::new(AddDropMrr::new(geometry, resonance), params)
-            })
-            .collect();
         let varied = resonance_sigma_nm > 0.0;
+        let resonance = if varied {
+            (0..rows * cols)
+                .map(|i| {
+                    let offset = seeded_gaussian(identity, STREAM_DEVICE_RESONANCE, i as u64);
+                    grid.channel(i % cols).shifted_nm(offset * resonance_sigma_nm)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let tabled_rings = if varied { rows * cols } else { cols };
+        let rings = vec![PcmMrr::new(&params); rows * cols];
         // Every fresh cell holds the same amorphous state in the same
         // ring design, so one amplitude serves them all.
-        let fresh = rings[0].round_trip_amplitude();
+        let fresh = rings[0].round_trip_amplitude(&geometry, &params);
         let mut bank = Self {
             rows,
             cols,
@@ -293,7 +295,7 @@ impl WeightBank {
             remapped: 0,
             identity,
             cell_identity: (0..rows * cols).map(|i| member_identity(identity, i as u64)).collect(),
-            varied,
+            resonance,
             half_sin: vec![0.0; tabled_rings * cols],
             held: vec![UNHELD; rows * cols],
             round_trip: vec![fresh; rows * cols],
@@ -313,9 +315,15 @@ impl WeightBank {
         bank
     }
 
+    /// Whether the rings carry fabrication variation.
+    #[inline]
+    fn varied(&self) -> bool {
+        !self.resonance.is_empty()
+    }
+
     /// Ring `idx`'s row of the detuning table.
     fn half_sin_slot(&self, idx: usize) -> usize {
-        if self.varied {
+        if self.varied() {
             idx
         } else {
             idx % self.cols
@@ -329,10 +337,18 @@ impl WeightBank {
         &self.half_sin[at..at + self.cols]
     }
 
+    /// The add-drop ring of slot `idx`: the bank's ring design at the
+    /// slot's resonance.
+    fn ring_at(&self, idx: usize) -> AddDropMrr {
+        let resonance =
+            if self.varied() { self.resonance[idx] } else { self.grid.channel(idx % self.cols) };
+        AddDropMrr::new(self.geometry, resonance)
+    }
+
     /// Re-derive ring `idx`'s detuning factor on every channel (its
     /// resonance is new).
     fn refresh_half_sin(&mut self, idx: usize) {
-        let ring = *self.rings[idx].ring();
+        let ring = self.ring_at(idx);
         let at = self.half_sin_slot(idx) * self.cols;
         for j in 0..self.cols {
             self.half_sin[at + j] = ring.half_phase_sin_factor(self.grid.channel(j));
@@ -363,7 +379,7 @@ impl WeightBank {
 
     /// Re-derive ring `idx`'s round-trip amplitude (its GST state is new).
     fn refresh_round_trip(&mut self, idx: usize) {
-        self.round_trip[idx] = self.rings[idx].round_trip_amplitude();
+        self.round_trip[idx] = self.rings[idx].round_trip_amplitude(&self.geometry, &self.params);
     }
 
     /// Bank rows (J).
@@ -438,7 +454,7 @@ impl WeightBank {
                 if self.holds(idx, w) {
                     continue;
                 }
-                match self.rings[idx].try_set_weight(w, &self.lut) {
+                match self.rings[idx].try_set_weight(&self.params, w, &self.lut) {
                     Ok(e) => {
                         self.held[idx] = w;
                         if e.value() > 0.0 {
@@ -460,7 +476,7 @@ impl WeightBank {
             }
         }
         let time = if spent.value() > 0.0 {
-            self.rings[0].cell().params().write_time
+            self.params.write_time
         } else {
             Nanoseconds(0.0)
         };
@@ -526,19 +542,18 @@ impl WeightBank {
                 // Wear-leveling: retire a cell that can no longer afford a
                 // worst-case retry sequence, so verified writes never run
                 // a cell past its endurance budget.
-                let remaining = self.rings[idx].cell().endurance_remaining();
+                let remaining = self.rings[idx].cell().endurance_remaining(&self.params);
                 if remaining < u64::from(policy.max_attempts) {
                     dirty = true;
                     if self.remap_slot(r, c).is_ok() {
                         report.remapped += 1;
                     } else {
-                        let cell = self.rings[idx].cell();
                         report.failures.push((
                             r,
                             c,
                             PcmError::WornOut {
-                                writes: cell.write_count(),
-                                endurance: cell.params().endurance_cycles,
+                                writes: self.rings[idx].write_count(),
+                                endurance: self.params.endurance_cycles,
                             },
                         ));
                         self.masked[idx] = true;
@@ -582,7 +597,7 @@ impl WeightBank {
         let mut remapped_retry = false;
         loop {
             let cell = self.cell_identity[idx];
-            match self.rings[idx].set_weight_verified(w, &self.lut, policy, cell) {
+            match self.rings[idx].set_weight_verified(&self.params, w, &self.lut, policy, cell) {
                 Ok(wr) => {
                     report.energy += wr.energy;
                     if wr.time.value() > report.time.value() {
@@ -632,14 +647,14 @@ impl WeightBank {
         let idx = r * self.cols + c;
         let spare = (self.rows * self.cols) as u64 + self.remapped;
         self.remapped += 1;
-        self.rings[idx] =
-            PcmMrr::new(AddDropMrr::new(self.geometry, self.grid.channel(c)), self.params);
+        self.rings[idx] = PcmMrr::new(&self.params);
         self.cell_identity[idx] = member_identity(self.identity, spare);
         self.masked[idx] = false;
         self.forget(idx);
         // A nominal spare resonates exactly where the unvaried bank's
         // shared table says ring `c` does.
-        if self.varied {
+        if self.varied() {
+            self.resonance[idx] = self.grid.channel(c);
             self.refresh_half_sin(idx);
         }
         self.refresh_round_trip(idx);
@@ -665,7 +680,7 @@ impl WeightBank {
     /// optics (the cell's transfer snaps to the stuck phase).
     pub fn inject_ring_fault(&mut self, r: usize, c: usize, fault: GstFault) {
         let idx = r * self.cols + c;
-        self.rings[idx].inject_fault(fault);
+        self.rings[idx].inject_fault(&self.params, fault);
         self.forget(idx);
         self.refresh_round_trip(idx);
         self.mark_stale(r);
@@ -704,7 +719,7 @@ impl WeightBank {
     /// legacy `age` body — reached only through the clock now).
     fn relax_cells(&mut self, years: f64) {
         for ring in &mut self.rings {
-            ring.age(years);
+            ring.age(&self.params, years);
         }
         self.held.fill(UNHELD);
         for idx in 0..self.rings.len() {
@@ -965,10 +980,9 @@ impl WeightBank {
                     }
                     continue;
                 }
-                let ring = self.rings[idx].ring();
                 let a = self.round_trip[idx];
                 for ((d, pj), &s) in lane.zip(&self.half_sin_of(idx)[j0..j0 + lanes]) {
-                    let t = ring.transfer_at(a, s);
+                    let t = self.geometry.transfer_at(a, s);
                     *d += *pj * t.drop;
                     *pj *= t.through;
                 }
@@ -1134,7 +1148,7 @@ impl WeightBank {
                 if self.masked[idx] {
                     continue;
                 }
-                let ring = self.rings[idx].ring();
+                let geometry = &self.geometry;
                 let a = self.round_trip[idx];
                 let s = &self.half_sin_of(idx)[c0..c0 + lanes];
                 // Lanes `..own_lo` sit downstream of ring `k`, lanes
@@ -1143,14 +1157,14 @@ impl WeightBank {
                 let own_lo = k.saturating_sub(c0).min(lanes);
                 let own_hi = (k + 1).saturating_sub(c0).min(lanes);
                 for (d, &sj) in down[..own_lo].iter_mut().zip(&s[..own_lo]) {
-                    *d *= ring.transfer_at(a, sj).through;
+                    *d *= geometry.transfer_at(a, sj).through;
                 }
                 for (o, &sj) in own[own_lo..own_hi].iter_mut().zip(&s[own_lo..own_hi]) {
-                    let t = ring.transfer_at(a, sj);
+                    let t = geometry.transfer_at(a, sj);
                     *o = (t.drop, t.through);
                 }
                 for (u, &sj) in up[own_hi..lanes].iter_mut().zip(&s[own_hi..]) {
-                    *u *= ring.transfer_at(a, sj).through;
+                    *u *= geometry.transfer_at(a, sj).through;
                 }
             }
             for (jj, v) in chunk.iter_mut().enumerate() {
@@ -1620,7 +1634,7 @@ mod equivalence_tests {
         if b.masked[idx] {
             return (0.0, 1.0);
         }
-        let t = b.rings[idx].transfer(b.grid.channel(j));
+        let t = b.rings[idx].transfer(&b.ring_at(idx), &b.params, b.grid.channel(j));
         (t.drop, t.through)
     }
 
@@ -1977,7 +1991,7 @@ mod equivalence_tests {
         if b.masked[idx] {
             return (0.0, 1.0);
         }
-        let t = b.rings[idx].ring().transfer_at(b.round_trip[idx], b.half_sin_of(idx)[j]);
+        let t = b.geometry.transfer_at(b.round_trip[idx], b.half_sin_of(idx)[j]);
         (t.drop, t.through)
     }
 

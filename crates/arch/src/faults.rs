@@ -52,22 +52,25 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan with `rate` of all cells stuck, split between the phases
     /// (void formation pins most wear-out failures near the amorphous
-    /// state, so the split leans 70/30). A `rate` that puts a phase
-    /// outside `[0, 1]` (NaN, or above 1/0.7) is caught by
-    /// [`FaultPlan::validate`] at injection.
+    /// state, so the split leans 70/30). A `rate` outside `[0, 1]`
+    /// (NaN included) is caught by [`FaultPlan::validate`] at injection.
     pub fn stuck_cells(rate: f64, seed: u64) -> Self {
         Self { stuck_amorphous: 0.7 * rate, stuck_crystalline: 0.3 * rate, seed, ..Self::default() }
     }
 
     /// The first field outside its range, as a typed error naming it:
-    /// every rate must lie in `[0, 1]`, `laser_droop` in `[0, 1)` and
-    /// `drift_years` must be finite and non-negative.
+    /// every rate must lie in `[0, 1]`, and so must the two stuck rates'
+    /// sum (a ring sticks in one phase or the other, never both);
+    /// `laser_droop` must lie in `[0, 1)` and `drift_years` must be finite
+    /// and non-negative.
     pub fn validate(&self) -> Result<(), ArchError> {
         let rate = |v: f64| (0.0..=1.0).contains(&v);
         let years = (0.0..f64::INFINITY).contains(&self.drift_years);
+        let stuck = self.stuck_amorphous + self.stuck_crystalline;
         let checks = [
             ("stuck_amorphous", self.stuck_amorphous, rate(self.stuck_amorphous), "[0, 1]"),
             ("stuck_crystalline", self.stuck_crystalline, rate(self.stuck_crystalline), "[0, 1]"),
+            ("stuck_amorphous + stuck_crystalline", stuck, rate(stuck), "[0, 1]"),
             ("dead_rings", self.dead_rings, rate(self.dead_rings), "[0, 1]"),
             ("laser_droop", self.laser_droop, (0.0..1.0).contains(&self.laser_droop), "[0, 1)"),
             ("drift_years", self.drift_years, years, "[0, inf)"),

@@ -159,9 +159,12 @@ pub struct WriteReport {
 
 /// One stateful GST cell.
 ///
-/// The cell tracks its programmed level, the physical crystallinity that
-/// level corresponds to, the cumulative energy spent programming/reading
-/// it, and its switching-cycle wear.
+/// The cell holds only what changes: its programmed level, the physical
+/// crystallinity that level corresponds to, its switching-cycle wear and
+/// its hard fault. The device constants are the [`GstParameters`] its
+/// owner passes to every operation (a weight bank keeps one copy for all
+/// of its cells), so a cell must always be driven with the parameters it
+/// was built with.
 ///
 /// A cell is written at an arbitrary crystallinity associated with a level
 /// index, either ideally ([`GstCell::try_program_calibrated`]) or closed
@@ -171,48 +174,26 @@ pub struct WriteReport {
 /// multi-level PCM demonstrations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GstCell {
-    params: GstParameters,
-    /// Current level index, `0 = fully amorphous … levels-1 = fully
-    /// crystalline` (or a calibrated level's index).
-    level: u16,
     /// Physical crystallinity fraction the cell currently holds.
     crystallinity: f64,
     writes: u64,
-    reads: u64,
-    energy_spent: EnergyPj,
+    /// Current level index, `0 = fully amorphous … levels-1 = fully
+    /// crystalline` (or a calibrated level's index).
+    level: u16,
     /// Hard fault, if one has been injected (or caused by wear).
     fault: Option<GstFault>,
 }
 
 impl GstCell {
-    /// A fresh cell in the fully amorphous (transparent) state.
-    pub fn new(params: GstParameters) -> Self {
+    /// A fresh cell of a device with constants `params`, in the fully
+    /// amorphous (transparent) state.
+    pub fn new(params: &GstParameters) -> Self {
         assert!(params.levels >= 2, "a GST cell needs at least 2 levels");
         assert!(
             params.crystalline_amplitude < params.amorphous_amplitude,
             "crystalline GST must absorb more than amorphous"
         );
-        Self {
-            params,
-            level: 0,
-            crystallinity: 0.0,
-            writes: 0,
-            reads: 0,
-            energy_spent: EnergyPj::ZERO,
-            fault: None,
-        }
-    }
-
-    /// A fresh cell with the paper's default parameters.
-    #[cfg(test)]
-    fn with_defaults() -> Self {
-        Self::new(GstParameters::default())
-    }
-
-    /// Device constants.
-    #[inline]
-    pub fn params(&self) -> &GstParameters {
-        &self.params
+        Self { crystallinity: 0.0, writes: 0, level: 0, fault: None }
     }
 
     /// Current quantized level (0 = amorphous).
@@ -229,8 +210,8 @@ impl GstCell {
 
     /// Amplitude transmission of the cell in its current state.
     #[inline]
-    pub fn amplitude(&self) -> f64 {
-        self.params.amplitude_at(self.crystallinity())
+    pub fn amplitude(&self, params: &GstParameters) -> f64 {
+        params.amplitude_at(self.crystallinity())
     }
 
     /// Ideal calibrated write: set the cell to `crystallinity`, recording
@@ -242,11 +223,12 @@ impl GstCell {
     /// `[0, 1]` surface as [`PcmError`]s.
     pub fn try_program_calibrated(
         &mut self,
+        params: &GstParameters,
         level: u16,
         crystallinity: f64,
     ) -> Result<EnergyPj, PcmError> {
-        if level >= self.params.levels {
-            return Err(PcmError::LevelOutOfRange { level, levels: self.params.levels });
+        if level >= params.levels {
+            return Err(PcmError::LevelOutOfRange { level, levels: params.levels });
         }
         if !(0.0..=1.0).contains(&crystallinity) {
             return Err(PcmError::CrystallinityOutOfRange(crystallinity));
@@ -257,17 +239,13 @@ impl GstCell {
         if let Some(fault) = self.fault {
             return Err(PcmError::StuckCell { fault, requested_level: level });
         }
-        if self.is_worn_out() {
-            return Err(PcmError::WornOut {
-                writes: self.writes,
-                endurance: self.params.endurance_cycles,
-            });
+        if self.is_worn_out(params) {
+            return Err(PcmError::WornOut { writes: self.writes, endurance: params.endurance_cycles });
         }
         self.level = level;
         self.crystallinity = crystallinity;
         self.writes += 1;
-        self.energy_spent += self.params.write_energy;
-        Ok(self.params.write_energy)
+        Ok(params.write_energy)
     }
 
     /// Closed-loop program-and-verify write to calibrated level `level` at
@@ -288,14 +266,15 @@ impl GstCell {
     /// depends on what any other cell did.
     pub fn program_verified(
         &mut self,
+        params: &GstParameters,
         level: u16,
         crystallinity: f64,
         tolerance: f64,
         policy: &WriteVerifyPolicy,
         identity: u64,
     ) -> Result<WriteReport, PcmError> {
-        if level >= self.params.levels {
-            return Err(PcmError::LevelOutOfRange { level, levels: self.params.levels });
+        if level >= params.levels {
+            return Err(PcmError::LevelOutOfRange { level, levels: params.levels });
         }
         if !(0.0..=1.0).contains(&crystallinity) {
             return Err(PcmError::CrystallinityOutOfRange(crystallinity));
@@ -315,12 +294,12 @@ impl GstCell {
         }
         let mut energy = EnergyPj::ZERO;
         let mut time = Nanoseconds(0.0);
-        let mut pulse_energy = self.params.write_energy;
+        let mut pulse_energy = params.write_energy;
         for attempt in 1..=policy.max_attempts {
-            if self.is_worn_out() {
+            if self.is_worn_out(params) {
                 return Err(PcmError::WornOut {
                     writes: self.writes,
-                    endurance: self.params.endurance_cycles,
+                    endurance: params.endurance_cycles,
                 });
             }
             // Partial pulse: corrects a jittered fraction of the remaining
@@ -332,14 +311,11 @@ impl GstCell {
             self.crystallinity += (crystallinity - self.crystallinity) * gain;
             self.crystallinity = self.crystallinity.clamp(0.0, 1.0);
             self.writes += 1;
-            self.energy_spent += pulse_energy;
             energy += pulse_energy;
-            time += self.params.write_time;
+            time += params.write_time;
             pulse_energy = EnergyPj(pulse_energy.value() * policy.energy_escalation);
             // Verify with a read-back probe.
-            self.reads += 1;
-            self.energy_spent += self.params.read_energy;
-            energy += self.params.read_energy;
+            energy += params.read_energy;
             if (self.crystallinity - crystallinity).abs() <= tolerance {
                 self.level = level;
                 trident_obs::add(trident_obs::Counter::PcmVerifyAttempts, u64::from(attempt));
@@ -362,7 +338,7 @@ impl GstCell {
     /// Pin the cell in a hard fault state. The stored crystallinity jumps
     /// to the stuck phase immediately and all subsequent writes fail with
     /// [`PcmError::StuckCell`].
-    pub fn inject_fault(&mut self, fault: GstFault) {
+    pub fn inject_fault(&mut self, params: &GstParameters, fault: GstFault) {
         self.fault = Some(fault);
         match fault {
             GstFault::StuckAmorphous => {
@@ -370,7 +346,7 @@ impl GstCell {
                 self.crystallinity = 0.0;
             }
             GstFault::StuckCrystalline => {
-                self.level = self.params.levels - 1;
+                self.level = params.levels - 1;
                 self.crystallinity = 1.0;
             }
         }
@@ -382,40 +358,20 @@ impl GstCell {
         self.fault
     }
 
-    /// Read the cell with a low-power probe pulse. Returns the amplitude
-    /// transmission; reading is non-destructive but costs energy.
-    pub fn read(&mut self) -> f64 {
-        self.reads += 1;
-        self.energy_spent += self.params.read_energy;
-        self.amplitude()
-    }
-
     /// Number of programming events so far.
     #[inline]
     pub fn write_count(&self) -> u64 {
         self.writes
     }
 
-    /// Number of read probes so far.
-    #[cfg(test)]
-    fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total optical energy delivered to the cell.
-    #[inline]
-    pub fn energy_spent(&self) -> EnergyPj {
-        self.energy_spent
-    }
-
     /// Remaining endurance cycles.
-    pub fn endurance_remaining(&self) -> u64 {
-        self.params.endurance_cycles.saturating_sub(self.writes)
+    pub fn endurance_remaining(&self, params: &GstParameters) -> u64 {
+        params.endurance_cycles.saturating_sub(self.writes)
     }
 
     /// True once the cell has consumed its endurance budget.
-    pub fn is_worn_out(&self) -> bool {
-        self.writes >= self.params.endurance_cycles
+    pub fn is_worn_out(&self, params: &GstParameters) -> bool {
+        self.writes >= params.endurance_cycles
     }
 
     /// Age the cell by `years`: amorphous marks relax toward the
@@ -429,21 +385,21 @@ impl GstCell {
     /// advance a [`crate::stat::DegradationClock`] (the weight bank's
     /// `advance_years`) instead of aging cells directly, so simulated
     /// deployment time has exactly one source.
-    pub fn age(&mut self, years: f64) {
+    pub fn age(&mut self, params: &GstParameters, years: f64) {
         self.crystallinity = crate::stat::relaxed_crystallinity(
             self.crystallinity,
-            self.params.drift_per_decade(),
+            params.drift_per_decade(),
             years,
-            self.params.retention_years,
+            params.retention_years,
         );
     }
 
     /// Drift of the stored level in LSBs after `years` (for a fresh copy;
     /// non-destructive query).
-    pub fn projected_drift_lsb(&self, years: f64) -> f64 {
+    pub fn projected_drift_lsb(&self, params: &GstParameters, years: f64) -> f64 {
         let mut aged = self.clone();
-        aged.age(years);
-        (aged.crystallinity() - self.crystallinity()).abs() * f64::from(self.params.levels - 1)
+        aged.age(params, years);
+        (aged.crystallinity() - self.crystallinity()).abs() * f64::from(params.levels - 1)
     }
 }
 
@@ -452,10 +408,20 @@ mod tests {
     use super::*;
     use crate::error::PcmError;
 
+    /// A fresh cell of the paper's default device, with its constants.
+    fn with_defaults() -> (GstCell, GstParameters) {
+        let params = GstParameters::default();
+        (GstCell::new(&params), params)
+    }
+
     /// Write `level` at its uniform-grid crystallinity, `level / (levels − 1)`.
-    fn program_level(c: &mut GstCell, level: u16) -> Result<EnergyPj, PcmError> {
-        let crystallinity = f64::from(level) / f64::from(c.params().levels - 1);
-        c.try_program_calibrated(level, crystallinity)
+    fn program_level(
+        c: &mut GstCell,
+        params: &GstParameters,
+        level: u16,
+    ) -> Result<EnergyPj, PcmError> {
+        let crystallinity = f64::from(level) / f64::from(params.levels - 1);
+        c.try_program_calibrated(params, level, crystallinity)
     }
 
     #[test]
@@ -486,56 +452,43 @@ mod tests {
 
     #[test]
     fn programming_costs_energy_only_on_change() {
-        let mut c = GstCell::with_defaults();
-        assert_eq!(program_level(&mut c, 100).unwrap(), EnergyPj(660.0));
+        let (mut c, p) = with_defaults();
+        assert_eq!(program_level(&mut c, &p, 100).unwrap(), EnergyPj(660.0));
         assert_eq!(
-            program_level(&mut c, 100).unwrap(),
+            program_level(&mut c, &p, 100).unwrap(),
             EnergyPj::ZERO,
             "re-programming same level is free"
         );
         assert_eq!(c.write_count(), 1);
-        assert_eq!(program_level(&mut c, 0).unwrap(), EnergyPj(660.0));
+        assert_eq!(program_level(&mut c, &p, 0).unwrap(), EnergyPj(660.0));
         assert_eq!(c.write_count(), 2);
-        assert_eq!(c.energy_spent(), EnergyPj(1320.0));
-    }
-
-    #[test]
-    fn reads_are_nondestructive_but_cost_energy() {
-        let mut c = GstCell::with_defaults();
-        program_level(&mut c, 200).unwrap();
-        let before = c.level();
-        let a1 = c.read();
-        let a2 = c.read();
-        assert_eq!(c.level(), before);
-        assert_eq!(a1, a2);
-        assert_eq!(c.read_count(), 2);
-        assert_eq!(c.energy_spent(), EnergyPj(660.0 + 40.0));
     }
 
     #[test]
     fn endurance_depletes_with_writes() {
         let params = GstParameters { endurance_cycles: 3, ..GstParameters::default() };
-        let mut c = GstCell::new(params);
-        program_level(&mut c, 1).unwrap();
-        program_level(&mut c, 2).unwrap();
-        program_level(&mut c, 3).unwrap();
-        assert!(c.is_worn_out());
-        assert_eq!(c.endurance_remaining(), 0);
+        let mut c = GstCell::new(&params);
+        program_level(&mut c, &params, 1).unwrap();
+        program_level(&mut c, &params, 2).unwrap();
+        program_level(&mut c, &params, 3).unwrap();
+        assert!(c.is_worn_out(&params));
+        assert_eq!(c.endurance_remaining(&params), 0);
     }
 
     #[test]
     #[should_panic]
     fn worn_cell_refuses_writes() {
         let params = GstParameters { endurance_cycles: 1, ..GstParameters::default() };
-        let mut c = GstCell::new(params);
-        program_level(&mut c, 1).unwrap();
-        program_level(&mut c, 2).unwrap();
+        let mut c = GstCell::new(&params);
+        program_level(&mut c, &params, 1).unwrap();
+        program_level(&mut c, &params, 2).unwrap();
     }
 
     #[test]
     #[should_panic]
     fn out_of_range_level_rejected() {
-        program_level(&mut GstCell::with_defaults(), 255).unwrap();
+        let (mut c, p) = with_defaults();
+        program_level(&mut c, &p, 255).unwrap();
     }
 
     #[test]
@@ -543,25 +496,25 @@ mod tests {
         // §III-B: "non-volatile for up to 10 years" — at the rated
         // lifetime the stored level has drifted at most half an 8-bit
         // step, so every level remains distinguishable.
-        let mut c = GstCell::with_defaults();
-        program_level(&mut c, 100).unwrap();
-        assert!(c.projected_drift_lsb(10.0) <= 0.5 + 1e-9);
-        assert!(c.projected_drift_lsb(1.0) < 0.1);
+        let (mut c, p) = with_defaults();
+        program_level(&mut c, &p, 100).unwrap();
+        assert!(c.projected_drift_lsb(&p, 10.0) <= 0.5 + 1e-9);
+        assert!(c.projected_drift_lsb(&p, 1.0) < 0.1);
         // Far beyond the rating the state decays measurably.
-        assert!(c.projected_drift_lsb(100.0) > 2.0);
+        assert!(c.projected_drift_lsb(&p, 100.0) > 2.0);
     }
 
     #[test]
     fn aging_moves_toward_crystalline_only() {
-        let mut amorphous = GstCell::with_defaults();
-        program_level(&mut amorphous, 0).unwrap();
+        let (mut amorphous, p) = with_defaults();
+        program_level(&mut amorphous, &p, 0).unwrap();
         let before = amorphous.crystallinity();
-        amorphous.age(10.0);
+        amorphous.age(&p, 10.0);
         assert!(amorphous.crystallinity() >= before, "drift recrystallizes");
 
-        let mut crystalline = GstCell::with_defaults();
-        program_level(&mut crystalline, 254).unwrap();
-        crystalline.age(50.0);
+        let (mut crystalline, _) = with_defaults();
+        program_level(&mut crystalline, &p, 254).unwrap();
+        crystalline.age(&p, 50.0);
         assert!(
             (crystalline.crystallinity() - 1.0).abs() < 1e-9,
             "the crystalline ground state is stable"
@@ -570,51 +523,53 @@ mod tests {
 
     #[test]
     fn stuck_cell_rejects_writes_with_typed_error() {
-        let mut c = GstCell::with_defaults();
-        program_level(&mut c, 100).unwrap();
-        c.inject_fault(GstFault::StuckCrystalline);
+        let (mut c, p) = with_defaults();
+        program_level(&mut c, &p, 100).unwrap();
+        c.inject_fault(&p, GstFault::StuckCrystalline);
         assert_eq!(c.level(), 254);
         assert!((c.crystallinity() - 1.0).abs() < 1e-12);
-        let err = program_level(&mut c, 10).unwrap_err();
+        let err = program_level(&mut c, &p, 10).unwrap_err();
         assert!(matches!(
             err,
             PcmError::StuckCell { fault: GstFault::StuckCrystalline, requested_level: 10 }
         ));
         // Writing the stuck state itself is a free no-op, not an error.
-        assert_eq!(program_level(&mut c, 254).unwrap(), EnergyPj::ZERO);
+        assert_eq!(program_level(&mut c, &p, 254).unwrap(), EnergyPj::ZERO);
     }
 
     #[test]
     fn worn_cell_yields_typed_error_from_try_path() {
         let params = GstParameters { endurance_cycles: 1, ..GstParameters::default() };
-        let mut c = GstCell::new(params);
-        program_level(&mut c, 1).unwrap();
-        let err = program_level(&mut c, 2).unwrap_err();
+        let mut c = GstCell::new(&params);
+        program_level(&mut c, &params, 1).unwrap();
+        let err = program_level(&mut c, &params, 2).unwrap_err();
         assert!(matches!(err, PcmError::WornOut { writes: 1, endurance: 1 }));
     }
 
     #[test]
     fn program_verified_converges_and_accounts_pulses() {
-        let mut c = GstCell::with_defaults();
+        let (mut c, p) = with_defaults();
         let policy = WriteVerifyPolicy::default();
-        let report = c.program_verified(127, 0.5, 1e-4, &policy, 42).unwrap();
+        let report = c.program_verified(&p, 127, 0.5, 1e-4, &policy, 42).unwrap();
         assert!(report.pulses >= 1 && report.pulses <= policy.max_attempts);
         assert!((c.crystallinity() - 0.5).abs() <= 1e-4);
         assert_eq!(c.level(), 127);
         assert_eq!(c.write_count() as u32, report.pulses);
-        assert_eq!(c.read_count() as u32, report.pulses, "one verify read per pulse");
-        assert!(report.energy.value() >= report.pulses as f64 * 660.0);
+        // Each pulse is billed with one verify read.
+        let pulses: f64 = (0..report.pulses).map(|k| 660.0 * 1.15f64.powi(k as i32)).sum();
+        let reads = f64::from(report.pulses) * 20.0;
+        assert!((report.energy.value() - (pulses + reads)).abs() < 1e-9 * (pulses + reads));
         // Re-verifying the same state is a non-volatile no-op.
-        let again = c.program_verified(127, 0.5, 1e-4, &policy, 42).unwrap();
+        let again = c.program_verified(&p, 127, 0.5, 1e-4, &policy, 42).unwrap();
         assert_eq!(again.pulses, 0);
         assert_eq!(again.energy, EnergyPj::ZERO);
     }
 
     #[test]
     fn program_verified_escalates_pulse_energy() {
-        let mut c = GstCell::with_defaults();
+        let (mut c, p) = with_defaults();
         let policy = WriteVerifyPolicy::default();
-        let report = c.program_verified(254, 1.0, 1e-6, &policy, 1).unwrap();
+        let report = c.program_verified(&p, 254, 1.0, 1e-6, &policy, 1).unwrap();
         if report.pulses >= 2 {
             // Total write energy strictly exceeds pulses × base energy
             // because retries escalate.
@@ -627,9 +582,9 @@ mod tests {
     fn program_verified_fails_within_bound_on_impossible_tolerance() {
         // An unreachable tolerance must exhaust the retry budget and
         // surface a typed error, never loop forever or panic.
-        let mut c = GstCell::with_defaults();
+        let (mut c, p) = with_defaults();
         let policy = WriteVerifyPolicy { max_attempts: 4, ..WriteVerifyPolicy::default() };
-        let err = c.program_verified(127, 0.5, 1e-15, &policy, 3).unwrap_err();
+        let err = c.program_verified(&p, 127, 0.5, 1e-15, &policy, 3).unwrap_err();
         match err {
             PcmError::WriteVerifyFailed { attempts, level, .. } => {
                 assert_eq!(attempts, 4);

@@ -43,7 +43,7 @@ pub struct WeightLut {
     /// Calibrated crystallinity realising each level.
     crystallinity_by_level: Vec<f64>,
     /// Net round-trip amplitude of the calibrating ring at each level's
-    /// crystallinity ([`AddDropMrr::round_trip_amplitude`]).
+    /// crystallinity ([`MrrGeometry::round_trip_amplitude`]).
     round_trip_by_level: Vec<f64>,
     /// Scale applied to normalized weights: `w_raw = scale * w`.
     scale: f64,
@@ -85,7 +85,7 @@ impl WeightLut {
             let c = 0.5 * (lo + hi);
             raw_by_level.push(raw_of(c));
             crystallinity_by_level.push(c);
-            round_trip_by_level.push(ring.round_trip_amplitude(params.amplitude_at(c)));
+            round_trip_by_level.push(ring.geometry().round_trip_amplitude(params.amplitude_at(c)));
         }
         Self { raw_by_level, crystallinity_by_level, round_trip_by_level, scale }
     }
@@ -209,25 +209,27 @@ impl WeightLut {
     }
 }
 
-/// One weight unit of the bank: an add-drop ring with an embedded GST cell.
+/// One weight unit of the bank: the GST cell embedded in an add-drop
+/// ring, with its write-failure tally.
+///
+/// The unit holds only what changes per ring. The ring design
+/// ([`MrrGeometry`]) and the GST recipe ([`GstParameters`]) are the same
+/// for every unit of a bank, so the bank keeps one copy of each and
+/// passes them to the operations that need them; where the ring
+/// resonates matters only to [`PcmMrr::transfer`], which takes the whole
+/// [`AddDropMrr`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcmMrr {
-    ring: AddDropMrr,
     cell: GstCell,
     /// Writes that ended in a verify failure or stuck-cell rejection.
     write_failures: u64,
 }
 
 impl PcmMrr {
-    /// Assemble a weight unit from a ring and a fresh GST cell.
-    pub fn new(ring: AddDropMrr, params: GstParameters) -> Self {
-        Self { ring, cell: GstCell::new(params), write_failures: 0 }
-    }
-
-    /// The underlying ring.
-    #[inline]
-    pub fn ring(&self) -> &AddDropMrr {
-        &self.ring
+    /// A weight unit of a device with GST constants `params`, its cell
+    /// fresh.
+    pub fn new(params: &GstParameters) -> Self {
+        Self { cell: GstCell::new(params), write_failures: 0 }
     }
 
     /// The embedded GST cell.
@@ -241,9 +243,14 @@ impl PcmMrr {
     /// (zero when the level is unchanged — non-volatility). Out-of-range
     /// weights, faults and wear surface as [`PcmError`]s; the closed-loop
     /// path is [`PcmMrr::set_weight_verified`].
-    pub fn try_set_weight(&mut self, w: f64, lut: &WeightLut) -> Result<EnergyPj, PcmError> {
+    pub fn try_set_weight(
+        &mut self,
+        params: &GstParameters,
+        w: f64,
+        lut: &WeightLut,
+    ) -> Result<EnergyPj, PcmError> {
         let level = lut.try_level_for(w)?;
-        let result = self.cell.try_program_calibrated(level, lut.crystallinity_at(level));
+        let result = self.cell.try_program_calibrated(params, level, lut.crystallinity_at(level));
         if matches!(result, Err(PcmError::StuckCell { .. })) {
             self.write_failures += 1;
         }
@@ -257,6 +264,7 @@ impl PcmMrr {
     /// tallied in [`PcmMrr::write_failures`].
     pub fn set_weight_verified(
         &mut self,
+        params: &GstParameters,
         w: f64,
         lut: &WeightLut,
         policy: &WriteVerifyPolicy,
@@ -264,6 +272,7 @@ impl PcmMrr {
     ) -> Result<WriteReport, PcmError> {
         let level = lut.try_level_for(w)?;
         let result = self.cell.program_verified(
+            params,
             level,
             lut.crystallinity_at(level),
             lut.verify_tolerance(level),
@@ -280,14 +289,14 @@ impl PcmMrr {
     }
 
     /// Pin the embedded cell in a hard fault state.
-    pub fn inject_fault(&mut self, fault: GstFault) {
-        self.cell.inject_fault(fault);
+    pub fn inject_fault(&mut self, params: &GstParameters, fault: GstFault) {
+        self.cell.inject_fault(params, fault);
     }
 
     /// Age the embedded cell by `years` of amorphous drift
     /// (see [`GstCell::age`]).
-    pub fn age(&mut self, years: f64) {
-        self.cell.age(years);
+    pub fn age(&mut self, params: &GstParameters, years: f64) {
+        self.cell.age(params, years);
     }
 
     /// The embedded cell's hard fault, if any.
@@ -307,25 +316,21 @@ impl PcmMrr {
         lut.weight_at(self.cell.level())
     }
 
-    /// Net round-trip amplitude of the ring with the current GST state
-    /// (see [`AddDropMrr::round_trip_amplitude`]).
-    pub fn round_trip_amplitude(&self) -> f64 {
-        self.ring.round_trip_amplitude(self.cell.amplitude())
+    /// Net round-trip amplitude of a ring of `geometry` with the current
+    /// GST state (see [`MrrGeometry::round_trip_amplitude`]).
+    pub fn round_trip_amplitude(&self, geometry: &MrrGeometry, params: &GstParameters) -> f64 {
+        geometry.round_trip_amplitude(self.cell.amplitude(params))
     }
 
-    /// Optical response at wavelength `λ` with the current GST state.
-    pub fn transfer(&self, lambda: Wavelength) -> PortTransfer {
-        self.ring.transfer(lambda, self.cell.amplitude())
-    }
-
-    /// Optical response exactly on the ring's channel.
-    pub fn transfer_on_resonance(&self) -> PortTransfer {
-        self.ring.transfer_on_resonance(self.cell.amplitude())
-    }
-
-    /// Cumulative optical energy delivered to this unit.
-    pub fn energy_spent(&self) -> EnergyPj {
-        self.cell.energy_spent()
+    /// Optical response at wavelength `λ` of the unit in `ring`, with the
+    /// current GST state.
+    pub fn transfer(
+        &self,
+        ring: &AddDropMrr,
+        params: &GstParameters,
+        lambda: Wavelength,
+    ) -> PortTransfer {
+        ring.transfer(lambda, self.cell.amplitude(params))
     }
 
     /// Number of reprogramming events.
@@ -412,9 +417,10 @@ mod tests {
     #[test]
     fn set_weight_round_trips_within_half_lsb() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
         for &w in &[0.75, -0.3, 0.0, 1.0, -1.0, 0.123] {
-            unit.try_set_weight(w, &l).unwrap();
+            unit.try_set_weight(&p, w, &l).unwrap();
             assert!(
                 (unit.weight(&l) - w).abs() <= 0.5 * LSB + 1e-6,
                 "w={w} read back as {}",
@@ -426,9 +432,10 @@ mod tests {
     #[test]
     fn reprogramming_same_weight_is_free() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        let e1 = unit.try_set_weight(0.5, &l).unwrap();
-        let e2 = unit.try_set_weight(0.5, &l).unwrap();
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
+        let e1 = unit.try_set_weight(&p, 0.5, &l).unwrap();
+        let e2 = unit.try_set_weight(&p, 0.5, &l).unwrap();
         assert!(e1.value() > 0.0);
         assert_eq!(e2, EnergyPj::ZERO);
         assert_eq!(unit.write_count(), 1);
@@ -437,10 +444,11 @@ mod tests {
     #[test]
     fn balanced_transfer_matches_programmed_weight() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
         for &w in &[0.4, -0.8, 0.05] {
-            unit.try_set_weight(w, &l).unwrap();
-            let t = unit.transfer_on_resonance();
+            unit.try_set_weight(&p, w, &l).unwrap();
+            let t = unit.transfer(&ring(), &p, ring().resonance());
             let raw = t.drop - t.through;
             assert!(
                 (raw / l.scale() - w).abs() <= LSB,
@@ -453,10 +461,11 @@ mod tests {
     #[test]
     fn verified_write_reaches_every_queried_level() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
         let policy = WriteVerifyPolicy::default();
         for &w in &[1.0, -1.0, 0.0, 0.37, -0.81] {
-            let report = unit.set_weight_verified(w, &l, &policy, 9).unwrap();
+            let report = unit.set_weight_verified(&p, w, &l, &policy, 9).unwrap();
             assert!(report.pulses <= policy.max_attempts);
             assert!(
                 (unit.weight(&l) - w).abs() <= 0.5 * LSB + 1e-6,
@@ -470,14 +479,15 @@ mod tests {
     #[test]
     fn stuck_unit_tallies_write_failures() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        unit.inject_fault(GstFault::StuckAmorphous);
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
+        unit.inject_fault(&p, GstFault::StuckAmorphous);
         let err = unit
-            .set_weight_verified(-0.5, &l, &WriteVerifyPolicy::default(), 2)
+            .set_weight_verified(&p, -0.5, &l, &WriteVerifyPolicy::default(), 2)
             .unwrap_err();
         assert!(matches!(err, PcmError::StuckCell { .. }));
         assert_eq!(unit.write_failures(), 1);
-        assert!(unit.try_set_weight(-0.5, &l).is_err());
+        assert!(unit.try_set_weight(&p, -0.5, &l).is_err());
         assert_eq!(unit.write_failures(), 2);
         // The stuck-amorphous phase reads as the most positive weight.
         assert!((unit.weight(&l) - 1.0).abs() < 1e-9);
@@ -510,13 +520,13 @@ mod tests {
         for levels in [255, 63] {
             let params = GstParameters { levels, ..GstParameters::default() };
             let l = WeightLut::shared(&params);
-            let mut unit = PcmMrr::new(channel, params);
+            let mut unit = PcmMrr::new(&params);
             for lvl in 0..l.levels() {
-                unit.try_set_weight(l.weight_at(lvl).clamp(-1.0, 1.0), &l).unwrap();
+                unit.try_set_weight(&params, l.weight_at(lvl).clamp(-1.0, 1.0), &l).unwrap();
                 assert_eq!(unit.cell().level(), lvl, "{levels} levels: write missed level {lvl}");
                 assert_eq!(
                     l.round_trip_at(lvl).to_bits(),
-                    unit.round_trip_amplitude().to_bits(),
+                    unit.round_trip_amplitude(channel.geometry(), &params).to_bits(),
                     "{levels} levels: level {lvl}"
                 );
             }
@@ -526,9 +536,10 @@ mod tests {
     #[test]
     fn off_resonance_input_mostly_ignored() {
         let l = lut();
-        let mut unit = PcmMrr::new(ring(), GstParameters::default());
-        unit.try_set_weight(1.0, &l).unwrap();
-        let t = unit.transfer(Wavelength::from_nm(1551.6));
+        let p = GstParameters::default();
+        let mut unit = PcmMrr::new(&p);
+        unit.try_set_weight(&p, 1.0, &l).unwrap();
+        let t = unit.transfer(&ring(), &p, Wavelength::from_nm(1551.6));
         assert!(t.through > 0.9, "neighbouring channel should pass through");
     }
 }
@@ -551,9 +562,10 @@ mod prop_tests {
             let lut = WeightLut::shared(&GstParameters::default());
             let ring =
                 AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
-            let mut unit = PcmMrr::new(ring, GstParameters::default());
-            unit.try_set_weight(w, &lut).unwrap();
-            let t = unit.transfer(Wavelength::from_nm(1550.0 + detune));
+            let p = GstParameters::default();
+            let mut unit = PcmMrr::new(&p);
+            unit.try_set_weight(&p, w, &lut).unwrap();
+            let t = unit.transfer(&ring, &p, Wavelength::from_nm(1550.0 + detune));
             prop_assert!(t.drop >= 0.0 && t.drop <= 1.0);
             prop_assert!(t.through >= 0.0 && t.through <= 1.0);
             prop_assert!(t.drop + t.through <= 1.0 + 1e-9);

@@ -84,6 +84,42 @@ impl MrrGeometry {
         10f64.powf(-loss_db / 20.0)
     }
 
+    /// Net round-trip amplitude for an additional amplitude transmission
+    /// `extra_amplitude` contributed by an intra-cavity element (GST cell):
+    /// the per-ring factor of [`MrrGeometry::transfer_at`]. It depends on
+    /// the ring's geometry alone, not on where it resonates.
+    pub fn round_trip_amplitude(&self, extra_amplitude: f64) -> f64 {
+        assert!(
+            (0.0..=1.0).contains(&extra_amplitude),
+            "extra amplitude transmission {extra_amplitude} outside [0, 1]"
+        );
+        self.intrinsic_round_trip_amplitude() * extra_amplitude
+    }
+
+    /// The closed-form port transmissions for a net round-trip amplitude
+    /// `a` ([`MrrGeometry::round_trip_amplitude`]) and detuning factor
+    /// `s = sin(φ/2)` ([`AddDropMrr::half_phase_sin_factor`]) of a ring of
+    /// this geometry. Callers that re-evaluate one ring at fixed
+    /// wavelengths cache both factors and pay only this rational function
+    /// per evaluation.
+    pub fn transfer_at(&self, a: f64, s: f64) -> PortTransfer {
+        let t = self.self_coupling;
+        let kappa_sq = 1.0 - t * t;
+        let resonant_term = 4.0 * t * t * a * s * s;
+        let denom = {
+            let d = 1.0 - t * t * a;
+            d * d + resonant_term
+        };
+        let through = {
+            let n = t - t * a;
+            (n * n + resonant_term) / denom
+        };
+        let drop = kappa_sq * kappa_sq * a / denom;
+        debug_assert!((0.0..=1.0 + 1e-9).contains(&through), "through={through}");
+        debug_assert!((0.0..=1.0 + 1e-9).contains(&drop), "drop={drop}");
+        PortTransfer { through: through.min(1.0), drop: drop.min(1.0) }
+    }
+
     /// Footprint estimate: bounding square around the ring plus bus clearance.
     pub fn footprint(&self) -> AreaUm2 {
         let side = 2.0 * self.radius_um + 4.0;
@@ -164,19 +200,8 @@ impl AddDropMrr {
         2.0 * std::f64::consts::PI * self.resonance.detuning_nm(lambda) / self.fsr_nm()
     }
 
-    /// Net round-trip amplitude for an additional amplitude transmission
-    /// `extra_amplitude` contributed by an intra-cavity element (GST cell):
-    /// the per-ring factor of [`AddDropMrr::transfer_at`].
-    pub fn round_trip_amplitude(&self, extra_amplitude: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&extra_amplitude),
-            "extra amplitude transmission {extra_amplitude} outside [0, 1]"
-        );
-        self.geometry.intrinsic_round_trip_amplitude() * extra_amplitude
-    }
-
     /// `sin(φ/2)` of the round-trip detuning at wavelength `λ`: the
-    /// per-channel factor of [`AddDropMrr::transfer_at`]. It depends only
+    /// per-channel factor of [`MrrGeometry::transfer_at`]. It depends only
     /// on the resonance, never on the GST state.
     pub fn half_phase_sin_factor(&self, lambda: Wavelength) -> f64 {
         (self.phase_detuning_rad(lambda) / 2.0).sin()
@@ -185,31 +210,8 @@ impl AddDropMrr {
     /// Port transmissions at wavelength `λ` with an intra-cavity element of
     /// amplitude transmission `extra_amplitude` (1.0 = transparent).
     pub fn transfer(&self, lambda: Wavelength, extra_amplitude: f64) -> PortTransfer {
-        let a = self.round_trip_amplitude(extra_amplitude);
-        self.transfer_at(a, self.half_phase_sin_factor(lambda))
-    }
-
-    /// The closed-form port transmissions for a net round-trip amplitude
-    /// `a` ([`AddDropMrr::round_trip_amplitude`]) and detuning factor
-    /// `s = sin(φ/2)` ([`AddDropMrr::half_phase_sin_factor`]). Callers that
-    /// re-evaluate one ring at fixed wavelengths cache both factors and
-    /// pay only this rational function per evaluation.
-    pub fn transfer_at(&self, a: f64, s: f64) -> PortTransfer {
-        let t = self.geometry.self_coupling;
-        let kappa_sq = 1.0 - t * t;
-        let resonant_term = 4.0 * t * t * a * s * s;
-        let denom = {
-            let d = 1.0 - t * t * a;
-            d * d + resonant_term
-        };
-        let through = {
-            let n = t - t * a;
-            (n * n + resonant_term) / denom
-        };
-        let drop = kappa_sq * kappa_sq * a / denom;
-        debug_assert!((0.0..=1.0 + 1e-9).contains(&through), "through={through}");
-        debug_assert!((0.0..=1.0 + 1e-9).contains(&drop), "drop={drop}");
-        PortTransfer { through: through.min(1.0), drop: drop.min(1.0) }
+        let a = self.geometry.round_trip_amplitude(extra_amplitude);
+        self.geometry.transfer_at(a, self.half_phase_sin_factor(lambda))
     }
 
     /// Port transmissions exactly on resonance.
@@ -220,7 +222,7 @@ impl AddDropMrr {
     /// Full width at half maximum of the drop resonance, in nanometres.
     pub fn fwhm_nm(&self, extra_amplitude: f64) -> f64 {
         let t = self.geometry.self_coupling;
-        let a = self.round_trip_amplitude(extra_amplitude);
+        let a = self.geometry.round_trip_amplitude(extra_amplitude);
         let ta = t * t * a;
         self.fsr_nm() * (1.0 - ta) / (std::f64::consts::PI * ta.sqrt())
     }
@@ -352,8 +354,8 @@ mod prop_tests {
             let ring = AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(resonance));
             let lambda = Wavelength::from_nm(resonance + detune);
             let whole = ring.transfer(lambda, extra);
-            let a = ring.round_trip_amplitude(extra);
-            let split = ring.transfer_at(a, ring.half_phase_sin_factor(lambda));
+            let a = ring.geometry().round_trip_amplitude(extra);
+            let split = ring.geometry().transfer_at(a, ring.half_phase_sin_factor(lambda));
             prop_assert_eq!(whole.drop.to_bits(), split.drop.to_bits());
             prop_assert_eq!(whole.through.to_bits(), split.through.to_bits());
         }

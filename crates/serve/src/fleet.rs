@@ -688,6 +688,15 @@ mod tests {
                 "stuck rate {rate}"
             );
         }
+        // Each phase's rate is in range (0.84 and 0.36) but they sum
+        // above 1: no ring can be stuck both ways.
+        assert!(matches!(
+            fleet.inject_fault(0, &FaultPlan::stuck_cells(1.2, 3)),
+            Err(ServeError::Arch(ArchError::ValueOutOfRange {
+                name: "stuck_amorphous + stuck_crystalline",
+                ..
+            }))
+        ));
         for years in [f64::INFINITY, -1.0, f64::NAN] {
             let plan = FaultPlan { drift_years: years, seed: 3, ..FaultPlan::default() };
             assert!(

@@ -16,11 +16,12 @@ use trident::pcm::weight::{PcmMrr, WeightLut};
 use trident::photonics::mrr::{AddDropMrr, MrrGeometry};
 use trident::photonics::units::{Hours, Wavelength};
 
-fn fresh_mrr() -> (PcmMrr, WeightLut) {
+/// A fresh weight unit, its GST constants and its ring's calibration.
+fn fresh_mrr() -> (PcmMrr, GstParameters, WeightLut) {
     let params = GstParameters::default();
     let ring = AddDropMrr::new(MrrGeometry::weight_bank(), Wavelength::from_nm(1550.0));
     let lut = WeightLut::build(&ring, &params);
-    (PcmMrr::new(ring, params), lut)
+    (PcmMrr::new(&params), params, lut)
 }
 
 /// Every representable 8-bit level is programmable within the retry
@@ -29,12 +30,12 @@ fn fresh_mrr() -> (PcmMrr, WeightLut) {
 #[test]
 fn program_and_verify_converges_for_every_level() {
     let policy = WriteVerifyPolicy::default();
-    let (_, lut) = fresh_mrr();
+    let (_, params, lut) = fresh_mrr();
     for level in 0..lut.levels() {
-        let (mut mrr, _) = fresh_mrr();
+        let mut mrr = PcmMrr::new(&params);
         let target = lut.weight_at(level);
         let report = mrr
-            .set_weight_verified(target, &lut, &policy, u64::from(level))
+            .set_weight_verified(&params, target, &lut, &policy, u64::from(level))
             .unwrap_or_else(|e| panic!("level {level} failed to verify: {e}"));
         assert!(
             report.pulses <= policy.max_attempts,
@@ -72,10 +73,10 @@ proptest! {
         seed in 0u64..1024,
     ) {
         let policy = WriteVerifyPolicy::default();
-        let (mut mrr, lut) = fresh_mrr();
-        let first = mrr.set_weight_verified(w1, &lut, &policy, seed);
+        let (mut mrr, params, lut) = fresh_mrr();
+        let first = mrr.set_weight_verified(&params, w1, &lut, &policy, seed);
         prop_assert!(first.is_ok(), "first write failed: {:?}", first);
-        let second = mrr.set_weight_verified(w2, &lut, &policy, seed);
+        let second = mrr.set_weight_verified(&params, w2, &lut, &policy, seed);
         prop_assert!(second.is_ok(), "second write failed: {:?}", second);
         let report = second.unwrap();
         prop_assert!(report.pulses <= policy.max_attempts);
