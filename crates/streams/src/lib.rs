@@ -16,6 +16,15 @@
 //! noise, which corrupts every drift/serve ablation without failing a
 //! single dynamic test.
 //!
+//! Unit-normal samples ([`seeded_gaussian`]) come from an exact
+//! 256-layer ziggurat (Marsaglia & Tsang) over immutable layer tables:
+//! the address's raw word picks a layer and an abscissa, and the few
+//! samples that need more uniforms (a wedge test, a redraw after a
+//! rejection, the tail beyond `R ≈ 3.654`) take them from that word's
+//! splitmix64 successors. A sample therefore stays a pure function of
+//! its address however many uniforms it consumes, and costs about one
+//! table lookup where Box–Muller paid for `ln`, `sqrt` and `cos`.
+//!
 //! Still sequential (a seeded `StdRng` walked in call order): weight
 //! initialisation (MLP, CNN, transformer, DFA feedback), the synthetic
 //! datasets, and the fidelity study's trial inputs — every benchmark
@@ -49,6 +58,8 @@
 //! every draw of that source and breaks byte-identity of the repro_all
 //! sections, so new sources take fresh ids and dead ids are retired,
 //! never reused within their domain.
+
+mod ziggurat_tables;
 
 /// One registered stream: its seed domain, constant name, and id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,12 +156,21 @@ pub fn seeded_u64(seed: u64, stream: u64, draw: u64) -> u64 {
     splitmix64(mix(seed, stream, draw))
 }
 
-/// The `draw`-th unit-normal sample of a stream: one Box–Muller pair
-/// over the address's raw word and its splitmix64 successor. No RNG
-/// object is built; the sample is a pure function of the address.
+/// The `draw`-th unit-normal sample of a stream: an exact ziggurat
+/// normal (Marsaglia & Tsang, 256 layers) over the address's raw word.
+/// No RNG object is built; the sample is a pure function of the address.
+///
+/// The raw word [`seeded_u64`] picks the layer (its low 8 bits) and the
+/// signed abscissa (its high 53 bits). About 99 % of samples end there,
+/// inside their layer's rectangle, at the cost of one table lookup. The
+/// rest draw further uniforms from the raw word's splitmix64 successors,
+/// one after another, through [`unit_open`]: the wedge test of a
+/// rejected abscissa takes one, a fresh layer and abscissa after a
+/// rejection take the next, and Marsaglia's tail beyond `R ≈ 3.654` takes
+/// two per try. Every sample is finite, at most `R + 53·ln 2 / R ≈ 13.7`
+/// in magnitude.
 pub fn seeded_gaussian(seed: u64, stream: u64, draw: u64) -> f64 {
-    let raw = seeded_u64(seed, stream, draw);
-    box_muller(raw, splitmix64(raw))
+    ziggurat(seeded_u64(seed, stream, draw))
 }
 
 /// Map a raw draw to the open unit interval `(0, 1]` (53-bit mantissa;
@@ -167,11 +187,51 @@ fn splitmix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Box–Muller over two raw words: the radius from `a`, the angle from
-/// `b`, both through [`unit_open`], so every input gives a finite sample
-/// (at most √(2·53·ln 2) ≈ 8.6 in magnitude).
-fn box_muller(a: u64, b: u64) -> f64 {
-    (-2.0 * unit_open(a).ln()).sqrt() * (std::f64::consts::TAU * unit_open(b)).cos()
+/// The ziggurat normal of raw word `word` and its successors (see
+/// [`seeded_gaussian`]).
+fn ziggurat(mut word: u64) -> f64 {
+    use ziggurat_tables::{F, R, X};
+    loop {
+        let layer = (word & 0xFF) as usize;
+        let u = signed_unit(word);
+        let x = u * X[layer];
+        if x.abs() < X[layer + 1] {
+            return x;
+        }
+        word = splitmix64(word);
+        if layer == 0 {
+            return (R + normal_tail(word)).copysign(u);
+        }
+        // The wedge between the layer's rectangle and the density.
+        if F[layer + 1] + (F[layer] - F[layer + 1]) * unit_open(word) < (-0.5 * x * x).exp() {
+            return x;
+        }
+        word = splitmix64(word);
+    }
+}
+
+/// How far beyond `R` a tail sample lands (Marsaglia 1964): `a = −ln(u₁)
+/// / R`, accepted once `−2 ln(u₂) ≥ a²`, with `u₁`, `u₂` the next two
+/// successors of `word` per try, `word` itself first.
+fn normal_tail(mut word: u64) -> f64 {
+    loop {
+        let a = -unit_open(word).ln() / ziggurat_tables::R;
+        word = splitmix64(word);
+        let b = -unit_open(word).ln();
+        if 2.0 * b >= a * a {
+            return a;
+        }
+        word = splitmix64(word);
+    }
+}
+
+/// The signed abscissa of a raw word: its high 53 bits `k` as
+/// `(2k + 1 − 2⁵³) / 2⁵³`, uniform on a grid symmetric about zero,
+/// never 0 and never ±1.
+fn signed_unit(word: u64) -> f64 {
+    const HALF: i64 = 1 << 53;
+    // `(word >> 10) | 1` is `2k + 1`, with `k = word >> 11`.
+    (((word >> 10) | 1) as i64 - HALF) as f64 * (1.0 / HALF as f64)
 }
 
 // ── identity-seed derivations ───────────────────────────────────────
@@ -302,14 +362,157 @@ mod tests {
         assert!((var - 1.0).abs() < 0.02, "variance {var}");
     }
 
+    /// Largest magnitude a sample can take: the tail's `R + a` with `a`
+    /// at its largest, `−ln(2⁻⁵³) / R`.
+    fn bound() -> f64 {
+        ziggurat_tables::R + 53.0 * std::f64::consts::LN_2 / ziggurat_tables::R
+    }
+
+    /// The raw word whose splitmix64 successor is `y`: each step of
+    /// [`splitmix64`] is a bijection, undone in reverse order.
+    fn splitmix64_preimage(y: u64) -> u64 {
+        // Multiplicative inverse modulo 2⁶⁴ of an odd constant (Newton).
+        let inverse = |a: u64| {
+            let mut x = a;
+            for _ in 0..6 {
+                x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
+            }
+            x
+        };
+        let mut z = y ^ (y >> 31) ^ (y >> 62);
+        z = z.wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        z ^= (z >> 27) ^ (z >> 54);
+        z = z.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        z ^= (z >> 30) ^ (z >> 60);
+        z.wrapping_sub(0x9E37_79B9_7F4A_7C15)
+    }
+
+    fn assert_finite_and_bounded(g: f64, what: &str) {
+        assert!(g.is_finite() && g.abs() <= bound(), "{what}: sample {g}");
+    }
+
     #[test]
-    fn gaussian_is_finite_at_the_extreme_uniforms() {
+    fn ziggurat_is_finite_at_its_extremes() {
         assert_eq!(unit_open(u64::MAX).to_bits(), 1.0f64.to_bits());
         assert!(unit_open(0) > 0.0);
-        for (a, b) in [(0, 0), (0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)] {
-            let g = box_muller(a, b);
-            assert!(g.is_finite() && g.abs() < 8.6, "box_muller({a:#x}, {b:#x}) = {g}");
+        let (r, top) = (ziggurat_tables::R, (u64::MAX >> 11) << 11);
+        // Layer-0 words whose abscissa is (nearly) ±1 fall in the tail.
+        for (word, sign) in [(top, 1.0), (0, -1.0), (top | 0x700, 1.0), (0x700, -1.0)] {
+            let g = ziggurat(word);
+            assert_finite_and_bounded(g, &format!("tail word {word:#x}"));
+            assert!(g * sign >= r, "tail word {word:#x} gave {g}, inside R = {r}");
         }
+        // A tail whose first uniform is 1 lands exactly on R; one whose
+        // first uniform is 2⁻⁵³ is rejected and retries on the successors.
+        assert_eq!((r + normal_tail(u64::MAX)).to_bits(), r.to_bits());
+        for word in [0, u64::MAX] {
+            let a = normal_tail(word);
+            assert!(a.is_finite() && (0.0..=bound() - r).contains(&a), "tail {word:#x}: {a}");
+        }
+        // Raw words whose successor, the first uniform a slow path
+        // reads, is all ones or all zeros.
+        for successor in [0, u64::MAX] {
+            let word = splitmix64_preimage(successor);
+            assert_eq!(splitmix64(word), successor);
+            assert_finite_and_bounded(ziggurat(word), &format!("successor {successor:#x}"));
+        }
+        // Every layer at both extreme abscissae, where the wedge test of
+        // layers 1–255 is closest to rejecting.
+        for layer in 0..=0xFF {
+            for word in [layer, top | layer] {
+                assert_finite_and_bounded(ziggurat(word), &format!("word {word:#x}"));
+            }
+        }
+    }
+
+    /// The layer tables are the recurrence they claim: every layer holds
+    /// area `V`, `F` is the density at `X`, and the ends are pinned.
+    #[test]
+    fn tables_follow_the_recurrence() {
+        use ziggurat_tables::{F, R, V, X};
+        assert_eq!((X[1], X[256], F[256]), (R, 0.0, 1.0));
+        assert!(((X[0] * F[1]) / V - 1.0).abs() < 1e-14, "base strip X[0]·f(R) = V");
+        for (i, (&x, &f)) in X.iter().zip(&F).enumerate() {
+            assert!(((-0.5 * x * x).exp() - f).abs() <= 1e-14 * f, "F[{i}]");
+        }
+        for i in 1..256 {
+            let area = X[i] * (F[i + 1] - F[i]);
+            assert!((area / V - 1.0).abs() < 1e-12, "layer {i} area {area} vs {V}");
+        }
+        // The base strip's tail: V = R·f(R) + ∫_R^∞ f.
+        let tail = (std::f64::consts::PI / 2.0).sqrt() * erfc(R / std::f64::consts::SQRT_2);
+        assert!(((R * F[1] + tail) / V - 1.0).abs() < 1e-6, "tail area {tail}");
+    }
+
+    /// `erfc(x)` to a relative error below 1.2·10⁻⁷ (the Chebyshev fit of
+    /// Press et al., *Numerical Recipes*, §6.2).
+    fn erfc(x: f64) -> f64 {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = [
+            -1.265_512_23,
+            1.000_023_68,
+            0.374_091_96,
+            0.096_784_18,
+            -0.186_288_06,
+            0.278_868_07,
+            -1.135_203_98,
+            1.488_515_87,
+            -0.822_152_23,
+            0.170_872_77,
+        ]
+        .iter()
+        .rev()
+        .fold(0.0, |acc, c| acc * t + c);
+        let r = t * (-z * z + poly).exp();
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
+        }
+    }
+
+    /// Standard normal CDF.
+    fn phi(z: f64) -> f64 {
+        0.5 * erfc(-z / std::f64::consts::SQRT_2)
+    }
+
+    const TAIL_N: u64 = 1_000_000;
+
+    fn draws(seed: u64) -> Vec<f64> {
+        (0..TAIL_N).map(|i| seeded_gaussian(seed, STREAM_PCM_READ, i)).collect()
+    }
+
+    /// The tails beyond 3σ and 4σ hold the normal's mass, within four
+    /// binomial standard deviations over 10⁶ draws.
+    #[test]
+    fn tail_frequencies_match_the_normal() {
+        let xs = draws(17);
+        let n = TAIL_N as f64;
+        for (z, p) in [(3.0, 0.002_699_796), (4.0, 6.334e-5)] {
+            let share = xs.iter().filter(|x| x.abs() > z).count() as f64 / n;
+            let sd = (p * (1.0 - p) / n).sqrt();
+            assert!((share - p).abs() < 4.0 * sd, "P(|z| > {z}) = {share}, normal {p} ± {sd}");
+        }
+    }
+
+    /// The empirical CDF of 10⁶ draws stays within the Kolmogorov–Smirnov
+    /// 1 % critical distance, 1.628 / √n, of the normal CDF.
+    #[test]
+    fn kolmogorov_smirnov_distance_is_small() {
+        let mut xs = draws(29);
+        xs.sort_by(f64::total_cmp);
+        let n = TAIL_N as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let cdf = phi(x);
+                (cdf - i as f64 / n).max((i + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max);
+        let critical = 1.628 / n.sqrt();
+        assert!(d < critical, "KS distance {d} vs 1 % critical value {critical}");
     }
 
     #[test]
