@@ -23,7 +23,7 @@
 //! rejection, the tail beyond `R ≈ 3.654`) take them from that word's
 //! splitmix64 successors. A sample therefore stays a pure function of
 //! its address however many uniforms it consumes, and costs about one
-//! table lookup where Box–Muller paid for `ln`, `sqrt` and `cos`.
+//! table lookup and one multiply.
 //!
 //! Still sequential (a seeded `StdRng` walked in call order): weight
 //! initialisation (MLP, CNN, transformer, DFA feedback), the synthetic
