@@ -160,8 +160,9 @@ pub struct WriteReport {
 /// One stateful GST cell.
 ///
 /// The cell holds only what changes: its programmed level, the physical
-/// crystallinity that level corresponds to, its switching-cycle wear and
-/// its hard fault. The device constants are the [`GstParameters`] its
+/// crystallinity that level corresponds to, the cumulative energy spent
+/// programming/reading it, its switching-cycle wear and its hard fault.
+/// The device constants are the [`GstParameters`] its
 /// owner passes to every operation (a weight bank keeps one copy for all
 /// of its cells), so a cell must always be driven with the parameters it
 /// was built with.
@@ -177,6 +178,8 @@ pub struct GstCell {
     /// Physical crystallinity fraction the cell currently holds.
     crystallinity: f64,
     writes: u64,
+    reads: u64,
+    energy_spent: EnergyPj,
     /// Current level index, `0 = fully amorphous … levels-1 = fully
     /// crystalline` (or a calibrated level's index).
     level: u16,
@@ -193,7 +196,14 @@ impl GstCell {
             params.crystalline_amplitude < params.amorphous_amplitude,
             "crystalline GST must absorb more than amorphous"
         );
-        Self { crystallinity: 0.0, writes: 0, level: 0, fault: None }
+        Self {
+            crystallinity: 0.0,
+            writes: 0,
+            reads: 0,
+            energy_spent: EnergyPj::ZERO,
+            level: 0,
+            fault: None,
+        }
     }
 
     /// Current quantized level (0 = amorphous).
@@ -245,6 +255,7 @@ impl GstCell {
         self.level = level;
         self.crystallinity = crystallinity;
         self.writes += 1;
+        self.energy_spent += params.write_energy;
         Ok(params.write_energy)
     }
 
@@ -311,10 +322,13 @@ impl GstCell {
             self.crystallinity += (crystallinity - self.crystallinity) * gain;
             self.crystallinity = self.crystallinity.clamp(0.0, 1.0);
             self.writes += 1;
+            self.energy_spent += pulse_energy;
             energy += pulse_energy;
             time += params.write_time;
             pulse_energy = EnergyPj(pulse_energy.value() * policy.energy_escalation);
             // Verify with a read-back probe.
+            self.reads += 1;
+            self.energy_spent += params.read_energy;
             energy += params.read_energy;
             if (self.crystallinity - crystallinity).abs() <= tolerance {
                 self.level = level;
@@ -358,10 +372,30 @@ impl GstCell {
         self.fault
     }
 
+    /// Read the cell with a low-power probe pulse. Returns the amplitude
+    /// transmission; reading is non-destructive but costs energy.
+    pub fn read(&mut self, params: &GstParameters) -> f64 {
+        self.reads += 1;
+        self.energy_spent += params.read_energy;
+        self.amplitude(params)
+    }
+
     /// Number of programming events so far.
     #[inline]
     pub fn write_count(&self) -> u64 {
         self.writes
+    }
+
+    /// Number of read probes so far.
+    #[cfg(test)]
+    fn read_count(&self) -> u64 {
+        self.reads
+    }
+
+    /// Total optical energy delivered to the cell.
+    #[inline]
+    pub fn energy_spent(&self) -> EnergyPj {
+        self.energy_spent
     }
 
     /// Remaining endurance cycles.
@@ -462,6 +496,20 @@ mod tests {
         assert_eq!(c.write_count(), 1);
         assert_eq!(program_level(&mut c, &p, 0).unwrap(), EnergyPj(660.0));
         assert_eq!(c.write_count(), 2);
+        assert_eq!(c.energy_spent(), EnergyPj(1320.0));
+    }
+
+    #[test]
+    fn reads_are_nondestructive_but_cost_energy() {
+        let (mut c, p) = with_defaults();
+        program_level(&mut c, &p, 200).unwrap();
+        let before = c.level();
+        let a1 = c.read(&p);
+        let a2 = c.read(&p);
+        assert_eq!(c.level(), before);
+        assert_eq!(a1, a2);
+        assert_eq!(c.read_count(), 2);
+        assert_eq!(c.energy_spent(), EnergyPj(660.0 + 40.0));
     }
 
     #[test]
@@ -555,6 +603,7 @@ mod tests {
         assert!((c.crystallinity() - 0.5).abs() <= 1e-4);
         assert_eq!(c.level(), 127);
         assert_eq!(c.write_count() as u32, report.pulses);
+        assert_eq!(c.read_count() as u32, report.pulses, "one verify read per pulse");
         // Each pulse is billed with one verify read.
         let pulses: f64 = (0..report.pulses).map(|k| 660.0 * 1.15f64.powi(k as i32)).sum();
         let reads = f64::from(report.pulses) * 20.0;

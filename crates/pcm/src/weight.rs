@@ -333,6 +333,11 @@ impl PcmMrr {
         ring.transfer(lambda, self.cell.amplitude(params))
     }
 
+    /// Cumulative optical energy delivered to this unit.
+    pub fn energy_spent(&self) -> EnergyPj {
+        self.cell.energy_spent()
+    }
+
     /// Number of reprogramming events.
     pub fn write_count(&self) -> u64 {
         self.cell.write_count()
