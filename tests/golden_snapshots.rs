@@ -435,44 +435,53 @@ fn transformer_paths_json() -> String {
     // prefill, KV-cache decode, a prefill after compensation — with and
     // without the statistical layer. Stat read noise makes any change in
     // a bank's call order visible in the logits; the ledger bits catch a
-    // reordered or missing digital charge.
+    // reordered or missing digital charge. The wide models run every
+    // projection over several column tiles and every K/Vᵀ bank over
+    // several tiles.
+    let wide = |cfg| TransformerConfig { d_model: 48, heads: 3, d_ff: 40, max_seq: 40, ..cfg };
     let mut rows = Vec::new();
-    for stat in [None, Some(StatParams::default())] {
-        let suffix = if stat.is_some() { "_stat" } else { "" };
+    for (shape, vit_seqs, gpt_seq) in [("", [8, 7, 6], 20), ("_wide", [40, 39, 17], 40)] {
+        let sized = |cfg| if shape.is_empty() { cfg } else { wide(cfg) };
+        for stat in [None, Some(StatParams::default())] {
+            let suffix = format!("{shape}{}", if stat.is_some() { "_stat" } else { "" });
 
-        let cfg = TransformerConfig { stat, ..TransformerConfig::tiny_vit() };
-        let mut vit = PhotonicTransformer::try_new(cfg.clone()).unwrap();
-        let seqs: Vec<Vec<f64>> =
-            [8, 7, 6].iter().map(|&n| transformer_seq(cfg.d_model, n, 100 + n as u64)).collect();
-        let mut digests = Vec::new();
-        for x in &seqs {
-            let tokens = x.len() / cfg.d_model;
-            let photonic = vit.try_forward_classify(x).unwrap();
-            let twin = vit.digital_forward_classify(x).unwrap();
-            digests.push((format!("classify_{tokens}"), logit_digest([&photonic])));
-            digests.push((format!("twin_{tokens}"), logit_digest([&twin])));
-        }
-        let batch = vit.try_forward_batch(&seqs).unwrap().to_vec();
-        digests.push(("batch".into(), logit_digest(&batch)));
-        rows.push(transformer_row(&format!("vit{suffix}"), &digests, &vit));
+            let cfg = TransformerConfig { stat, ..sized(TransformerConfig::tiny_vit()) };
+            let mut vit = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+            let seqs: Vec<Vec<f64>> = vit_seqs
+                .iter()
+                .map(|&n| transformer_seq(cfg.d_model, n, 100 + n as u64))
+                .collect();
+            let mut digests = Vec::new();
+            for x in &seqs {
+                let tokens = x.len() / cfg.d_model;
+                let photonic = vit.try_forward_classify(x).unwrap();
+                let twin = vit.digital_forward_classify(x).unwrap();
+                digests.push((format!("classify_{tokens}"), logit_digest([&photonic])));
+                digests.push((format!("twin_{tokens}"), logit_digest([&twin])));
+            }
+            let batch = vit.try_forward_batch(&seqs).unwrap().to_vec();
+            digests.push(("batch".into(), logit_digest(&batch)));
+            rows.push(transformer_row(&format!("vit{suffix}"), &digests, &vit));
 
-        let cfg = TransformerConfig { stat, max_seq: 20, ..TransformerConfig::tiny_gpt() };
-        let mut gpt = PhotonicTransformer::try_new(cfg.clone()).unwrap();
-        let x = transformer_seq(cfg.d_model, cfg.max_seq, 7);
-        let mut digests = Vec::new();
-        digests.push(("prefill".into(), logit_digest(&gpt.try_forward_causal(&x).unwrap())));
-        digests.push(("twin".into(), logit_digest(&gpt.digital_forward_causal(&x).unwrap())));
-        for round in ["decode_1", "decode_2"] {
-            gpt.reset_cache();
-            let logits: Vec<Vec<f64>> =
-                x.chunks(cfg.d_model).map(|tok| gpt.try_decode_token(tok).unwrap()).collect();
-            digests.push((round.into(), logit_digest(&logits)));
+            let cfg =
+                TransformerConfig { stat, max_seq: gpt_seq, ..sized(TransformerConfig::tiny_gpt()) };
+            let mut gpt = PhotonicTransformer::try_new(cfg.clone()).unwrap();
+            let x = transformer_seq(cfg.d_model, cfg.max_seq, 7);
+            let mut digests = Vec::new();
+            digests.push(("prefill".into(), logit_digest(&gpt.try_forward_causal(&x).unwrap())));
+            digests.push(("twin".into(), logit_digest(&gpt.digital_forward_causal(&x).unwrap())));
+            for round in ["decode_1", "decode_2"] {
+                gpt.reset_cache();
+                let logits: Vec<Vec<f64>> =
+                    x.chunks(cfg.d_model).map(|tok| gpt.try_decode_token(tok).unwrap()).collect();
+                digests.push((round.into(), logit_digest(&logits)));
+            }
+            gpt.chip_mut().calibrate_drift_compensation();
+            let short = &x[..5 * cfg.d_model];
+            let calibrated = gpt.try_forward_causal(short).unwrap();
+            digests.push(("calibrated_prefill".into(), logit_digest(&calibrated)));
+            rows.push(transformer_row(&format!("gpt{suffix}"), &digests, &gpt));
         }
-        gpt.chip_mut().calibrate_drift_compensation();
-        let short = &x[..5 * cfg.d_model];
-        let calibrated = gpt.try_forward_causal(short).unwrap();
-        digests.push(("calibrated_prefill".into(), logit_digest(&calibrated)));
-        rows.push(transformer_row(&format!("gpt{suffix}"), &digests, &gpt));
     }
     format!(
         "{{\n  \"artifact\": \"transformer_paths\",\n  \"rows\": [\n{}\n  ]\n}}\n",
