@@ -6,7 +6,7 @@
 //! every model. Chip-wide walks visit every PE of every grid in
 //! construction order.
 
-use crate::config::PSUM_ENERGY;
+use crate::config::{CLOCK_HZ, PSUM_ENERGY};
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
@@ -31,11 +31,20 @@ pub struct Chip {
 
 /// The chip's digital side — cross-tile partial-sum adds and the
 /// load/store units' digital ops — as one ledger of energy charges and
-/// the time they take.
+/// the clock cycles they take.
 #[derive(Debug, Default)]
 pub(crate) struct Ldsu {
     pub(crate) energy: EnergyLedger,
-    pub(crate) elapsed: Nanoseconds,
+    /// One cycle per element of every digital op. An integer count, so
+    /// the time it reads does not depend on the order of the charges.
+    pub(crate) cycles: u64,
+}
+
+impl Ldsu {
+    /// The cycles so far as simulated time at [`CLOCK_HZ`].
+    fn elapsed(&self) -> Nanoseconds {
+        Nanoseconds(1e9 / CLOCK_HZ * self.cycles as f64)
+    }
 }
 
 impl Chip {
@@ -234,7 +243,7 @@ impl Chip {
     /// Every PE's simulated time as one flat sum in grid order (the
     /// sequential-tile upper bound), plus the digital side's.
     pub fn total_elapsed(&self) -> Nanoseconds {
-        self.pes().map(ProcessingElement::elapsed).sum::<Nanoseconds>() + self.ldsu.elapsed
+        self.pes().map(ProcessingElement::elapsed).sum::<Nanoseconds>() + self.ldsu.elapsed()
     }
 
     /// What [`Chip::total_elapsed`] reads once every PE of grid `g` has
@@ -245,7 +254,7 @@ impl Chip {
         let clocks = self.grids.iter().enumerate().flat_map(|(i, grid)| {
             grid.pes().iter().map(move |pe| if i == g { pe.elapsed_after(symbols) } else { pe.elapsed() })
         });
-        clocks.sum::<Nanoseconds>() + self.ldsu.elapsed
+        clocks.sum::<Nanoseconds>() + self.ldsu.elapsed()
     }
 
     /// The itemised ledger: the digital side's charges plus every PE's,

@@ -44,7 +44,6 @@
 //! does for the MLP engine.
 
 use crate::chip::{Chip, Ldsu};
-use crate::config::CLOCK_HZ;
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
 use crate::pe::gst_activation;
@@ -247,9 +246,8 @@ impl Norm {
 /// charge bills energy per element and one clock cycle per element.
 impl Ldsu {
     fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
-        let n = elems as f64;
-        self.energy.charge(what, EnergyPj(pj_per_elem * n));
-        self.elapsed += Nanoseconds(1e9 / CLOCK_HZ * n);
+        self.energy.charge(what, EnergyPj(pj_per_elem * elems as f64));
+        self.cycles += elems as u64;
     }
 
     /// Softmax over `row`, billed per element.
