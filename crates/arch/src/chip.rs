@@ -6,7 +6,9 @@
 //! every model. Chip-wide walks visit every PE of every grid in
 //! construction order.
 
-use crate::config::{CLOCK_HZ, PSUM_ENERGY};
+use crate::config::{
+    CLOCK_HZ, LDSU_LAYERNORM_ENERGY, LDSU_RESIDUAL_ENERGY, LDSU_SOFTMAX_ENERGY, PSUM_ENERGY,
+};
 use crate::error::ArchError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::pe::ProcessingElement;
@@ -40,10 +42,90 @@ pub(crate) struct Ldsu {
     pub(crate) cycles: u64,
 }
 
+/// LayerNorm variance floor.
+const LN_EPS: f64 = 1e-5;
+
 impl Ldsu {
     /// The cycles so far as simulated time at [`CLOCK_HZ`].
     fn elapsed(&self) -> Nanoseconds {
         Nanoseconds(1e9 / CLOCK_HZ * self.cycles as f64)
+    }
+
+    /// Bill `rows` digital ops of `width` elements each: `per_elem` per
+    /// element, one ledger add per op, and one clock cycle per element.
+    pub(crate) fn charge(&mut self, what: &str, per_elem: EnergyPj, width: usize, rows: usize) {
+        self.energy.charge_times(what, per_elem * width as f64, rows);
+        self.cycles += (width * rows) as u64;
+    }
+
+    /// Softmax over `row`, billed per element.
+    pub(crate) fn softmax(&mut self, row: &mut [f64]) {
+        softmax64(row);
+        self.charge("ldsu softmax", LDSU_SOFTMAX_ENERGY, row.len(), 1);
+        obs::add(obs::Counter::LdsuSoftmaxRows, 1);
+    }
+
+    /// LayerNorm of each `d`-wide row of `x` into `out`, billed per element.
+    pub(crate) fn layer_norm(&mut self, x: &[f64], d: usize, out: &mut [f64]) {
+        for (row, normed) in x.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+            layer_norm64(row, normed);
+        }
+        self.charge("ldsu layernorm", LDSU_LAYERNORM_ENERGY, d, x.len() / d);
+        obs::add(obs::Counter::LdsuLayerNormRows, (x.len() / d) as u64);
+    }
+
+    /// Residual add `acc += delta` of `d`-wide rows, billed per element.
+    pub(crate) fn residual(&mut self, acc: &mut [f64], delta: &[f64], d: usize) {
+        for (a, &v) in acc.iter_mut().zip(delta) {
+            *a += v;
+        }
+        self.charge("ldsu residual", LDSU_RESIDUAL_ENERGY, d, acc.len() / d);
+    }
+}
+
+/// Safe softmax in place (f64): subtract max, exponentiate, one
+/// reciprocal multiply — the digital LDSU op, shared verbatim by the
+/// photonic path and the digital twins.
+pub(crate) fn softmax64(row: &mut [f64]) {
+    if row.is_empty() {
+        return;
+    }
+    let mut max = f64::NEG_INFINITY;
+    for &v in row.iter() {
+        if v > max {
+            max = v;
+        }
+    }
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
+/// Row LayerNorm (f64) of `x` into `out`: population mean and variance,
+/// no affine (every model's `γ` is 1 and `β` is 0) — the LDSU op, shared
+/// verbatim by the photonic path and the digital twins.
+pub(crate) fn layer_norm64(x: &[f64], out: &mut [f64]) {
+    let n = x.len() as f64;
+    let mut mean = 0.0;
+    for &v in x {
+        mean += v;
+    }
+    mean /= n;
+    let mut var = 0.0;
+    for &v in x {
+        let d = v - mean;
+        var += d * d;
+    }
+    var /= n;
+    let inv_std = 1.0 / (var + LN_EPS).sqrt();
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = (v - mean) * inv_std;
     }
 }
 

@@ -22,6 +22,18 @@ use trident_workload::dataflow::DataflowModel;
 /// read.
 pub const PSUM_ENERGY: EnergyPj = EnergyPj(0.1);
 
+/// LDSU softmax per element (exp and normalise): `"ldsu softmax"`.
+pub const LDSU_SOFTMAX_ENERGY: EnergyPj = EnergyPj(0.05);
+
+/// LDSU LayerNorm per element (two digital passes): `"ldsu layernorm"`.
+pub const LDSU_LAYERNORM_ENERGY: EnergyPj = EnergyPj(0.03);
+
+/// LDSU residual add or mean-pool accumulate per element: `"ldsu residual"`.
+pub const LDSU_RESIDUAL_ENERGY: EnergyPj = EnergyPj(0.01);
+
+/// LDSU FIFO spill of one conv position, per output channel: `"ldsu fifo"`.
+pub const LDSU_FIFO_ENERGY: EnergyPj = EnergyPj(0.01);
+
 /// Maximum electronic clock (§IV: 1.37 GHz), which sets the transformer
 /// LDSU's per-element time.
 pub const CLOCK_HZ: f64 = 1.37e9;

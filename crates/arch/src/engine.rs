@@ -33,6 +33,7 @@
 //! ledgers, so the training demos report honest device-level costs.
 
 use crate::chip::Chip;
+use crate::config::LDSU_FIFO_ENERGY;
 use crate::conv_engine::ConvGeometry;
 use crate::dfa::DfaFeedback;
 use crate::error::ArchError;
@@ -586,7 +587,7 @@ impl PhotonicMlp {
         };
         fit(&mut t.activ, reads * out, allocs);
         grid.activate_rows(&t.logits, &mut t.activ);
-        self.chip.ldsu.energy.charge_times("ldsu fifo", EnergyPj(0.01 * g.out_c as f64), reads);
+        self.chip.ldsu.energy.charge_times("ldsu fifo", LDSU_FIFO_ENERGY * g.out_c as f64, reads);
         let maps = t.activ.chunks_exact(g.positions() * out);
         for (map, pooled) in maps.zip(next.input.chunks_exact_mut(width)) {
             g.pool(map, f64::NEG_INFINITY, |i, v, _| pooled[i] = v);

@@ -7,7 +7,8 @@
 //!
 //! * **Static MVMs** — QKV projections, the attention output projection,
 //!   the two FFN GEMMs and the classifier/vocabulary head are programmed
-//!   once at construction and streamed per token (weight-stationary).
+//!   once at construction and every token of a span streams through them
+//!   (weight-stationary).
 //! * **Dynamic MVMs** — the attention core runs *in memory*: each
 //!   token's key row and value column are programmed into per-head PCM
 //!   banks at decode time, after which the score MVM (`K·q`) and the
@@ -16,20 +17,23 @@
 //!   row/column band per token while a full recompute reprograms
 //!   everything — the energy gap `workload::kv` quantifies.
 //! * **Digital LDSU ops** — softmax, LayerNorm, residual adds and the
-//!   mean-pool head run on the digital load/store unit (`Ldsu`), one
-//!   ledger of typed energy/time charges (`EnergyPj` / [`Nanoseconds`])
-//!   plus obs counters (`ldsu_softmax_rows`, `ldsu_layer_norm_rows`,
-//!   `kv_cache_*`).
+//!   mean-pool head run on the chip's digital load/store unit
+//!   (`crate::chip::Ldsu`), one ledger of typed energy charges plus a
+//!   cycle clock, and obs counters (`ldsu_softmax_rows`,
+//!   `ldsu_layer_norm_rows`, `kv_cache_*`).
 //!
-//! ## One block schedule
+//! ## One block pass
 //!
-//! Every path streams tokens through one two-phase block step over one
-//! `DecodeScratch`: `block_in` (LN1, Q/K/V, K/V append at position
-//! `t`) and `block_out` (attention over cache rows `0..limit`, `wo` and
-//! residual, LN2, FFN and residual). Decode and causal prefill run the
-//! two phases back to back per token with `limit = t + 1`; the encoder
-//! runs `block_in` over the whole sequence first, then `block_out` with
-//! the full window.
+//! Every path runs a span of tokens through one block pass over one
+//! `DecodeScratch`: decode is a span of one token at the cache frontier;
+//! causal prefill, classify and the serving batch are spans from position
+//! 0. Over the span, LN1 runs per token and Q, K and V run as one signed
+//! GEMM each. Each token then, in order, appends its K/V and programs its
+//! bands; a causal token attends over rows `..=t` straight after its own
+//! append, while an encoder banks the whole span and then attends once
+//! per head with all of its queries. `wo`, the residual, LN2, the FFN and
+//! its residual run once over the span. Every PE still sees its vectors
+//! in token order, so a span is bitwise the token-by-token schedule.
 //!
 //! ## Determinism contract
 //!
@@ -43,29 +47,19 @@
 //! outputs within the bank's ENOB, exactly as `tests/photonic_vs_float.rs`
 //! does for the MLP engine.
 
-use crate::chip::{Chip, Ldsu};
+use crate::chip::{layer_norm64, softmax64, Chip};
+use crate::config::LDSU_RESIDUAL_ENERGY;
 use crate::engine::{grow_slots, refill, reserve_slots};
 use crate::error::ArchError;
 use crate::pe::gst_activation;
 use crate::tile::{PeSpec, TileGemm, TILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use trident_obs as obs;
 use trident_pcm::stat::StatParams;
 use trident_photonics::ledger::EnergyLedger;
 use trident_photonics::units::{EnergyPj, Nanoseconds};
-
-/// LayerNorm variance floor.
-const LN_EPS: f64 = 1e-5;
-
-/// LDSU softmax cost per element (exp + normalise, lookup-assisted).
-const LDSU_SOFTMAX_PJ_PER_ELEM: f64 = 0.05;
-
-/// LDSU LayerNorm cost per element (two digital passes + affine).
-const LDSU_LAYERNORM_PJ_PER_ELEM: f64 = 0.03;
-
-/// LDSU residual-add cost per element.
-const LDSU_RESIDUAL_PJ_PER_ELEM: f64 = 0.01;
 
 /// Floor for write-time cache scales, mirroring the engine's AGC floor.
 const SCALE_FLOOR: f64 = 1e-12;
@@ -195,82 +189,30 @@ impl Projection {
 
     /// Straight-line f64 `W·x` over the raw weights (digital twin).
     fn exact(&self, x: &[f64]) -> Vec<f64> {
-        let dot = |row: &[f64]| row.iter().zip(x).map(|(&a, &b)| a * b).sum();
-        self.raw.chunks(self.in_dim).map(dot).collect()
+        self.raw.chunks(self.in_dim).map(|row| dot(row, x)).collect()
+    }
+
+    /// The head's read of the `d_model`-wide `x`: the final LayerNorm on
+    /// the LDSU into `normed`, then this projection's billed MVM into the
+    /// emptied `out`.
+    fn read_normed(&self, chip: &mut Chip, x: &[f64], normed: &mut [f64], out: &mut Vec<f64>) {
+        let normed = &mut normed[..x.len()];
+        chip.ldsu.layer_norm(x, x.len(), normed);
+        out.resize(self.raw.len() / self.in_dim, 0.0);
+        self.gemv(chip, normed, out);
     }
 }
 
-/// A LayerNorm's affine parameters.
-#[derive(Debug)]
-struct Norm {
-    gamma: Vec<f64>,
-    beta: Vec<f64>,
+/// Straight-line f64 dot product (digital twin).
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-impl Norm {
-    /// Identity affine (`γ = 1`, `β = 0`) over `d` features.
-    fn unit(d: usize) -> Self {
-        Self { gamma: vec![1.0; d], beta: vec![0.0; d] }
-    }
-
-    /// Row LayerNorm (f64) of `x` into `out`: population mean/variance,
-    /// then the affine `γ`/`β`.
-    fn apply(&self, x: &[f64], out: &mut [f64]) {
-        let n = x.len() as f64;
-        let mut mean = 0.0;
-        for &v in x {
-            mean += v;
-        }
-        mean /= n;
-        let mut var = 0.0;
-        for &v in x {
-            let d = v - mean;
-            var += d * d;
-        }
-        var /= n;
-        let inv_std = 1.0 / (var + LN_EPS).sqrt();
-        for (j, (o, &v)) in out.iter_mut().zip(x).enumerate() {
-            *o = (v - mean) * inv_std * self.gamma[j] + self.beta[j];
-        }
-    }
-
-    /// [`Norm::apply`] into a fresh vector (digital twin).
-    fn exact(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; x.len()];
-        self.apply(x, &mut out);
-        out
-    }
-}
-
-/// The chip's load/store units run the transformer's digital ops: each
-/// charge bills energy per element and one clock cycle per element.
-impl Ldsu {
-    fn charge(&mut self, what: &'static str, elems: usize, pj_per_elem: f64) {
-        self.energy.charge(what, EnergyPj(pj_per_elem * elems as f64));
-        self.cycles += elems as u64;
-    }
-
-    /// Softmax over `row`, billed per element.
-    fn softmax(&mut self, row: &mut [f64]) {
-        softmax64(row);
-        self.charge("ldsu softmax", row.len(), LDSU_SOFTMAX_PJ_PER_ELEM);
-        obs::add(obs::Counter::LdsuSoftmaxRows, 1);
-    }
-
-    /// LayerNorm of `x` into `out`, billed per element.
-    fn layer_norm(&mut self, x: &[f64], norm: &Norm, out: &mut [f64]) {
-        norm.apply(x, out);
-        self.charge("ldsu layernorm", x.len(), LDSU_LAYERNORM_PJ_PER_ELEM);
-        obs::add(obs::Counter::LdsuLayerNormRows, 1);
-    }
-
-    /// Residual add `acc += delta`, billed per element.
-    fn residual(&mut self, acc: &mut [f64], delta: &[f64]) {
-        for (a, &v) in acc.iter_mut().zip(delta) {
-            *a += v;
-        }
-        self.charge("ldsu residual", acc.len(), LDSU_RESIDUAL_PJ_PER_ELEM);
-    }
+/// [`layer_norm64`] into a fresh vector (digital twin).
+fn exact_norm(x: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; x.len()];
+    layer_norm64(x, &mut out);
+    out
 }
 
 /// Per-head KV banks: the grids of K rows (`max_seq × d_head`) and Vᵀ
@@ -305,9 +247,11 @@ impl HeadKv {
         }
     }
 
-    /// One head's attention for query `q` over cache rows `0..limit`:
-    /// score MVM through the K bank, LDSU softmax, context MVM through
-    /// the Vᵀ bank into `ctx`. `scores` and `vin` are `max_seq` wide.
+    /// One head's attention for the block of queries `q` (`m` rows of
+    /// `d_head`) over cache rows `..limit`: one score GEMM through the K
+    /// grid, one LDSU softmax per query, and one context GEMM through the
+    /// Vᵀ grid into `ctx` (`m × d_head`). `scores` and `vin` hold `m`
+    /// rows of `max_seq`.
     fn attend(
         &self,
         chip: &mut Chip,
@@ -317,18 +261,21 @@ impl HeadKv {
         vin: &mut [f64],
         ctx: &mut [f64],
     ) {
-        let inv_sqrt = 1.0 / (q.len() as f64).sqrt();
-        // Score MVM: every cached K row dotted with q in one pass.
+        let max_seq = self.k_scale.len();
+        let inv_sqrt = 1.0 / ((self.k_logical.len() / max_seq) as f64).sqrt();
         chip.gemm_signed(self.k, q, scores);
-        for (j, s) in scores.iter_mut().enumerate().take(limit) {
-            *s = *s * self.k_scale[j] * inv_sqrt;
-        }
-        chip.ldsu.softmax(&mut scores[..limit]);
-        // Context MVM: probabilities (re-scaled per column) stream
-        // through the Vᵀ bank; masked positions carry exactly zero.
-        vin.fill(0.0);
-        for j in 0..limit {
-            vin[j] = scores[j] * self.v_scale[j];
+        for (row, probs) in scores.chunks_exact_mut(max_seq).zip(vin.chunks_exact_mut(max_seq)) {
+            let row = &mut row[..limit];
+            for (s, &scale) in row.iter_mut().zip(&self.k_scale) {
+                *s = *s * scale * inv_sqrt;
+            }
+            chip.ldsu.softmax(row);
+            // Probabilities enter the Vᵀ bank re-scaled per column;
+            // masked positions carry exactly zero.
+            probs.fill(0.0);
+            for ((p, &s), &scale) in probs.iter_mut().zip(row.iter()).zip(&self.v_scale) {
+                *p = s * scale;
+            }
         }
         chip.gemm_signed(self.v, vin, ctx);
     }
@@ -337,36 +284,36 @@ impl HeadKv {
 /// One pre-norm transformer block's device state.
 #[derive(Debug)]
 struct Block {
-    ln1: Norm,
     wq: Projection,
     wk: Projection,
     wv: Projection,
     kv: Vec<HeadKv>,
     wo: Projection,
-    ln2: Norm,
     w1: Projection,
     w2: Projection,
 }
 
-/// Final LayerNorm + classifier/vocabulary head.
-#[derive(Debug)]
-struct Readout {
-    norm: Norm,
-    proj: Projection,
-}
-
-impl Readout {
-    /// Logits of `x` through the banks, written into the emptied `out`;
-    /// `normed` is `d_model` scratch.
-    fn logits(&self, chip: &mut Chip, x: &[f64], normed: &mut [f64], out: &mut Vec<f64>) {
-        chip.ldsu.layer_norm(x, &self.norm, normed);
-        out.resize(self.proj.raw.len() / self.proj.in_dim, 0.0);
-        self.proj.gemv(chip, normed, out);
-    }
-
-    /// Digital twin of [`Readout::logits`].
-    fn exact(&self, x: &[f64]) -> Vec<f64> {
-        self.proj.exact(&self.norm.exact(x))
+impl Block {
+    /// Every head's attention for the span's query rows `rows` over
+    /// cache rows `..to`, into the same rows of `attn`: each head's
+    /// slice of those queries is gathered into one block, attended, and
+    /// its contexts scattered back.
+    fn attend_rows(&self, chip: &mut Chip, s: &mut DecodeScratch, rows: Range<usize>, to: usize) {
+        let d = self.wq.in_dim;
+        let (m, d_head, span) = (rows.len(), d / self.kv.len(), rows.start * d..rows.end * d);
+        for (h, kv) in self.kv.iter().enumerate() {
+            let (cols, window) = (h * d_head..(h + 1) * d_head, m * kv.k_scale.len());
+            let queries = s.queries[span.clone()].chunks_exact(d);
+            for (q, row) in s.head_q.chunks_exact_mut(d_head).zip(queries) {
+                q.copy_from_slice(&row[cols.clone()]);
+            }
+            let (q, ctx) = (&s.head_q[..m * d_head], &mut s.head_ctx[..m * d_head]);
+            kv.attend(chip, q, to, &mut s.scores[..window], &mut s.vin[..window], ctx);
+            let contexts = s.attn[span.clone()].chunks_exact_mut(d);
+            for (ctx, row) in s.head_ctx.chunks_exact(d_head).zip(contexts) {
+                row[cols.clone()].copy_from_slice(ctx);
+            }
+        }
     }
 }
 
@@ -377,7 +324,8 @@ pub struct PhotonicTransformer {
     /// Every grid in construction order, and the digital side.
     chip: Chip,
     blocks: Vec<Block>,
-    head: Readout,
+    /// The vocabulary/classifier head, read after the final LayerNorm.
+    head: Projection,
     /// Cached tokens (decode mode) / tokens of the current sequence.
     cache_len: usize,
     kv_writes: u64,
@@ -393,77 +341,59 @@ pub struct PhotonicTransformer {
 /// The working buffers of every path — decode, causal prefill and the
 /// encoder — sized once at construction and reused (DESIGN.md §15): the
 /// batched classifier writes its logits into reused output slots, and
-/// decode allocates only the logits it returns. Token `t`'s hidden state
-/// and query live in row `t` of `hidden` and `queries`: decode writes its
-/// token into row `t`, a prefill copies the whole sequence in.
+/// decode allocates only the logits it returns. Row `i` of each
+/// span-wide buffer belongs to token `i` of the current span: a whole
+/// sequence for a prefill, one token for a decode step.
 #[derive(Debug)]
 struct DecodeScratch {
     /// Running hidden states, `max_seq` rows of `d_model`.
     hidden: Vec<f64>,
-    /// Query projections, `max_seq` rows of `d_model`.
-    queries: Vec<f64>,
-    /// LayerNorm output feeding the projections / FFN / head (`d_model`).
+    /// LayerNorm outputs feeding the projections and the FFN, and the
+    /// query, key and value projections (`max_seq × d_model` each).
     normed: Vec<f64>,
-    /// The token's key and value projections (`d_model` wide each).
-    k: Vec<f64>,
-    v: Vec<f64>,
-    /// Concatenated head contexts (`d_model` wide).
+    queries: Vec<f64>,
+    keys: Vec<f64>,
+    values: Vec<f64>,
+    /// Concatenated head contexts (`max_seq × d_model`).
     attn: Vec<f64>,
-    /// Sublayer output added to the residual stream (`d_model` wide).
+    /// Sublayer outputs added to the residual stream (`max_seq × d_model`).
     delta: Vec<f64>,
-    /// Attention score row (`max_seq` wide).
-    scores: Vec<f64>,
-    /// Re-scaled probability inputs to the Vᵀ bank (`max_seq` wide).
-    vin: Vec<f64>,
-    /// FFN pre-activation (`d_ff` wide).
+    /// FFN pre- and post-activation (`max_seq × d_ff` each).
     h1: Vec<f64>,
-    /// FFN post-activation (`d_ff` wide).
     act: Vec<f64>,
+    /// One head's gathered queries and contexts (`q_rows × d_head` each).
+    head_q: Vec<f64>,
+    head_ctx: Vec<f64>,
+    /// Attention scores and the re-scaled probabilities streamed into the
+    /// Vᵀ bank (`q_rows × max_seq` each).
+    scores: Vec<f64>,
+    vin: Vec<f64>,
     /// Mean-pooled hidden state (`d_model` wide).
     pooled: Vec<f64>,
 }
 
 impl DecodeScratch {
     fn new(cfg: &TransformerConfig) -> Self {
-        let (d, rows) = (cfg.d_model, cfg.max_seq);
+        // A causal token attends alone; an encoder's whole span at once.
+        let q_rows = if cfg.causal { 1 } else { cfg.max_seq };
+        let (d, d_head, rows) = (cfg.d_model, cfg.d_model / cfg.heads, cfg.max_seq);
+        let span = || vec![0.0; rows * d];
         Self {
-            hidden: vec![0.0; rows * d],
-            queries: vec![0.0; rows * d],
-            normed: vec![0.0; d],
-            k: vec![0.0; d],
-            v: vec![0.0; d],
-            attn: vec![0.0; d],
-            delta: vec![0.0; d],
-            scores: vec![0.0; rows],
-            vin: vec![0.0; rows],
-            h1: vec![0.0; cfg.d_ff],
-            act: vec![0.0; cfg.d_ff],
+            hidden: span(),
+            normed: span(),
+            queries: span(),
+            keys: span(),
+            values: span(),
+            attn: span(),
+            delta: span(),
+            h1: vec![0.0; rows * cfg.d_ff],
+            act: vec![0.0; rows * cfg.d_ff],
+            head_q: vec![0.0; q_rows * d_head],
+            head_ctx: vec![0.0; q_rows * d_head],
+            scores: vec![0.0; q_rows * rows],
+            vin: vec![0.0; q_rows * rows],
             pooled: vec![0.0; d],
         }
-    }
-}
-
-/// Safe softmax in place (f64): subtract max, exponentiate, one
-/// reciprocal multiply — the digital LDSU op, shared verbatim by the
-/// photonic path and the digital twins.
-fn softmax64(row: &mut [f64]) {
-    if row.is_empty() {
-        return;
-    }
-    let mut max = f64::NEG_INFINITY;
-    for &v in row.iter() {
-        if v > max {
-            max = v;
-        }
-    }
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
     }
 }
 
@@ -524,11 +454,10 @@ impl PhotonicTransformer {
                         v_scale: vec![1.0; cfg.max_seq],
                     })
                     .collect();
-                Block { ln1: Norm::unit(d), wq, wk, wv, kv, wo, ln2: Norm::unit(d), w1, w2 }
+                Block { wq, wk, wv, kv, wo, w1, w2 }
             })
             .collect();
-        let proj = Projection::init(&mut rng, &mut chip, grid(cfg.out_dim, d));
-        let head = Readout { norm: Norm::unit(d), proj };
+        let head = Projection::init(&mut rng, &mut chip, grid(cfg.out_dim, d));
         Ok(Self {
             scratch: DecodeScratch::new(&cfg),
             chip,
@@ -603,62 +532,67 @@ impl PhotonicTransformer {
         self.chip.energy_ledger()
     }
 
-    /// Phase one of token `t` through block `b`: LN1, the Q/K/V
-    /// projections (the query into row `t` of the query buffer), then the
-    /// K/V append at position `t` — billed as KV-cache traffic when the
-    /// model is causal.
-    fn block_in(&mut self, b: usize, t: usize) {
-        let d = self.cfg.d_model;
-        let d_head = d / self.cfg.heads;
-        let Self { chip, blocks, scratch: s, .. } = self;
+    /// Block `b` over the span's `n` tokens at positions `at..at + n`,
+    /// whose hidden states fill the first `n` rows of the scratch
+    /// (DESIGN.md §16). LN1 runs per token, then Q, K and V as one signed
+    /// GEMM each. Each token then, in order, appends its K/V and programs
+    /// its bands — billed as KV-cache traffic when the model is causal —
+    /// and a causal token attends over rows `..=t` at once; an encoder
+    /// attends once the whole span is banked. `wo`, the residual, LN2,
+    /// `w1`, the GST activation, `w2` and the second residual each run
+    /// once over the span.
+    fn block(&mut self, b: usize, at: usize, n: usize) {
+        let (d, causal) = (self.cfg.d_model, self.cfg.causal);
+        let (d_head, rows, ff) = (d / self.cfg.heads, n * d, n * self.cfg.d_ff);
+        let Self { chip, blocks, scratch: s, kv_writes, kv_reads, .. } = self;
         let block = &mut blocks[b];
-        let row = t * d..(t + 1) * d;
-        chip.ldsu.layer_norm(&s.hidden[row.clone()], &block.ln1, &mut s.normed);
-        block.wq.gemv(chip, &s.normed, &mut s.queries[row]);
-        block.wk.gemv(chip, &s.normed, &mut s.k);
-        block.wv.gemv(chip, &s.normed, &mut s.v);
-        let mut spent = EnergyPj::ZERO;
-        let heads = s.k.chunks(d_head).zip(s.v.chunks(d_head));
-        for (kv, (k, v)) in block.kv.iter_mut().zip(heads) {
-            kv.append(t, k, v);
-            spent += chip.grids[kv.k].program_row_band(&kv.k_logical, t / TILE);
-            spent += chip.grids[kv.v].program_col_band(&kv.v_logical, t / TILE);
+        chip.ldsu.layer_norm(&s.hidden[..rows], d, &mut s.normed[..rows]);
+        block.wq.gemv(chip, &s.normed[..rows], &mut s.queries[..rows]);
+        block.wk.gemv(chip, &s.normed[..rows], &mut s.keys[..rows]);
+        block.wv.gemv(chip, &s.normed[..rows], &mut s.values[..rows]);
+        for i in 0..n {
+            let (t, row) = (at + i, i * d..(i + 1) * d);
+            let mut spent = EnergyPj::ZERO;
+            let heads = s.keys[row.clone()].chunks(d_head).zip(s.values[row].chunks(d_head));
+            for (kv, (k, v)) in block.kv.iter_mut().zip(heads) {
+                kv.append(t, k, v);
+                spent += chip.grids[kv.k].program_row_band(&kv.k_logical, t / TILE);
+                spent += chip.grids[kv.v].program_col_band(&kv.v_logical, t / TILE);
+            }
+            if causal {
+                block.attend_rows(chip, s, i..i + 1, t + 1);
+                let (writes, reads) = (2 * d as u64, 2 * d as u64 * (t + 1) as u64);
+                *kv_writes += writes;
+                *kv_reads += reads;
+                obs::add(obs::Counter::KvCacheWrites, writes);
+                obs::add_pj(obs::Counter::KvCacheFj, spent.value());
+                obs::add(obs::Counter::KvCacheReads, reads);
+            }
         }
-        if self.cfg.causal {
-            let elems = 2 * d as u64;
-            self.kv_writes += elems;
-            obs::add(obs::Counter::KvCacheWrites, elems);
-            obs::add_pj(obs::Counter::KvCacheFj, spent.value());
+        if !causal {
+            block.attend_rows(chip, s, 0..n, at + n);
         }
+        block.wo.gemv(chip, &s.attn[..rows], &mut s.delta[..rows]);
+        chip.ldsu.residual(&mut s.hidden[..rows], &s.delta[..rows], d);
+        chip.ldsu.layer_norm(&s.hidden[..rows], d, &mut s.normed[..rows]);
+        block.w1.gemv(chip, &s.normed[..rows], &mut s.h1[..ff]);
+        chip.grids[block.w1.grid].activate_rows(&s.h1[..ff], &mut s.act[..ff]);
+        block.w2.gemv(chip, &s.act[..ff], &mut s.delta[..rows]);
+        chip.ldsu.residual(&mut s.hidden[..rows], &s.delta[..rows], d);
     }
 
-    /// Phase two of token `t` through block `b`: multi-head attention
-    /// over cache rows `0..limit`, `wo` and the residual add, then LN2,
-    /// the FFN (`w1`, per-band photonic GST activation, `w2`) and its
-    /// residual add.
-    fn block_out(&mut self, b: usize, t: usize, limit: usize) {
-        let d = self.cfg.d_model;
-        let d_head = d / self.cfg.heads;
-        let Self { chip, blocks, scratch: s, .. } = self;
-        let block = &blocks[b];
-        let row = t * d..(t + 1) * d;
-        let heads = s.queries[row.clone()].chunks(d_head).zip(s.attn.chunks_mut(d_head));
-        for (kv, (q, ctx)) in block.kv.iter().zip(heads) {
-            kv.attend(chip, q, limit, &mut s.scores, &mut s.vin, ctx);
+    /// Copy the tokens of `x` (flat rows of `d_model`, already checked)
+    /// in at position `at`, run every block over them and set the cache
+    /// length; returns their count. Their final hidden states fill the
+    /// first rows of the scratch.
+    fn feed_span(&mut self, at: usize, x: &[f64]) -> usize {
+        let n = x.len() / self.cfg.d_model;
+        self.scratch.hidden[..x.len()].copy_from_slice(x);
+        for b in 0..self.blocks.len() {
+            self.block(b, at, n);
         }
-        block.wo.gemv(chip, &s.attn, &mut s.delta);
-        let hidden = &mut s.hidden[row];
-        chip.ldsu.residual(hidden, &s.delta);
-        chip.ldsu.layer_norm(hidden, &block.ln2, &mut s.normed);
-        block.w1.gemv(chip, &s.normed, &mut s.h1);
-        chip.grids[block.w1.grid].activate_rows(&s.h1, &mut s.act);
-        block.w2.gemv(chip, &s.act, &mut s.delta);
-        chip.ldsu.residual(hidden, &s.delta);
-        if self.cfg.causal {
-            let reads = 2 * d as u64 * limit as u64;
-            self.kv_reads += reads;
-            obs::add(obs::Counter::KvCacheReads, reads);
-        }
+        self.cache_len = at + n;
+        n
     }
 
     /// Token count of a flat `seq × d_model` input, `1 ≤ seq ≤ max_seq`.
@@ -670,33 +604,13 @@ impl PhotonicTransformer {
         Ok(len / d)
     }
 
-    /// Full-sequence forward over `x` (flat `seq × d_model`, its length
-    /// already passed by `check_seq`), layer-major like a prefill: the
-    /// tokens are copied into the hidden rows, then each block runs over
-    /// all of them. Causal models run each token's two phases back to
-    /// back — the decode schedule — while an encoder banks the whole
-    /// sequence's K/V before any query attends. Leaves the sequence
-    /// cached and returns its length.
-    fn prefill(&mut self, x: &[f64]) -> usize {
-        let seq = x.len() / self.cfg.d_model;
-        self.scratch.hidden[..x.len()].copy_from_slice(x);
-        for b in 0..self.blocks.len() {
-            if self.cfg.causal {
-                for t in 0..seq {
-                    self.block_in(b, t);
-                    self.block_out(b, t, t + 1);
-                }
-            } else {
-                for t in 0..seq {
-                    self.block_in(b, t);
-                }
-                for t in 0..seq {
-                    self.block_out(b, t, seq);
-                }
-            }
+    /// The typed error of a causal-only path (per-position logits, KV-cache
+    /// decode) on an encoder.
+    fn require_causal(&self) -> Result<(), ArchError> {
+        if self.cfg.causal {
+            return Ok(());
         }
-        self.cache_len = seq;
-        seq
+        Err(ArchError::InvalidParameter { name: "causal", value: 0, expected: "a causal decoder" })
     }
 
     /// Classifier forward (the ViT serving path): full-sequence encode,
@@ -709,20 +623,14 @@ impl PhotonicTransformer {
     /// Per-position logits of a causal full-sequence forward — the
     /// recompute reference the KV invariant tests compare decode against.
     pub fn try_forward_causal(&mut self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
-        if !self.cfg.causal {
-            return Err(ArchError::InvalidParameter {
-                name: "causal",
-                value: 0,
-                expected: "a causal decoder (per-position logits)",
-            });
-        }
+        self.require_causal()?;
         self.check_seq(x.len())?;
-        let seq = self.prefill(x);
+        let seq = self.feed_span(0, x);
         let d = self.cfg.d_model;
         let Self { chip, head, scratch: s, .. } = self;
         let logits = |tok| {
             let mut out = Vec::new();
-            head.logits(chip, tok, &mut s.normed, &mut out);
+            head.read_normed(chip, tok, &mut s.normed, &mut out);
             out
         };
         Ok(s.hidden[..seq * d].chunks(d).map(logits).collect())
@@ -730,8 +638,10 @@ impl PhotonicTransformer {
 
     /// Decode one token through the KV-cache path: appends the token's
     /// K/V to every block's banks (one row/column band program each) and
-    /// returns its `out_dim` logits. Errors when the context is full.
+    /// returns its `out_dim` logits. Errors on an encoder and when the
+    /// context is full.
     pub fn try_decode_token(&mut self, x: &[f64]) -> Result<Vec<f64>, ArchError> {
+        self.require_causal()?;
         let d = self.cfg.d_model;
         if x.len() != d {
             return Err(ArchError::ShapeMismatch { expected: d, got: x.len() });
@@ -740,16 +650,10 @@ impl PhotonicTransformer {
         if t >= self.cfg.max_seq {
             return Err(ArchError::ShapeMismatch { expected: self.cfg.max_seq, got: t + 1 });
         }
-        let row = t * d..(t + 1) * d;
-        self.scratch.hidden[row.clone()].copy_from_slice(x);
-        for b in 0..self.blocks.len() {
-            self.block_in(b, t);
-            self.block_out(b, t, t + 1);
-        }
-        self.cache_len = t + 1;
+        self.feed_span(t, x);
         let Self { chip, head, scratch: s, .. } = self;
         let mut logits = Vec::new();
-        head.logits(chip, &s.hidden[row], &mut s.normed, &mut logits);
+        head.read_normed(chip, &s.hidden[..d], &mut s.normed, &mut logits);
         Ok(logits)
     }
 
@@ -770,11 +674,11 @@ impl PhotonicTransformer {
         let mut outputs = std::mem::take(&mut self.outputs);
         grow_slots(&mut outputs, n, &mut self.heap_allocs);
         for (slot, x) in outputs.iter_mut().zip(batch) {
-            let seq = self.prefill(x.as_ref());
+            let seq = self.feed_span(0, x.as_ref());
             let Self { chip, head, scratch: s, heap_allocs, .. } = self;
             mean_pool(&s.hidden[..seq * d], d, &mut s.pooled);
-            chip.ldsu.charge("ldsu residual", d, LDSU_RESIDUAL_PJ_PER_ELEM);
-            refill(slot, heap_allocs, |out| head.logits(chip, &s.pooled, &mut s.normed, out));
+            chip.ldsu.charge("ldsu residual", LDSU_RESIDUAL_ENERGY, d, 1);
+            refill(slot, heap_allocs, |out| head.read_normed(chip, &s.pooled, &mut s.normed, out));
         }
         self.outputs = outputs;
         Ok(&self.outputs[..n])
@@ -806,7 +710,7 @@ impl PhotonicTransformer {
         let inv_sqrt = 1.0 / (d_head as f64).sqrt();
         let mut hidden = x.to_vec();
         for block in &self.blocks {
-            let normed: Vec<Vec<f64>> = hidden.chunks(d).map(|tok| block.ln1.exact(tok)).collect();
+            let normed: Vec<Vec<f64>> = hidden.chunks(d).map(exact_norm).collect();
             let q: Vec<Vec<f64>> = normed.iter().map(|n| block.wq.exact(n)).collect();
             let k: Vec<Vec<f64>> = normed.iter().map(|n| block.wk.exact(n)).collect();
             let v: Vec<Vec<f64>> = normed.iter().map(|n| block.wv.exact(n)).collect();
@@ -816,14 +720,7 @@ impl PhotonicTransformer {
                 for h in 0..self.cfg.heads {
                     let span = h * d_head..(h + 1) * d_head;
                     let mut scores: Vec<f64> = (0..limit)
-                        .map(|j| {
-                            k[j][span.clone()]
-                                .iter()
-                                .zip(&q[t][span.clone()])
-                                .map(|(&a, &b)| a * b)
-                                .sum::<f64>()
-                                * inv_sqrt
-                        })
+                        .map(|j| dot(&k[j][span.clone()], &q[t][span.clone()]) * inv_sqrt)
                         .collect();
                     softmax64(&mut scores);
                     for (j, &p) in scores.iter().enumerate() {
@@ -835,7 +732,7 @@ impl PhotonicTransformer {
                 for (hv, &p) in tok.iter_mut().zip(&block.wo.exact(&concat)) {
                     *hv += p;
                 }
-                let h1 = block.w1.exact(&block.ln2.exact(tok));
+                let h1 = block.w1.exact(&exact_norm(tok));
                 let act: Vec<f64> = h1.into_iter().map(gst_activation).collect();
                 for (hv, &p) in tok.iter_mut().zip(&block.w2.exact(&act)) {
                     *hv += p;
@@ -850,13 +747,13 @@ impl PhotonicTransformer {
         let hidden = self.digital_hidden(x)?;
         let mut pooled = vec![0.0f64; self.cfg.d_model];
         mean_pool(&hidden, self.cfg.d_model, &mut pooled);
-        Ok(self.head.exact(&pooled))
+        Ok(self.head.exact(&exact_norm(&pooled)))
     }
 
     /// Digital twin of [`PhotonicTransformer::try_forward_causal`].
     pub fn digital_forward_causal(&self, x: &[f64]) -> Result<Vec<Vec<f64>>, ArchError> {
         let hidden = self.digital_hidden(x)?;
-        Ok(hidden.chunks(self.cfg.d_model).map(|tok| self.head.exact(tok)).collect())
+        Ok(hidden.chunks(self.cfg.d_model).map(|tok| self.head.exact(&exact_norm(tok))).collect())
     }
 }
 
@@ -951,6 +848,12 @@ mod tests {
             tx.try_forward_causal(&x),
             Err(ArchError::InvalidParameter { name: "causal", .. })
         ));
+        // An encoder has no KV-cache decode either.
+        assert!(matches!(
+            tx.try_decode_token(&x[..tx.config().d_model]),
+            Err(ArchError::InvalidParameter { name: "causal", .. })
+        ));
+        assert_eq!(tx.cache_len(), 0);
     }
 
     #[test]
