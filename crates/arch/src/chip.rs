@@ -39,7 +39,7 @@ pub(crate) struct Ldsu {
     pub(crate) energy: EnergyLedger,
     /// One cycle per element of every digital op. An integer count, so
     /// the time it reads does not depend on the order of the charges.
-    pub(crate) cycles: u64,
+    cycles: u64,
 }
 
 /// LayerNorm variance floor.

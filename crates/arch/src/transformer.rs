@@ -33,7 +33,7 @@
 //! append, while an encoder banks the whole span and then attends once
 //! per head with all of its queries. `wo`, the residual, LN2, the FFN and
 //! its residual run once over the span. Every PE still sees its vectors
-//! in token order, so a span is bitwise the token-by-token schedule.
+//! in token order, so a span is bitwise a token-at-a-time schedule.
 //!
 //! ## Determinism contract
 //!
